@@ -11,20 +11,25 @@
 //! * `heavy_hitters` — dyadic group testing over an 8-bit hierarchy
 //!   (ECM-EH only), the top-talker report.
 //!
-//! A fourth section prices the *server's* two read paths against each
-//! other while writes keep flowing: `read_scaling` runs 1/2/4 reader
-//! threads through the wait-free published-epoch path
-//! (`Engine::query_published`) and through the worker-mailbox path
-//! (`Engine::query_via_worker`) and reports queries/sec for each cell.
-//! The published path must beat the serialized path and must not
-//! collapse as readers are added; `bench_schema.rs` holds the floors.
+//! A fourth section prices the *server's* read path while writes keep
+//! flowing: `read_scaling` runs 1/2/4 reader threads through the
+//! wait-free published-epoch path (`Engine::query_served`) and reports
+//! queries/sec for each cell; it must not collapse as readers are added.
+//! A fifth prices what feeds that path: `publish` times one publication
+//! (clone the store, swap the epoch, retire the old one) at 1 000 and
+//! 10 000 resident keys with 32 keys written in between — the store's
+//! entries are copy-on-write, so the cost must stay a pointer copy per
+//! resident key, not a sketch copy. `bench_schema.rs` holds the floors.
 //!
 //! Results are printed and written as JSON to `BENCH_query.json` at the
 //! workspace root (`BENCH_QUERY_OUT` overrides the path); the schema is
 //! validated by `crates/bench/tests/bench_schema.rs`. Scale with
 //! `ECM_EVENTS` (default 200 000).
 
-use ecm::{EcmBuilder, EcmHierarchy, EcmSketch, Query, SketchReader, Threshold, WindowSpec};
+use ecm::{
+    EcmBuilder, EcmHierarchy, EcmSketch, Epoch, LeftRight, Query, SketchReader, SketchStore,
+    Threshold, WindowSpec,
+};
 use ecm_bench::{bursty_zipf_trace, event_budget};
 use sketch_server::engine::Engine;
 use sketch_server::protocol::OwnedQuery;
@@ -104,22 +109,15 @@ fn point_rows<W: WindowCounter + 'static>(
 }
 
 struct ScaleRow {
-    path: &'static str,
     readers: usize,
     queries_per_sec: f64,
 }
 
 /// Throughput of `readers` concurrent threads hammering point queries
-/// down one read path for a fixed wall-clock slice, while a background
+/// down the read path for a fixed wall-clock slice, while a background
 /// writer keeps acked batches flowing (so the published copies are
 /// genuinely republished throughout, not frozen).
-fn read_scaling_cell(
-    engine: &Arc<Engine>,
-    keys: &[String],
-    now: u64,
-    path: &'static str,
-    readers: usize,
-) -> ScaleRow {
+fn read_scaling_cell(engine: &Arc<Engine>, keys: &[String], now: u64, readers: usize) -> ScaleRow {
     const MEASURE: Duration = Duration::from_millis(250);
     let stop = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..readers)
@@ -137,14 +135,10 @@ fn read_scaling_cell(
                         item: (i % 256) as u64,
                     };
                     i += 1;
-                    let ok = match path {
-                        "published" => engine.query_published(key, &q, w).answer.is_some(),
-                        _ => engine
-                            .query_via_worker(key, &q, w)
-                            .map(|(a, _)| a.is_some())
-                            .unwrap_or(false),
-                    };
-                    if ok {
+                    if engine
+                        .query_served(key, &q, w)
+                        .is_ok_and(|served| served.answer.is_some())
+                    {
                         done += 1;
                     }
                 }
@@ -161,13 +155,59 @@ fn read_scaling_cell(
         .sum();
     let elapsed = start.elapsed().as_secs_f64();
     ScaleRow {
-        path,
         readers,
         queries_per_sec: total as f64 / elapsed,
     }
 }
 
-fn json(rows: &[Row], scaling: &[ScaleRow], events: usize, eh_bytes: usize) -> String {
+/// Keys written between two timed publications.
+const DIRTY_KEYS: usize = 32;
+
+struct PublishRow {
+    resident_keys: usize,
+    publishes: usize,
+    publish_us: f64,
+}
+
+/// Mean cost of one publication of a `resident_keys`-tenant store, the
+/// way a shard worker runs it: `DIRTY_KEYS` tenants are written (untimed
+/// — that is the write path, and where their sketches get copied), then
+/// the store is cloned into a fresh epoch, which also retires the epoch
+/// published two rounds earlier (timed).
+fn publish_cell(resident_keys: usize) -> PublishRow {
+    let spec = SketchSpec::time(WINDOW).epsilon(0.1).delta(0.1).seed(7);
+    let mut store: SketchStore<String> = SketchStore::new(spec).expect("valid spec");
+    let keys: Vec<String> = (0..resident_keys).map(|t| format!("tenant-{t}")).collect();
+    for (t, key) in keys.iter().enumerate() {
+        store.insert(key.clone(), 1, t as u64 % 256);
+    }
+    let lr = LeftRight::new(Epoch::initial(store.clone(), 1, 0));
+    let publishes = 200;
+    let mut spent = Duration::ZERO;
+    for round in 0..publishes {
+        let ts = 2 + round as u64;
+        for d in 0..DIRTY_KEYS {
+            let key = &keys[(round * DIRTY_KEYS + d) % resident_keys];
+            store.insert(key.clone(), ts, d as u64);
+        }
+        let start = Instant::now();
+        lr.publish(Epoch::initial(store.clone(), ts, store.version()));
+        spent += start.elapsed();
+    }
+    PublishRow {
+        resident_keys,
+        publishes,
+        publish_us: spent.as_secs_f64() * 1e6 / publishes as f64,
+    }
+}
+
+fn json(
+    rows: &[Row],
+    scaling: &[ScaleRow],
+    publish: &[PublishRow],
+    events: usize,
+    eh_bytes: usize,
+) -> String {
     let mut results = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -184,8 +224,19 @@ fn json(rows: &[Row], scaling: &[ScaleRow], events: usize, eh_bytes: usize) -> S
             scale.push_str(",\n");
         }
         scale.push_str(&format!(
-            "    {{\"path\": \"{}\", \"readers\": {}, \"queries_per_sec\": {:.1}}}",
-            s.path, s.readers, s.queries_per_sec
+            "    {{\"path\": \"published\", \"readers\": {}, \"queries_per_sec\": {:.1}}}",
+            s.readers, s.queries_per_sec
+        ));
+    }
+    let mut publishes = String::new();
+    for (i, p) in publish.iter().enumerate() {
+        if i > 0 {
+            publishes.push_str(",\n");
+        }
+        publishes.push_str(&format!(
+            "    {{\"resident_keys\": {}, \"dirty_keys\": {DIRTY_KEYS}, \"publishes\": {}, \
+             \"publish_us\": {:.1}}}",
+            p.resident_keys, p.publishes, p.publish_us
         ));
     }
     format!(
@@ -193,7 +244,7 @@ fn json(rows: &[Row], scaling: &[ScaleRow], events: usize, eh_bytes: usize) -> S
          \"events\": {events},\n    \"zipf_skew\": {ZIPF_SKEW},\n    \"key_domain\": {KEY_DOMAIN},\n    \
          \"window\": {WINDOW},\n    \"hierarchy_bits\": {HIER_BITS}\n  }},\n  \
          \"warm_eh_memory_bytes\": {eh_bytes},\n  \"results\": [\n{results}\n  ],\n  \
-         \"read_scaling\": [\n{scale}\n  ]\n}}\n"
+         \"read_scaling\": [\n{scale}\n  ],\n  \"publish\": [\n{publishes}\n  ]\n}}\n"
     )
 }
 
@@ -265,16 +316,10 @@ fn main() {
     let eh_bytes = SketchReader::memory_bytes(&eh);
     println!("warm ECM-EH memory_bytes: {eh_bytes}");
 
-    // Read scaling: the server's wait-free published-epoch path vs the
-    // worker-mailbox path, 1/2/4 reader threads each, writes flowing.
-    // Flat per-tenant sketches and a 16-batch publish interval keep the
-    // worker's publication work modest, so the mailbox cells price the
-    // serialized read path itself rather than queueing behind clones.
+    // Read scaling: the server's wait-free published-epoch path, 1/2/4
+    // reader threads, writes flowing.
     let spec = SketchSpec::time(WINDOW).epsilon(0.1).delta(0.1).seed(7);
-    let engine = Arc::new(
-        Engine::start(&ServerConfig::new(spec).shards(2).publish_interval(16))
-            .expect("engine start"),
-    );
+    let engine = Arc::new(Engine::start(&ServerConfig::new(spec).shards(2)).expect("engine start"));
     let keys: Vec<String> = (0..64).map(|t| format!("tenant-{t}")).collect();
     let mut rng = SeededRng::seed_from_u64(21);
     let mut ts = 0u64;
@@ -314,28 +359,35 @@ fn main() {
             }
         })
     };
-    let mut scaling = Vec::new();
-    for path in ["published", "mailbox"] {
-        for readers in [1usize, 2, 4] {
-            scaling.push(read_scaling_cell(&engine, &keys, served_now, path, readers));
-        }
-    }
+    let scaling: Vec<ScaleRow> = [1usize, 2, 4]
+        .into_iter()
+        .map(|readers| read_scaling_cell(&engine, &keys, served_now, readers))
+        .collect();
     stop_writer.store(true, Ordering::Relaxed);
     writer.join().expect("background writer");
     engine.shutdown().expect("engine shutdown");
 
-    println!(
-        "\n{:<12} {:>8} {:>16}",
-        "path", "readers", "queries_per_sec"
-    );
+    println!("\n{:>8} {:>16}", "readers", "queries_per_sec");
     for s in &scaling {
+        println!("{:>8} {:>16.1}", s.readers, s.queries_per_sec);
+    }
+
+    let publish: Vec<PublishRow> = [1_000, 10_000].into_iter().map(publish_cell).collect();
+    println!(
+        "\n{:>14} {:>10} {:>12} {:>14}",
+        "resident_keys", "publishes", "publish_us", "ns_per_key"
+    );
+    for p in &publish {
         println!(
-            "{:<12} {:>8} {:>16.1}",
-            s.path, s.readers, s.queries_per_sec
+            "{:>14} {:>10} {:>12.1} {:>14.1}",
+            p.resident_keys,
+            p.publishes,
+            p.publish_us,
+            p.publish_us * 1e3 / p.resident_keys as f64
         );
     }
 
-    let out = json(&rows, &scaling, events.len(), eh_bytes);
+    let out = json(&rows, &scaling, &publish, events.len(), eh_bytes);
     let path = std::env::var("BENCH_QUERY_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json").to_string()
     });

@@ -122,9 +122,10 @@ pub trait SketchWriter {
 /// like `unwrap_err` need it — [`Send`] + [`Sync`], so a sketch or a whole
 /// [`SketchStore`](crate::store::SketchStore) can move onto a shard worker
 /// thread and a *published* copy of it can be read from many threads at
-/// once (see [`crate::publish`]) — and [`CloneSketch`], so published
-/// snapshots are one deep copy away) is a [`Sketch`]; `Box<dyn Sketch>` is
-/// the currency of [`SketchSpec::build`] and the keyed store.
+/// once (see [`crate::publish`]) — and [`CloneSketch`], so a sketch
+/// shared with a published snapshot can be copied on write) is a
+/// [`Sketch`]; `Box<dyn Sketch>` is the currency of [`SketchSpec::build`]
+/// and the keyed store.
 pub trait Sketch: SketchReader + SketchWriter + CloneSketch + fmt::Debug + Send + Sync {}
 
 impl<T: SketchReader + SketchWriter + CloneSketch + fmt::Debug + Send + Sync + ?Sized> Sketch
@@ -132,12 +133,12 @@ impl<T: SketchReader + SketchWriter + CloneSketch + fmt::Debug + Send + Sync + ?
 {
 }
 
-/// Object-safe cloning for boxed sketches: what lets a
-/// [`SketchStore`](crate::store::SketchStore) full of `Box<dyn Sketch>`
-/// derive a deep copy, which is what the left-right publication path
-/// ([`crate::publish`]) snapshots. Blanket-implemented for every `Clone`
-/// backend; the slab-backed grids (PR 4) make the copy one contiguous
-/// `memcpy` per row, not a pointer chase.
+/// Object-safe cloning for type-erased sketches: what lets a
+/// [`SketchStore`](crate::store::SketchStore) copy a sketch it shares
+/// with one of its clones before writing it, so a published clone
+/// ([`crate::publish`]) stays immutable. Blanket-implemented for every
+/// `Clone` backend; the slab-backed grids (PR 4) make the copy one
+/// contiguous `memcpy` per row, not a pointer chase.
 pub trait CloneSketch {
     /// A deep copy of this sketch behind a fresh box.
     fn clone_box(&self) -> Box<dyn Sketch>;

@@ -24,11 +24,9 @@
 //!
 //! **Reads do not go through the ingest threads.** A `ShardedEcm` is
 //! plain data: queries run on whatever thread holds a reference. For
-//! concurrent readers beside a writer, wrap it in the left-right pair of
-//! [`crate::publish`] ([`EcmWriter`](crate::EcmWriter) /
-//! [`EcmReader`](crate::EcmReader)): the writer batches into a private
-//! copy and periodically publishes an immutable snapshot that any number
-//! of readers pin and query wait-free, with answers bit-identical to the
+//! concurrent readers beside a writer, publish clones of it through a
+//! [`LeftRight`](crate::publish::LeftRight) pair: readers pin and query
+//! an immutable snapshot wait-free, with answers bit-identical to the
 //! write copy's at the publication point.
 
 use std::sync::mpsc;

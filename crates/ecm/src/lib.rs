@@ -75,7 +75,7 @@ pub use config::{
 pub use count_based::{CountBasedEcm, CountBasedHierarchy};
 pub use decayed_cm::{DecayedCm, DecayedCmConfig};
 pub use hierarchy::{EcmHierarchy, Threshold};
-pub use publish::{EcmReader, EcmWriter, Epoch, LeftRight};
+pub use publish::{Epoch, LeftRight};
 pub use query::{Answer, Estimate, Guarantee, Query, QueryError, SketchReader, WindowSpec};
 pub use sketch::{grouped_runs, EcmDw, EcmEh, EcmEw, EcmExact, EcmRw, EcmSketch, StreamEvent};
 pub use snapshot::{

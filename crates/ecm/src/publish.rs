@@ -1,23 +1,27 @@
 //! Wait-free read publication: left-right epoch pairs.
 //!
-//! The worker loops that apply writes ([`SketchStore`] shards in the
-//! server, [`ShardedEcm`] in process) used to serialize every query behind
-//! the same mailbox as ingest, so read throughput was capped by the write
-//! path no matter how many cores sat idle. This module decouples them with
-//! the *left-right* scheme (Ramalhete & Correia; the concurrency design in
-//! jonhoo's thesis implementation chapter): the writer keeps two slots, and
-//! an atomic index says which slot readers may use. Publishing installs a
-//! fresh snapshot in the slot readers are *not* on, toggles the index, and
-//! waits for straggler readers to depart the old side before that side is
-//! ever written again.
+//! A worker loop that applies writes (a [`SketchStore`] shard in the
+//! server) would otherwise serialize every query behind the same mailbox
+//! as ingest, capping read throughput by the write path no matter how many
+//! cores sat idle. This module decouples them with the *left-right* scheme
+//! (Ramalhete & Correia; the concurrency design in jonhoo's thesis
+//! implementation chapter): the writer keeps two slots, and an atomic
+//! index says which slot readers may use. Publishing installs a fresh
+//! snapshot in the slot readers are *not* on, toggles the index, and waits
+//! for straggler readers to depart the old side before that side is ever
+//! written again.
 //!
 //! Readers are **wait-free**: a pin is two counter operations and an
 //! `Arc` clone — no locks, no retry loops, no mailbox round-trip — and the
 //! returned [`Epoch`] stays valid for as long as the caller holds it, even
-//! across later publications. Writers pay the publication cost (one
-//! contiguous snapshot copy — cheap for the slab-backed sketches — plus a
-//! bounded wait for readers that are mid-pin, which is nanoseconds because
-//! the pinned section is just the `Arc` clone).
+//! across later publications. Writers pay the publication cost: building
+//! the snapshot (for a [`SketchStore`] a map of shared pointers — its
+//! entries are copy-on-write) plus a bounded wait for readers that are
+//! mid-pin, which is nanoseconds because the pinned section is just the
+//! `Arc` clone. That is cheap enough to publish after every write batch,
+//! *before* the batch is acked, so an ack means "visible to every reader"
+//! and a serving layer needs no second read path to keep
+//! read-your-writes.
 //!
 //! # The protocol
 //!
@@ -46,66 +50,19 @@
 //! model of the same state machine; `tests/left_right_publish.rs` stresses
 //! the real implementation with racing threads.
 //!
-//! # Epoch metadata and the staleness bound
+//! # Epoch metadata
 //!
 //! Every published [`Epoch`] carries a publication sequence number
 //! ([`Epoch::seq`]), the write clock of the snapshot ([`Epoch::clock`] —
 //! the consistency point a response can echo), and the number of writes
-//! applied when it was cut ([`Epoch::applied`]). A serving layer that
-//! tracks accepted writes per shard can compare `applied` against its
-//! accepted count to decide whether the published copy is fresh enough —
-//! the server's engine does exactly this, falling back to the
-//! worker-serialized path only when a publication is pending, so clients
-//! keep read-your-writes while the common case stays wait-free. With a
-//! publication interval of `k`, a published copy is never more than `k`
-//! applied write batches behind the write copy.
-//!
-//! # In-process use: [`EcmWriter`] / [`EcmReader`]
-//!
-//! For plain concurrent use of a [`ShardedEcm`] without a server, the
-//! evmap-style split below wraps the sketch in a left-right pair: the
-//! single [`EcmWriter`] batches writes and publishes every
-//! `publish_interval` batches (or on [`EcmWriter::publish`]); any number of
-//! cloned [`EcmReader`]s answer the full [`SketchReader`] vocabulary from
-//! the latest published epoch, bit-identical to querying the write copy at
-//! the same publication point.
-//!
-//! ```
-//! use ecm::publish::EcmWriter;
-//! use ecm::{EcmBuilder, Query, SketchReader, WindowSpec};
-//! use sliding_window::ExponentialHistogram;
-//!
-//! let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(1).eh_config();
-//! let mut w: EcmWriter<ExponentialHistogram> = EcmWriter::new(&cfg, 4, 1);
-//! let reader = w.reader();
-//! let probe = std::thread::spawn(move || {
-//!     // Wait-free: never blocks on the writer, always sees a full epoch.
-//!     reader
-//!         .query(&Query::point(7), WindowSpec::time(1_000, 1_000))
-//!         .unwrap()
-//!         .into_value()
-//! });
-//! for t in 1..=1_000u64 {
-//!     w.insert(t % 20, t);
-//! }
-//! w.publish();
-//! probe.join().unwrap();
-//! ```
+//! applied when it was cut ([`Epoch::applied`], plain metadata for
+//! whoever publishes).
 //!
 //! [`SketchStore`]: crate::store::SketchStore
-//! [`ShardedEcm`]: crate::concurrent::ShardedEcm
 
-use std::any::Any;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
-
-use sliding_window::traits::WindowCounter;
-
-use crate::concurrent::ShardedEcm;
-use crate::config::EcmConfig;
-use crate::query::{Answer, Query, QueryError, SketchReader, WindowSpec};
-use crate::sketch::StreamEvent;
 
 /// One published snapshot plus its consistency point.
 #[derive(Debug, Clone)]
@@ -117,8 +74,7 @@ pub struct Epoch<T> {
     /// The snapshot's write clock (last tick written / declared when it
     /// was cut) — the consistency point served answers can carry.
     pub clock: u64,
-    /// Write batches applied when the snapshot was cut; compare against an
-    /// accepted-writes counter to bound staleness.
+    /// Write batches applied when the snapshot was cut.
     pub applied: u64,
 }
 
@@ -251,177 +207,9 @@ impl<T> std::fmt::Debug for LeftRight<T> {
     }
 }
 
-/// The write half of a left-right [`ShardedEcm`]: owns the write copy,
-/// batches writes, publishes snapshots. Create readers with
-/// [`reader`](EcmWriter::reader); see the [module docs](self).
-#[derive(Debug)]
-pub struct EcmWriter<W: WindowCounter> {
-    write: ShardedEcm<W>,
-    shared: Arc<LeftRight<ShardedEcm<W>>>,
-    /// Publish every this many write batches (≥ 1).
-    interval: u64,
-    /// Write batches applied since construction.
-    applied: u64,
-    /// Write batches applied at the last publish.
-    published_at: u64,
-    clock: u64,
-}
-
-impl<W> EcmWriter<W>
-where
-    W: WindowCounter + Clone + Send + Sync,
-    W::Config: Clone,
-    W::GridStorage: Clone + Send + Sync,
-{
-    /// A fresh sharded sketch wrapped in a left-right pair.
-    ///
-    /// # Panics
-    /// If `shards == 0` or `publish_interval == 0`.
-    pub fn new(cfg: &EcmConfig<W>, shards: usize, publish_interval: u64) -> Self {
-        Self::from_sketch(ShardedEcm::new(cfg, shards), publish_interval)
-    }
-
-    /// Wrap an existing sketch (e.g. restored from a snapshot); the initial
-    /// epoch published to readers is a copy of its current state.
-    ///
-    /// # Panics
-    /// If `publish_interval == 0`.
-    pub fn from_sketch(sketch: ShardedEcm<W>, publish_interval: u64) -> Self {
-        assert!(publish_interval >= 1, "publish interval must be >= 1");
-        let clock = sketch.last_tick();
-        let shared = Arc::new(LeftRight::new(Epoch::initial(sketch.clone(), clock, 0)));
-        EcmWriter {
-            write: sketch,
-            shared,
-            interval: publish_interval,
-            applied: 0,
-            published_at: 0,
-            clock,
-        }
-    }
-
-    /// A new wait-free read handle (cheap; clone freely across threads).
-    pub fn reader(&self) -> EcmReader<W> {
-        EcmReader {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// The write copy, for queries that must see unpublished writes.
-    pub fn write_copy(&self) -> &ShardedEcm<W> {
-        &self.write
-    }
-
-    /// Write batches applied minus batches covered by the last publish —
-    /// the staleness bound readers currently observe.
-    pub fn pending(&self) -> u64 {
-        self.applied - self.published_at
-    }
-
-    /// Insert one occurrence (one write batch for publication accounting).
-    pub fn insert(&mut self, item: u64, ts: u64) {
-        self.write.insert(item, ts);
-        self.wrote(ts);
-    }
-
-    /// Weighted insert (one write batch for publication accounting).
-    pub fn insert_weighted(&mut self, item: u64, ts: u64, n: u64) {
-        self.write.insert_weighted(item, ts, n);
-        self.wrote(ts);
-    }
-
-    /// Batched ingest (one write batch for publication accounting).
-    pub fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        self.write.ingest_batch(events);
-        let last = events.last().map_or(self.clock, |e| e.ts);
-        self.wrote(last);
-    }
-
-    /// Declare the clock reached `ts` (counts as a write batch).
-    pub fn advance_to(&mut self, ts: u64) {
-        self.write.advance_to(ts);
-        self.wrote(ts);
-    }
-
-    /// Publish the current write copy now, regardless of the interval.
-    /// Returns the new publication sequence.
-    pub fn publish(&mut self) -> u64 {
-        self.published_at = self.applied;
-        self.shared.publish(Epoch {
-            value: self.write.clone(),
-            seq: 0, // assigned by LeftRight::publish
-            clock: self.clock,
-            applied: self.applied,
-        })
-    }
-
-    fn wrote(&mut self, ts: u64) {
-        self.clock = self.clock.max(ts);
-        self.applied += 1;
-        if self.applied - self.published_at >= self.interval {
-            self.publish();
-        }
-    }
-}
-
-/// The wait-free read half of a left-right [`ShardedEcm`] — `Clone + Send
-/// + Sync`, answers the full [`SketchReader`] vocabulary from the latest
-/// published epoch. Answers are bit-identical to querying the write copy
-/// at the same publication point (proved in `tests/left_right_publish.rs`).
-#[derive(Debug, Clone)]
-pub struct EcmReader<W: WindowCounter> {
-    shared: Arc<LeftRight<ShardedEcm<W>>>,
-}
-
-impl<W> EcmReader<W>
-where
-    W: WindowCounter + Send + Sync,
-    W::GridStorage: Send + Sync,
-{
-    /// Pin the latest published epoch (wait-free). Hold it to run several
-    /// queries against one consistent snapshot.
-    pub fn epoch(&self) -> Arc<Epoch<ShardedEcm<W>>> {
-        self.shared.pin()
-    }
-}
-
-impl<W> SketchReader for EcmReader<W>
-where
-    W: WindowCounter + Send + Sync + std::fmt::Debug + 'static,
-    W::GridStorage: Send + Sync,
-{
-    fn query(&self, q: &Query<'_>, w: WindowSpec) -> Result<Answer, QueryError> {
-        self.shared.pin().value.query(q, w)
-    }
-
-    fn backend(&self) -> &'static str {
-        "ecm-published"
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.shared.pin().value.memory_bytes()
-    }
-
-    fn write_clock(&self) -> u64 {
-        self.shared.pin().clock
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        // Binary queries (inner products) need the concrete operand type;
-        // pin an epoch and use `ShardedEcm` directly for those.
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EcmBuilder;
-    use sliding_window::ExponentialHistogram;
-
-    fn cfg(window: u64) -> EcmConfig<ExponentialHistogram> {
-        EcmBuilder::new(0.1, 0.1, window).seed(3).eh_config()
-    }
 
     #[test]
     fn pin_sees_initial_then_published_epochs() {
@@ -455,45 +243,6 @@ mod tests {
             assert_eq!(lr.pin().seq, i);
         }
         assert_eq!(lr.seq(), 10);
-    }
-
-    #[test]
-    fn interval_batches_publications() {
-        let mut w: EcmWriter<ExponentialHistogram> = EcmWriter::new(&cfg(1_000), 2, 4);
-        let r = w.reader();
-        for t in 1..=3u64 {
-            w.insert(t, t);
-        }
-        // Three writes, interval four: readers still see the empty epoch.
-        assert_eq!(r.epoch().applied, 0);
-        assert_eq!(w.pending(), 3);
-        w.insert(4, 4);
-        assert_eq!(r.epoch().applied, 4);
-        assert_eq!(w.pending(), 0);
-    }
-
-    #[test]
-    fn reader_answers_match_write_copy_at_publication() {
-        let mut w: EcmWriter<ExponentialHistogram> = EcmWriter::new(&cfg(1_000), 3, 1);
-        let r = w.reader();
-        for t in 1..=2_000u64 {
-            w.insert(t % 50, t);
-        }
-        let win = WindowSpec::time(2_000, 1_000);
-        for item in 0..50u64 {
-            let published = r.query(&Query::point(item), win).unwrap().into_value();
-            let direct = w
-                .write_copy()
-                .query(&Query::point(item), win)
-                .unwrap()
-                .into_value();
-            assert_eq!(published.value, direct.value, "item {item}");
-            assert_eq!(published.guarantee, direct.guarantee, "item {item}");
-        }
-        assert_eq!(r.write_clock(), 2_000);
-        // A snapshot's Vec capacities may be trimmed relative to the write
-        // copy, so memory accounting is close but not byte-equal.
-        assert!(r.memory_bytes() > 0);
     }
 
     #[test]

@@ -48,8 +48,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
-use crate::api::{Sketch, SketchSpec, SpecError};
+use crate::api::{Clock, Sketch, SketchSpec, SpecError};
 use crate::query::{Answer, Query, QueryError, WindowSpec};
 use crate::sketch::StreamEvent;
 use crate::snapshot::{
@@ -72,24 +73,40 @@ pub enum Eviction {
 /// One tenant slot: the sketch plus its two clock stamps — `order_stamp`
 /// is the key's current position in [`SketchStore::order`] (refreshed per
 /// write under LRU, the creation stamp under FIFO), `last_written` the
-/// stamp of the most recent write.
+/// stamp of the most recent write. The sketch is shared with every clone
+/// of the store until one side writes it ([`unshared`]).
 #[derive(Clone)]
 struct Entry {
-    sketch: Box<dyn Sketch>,
+    sketch: Arc<dyn Sketch>,
     order_stamp: u64,
     last_written: u64,
+    /// Written (or created) since the last checkpoint — the working set an
+    /// incremental snapshot rewrites.
+    dirty: bool,
+}
+
+/// Write access to a sketch a store clone may still point at: the first
+/// write after a clone copies the sketch, so no write is ever visible on
+/// the other side.
+fn unshared(sketch: &mut Arc<dyn Sketch>) -> &mut dyn Sketch {
+    if Arc::get_mut(sketch).is_none() {
+        *sketch = Arc::from(sketch.clone_box());
+    }
+    Arc::get_mut(sketch).expect("sole owner after the copy")
 }
 
 /// A keyed collection of identically-specified sketches with lazy creation,
 /// grouped batched ingest, cross-key queries and bounded capacity. See the
 /// [module docs](self) for the full tour.
 ///
-/// The store is `Clone`: a clone is a deep, bit-identical copy (every
-/// boxed sketch is copied through [`crate::api::CloneSketch`], clock and
-/// write stamps included), which is what the left-right publication path
-/// ([`crate::publish`]) snapshots — queries against the clone answer
+/// The store is `Clone`, and a clone is observably a deep, bit-identical
+/// copy (clock and write stamps included): queries against it answer
 /// exactly what the original would have answered at the moment of the
-/// copy.
+/// copy, whatever either side is fed afterwards. It costs a map of
+/// pointers, not a copy of every sketch — entries are copy-on-write, so a
+/// sketch is duplicated (through [`crate::api::CloneSketch`]) only when one
+/// side next writes its key. That is what lets a serving layer publish a
+/// clone per write batch ([`crate::publish`]).
 #[derive(Clone)]
 pub struct SketchStore<K> {
     spec: SketchSpec,
@@ -98,7 +115,9 @@ pub struct SketchStore<K> {
     /// the stamp is the key's `last_written`, for FIFO the stamp it was
     /// created with; stamps are unique (one clock tick per write), so the
     /// map's first entry is always the current victim and eviction is
-    /// O(log n).
+    /// O(log n). Kept only by bounded stores: an unbounded one never
+    /// evicts, and without the index neither a write nor a `clone` copies
+    /// the key a second time.
     order: BTreeMap<u64, K>,
     capacity: Option<usize>,
     eviction: Eviction,
@@ -108,9 +127,6 @@ pub struct SketchStore<K> {
     /// Sequence number of the last checkpoint written or restored (0 =
     /// none yet); incremental snapshots chain on it.
     checkpoint_seq: u64,
-    /// Keys written (or created) since the last checkpoint — the working
-    /// set an incremental snapshot rewrites.
-    dirty: BTreeSet<K>,
     /// Keys evicted since the last checkpoint — shipped as tombstones so an
     /// incremental restore drops them too.
     dropped: BTreeSet<K>,
@@ -133,7 +149,6 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
             clock: 0,
             evictions: 0,
             checkpoint_seq: 0,
-            dirty: BTreeSet::new(),
             dropped: BTreeSet::new(),
         })
     }
@@ -209,7 +224,6 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     pub fn sketch_mut(&mut self, key: &K) -> &mut dyn Sketch {
         self.clock += 1;
         let stamp = self.clock;
-        self.dirty.insert(key.clone());
         if !self.entries.contains_key(key) {
             if let Some(cap) = self.capacity {
                 if self.entries.len() >= cap {
@@ -223,24 +237,30 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
             self.entries.insert(
                 key.clone(),
                 Entry {
-                    sketch,
+                    sketch: Arc::from(sketch),
                     order_stamp: stamp,
                     last_written: stamp,
+                    dirty: true,
                 },
             );
-            self.order.insert(stamp, key.clone());
+            if self.capacity.is_some() {
+                self.order.insert(stamp, key.clone());
+            }
             let entry = self.entries.get_mut(key).expect("just inserted");
-            return &mut *entry.sketch;
+            return unshared(&mut entry.sketch);
         }
         let entry = self.entries.get_mut(key).expect("presence checked");
         if self.eviction == Eviction::Lru {
             // Refresh the key's position in the eviction order.
-            self.order.remove(&entry.order_stamp);
-            self.order.insert(stamp, key.clone());
+            if self.capacity.is_some() {
+                self.order.remove(&entry.order_stamp);
+                self.order.insert(stamp, key.clone());
+            }
             entry.order_stamp = stamp;
         }
         entry.last_written = stamp;
-        &mut *entry.sketch
+        entry.dirty = true;
+        unshared(&mut entry.sketch)
     }
 
     /// Discard the policy's victim: the oldest stamp in the eviction
@@ -249,10 +269,9 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
         if let Some((_, victim)) = self.order.pop_first() {
             self.entries.remove(&victim);
             self.evictions += 1;
-            // The victim leaves the incremental working set and becomes a
-            // tombstone; should it be recreated later, a fresh dirty record
-            // will shadow the tombstone (tombstones apply first).
-            self.dirty.remove(&victim);
+            // The victim becomes a tombstone; should it be recreated
+            // later, a fresh dirty record will shadow the tombstone
+            // (tombstones apply first).
             self.dropped.insert(victim);
         }
     }
@@ -305,13 +324,17 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     /// with no arrivals. Does not refresh write recency. Keys whose write
     /// clock actually moves are marked dirty — the clock is sketch state an
     /// incremental snapshot must carry — while keys already at or past `ts`
-    /// are provably unchanged and stay out of the next delta.
+    /// (and every key of a count-based store, whose clock only moves on
+    /// arrivals) are provably unchanged: they stay out of the next delta
+    /// and stay shared with any clone of the store.
     pub fn advance_to(&mut self, ts: u64) {
-        for (key, entry) in &mut self.entries {
-            let before = entry.sketch.write_clock();
-            entry.sketch.advance_to(ts);
-            if entry.sketch.write_clock() != before {
-                self.dirty.insert(key.clone());
+        if self.spec.clock() == Clock::Count {
+            return;
+        }
+        for entry in self.entries.values_mut() {
+            if entry.sketch.write_clock() < ts {
+                unshared(&mut entry.sketch).advance_to(ts);
+                entry.dirty = true;
             }
         }
     }
@@ -395,10 +418,7 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     /// Number of resident keys an incremental snapshot would rewrite
     /// (written or created since the last checkpoint).
     pub fn dirty_len(&self) -> usize {
-        self.dirty
-            .iter()
-            .filter(|k| self.entries.contains_key(k))
-            .count()
+        self.entries.values().filter(|e| e.dirty).count()
     }
 
     /// The store's current write-stamp clock: a monotone version that
@@ -477,9 +497,7 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
     pub fn write_snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
         let keys: Vec<K> = self.keys();
         let bytes = self.render(KIND_FULL, &keys)?;
-        self.checkpoint_seq += 1;
-        self.dirty.clear();
-        self.dropped.clear();
+        self.checkpointed(self.checkpoint_seq + 1);
         Ok(bytes)
     }
 
@@ -494,17 +512,25 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
     /// # Errors
     /// As [`write_snapshot`](Self::write_snapshot).
     pub fn write_incremental(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let keys: Vec<K> = self
-            .dirty
+        let mut keys: Vec<K> = self
+            .entries
             .iter()
-            .filter(|k| self.entries.contains_key(k))
-            .cloned()
+            .filter(|(_, e)| e.dirty)
+            .map(|(k, _)| k.clone())
             .collect();
+        keys.sort_unstable();
         let bytes = self.render(KIND_INCREMENTAL, &keys)?;
-        self.checkpoint_seq += 1;
-        self.dirty.clear();
-        self.dropped.clear();
+        self.checkpointed(self.checkpoint_seq + 1);
         Ok(bytes)
+    }
+
+    /// The store now equals checkpoint `seq`: the working set is empty.
+    fn checkpointed(&mut self, seq: u64) {
+        self.checkpoint_seq = seq;
+        for entry in self.entries.values_mut() {
+            entry.dirty = false;
+        }
+        self.dropped.clear();
     }
 
     fn render(&self, kind: u8, keys: &[K]) -> Result<Vec<u8>, SnapshotError> {
@@ -783,9 +809,7 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
         self.insert_records(parsed.records)?;
         self.clock = parsed.clock;
         self.evictions = parsed.evictions;
-        self.checkpoint_seq = parsed.seq;
-        self.dirty.clear();
-        self.dropped.clear();
+        self.checkpointed(parsed.seq);
         self.check_capacity()
     }
 
@@ -794,7 +818,7 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
         records: Vec<(K, u64, u64, Box<dyn Sketch>)>,
     ) -> Result<(), SnapshotError> {
         for (key, order_stamp, last_written, sketch) in records {
-            if self.order.insert(order_stamp, key.clone()).is_some() {
+            if self.capacity.is_some() && self.order.insert(order_stamp, key.clone()).is_some() {
                 return Err(CodecError::Corrupt {
                     context: "store duplicate order stamp",
                 }
@@ -805,9 +829,10 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
                 .insert(
                     key,
                     Entry {
-                        sketch,
+                        sketch: Arc::from(sketch),
                         order_stamp,
                         last_written,
+                        dirty: false,
                     },
                 )
                 .is_some()

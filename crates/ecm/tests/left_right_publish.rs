@@ -1,16 +1,15 @@
 //! Stress of the *real* `LeftRight` implementation with racing threads
 //! (the interleaving suite checks the protocol exhaustively on a step
 //! model; this file runs the shipped SeqCst code under genuine
-//! contention), plus the [`EcmWriter`]/[`EcmReader`] bit-identity
-//! contract: a published epoch answers exactly like the write copy at the
-//! same publication point.
+//! contention), plus the immutability contract of a published
+//! [`SketchStore`] clone: a pinned epoch keeps answering from its own
+//! publication point while the write copy moves on.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ecm::publish::{EcmWriter, Epoch, LeftRight};
-use ecm::{EcmBuilder, Query, SketchReader, WindowSpec};
-use sliding_window::ExponentialHistogram;
+use ecm::publish::{Epoch, LeftRight};
+use ecm::{Query, SketchSpec, SketchStore, WindowSpec};
 
 /// Racing pins against a publishing writer: every pinned epoch must be
 /// internally consistent (value derived from its clock) and publication
@@ -77,87 +76,39 @@ fn racing_pins_only_ever_see_whole_epochs() {
     assert_eq!(lr.seq(), clock);
 }
 
-/// A reader's answer equals the write copy's answer at the publication
-/// point — for every query in the vocabulary, after every publish.
-#[test]
-fn reader_answers_are_bit_identical_to_the_write_copy_at_each_publish() {
-    let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(9).eh_config();
-    let mut w: EcmWriter<ExponentialHistogram> = EcmWriter::new(&cfg, 3, 1);
-    let reader = w.reader();
-
-    let mut ts = 0u64;
-    for round in 0..20u64 {
-        for _ in 0..50 {
-            ts += 1;
-            w.insert(ts % 16, ts);
-        }
-        w.publish();
-        let window = WindowSpec::time(ts, 1_000);
-        for q in [
-            Query::total_arrivals(),
-            Query::self_join(),
-            Query::point(3),
-            Query::point(round % 16),
-        ] {
-            let published = reader.query(&q, window);
-            let direct = w.write_copy().query(&q, window);
-            match (published, direct) {
-                (Ok(p), Ok(d)) => {
-                    assert_eq!(
-                        p.value().expect("scalar").to_bits(),
-                        d.value().expect("scalar").to_bits(),
-                        "round {round}: published != write copy for {q:?}"
-                    );
-                }
-                (p, d) => panic!("round {round}: {q:?} diverged: {p:?} vs {d:?}"),
-            }
-        }
-        assert_eq!(reader.write_clock(), ts);
-        // Interval 1 publishes per write batch, so 50 inserts + the
-        // explicit publish advance seq by 51 each round.
-        assert_eq!(reader.epoch().seq, (round + 1) * 51);
-    }
-}
-
 /// Pinned epochs are immutable snapshots: a pin taken before later writes
-/// keeps answering from its own publication point.
+/// keeps answering from its own publication point, although the published
+/// store shares its sketches with the write copy until they are written.
 #[test]
 fn old_pins_keep_their_snapshot_while_the_writer_moves_on() {
-    let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(4).eh_config();
-    let mut w: EcmWriter<ExponentialHistogram> = EcmWriter::new(&cfg, 2, 1);
-    let reader = w.reader();
-
-    for t in 1..=100u64 {
-        w.insert(7, t);
-    }
-    w.publish();
-    let frozen = reader.epoch();
-    let before = frozen
-        .value
-        .query(&Query::total_arrivals(), WindowSpec::time(100, 1_000))
-        .expect("total")
-        .into_value()
-        .value;
-
-    for t in 101..=200u64 {
-        w.insert(7, t);
-    }
-    w.publish();
-
-    let after = frozen
-        .value
-        .query(&Query::total_arrivals(), WindowSpec::time(100, 1_000))
-        .expect("total")
-        .into_value()
-        .value;
-    assert_eq!(before.to_bits(), after.to_bits(), "old pin mutated");
-    assert!(
-        reader
-            .query(&Query::total_arrivals(), WindowSpec::time(200, 1_000))
+    let spec = SketchSpec::time(1_000).epsilon(0.1).delta(0.1).seed(4);
+    let mut store: SketchStore<&'static str> = SketchStore::new(spec).expect("spec");
+    let lr = LeftRight::new(Epoch::initial(store.clone(), 0, 0));
+    let total = |store: &SketchStore<&'static str>, now: u64| {
+        store
+            .query(&"k", &Query::total_arrivals(), WindowSpec::time(now, 1_000))
+            .expect("resident")
             .expect("total")
             .into_value()
             .value
-            > before,
+    };
+
+    for t in 1..=100u64 {
+        store.insert("k", t, 7);
+    }
+    lr.publish(Epoch::initial(store.clone(), 100, 1));
+    let frozen = lr.pin();
+    let before = total(&frozen.value, 100);
+
+    for t in 101..=200u64 {
+        store.insert("k", t, 7);
+    }
+    lr.publish(Epoch::initial(store.clone(), 200, 2));
+
+    let after = total(&frozen.value, 100);
+    assert_eq!(before.to_bits(), after.to_bits(), "old pin mutated");
+    assert!(
+        total(&lr.pin().value, 200) > before,
         "fresh pin sees the new writes"
     );
 }

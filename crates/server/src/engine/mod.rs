@@ -9,30 +9,29 @@
 //! senders (local backpressure) without stalling sibling shards. Shards
 //! never share mutable state.
 //!
-//! **Reads do not normally enqueue.** Each worker periodically publishes
-//! an immutable snapshot of its store through a left-right epoch pair
-//! (see [`ecm::publish`]); the router answers point / range / self-join /
+//! **Reads never enqueue.** A worker publishes an immutable snapshot of
+//! its store through a left-right epoch pair (see [`ecm::publish`]) before
+//! it acks each write; the router answers point / range / self-join /
 //! heavy-hitter queries — and each shard's `TOPK` contribution — by
 //! pinning the shard's published epoch, wait-free and without touching
-//! the mailbox. A freshness gate preserves read-your-writes: the router
-//! counts the write messages each shard has accepted, and serves the
-//! published copy only when it already reflects every accepted write;
-//! otherwise the query falls back to the retained mailbox path, whose
-//! FIFO order queues it behind the writes it must observe. `STATS` and
-//! `VIEW READ` stay on the mailbox path (they report worker-owned
-//! state).
+//! the mailbox. That is the only read path. `STATS`, `VIEW READ`,
+//! `SNAPSHOT` and `FLUSH` stay on the mailbox (they report or change
+//! worker-owned state).
 //!
 //! Invariants:
 //! * Same key → always the same shard, so each key's arrival order is the
 //!   per-shard mailbox order and every per-key sketch sees exactly the
 //!   event sequence an in-process [`SketchStore`](ecm::SketchStore) would.
-//!   A published snapshot is a deep clone of that store, so a published
-//!   answer is **bit-identical** to the worker-path answer at the same
-//!   write clock — the end-to-end and differential tests pin both against
-//!   library answers.
-//! * **Ack-before-publish**: a worker publishes only after the batch is
-//!   on the write-ahead log (when durable), applied, and acked. A reader
-//!   can therefore never observe state that a crash could un-happen.
+//!   A published snapshot is a clone of that store (copy-on-write, but
+//!   observably a deep copy), so a served answer is **bit-identical** to
+//!   the library's at the same write clock — the end-to-end and
+//!   differential tests pin it against a mirror store.
+//! * **Publish-before-ack**: every write message runs WAL append (when
+//!   durable) → apply → publish → ack, in one function of the shard
+//!   worker. An ack therefore means "visible to every reader"
+//!   (read-your-writes, with no gate), and since the log append comes
+//!   first, a reader can never observe state that a crash could
+//!   un-happen.
 //! * [`Engine::shutdown`] closes the ingest gate, then sends `Shutdown`
 //!   behind all accepted messages; FIFO mailboxes mean every acked event
 //!   is applied (and checkpointed, when a snapshot dir is configured)
@@ -50,9 +49,7 @@ pub use router::{Engine, EngineError, ServedAnswer, SnapshotReport, MAX_INGEST_O
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
 
-use ecm::{Answer, QueryError, StreamEvent, ViewDef, ViewError, ViewReadout, WindowSpec};
-
-use crate::protocol::OwnedQuery;
+use ecm::{StreamEvent, ViewDef, ViewError, ViewReadout};
 
 /// Fleet-wide standing-view counters for `STATS`: the registry size, the
 /// summed per-shard maintenance cost, and the hub's subscriber numbers.
@@ -116,9 +113,6 @@ pub struct ShardHealth {
     pub shed_requests: u64,
     /// Queries served wait-free from this shard's published epoch.
     pub published_reads: u64,
-    /// Queries that fell back to the worker mailbox because the published
-    /// epoch did not yet reflect every accepted write.
-    pub fallback_reads: u64,
 }
 
 /// One shard's row in [`Engine::stats`]: supervision health plus the
@@ -141,31 +135,10 @@ pub enum ShardMsg {
     Ingest {
         /// The run, in arrival order.
         events: Vec<(String, StreamEvent)>,
-        /// Durability ack: when present, the worker replies
-        /// [`ShardReply::Ingested`] only after the run is appended to the
-        /// write-ahead log and applied (ack-after-append), or
-        /// [`ShardReply::WalError`] when the append failed — in which case
-        /// the run was **not** applied.
-        reply: Option<Sender<ShardReply>>,
-    },
-    /// Answer a query against one resident key.
-    Query {
-        /// The key (owned by this shard).
-        key: String,
-        /// What to compute.
-        query: OwnedQuery,
-        /// Which stream slice.
-        window: WindowSpec,
-        /// Where the worker sends its [`ShardReply::Answer`].
-        reply: Sender<ShardReply>,
-    },
-    /// This shard's local top-k by window arrivals (the router merges).
-    TopK {
-        /// How many keys.
-        k: usize,
-        /// Which stream slice.
-        window: WindowSpec,
-        /// Where the worker sends its [`ShardReply::TopK`].
+        /// Where the worker acks: [`ShardReply::Ingested`] once the run is
+        /// appended to the write-ahead log (when durable), applied and
+        /// published, or [`ShardReply::WalError`] when the append failed
+        /// — in which case the run was **not** applied.
         reply: Sender<ShardReply>,
     },
     /// This shard's [`ShardStats`].
@@ -223,32 +196,19 @@ pub enum ShardMsg {
     /// crash-shaped, supervisor-recoverable stop used by
     /// [`Engine::restart_shard`]. Messages already queued ahead of it are
     /// processed; anything enqueued behind it dies with the mailbox
-    /// (unreplied, so durable senders see a retryable error, never a
-    /// false ack).
+    /// (unreplied, so senders see a retryable error, never a false ack).
     Exit,
 }
 
 /// A shard worker's reply to a request-shaped [`ShardMsg`].
 #[derive(Debug)]
 pub enum ShardReply {
-    /// Query outcome; `answer` is `None` when the key is not resident on
-    /// this shard.
-    Answer {
-        /// The per-sketch outcome.
-        answer: Option<Result<Answer, QueryError>>,
-        /// The shard's write clock (maximum tick applied) when the worker
-        /// answered — the response's consistency point, deterministic
-        /// across restarts because it is a function of the acked event
-        /// multiset alone.
-        clock: u64,
-    },
-    /// Local `(key, value)` ranking, best first.
-    TopK(Vec<(String, f64)>),
     /// Local statistics.
     Stats(ShardStats),
-    /// `Flush` applied.
+    /// `Flush` applied and published.
     Flushed,
-    /// The ingest run is on the write-ahead log and applied.
+    /// The ingest run is on the write-ahead log (when durable), applied
+    /// and published.
     Ingested,
     /// The write-ahead-log append failed; the run was not applied.
     WalError(String),

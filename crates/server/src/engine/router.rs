@@ -13,8 +13,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ecm::{
-    Answer, QueryError, SketchStore, SpecError, StandingQuery, StreamEvent, ViewAnswer, ViewDef,
-    ViewError, ViewReadout, WindowSpec,
+    QueryError, SketchStore, SpecError, StandingQuery, StreamEvent, ViewAnswer, ViewDef, ViewError,
+    ViewReadout, WindowSpec,
 };
 
 use super::hub::ViewHub;
@@ -228,10 +228,6 @@ pub struct ServedAnswer {
     /// responses carry it (and not the publication sequence number,
     /// which is incarnation-local).
     pub clock: u64,
-    /// `true` when the answer came wait-free from the shard's published
-    /// epoch; `false` when the freshness gate sent it through the worker
-    /// mailbox.
-    pub published: bool,
 }
 
 /// The sharded serving engine. Cheap to share behind an `Arc`; every
@@ -277,9 +273,6 @@ impl Engine {
         }
         if cfg.subscriber_outbox == 0 {
             return Err(EngineError::InvalidConfig("subscriber_outbox must be >= 1"));
-        }
-        if cfg.publish_interval == 0 {
-            return Err(EngineError::InvalidConfig("publish_interval must be >= 1"));
         }
         let restore_from = cfg
             .snapshot_dir
@@ -412,8 +405,8 @@ impl Engine {
     /// worker exits without a final checkpoint, and the supervisor
     /// rebuilds it from checkpoint + WAL-tail replay. Returns once `Exit`
     /// is accepted into the mailbox — the repair itself is asynchronous.
-    /// Messages already queued behind `Exit` die unreplied (durable
-    /// senders see a retryable error, never a false ack).
+    /// Messages already queued behind `Exit` die unreplied (their senders
+    /// see a retryable error, never a false ack).
     ///
     /// # Errors
     /// [`ShuttingDown`](EngineError::ShuttingDown), the admission errors
@@ -432,27 +425,29 @@ impl Engine {
     /// collapses them back into one weighted update per run) and the batch
     /// is partitioned per shard preserving each key's order.
     ///
-    /// Without durability, the call returns once every shard has
-    /// *accepted* its partition into its mailbox — an `Ok` means the
-    /// events survive a graceful shutdown. With durability on, the call
-    /// additionally waits for each shard to append its partition to the
-    /// write-ahead log (ack-after-append) — an `Ok` means the events
-    /// survive `kill -9`. A full mailbox applies backpressure up to the
-    /// admission deadline, then sheds with
+    /// The call returns once every shard has applied its partition and
+    /// **published** it to the read path, so an `Ok` means every later
+    /// query — from any thread — sees the batch, and the events survive a
+    /// graceful shutdown. With durability on, each shard appends its
+    /// partition to the write-ahead log *before* applying it
+    /// (ack-after-append) — an `Ok` then also means the events survive
+    /// `kill -9`. A shard whose worker dies holding the partition never
+    /// acks it: the caller gets the retryable
+    /// [`ShardRestarting`](EngineError::ShardRestarting). A full mailbox
+    /// applies backpressure up to the admission deadline, then sheds with
     /// [`Overloaded`](EngineError::Overloaded); a batch rejected *before*
     /// dispatch (universe violation, cap, shutdown race, admission) is
     /// applied nowhere.
     ///
-    /// **Retry semantics under durability.** Each shard appends and
-    /// applies its partition independently, so a
-    /// [`Wal`](EngineError::Wal) / [`ShardDied`](EngineError::ShardDied)
-    /// error means only that the batch *as a whole* is not acked: sibling
-    /// partitions that already appended are applied and durable (they
-    /// replay after a crash). Durable ingest is therefore at-least-once
-    /// across shards — a client that retries a failed batch verbatim may
-    /// double-count the partitions that succeeded. Clients that cannot
-    /// tolerate that should treat a durable-ingest error as "partially
-    /// applied, amount unknown" rather than "safe to replay".
+    /// **Retry semantics across shards.** Each shard appends and applies
+    /// its partition independently, so an error after dispatch means only
+    /// that the batch *as a whole* is not acked: sibling partitions that
+    /// already landed are applied (and durable — they replay after a
+    /// crash). Multi-shard ingest is therefore at-least-once — a client
+    /// that retries a failed batch verbatim may double-count the
+    /// partitions that succeeded. Clients that cannot tolerate that should
+    /// treat a post-dispatch ingest error as "partially applied, amount
+    /// unknown" rather than "safe to replay".
     ///
     /// # Errors
     /// [`ItemOutOfUniverse`](EngineError::ItemOutOfUniverse),
@@ -496,60 +491,39 @@ impl Engine {
             if events.is_empty() {
                 continue;
             }
-            let reply = if self.fleet.durable {
-                let (tx, rx) = channel();
-                pending.push((i, rx));
-                Some(tx)
-            } else {
-                None
-            };
+            let (reply, rx) = channel();
             self.send(i, ShardMsg::Ingest { events, reply })?;
+            pending.push((i, rx));
         }
         drop(gate);
-        // Durable acks: every shard confirms its partition is on the log
-        // before the batch-level ack. A partial failure leaves the failing
-        // shard's partition unapplied while sibling partitions landed —
-        // the error tells the client the batch (as a whole) is not acked.
+        // Every shard confirms its partition is logged, applied and
+        // published before the batch-level ack. A partial failure leaves
+        // the failing shard's partition unapplied while sibling
+        // partitions landed — the error tells the client the batch (as a
+        // whole) is not acked.
         for (i, rx) in pending {
-            match rx.recv_timeout(self.fleet.request_timeout) {
-                Ok(ShardReply::Ingested) => {}
-                Ok(ShardReply::WalError(e)) => return Err(EngineError::Wal(e)),
-                Ok(_) => return Err(EngineError::ShardDied { shard: i }),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(EngineError::ShardTimeout { shard: i })
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(self.unavailable(i)),
+            match self.collect(i, &rx)? {
+                ShardReply::Ingested => {}
+                ShardReply::WalError(e) => return Err(EngineError::Wal(e)),
+                _ => return Err(EngineError::ShardDied { shard: i }),
             }
         }
         Ok(total)
     }
 
-    /// Answer `query` over `window` from `key`'s sketch — wait-free from
-    /// the owning shard's published epoch when the freshness gate allows,
-    /// through the worker mailbox otherwise. This is the front-end's read
-    /// path.
+    /// Answer `query` over `window` from `key`'s sketch, wait-free: pin
+    /// the owning shard's published epoch, query it, done — no mailbox,
+    /// no lock. This is the front-end's (and the only) read path.
     ///
-    /// The gate: the router counts every write message a shard accepts
-    /// (`accepted`), and each published epoch records how many writes it
-    /// reflects (`applied`). The published copy is served only when
-    /// `applied ≥ accepted` at query arrival — so a client that received
-    /// an ingest ack always reads its own write, published or not. The
-    /// fallback enqueues behind the pending writes (FIFO mailbox), which
-    /// restores the same guarantee at mailbox latency. Either way the
-    /// answer is bit-identical to an in-process store's at the same write
-    /// clock; the returned [`ServedAnswer::clock`] is that consistency
-    /// point.
-    ///
-    /// A published read never touches the mailbox, so it keeps serving
-    /// while the worker is restarting or wedged (the fallback path would
-    /// shed or fail).
+    /// Workers publish before they ack, so a client that received an
+    /// ingest ack always reads its own write, and the answer is
+    /// bit-identical to an in-process store's at the same write clock;
+    /// the returned [`ServedAnswer::clock`] is that consistency point.
+    /// Since a read never touches the mailbox, it keeps serving (the last
+    /// published epoch) while the worker is restarting or wedged.
     ///
     /// # Errors
-    /// [`ShuttingDown`](EngineError::ShuttingDown); on the fallback path
-    /// also [`Overloaded`](EngineError::Overloaded),
-    /// [`ShardRestarting`](EngineError::ShardRestarting),
-    /// [`ShardTimeout`](EngineError::ShardTimeout), or
-    /// [`ShardDied`](EngineError::ShardDied); per-sketch
+    /// [`ShuttingDown`](EngineError::ShuttingDown) only; per-sketch
     /// [`QueryError`]s come back inside the `Some`.
     pub fn query_served(
         &self,
@@ -560,98 +534,15 @@ impl Engine {
         if *self.fleet.down.read().expect("gate poisoned") {
             return Err(EngineError::ShuttingDown);
         }
-        let shard = route(key, self.fleet.slots.len());
-        let slot = &self.fleet.slots[shard];
-        let accepted = slot.accepted.load(Ordering::SeqCst);
-        let epoch = slot.published.pin();
-        if epoch.applied >= accepted {
-            slot.published_reads.fetch_add(1, Ordering::Relaxed);
-            let answer = epoch
-                .value
-                .query(&key.to_string(), &query.to_query(), window);
-            return Ok(ServedAnswer {
-                answer,
-                clock: epoch.clock,
-                published: true,
-            });
-        }
-        slot.fallback_reads.fetch_add(1, Ordering::Relaxed);
-        let (answer, clock) = self.query_via_worker(key, query, window)?;
-        Ok(ServedAnswer {
-            answer,
-            clock,
-            published: false,
-        })
-    }
-
-    /// Answer `query` through the worker mailbox unconditionally — the
-    /// pre-publication read path, retained as the freshness-gate fallback.
-    /// Public so the differential suite can compare both paths at the
-    /// same write clock.
-    ///
-    /// # Errors
-    /// As the fallback arm of [`query_served`](Engine::query_served).
-    pub fn query_via_worker(
-        &self,
-        key: &str,
-        query: &OwnedQuery,
-        window: WindowSpec,
-    ) -> Result<(Option<Result<Answer, QueryError>>, u64), EngineError> {
-        let shard = route(key, self.fleet.slots.len());
-        let (tx, rx) = channel();
-        self.request(
-            shard,
-            ShardMsg::Query {
-                key: key.to_string(),
-                query: query.clone(),
-                window,
-                reply: tx,
-            },
-        )?;
-        match self.collect(shard, &rx)? {
-            ShardReply::Answer { answer, clock } => Ok((answer, clock)),
-            _ => Err(EngineError::ShardDied { shard }),
-        }
-    }
-
-    /// Answer `query` from the owning shard's published epoch,
-    /// unconditionally and wait-free: pin, query, done — no gate, no
-    /// mailbox, no error path. The answer may lag the write copy by up to
-    /// the configured publish interval; [`ServedAnswer::clock`] says
-    /// exactly how far. This is the read-scaling bench's path.
-    pub fn query_published(
-        &self,
-        key: &str,
-        query: &OwnedQuery,
-        window: WindowSpec,
-    ) -> ServedAnswer {
-        let shard = route(key, self.fleet.slots.len());
-        let slot = &self.fleet.slots[shard];
+        let slot = &self.fleet.slots[route(key, self.fleet.slots.len())];
         let epoch = slot.published.pin();
         slot.published_reads.fetch_add(1, Ordering::Relaxed);
-        ServedAnswer {
+        Ok(ServedAnswer {
             answer: epoch
                 .value
                 .query(&key.to_string(), &query.to_query(), window),
             clock: epoch.clock,
-            published: true,
-        }
-    }
-
-    /// Answer `query` over `window` from `key`'s sketch. `Ok(None)` means
-    /// the key has never been written. Compatibility wrapper around
-    /// [`query_served`](Engine::query_served) that drops the consistency
-    /// point.
-    ///
-    /// # Errors
-    /// As [`query_served`](Engine::query_served).
-    pub fn query(
-        &self,
-        key: &str,
-        query: &OwnedQuery,
-        window: WindowSpec,
-    ) -> Result<Option<Result<Answer, QueryError>>, EngineError> {
-        Ok(self.query_served(key, query, window)?.answer)
+        })
     }
 
     /// The `k` keys with the most window arrivals across the whole fleet:
@@ -660,47 +551,20 @@ impl Engine {
     /// `top_k` would return, since a global top-k key is a top-k key of
     /// its own shard.
     ///
-    /// Each shard's contribution comes wait-free from its published epoch
-    /// when the freshness gate allows — a broadcast read becomes N
-    /// concurrent pins — and falls back to that shard's mailbox
-    /// otherwise.
+    /// Each shard's contribution comes wait-free from its published
+    /// epoch — a broadcast read is N pins.
     ///
     /// # Errors
     /// As [`query_served`](Engine::query_served).
     pub fn top_k(&self, k: usize, window: WindowSpec) -> Result<Vec<(String, f64)>, EngineError> {
-        let mut merged: Vec<(String, f64)> = Vec::new();
-        let mut pending = Vec::new();
-        {
-            let gate = self.fleet.down.read().expect("gate poisoned");
-            if *gate {
-                return Err(EngineError::ShuttingDown);
-            }
-            for (i, slot) in self.fleet.slots.iter().enumerate() {
-                let accepted = slot.accepted.load(Ordering::SeqCst);
-                let epoch = slot.published.pin();
-                if epoch.applied >= accepted {
-                    slot.published_reads.fetch_add(1, Ordering::Relaxed);
-                    merged.extend(epoch.value.top_k(k, &ecm::Query::total_arrivals(), window));
-                } else {
-                    slot.fallback_reads.fetch_add(1, Ordering::Relaxed);
-                    let (tx, rx) = channel();
-                    self.send(
-                        i,
-                        ShardMsg::TopK {
-                            k,
-                            window,
-                            reply: tx,
-                        },
-                    )?;
-                    pending.push((i, rx));
-                }
-            }
+        if *self.fleet.down.read().expect("gate poisoned") {
+            return Err(EngineError::ShuttingDown);
         }
-        for (i, rx) in pending {
-            match self.collect(i, &rx)? {
-                ShardReply::TopK(local) => merged.extend(local),
-                _ => return Err(EngineError::ShardDied { shard: i }),
-            }
+        let mut merged: Vec<(String, f64)> = Vec::new();
+        for slot in &self.fleet.slots {
+            let epoch = slot.published.pin();
+            slot.published_reads.fetch_add(1, Ordering::Relaxed);
+            merged.extend(epoch.value.top_k(k, &ecm::Query::total_arrivals(), window));
         }
         merged.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
@@ -759,7 +623,7 @@ impl Engine {
     ///
     /// # Errors
     /// [`View`](EngineError::View) (invalid or duplicate definition), or
-    /// the routing errors of [`query`](Engine::query).
+    /// the routing errors of [`flush`](Engine::flush).
     pub fn view_create(&self, def: ViewDef<String>) -> Result<(), EngineError> {
         def.validate().map_err(EngineError::View)?;
         // Names and keys must survive the wire/manifest round trip, which
@@ -805,7 +669,7 @@ impl Engine {
     ///
     /// # Errors
     /// [`View`](EngineError::View) when no view of that name exists, or
-    /// the routing errors of [`query`](Engine::query).
+    /// the routing errors of [`flush`](Engine::flush).
     pub fn view_drop(&self, name: &str) -> Result<(), EngineError> {
         let mut registry = self.fleet.views.lock().expect("view registry poisoned");
         let def = registry.remove(name).ok_or_else(|| {
@@ -840,7 +704,7 @@ impl Engine {
     /// # Errors
     /// [`View`](EngineError::View) — including
     /// [`NoData`](ecm::ViewError::NoData) when the view's key has never
-    /// been written — or the routing errors of [`query`](Engine::query).
+    /// been written — or the routing errors of [`flush`](Engine::flush).
     pub fn view_read(&self, name: &str) -> Result<ViewReadout<String>, EngineError> {
         let def = self
             .fleet
@@ -881,21 +745,21 @@ impl Engine {
                 })?;
                 let mut merged: Vec<(String, f64)> = Vec::new();
                 let (mut now, mut seq, mut any) = (0u64, 0u64, false);
-                for reply in replies {
+                for (shard, reply) in replies.into_iter().enumerate() {
                     let readout = match reply {
                         ShardReply::View(Ok(r)) => r,
                         // An empty shard has no data for the fleet view
                         // yet; its siblings may.
                         ShardReply::View(Err(ViewError::NoData { .. })) => continue,
                         ShardReply::View(Err(e)) => return Err(EngineError::View(e)),
-                        _ => return Err(EngineError::ShardDied { shard: 0 }),
+                        _ => return Err(EngineError::ShardDied { shard }),
                     };
                     any = true;
                     now = now.max(readout.now);
                     seq += readout.seq;
                     match readout.answer {
                         ViewAnswer::Ranking(local) => merged.extend(local),
-                        _ => return Err(EngineError::ShardDied { shard: 0 }),
+                        _ => return Err(EngineError::ShardDied { shard }),
                     }
                 }
                 if !any {
@@ -983,13 +847,17 @@ impl Engine {
     /// Advance every shard's stream clock to `ts` with no arrivals.
     ///
     /// # Errors
-    /// As [`query`](Engine::query).
+    /// [`ShuttingDown`](EngineError::ShuttingDown),
+    /// [`Overloaded`](EngineError::Overloaded),
+    /// [`ShardRestarting`](EngineError::ShardRestarting),
+    /// [`ShardTimeout`](EngineError::ShardTimeout), or
+    /// [`ShardDied`](EngineError::ShardDied).
     pub fn flush(&self, ts: u64) -> Result<(), EngineError> {
         let replies = self.broadcast(|tx| ShardMsg::Flush { ts, reply: tx })?;
-        for reply in replies {
+        for (shard, reply) in replies.into_iter().enumerate() {
             match reply {
                 ShardReply::Flushed => {}
-                _ => return Err(EngineError::ShardDied { shard: 0 }),
+                _ => return Err(EngineError::ShardDied { shard }),
             }
         }
         Ok(())
@@ -1000,7 +868,7 @@ impl Engine {
     ///
     /// # Errors
     /// [`Snapshot`](EngineError::Snapshot) carrying the first shard
-    /// failure, or the routing errors of [`query`](Engine::query).
+    /// failure, or the routing errors of [`flush`](Engine::flush).
     pub fn snapshot(&self, dir: &Path, incremental: bool) -> Result<SnapshotReport, EngineError> {
         let replies = self.broadcast(|tx| ShardMsg::Snapshot {
             dir: dir.to_path_buf(),
@@ -1008,11 +876,11 @@ impl Engine {
             reply: tx,
         })?;
         let mut bytes = 0u64;
-        for reply in replies {
+        for (shard, reply) in replies.into_iter().enumerate() {
             match reply {
                 ShardReply::Snapshot { bytes: b } => bytes += b,
                 ShardReply::SnapshotError(e) => return Err(EngineError::Snapshot(e)),
-                _ => return Err(EngineError::ShardDied { shard: 0 }),
+                _ => return Err(EngineError::ShardDied { shard }),
             }
         }
         write_manifest(dir, self.fleet.slots.len(), &self.wire_views())?;
@@ -1108,11 +976,6 @@ impl Engine {
     /// answers with its supervision state instead of hanging the caller.
     fn send(&self, shard: usize, msg: ShardMsg) -> Result<(), EngineError> {
         let slot = &self.fleet.slots[shard];
-        // Writes count toward the freshness gate the moment they are
-        // accepted: a published epoch is served only once it reflects
-        // every message counted here (the worker counts each one it
-        // finishes — applied or WAL-refused — into `epoch.applied`).
-        let is_write = matches!(msg, ShardMsg::Ingest { .. } | ShardMsg::Flush { .. });
         {
             let state = slot.state.lock().expect("state poisoned");
             match &*state {
@@ -1138,9 +1001,6 @@ impl Engine {
         loop {
             match sender.try_send(msg) {
                 Ok(()) => {
-                    if is_write {
-                        slot.accepted.fetch_add(1, Ordering::SeqCst);
-                    }
                     slot.gauge.note_enqueue();
                     return Ok(());
                 }

@@ -2,7 +2,7 @@
 //! and (with durability on) one write-ahead log.
 
 use std::path::Path;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use ecm::{Epoch, LeftRight, SketchStore, SnapshotError, ViewDef, ViewEvent, ViewSet};
@@ -54,32 +54,28 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8], fsync: bool) -> Result<(),
     Ok(())
 }
 
-/// The worker's half of the left-right read path (see `ecm::publish`):
-/// decides *when* a fresh snapshot of the store is published and stamps
-/// each epoch with the shard's write clock and applied-write counter.
-///
-/// The worker counts every write message it finishes (`Ingest` — applied
-/// or refused by a WAL error — and `Flush`) and publishes when
-/// `publish_interval` writes have accumulated **or** the mailbox has
-/// drained, and always after a `Flush`. Publication runs *after* the ack
-/// (ack-before-publish), so a pinned epoch never shows state a crash
-/// could un-happen, and the router's freshness gate
-/// (`epoch.applied ≥ accepted`) can trust the counter.
+/// The worker's half of the read path (see `ecm::publish`), and the one
+/// place that decides when a write becomes visible: every write message
+/// (`Ingest`, `Flush`) runs WAL append → apply → [`commit`](Self::commit),
+/// and `commit` publishes the store before it acks. An ack therefore means
+/// "visible to every reader" — read-your-writes needs no gate and no
+/// second read path — and because the log append comes first, a pinned
+/// epoch never shows state a crash could un-happen. Publishing per batch
+/// is affordable because a store clone is a map of shared pointers: only
+/// the keys the batch wrote were copied.
 pub(super) struct Publisher {
     lr: Arc<LeftRight<SketchStore<String>>>,
-    interval: u64,
-    applied: u64,
-    since_publish: u64,
+    /// The shard's write clock (maximum applied tick) — the consistency
+    /// point stamped onto every query response.
     clock: u64,
 }
 
 impl Publisher {
-    /// A publisher resuming from `applied` accepted writes, with the
-    /// clock read off the restored store.
-    pub(super) fn new(
+    /// Publish a restored (or fresh) `store` as the shard's first epoch of
+    /// this worker incarnation, with the clock read off its sketches, so
+    /// reads see the rebuilt state before the mailbox reopens.
+    pub(super) fn start(
         lr: Arc<LeftRight<SketchStore<String>>>,
-        interval: u64,
-        applied: u64,
         store: &SketchStore<String>,
     ) -> Publisher {
         let clock = store
@@ -87,55 +83,34 @@ impl Publisher {
             .map(|(_, s)| s.write_clock())
             .max()
             .unwrap_or(0);
-        Publisher {
-            lr,
-            interval,
-            applied,
-            since_publish: 0,
-            clock,
-        }
+        let mut publisher = Publisher { lr, clock };
+        publisher.publish(store, clock);
+        publisher
     }
 
-    /// Count one finished write message whose latest tick was `ts`.
-    fn wrote(&mut self, ts: u64) {
-        self.applied += 1;
-        self.since_publish += 1;
+    /// Publish a snapshot of `store`, whose latest write was at tick
+    /// `ts`, returning the pinned epoch (so maintenance can read exactly
+    /// what readers will).
+    fn publish(&mut self, store: &SketchStore<String>, ts: u64) -> Arc<Epoch<SketchStore<String>>> {
         self.clock = self.clock.max(ts);
-    }
-
-    /// The shard's write clock (maximum applied tick) — the consistency
-    /// point stamped onto every query response.
-    pub(super) fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    /// Publish a snapshot of `store` now, returning the pinned epoch (so
-    /// maintenance can read exactly what readers will).
-    pub(super) fn publish_now(
-        &mut self,
-        store: &SketchStore<String>,
-    ) -> Arc<Epoch<SketchStore<String>>> {
-        self.since_publish = 0;
-        self.lr.publish(Epoch {
-            value: store.clone(),
-            seq: 0, // assigned by LeftRight::publish
-            clock: self.clock,
-            applied: self.applied,
-        });
+        // `LeftRight::publish` assigns the sequence number.
+        self.lr
+            .publish(Epoch::initial(store.clone(), self.clock, store.version()));
         self.lr.pin()
     }
 
-    /// Publish if the interval elapsed or the mailbox drained.
-    fn maybe_publish(
+    /// Finish a write message that `store` already holds: publish, then
+    /// send `ack`.
+    fn commit(
         &mut self,
         store: &SketchStore<String>,
-        drained: bool,
-    ) -> Option<Arc<Epoch<SketchStore<String>>>> {
-        if self.since_publish >= self.interval || drained {
-            Some(self.publish_now(store))
-        } else {
-            None
-        }
+        ts: u64,
+        reply: &Sender<ShardReply>,
+        ack: ShardReply,
+    ) -> Arc<Epoch<SketchStore<String>>> {
+        let epoch = self.publish(store, ts);
+        let _ = reply.send(ack);
+        epoch
     }
 }
 
@@ -204,20 +179,11 @@ pub(super) fn run(
                         ingested += events.len() as u64;
                         let latest = events.iter().map(|(_, e)| e.ts).max().unwrap_or(0);
                         store.ingest(&events);
-                        if let Some(reply) = reply {
-                            let _ = reply.send(ShardReply::Ingested);
-                        }
-                        // Ack-before-publish: the snapshot lands behind
-                        // the ack but before the next message, so a
-                        // pinned epoch never shows unacked state and a
-                        // reader queued behind this batch (FIFO mailbox)
-                        // always sees it applied. Maintenance reads the
-                        // just-published epoch — views observe exactly
-                        // what wait-free readers do.
-                        publisher.wrote(latest);
-                        if let Some(epoch) = publisher.maybe_publish(&store, gauge.is_drained()) {
-                            publish(&hub, &views.maintain(&epoch.value));
-                        }
+                        // Maintenance reads the just-published epoch —
+                        // views observe exactly what wait-free readers do
+                        // — and runs behind the ack.
+                        let epoch = publisher.commit(&store, latest, &reply, ShardReply::Ingested);
+                        publish(&hub, &views.maintain(&epoch.value));
                         if let Some(w) = &mut wal {
                             if w.needs_compaction() {
                                 if let Some(dir) = &snapshot_dir {
@@ -233,35 +199,9 @@ pub(super) fn run(
                         }
                     }
                     Err(e) => {
-                        if let Some(reply) = reply {
-                            let _ = reply.send(ShardReply::WalError(e));
-                        }
-                        // The refused run still counts toward the
-                        // freshness gate (the router bumped `accepted` at
-                        // enqueue): republish the unchanged store with
-                        // the new applied count, so readers are not
-                        // pinned to the fallback path forever.
-                        publisher.wrote(0);
-                        let _ = publisher.maybe_publish(&store, gauge.is_drained());
+                        let _ = reply.send(ShardReply::WalError(e));
                     }
                 }
-            }
-            ShardMsg::Query {
-                key,
-                query,
-                window,
-                reply,
-            } => {
-                let _ = faults.fire(FaultSite::Shard);
-                let answer = store.query(&key, &query.to_query(), window);
-                let _ = reply.send(ShardReply::Answer {
-                    answer,
-                    clock: publisher.clock(),
-                });
-            }
-            ShardMsg::TopK { k, window, reply } => {
-                let local = store.top_k(k, &ecm::Query::total_arrivals(), window);
-                let _ = reply.send(ShardReply::TopK(local));
             }
             ShardMsg::Stats { reply } => {
                 let view_stats = views.stats();
@@ -280,14 +220,10 @@ pub(super) fn run(
             }
             ShardMsg::Flush { ts, reply } => {
                 store.advance_to(ts);
-                let _ = reply.send(ShardReply::Flushed);
-                // A flush always publishes — the slid windows must be
-                // visible to wait-free readers immediately. A clock
-                // advance writes no key, so the dirty-key watermark sees
-                // nothing; every non-cold view re-evaluates against the
-                // published epoch instead.
-                publisher.wrote(ts);
-                let epoch = publisher.publish_now(&store);
+                // A clock advance writes no key, so the dirty-key
+                // watermark sees nothing; every non-cold view re-evaluates
+                // against the published epoch instead.
+                let epoch = publisher.commit(&store, ts, &reply, ShardReply::Flushed);
                 publish(&hub, &views.refresh(&epoch.value));
             }
             ShardMsg::ViewCreate { def, reply } => {

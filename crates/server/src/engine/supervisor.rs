@@ -127,14 +127,6 @@ impl ShardGauge {
         self.busy_since_ms.store(0, Ordering::Relaxed);
     }
 
-    /// Whether the mailbox is (approximately) drained. Advisory, like
-    /// every gauge reading: the worker uses it to publish eagerly when no
-    /// further writes are queued, so an idle shard's published epoch is
-    /// always fresh regardless of the publish interval.
-    pub(super) fn is_drained(&self) -> bool {
-        self.depth.load(Ordering::Relaxed) == 0
-    }
-
     /// A fresh worker starts with an empty mailbox and no busy stamp (the
     /// high-water mark survives restarts — it describes the shard, not
     /// the worker).
@@ -158,20 +150,14 @@ pub(super) struct ShardSlot {
     pub(super) shed: AtomicU64,
     pub(super) gauge: Arc<ShardGauge>,
     pub(super) handle: Mutex<Option<JoinHandle<()>>>,
-    /// The shard's left-right epoch pair: the worker publishes snapshots
-    /// of its store here, the router pins them to serve reads wait-free
-    /// (see `ecm::publish`). Outlives worker incarnations — during a
-    /// rebuild the last published epoch keeps serving.
+    /// The shard's left-right epoch pair: the worker publishes a snapshot
+    /// of its store here before acking each write, the router pins it to
+    /// serve reads wait-free (see `ecm::publish`). Outlives worker
+    /// incarnations — during a rebuild the last published epoch keeps
+    /// serving.
     pub(super) published: Arc<LeftRight<SketchStore<String>>>,
-    /// Write messages (`Ingest` / `Flush`) successfully enqueued onto this
-    /// shard, ever. The router's freshness gate serves the published
-    /// epoch only when `epoch.applied` has caught up with this counter —
-    /// that is what preserves read-your-writes on the wait-free path.
-    pub(super) accepted: AtomicU64,
     /// Queries served from the published epoch (for `STATS`).
     pub(super) published_reads: AtomicU64,
-    /// Queries that fell back to the mailbox path (for `STATS`).
-    pub(super) fallback_reads: AtomicU64,
 }
 
 impl ShardSlot {
@@ -191,9 +177,7 @@ impl ShardSlot {
             gauge: Arc::new(ShardGauge::new(epoch)),
             handle: Mutex::new(None),
             published: Arc::new(LeftRight::new(Epoch::initial(empty, 0, 0))),
-            accepted: AtomicU64::new(0),
             published_reads: AtomicU64::new(0),
-            fallback_reads: AtomicU64::new(0),
         }
     }
 }
@@ -220,9 +204,6 @@ pub(super) struct Fleet {
     pub(super) spec: SketchSpec,
     pub(super) wal_cfg: Option<WalConfig>,
     pub(super) mailbox_depth: usize,
-    /// Write batches between read-snapshot publications (see
-    /// [`ServerConfig::publish_interval`](crate::config::ServerConfig)).
-    pub(super) publish_interval: u64,
     pub(super) admission_timeout: Duration,
     pub(super) request_timeout: Duration,
     pub(super) health_deadline: Duration,
@@ -261,7 +242,6 @@ impl Fleet {
             spec,
             wal_cfg,
             mailbox_depth: cfg.mailbox_depth,
-            publish_interval: cfg.publish_interval,
             admission_timeout: cfg.admission_timeout,
             request_timeout: cfg.request_timeout,
             health_deadline: cfg.health_deadline,
@@ -283,7 +263,6 @@ impl Fleet {
             mailbox_hwm: slot.gauge.hwm.load(Ordering::Relaxed),
             shed_requests: slot.shed.load(Ordering::Relaxed),
             published_reads: slot.published_reads.load(Ordering::Relaxed),
-            fallback_reads: slot.fallback_reads.load(Ordering::Relaxed),
         }
     }
 }
@@ -318,22 +297,7 @@ pub(super) fn spawn_worker(
     let (tx, rx) = sync_channel(fleet.mailbox_depth);
     let gauge = Arc::clone(&slot.gauge);
     gauge.reset();
-    // Freshness resync: every write accepted so far is either applied in
-    // `store` (restored + WAL-replayed) or died unacked with the previous
-    // incarnation's mailbox, so this snapshot is the freshest state any
-    // accepted write can still produce. Sends fail while the slot is
-    // `Restarting` (and at first start the engine is not yet shared), so
-    // `accepted` cannot advance between this load and the sender install
-    // below — the gate `applied ≥ accepted` holds the moment reads
-    // resume.
-    let applied = slot.accepted.load(Ordering::SeqCst);
-    let mut publisher = shard::Publisher::new(
-        Arc::clone(&slot.published),
-        fleet.publish_interval,
-        applied,
-        &store,
-    );
-    publisher.publish_now(&store);
+    let publisher = shard::Publisher::start(Arc::clone(&slot.published), &store);
     let exit_tx = fleet.exit_tx.clone();
     let hub = Arc::clone(&fleet.hub);
     let dir = fleet.snapshot_dir.clone();

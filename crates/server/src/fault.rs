@@ -35,8 +35,8 @@ pub enum FaultSite {
     WalRotate,
     /// At the start of a checkpoint / compaction write.
     Snapshot,
-    /// At a shard worker's receipt of an ingest or query message, before
-    /// any WAL append — a `panic` here kills the worker with the message
+    /// At a shard worker's receipt of an ingest message, before any WAL
+    /// append — a `panic` here kills the worker with the message
     /// applied nowhere.
     Shard,
 }

@@ -14,11 +14,10 @@
 //!   to its senders without stalling sibling shards. Mailboxes carry
 //!   *writes*; queries are served wait-free from each shard's published
 //!   left-right epoch ([`ecm::publish`]) — per-key queries pin the owning
-//!   shard's epoch, cross-key queries pin all N concurrently and merge —
-//!   with a freshness gate that falls back to the worker mailbox whenever
-//!   the published copy trails the shard's accepted writes, preserving
-//!   read-your-writes. `Snapshot` messages reuse the PR-5 checkpoint
-//!   machinery per shard.
+//!   shard's epoch, cross-key queries pin all N and merge. A worker
+//!   publishes before it acks a write, so a published epoch always holds
+//!   every acked write: read-your-writes with one read path. `Snapshot`
+//!   messages reuse the PR-5 checkpoint machinery per shard.
 //! * **Protocol + front-end** ([`protocol`], [`frontend`]) — a
 //!   newline-delimited command language (`STORE`, `BATCH`, `QUERY`, `TOPK`,
 //!   `STATS`, `FLUSH`, `SNAPSHOT`, `PING`, `SHUTDOWN`) with a hand-rolled

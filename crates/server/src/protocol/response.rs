@@ -169,15 +169,13 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
             let h = &r.health;
             let health = format!(
                 "\"health\":{{\"state\":\"{}\",\"restarts\":{},\"last_restart_ms\":{},\
-                 \"mailbox_hwm\":{},\"shed_requests\":{},\"published_reads\":{},\
-                 \"fallback_reads\":{}}}",
+                 \"mailbox_hwm\":{},\"shed_requests\":{},\"published_reads\":{}}}",
                 h.state,
                 h.restarts,
                 h.last_restart_ms,
                 h.mailbox_hwm,
                 h.shed_requests,
-                h.published_reads,
-                h.fallback_reads
+                h.published_reads
             );
             match &r.stats {
                 Some(s) => format!(

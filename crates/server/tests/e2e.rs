@@ -171,29 +171,38 @@ fn strip_now(served: &str) -> String {
 /// Assert that every served answer for every tenant is byte-identical to
 /// the mirror's answer rendered through the same JSON path.
 fn assert_bit_identical(client: &mut Client, store: &SketchStore<String>, now: u64) {
-    let verbs = query_matrix(now);
     for tenant in 0..10 {
-        let key = format!("user-{tenant}");
-        for (wire, query, window) in &verbs {
-            let served = client
-                .call(&format!("QUERY {key} {wire}"))
-                .expect("query round-trip");
-            let local = store
-                .query(&key, query, *window)
-                .unwrap_or_else(|| panic!("mirror lost key {key}"));
-            let expected = match local {
-                Ok(answer) => {
-                    // Successful answers carry the consistency point.
-                    assert!(
-                        sketch_server::answer_now(&served).is_some(),
-                        "no \"now\" field: {served}"
-                    );
-                    response::answer(query_name(query), &answer)
-                }
-                Err(e) => response::query_error(&e),
-            };
-            assert_eq!(strip_now(&served), expected, "QUERY {key} {wire}");
-        }
+        assert_key_bit_identical(client, store, &format!("user-{tenant}"), now);
+    }
+}
+
+/// One tenant's row of [`assert_bit_identical`]: the whole query matrix,
+/// each command sent exactly once.
+fn assert_key_bit_identical(
+    client: &mut Client,
+    store: &SketchStore<String>,
+    key: &String,
+    now: u64,
+) {
+    for (wire, query, window) in &query_matrix(now) {
+        let served = client
+            .call(&format!("QUERY {key} {wire}"))
+            .expect("query round-trip");
+        let local = store
+            .query(key, query, *window)
+            .unwrap_or_else(|| panic!("mirror lost key {key}"));
+        let expected = match local {
+            Ok(answer) => {
+                // Successful answers carry the consistency point.
+                assert!(
+                    sketch_server::answer_now(&served).is_some(),
+                    "no \"now\" field: {served}"
+                );
+                response::answer(query_name(query), &answer)
+            }
+            Err(e) => response::query_error(&e),
+        };
+        assert_eq!(strip_now(&served), expected, "QUERY {key} {wire}");
     }
 }
 
@@ -263,6 +272,57 @@ fn served_answers_are_bit_identical_to_in_process_store() {
 
     let bye = client.call("SHUTDOWN").expect("shutdown");
     assert_eq!(bye, response::shutdown());
+    server.join();
+}
+
+/// Read-your-writes over the wire: on each of 4 connections writing its
+/// own tenant, the `QUERY`s that follow a `BATCH` ack already answer like
+/// a mirror of everything that connection got acked — no retry, no wait.
+#[test]
+fn a_batch_ack_is_readable_at_once_on_every_connection() {
+    let server = start_server(None);
+    std::thread::scope(|scope| {
+        for conn in 0..4u64 {
+            let server = &server;
+            scope.spawn(move || {
+                let mut client = connect(server);
+                let mut store = SketchStore::new(spec()).expect("valid spec");
+                let mut rng = SeededRng::seed_from_u64(0xAC4 + conn);
+                let key = format!("conn-{conn}");
+                let mut ts = 1u64;
+                for _ in 0..8 {
+                    let events: Vec<(String, StreamEvent)> = (0..50)
+                        .map(|_| {
+                            ts += rng.next_u64() % 3;
+                            let item = rng.next_u64() % (1 << HIER_BITS);
+                            (key.clone(), StreamEvent::new(item, ts))
+                        })
+                        .collect();
+                    let lines: Vec<String> = events
+                        .iter()
+                        .map(|(key, e)| format!("{key} {} {}", e.ts, e.item))
+                        .collect();
+                    let resp = client.batch(&lines).expect("BATCH");
+                    assert!(response::is_ok(&resp), "batch rejected: {resp}");
+                    store.ingest(&events);
+                    assert_key_bit_identical(&mut client, &store, &key, ts);
+                    // The consistency point has reached the acked tick.
+                    let served = client
+                        .call(&format!("QUERY {key} total time {ts} {WINDOW}"))
+                        .expect("query round-trip");
+                    assert!(
+                        sketch_server::answer_now(&served) >= Some(ts),
+                        "stale consistency point after the ack of tick {ts}: {served}"
+                    );
+                }
+            });
+        }
+    });
+    let mut client = connect(&server);
+    assert_eq!(
+        client.call("SHUTDOWN").expect("shutdown"),
+        response::shutdown()
+    );
     server.join();
 }
 

@@ -95,7 +95,7 @@ fn shutdown_is_idempotent_and_closes_the_gate() {
         Err(EngineError::ShuttingDown)
     ));
     assert!(matches!(
-        engine.query("k", &OwnedQuery::Total, w),
+        engine.query_served("k", &OwnedQuery::Total, w),
         Err(EngineError::ShuttingDown)
     ));
     assert!(matches!(engine.stats(), Err(EngineError::ShuttingDown)));
@@ -162,8 +162,8 @@ fn retry_until_ok<T>(mut call: impl FnMut() -> Result<T, EngineError>, what: &st
 #[test]
 fn restart_shard_respawns_from_wal_without_losing_siblings() {
     // Durable engine: a crash-shaped restart must replay the WAL tail, so
-    // every *acked* write survives. (Without durability an ack only means
-    // "accepted into the mailbox" — a crash may legitimately drop it.)
+    // every *acked* write survives. (Without durability there is no log
+    // to replay — a crash may legitimately drop what it acked.)
     let dir = std::env::temp_dir().join(format!("sketchd-engine-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -184,11 +184,12 @@ fn restart_shard_respawns_from_wal_without_losing_siblings() {
         .expect("ingest");
 
     engine.restart_shard(sa).expect("restart");
-    // The sibling keeps answering throughout; go through the typed-retry
-    // path anyway so a routing change cannot turn this into a hang.
+    // The sibling keeps answering throughout.
     let w = WindowSpec::time(10, 10_000);
-    let b = retry_until_ok(|| engine.query("b", &OwnedQuery::Total, w), "query b");
-    let b = b
+    let b = engine
+        .query_served("b", &OwnedQuery::Total, w)
+        .expect("reads never touch the mailbox")
+        .answer
         .expect("b exists")
         .expect("answers")
         .value()
@@ -201,8 +202,10 @@ fn restart_shard_respawns_from_wal_without_losing_siblings() {
         || engine.ingest(&[("a".to_string(), StreamEvent::new(2, 10), 7)]),
         "ingest a after restart",
     );
-    let a = retry_until_ok(|| engine.query("a", &OwnedQuery::Total, w), "query a");
-    let a = a
+    let a = engine
+        .query_served("a", &OwnedQuery::Total, w)
+        .expect("query a")
+        .answer
         .expect("a exists")
         .expect("answers")
         .value()
@@ -255,18 +258,25 @@ fn wedged_shard_sheds_typed_overloaded_then_recovers() {
     let event = |i: u64| vec![("k".to_string(), StreamEvent::new(1, i), 1)];
     engine.ingest(&event(1)).expect("ingest 1");
     engine.ingest(&event(2)).expect("ingest 2");
-    // Message 3 stalls the worker. Fire it from a helper thread (the reply
-    // will wait out the stall) and shed against the full mailbox here.
+    // Message 3 stalls the worker. An ingest returns only once its ack
+    // arrives, so it takes two helper threads to set the scene: one whose
+    // message the worker is stalled inside, one whose message fills the
+    // depth-1 mailbox behind it (both replies wait out the stall). Then
+    // shed against the full mailbox here.
     std::thread::scope(|scope| {
-        // The helper competes with the probing loop below for the depth-1
-        // mailbox, so it may get shed too — it retries through it.
+        // The helpers compete with each other (and, late, with the probing
+        // loop below) for the mailbox, so they may get shed too — they
+        // retry through it.
         let stalled = scope.spawn(|| retry_until_ok(|| engine.ingest(&event(3)), "stalled ingest"));
+        let queued = scope.spawn(|| retry_until_ok(|| engine.ingest(&event(3)), "queued ingest"));
+        // Head start: let the helpers occupy the worker and the mailbox.
+        std::thread::sleep(std::time::Duration::from_millis(100));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let shed = loop {
-            // Same timestamp as the helper's event: either sender may win
+            // Same timestamp as the helpers' events: any sender may win
             // the depth-1 mailbox slot (and become the stalled seq-3
             // message), and equal timestamps keep the worker's per-key
-            // non-decreasing ordering valid in both interleavings.
+            // non-decreasing ordering valid in every interleaving.
             match engine.ingest(&event(3)) {
                 Err(e @ EngineError::Overloaded { .. }) => break e,
                 Err(e) if e.is_retryable() => {}
@@ -281,6 +291,7 @@ fn wedged_shard_sheds_typed_overloaded_then_recovers() {
         // The stall passes, the supervisor flips the shard back to up, and
         // the queue drains — the stalled send eventually lands.
         stalled.join().expect("stalled sender");
+        queued.join().expect("queued sender");
     });
     retry_until_ok(|| engine.ingest(&event(9)), "ingest after recovery");
     let stats = retry_until_ok(|| engine.stats(), "stats");
@@ -288,4 +299,80 @@ fn wedged_shard_sheds_typed_overloaded_then_recovers() {
     assert_eq!(stats[0].health.restarts, 0, "wedged is not dead");
     assert!(stats[0].health.shed_requests >= 1, "{:?}", stats[0].health);
     engine.shutdown().expect("shutdown");
+}
+
+#[test]
+#[cfg(any(debug_assertions, feature = "fault-injection"))]
+fn a_worker_that_dies_holding_a_batch_never_acks_it() {
+    // No durability: the worker panics on receipt of its 2nd message,
+    // before applying it. The batch is applied nowhere, so the caller must
+    // see the retryable error — not an `Ok` for having reached a mailbox.
+    let cfg = ServerConfig::new(spec())
+        .shards(1)
+        .fault_plan("shard:panic@seq=2");
+    let engine = Engine::start(&cfg).expect("engine");
+    engine
+        .ingest(&[("k".to_string(), StreamEvent::new(1, 10), 1)])
+        .expect("ingest 1");
+    let doomed = [("k".to_string(), StreamEvent::new(2, 11), 4)];
+    let err = engine
+        .ingest(&doomed)
+        .expect_err("the worker died holding the batch");
+    assert_eq!(err, EngineError::ShardRestarting { shard: 0 });
+    assert!(err.is_retryable());
+
+    // The retry lands on the respawned worker exactly once.
+    retry_until_ok(|| engine.ingest(&doomed), "retry after respawn");
+    let count = engine
+        .query_served(
+            "k",
+            &OwnedQuery::Point { item: 2 },
+            WindowSpec::time(11, 10_000),
+        )
+        .expect("query")
+        .answer
+        .expect("k exists")
+        .expect("answers")
+        .value()
+        .expect("scalar");
+    assert_eq!(count.round() as u64, 4);
+    engine.shutdown().expect("shutdown");
+}
+
+#[test]
+fn broadcast_errors_name_the_shard_that_failed() {
+    // Kill shard 1 of 2 for good: its respawn finds a corrupt checkpoint.
+    let dir = std::env::temp_dir().join(format!("sketchd-engine-dead-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig::new(spec()).shards(2).snapshot_dir(&dir);
+    let engine = Engine::start(&cfg).expect("engine");
+    engine
+        .view_create(ecm::ViewDef {
+            name: "top".to_string(),
+            key: None,
+            query: ecm::StandingQuery::TopK { k: 3 },
+            window: ecm::ViewWindow::Time { range: 10_000 },
+        })
+        .expect("fleet view");
+    engine
+        .ingest(&[
+            ("a".to_string(), StreamEvent::new(1, 10), 3),
+            ("b".to_string(), StreamEvent::new(1, 10), 5),
+        ])
+        .expect("ingest");
+    engine.snapshot(&dir, false).expect("snapshot");
+    std::fs::write(dir.join("shard-1.full"), b"not a checkpoint").expect("corrupt");
+    engine.restart_shard(1).expect("restart");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while engine.stats().expect("stats")[1].health.state != "dead" {
+        assert!(std::time::Instant::now() < deadline, "shard 1 never died");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    let died = EngineError::ShardDied { shard: 1 };
+    assert_eq!(engine.flush(20).expect_err("flush"), died);
+    assert_eq!(engine.snapshot(&dir, false).expect_err("snapshot"), died);
+    assert_eq!(engine.view_read("top").expect_err("view read"), died);
+    let _ = engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

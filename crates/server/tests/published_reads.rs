@@ -1,15 +1,18 @@
-//! Differential suite for the wait-free read path: an answer served from
-//! a shard's published epoch must render **byte-identically** to the same
-//! query serialized through the worker mailbox at the same write clock —
-//! across every backend the spec language can build, through a
-//! mid-publication checkpoint/restore, and after a crash-shaped shard
-//! restart replays the WAL and re-publishes.
+//! Differential suite for the wait-free read path, with an in-process
+//! mirror [`SketchStore`] as the reference: the moment `ingest` returns
+//! `Ok`, an answer served from the shard's published epoch must render
+//! **byte-identically** to the mirror fed the same acked events — no
+//! retry, no polling — across every backend the spec language can build,
+//! with and without durability, under concurrent writers, through a
+//! mid-run checkpoint, and after a crash-shaped shard restart replays the
+//! WAL and re-publishes.
 
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ecm::{Backend, Clock, SketchStore, StreamEvent, Threshold, WindowSpec};
-use sketch_server::engine::{Engine, ServedAnswer};
+use sketch_server::engine::Engine;
 use sketch_server::protocol::{response, OwnedQuery};
 use sketch_server::{ServerConfig, SketchSpec};
 use stream_gen::SeededRng;
@@ -35,7 +38,7 @@ fn backends() -> Vec<SketchSpec> {
 }
 
 /// The full query vocabulary — including kinds some backends refuse, so
-/// the *error* rendering is proven identical on both paths too.
+/// the *error* rendering is proven identical too.
 fn probes() -> Vec<OwnedQuery> {
     vec![
         OwnedQuery::Total,
@@ -50,23 +53,11 @@ fn probes() -> Vec<OwnedQuery> {
     ]
 }
 
-/// Seeded keyed trace: 6 tenants, items inside the 2^8 universe, globally
-/// non-decreasing ticks.
-fn trace(events: usize, seed: u64) -> Vec<(String, StreamEvent)> {
-    let mut rng = SeededRng::seed_from_u64(seed);
-    let mut ts = 0u64;
-    (0..events)
-        .map(|_| {
-            ts += rng.next_u64() % 3;
-            let tenant = rng.next_u64() % 6;
-            let item = rng.next_u64() % 16;
-            (format!("user-{tenant}"), StreamEvent::new(item, ts))
-        })
-        .collect()
-}
-
-fn weighted(events: &[(String, StreamEvent)]) -> Vec<(String, StreamEvent, u64)> {
-    events.iter().map(|(k, e)| (k.clone(), *e, 1)).collect()
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sketchd-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
 }
 
 /// Render a query outcome through the exact wire path responses use.
@@ -78,65 +69,82 @@ fn render(q: &OwnedQuery, answer: &Option<Result<ecm::Answer, ecm::QueryError>>)
     }
 }
 
-/// Poll `query_served` until the freshness gate lets the published copy
-/// answer (publish-on-drain makes this quick once writes stop) — or until
-/// a generous deadline, at which point the caller's asserts will say why.
-fn served_published(engine: &Engine, key: &str, q: &OwnedQuery, w: WindowSpec) -> ServedAnswer {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match engine.query_served(key, q, w) {
-            Ok(served) if served.published => return served,
-            Ok(served) if Instant::now() >= deadline => return served,
-            Ok(_) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) if e.is_retryable() && Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("query_served({key}): {e}"),
-        }
+/// Every probe on `key`, served once — no retry — against the mirror.
+fn assert_key_matches_mirror(
+    engine: &Engine,
+    store: &SketchStore<String>,
+    key: &String,
+    window: WindowSpec,
+    ctx: &str,
+) -> u64 {
+    let mut clock = 0;
+    for q in probes() {
+        let served = engine
+            .query_served(key, &q, window)
+            .unwrap_or_else(|e| panic!("{ctx}: query_served({key}): {e}"));
+        assert_eq!(
+            render(&q, &served.answer),
+            render(&q, &store.query(key, &q.to_query(), window)),
+            "{ctx}: {key} {} diverged from mirror",
+            q.name()
+        );
+        clock = served.clock;
     }
+    clock
 }
 
-/// Point/range/self-join/heavy-hitter answers from the published epoch
-/// are bit-identical to the worker-serialized path at the same clock, for
-/// all ten backend shapes.
+/// Read-your-writes without a gate: 4 writer threads over disjoint
+/// tenants, each against a non-durable and a durable engine, on all ten
+/// backend shapes. Every `ingest` → `Ok` is followed at once by reads of
+/// the key just written, which must already equal the thread's mirror of
+/// its own acked events (per-key sketches are independent, so a mirror of
+/// one thread's tenants is exact whatever the other threads do).
 #[test]
-fn published_and_worker_paths_agree_on_every_backend() {
+fn acked_writes_are_served_at_once_on_every_backend() {
     for (i, spec) in backends().into_iter().enumerate() {
-        let engine =
-            Engine::start(&ServerConfig::new(spec.clone()).shards(2)).expect("engine start");
-        let events = trace(600, 0xD1FF + i as u64);
-        let now = events.last().expect("non-empty trace").1.ts;
-        engine.ingest(&weighted(&events)).expect("ingest");
-
-        let window = match spec.clock() {
-            Clock::Time => WindowSpec::time(now, 1_000),
-            Clock::Count => WindowSpec::last(200),
-        };
-        for (key, _) in events.iter().take(1).chain(events.iter().rev().take(1)) {
-            for q in probes() {
-                let served = served_published(&engine, key, &q, window);
-                assert!(
-                    served.published,
-                    "spec {i}: gate never admitted the published copy for {key}"
-                );
-                let (worker_answer, worker_clock) = engine
-                    .query_via_worker(key, &q, window)
-                    .expect("worker path");
-                assert_eq!(
-                    render(&q, &served.answer),
-                    render(&q, &worker_answer),
-                    "spec {i}: {key} {} diverged across read paths",
-                    q.name()
-                );
-                assert_eq!(
-                    served.clock,
-                    worker_clock,
-                    "spec {i}: consistency points diverged for {key} {}",
-                    q.name()
-                );
+        for durable in [false, true] {
+            let dir = scratch(&format!("ryw-{i}-{durable}"));
+            let mut cfg = ServerConfig::new(spec.clone()).shards(2);
+            if durable {
+                cfg = cfg.snapshot_dir(&dir).durability(true);
             }
+            let engine = Engine::start(&cfg).expect("engine start");
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let (engine, spec) = (&engine, &spec);
+                    scope.spawn(move || {
+                        let ctx = format!("spec {i} durable={durable} writer {t}");
+                        let mut store = SketchStore::new(spec.clone()).expect("mirror spec");
+                        let mut rng = SeededRng::seed_from_u64(0xD1FF + i as u64 * 4 + t);
+                        let mut ts = 0u64;
+                        for _ in 0..10 {
+                            let batch: Vec<(String, StreamEvent)> = (0..20)
+                                .map(|_| {
+                                    ts += rng.next_u64() % 3;
+                                    let tenant = rng.next_u64() % 3;
+                                    let item = rng.next_u64() % 16;
+                                    (format!("user-{t}-{tenant}"), StreamEvent::new(item, ts))
+                                })
+                                .collect();
+                            let weighted: Vec<_> =
+                                batch.iter().map(|(k, e)| (k.clone(), *e, 1)).collect();
+                            engine.ingest(&weighted).expect("ingest");
+                            store.ingest(&batch);
+                            let window = match spec.clock() {
+                                Clock::Time => WindowSpec::time(ts, 1_000),
+                                Clock::Count => WindowSpec::last(200),
+                            };
+                            let key = &batch.last().expect("non-empty batch").0;
+                            let clock =
+                                assert_key_matches_mirror(engine, &store, key, window, &ctx);
+                            assert!(clock >= ts, "{ctx}: clock {clock} behind acked tick {ts}");
+                        }
+                    });
+                }
+            });
+            engine.shutdown().expect("shutdown");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        engine.shutdown().expect("shutdown");
     }
 }
 
@@ -155,31 +163,18 @@ fn assert_matches_mirror(
     ctx: &str,
 ) {
     for key in store.keys() {
-        for q in probes() {
-            let served = served_published(engine, &key, &q, window);
-            assert!(served.published, "{ctx}: {key} {} not published", q.name());
-            let expected = store.query(&key, &q.to_query(), window);
-            assert_eq!(
-                render(&q, &served.answer),
-                render(&q, &expected),
-                "{ctx}: {key} {} diverged from mirror",
-                q.name()
-            );
-        }
+        assert_key_matches_mirror(engine, store, &key, window, ctx);
     }
 }
 
-/// A checkpoint cut while publication lags the write copy (huge publish
-/// interval + concurrent writers keeping the mailboxes busy) restores to
-/// a state whose *re-published* epochs are bit-identical to a mirror of
-/// every acked event — both after a crash-shaped per-shard restart (WAL
-/// tail replay) and after a graceful restart from disk.
+/// A checkpoint cut while concurrent writers keep the mailboxes busy
+/// restores to a state bit-identical to a mirror of every acked event —
+/// straight after the last ack, in the first answers served after a
+/// crash-shaped per-shard restart (WAL tail replay), and after a graceful
+/// restart from disk.
 #[test]
-fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
-    let dir = std::env::temp_dir().join(format!("sketchd-midpub-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-
+fn mid_run_snapshot_restores_and_republishes_after_wal_replay() {
+    let dir = scratch("midpub");
     let spec = SketchSpec::time(10_000)
         .epsilon(0.2)
         .delta(0.2)
@@ -188,11 +183,7 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
     let cfg = ServerConfig::new(spec.clone())
         .shards(2)
         .snapshot_dir(&dir)
-        .durability(true)
-        // Effectively "never publish on count": publication happens only
-        // on mailbox drain, so concurrent writers leave the published
-        // copies stale for most of the run.
-        .publish_interval(u64::MAX);
+        .durability(true);
     let engine = Arc::new(Engine::start(&cfg).expect("engine start"));
 
     // Two writers over disjoint tenants (cross-thread interleaving can't
@@ -224,12 +215,8 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
         })
         .collect();
 
-    // Mid-run: cut a full checkpoint while writes are in flight and the
-    // published copies lag (reads still serve — via fallback when the
-    // freshness gate says the snapshot is behind).
+    // Mid-run: cut a full checkpoint while writes are in flight.
     std::thread::sleep(Duration::from_millis(30));
-    let w_probe = WindowSpec::time(10_000, 10_000);
-    let _ = engine.query_served("user-0", &OwnedQuery::Total, w_probe);
     engine.snapshot(&dir, false).expect("mid-run checkpoint");
 
     let mut all: Vec<(String, StreamEvent)> = Vec::new();
@@ -244,10 +231,12 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
     let now = all.iter().map(|(_, e)| e.ts).max().expect("events");
     let store = mirror(&spec, &all);
     let window = WindowSpec::time(now, 10_000);
+    assert_matches_mirror(&engine, &store, window, "after the last ack");
 
     // Crash-shaped restart of both shards: rebuild = mid-run checkpoint +
-    // WAL tail replay, then an immediate re-publication — reads must come
-    // back `published` and bit-identical to the mirror of all acked events.
+    // WAL tail replay, then an immediate re-publication — the first
+    // answers served must be bit-identical to the mirror of all acked
+    // events.
     for shard in 0..engine.shards() {
         engine.restart_shard(shard).expect("restart");
     }
@@ -278,8 +267,8 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
     assert_matches_mirror(&engine, &store, window, "after crash restart");
     engine.shutdown().expect("shutdown");
 
-    // Graceful restart from the same directory (default interval = 1):
-    // restore re-publishes before the engine accepts its first query.
+    // Graceful restart from the same directory: restore re-publishes
+    // before the engine accepts its first query.
     let engine = Engine::start(
         &ServerConfig::new(spec)
             .shards(2)

@@ -12,12 +12,13 @@
 use ecm_suite::ecm::EcmSketch;
 use ecm_suite::ecm::{
     grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, DecayedCm,
-    EcmBuilder, EcmConfig, EcmEh, EcmHierarchy, Query, QueryError, ShardedEcm, Sketch,
-    SketchReader, SketchSpec, SpecError, StreamEvent, Threshold, WindowSpec,
+    EcmBuilder, EcmConfig, EcmEh, EcmHierarchy, Eviction, Query, QueryError, ShardedEcm, Sketch,
+    SketchReader, SketchSpec, SketchStore, SpecError, StreamEvent, Threshold, WindowSpec,
 };
 use ecm_suite::sliding_window::traits::WindowCounter;
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{SeededRng, ZipfSampler};
+use proptest::prelude::*;
 
 const WINDOW: u64 = 10_000;
 const EVENTS: usize = 6_000;
@@ -544,4 +545,123 @@ fn spec_accessors_reflect_the_description() {
     assert_eq!(s.declared_backend(), Backend::Exact);
     assert_eq!(Backend::Ew { buckets: 3 }.name(), "equi-width");
     assert_eq!(Backend::Decayed.name(), "decayed");
+}
+
+/// Every backend shape the spec language can build — the ten the `ecm`
+/// API suite round-trips.
+fn ten_specs() -> Vec<SketchSpec> {
+    vec![
+        SketchSpec::time(1_000).backend(Backend::Eh),
+        SketchSpec::time(1_000).backend(Backend::Dw),
+        SketchSpec::time(1_000)
+            .backend(Backend::Rw)
+            .epsilon(0.25)
+            .max_arrivals(5_000),
+        SketchSpec::time(1_000).backend(Backend::Exact),
+        SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
+        SketchSpec::time(1_000).backend(Backend::Decayed),
+        SketchSpec::time(1_000).hierarchy(8),
+        SketchSpec::time(1_000).sharded(3),
+        SketchSpec::count(1_000),
+        SketchSpec::count(1_000).hierarchy(8),
+    ]
+}
+
+/// Everything a store can be asked, rendered so that f64s compare by bit
+/// pattern (`{:?}` prints the shortest string that round-trips).
+fn observe(store: &SketchStore<u64>, spec: &SketchSpec, now: u64) -> String {
+    let w = match spec.clock() {
+        Clock::Time => WindowSpec::time(now, 1_000),
+        Clock::Count => WindowSpec::last(200),
+    };
+    let mut out = format!("keys={:?} evictions={}", store.keys(), store.evictions());
+    for q in [
+        Query::total_arrivals(),
+        Query::self_join(),
+        Query::point(0),
+        Query::point(3),
+        Query::range_sum(0, 7),
+    ] {
+        out.push_str(&format!("\n{q:?} -> {:?}", store.query_all(&q, w)));
+    }
+    out.push_str(&format!(
+        "\ntop={:?}",
+        store.top_k(3, &Query::total_arrivals(), w)
+    ));
+    out
+}
+
+/// A true deep copy: through the bytes of a full snapshot.
+fn deep_copy(store: &mut SketchStore<u64>) -> SketchStore<u64> {
+    SketchStore::load_snapshot(&store.write_snapshot().expect("encode")).expect("decode")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `SketchStore::clone` shares sketches until one side writes them,
+    /// yet must stay observably a deep copy. Two stores related by
+    /// `clone` (in either direction, repeatedly) are driven through
+    /// random weighted inserts, batched ingests, clock advances and
+    /// capacity evictions, next to two references that are only ever
+    /// copied through snapshot bytes and therefore never share a sketch:
+    /// after every step each store answers bit-identically to its
+    /// reference, so no write ever leaks across a clone.
+    #[test]
+    fn prop_store_clone_is_observably_a_deep_copy(seed in 0u64..10_000, steps in 20usize..50) {
+        for (i, spec) in ten_specs().into_iter().enumerate() {
+            let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
+            // 8 tenants through 4 slots: eviction runs on both copies. Odd
+            // seeds run unbounded, where the store keeps no eviction index.
+            let fresh = || if seed % 2 == 0 {
+                SketchStore::<u64>::with_capacity(spec.clone(), 4, Eviction::Lru)
+            } else {
+                SketchStore::new(spec.clone())
+            }
+            .expect("valid spec");
+            let mut stores = [fresh(), fresh()];
+            let mut refs = [fresh(), fresh()];
+            let mut ts = 1u64;
+            for step in 0..steps {
+                let side = (rng.next_u64() % 2) as usize;
+                let op = rng.next_u64() % 5;
+                match op {
+                    0 => {
+                        stores[1 - side] = stores[side].clone();
+                        refs[1 - side] = deep_copy(&mut refs[side]);
+                    }
+                    1 => {
+                        let (key, item) = (rng.next_u64() % 8, rng.next_u64() % 8);
+                        let weight = 1 + rng.next_u64() % 5;
+                        ts += rng.next_u64() % 3;
+                        stores[side].insert_weighted(key, ts, item, weight);
+                        refs[side].insert_weighted(key, ts, item, weight);
+                    }
+                    2 | 3 => {
+                        let batch: Vec<(u64, StreamEvent)> = (0..10)
+                            .map(|_| {
+                                ts += rng.next_u64() % 2;
+                                (rng.next_u64() % 8, StreamEvent::new(rng.next_u64() % 8, ts))
+                            })
+                            .collect();
+                        stores[side].ingest(&batch);
+                        refs[side].ingest(&batch);
+                    }
+                    _ => {
+                        ts += rng.next_u64() % 50;
+                        stores[side].advance_to(ts);
+                        refs[side].advance_to(ts);
+                    }
+                }
+                for s in 0..2 {
+                    prop_assert_eq!(
+                        observe(&stores[s], &spec, ts),
+                        observe(&refs[s], &spec, ts),
+                        "spec {} step {} op {} on side {}: store {} left its reference",
+                        i, step, op, side, s
+                    );
+                }
+            }
+        }
+    }
 }
