@@ -19,7 +19,12 @@
 //! (clone the store, swap the epoch, retire the old one) at 1 000 and
 //! 10 000 resident keys with 32 keys written in between — the store's
 //! entries are copy-on-write, so the cost must stay a pointer copy per
-//! resident key, not a sketch copy. `bench_schema.rs` holds the floors.
+//! resident key, not a sketch copy. A sixth prices the fleet ranking:
+//! `top_k` times `SketchStore::top_k(10, total)` over 10 000 resident
+//! keys of Zipf(0.7) volumes against the scan it replaced (every key
+//! queried, sorted, cut) — the pruned ranking reads one arrivals bound per
+//! key and scores only the few that can place. `bench_schema.rs` holds
+//! the floors.
 //!
 //! Results are printed and written as JSON to `BENCH_query.json` at the
 //! workspace root (`BENCH_QUERY_OUT` overrides the path); the schema is
@@ -201,10 +206,54 @@ fn publish_cell(resident_keys: usize) -> PublishRow {
     }
 }
 
+struct TopKRow {
+    resident_keys: usize,
+    k: usize,
+    pruned_us: f64,
+    scan_us: f64,
+}
+
+/// `SketchStore::top_k` against the scan it replaced, over a fleet of
+/// `resident_keys` EH tenants whose window volumes follow Zipf(0.7).
+fn top_k_cell(resident_keys: usize) -> TopKRow {
+    const K: usize = 10;
+    let spec = SketchSpec::time(WINDOW).epsilon(0.1).delta(0.1).seed(7);
+    let mut store: SketchStore<String> = SketchStore::new(spec).expect("valid spec");
+    for r in 0..resident_keys {
+        let volume = (2_000.0 * ((r + 1) as f64).powf(-0.7)).ceil() as u64;
+        for step in 0..4u64 {
+            let item = (r as u64 * 31 + step * 7) % 256;
+            store.insert_weighted(format!("tenant-{r}"), 1 + step, item, volume.div_ceil(4));
+        }
+    }
+    let q = Query::total_arrivals();
+    let w = WindowSpec::time(4, WINDOW);
+    let scan = |store: &SketchStore<String>| {
+        let mut rows: Vec<(String, f64)> = store
+            .query_all(&q, w)
+            .into_iter()
+            .filter_map(|(key, answer)| Some((key, answer.ok()?.value()?)))
+            .collect();
+        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+        rows.truncate(K);
+        rows
+    };
+    assert_eq!(store.top_k(K, &q, w), scan(&store), "pruned != scan");
+    let pruned_ns = time_ns(50, || store.top_k(K, &q, w)[0].1);
+    let scan_ns = time_ns(5, || scan(&store)[0].1);
+    TopKRow {
+        resident_keys,
+        k: K,
+        pruned_us: pruned_ns / 1e3,
+        scan_us: scan_ns / 1e3,
+    }
+}
+
 fn json(
     rows: &[Row],
     scaling: &[ScaleRow],
     publish: &[PublishRow],
+    top_k: &TopKRow,
     events: usize,
     eh_bytes: usize,
 ) -> String {
@@ -244,7 +293,10 @@ fn json(
          \"events\": {events},\n    \"zipf_skew\": {ZIPF_SKEW},\n    \"key_domain\": {KEY_DOMAIN},\n    \
          \"window\": {WINDOW},\n    \"hierarchy_bits\": {HIER_BITS}\n  }},\n  \
          \"warm_eh_memory_bytes\": {eh_bytes},\n  \"results\": [\n{results}\n  ],\n  \
-         \"read_scaling\": [\n{scale}\n  ],\n  \"publish\": [\n{publishes}\n  ]\n}}\n"
+         \"read_scaling\": [\n{scale}\n  ],\n  \"publish\": [\n{publishes}\n  ],\n  \
+         \"top_k\": [\n    {{\"resident_keys\": {}, \"k\": {}, \"pruned_us\": {:.1}, \
+         \"scan_us\": {:.1}}}\n  ]\n}}\n",
+        top_k.resident_keys, top_k.k, top_k.pruned_us, top_k.scan_us
     )
 }
 
@@ -387,7 +439,17 @@ fn main() {
         );
     }
 
-    let out = json(&rows, &scaling, &publish, events.len(), eh_bytes);
+    let top_k = top_k_cell(10_000);
+    println!(
+        "\ntop_k({}) over {} keys: pruned {:.1} us, scan {:.1} us ({:.1}x)",
+        top_k.k,
+        top_k.resident_keys,
+        top_k.pruned_us,
+        top_k.scan_us,
+        top_k.scan_us / top_k.pruned_us
+    );
+
+    let out = json(&rows, &scaling, &publish, &top_k, events.len(), eh_bytes);
     let path = std::env::var("BENCH_QUERY_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json").to_string()
     });

@@ -244,6 +244,27 @@ fn query_bench_publication_costs_a_pointer_copy_per_resident_key() {
 }
 
 #[test]
+fn query_bench_top_k_prunes_the_scan() {
+    let text = load_file("BENCH_query.json");
+    let chunk = text
+        .split("\"top_k\": [")
+        .nth(1)
+        .expect("missing top_k section");
+    assert_eq!(field_f64(chunk, "resident_keys") as u64, 10_000);
+    assert_eq!(field_f64(chunk, "k") as u64, 10);
+    let pruned = field_f64(chunk, "pruned_us");
+    let scan = field_f64(chunk, "scan_us");
+    assert!(pruned > 0.0 && scan > 0.0);
+    // The ranking reads one arrivals bound per key and scores the few
+    // that can place; at 10 000 skewed keys that is orders of magnitude
+    // under a scan. Below 5x, sketches are being scored wholesale again.
+    assert!(
+        scan >= 5.0 * pruned,
+        "top_k at 10 000 keys: pruned {pruned} us vs scan {scan} us is under 5x"
+    );
+}
+
+#[test]
 fn server_bench_schema_is_valid() {
     let text = load_file("BENCH_server.json");
     assert_eq!(field_f64(&text, "schema_version") as u64, 1);

@@ -199,6 +199,14 @@ impl<W: WindowCounter> ShardedEcm<W> {
             .sum()
     }
 
+    /// The shards' [`EcmSketch::arrivals_bound`]s, summed in the order
+    /// [`total_arrivals`](Self::total_arrivals) sums their estimates —
+    /// term by term no smaller, so (float addition being monotone) no
+    /// smaller in total.
+    pub(crate) fn arrivals_bound(&self) -> Option<f64> {
+        self.shards.iter().map(EcmSketch::arrivals_bound).sum()
+    }
+
     /// Lifetime arrivals across all shards.
     pub fn lifetime_arrivals(&self) -> u64 {
         self.shards.iter().map(EcmSketch::lifetime_arrivals).sum()

@@ -490,6 +490,20 @@ pub trait SketchReader {
 
     /// Downcast support for binary queries ([`Query::InnerProduct`]).
     fn as_any(&self) -> &dyn Any;
+
+    /// An upper bound on the scalar [`query`](SketchReader::query) would
+    /// answer for `q` over `w`, read in O(1) without touching the cells —
+    /// or `None` when the backend has none, which costs a ranking nothing
+    /// but speed: [`SketchStore::top_k`](crate::store::SketchStore::top_k)
+    /// skips a sketch only when its bound is below the k-th score so far.
+    ///
+    /// Only [`Query::TotalArrivals`] on time-based sketches over
+    /// exponential histograms is bounded: their cells keep a count of the
+    /// arrivals they still hold, and a window estimate sums a subset of
+    /// those whatever the window.
+    fn score_bound(&self, _q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
+        None
+    }
 }
 
 /// e / width — the Count-Min hashing error the array's actual width
@@ -668,6 +682,13 @@ where
         "EcmSketch"
     }
 
+    fn score_bound(&self, q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
+        match q {
+            Query::TotalArrivals => self.arrivals_bound(),
+            _ => None,
+        }
+    }
+
     fn memory_bytes(&self) -> usize {
         EcmSketch::memory_bytes(self)
     }
@@ -741,6 +762,13 @@ where
 
     fn backend(&self) -> &'static str {
         "EcmHierarchy"
+    }
+
+    fn score_bound(&self, q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
+        match q {
+            Query::TotalArrivals => self.arrivals_bound(),
+            _ => None,
+        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -929,6 +957,13 @@ where
 
     fn backend(&self) -> &'static str {
         "ShardedEcm"
+    }
+
+    fn score_bound(&self, q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
+        match q {
+            Query::TotalArrivals => self.arrivals_bound(),
+            _ => None,
+        }
     }
 
     fn memory_bytes(&self) -> usize {

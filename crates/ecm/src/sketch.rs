@@ -358,6 +358,20 @@ impl<W: WindowCounter> EcmSketch<W> {
         sum / self.depth as f64
     }
 
+    /// An O(1) upper bound on [`total_arrivals`](Self::total_arrivals) for
+    /// **every** `now` and `range`: the arrivals the cells still hold
+    /// ([`CellStorage::held_ones`]) over the depth. `None` where the cell
+    /// layout keeps no such count (everything but the EH slab).
+    ///
+    /// The comparison is exact, not merely up to rounding, while a sketch
+    /// holds fewer than 2⁵² arrivals: cell estimates are multiples of ½, so
+    /// their running sum is exact and at most the held count, and the one
+    /// division by `depth` both sides share is monotone.
+    pub(crate) fn arrivals_bound(&self) -> Option<f64> {
+        let held = self.cells.held_ones()?;
+        Some(held as f64 / self.depth as f64)
+    }
+
     /// Direct access to a cell's window estimate (used by the geometric-
     /// method monitor to extract statistics vectors, paper §6.2).
     pub fn cell_estimate(&self, row: usize, col: usize, now: u64, range: u64) -> f64 {

@@ -46,7 +46,8 @@
 //! assert_eq!(top.len(), 1);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -94,6 +95,131 @@ fn unshared(sketch: &mut Arc<dyn Sketch>) -> &mut dyn Sketch {
     }
     Arc::get_mut(sketch).expect("sole owner after the copy")
 }
+
+/// One row of a [`Ranking`]. Rows order as rankings list them — score
+/// descending, ties by key ascending — so the *greatest* row is the worst
+/// one. This is the only place that order is spelled.
+struct Row<T> {
+    key: T,
+    score: f64,
+}
+
+impl<T: Ord> Ord for Row<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .partial_cmp(&self.score)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| self.key.cmp(&other.key))
+    }
+}
+
+impl<T: Ord> PartialOrd for Row<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T: Ord> PartialEq for Row<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T: Ord> Eq for Row<T> {}
+
+/// A running top-`k`: offer `(key, score)` rows in any order, from any
+/// number of sources, and read back the `k` best — score descending, ties
+/// by key ascending. [`SketchStore::rank_into`] feeds one from a store and
+/// consults its [`prunes`](Ranking::prunes) to skip sketches that cannot
+/// place; a serving layer threads one ranking through all its shards, so
+/// each shard starts from the floor its predecessors set.
+///
+/// `k` is only ever compared against: memory grows with the rows kept, so
+/// a `k` of `usize::MAX` ranks everything offered.
+pub struct Ranking<T> {
+    k: usize,
+    /// Max-heap under the row order: the worst kept row on top.
+    rows: BinaryHeap<Row<T>>,
+}
+
+impl<T: Ord> Ranking<T> {
+    /// An empty ranking that keeps the best `k` rows.
+    pub fn new(k: usize) -> Self {
+        Ranking {
+            k,
+            rows: BinaryHeap::new(),
+        }
+    }
+
+    /// Offer one row; it is kept if fewer than `k` are, or if it ranks
+    /// before the worst kept row (which it then replaces).
+    pub fn offer(&mut self, key: T, score: f64) {
+        let row = Row { key, score };
+        if self.rows.len() < self.k {
+            self.rows.push(row);
+        } else if let Some(mut worst) = self.rows.peek_mut() {
+            if row < *worst {
+                *worst = row;
+            }
+        }
+    }
+
+    /// Whether no row scoring at most `bound` can enter any more: `k` rows
+    /// are kept and `bound` is **strictly** below the worst of them (a row
+    /// that ties the worst score may still win on its key).
+    pub fn prunes(&self, bound: f64) -> bool {
+        self.rows.len() >= self.k && self.rows.peek().is_none_or(|worst| bound < worst.score)
+    }
+
+    /// The kept rows, best first.
+    pub fn into_sorted(self) -> Vec<(T, f64)> {
+        self.rows
+            .into_sorted_vec()
+            .into_iter()
+            .map(|row| (row.key, row.score))
+            .collect()
+    }
+}
+
+impl<K: Ord + Clone> Ranking<&K> {
+    /// [`into_sorted`](Ranking::into_sorted) over borrowed keys, cloning
+    /// only the winners'.
+    pub fn into_owned(self) -> Vec<(K, f64)> {
+        self.into_sorted()
+            .into_iter()
+            .map(|(key, score)| (key.clone(), score))
+            .collect()
+    }
+}
+
+/// A sketch awaiting its turn in [`SketchStore::rank_into`], ordered by
+/// its score bound.
+struct Candidate<'a, K> {
+    bound: f64,
+    key: &'a K,
+    sketch: &'a dyn Sketch,
+}
+
+impl<K> Ord for Candidate<'_, K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.bound.total_cmp(&other.bound)
+    }
+}
+
+impl<K> PartialOrd for Candidate<'_, K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K> PartialEq for Candidate<'_, K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<K> Eq for Candidate<'_, K> {}
 
 /// A keyed collection of identically-specified sketches with lazy creation,
 /// grouped batched ingest, cross-key queries and bounded capacity. See the
@@ -363,23 +489,59 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
 
     /// The `k` keys with the largest scalar answers to `q` over `w`,
     /// descending (ties broken by key). Keys whose backend rejects the
-    /// query or returns a non-scalar answer are skipped — the scan is a
-    /// ranking, not a validator.
+    /// query or returns a non-scalar answer are skipped — this is a
+    /// ranking, not a validator. Costs one O(1) bound read per key plus a
+    /// full estimate for the few that can place, where the backend has a
+    /// [`score_bound`](crate::query::SketchReader::score_bound); a full
+    /// estimate per key where it has none. See
+    /// [`rank_into`](Self::rank_into).
     pub fn top_k(&self, k: usize, q: &Query<'_>, w: WindowSpec) -> Vec<(K, f64)> {
-        let mut scored: Vec<(K, f64)> = self
+        let mut ranking = Ranking::new(k);
+        self.rank_into(&mut ranking, q, w);
+        ranking.into_owned()
+    }
+
+    /// Offer this store's keys to a running `ranking` by the threshold
+    /// algorithm, and return how many sketches had to be scored.
+    ///
+    /// Every sketch's [`score_bound`](crate::query::SketchReader::score_bound)
+    /// is read first (no bound counts as `+∞`); sketches are then scored
+    /// with [`query`](crate::query::SketchReader::query) in descending
+    /// bound order until the ranking [`prunes`](Ranking::prunes) the
+    /// largest bound left — every sketch behind it scores at most its
+    /// bound, strictly below the k-th score, and could not have placed.
+    /// The rows kept are therefore exactly those a scan of every sketch
+    /// would keep; only the work differs. It degrades gracefully: a
+    /// backend without bounds is scanned, and bounds gone stale (keys
+    /// silent for windows still hold their last arrivals) prune less.
+    pub fn rank_into<'a>(
+        &'a self,
+        ranking: &mut Ranking<&'a K>,
+        q: &Query<'_>,
+        w: WindowSpec,
+    ) -> usize {
+        let mut candidates: BinaryHeap<Candidate<'a, K>> = self
             .entries
             .iter()
-            .filter_map(|(key, e)| {
-                let value = e.sketch.query(q, w).ok()?.value()?;
-                Some((key.clone(), value))
+            .map(|(key, e)| Candidate {
+                bound: e.sketch.score_bound(q, w).unwrap_or(f64::INFINITY),
+                key,
+                sketch: &*e.sketch,
             })
-            .collect();
-        scored.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
+            // The floor an earlier store left in the ranking.
+            .filter(|c| !ranking.prunes(c.bound))
+            .collect::<Vec<_>>()
+            .into();
+        let mut scored = 0;
+        while let Some(c) = candidates.pop() {
+            if ranking.prunes(c.bound) {
+                break;
+            }
+            scored += 1;
+            if let Some(score) = c.sketch.query(q, w).ok().and_then(|a| a.value()) {
+                ranking.offer(c.key, score);
+            }
+        }
         scored
     }
 
@@ -967,6 +1129,57 @@ mod tests {
         let all = store.query_all(&Query::range_sum(0, 10), w);
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|(_, r)| r.is_err()));
+    }
+
+    /// 500 tenants at Zipf(0.7) rates over three windows of stationary
+    /// traffic (tenant `r` writes `4·r^-0.7` events per tick).
+    fn zipf_fleet(backend: Backend) -> SketchStore<u64> {
+        let mut store: SketchStore<u64> = SketchStore::new(spec().backend(backend)).unwrap();
+        let mut rng = stream_gen::SeededRng::seed_from_u64(11);
+        let rates: Vec<f64> = (1..=500u64).map(|r| 4.0 * (r as f64).powf(-0.7)).collect();
+        let mut owed = vec![0.0f64; rates.len()];
+        for t in 1..=3_000u64 {
+            for (key, rate) in rates.iter().enumerate() {
+                owed[key] += rate;
+                while owed[key] >= 1.0 {
+                    owed[key] -= 1.0;
+                    store.insert(key as u64, t, rng.next_u64() % 512);
+                }
+            }
+        }
+        store
+    }
+
+    #[test]
+    fn ranking_scores_a_few_sketches_where_bounds_exist_and_all_where_not() {
+        let w = WindowSpec::time(3_000, 1_000);
+        let q = Query::total_arrivals();
+        let by_scan = |store: &SketchStore<u64>| {
+            let mut rows: Vec<(u64, f64)> = store
+                .query_all(&q, w)
+                .into_iter()
+                .map(|(key, answer)| (key, answer.unwrap().into_value().value))
+                .collect();
+            rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            rows.truncate(10);
+            rows
+        };
+
+        let eh = zipf_fleet(Backend::Eh);
+        let mut ranking = Ranking::new(10);
+        let scored = eh.rank_into(&mut ranking, &q, w);
+        assert_eq!(ranking.into_owned(), by_scan(&eh));
+        assert!(
+            scored <= eh.len() / 10,
+            "top-10 of {} EH sketches scored {scored}",
+            eh.len()
+        );
+
+        // No bound, no pruning: the same routine is a scan.
+        let dw = zipf_fleet(Backend::Dw);
+        let mut ranking = Ranking::new(10);
+        assert_eq!(dw.rank_into(&mut ranking, &q, w), dw.len());
+        assert_eq!(ranking.into_owned(), by_scan(&dw));
     }
 
     #[test]

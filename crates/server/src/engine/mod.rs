@@ -113,6 +113,11 @@ pub struct ShardHealth {
     pub shed_requests: u64,
     /// Queries served wait-free from this shard's published epoch.
     pub published_reads: u64,
+    /// Sketches `TOPK` requests had to score on this shard. A call scores
+    /// a few more than `k` while the arrivals bounds prune, and up to
+    /// every resident key once they have gone stale (a fleet of keys
+    /// silent for longer than a window).
+    pub ranked_sketches: u64,
 }
 
 /// One shard's row in [`Engine::stats`]: supervision health plus the

@@ -13,8 +13,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ecm::{
-    QueryError, SketchStore, SpecError, StandingQuery, StreamEvent, ViewAnswer, ViewDef, ViewError,
-    ViewReadout, WindowSpec,
+    QueryError, Ranking, SketchStore, SpecError, StandingQuery, StreamEvent, ViewAnswer, ViewDef,
+    ViewError, ViewReadout, WindowSpec,
 };
 
 use super::hub::ViewHub;
@@ -545,14 +545,18 @@ impl Engine {
         })
     }
 
-    /// The `k` keys with the most window arrivals across the whole fleet:
-    /// collect each shard's local ranking, merge (value descending, ties
-    /// by key), truncate. Identical to what one un-sharded store's
-    /// `top_k` would return, since a global top-k key is a top-k key of
-    /// its own shard.
+    /// The `k` keys with the most window arrivals across the whole fleet
+    /// (value descending, ties by key) — identical to what one un-sharded
+    /// store's `top_k` would return. One running [`Ranking`] is threaded
+    /// through the shards ([`SketchStore::rank_into`]), so each shard
+    /// scores only the sketches whose arrivals bound can still reach the
+    /// k-th score its predecessors left.
     ///
     /// Each shard's contribution comes wait-free from its published
-    /// epoch — a broadcast read is N pins.
+    /// epoch — a broadcast read is N pins, all held until the winners'
+    /// keys are copied out.
+    ///
+    /// [`SketchStore::rank_into`]: ecm::SketchStore::rank_into
     ///
     /// # Errors
     /// As [`query_served`](Engine::query_served).
@@ -560,19 +564,18 @@ impl Engine {
         if *self.fleet.down.read().expect("gate poisoned") {
             return Err(EngineError::ShuttingDown);
         }
-        let mut merged: Vec<(String, f64)> = Vec::new();
-        for slot in &self.fleet.slots {
-            let epoch = slot.published.pin();
+        let slots = &self.fleet.slots;
+        let epochs: Vec<_> = slots.iter().map(|slot| slot.published.pin()).collect();
+        let mut ranking = Ranking::new(k);
+        for (slot, epoch) in slots.iter().zip(&epochs) {
             slot.published_reads.fetch_add(1, Ordering::Relaxed);
-            merged.extend(epoch.value.top_k(k, &ecm::Query::total_arrivals(), window));
+            let scored = epoch
+                .value
+                .rank_into(&mut ranking, &ecm::Query::total_arrivals(), window);
+            slot.ranked_sketches
+                .fetch_add(scored as u64, Ordering::Relaxed);
         }
-        merged.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        merged.truncate(k);
-        Ok(merged)
+        Ok(ranking.into_owned())
     }
 
     /// Per-shard status, in shard order: the supervision health row is
@@ -743,7 +746,7 @@ impl Engine {
                     name: name.to_string(),
                     reply: tx,
                 })?;
-                let mut merged: Vec<(String, f64)> = Vec::new();
+                let mut merged = Ranking::new(k);
                 let (mut now, mut seq, mut any) = (0u64, 0u64, false);
                 for (shard, reply) in replies.into_iter().enumerate() {
                     let readout = match reply {
@@ -758,7 +761,11 @@ impl Engine {
                     now = now.max(readout.now);
                     seq += readout.seq;
                     match readout.answer {
-                        ViewAnswer::Ranking(local) => merged.extend(local),
+                        ViewAnswer::Ranking(local) => {
+                            for (key, score) in local {
+                                merged.offer(key, score);
+                            }
+                        }
                         _ => return Err(EngineError::ShardDied { shard }),
                     }
                 }
@@ -767,14 +774,8 @@ impl Engine {
                         name: name.to_string(),
                     }));
                 }
-                merged.sort_unstable_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                merged.truncate(k);
                 Ok(ViewReadout {
-                    answer: ViewAnswer::Ranking(merged),
+                    answer: ViewAnswer::Ranking(merged.into_sorted()),
                     now,
                     seq,
                 })

@@ -158,6 +158,9 @@ pub(super) struct ShardSlot {
     pub(super) published: Arc<LeftRight<SketchStore<String>>>,
     /// Queries served from the published epoch (for `STATS`).
     pub(super) published_reads: AtomicU64,
+    /// Sketches `TOPK` had to score on this shard (for `STATS`): against
+    /// keys × calls, how well the arrivals bounds still prune.
+    pub(super) ranked_sketches: AtomicU64,
 }
 
 impl ShardSlot {
@@ -178,6 +181,7 @@ impl ShardSlot {
             handle: Mutex::new(None),
             published: Arc::new(LeftRight::new(Epoch::initial(empty, 0, 0))),
             published_reads: AtomicU64::new(0),
+            ranked_sketches: AtomicU64::new(0),
         }
     }
 }
@@ -263,6 +267,7 @@ impl Fleet {
             mailbox_hwm: slot.gauge.hwm.load(Ordering::Relaxed),
             shed_requests: slot.shed.load(Ordering::Relaxed),
             published_reads: slot.published_reads.load(Ordering::Relaxed),
+            ranked_sketches: slot.ranked_sketches.load(Ordering::Relaxed),
         }
     }
 }

@@ -169,13 +169,15 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
             let h = &r.health;
             let health = format!(
                 "\"health\":{{\"state\":\"{}\",\"restarts\":{},\"last_restart_ms\":{},\
-                 \"mailbox_hwm\":{},\"shed_requests\":{},\"published_reads\":{}}}",
+                 \"mailbox_hwm\":{},\"shed_requests\":{},\"published_reads\":{},\
+                 \"ranked_sketches\":{}}}",
                 h.state,
                 h.restarts,
                 h.last_restart_ms,
                 h.mailbox_hwm,
                 h.shed_requests,
-                h.published_reads
+                h.published_reads,
+                h.ranked_sketches
             );
             match &r.stats {
                 Some(s) => format!(

@@ -237,6 +237,20 @@ fn served_answers_are_bit_identical_to_in_process_store() {
         .expect("topk");
     let expected = store.top_k(5, &Query::total_arrivals(), WindowSpec::time(now, WINDOW));
     assert_eq!(served, response::topk(&expected), "TOPK");
+    // Any `k >= 1` parses, so nothing on the way may be sized by it: a `k`
+    // past the fleet, up to the largest the parser takes, ranks every key.
+    let everyone = store.top_k(
+        usize::MAX,
+        &Query::total_arrivals(),
+        WindowSpec::time(now, WINDOW),
+    );
+    assert_eq!(everyone.len(), store.len());
+    for k in [(store.len() + 5) as u64, u64::MAX] {
+        let served = client
+            .call(&format!("TOPK {k} time {now} {WINDOW}"))
+            .expect("topk");
+        assert_eq!(served, response::topk(&everyone), "TOPK {k}");
+    }
 
     // STATS sums to the fleet the mirror holds, without locking shards.
     let stats = client.call("STATS").expect("stats");

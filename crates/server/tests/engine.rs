@@ -140,6 +140,47 @@ fn broadcast_top_k_merges_like_one_store() {
     engine.shutdown().expect("shutdown");
 }
 
+/// `TOPK` over a skewed fleet scores a few sketches, not the fleet: each
+/// shard reads every resident sketch's arrivals bound and scores only
+/// those that can still reach the k-th score, and `STATS` shows how many
+/// that was (`ranked_sketches`) — the number an operator watches for
+/// pruning that has degraded. The answer is the mirror store's scan.
+#[test]
+fn top_k_scores_far_fewer_sketches_than_the_fleet_holds() {
+    const KEYS: usize = 400;
+    let engine = Engine::start(&ServerConfig::new(spec()).shards(2)).expect("engine");
+    let mut mirror: ecm::SketchStore<String> = ecm::SketchStore::new(spec()).expect("spec");
+    // Tenant r writes ~ 600·r^-0.7 arrivals, spread over 8 items and ticks.
+    for first in (0..KEYS).step_by(50) {
+        let mut batch = Vec::new();
+        for r in first..first + 50 {
+            let share = (75.0 * ((r + 1) as f64).powf(-0.7)).ceil() as u64;
+            for step in 0..8u64 {
+                let event = StreamEvent::new((r as u64 + step) % 32, 100 + step);
+                batch.push((format!("k{r:03}"), event, share));
+            }
+        }
+        for (key, event, n) in &batch {
+            mirror.insert_weighted(key.clone(), event.ts, event.item, *n);
+        }
+        engine.ingest(&batch).expect("ingest");
+    }
+    let window = WindowSpec::time(107, 10_000);
+    let top = engine.top_k(10, window).expect("top_k");
+    assert_eq!(top, mirror.top_k(10, &ecm::Query::total_arrivals(), window));
+    assert_eq!(top[0].0, "k000");
+
+    let rows = engine.stats().expect("stats");
+    let resident: usize = rows.iter().filter_map(|r| r.stats).map(|s| s.keys).sum();
+    assert_eq!(resident, KEYS);
+    let ranked: u64 = rows.iter().map(|r| r.health.ranked_sketches).sum();
+    assert!(
+        (10..=KEYS as u64 / 8).contains(&ranked),
+        "one TOPK 10 over {KEYS} keys scored {ranked} sketches"
+    );
+    engine.shutdown().expect("shutdown");
+}
+
 /// Retry an engine call through restart blips: retryable errors mean "not
 /// applied, try again"; anything else is a real failure.
 fn retry_until_ok<T>(mut call: impl FnMut() -> Result<T, EngineError>, what: &str) -> T {

@@ -157,6 +157,12 @@ struct SlabCore<T> {
     /// `n_cells × levels_alloc` ring cursors.
     rings: Vec<Ring>,
     cells: Vec<CellMeta>,
+    /// Σ `CellMeta::total` over the grid: every 1-bit any cell still
+    /// holds. A cell's `estimate` sums a subset of its held buckets (less
+    /// half of one), so for every `now` and `range` the grid's estimates
+    /// sum to at most this — the O(1) bound top-k rankings prune with.
+    /// Derived state: never encoded, recomputed on import.
+    held: u64,
     /// Reusable carry buffers for the bulk cascade (≤ `cap` entries each);
     /// keeping them here removes the two heap allocations the standalone
     /// bulk path pays per insert.
@@ -180,6 +186,7 @@ impl<T: SlabWord> SlabCore<T> {
             slab: Vec::new(),
             rings: Vec::new(),
             cells: vec![CellMeta::default(); n_cells],
+            held: 0,
             scratch_a: Vec::with_capacity(cap),
             scratch_b: Vec::with_capacity(cap),
         }
@@ -460,6 +467,7 @@ impl<T: SlabWord> SlabCore<T> {
             }
         }
         if dropped_bits > 0 {
+            self.held -= dropped_bits;
             let meta = &mut self.cells[cell];
             meta.total -= dropped_bits;
             if let Some(end) = dropped_end {
@@ -514,6 +522,7 @@ impl<T: SlabWord> SlabCore<T> {
             meta.total += n;
             meta.lifetime += n;
         }
+        self.held += n;
         self.expire(cell, ts);
         let mut base = self.cells[cell].base;
         if ts - base > T::MAX_OFFSET {
@@ -707,6 +716,15 @@ impl<T: SlabWord> SlabCore<T> {
         )
     }
 
+    /// What `held` must equal. Saturating: decoded totals are each checked
+    /// against their buckets, but a crafted grid of huge ones must not
+    /// overflow their sum.
+    fn sum_totals(&self) -> u64 {
+        self.cells
+            .iter()
+            .fold(0u64, |acc, c| acc.saturating_add(c.total))
+    }
+
     fn memory_bytes(&self) -> usize {
         self.slab.capacity() * std::mem::size_of::<T>()
             + self.rings.capacity() * std::mem::size_of::<Ring>()
@@ -754,6 +772,13 @@ impl<T: SlabWord> SlabCore<T> {
                 meta.total
             ));
         }
+        let held = self.sum_totals();
+        if held != self.held {
+            return Err(format!(
+                "grid: cached held {} != sum of cell totals {held}",
+                self.held
+            ));
+        }
         Ok(())
     }
 }
@@ -781,6 +806,7 @@ fn import_all<T: SlabWord>(cfg: &EhConfig, counters: &[ExponentialHistogram]) ->
     for (cell, eh) in counters.iter().enumerate() {
         core.import_cell(cell, eh);
     }
+    core.held = core.sum_totals();
     core
 }
 
@@ -1028,6 +1054,11 @@ impl CellStorage<ExponentialHistogram> for EhGrid {
     fn from_counters(cfg: &EhConfig, counters: Vec<ExponentialHistogram>) -> Self {
         EhGrid::from_histograms(cfg, &counters)
     }
+
+    #[inline]
+    fn held_ones(&self) -> Option<u64> {
+        Some(on_core!(self, c => c.held))
+    }
 }
 
 #[cfg(test)]
@@ -1230,6 +1261,90 @@ mod tests {
                 })
                 .collect();
             differential(&cfg, &ops);
+        }
+
+        /// The bound rankings prune with, and the lemma under it. After
+        /// every step of an arbitrary interleaving of the write surface
+        /// (`insert`, `insert_weighted`, `insert_run`, `expire`, gaps wide
+        /// enough to rebase the `u32` slab, encode → decode, and a merge
+        /// stored back through `from_counters`), on both slab widths:
+        /// `held_ones` is the sum of the cells' `stored_ones` (and
+        /// `validate` agrees), and no cell's `estimate` exceeds its
+        /// `stored_ones` — for any `now`, behind the last tick included,
+        /// and any `range`, beyond the window included.
+        #[test]
+        fn prop_held_bounds_every_estimate(
+            ops in proptest::collection::vec(((0u64..8, 0usize..3), (0u64..5_000, 1u64..400)), 1..80),
+            narrow_window in 1u64..10_000,
+            wide in 0u32..3,
+            eps in 0.02f64..0.9,
+        ) {
+            use crate::traits::MergeableCounter;
+            type Grid = EhGrid;
+            let window = if wide == 0 { 1u64 << 33 } else { narrow_window };
+            let cfg = EhConfig::new(eps, window);
+            let mut grid = Grid::new(&cfg, 3);
+            let mut ts = 1u64;
+            for (step, &((op, cell), (gap, n))) in ops.iter().enumerate() {
+                ts += gap;
+                match op {
+                    0 | 1 => CellStorage::insert(&mut grid, cell, ts, 0),
+                    2 => CellStorage::insert_weighted(&mut grid, cell, ts, 0, n),
+                    3 => {
+                        CellStorage::insert_run(&mut grid, cell, ts, 0, n);
+                        ts += n - 1;
+                    }
+                    4 => grid.cell_mut(cell).expire(ts),
+                    5 => {
+                        ts += 1u64 << 32;
+                        CellStorage::insert_weighted(&mut grid, cell, ts, 0, n);
+                    }
+                    6 => {
+                        let mut wire = Vec::new();
+                        for i in 0..3 {
+                            CellStorage::encode_cell(&grid, i, &mut wire);
+                        }
+                        let mut input = wire.as_slice();
+                        grid = <Grid as CellStorage<ExponentialHistogram>>::decode_grid(
+                            &cfg, 3, &mut input,
+                        )
+                        .expect("own encoding decodes");
+                    }
+                    _ => {
+                        let cells: Vec<ExponentialHistogram> =
+                            (0..3).map(|i| grid.cell(i).to_histogram()).collect();
+                        let other = (cell + 1) % 3;
+                        let merged =
+                            ExponentialHistogram::merge(&[&cells[cell], &cells[other]], &cfg)
+                                .expect("same config merges");
+                        let mut next = cells.clone();
+                        next[cell] = merged;
+                        grid = <Grid as CellStorage<ExponentialHistogram>>::from_counters(
+                            &cfg, next,
+                        );
+                    }
+                }
+                let stored: u64 = (0..3).map(|i| grid.cell(i).stored_ones()).sum();
+                prop_assert_eq!(
+                    CellStorage::<ExponentialHistogram>::held_ones(&grid),
+                    Some(stored),
+                    "step {} op {}", step, op
+                );
+                for i in 0..3 {
+                    let c = grid.cell(i);
+                    prop_assert!(c.validate().is_ok(), "step {} op {}: {:?}", step, op, c.validate());
+                    let held = c.stored_ones() as f64;
+                    for now in [0, c.last_tick() / 2, c.last_tick(), ts, ts + 2 * window, u64::MAX] {
+                        for range in [0, 1, gap, window / 2, window, 3 * window, u64::MAX] {
+                            prop_assert!(
+                                c.estimate(now, range) <= held,
+                                "step {} cell {}: estimate({}, {}) = {} > held {}",
+                                step, i, now, range, c.estimate(now, range), held
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -118,6 +118,16 @@ pub trait CellStorage<W: WindowCounter>: Clone + std::fmt::Debug + sealed::Seale
     /// results); `cfg` must be the configuration the counters were built
     /// with.
     fn from_counters(cfg: &W::Config, counters: Vec<W>) -> Self;
+
+    /// An O(1) upper bound on the sum of **all** cells'
+    /// [`query`](CellStorage::query) estimates, valid for every `now` and
+    /// `range`: the arrivals the grid still holds, expired or not. `None`
+    /// for layouts that keep no such count — callers must then query the
+    /// cells. The slab keeps it (see [`crate::eh_slab`]); rankings use it
+    /// to skip sketches that cannot reach the current k-th score.
+    fn held_ones(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// The generic one-heap-value-per-cell layout: a plain `Vec<W>`.

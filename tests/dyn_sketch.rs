@@ -591,6 +591,82 @@ fn observe(store: &SketchStore<u64>, spec: &SketchSpec, now: u64) -> String {
     out
 }
 
+/// What `SketchStore::top_k` must return, built the long way round: every
+/// key's answer, scalars only, sorted by (score descending, key
+/// ascending), cut at `k`. Scores are rendered as bit patterns.
+fn top_k_by_scan(
+    store: &SketchStore<u64>,
+    k: usize,
+    q: &Query<'_>,
+    w: WindowSpec,
+) -> Vec<(u64, u64)> {
+    let mut rows: Vec<(u64, f64)> = store
+        .query_all(q, w)
+        .into_iter()
+        .filter_map(|(key, answer)| Some((key, answer.ok()?.value()?)))
+        .collect();
+    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+    rows.truncate(k);
+    rows.into_iter()
+        .map(|(key, v)| (key, v.to_bits()))
+        .collect()
+}
+
+/// `top_k` against [`top_k_by_scan`] on one store: every `k` that is
+/// special (1, a few, exactly all, more than all, `usize::MAX`) and two
+/// random ones, total and non-total queries, and random windows — `now` behind, at and far past
+/// the write clock, `range` up to and beyond the configured window (the
+/// latter an error on every key: both sides rank nothing).
+fn assert_top_k_matches_scan(
+    store: &SketchStore<u64>,
+    spec: &SketchSpec,
+    rng: &mut SeededRng,
+    clock: u64,
+    label: &str,
+) {
+    let len = store.len();
+    for round in 0..4 {
+        let w = match spec.clock() {
+            Clock::Time => WindowSpec::time(
+                rng.gen_range(0..clock + 2_500),
+                if round == 0 {
+                    1_000
+                } else {
+                    rng.gen_range(0..1_200u64)
+                },
+            ),
+            Clock::Count => WindowSpec::last(rng.gen_range(0..1_200u64)),
+        };
+        for q in [
+            Query::total_arrivals(),
+            Query::point(rng.gen_range(0..8u64)),
+            Query::self_join(),
+        ] {
+            let ks = [
+                1,
+                3,
+                len,
+                len + 5,
+                usize::MAX,
+                rng.gen_range(1..len + 1),
+                rng.gen_range(1..len + 1),
+            ];
+            for k in ks {
+                let got: Vec<(u64, u64)> = store
+                    .top_k(k, &q, w)
+                    .into_iter()
+                    .map(|(key, v)| (key, v.to_bits()))
+                    .collect();
+                assert_eq!(
+                    got,
+                    top_k_by_scan(store, k, &q, w),
+                    "{label}: top_k({k}, {q:?}, {w:?}) over {len} keys"
+                );
+            }
+        }
+    }
+}
+
 /// A true deep copy: through the bytes of a full snapshot.
 fn deep_copy(store: &mut SketchStore<u64>) -> SketchStore<u64> {
     SketchStore::load_snapshot(&store.write_snapshot().expect("encode")).expect("decode")
@@ -598,6 +674,71 @@ fn deep_copy(store: &mut SketchStore<u64>) -> SketchStore<u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The pruned ranking is the scan, on all ten backend specs — those
+    /// with an arrivals bound (EH plain, hierarchy, sharded) and those
+    /// without. The fleet is built so that a bound even slightly too low
+    /// drops a winner: 24 tenants in 8 rate classes of three, so scores
+    /// near-tie around every rank, and one tenant of each class falls
+    /// silent for more than a window before the first check (its sketch
+    /// still holds its last arrivals: a high bound over a score of zero).
+    /// Checked on the live store; on both sides of a `clone` after each
+    /// side took different writes (copy-on-write must not share a bound);
+    /// through capacity eviction (even seeds); and on a store restored
+    /// from snapshot bytes, where the bound is recomputed on decode.
+    #[test]
+    fn prop_top_k_is_the_scan_on_every_backend(seed in 0u64..10_000) {
+        for (i, spec) in ten_specs().into_iter().enumerate() {
+            let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
+            let mut store = if seed % 2 == 0 {
+                SketchStore::<u64>::with_capacity(spec.clone(), 16, Eviction::Lru)
+            } else {
+                SketchStore::new(spec.clone())
+            }
+            .expect("valid spec");
+            // Per tick, a tenant of class `key / 3` writes with
+            // probability 1/(1 + class); tenants 2, 5, 8, … stop at tick
+            // 400 of 2 200.
+            let feed = |store: &mut SketchStore<u64>, ticks: std::ops::Range<u64>, rng: &mut SeededRng| {
+                for ts in ticks {
+                    for key in 0..24u64 {
+                        if key % 3 == 2 && ts > 400 {
+                            continue;
+                        }
+                        if rng.gen_bool(1.0 / (1.0 + (key / 3) as f64)) {
+                            let weight = 1 + rng.next_u64() % 3;
+                            store.insert_weighted(key, ts, rng.next_u64() % 8, weight);
+                        }
+                    }
+                }
+            };
+            feed(&mut store, 1..2_200, &mut rng);
+            let label = format!("spec {i}");
+            assert_top_k_matches_scan(&store, &spec, &mut rng, 2_200, &label);
+
+            let mut copy = store.clone();
+            feed(&mut store, 2_200..2_300, &mut rng);
+            for ts in 2_200..2_260u64 {
+                // The copy's ranking moves the other way: its tail tenant
+                // becomes its heaviest.
+                copy.insert_weighted(22, ts, 1, 40);
+            }
+            assert_top_k_matches_scan(&store, &spec, &mut rng, 2_300, &format!("{label} (original after clone)"));
+            assert_top_k_matches_scan(&copy, &spec, &mut rng, 2_260, &format!("{label} (clone)"));
+
+            let restored = deep_copy(&mut store);
+            assert_top_k_matches_scan(&restored, &spec, &mut rng, 2_300, &format!("{label} (restored)"));
+            let w = match spec.clock() {
+                Clock::Time => WindowSpec::time(2_300, 1_000),
+                Clock::Count => WindowSpec::last(500),
+            };
+            prop_assert_eq!(
+                restored.top_k(5, &Query::total_arrivals(), w),
+                store.top_k(5, &Query::total_arrivals(), w),
+                "spec {}: restore changed the ranking", i
+            );
+        }
+    }
 
     /// `SketchStore::clone` shares sketches until one side writes them,
     /// yet must stay observably a deep copy. Two stores related by
