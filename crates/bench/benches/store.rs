@@ -9,6 +9,10 @@
 //! same seed), verified by bit-identical spot queries on every run.
 //!
 //! Two fleet sizes (10k and 100k tenant keys) over one Zipf-keyed trace.
+//! A third row prices keeping runs intact: a weighted trace (mean weight
+//! 8, what one `sketchd` line carries) through `ingest_runs` as it
+//! arrives, against the older shape of the same path — every run written
+//! out per occurrence, then `ingest` regrouping the copies.
 //! Results are printed and written as JSON to `BENCH_store.json` at the
 //! workspace root (`BENCH_STORE_OUT` overrides the path); the schema is
 //! validated by `crates/bench/tests/bench_schema.rs`. Scale with
@@ -127,7 +131,74 @@ fn measure(keys: u64, events: &[(u64, StreamEvent)], spec: &SketchSpec) -> Row {
     }
 }
 
-fn render_json(rows: &[Row], events: usize) -> String {
+/// Tenants of the weighted row: a fleet the size one `sketchd` shard holds,
+/// under string keys as it holds them.
+const RUN_TENANTS: u64 = 256;
+
+struct RunsRow {
+    mean_weight: f64,
+    runs_meps: f64,
+    unbatched_meps: f64,
+    speedup: f64,
+}
+
+/// The weighted row: `occurrences` arrivals as runs of weight 1..=15, fed
+/// as runs and fed written out (the writing-out is timed: it is what a
+/// layer that cannot carry a weight has to do). Best of two passes each;
+/// both stores must end byte-identical.
+fn measure_runs(occurrences: usize, spec: &SketchSpec) -> RunsRow {
+    let mut rng = SeededRng::seed_from_u64(99);
+    let tenants = ZipfSampler::new(RUN_TENANTS, ZIPF_SKEW);
+    let mut runs: Vec<(String, StreamEvent, u64)> = Vec::new();
+    let (mut ts, mut total) = (1u64, 0usize);
+    while total < occurrences {
+        ts += rng.gen_range(0..2u64);
+        let weight = rng.gen_range(1..16u64);
+        let event = StreamEvent::new(rng.gen_range(0..50_000u64), ts);
+        runs.push((format!("t{:04}", tenants.sample(&mut rng)), event, weight));
+        total += weight as usize;
+    }
+    let mut secs = [f64::INFINITY; 2];
+    let mut stores = Vec::new();
+    for _ in 0..2 {
+        let start = Instant::now();
+        let mut kept: SketchStore<String> = SketchStore::new(spec.clone()).expect("valid spec");
+        for chunk in runs.chunks(BATCH / 8) {
+            kept.ingest_runs(chunk);
+        }
+        secs[0] = secs[0].min(start.elapsed().as_secs_f64());
+
+        let start = Instant::now();
+        let mut regrouped: SketchStore<String> =
+            SketchStore::new(spec.clone()).expect("valid spec");
+        for chunk in runs.chunks(BATCH / 8) {
+            let unbatched: Vec<(String, StreamEvent)> = chunk
+                .iter()
+                .flat_map(|(key, e, n)| (0..*n).map(move |_| (key.clone(), *e)))
+                .collect();
+            regrouped.ingest(&unbatched);
+        }
+        secs[1] = secs[1].min(start.elapsed().as_secs_f64());
+        stores = vec![kept, regrouped];
+    }
+    let bytes: Vec<Vec<u8>> = stores
+        .iter_mut()
+        .map(|s| s.write_snapshot().expect("encode"))
+        .collect();
+    assert!(
+        bytes[0] == bytes[1],
+        "runs and their copies built different stores"
+    );
+    let [runs_meps, unbatched_meps] = secs.map(|s| total as f64 / s / 1e6);
+    RunsRow {
+        mean_weight: total as f64 / runs.len() as f64,
+        runs_meps,
+        unbatched_meps,
+        speedup: runs_meps / unbatched_meps,
+    }
+}
+
+fn render_json(rows: &[Row], runs: &RunsRow, events: usize) -> String {
     let mut results = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -142,7 +213,10 @@ fn render_json(rows: &[Row], events: usize) -> String {
         "{{\n  \"schema_version\": 1,\n  \"bench\": \"store\",\n  \"workload\": {{\n    \
          \"events\": {events},\n    \"batch\": {BATCH},\n    \"zipf_skew\": {ZIPF_SKEW},\n    \
          \"epsilon\": {EPS},\n    \"delta\": {DELTA},\n    \"window\": {WINDOW}\n  }},\n  \
-         \"results\": [\n{results}\n  ]\n}}\n"
+         \"results\": [\n{results}\n  ],\n  \"weighted\": {{\"tenants\": {RUN_TENANTS}, \
+         \"mean_weight\": {:.2}, \"runs_meps\": {:.3}, \"unbatched_meps\": {:.3}, \
+         \"runs_over_unbatched\": {:.3}}}\n}}\n",
+        runs.mean_weight, runs.runs_meps, runs.unbatched_meps, runs.speedup
     )
 }
 
@@ -172,7 +246,13 @@ fn main() {
         rows.push(row);
     }
 
-    let json = render_json(&rows, n_events);
+    let runs = measure_runs(n_events, &spec);
+    println!(
+        "weighted (mean {:.1}): runs {:.3} Mev/s, written out {:.3} Mev/s, {:.2}x",
+        runs.mean_weight, runs.runs_meps, runs.unbatched_meps, runs.speedup
+    );
+
+    let json = render_json(&rows, &runs, n_events);
     let out = std::env::var("BENCH_STORE_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json").to_string()
     });

@@ -11,6 +11,12 @@
 //!    its cost grows with the log, so the bench replays logs of several
 //!    lengths into a fresh fleet and reports events/second each.
 //!
+//! 3. **A weighted trace** — lines that stand for 8 occurrences on average,
+//!    as `sketchd` logs them (one runs record per batch): log bytes per
+//!    occurrence, and how far a replay's memory rises above the store it
+//!    builds, as a share of the log (it holds one decoded record, so the
+//!    share falls as the log grows).
+//!
 //! Results print as a table and land in `BENCH_wal.json` at the workspace
 //! root (`BENCH_WAL_OUT` overrides the path); the schema and floors are
 //! validated by `crates/bench/tests/bench_schema.rs`. Scale with
@@ -19,12 +25,19 @@
 use std::time::Instant;
 
 use ecm::wal::{
-    encode_checkpoint, encode_ingest, encode_segment_header, WalSegment, WalSegmentHeader,
+    encode_checkpoint, encode_ingest, encode_runs, encode_segment_header, WalSegment,
+    WalSegmentHeader,
 };
 use ecm::{SketchSpec, SketchStore, StreamEvent};
+use ecm_bench::alloc::{peak_above_result, Counting};
 use ecm_bench::event_budget;
 use sketch_server::{Engine, ServerConfig};
 use stream_gen::{SeededRng, ZipfSampler};
+
+/// Counts what the replay of the weighted row holds; a thread-local
+/// increment per allocation, which the timed rows do not notice.
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 const WINDOW: u64 = 1_000_000;
 const ZIPF_SKEW: f64 = 1.05;
@@ -132,12 +145,56 @@ fn measure_replay(events: &[(u64, StreamEvent)]) -> ReplayRow {
     }
 }
 
+struct WeightedRow {
+    mean_weight: f64,
+    log_bytes: usize,
+    bytes_per_occurrence: f64,
+    replay_peak_bytes: usize,
+}
+
+/// `occurrences` arrivals as string-keyed runs of weight 1..=15, logged a
+/// batch per runs record and replayed into a fresh fleet.
+fn measure_weighted(occurrences: usize) -> WeightedRow {
+    let mut runs = engine_trace(occurrences / 8, 23);
+    let mut rng = SeededRng::seed_from_u64(29);
+    for run in &mut runs {
+        run.2 = rng.gen_range(1..16u64);
+    }
+    let total: u64 = runs.iter().map(|r| r.2).sum();
+    let mut log = encode_segment_header(&WalSegmentHeader {
+        shard: 0,
+        segment: 1,
+        base_record_seq: 0,
+        base_checkpoint_seq: 0,
+    });
+    encode_checkpoint(1, 0, &mut log);
+    let mut body = Vec::new();
+    for (seq, chunk) in (2..).zip(runs.chunks(BATCH)) {
+        encode_runs(seq, chunk, &mut body, &mut log);
+    }
+    let mut store: SketchStore<String> = SketchStore::new(spec()).expect("valid spec");
+    let segment = [WalSegment {
+        index: 1,
+        bytes: &log,
+    }];
+    let (replay_peak_bytes, report) =
+        peak_above_result(|| ecm::wal::replay(&mut store, 0, &segment));
+    assert_eq!(report.expect("log replays").applied_events, total);
+    WeightedRow {
+        mean_weight: total as f64 / runs.len() as f64,
+        log_bytes: log.len(),
+        bytes_per_occurrence: log.len() as f64 / total as f64,
+        replay_peak_bytes,
+    }
+}
+
 fn render_json(
     events: usize,
     off_meps: f64,
     on_meps: f64,
     fsync_meps: f64,
     rows: &[ReplayRow],
+    weighted: &WeightedRow,
 ) -> String {
     let mut replay = String::new();
     for (i, r) in rows.iter().enumerate() {
@@ -157,8 +214,15 @@ fn render_json(
          \"delta\": {DELTA},\n    \"window\": {WINDOW}\n  }},\n  \"ingest\": {{\n    \
          \"off_meps\": {off_meps:.4},\n    \"on_meps\": {on_meps:.4},\n    \
          \"on_over_off\": {:.4},\n    \"fsync_meps\": {fsync_meps:.4}\n  }},\n  \
-         \"replay\": [\n{replay}\n  ]\n}}\n",
-        on_meps / off_meps
+         \"replay\": [\n{replay}\n  ],\n  \"weighted\": {{\"mean_weight\": {:.2}, \
+         \"log_bytes\": {}, \"bytes_per_occurrence\": {:.3}, \"replay_peak_bytes\": {}, \
+         \"replay_peak_bytes_over_log_bytes\": {:.3}}}\n}}\n",
+        on_meps / off_meps,
+        weighted.mean_weight,
+        weighted.log_bytes,
+        weighted.bytes_per_occurrence,
+        weighted.replay_peak_bytes,
+        weighted.replay_peak_bytes as f64 / weighted.log_bytes as f64
     )
 }
 
@@ -231,7 +295,18 @@ fn main() {
         rows.push(row);
     }
 
-    let json = render_json(n_events, off_meps, on_meps, fsync_meps, &rows);
+    let weighted = measure_weighted(n_events);
+    println!(
+        "weighted (mean {:.1}): {:.2} log B/occurrence, replay peaks {} B above the store \
+         ({:.2}x of the {} B log)",
+        weighted.mean_weight,
+        weighted.bytes_per_occurrence,
+        weighted.replay_peak_bytes,
+        weighted.replay_peak_bytes as f64 / weighted.log_bytes as f64,
+        weighted.log_bytes
+    );
+
+    let json = render_json(n_events, off_meps, on_meps, fsync_meps, &rows, &weighted);
     let out = std::env::var("BENCH_WAL_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wal.json").to_string()
     });

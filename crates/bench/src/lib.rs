@@ -8,6 +8,8 @@
 //! full suite runs in minutes on a laptop; raise it to approach paper-scale
 //! runs.
 
+pub mod alloc;
+
 use ecm::{EcmBuilder, EcmSketch, Query, QueryKind, SketchReader, WindowSpec};
 use sliding_window::traits::{MergeableCounter, WindowCounter};
 use stream_gen::{partition_by_site, snmp_like, worldcup_like, Event, WindowOracle};

@@ -436,6 +436,32 @@ fn store_bench_rates_are_sane_and_the_facade_is_not_ruinous() {
 }
 
 #[test]
+fn store_bench_runs_kept_intact_beat_their_written_out_copies() {
+    let text = load_file("BENCH_store.json");
+    let row = text
+        .split("\"weighted\": ")
+        .nth(1)
+        .expect("missing the weighted row");
+    let weight = field_f64(row, "mean_weight");
+    assert!((6.0..=10.0).contains(&weight), "mean weight {weight}");
+    let runs = field_f64(row, "runs_meps");
+    let unbatched = field_f64(row, "unbatched_meps");
+    let ratio = field_f64(row, "runs_over_unbatched");
+    let implied = runs / unbatched;
+    assert!(
+        (ratio - implied).abs() <= 0.05 * implied,
+        "runs_over_unbatched {ratio} inconsistent with rates ({implied:.2})"
+    );
+    // Acceptance floor: at mean weight 8, `ingest_runs` must hold 1.5x the
+    // rate of writing every run out per occurrence and letting `ingest`
+    // regroup the copies (measured ~2.1x on the recording box).
+    assert!(
+        ratio >= 1.5,
+        "keeping runs intact lost its edge: {ratio}x of the written-out path"
+    );
+}
+
+#[test]
 fn views_bench_schema_is_valid() {
     let text = load_file("BENCH_views.json");
     assert_eq!(field_f64(&text, "schema_version") as u64, 1);
@@ -556,4 +582,36 @@ fn wal_bench_durability_tax_and_replay_meet_the_floors() {
         // replayed in well under a second.
         assert!(meps >= 1.0, "replay throughput regressed: {meps} Meps < 1");
     }
+}
+
+#[test]
+fn wal_bench_weighted_log_is_per_run_and_its_replay_streams() {
+    let text = load_file("BENCH_wal.json");
+    let row = text
+        .split("\"weighted\": ")
+        .nth(1)
+        .expect("missing the weighted row");
+    let weight = field_f64(row, "mean_weight");
+    assert!((6.0..=10.0).contains(&weight), "mean weight {weight}");
+    let log = field_f64(row, "log_bytes");
+    let peak = field_f64(row, "replay_peak_bytes");
+    let share = field_f64(row, "replay_peak_bytes_over_log_bytes");
+    assert!(log > 0.0 && peak > 0.0);
+    assert!(
+        (share - peak / log).abs() <= 0.01,
+        "replay_peak_bytes_over_log_bytes {share} inconsistent with {peak} / {log}"
+    );
+    // Acceptance floors: a runs record costs a line, not an occurrence
+    // (measured ~1.5 B per occurrence where an events record took 10.9),
+    // and a replay holds one decoded record, not the log (measured ~0.26
+    // of a 300 KB log, where decoding every record first took ~8x).
+    let per_occurrence = field_f64(row, "bytes_per_occurrence");
+    assert!(
+        per_occurrence <= 2.5,
+        "the log grew per occurrence again: {per_occurrence} B"
+    );
+    assert!(
+        share <= 1.0,
+        "replay holds {share}x the log above the store"
+    );
 }

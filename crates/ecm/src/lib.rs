@@ -86,4 +86,4 @@ pub use views::{
     ScalarQuery, StandingQuery, ViewAnswer, ViewDef, ViewError, ViewEvent, ViewReadout, ViewSet,
     ViewSetStats, ViewWindow,
 };
-pub use wal::{ReplayReport, WalRecord, WalSegment, WalSegmentHeader, WAL_VERSION};
+pub use wal::{ReplayReport, WalSegment, WalSegmentHeader, WAL_VERSION};

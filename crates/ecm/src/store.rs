@@ -9,10 +9,11 @@
 //!
 //! * **Lazy creation** — sketches materialize on first write to a key, all
 //!   from the one validated spec.
-//! * **Batched keyed ingest** — [`ingest`](SketchStore::ingest) groups a
-//!   mixed-key batch into per-key runs first, so each tenant's sketch sees
-//!   one [`ingest_batch`](crate::api::SketchWriter::ingest_batch) call (and
-//!   its adjacent-run fast path) instead of interleaved single inserts.
+//! * **Batched keyed ingest** — [`ingest`](SketchStore::ingest) and
+//!   [`ingest_runs`](SketchStore::ingest_runs) group a mixed-key batch into
+//!   per-key runs first, so each tenant's sketch sees its share as
+//!   [weighted updates](crate::api::SketchWriter::insert_weighted) (one per
+//!   run of equal events) instead of interleaved single inserts.
 //! * **Cross-key queries** — per-key routing
 //!   ([`query`](SketchStore::query)), full scans
 //!   ([`query_all`](SketchStore::query_all)), and top-k selection over any
@@ -221,6 +222,19 @@ impl<K> PartialEq for Candidate<'_, K> {
 
 impl<K> Eq for Candidate<'_, K> {}
 
+/// Grouping buffers of [`SketchStore::ingest_grouped`], kept between
+/// batches for their capacity and empty at rest (so cloning a store copies
+/// nothing of them).
+#[derive(Clone, Default)]
+struct GroupScratch {
+    /// Every run of the batch in arrival order: event, weight, and the
+    /// index of the same key's next run (`usize::MAX` ends a chain).
+    runs: Vec<(StreamEvent, u64, usize)>,
+    /// Per key of the batch, in first-appearance order: the first and the
+    /// last index of its chain in `runs`.
+    chains: Vec<(usize, usize)>,
+}
+
 /// A keyed collection of identically-specified sketches with lazy creation,
 /// grouped batched ingest, cross-key queries and bounded capacity. See the
 /// [module docs](self) for the full tour.
@@ -256,6 +270,7 @@ pub struct SketchStore<K> {
     /// Keys evicted since the last checkpoint — shipped as tombstones so an
     /// incremental restore drops them too.
     dropped: BTreeSet<K>,
+    scratch: GroupScratch,
 }
 
 impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
@@ -276,6 +291,7 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
             evictions: 0,
             checkpoint_seq: 0,
             dropped: BTreeSet::new(),
+            scratch: GroupScratch::default(),
         })
     }
 
@@ -415,35 +431,91 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
 
     /// Batched keyed ingest: the mixed-key batch is grouped into per-key
     /// event runs first (preserving each key's arrival order), then each
-    /// resident-or-created sketch absorbs its run through one
-    /// `ingest_batch` call. Keys are dispatched in order of first
-    /// appearance, which makes capacity eviction deterministic for a given
-    /// batch — note that within one batch, write recency (and so the LRU
-    /// order) follows that first-appearance order, not the raw event
-    /// interleaving.
+    /// resident-or-created sketch absorbs its runs as weighted updates.
+    /// Keys are dispatched in order of first appearance, which makes
+    /// capacity eviction deterministic for a given batch — note that
+    /// within one batch, write recency (and so the LRU order) follows that
+    /// first-appearance order, not the raw event interleaving.
     pub fn ingest(&mut self, batch: &[(K, StreamEvent)]) {
-        let mut order: Vec<K> = Vec::new();
-        let mut runs: HashMap<K, Vec<StreamEvent>> = HashMap::new();
-        // Group adjacent same-key events first (mirroring `grouped_runs`),
-        // so the map is hashed once per *run* rather than once per event —
-        // on bursty keyed traffic most events share their predecessor's key.
-        let mut rest = batch;
-        while let Some(((key, _), _)) = rest.split_first() {
-            let n = 1 + rest[1..].iter().take_while(|(k, _)| k == key).count();
-            let (run, tail) = rest.split_at(n);
-            let events = run.iter().map(|&(_, e)| e);
-            if let Some(existing) = runs.get_mut(key) {
-                existing.extend(events);
-            } else {
-                order.push(key.clone());
-                runs.insert(key.clone(), events.collect());
+        self.ingest_grouped(batch.iter().map(|(key, event)| (key, *event, 1)));
+    }
+
+    /// [`ingest`](Self::ingest) for a batch that arrives as weighted runs:
+    /// each `(key, event, n)` stands for `n` adjacent occurrences of
+    /// `event` on `key`'s stream and is applied as one weighted update,
+    /// never expanded. Bit-identical to `ingest` of the expanded batch
+    /// (and to one `insert` per occurrence); a run of weight 0 is no
+    /// occurrence at all and does not create its key.
+    pub fn ingest_runs(&mut self, batch: &[(K, StreamEvent, u64)]) {
+        self.ingest_grouped(batch.iter().map(|(key, event, n)| (key, *event, *n)));
+    }
+
+    /// The one grouping routine behind both batch entry points. Pass 1
+    /// threads each key's runs into a chain through the store's scratch
+    /// (reused across batches; no key is cloned); pass 2 walks the keys in
+    /// first-appearance order — [`sketch_mut`](Self::sketch_mut) creates,
+    /// stamps and evicts exactly as one write per key would — and feeds
+    /// each chain to its sketch, folding adjacent equal events into one
+    /// weighted update.
+    fn ingest_grouped<'a>(&mut self, batch: impl Iterator<Item = (&'a K, StreamEvent, u64)>)
+    where
+        K: 'a,
+    {
+        const END: usize = usize::MAX;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let lines = batch.size_hint().0;
+        // The keys of this batch borrow from it, so these two are the only
+        // per-batch allocations.
+        let mut keys: Vec<&K> = Vec::with_capacity(lines.min(self.entries.len().max(16)));
+        let mut group_of: HashMap<&K, usize> = HashMap::with_capacity(keys.capacity());
+        // Adjacent lines mostly share a key: hash once per key change.
+        let mut current: Option<(&K, usize)> = None;
+        for (key, event, weight) in batch.filter(|&(_, _, weight)| weight > 0) {
+            let group = match current {
+                Some((k, group)) if k == key => {
+                    // An un-batched run arrives as adjacent copies: count
+                    // them here instead of chaining each.
+                    let last = scratch.runs.last_mut().expect("current key has a run");
+                    if last.0 == event {
+                        last.1 += weight;
+                        continue;
+                    }
+                    group
+                }
+                _ => *group_of.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    scratch.chains.push((END, END));
+                    keys.len() - 1
+                }),
+            };
+            current = Some((key, group));
+            let at = scratch.runs.len();
+            scratch.runs.push((event, weight, END));
+            let (head, tail) = &mut scratch.chains[group];
+            match *tail {
+                END => *head = at,
+                prev => scratch.runs[prev].2 = at,
             }
-            rest = tail;
+            *tail = at;
         }
-        for key in order {
-            let events = runs.remove(&key).expect("run recorded for ordered key");
-            self.sketch_mut(&key).ingest_batch(&events);
+        for (key, &(head, _)) in keys.into_iter().zip(&scratch.chains) {
+            let sketch = self.sketch_mut(key);
+            let (mut event, mut weight, mut next) = scratch.runs[head];
+            while next != END {
+                let (e, n, after) = scratch.runs[next];
+                if e == event {
+                    weight += n;
+                } else {
+                    sketch.insert_weighted(event.ts, event.item, weight);
+                    (event, weight) = (e, n);
+                }
+                next = after;
+            }
+            sketch.insert_weighted(event.ts, event.item, weight);
         }
+        scratch.runs.clear();
+        scratch.chains.clear();
+        self.scratch = scratch;
     }
 
     /// Declare that every resident sketch's stream clock has reached `ts`

@@ -79,6 +79,9 @@ pub struct ShardStats {
     /// Event occurrences ingested by this shard since startup (restores
     /// reset the counter).
     pub ingested: u64,
+    /// Weighted runs (ingest lines) those occurrences arrived as; the mean
+    /// run weight is `ingested / ingest_runs`.
+    pub ingest_runs: u64,
     /// The shard store's checkpoint sequence number.
     pub checkpoint_seq: u64,
     /// Bytes in this shard's write-ahead log (0 with durability off).
@@ -136,10 +139,12 @@ pub struct ShardStatus {
 /// A typed message delivered to one shard worker's mailbox.
 #[derive(Debug)]
 pub enum ShardMsg {
-    /// Apply a run of keyed events (every key in it routes to this shard).
+    /// Apply a batch of keyed weighted runs (every key in it routes to this
+    /// shard). The runs travel as the client sent them — `(key, event, n)`
+    /// is `n` occurrences — through the log and into the store.
     Ingest {
-        /// The run, in arrival order.
-        events: Vec<(String, StreamEvent)>,
+        /// The runs, in arrival order.
+        runs: Vec<(String, StreamEvent, u64)>,
         /// Where the worker acks: [`ShardReply::Ingested`] once the run is
         /// appended to the write-ahead log (when durable), applied and
         /// published, or [`ShardReply::WalError`] when the append failed

@@ -421,9 +421,10 @@ impl Engine {
     }
 
     /// Ingest a keyed batch: `(key, event, count)` triples in arrival
-    /// order. Counts expand into repeated events (the store's run grouping
-    /// collapses them back into one weighted update per run) and the batch
-    /// is partitioned per shard preserving each key's order.
+    /// order. A triple is one weighted run and stays one — in the shard
+    /// message, in the log record and in the sketch update — so the work is
+    /// per line, not per occurrence; the batch is partitioned per shard
+    /// preserving each key's order.
     ///
     /// The call returns once every shard has applied its partition and
     /// **published** it to the read path, so an `Ok` means every later
@@ -475,24 +476,21 @@ impl Engine {
             return Err(EngineError::IngestTooHeavy { requested: total });
         }
         let n = self.fleet.slots.len();
-        let mut per_shard: Vec<Vec<(String, StreamEvent)>> = vec![Vec::new(); n];
-        for (key, event, count) in batch {
-            let bucket = &mut per_shard[route(key, n)];
-            for _ in 0..*count {
-                bucket.push((key.clone(), *event));
-            }
+        let mut per_shard: Vec<Vec<(String, StreamEvent, u64)>> = vec![Vec::new(); n];
+        for run in batch.iter().filter(|(_, _, count)| *count > 0) {
+            per_shard[route(&run.0, n)].push(run.clone());
         }
         let gate = self.fleet.down.read().expect("gate poisoned");
         if *gate {
             return Err(EngineError::ShuttingDown);
         }
         let mut pending = Vec::new();
-        for (i, events) in per_shard.into_iter().enumerate() {
-            if events.is_empty() {
+        for (i, runs) in per_shard.into_iter().enumerate() {
+            if runs.is_empty() {
                 continue;
             }
             let (reply, rx) = channel();
-            self.send(i, ShardMsg::Ingest { events, reply })?;
+            self.send(i, ShardMsg::Ingest { runs, reply })?;
             pending.push((i, rx));
         }
         drop(gate);

@@ -150,6 +150,7 @@ pub(super) fn run(
     mut publisher: Publisher,
 ) -> bool {
     let mut ingested: u64 = 0;
+    let mut ingest_runs: u64 = 0;
     let mut views: ViewSet<String> = ViewSet::new();
     for def in restored_views {
         // The engine validated and de-duplicated these when they were
@@ -161,7 +162,7 @@ pub(super) fn run(
     while let Ok(msg) = rx.recv() {
         gauge.note_dequeue();
         match msg {
-            ShardMsg::Ingest { events, reply } => {
+            ShardMsg::Ingest { runs, reply } => {
                 // Parse forbids `err` at this site, so a firing rule
                 // panics or sleeps — before the WAL sees the run, keeping
                 // acked ⇔ applied exact across an injected crash.
@@ -171,14 +172,15 @@ pub(super) fn run(
                 // On append failure the run is applied *nowhere* — the
                 // store and the log never disagree.
                 let appended = match &mut wal {
-                    Some(w) => w.append_ingest(&events, store.checkpoint_seq()),
+                    Some(w) => w.append_runs(&runs, store.checkpoint_seq()),
                     None => Ok(()),
                 };
                 match appended {
                     Ok(()) => {
-                        ingested += events.len() as u64;
-                        let latest = events.iter().map(|(_, e)| e.ts).max().unwrap_or(0);
-                        store.ingest(&events);
+                        ingested += runs.iter().map(|(_, _, n)| n).sum::<u64>();
+                        ingest_runs += runs.len() as u64;
+                        let latest = runs.iter().map(|(_, e, _)| e.ts).max().unwrap_or(0);
+                        store.ingest_runs(&runs);
                         // Maintenance reads the just-published epoch —
                         // views observe exactly what wait-free readers do
                         // — and runs behind the ack.
@@ -210,6 +212,7 @@ pub(super) fn run(
                     keys: store.key_count(),
                     memory_bytes: store.memory_bytes(),
                     ingested,
+                    ingest_runs,
                     checkpoint_seq: store.checkpoint_seq(),
                     wal_bytes: wal.as_ref().map_or(0, ShardWal::total_bytes),
                     wal_segments: wal.as_ref().map_or(0, ShardWal::segments),

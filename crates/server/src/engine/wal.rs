@@ -12,9 +12,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ecm::wal::{
-    encode_checkpoint, encode_ingest, encode_segment_header, replay, WalSegment, WalSegmentHeader,
+    encode_checkpoint, encode_runs, encode_segment_header, replay, segment_version, WalSegment,
+    WalSegmentHeader,
 };
-use ecm::{ReplayReport, SketchStore, StreamEvent};
+use ecm::{ReplayReport, SketchStore, StreamEvent, WAL_VERSION};
 
 use crate::fault::{FaultHook, FaultSite};
 
@@ -66,7 +67,10 @@ pub(super) struct ShardWal {
     sealed_segments: u64,
     /// Compactions performed since this handle opened.
     compactions: u64,
+    /// The framed record being written, and the body it frames — both
+    /// reused across appends.
     buf: Vec<u8>,
+    body: Vec<u8>,
     /// Deterministic fault injection on the append/rotate paths
     /// (zero-sized no-op in release builds).
     faults: FaultHook,
@@ -130,6 +134,7 @@ impl ShardWal {
             sealed_segments: 0,
             compactions: 0,
             buf: Vec::new(),
+            body: Vec::new(),
             faults,
         };
         match indexed.last() {
@@ -173,6 +178,15 @@ impl ShardWal {
                         .map_err(|e| fail("seek", &e))?;
                     wal.file = file;
                     wal.active_bytes = report.last_segment_valid_len as u64;
+                    let version = contents
+                        .last()
+                        .and_then(|(_, bytes)| segment_version(bytes));
+                    if version != Some(WAL_VERSION) {
+                        // A segment written by an older binary: seal it, so
+                        // that no record it could not read lands under a
+                        // header that says it could.
+                        wal.rotate(store.checkpoint_seq())?;
+                    }
                 }
             }
         }
@@ -205,20 +219,21 @@ impl ShardWal {
         self.total_bytes() > self.cfg.compact_bytes
     }
 
-    /// Append one ingest run. On success the events are on the log (and in
-    /// the OS page cache — or on the platter, with `fsync`) and the worker
-    /// may apply + ack them. Rotates afterwards when the active segment
-    /// outgrew its threshold (`checkpoint_seq` seeds the new header).
-    pub(super) fn append_ingest(
+    /// Append one ingest batch as a runs record. On success the runs are on
+    /// the log (and in the OS page cache — or on the platter, with `fsync`)
+    /// and the worker may apply + ack them. Rotates afterwards when the
+    /// active segment outgrew its threshold (`checkpoint_seq` seeds the new
+    /// header).
+    pub(super) fn append_runs(
         &mut self,
-        events: &[(String, StreamEvent)],
+        runs: &[(String, StreamEvent, u64)],
         checkpoint_seq: u64,
     ) -> Result<(), String> {
         // Fires *before* any byte is written: an injected append error is
         // the clean ack-after-append failure (the run lands nowhere).
         self.faults.fire(FaultSite::WalAppend)?;
         self.buf.clear();
-        encode_ingest(self.record_seq + 1, events, &mut self.buf);
+        encode_runs(self.record_seq + 1, runs, &mut self.body, &mut self.buf);
         self.write_buf()?;
         self.record_seq += 1;
         if self.active_bytes >= self.cfg.segment_bytes {

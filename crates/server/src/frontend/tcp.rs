@@ -260,9 +260,10 @@ fn spawn_handler(mut stream: TcpStream, engine: &Arc<Engine>, shared: &Arc<Share
 }
 
 /// One line from the bounded reader.
-enum Line {
-    /// A complete line (without its newline).
-    Data(Vec<u8>),
+enum Line<'a> {
+    /// A complete line (without its newline), borrowed from the reader's
+    /// buffer until the next call.
+    Data(&'a [u8]),
     /// A line longer than [`MAX_LINE`]; its bytes were discarded up to the
     /// next newline, so the stream is re-synchronized.
     TooLong,
@@ -270,12 +271,24 @@ enum Line {
     Eof,
 }
 
+/// Bytes one `read` may bring in. A line is bounded by [`MAX_LINE`], so
+/// the buffer holds at most a partial line of that length plus one read.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Newline framing over a raw stream with a hard per-line byte bound —
 /// `BufReader::read_line` would buffer an attacker-length line in full.
+/// Reads land in one buffer that lives as long as the connection and lines
+/// are handed out as slices of it: no allocation and no copy per line.
 struct LineReader {
     stream: TcpStream,
-    buf: Vec<u8>,
-    pos: usize,
+    /// `buf[start..end]` is what has been read and not yet handed out;
+    /// `buf[start..scanned]` is known to hold no newline.
+    buf: Box<[u8]>,
+    start: usize,
+    scanned: usize,
+    end: usize,
+    /// Inside an over-long line: drop bytes up to the next newline.
+    discarding: bool,
     eof: bool,
 }
 
@@ -283,57 +296,56 @@ impl LineReader {
     fn new(stream: TcpStream) -> Self {
         LineReader {
             stream,
-            buf: Vec::new(),
-            pos: 0,
+            buf: vec![0; MAX_LINE + 1 + READ_CHUNK].into_boxed_slice(),
+            start: 0,
+            scanned: 0,
+            end: 0,
+            discarding: false,
             eof: false,
         }
     }
 
-    fn next_line(&mut self) -> Line {
-        if self.eof {
-            return Line::Eof;
-        }
-        let mut line: Vec<u8> = Vec::new();
-        let mut overlong = false;
+    fn next_line(&mut self) -> Line<'_> {
         loop {
-            if let Some(nl) = self.buf[self.pos..].iter().position(|&b| b == b'\n') {
-                let chunk = &self.buf[self.pos..self.pos + nl];
-                let fits = !overlong && line.len() + chunk.len() <= MAX_LINE;
-                if fits {
-                    line.extend_from_slice(chunk);
-                }
-                self.pos += nl + 1;
-                return if fits {
-                    Line::Data(line)
-                } else {
-                    Line::TooLong
-                };
+            if self.eof {
+                return Line::Eof;
             }
-            // No newline buffered: absorb what's there and read more.
-            let chunk = &self.buf[self.pos..];
-            if !overlong {
-                if line.len() + chunk.len() > MAX_LINE {
-                    overlong = true;
-                    line.clear();
-                } else {
-                    line.extend_from_slice(chunk);
+            if let Some(nl) = self.buf[self.scanned..self.end]
+                .iter()
+                .position(|&b| b == b'\n')
+            {
+                let line = self.start..self.scanned + nl;
+                self.start = line.end + 1;
+                self.scanned = self.start;
+                if std::mem::take(&mut self.discarding) || line.len() > MAX_LINE {
+                    return Line::TooLong;
                 }
+                return Line::Data(&self.buf[line]);
             }
-            self.buf.clear();
-            self.pos = 0;
-            let mut read_buf = [0u8; 4096];
-            match self.stream.read(&mut read_buf) {
+            // No newline buffered. A partial line already past the bound
+            // can only end over-long: stop keeping it.
+            if self.discarding || self.end - self.start > MAX_LINE {
+                self.discarding = true;
+                self.start = self.end;
+            }
+            // Move the partial line to the front so a full read fits.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            self.scanned = self.end;
+            match self
+                .stream
+                .read(&mut self.buf[self.end..self.end + READ_CHUNK])
+            {
                 Ok(0) | Err(_) => {
                     // EOF (or timeout/reset). A final unterminated line
                     // still counts as a line.
                     self.eof = true;
-                    return if !overlong && !line.is_empty() {
-                        Line::Data(line)
-                    } else {
-                        Line::Eof
-                    };
+                    if !self.discarding && self.end > 0 {
+                        return Line::Data(&self.buf[..self.end]);
+                    }
                 }
-                Ok(n) => self.buf.extend_from_slice(&read_buf[..n]),
+                Ok(n) => self.end += n,
             }
         }
     }
@@ -346,7 +358,7 @@ fn handle_connection(stream: TcpStream, engine: &Engine, shared: &Shared) {
     let mut writer = writer;
     let mut reader = LineReader::new(stream);
     loop {
-        let line = match reader.next_line() {
+        let parsed = match reader.next_line() {
             Line::Eof => return,
             Line::TooLong => {
                 let resp = response::error(
@@ -358,24 +370,26 @@ fn handle_connection(stream: TcpStream, engine: &Engine, shared: &Shared) {
                 }
                 continue;
             }
-            Line::Data(line) => line,
+            // Blank lines are ignored rather than answered: a trailing
+            // newline must not desynchronize a pipelining client's reply
+            // counting.
+            Line::Data(line) if line.iter().all(|b| b.is_ascii_whitespace()) => continue,
+            Line::Data(line) => {
+                // Fault injection, armed only by SKETCHD_TEST_PANIC (and
+                // compiled out of plain release builds, like the engine's
+                // fault hooks): panic while holding the connection
+                // registry, poisoning the mutex — the worst spot a real
+                // handler bug could die in, and exactly what the
+                // poison-recovering `registry` path must survive.
+                #[cfg(any(debug_assertions, feature = "fault-injection"))]
+                if std::env::var_os("SKETCHD_TEST_PANIC").is_some() && line == b"__PANIC__" {
+                    let _poisoner = shared.conns.lock();
+                    panic!("test-injected connection handler panic");
+                }
+                parse_command(line)
+            }
         };
-        // Blank lines are ignored rather than answered: a trailing newline
-        // must not desynchronize a pipelining client's reply counting.
-        if line.iter().all(|b| b.is_ascii_whitespace()) {
-            continue;
-        }
-        // Fault injection, armed only by SKETCHD_TEST_PANIC (and compiled
-        // out of plain release builds, like the engine's fault hooks):
-        // panic while holding the connection registry, poisoning the mutex
-        // — the worst spot a real handler bug could die in, and exactly
-        // what the poison-recovering `registry` path must survive.
-        #[cfg(any(debug_assertions, feature = "fault-injection"))]
-        if std::env::var_os("SKETCHD_TEST_PANIC").is_some() && line.as_slice() == b"__PANIC__" {
-            let _poisoner = shared.conns.lock();
-            panic!("test-injected connection handler panic");
-        }
-        let resp = match parse_command(&line) {
+        let resp = match parsed {
             Err(e) => response::error(e.code(), &e.to_string()),
             Ok(Command::Batch { n }) => match read_batch(&mut reader, n) {
                 None => return, // connection died mid-batch
@@ -417,7 +431,7 @@ fn read_batch(
             }
             Line::Data(line) => {
                 if bad.is_none() {
-                    match parse_data_line(&line) {
+                    match parse_data_line(line) {
                         Ok(triple) => triples.push(triple),
                         Err(e) => bad = Some((i, e)),
                     }

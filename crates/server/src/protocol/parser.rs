@@ -269,16 +269,20 @@ impl fmt::Display for CmdError {
 
 impl std::error::Error for CmdError {}
 
-/// The line as UTF-8 tokens, or the appropriate error. Rejects over-long
-/// and non-UTF-8 lines before any token is inspected.
-fn tokens(line: &[u8]) -> Result<Vec<&str>, CmdError> {
+/// The line as UTF-8 text, rejecting over-long and non-UTF-8 lines before
+/// any token is inspected.
+fn text(line: &[u8]) -> Result<&str, CmdError> {
     if line.len() > MAX_LINE {
         return Err(CmdError::LineTooLong { limit: MAX_LINE });
     }
     // Tolerate a trailing \r from CRLF clients (e.g. telnet / nc -C).
     let line = line.strip_suffix(b"\r").unwrap_or(line);
-    let text = std::str::from_utf8(line).map_err(|_| CmdError::NotUtf8)?;
-    let toks: Vec<&str> = text.split_ascii_whitespace().collect();
+    std::str::from_utf8(line).map_err(|_| CmdError::NotUtf8)
+}
+
+/// The line as UTF-8 tokens, or the appropriate error.
+fn tokens(line: &[u8]) -> Result<Vec<&str>, CmdError> {
+    let toks: Vec<&str> = text(line)?.split_ascii_whitespace().collect();
     if toks.is_empty() {
         return Err(CmdError::Empty);
     }
@@ -505,17 +509,11 @@ pub fn wire_view_def(def: &ViewDef<String>) -> String {
 
 /// Parse the `(ts, item, count)` tail shared by `STORE` and batch data
 /// lines.
-fn event_tail(toks: &[&str], verb: &'static str) -> Result<(u64, u64, u64), CmdError> {
-    let (ts_tok, item_tok, count_tok) = match toks {
-        [ts, item] => (*ts, *item, None),
-        [ts, item, count] => (*ts, *item, Some(*count)),
-        _ => {
-            return Err(CmdError::WrongArity {
-                verb,
-                expected: "<key> <ts> <item> [<count>]",
-            })
-        }
-    };
+fn event_tail(
+    ts_tok: &str,
+    item_tok: &str,
+    count_tok: Option<&str>,
+) -> Result<(u64, u64, u64), CmdError> {
     let ts = num(ts_tok, "ts")?;
     let item = num(item_tok, "item")?;
     let count: u64 = match count_tok {
@@ -553,7 +551,14 @@ pub fn parse_command(line: &[u8]) -> Result<Command, CmdError> {
                 });
             }
             let key = key(toks[1])?;
-            let (ts, item, count) = event_tail(&toks[2..], "STORE")?;
+            let (ts, item, count) = match toks[2..] {
+                [ts, item] => event_tail(ts, item, None),
+                [ts, item, count] => event_tail(ts, item, Some(count)),
+                _ => Err(CmdError::WrongArity {
+                    verb: "STORE",
+                    expected: "<key> <ts> <item> [<count>]",
+                }),
+            }?;
             Ok(Command::Store {
                 key,
                 ts,
@@ -779,19 +784,26 @@ pub fn parse_command(line: &[u8]) -> Result<Command, CmdError> {
     }
 }
 
-/// Parse one `BATCH` body line: `<key> <ts> <item> [<count>]`.
+/// Parse one `BATCH` body line: `<key> <ts> <item> [<count>]`. The tokens
+/// are walked in place, so the returned key is the line's only allocation.
 ///
 /// # Errors
 /// A [`CmdError`]; never panics.
 pub fn parse_data_line(line: &[u8]) -> Result<(String, StreamEvent, u64), CmdError> {
-    let toks = tokens(line)?;
-    if toks.len() < 3 {
-        return Err(CmdError::WrongArity {
-            verb: "BATCH line",
-            expected: "<key> <ts> <item> [<count>]",
-        });
+    let arity = CmdError::WrongArity {
+        verb: "BATCH line",
+        expected: "<key> <ts> <item> [<count>]",
+    };
+    let mut toks = text(line)?.split_ascii_whitespace();
+    let key_tok = toks.next().ok_or(CmdError::Empty)?;
+    let (Some(ts), Some(item)) = (toks.next(), toks.next()) else {
+        return Err(arity);
+    };
+    let count = toks.next();
+    let key = key(key_tok)?;
+    if toks.next().is_some() {
+        return Err(arity);
     }
-    let key = key(toks[0])?;
-    let (ts, item, count) = event_tail(&toks[1..], "BATCH line")?;
+    let (ts, item, count) = event_tail(ts, item, count)?;
     Ok((key, StreamEvent::new(item, ts), count))
 }

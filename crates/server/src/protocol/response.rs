@@ -161,6 +161,7 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
     let keys: usize = answered().map(|s| s.keys).sum();
     let memory: usize = answered().map(|s| s.memory_bytes).sum();
     let ingested: u64 = answered().map(|s| s.ingested).sum();
+    let ingest_runs: u64 = answered().map(|s| s.ingest_runs).sum();
     let wal_bytes: u64 = answered().map(|s| s.wal_bytes).sum();
     let compactions: u64 = answered().map(|s| s.compactions).sum();
     let shards: Vec<String> = rows
@@ -182,12 +183,13 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
             match &r.stats {
                 Some(s) => format!(
                     "{{\"shard\":{},{health},\"keys\":{},\"memory_bytes\":{},\"ingested\":{},\
-                     \"checkpoint_seq\":{},\"wal_bytes\":{},\"wal_segments\":{},\
+                     \"ingest_runs\":{},\"checkpoint_seq\":{},\"wal_bytes\":{},\"wal_segments\":{},\
                      \"compactions\":{},\"views\":{},\"view_maintenance\":{}}}",
                     r.shard,
                     s.keys,
                     s.memory_bytes,
                     s.ingested,
+                    s.ingest_runs,
                     s.checkpoint_seq,
                     s.wal_bytes,
                     s.wal_segments,
@@ -201,7 +203,7 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
         .collect();
     format!(
         "{{\"ok\":true,\"keys\":{keys},\"memory_bytes\":{memory},\"ingested\":{ingested},\
-         \"wal_bytes\":{wal_bytes},\"compactions\":{compactions},\
+         \"ingest_runs\":{ingest_runs},\"wal_bytes\":{wal_bytes},\"compactions\":{compactions},\
          \"views\":{{\"registered\":{},\"maintenance\":{},\"subscribers\":{},\
          \"dropped_notifications\":{}}},\"shards\":[{}]}}",
         views.registered,

@@ -13,7 +13,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use ecm::wal::{encode_checkpoint, encode_ingest, encode_segment_header, WalSegmentHeader};
 use ecm::{Query, SketchStore};
+use sketch_server::engine::route;
 use sketch_server::protocol::response;
 use sketch_server::{Client, Server, ServerConfig, SketchSpec, StreamEvent, WindowSpec};
 use stream_gen::SeededRng;
@@ -221,6 +223,147 @@ fn sigkill_mid_ingest_loses_no_acked_event() {
 
     // Third life: in-process, same directory — both phases present.
     let server = Server::start(restart_config(&dir)).expect("durable restart");
+    let mut client = connect(server.local_addr());
+    assert_bit_identical(&mut client, &mirror, now2);
+    client.call("SHUTDOWN").expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`trace`] with a weight on every line: 1..=15, mean 8.
+fn weighted_trace(lines: usize, seed: u64, base_ts: u64) -> Vec<(String, StreamEvent, u64)> {
+    let mut rng = SeededRng::seed_from_u64(seed ^ 0x5EED);
+    trace(lines, seed, base_ts)
+        .into_iter()
+        .map(|(key, e)| (key, e, 1 + rng.next_u64() % 15))
+        .collect()
+}
+
+/// BATCH the weighted lines; every frame must ack the occurrences it
+/// carried.
+fn ingest_runs_acked(client: &mut Client, runs: &[(String, StreamEvent, u64)]) {
+    for chunk in runs.chunks(512) {
+        let lines: Vec<String> = chunk
+            .iter()
+            .map(|(key, e, n)| format!("{key} {} {} {n}", e.ts, e.item))
+            .collect();
+        let resp = client.batch(&lines).expect("BATCH");
+        let carried: u64 = chunk.iter().map(|(_, _, n)| n).sum();
+        assert_eq!(resp, response::ingested(carried), "batch not acked in full");
+    }
+}
+
+#[test]
+fn sigkill_mid_weighted_ingest_loses_no_acked_occurrence() {
+    let dir = scratch("kill9-runs");
+    let phase1 = weighted_trace(6_000, 0x4B39, 1);
+    let now1 = phase1.last().unwrap().1.ts;
+    let mut mirror: SketchStore<String> = SketchStore::new(spec()).unwrap();
+    mirror.ingest_runs(&phase1);
+
+    // First life: weighted lines, each acked — on the log as one run
+    // each — then SIGKILL.
+    let (mut child, addr) = spawn_sketchd(&dir, &[]);
+    let mut client = connect(addr.as_str());
+    ingest_runs_acked(&mut client, &phase1);
+    let stats = client.call("STATS").expect("stats");
+    let acked: u64 = phase1.iter().map(|(_, _, n)| n).sum();
+    assert_eq!(stat(&stats, "ingested"), acked);
+    assert_eq!(stat(&stats, "ingest_runs"), phase1.len() as u64);
+    assert!(
+        stat(&stats, "wal_bytes") < 3 * acked,
+        "the log grew per occurrence: {stats}"
+    );
+    child.kill().expect("SIGKILL sketchd");
+    child.wait().expect("reap");
+
+    // Second life replays the runs, takes more, dies hard again; the
+    // third finds both phases, every occurrence once.
+    let (mut child, addr) = spawn_sketchd(&dir, &[]);
+    let mut client = connect(addr.as_str());
+    assert_bit_identical(&mut client, &mirror, now1);
+    let phase2 = weighted_trace(2_000, 0xB0B, now1);
+    let now2 = phase2.last().unwrap().1.ts;
+    mirror.ingest_runs(&phase2);
+    ingest_runs_acked(&mut client, &phase2);
+    child.kill().expect("SIGKILL sketchd again");
+    child.wait().expect("reap");
+
+    let server = Server::start(restart_config(&dir)).expect("durable restart");
+    let mut client = connect(server.local_addr());
+    assert_bit_identical(&mut client, &mirror, now2);
+    client.call("SHUTDOWN").expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment header as a version-1 `sketchd` wrote it: the same fields
+/// under the older version byte, with its own FNV-1a checksum.
+fn version_1_header(h: &WalSegmentHeader) -> Vec<u8> {
+    let mut bytes = encode_segment_header(h);
+    let covered = bytes.len() - 8;
+    bytes[2] = 1;
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes[..covered] {
+        sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes[covered..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn a_log_from_before_runs_records_is_replayed_and_continued() {
+    // What a previous release left behind after a crash: per shard one
+    // version-1 segment holding the genesis marker and events records —
+    // one entry per occurrence — and no checkpoint yet.
+    let dir = scratch("old-log");
+    let phase1 = weighted_trace(4_000, 0x01D, 1);
+    let now1 = phase1.last().unwrap().1.ts;
+    let mut mirror: SketchStore<String> = SketchStore::new(spec()).unwrap();
+    mirror.ingest_runs(&phase1);
+    for shard in 0..SHARDS {
+        let mut log = version_1_header(&WalSegmentHeader {
+            shard: shard as u64,
+            segment: 1,
+            base_record_seq: 0,
+            base_checkpoint_seq: 0,
+        });
+        encode_checkpoint(1, 0, &mut log);
+        let mut seq = 1;
+        for chunk in phase1.chunks(500) {
+            let events: Vec<(String, StreamEvent)> = chunk
+                .iter()
+                .filter(|(key, _, _)| route(key, SHARDS) == shard)
+                .flat_map(|(key, e, n)| (0..*n).map(move |_| (key.clone(), *e)))
+                .collect();
+            if !events.is_empty() {
+                seq += 1;
+                encode_ingest(seq, &events, &mut log);
+            }
+        }
+        std::fs::write(dir.join(format!("shard-{shard}.wal-000001")), log).expect("write log");
+    }
+
+    // This release replays it to the same answers, seals the old segment
+    // rather than append to it, and logs what comes next as runs.
+    let (mut child, addr) = spawn_sketchd(&dir, &[]);
+    let mut client = connect(addr.as_str());
+    assert_bit_identical(&mut client, &mirror, now1);
+    let stats = client.call("STATS").expect("stats");
+    assert_eq!(
+        stats.matches("\"wal_segments\":2").count(),
+        SHARDS,
+        "every shard moves on to a segment of its own version: {stats}"
+    );
+    let phase2 = weighted_trace(2_000, 0x2E3, now1);
+    let now2 = phase2.last().unwrap().1.ts;
+    mirror.ingest_runs(&phase2);
+    ingest_runs_acked(&mut client, &phase2);
+    child.kill().expect("SIGKILL sketchd");
+    child.wait().expect("reap");
+
+    // Both formats in one chain, replayed in one go.
+    let server = Server::start(restart_config(&dir)).expect("restart over a mixed log");
     let mut client = connect(server.local_addr());
     assert_bit_identical(&mut client, &mirror, now2);
     client.call("SHUTDOWN").expect("shutdown");

@@ -266,6 +266,59 @@ fn restart_shard_respawns_from_wal_without_losing_siblings() {
 }
 
 #[test]
+fn stats_count_occurrences_and_the_log_stores_runs() {
+    // A weighted trace (weights 1..=15, mean 8) through a durable engine:
+    // `ingested` keeps meaning occurrences — it adds up to the acks —
+    // `ingest_runs` counts the lines they arrived as, and the log holds
+    // one entry per line, not per occurrence.
+    let dir = std::env::temp_dir().join(format!("sketchd-engine-runs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cfg = ServerConfig::new(spec())
+        .shards(2)
+        .snapshot_dir(&dir)
+        .durability(true);
+    let engine = Engine::start(&cfg).expect("engine");
+    let (mut acked, mut lines) = (0u64, 0u64);
+    for j in 0..20u64 {
+        let batch: Vec<_> = (0..512u64)
+            .map(|i| {
+                let key = format!("t{:04}", (i * 7 + j) % 256);
+                let event = StreamEvent::new((i * i + j) % 50_000, 100_000 + 100 * j + i / 6);
+                (key, event, 1 + (i * 11 + j) % 15)
+            })
+            .collect();
+        lines += batch.len() as u64;
+        acked += engine.ingest(&batch).expect("ingest");
+    }
+    // A zero-weight line is no occurrence: acked as 0, logged nowhere.
+    let before = engine.stats().expect("stats");
+    assert_eq!(
+        engine
+            .ingest(&[("ghost".to_string(), StreamEvent::new(1, 200_000), 0)])
+            .expect("empty ingest"),
+        0
+    );
+    let stats = engine.stats().expect("stats");
+    assert_eq!(stats, before, "a zero-weight line reached a shard");
+    let rows = || stats.iter().filter_map(|s| s.stats.as_ref());
+    let ingested: u64 = rows().map(|s| s.ingested).sum();
+    let runs: u64 = rows().map(|s| s.ingest_runs).sum();
+    let wal_bytes: u64 = rows().map(|s| s.wal_bytes).sum();
+    assert_eq!(ingested, acked, "ingested must sum the weights");
+    assert_eq!(runs, lines);
+    assert!((7.5..8.5).contains(&(ingested as f64 / runs as f64)));
+    assert_eq!(rows().map(|s| s.keys).sum::<usize>(), 256, "no ghost key");
+    let per_occurrence = wal_bytes as f64 / ingested as f64;
+    assert!(
+        per_occurrence <= 2.5,
+        "{per_occurrence:.2} log bytes per occurrence ({wal_bytes} B for {ingested})"
+    );
+    engine.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn out_of_range_restart_is_a_typed_refusal() {
     let engine = Engine::start(&ServerConfig::new(spec()).shards(2)).expect("engine");
     assert!(matches!(

@@ -672,6 +672,143 @@ fn deep_copy(store: &mut SketchStore<u64>) -> SketchStore<u64> {
     SketchStore::load_snapshot(&store.write_snapshot().expect("encode")).expect("decode")
 }
 
+/// The heaviest run one protocol line can carry (`MAX_COUNT` of `sketchd`).
+const HEAVIEST_RUN: u64 = 1 << 20;
+
+/// Six batches of weighted runs over five tenants: keys interleave, a line
+/// is repeated verbatim right after itself and again after another key's
+/// line (adjacent duplicates before and after grouping), and every batch
+/// opens on a tenant the previous one did not end on — so a store of three
+/// slots creates a key mid-batch while full, every batch.
+fn run_batches(weight: impl Fn(usize) -> u64) -> Vec<Vec<(u64, StreamEvent, u64)>> {
+    let mut ts = 1u64;
+    let mut line = 0usize;
+    (0..6u64)
+        .map(|b| {
+            let mut batch = Vec::new();
+            for i in 0..12u64 {
+                ts += i % 2;
+                let key = (b + i * i) % 5;
+                let run = (key, StreamEvent::new((i + b) % 8, ts), weight(line));
+                line += 1;
+                batch.push(run);
+                if i % 4 == 1 {
+                    batch.push(run);
+                }
+                if i % 4 == 2 {
+                    batch.push(((key + 1) % 5, StreamEvent::new(7, ts), 1));
+                    batch.push(run);
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+/// Feed `batch` the way the store documents a batch: tenants in order of
+/// first appearance, each absorbing its own lines in arrival order — one
+/// `insert` per occurrence. (The heaviest runs go through
+/// `insert_weighted`; that it equals the loop is `batched_ingest.rs`.)
+fn feed_per_occurrence(store: &mut SketchStore<u64>, batch: &[(u64, StreamEvent, u64)]) {
+    let mut order: Vec<u64> = Vec::new();
+    for (key, _, _) in batch {
+        if !order.contains(key) {
+            order.push(*key);
+        }
+    }
+    for key in order {
+        let sketch = store.sketch_mut(&key);
+        for (_, e, n) in batch.iter().filter(|(k, _, _)| *k == key) {
+            if *n >= HEAVIEST_RUN {
+                sketch.insert_weighted(e.ts, e.item, *n);
+            } else {
+                for _ in 0..*n {
+                    sketch.insert(e.ts, e.item);
+                }
+            }
+        }
+    }
+}
+
+/// `ingest_runs(batch)` ≡ `ingest(batch written out per occurrence)` ≡ one
+/// `insert` per occurrence, down to the bytes: full snapshots, the
+/// incremental after a checkpoint, resident keys and eviction victims —
+/// on all ten backend specs, unbounded and through three LRU / FIFO slots,
+/// for weights all 1 and mixed; and, unbounded, for lines at the
+/// protocol's cap next to light ones.
+#[test]
+fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
+    type Weights = (&'static str, fn(usize, u64) -> u64);
+    let weightings: [Weights; 3] = [
+        ("ones", |_, _| 1),
+        ("mixed", |line, _| 1 + (line as u64 * 7) % 32),
+        ("heaviest", |line, cap| [cap, 3][line % 3 / 2]),
+    ];
+    for (i, spec) in ten_specs().into_iter().enumerate() {
+        // A count-based window ticks once per occurrence, so a run at the
+        // cap is a million ticks through a 1 000-tick window, by design
+        // O(weight) a line: those two specs get a lighter "heaviest".
+        let cap = match spec.clock() {
+            Clock::Time => HEAVIEST_RUN,
+            Clock::Count => 1 << 12,
+        };
+        for (name, weight) in weightings {
+            let mut batches = run_batches(|line| weight(line, cap));
+            let mut bounds = vec![None, Some(Eviction::Lru), Some(Eviction::Fifo)];
+            if name == "heaviest" {
+                // Three lines a batch, two batches, one store shape:
+                // written out per occurrence that is four million events.
+                for batch in &mut batches {
+                    batch.truncate(3);
+                }
+                batches.truncate(2);
+                bounds.truncate(1);
+            }
+            for bound in bounds {
+                let fresh = || {
+                    match bound {
+                        None => SketchStore::<u64>::new(spec.clone()),
+                        Some(policy) => SketchStore::with_capacity(spec.clone(), 3, policy),
+                    }
+                    .expect("valid spec")
+                };
+                let label = format!("spec {i}, weights {name}, {bound:?}");
+                let (mut runs, mut events, mut singles) = (fresh(), fresh(), fresh());
+                for (b, batch) in batches.iter().enumerate() {
+                    runs.ingest_runs(batch);
+                    let unbatched: Vec<(u64, StreamEvent)> = batch
+                        .iter()
+                        .flat_map(|&(key, e, n)| (0..n).map(move |_| (key, e)))
+                        .collect();
+                    events.ingest(&unbatched);
+                    drop(unbatched);
+                    feed_per_occurrence(&mut singles, batch);
+                    assert_eq!(runs.keys(), singles.keys(), "{label}: residents, batch {b}");
+                    assert_eq!(
+                        runs.evictions(),
+                        singles.evictions(),
+                        "{label}: victims, batch {b}"
+                    );
+                    let bytes = if b == batches.len() / 2 {
+                        [&mut runs, &mut events, &mut singles].map(|s| s.write_snapshot())
+                    } else if b + 1 == batches.len() {
+                        [&mut runs, &mut events, &mut singles].map(|s| s.write_incremental())
+                    } else {
+                        continue;
+                    };
+                    let [runs, events, singles] = bytes.map(|b| b.expect("encode"));
+                    assert!(runs == events, "{label}: runs vs events, batch {b}");
+                    assert!(runs == singles, "{label}: runs vs inserts, batch {b}");
+                }
+                assert!(
+                    runs.write_snapshot().unwrap() == singles.write_snapshot().unwrap(),
+                    "{label}: final snapshot"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

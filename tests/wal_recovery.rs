@@ -8,7 +8,8 @@
 //! `tests/snapshot_recovery.rs`.
 
 use ecm_suite::ecm::wal::{
-    encode_checkpoint, encode_ingest, encode_segment_header, replay, WalSegment, WalSegmentHeader,
+    encode_checkpoint, encode_ingest, encode_runs, encode_segment_header, replay, WalSegment,
+    WalSegmentHeader,
 };
 use ecm_suite::ecm::{Backend, Query, SketchSpec, SketchStore, StreamEvent, WindowSpec};
 use ecm_suite::stream_gen::SeededRng;
@@ -327,6 +328,199 @@ fn bit_flips_at_every_offset_fail_typed_or_drop_the_tail() {
             ) {
                 assert!(r.applied_events <= total, "flip at {at} bit {bit}");
             }
+        }
+    }
+}
+
+/// Keyed batches of weighted runs (weights 1..=32, mean about 8), with the
+/// same clock and universe as [`batches`].
+fn run_batches(seed: u64, count: usize, base_ts: u64) -> Vec<Vec<(u64, StreamEvent, u64)>> {
+    let mut rng = SeededRng::seed_from_u64(seed);
+    batches(seed ^ 0xA5, count, base_ts)
+        .into_iter()
+        .map(|b| {
+            b.into_iter()
+                .map(|(key, e)| {
+                    let weight = 1 + rng.gen_range(0..4u64) * rng.gen_range(0..9u64);
+                    (key, e, weight.min(32))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A batch of runs written out one entry per occurrence: what a server
+/// from before runs records put on its log.
+fn per_occurrence(runs: &[(u64, StreamEvent, u64)]) -> Vec<(u64, StreamEvent)> {
+    runs.iter()
+        .flat_map(|&(key, e, n)| (0..n).map(move |_| (key, e)))
+        .collect()
+}
+
+/// A segment header as a version-1 writer produced it: same fields, the
+/// older version byte, its own checksum (FNV-1a over everything before
+/// it).
+fn version_1_header(h: &WalSegmentHeader) -> Vec<u8> {
+    let mut bytes = encode_segment_header(h);
+    let covered = bytes.len() - 8;
+    bytes[2] = 1;
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes[..covered] {
+        sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes[covered..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn an_old_log_continued_with_runs_records_replays_to_the_unbatched_oracle() {
+    // Segment 1 as the previous format wrote it — version 1, one entry
+    // per occurrence — sealed by an upgrade; segment 2 in today's format,
+    // runs records, with a mid-stream checkpoint. Replay must land where a
+    // store fed every occurrence separately landed, for every backend.
+    for (label, spec) in spec_matrix() {
+        let bs = run_batches(17, 16, 1);
+        let mut oracle = SketchStore::<u64>::new(spec.clone()).unwrap();
+        let mut uncut = SketchStore::<u64>::new(spec.clone()).unwrap();
+        let mut old = version_1_header(&WalSegmentHeader {
+            shard: 0,
+            segment: 1,
+            base_record_seq: 0,
+            base_checkpoint_seq: 0,
+        });
+        encode_checkpoint(1, 0, &mut old);
+        let mut seq = 1u64;
+        for b in &bs[..8] {
+            seq += 1;
+            let events = per_occurrence(b);
+            encode_ingest(seq, &events, &mut old);
+            oracle.ingest(&events);
+            uncut.ingest(&events);
+        }
+        let mut new = encode_segment_header(&WalSegmentHeader {
+            shard: 0,
+            segment: 2,
+            base_record_seq: seq,
+            base_checkpoint_seq: 0,
+        });
+        let mut body = Vec::new();
+        let mut snap: Option<Vec<u8>> = None;
+        for (i, b) in bs[8..].iter().enumerate() {
+            if i == 3 {
+                seq += 1;
+                encode_checkpoint(seq, oracle.checkpoint_seq() + 1, &mut new);
+                snap = Some(oracle.write_snapshot().unwrap());
+            }
+            seq += 1;
+            encode_runs(seq, b, &mut body, &mut new);
+            oracle.ingest(&per_occurrence(b));
+            uncut.ingest(&per_occurrence(b));
+        }
+        let segments = [
+            WalSegment {
+                index: 1,
+                bytes: &old,
+            },
+            WalSegment {
+                index: 2,
+                bytes: &new,
+            },
+        ];
+
+        // From nothing: all sixteen records, both kinds.
+        let mut from_empty = SketchStore::<u64>::new(spec.clone()).unwrap();
+        let report = replay(&mut from_empty, 0, &segments)
+            .unwrap_or_else(|e| panic!("{label}: replay from empty: {e}"));
+        assert_eq!(report.applied_records, 16, "{label}");
+        let occurrences: u64 = bs.iter().flatten().map(|(_, _, n)| n).sum();
+        assert_eq!(report.applied_events, occurrences, "{label}");
+        assert_eq!(report.last_seq, seq, "{label}");
+        // From the checkpoint: the five runs records after its marker.
+        let mut from_snap = SketchStore::<u64>::load_snapshot(&snap.unwrap()).unwrap();
+        let report = replay(&mut from_snap, 0, &segments)
+            .unwrap_or_else(|e| panic!("{label}: replay from checkpoint: {e}"));
+        assert_eq!(report.applied_records, 5, "{label}");
+
+        // Byte for byte: the store that replayed everything against the
+        // oracle that never cut a checkpoint, the one restored from the
+        // checkpoint against the oracle that cut it.
+        assert!(
+            uncut.write_snapshot().unwrap() == from_empty.write_snapshot().unwrap(),
+            "{label}: events + runs replay left the oracle"
+        );
+        assert!(
+            oracle.write_incremental().unwrap() == from_snap.write_incremental().unwrap(),
+            "{label}: checkpoint + runs replay left the oracle"
+        );
+    }
+}
+
+#[test]
+fn a_tail_torn_inside_a_runs_record_truncates_like_a_torn_events_record() {
+    // The same four batches logged both ways. Wherever either log is cut,
+    // replay keeps exactly the records that are whole — the store equals
+    // the oracle after that many batches, byte for byte — and reports the
+    // last whole record's end as the valid prefix.
+    let spec = SketchSpec::time(WINDOW).epsilon(0.25).seed(7);
+    let bs = run_batches(9, 4, 1);
+    let mut oracle = SketchStore::<u64>::new(spec.clone()).unwrap();
+    let mut after: Vec<Vec<u8>> = vec![oracle.clone().write_snapshot().unwrap()];
+    for b in &bs {
+        oracle.ingest_runs(b);
+        after.push(oracle.clone().write_snapshot().unwrap());
+    }
+    let mut events_log = fresh_header();
+    encode_checkpoint(1, 0, &mut events_log);
+    let mut runs_log = events_log.clone();
+    // Where each whole record ends, marker included.
+    let mut events_ends = vec![events_log.len()];
+    let mut runs_ends = events_ends.clone();
+    let mut body = Vec::new();
+    for (i, b) in bs.iter().enumerate() {
+        encode_ingest(2 + i as u64, &per_occurrence(b), &mut events_log);
+        events_ends.push(events_log.len());
+        encode_runs(2 + i as u64, b, &mut body, &mut runs_log);
+        runs_ends.push(runs_log.len());
+    }
+    assert!(
+        runs_log.len() * 4 < events_log.len(),
+        "a runs record is a fraction of the events record it replaces"
+    );
+    for (kind, log, ends) in [
+        ("events", &events_log, &events_ends),
+        ("runs", &runs_log, &runs_ends),
+    ] {
+        for cut in 0..=log.len() {
+            let mut store = SketchStore::<u64>::new(spec.clone()).unwrap();
+            let r = replay(
+                &mut store,
+                0,
+                &[WalSegment {
+                    index: 1,
+                    bytes: &log[..cut],
+                }],
+            )
+            .unwrap_or_else(|e| panic!("{kind} log cut at {cut} must be survivable: {e}"));
+            // Whole records, marker first; none at all inside the header.
+            let whole = ends.iter().take_while(|&&end| end <= cut).count();
+            let batches_kept = whole.saturating_sub(1);
+            assert_eq!(r.applied_records, batches_kept as u64, "{kind} cut {cut}");
+            let header = fresh_header().len();
+            let valid = match whole {
+                0 if cut < header => 0,
+                0 => header,
+                n => ends[n - 1],
+            };
+            assert_eq!(r.last_segment_valid_len, valid, "{kind} cut {cut}");
+            assert_eq!(
+                r.torn_tail,
+                valid != cut || cut < header,
+                "{kind} cut {cut}"
+            );
+            assert!(
+                store.write_snapshot().unwrap() == after[batches_kept],
+                "{kind} cut {cut}: not the oracle after {batches_kept} batches"
+            );
         }
     }
 }
