@@ -1,6 +1,5 @@
 //! A counting global allocator, for the measurements that are about memory
-//! rather than time: the allocation-budget tests (`tests/alloc_budget.rs`)
-//! and the replay-peak row of `benches/wal.rs`.
+//! rather than time: the allocation-budget tests (`tests/alloc_budget.rs`).
 //!
 //! A binary opts in with
 //! `#[global_allocator] static A: ecm_bench::alloc::Counting = ecm_bench::alloc::Counting;`.

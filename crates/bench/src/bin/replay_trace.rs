@@ -74,7 +74,7 @@ fn main() {
             .eh_config();
         // Batched ingest: real traces carry same-(key, ts) bursts, which
         // collapse into weighted updates (bit-identical to the per-event
-        // loop; see benches/ingest.rs for the throughput delta).
+        // loop; see benches/kernels.rs for the throughput delta).
         let sk = build_sketch_batched(&cfg, &events);
         let (label, s) = match kind {
             QueryKind::Point => ("point", score_point_queries(&sk, &oracle, now, 300)),

@@ -9,7 +9,7 @@
 //! Both ingestion paths ride the batched fast path: the dispatcher
 //! coalesces consecutive same-shard `(item, ts)` duplicates into weighted
 //! runs before they cross the channels, and the pre-partitioned workers do
-//! the same in-thread (see `benches/ingest.rs` for the single-sketch
+//! the same in-thread (see `benches/kernels.rs` for the single-sketch
 //! speedup).
 
 use ecm::{partition_pairs, EcmBuilder, Query, ShardedEcm, SketchReader, WindowSpec};

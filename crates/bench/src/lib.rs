@@ -60,39 +60,6 @@ impl Dataset {
     }
 }
 
-/// Bursty Zipf trace shared by the `ingest` and `query_latency` benches:
-/// ticks advance by small random gaps and each tick carries a run of one
-/// Zipf-drawn key whose length is heavy-tailed (~30% singletons, mean ≈ 70,
-/// occasionally 1000+ — the flash-crowd shape of the paper's
-/// network-monitoring workloads). One generator, so the write-path and
-/// read-path benches price the same workload.
-pub fn bursty_zipf_trace(
-    target_events: usize,
-    seed: u64,
-    key_domain: u64,
-    skew: f64,
-) -> Vec<ecm::StreamEvent> {
-    use stream_gen::{SeededRng, ZipfSampler};
-    let mut rng = SeededRng::seed_from_u64(seed);
-    let zipf = ZipfSampler::new(key_domain, skew);
-    let mut out = Vec::with_capacity(target_events + 512);
-    let mut ts = 1u64;
-    while out.len() < target_events {
-        ts += rng.gen_range(0..4u64);
-        let key = zipf.sample(&mut rng);
-        let weight = if rng.gen_bool(0.3) {
-            1
-        } else {
-            let u = rng.gen_f64();
-            (1.0 / (1.0 - u * 0.99)).powf(2.0).min(1024.0) as u64
-        };
-        for _ in 0..weight.max(1) {
-            out.push(ecm::StreamEvent::new(key, ts));
-        }
-    }
-    out
-}
-
 /// Query ranges of the paper (§7.1): exponentially increasing,
 /// `q_i = (t − 10^i, t]`, clamped to the window.
 pub fn query_ranges() -> Vec<u64> {

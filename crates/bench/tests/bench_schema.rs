@@ -1,25 +1,28 @@
-//! Schema validation for the checked-in `BENCH_ingest.json`,
-//! `BENCH_store.json`, `BENCH_query.json`, `BENCH_snapshot.json`,
-//! `BENCH_server.json`, `BENCH_wal.json` and `BENCH_views.json`: CI runs
-//! this with the ordinary test suite, so
-//! bench-result drift (renamed fields, missing backends or fleet sizes, a
-//! fast path that lost its edge, a slab layout that stopped saving memory,
-//! a checkpoint path that got slow, a server that stopped keeping up) fails
-//! the build rather than rotting silently. The parser is deliberately
-//! minimal — the files are machine-written by `benches/ingest.rs` /
-//! `benches/store.rs` / `benches/query_latency.rs` / `benches/snapshot.rs`
-//! / the `loadgen` binary in `crates/server` with a fixed field order.
+//! Schema and floors of the checked-in `BENCH_kernels.json`, the one bench
+//! file of the workspace (`benches/kernels.rs` writes it; the served system
+//! is priced by `sketchbench`, see `docs/BENCHMARKS.md`). Runs with the
+//! ordinary test suite, so a renamed field, a missing row, a hand-edited
+//! ratio or a re-recorded file whose fast path lost its edge fails the
+//! build. The parser is deliberately minimal — the file is machine-written
+//! with a fixed field order.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-fn load_file(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"));
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{name} must be checked in at {path:?}: {e}"))
+fn root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 fn load() -> String {
-    load_file("BENCH_ingest.json")
+    let path = root().join("BENCH_kernels.json");
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("BENCH_kernels.json must be checked in at {path:?}: {e}"))
+}
+
+/// The text after the top-level `"name": ` of the machine-written file.
+fn section<'a>(text: &'a str, name: &str) -> &'a str {
+    text.split(&format!("\n  \"{name}\": "))
+        .nth(1)
+        .unwrap_or_else(|| panic!("missing section {name:?}"))
 }
 
 /// Extract the number following `"key": ` (flat, machine-written JSON).
@@ -37,101 +40,91 @@ fn field_f64(text: &str, key: &str) -> f64 {
         .unwrap_or_else(|e| panic!("field {key:?} is not a number: {e}"))
 }
 
-#[test]
-fn ingest_bench_schema_is_valid() {
-    let text = load();
-    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
-    assert!(text.contains("\"bench\": \"ingest\""));
-    assert!(field_f64(&text, "events") >= 1_000.0, "workload too small");
-    assert!(field_f64(&text, "runs") >= 1.0);
+/// `recorded` must be the ratio the recorded rates imply, within `slack`.
+fn assert_consistent(what: &str, recorded: f64, implied: f64, slack: f64) {
     assert!(
-        field_f64(&text, "mean_run_weight") > 1.0,
-        "trace not bursty"
+        (recorded - implied).abs() <= slack * implied,
+        "{what} {recorded} inconsistent with the recorded rates ({implied:.3})"
     );
 }
 
 #[test]
-fn ingest_bench_covers_every_backend() {
+fn the_file_has_every_section_a_machine_record_and_a_real_workload() {
     let text = load();
-    for backend in ["ecm-eh", "ecm-dw", "ecm-exact", "ecm-rw"] {
-        assert!(
-            text.contains(&format!("\"backend\": \"{backend}\"")),
-            "missing backend {backend}"
-        );
+    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
+    assert!(text.contains("\"bench\": \"kernels\""));
+    for name in ["workload", "ingest", "memory", "snapshot", "wal", "top_k"] {
+        section(&text, name);
     }
+    // The six keys a `sketchbench` report carries, none of them empty.
+    let env = section(&text, "env").lines().next().expect("env line");
+    assert!(field_f64(env, "nproc") >= 1.0);
+    for key in ["cpu_model", "kernel", "rustc", "profile", "commit"] {
+        let value = env
+            .split(&format!("\"{key}\": \""))
+            .nth(1)
+            .unwrap_or_else(|| panic!("env has no {key:?}"));
+        assert!(!value.starts_with('"'), "env {key:?} is empty");
+    }
+    let workload = section(&text, "workload");
+    assert!(
+        field_f64(workload, "events") >= 1_000.0,
+        "workload too small"
+    );
+    assert!(field_f64(workload, "trace_events") >= 1_000.0);
+    assert!(field_f64(workload, "runs") >= 1.0);
+    assert!(field_f64(workload, "dirty_fraction") > 0.0);
+    assert!(
+        field_f64(workload, "mean_run_weight") > 1.0,
+        "ingest trace not bursty"
+    );
 }
 
 #[test]
-fn ingest_bench_speedups_are_sane_and_eh_meets_target() {
+fn batched_ingest_keeps_its_edge_on_every_backend() {
     let text = load();
-    let mut eh_speedup = None;
-    let mut eh_batched = None;
-    let mut rw_speedup = None;
-    for chunk in text.split("\"backend\": ").skip(1) {
-        // The memory section carries no rate fields.
-        if !chunk.contains("\"speedup\"") {
-            continue;
-        }
+    let ingest = section(&text, "ingest");
+    let ingest = &ingest[..ingest.find(']').expect("ingest rows close")];
+    let row = |backend: &str| {
+        let chunk = ingest
+            .split(&format!("\"backend\": \"{backend}\""))
+            .nth(1)
+            .unwrap_or_else(|| panic!("missing backend {backend}"));
         let speedup = field_f64(chunk, "speedup");
         let per_event = field_f64(chunk, "per_event_meps");
         let batched = field_f64(chunk, "batched_meps");
         assert!(speedup > 0.0 && per_event > 0.0 && batched > 0.0);
-        // The recorded speedup must be consistent with the recorded rates.
-        let implied = batched / per_event;
-        assert!(
-            (speedup - implied).abs() <= 0.15 * implied,
-            "speedup {speedup} inconsistent with rates ({implied:.2})"
-        );
-        if chunk.starts_with("\"ecm-eh\"") {
-            eh_speedup = Some(speedup);
-            eh_batched = Some(batched);
-        }
-        if chunk.starts_with("\"ecm-rw\"") {
-            rw_speedup = Some(speedup);
-        }
-    }
-    // Acceptance targets: the paper-default ECM-EH ingests ≥ 5× faster
-    // through the batched path on the bursty Zipf trace, and the slab
-    // grid keeps absolute batched throughput above 100 Meps. (The slab
-    // issue's stated bar was 1.5× the 91.4 Meps the per-cell layout
-    // recorded on its reference box, i.e. 137 absolute; the box that
-    // recorded the checked-in file reproduces only 80.8 Meps for that
-    // same per-cell layout and ~114 for the slab — a ~1.4× same-box
-    // gain — so the floor here is the strongest one robust to the
-    // recording machine. See README "Performance & memory layout".)
-    let eh = eh_speedup.expect("ecm-eh row present");
+        assert_consistent("speedup", speedup, batched / per_event, 0.15);
+        (speedup, batched)
+    };
+    row("ecm-dw");
+    row("ecm-exact");
+    // The paper-default ECM-EH ingests ≥ 5× faster through the batched
+    // path on the bursty Zipf trace, and the slab grid keeps absolute
+    // batched throughput above 100 Meps.
+    let (eh, eh_meps) = row("ecm-eh");
     assert!(eh >= 5.0, "ECM-EH batched speedup regressed: {eh}x < 5x");
-    let eh_meps = eh_batched.expect("ecm-eh row present");
     assert!(
         eh_meps >= 100.0,
         "ECM-EH batched throughput regressed: {eh_meps} Meps < 100"
     );
     // The id-hash-bound randomized wave: the hoisted burst kernel plus the
-    // shared-sampling grid must keep its batched edge well above the 1.52×
-    // it shipped with.
-    let rw = rw_speedup.expect("ecm-rw row present");
+    // shared-sampling grid must keep its batched edge above the 1.52× it
+    // shipped with.
+    let (rw, _) = row("ecm-rw");
     assert!(rw >= 1.6, "ECM-RW batched speedup regressed: {rw}x < 1.6x");
 }
 
 #[test]
-fn ingest_bench_slab_memory_saves_at_least_30_percent() {
+fn the_slab_saves_at_least_30_percent_of_the_per_cell_layout() {
     let text = load();
-    let memory = text
-        .split("\"memory\"")
-        .nth(1)
-        .expect("memory section present");
-    assert!(memory.contains("\"backend\": \"ecm-eh\""));
+    let memory = section(&text, "memory");
+    assert!(memory.starts_with("{\"backend\": \"ecm-eh\""));
     let slab = field_f64(memory, "slab_bytes");
     let per_cell = field_f64(memory, "per_cell_bytes");
     let ratio = field_f64(memory, "ratio");
     assert!(slab > 0.0 && per_cell > slab);
-    let implied = slab / per_cell;
-    assert!(
-        (ratio - implied).abs() <= 0.05,
-        "ratio {ratio} inconsistent with byte counts ({implied:.3})"
-    );
-    // Acceptance target: the slab layout of a warm (0.1, 0.1, 1M-window)
-    // ECM-EH sketch undercuts the per-cell layout by ≥ 30%.
+    assert_consistent("ratio", ratio, slab / per_cell, 0.05);
     assert!(
         ratio <= 0.70,
         "slab memory saving regressed: ratio {ratio} > 0.70"
@@ -139,230 +132,15 @@ fn ingest_bench_slab_memory_saves_at_least_30_percent() {
 }
 
 #[test]
-fn query_bench_schema_is_valid() {
-    let text = load_file("BENCH_query.json");
-    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
-    assert!(text.contains("\"bench\": \"query\""));
-    assert!(field_f64(&text, "events") >= 1_000.0, "workload too small");
-    assert!(
-        field_f64(&text, "warm_eh_memory_bytes") > 0.0,
-        "warm sketch memory must be reported"
-    );
-    // Every backend × query pair of the latency matrix must be present.
-    for backend in ["ecm-eh", "ecm-dw", "ecm-exact"] {
-        for query in ["point", "self_join"] {
-            assert!(
-                text.contains(&format!(
-                    "\"backend\": \"{backend}\", \"query\": \"{query}\""
-                )),
-                "missing {backend}/{query} row"
-            );
-        }
-    }
-    assert!(
-        text.contains("\"backend\": \"ecm-eh-hierarchy\", \"query\": \"heavy_hitters\""),
-        "missing hierarchy heavy-hitter row"
-    );
-    for chunk in text.split("\"query\": ").skip(1) {
-        let ns = field_f64(chunk, "ns_per_op");
-        let ops = field_f64(chunk, "ops");
-        assert!(ops >= 10.0, "too few repetitions for a stable number");
-        assert!(
-            ns > 0.0 && ns < 1e8,
-            "latency {ns} ns/op outside sanity range"
-        );
-    }
-    // Point lookups must stay orders of magnitude cheaper than full-grid
-    // scans: the row-min path reads d cells, the self-join reads them all.
-    let eh = text
-        .split("\"backend\": \"ecm-eh\", \"query\": \"point\"")
-        .nth(1)
-        .expect("eh point row");
-    let point_ns = field_f64(eh, "ns_per_op");
-    assert!(
-        point_ns < 10_000.0,
-        "EH point-query latency regressed: {point_ns} ns"
-    );
-}
-
-/// Queries/sec of one `read_scaling` cell in `BENCH_query.json`.
-fn scaling_qps(text: &str, readers: u64) -> f64 {
-    let cell = format!("\"path\": \"published\", \"readers\": {readers},");
-    let chunk = text
-        .split(&cell)
-        .nth(1)
-        .unwrap_or_else(|| panic!("missing read_scaling cell published/{readers}"));
-    field_f64(chunk, "queries_per_sec")
-}
-
-#[test]
-fn query_bench_read_scaling_meets_the_floors() {
-    let text = load_file("BENCH_query.json");
-    // The full {1,2,4}-reader row must be present and sane.
-    for readers in [1, 2, 4] {
-        let qps = scaling_qps(&text, readers);
-        assert!(
-            qps > 0.0 && qps < 1e10,
-            "published@{readers}: {qps} queries/sec outside sanity range"
-        );
-    }
-    // Wait-free must mean no reader-side collapse: adding readers cannot
-    // cost the published path more than half its single-reader rate
-    // (pins share no locks; on a one-core box the cells time-slice, so
-    // parity — not linear speedup — is the honest expectation).
-    let published1 = scaling_qps(&text, 1);
-    let published4 = scaling_qps(&text, 4);
-    assert!(
-        published4 >= 0.5 * published1,
-        "published path collapsed under readers: {published4} < 0.5x {published1}"
-    );
-}
-
-#[test]
-fn query_bench_publication_costs_a_pointer_copy_per_resident_key() {
-    let text = load_file("BENCH_query.json");
-    let publish_us = |resident_keys: u64| {
-        let cell = format!("\"resident_keys\": {resident_keys},");
-        let chunk = text
-            .split(&cell)
+fn checkpoint_and_restore_meet_the_floors_at_both_fleet_sizes() {
+    let text = load();
+    let snapshot = section(&text, "snapshot");
+    let snapshot = &snapshot[..snapshot.find(']').expect("snapshot rows close")];
+    for keys in [10_000u64, 100_000] {
+        let chunk = snapshot
+            .split(&format!("\"keys\": {keys},"))
             .nth(1)
-            .unwrap_or_else(|| panic!("missing publish cell at {resident_keys} keys"));
-        assert_eq!(field_f64(chunk, "dirty_keys") as u64, 32);
-        assert!(field_f64(chunk, "publishes") >= 10.0, "too few publishes");
-        field_f64(chunk, "publish_us")
-    };
-    assert!(publish_us(1_000) > 0.0);
-    // A publication clones the store's map of shared sketch pointers; it
-    // must never copy the sketches themselves (microseconds each), or the
-    // worker could not afford to publish before every ack.
-    let ns_per_key = publish_us(10_000) * 1e3 / 10_000.0;
-    assert!(
-        ns_per_key <= 200.0,
-        "publish costs {ns_per_key} ns per resident key at 10 000 keys: \
-         a sketch copy crept back into SketchStore::clone"
-    );
-}
-
-#[test]
-fn query_bench_top_k_prunes_the_scan() {
-    let text = load_file("BENCH_query.json");
-    let chunk = text
-        .split("\"top_k\": [")
-        .nth(1)
-        .expect("missing top_k section");
-    assert_eq!(field_f64(chunk, "resident_keys") as u64, 10_000);
-    assert_eq!(field_f64(chunk, "k") as u64, 10);
-    let pruned = field_f64(chunk, "pruned_us");
-    let scan = field_f64(chunk, "scan_us");
-    assert!(pruned > 0.0 && scan > 0.0);
-    // The ranking reads one arrivals bound per key and scores the few
-    // that can place; at 10 000 skewed keys that is orders of magnitude
-    // under a scan. Below 5x, sketches are being scored wholesale again.
-    assert!(
-        scan >= 5.0 * pruned,
-        "top_k at 10 000 keys: pruned {pruned} us vs scan {scan} us is under 5x"
-    );
-}
-
-#[test]
-fn server_bench_schema_is_valid() {
-    let text = load_file("BENCH_server.json");
-    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
-    assert!(text.contains("\"bench\": \"server\""));
-    assert!(field_f64(&text, "events") >= 1_000.0, "workload too small");
-    assert!(field_f64(&text, "connections") >= 1.0);
-    assert!(field_f64(&text, "tenants") >= 2.0, "not multi-tenant");
-    // Client-observed numbers include the parser, the shard mailboxes, the
-    // TCP stack and JSON rendering, so the floors are far below the
-    // in-process rates — but a served system must still clear them.
-    let meps = field_f64(&text, "ingest_meps");
-    assert!(
-        meps >= 0.05,
-        "client-observed ingest regressed: {meps} Meps < 0.05"
-    );
-    let queries = field_f64(&text, "queries");
-    assert!(queries >= 100.0, "too few query round-trips: {queries}");
-    let p50 = field_f64(&text, "query_p50_us");
-    let p95 = field_f64(&text, "query_p95_us");
-    let p99 = field_f64(&text, "query_p99_us");
-    assert!(
-        p50 > 0.0 && p50 <= p95 && p95 <= p99,
-        "percentiles unordered"
-    );
-    assert!(
-        p99 < 1e6,
-        "loopback query p99 {p99} us outside sanity range"
-    );
-    // Client-resilience counters are always recorded (a fault-free run
-    // simply records zeros).
-    assert!(field_f64(&text, "retries") >= 0.0);
-    assert!(field_f64(&text, "sheds") >= 0.0);
-}
-
-#[test]
-fn server_bench_degraded_mode_meets_the_floor() {
-    let text = load_file("BENCH_server.json");
-    let relative = field_f64(&text, "degraded_relative");
-    let d_meps = field_f64(&text, "degraded_ingest_meps");
-    let d_p99 = field_f64(&text, "degraded_query_p99_us");
-    assert!(d_meps > 0.0, "degraded pass recorded no throughput");
-    assert!(
-        d_p99 > 0.0 && d_p99 < 1e6,
-        "degraded query p99 {d_p99} us outside sanity range"
-    );
-    // The recorded ratio must be consistent with the recorded rates.
-    let implied = d_meps / field_f64(&text, "ingest_meps");
-    assert!(
-        (relative - implied).abs() <= 0.05 * implied,
-        "degraded_relative {relative} inconsistent with rates ({implied:.3})"
-    );
-    // Acceptance floor: with one shard killed and supervised back
-    // mid-ingest, the surviving fleet keeps at least half the fault-free
-    // client-observed throughput.
-    assert!(
-        relative >= 0.5,
-        "degraded throughput regressed: {relative}x of baseline < 0.5"
-    );
-}
-
-#[test]
-fn store_bench_schema_is_valid() {
-    let text = load_file("BENCH_store.json");
-    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
-    assert!(text.contains("\"bench\": \"store\""));
-    assert!(field_f64(&text, "events") >= 1_000.0, "workload too small");
-    assert!(field_f64(&text, "batch") >= 1.0);
-    // Both fleet sizes of the acceptance scenario must be present.
-    for keys in [10_000u64, 100_000] {
-        assert!(
-            text.contains(&format!("\"keys\": {keys}")),
-            "missing {keys}-key row"
-        );
-    }
-}
-
-#[test]
-fn snapshot_bench_schema_is_valid() {
-    let text = load_file("BENCH_snapshot.json");
-    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
-    assert!(text.contains("\"bench\": \"snapshot\""));
-    assert!(field_f64(&text, "events") >= 1_000.0, "workload too small");
-    assert!(field_f64(&text, "dirty_fraction") > 0.0);
-    // Both fleet sizes of the acceptance scenario must be present.
-    for keys in [10_000u64, 100_000] {
-        assert!(
-            text.contains(&format!("\"keys\": {keys}")),
-            "missing {keys}-key row"
-        );
-    }
-}
-
-#[test]
-fn snapshot_bench_checkpoint_and_restore_meet_the_floors() {
-    let text = load_file("BENCH_snapshot.json");
-    let mut rows = 0;
-    for chunk in text.split("\"keys\": ").skip(1) {
-        rows += 1;
+            .unwrap_or_else(|| panic!("missing {keys}-key row"));
         let resident = field_f64(chunk, "resident");
         let snapshot_bytes = field_f64(chunk, "snapshot_bytes");
         let full_ms = field_f64(chunk, "full_ms");
@@ -373,19 +151,15 @@ fn snapshot_bench_checkpoint_and_restore_meet_the_floors() {
         let restore_rate = field_f64(chunk, "restore_keys_per_s");
         assert!(resident >= 1_000.0, "fleet too small to be meaningful");
         assert!(snapshot_bytes > 0.0 && full_ms > 0.0 && restore_ms > 0.0);
-        // Recorded rates must be consistent with the recorded times.
-        let implied = resident / (full_ms / 1e3);
-        assert!(
-            (full_rate - implied).abs() <= 0.15 * implied,
-            "full rate {full_rate} inconsistent with time ({implied:.0})"
-        );
-        let implied = resident / (restore_ms / 1e3);
-        assert!(
-            (restore_rate - implied).abs() <= 0.15 * implied,
-            "restore rate {restore_rate} inconsistent with time ({implied:.0})"
+        assert_consistent("full rate", full_rate, resident / (full_ms / 1e3), 0.15);
+        assert_consistent(
+            "restore rate",
+            restore_rate,
+            resident / (restore_ms / 1e3),
+            0.15,
         );
         // Incremental mode must actually be incremental: a 1%-dirty delta
-        // far smaller and far cheaper than the full checkpoint.
+        // far smaller and cheaper than the full checkpoint.
         assert!(
             incr_bytes < 0.5 * snapshot_bytes,
             "delta {incr_bytes} B not smaller than full {snapshot_bytes} B"
@@ -394,8 +168,8 @@ fn snapshot_bench_checkpoint_and_restore_meet_the_floors() {
             incr_ms < full_ms,
             "delta {incr_ms} ms not cheaper than full {full_ms} ms"
         );
-        // Acceptance floors (measured ~250k/~40k keys/s on the recording
-        // box; an order of magnitude of headroom against machine variance).
+        // Measured ~300k / ~100k keys/s; an order of magnitude of headroom
+        // against machine variance.
         assert!(
             full_rate >= 10_000.0,
             "full checkpoint throughput regressed: {full_rate} keys/s < 10k"
@@ -405,213 +179,84 @@ fn snapshot_bench_checkpoint_and_restore_meet_the_floors() {
             "restore latency regressed: {restore_rate} keys/s < 2k"
         );
     }
-    assert_eq!(rows, 2, "expected exactly the 10k and 100k key rows");
+    assert_eq!(snapshot.matches("\"keys\": ").count(), 2, "two fleet sizes");
 }
 
 #[test]
-fn store_bench_rates_are_sane_and_the_facade_is_not_ruinous() {
-    let text = load_file("BENCH_store.json");
-    let mut rows = 0;
-    for chunk in text.split("\"keys\": ").skip(1) {
-        rows += 1;
-        let store = field_f64(chunk, "store_meps");
-        let map = field_f64(chunk, "hashmap_meps");
-        let relative = field_f64(chunk, "relative");
-        assert!(store > 0.0 && map > 0.0 && relative > 0.0);
-        // The recorded ratio must be consistent with the recorded rates.
-        let implied = store / map;
-        assert!(
-            (relative - implied).abs() <= 0.15 * implied,
-            "relative {relative} inconsistent with rates ({implied:.2})"
-        );
-        // Acceptance floor: the spec-built store (dyn dispatch + per-key
-        // grouping + eviction bookkeeping) must hold at least a quarter of
-        // hand-rolled concrete-sketch throughput.
-        assert!(
-            relative >= 0.25,
-            "store facade overhead regressed: {relative}x of hand-rolled"
-        );
-    }
-    assert_eq!(rows, 2, "expected exactly the 10k and 100k key rows");
-}
-
-#[test]
-fn store_bench_runs_kept_intact_beat_their_written_out_copies() {
-    let text = load_file("BENCH_store.json");
-    let row = text
-        .split("\"weighted\": ")
-        .nth(1)
-        .expect("missing the weighted row");
-    let weight = field_f64(row, "mean_weight");
-    assert!((6.0..=10.0).contains(&weight), "mean weight {weight}");
-    let runs = field_f64(row, "runs_meps");
-    let unbatched = field_f64(row, "unbatched_meps");
-    let ratio = field_f64(row, "runs_over_unbatched");
-    let implied = runs / unbatched;
-    assert!(
-        (ratio - implied).abs() <= 0.05 * implied,
-        "runs_over_unbatched {ratio} inconsistent with rates ({implied:.2})"
-    );
-    // Acceptance floor: at mean weight 8, `ingest_runs` must hold 1.5x the
-    // rate of writing every run out per occurrence and letting `ingest`
-    // regroup the copies (measured ~2.1x on the recording box).
-    assert!(
-        ratio >= 1.5,
-        "keeping runs intact lost its edge: {ratio}x of the written-out path"
-    );
-}
-
-#[test]
-fn views_bench_schema_is_valid() {
-    let text = load_file("BENCH_views.json");
-    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
-    assert!(text.contains("\"bench\": \"views\""));
-    assert!(field_f64(&text, "events") >= 1_000.0, "workload too small");
-    assert!(field_f64(&text, "keys") >= 2.0, "not multi-tenant");
-    assert!(field_f64(&text, "reads") >= 100.0, "too few read samples");
-    // Every view kind of the read matrix and every fleet size of the
-    // ingest matrix must be present.
-    for view in ["heavy_hitters", "threshold_self_join", "topk"] {
-        assert!(
-            text.contains(&format!("\"view\": \"{view}\"")),
-            "missing {view} read row"
-        );
-    }
-    for views in [0u64, 1, 16] {
-        assert!(
-            text.contains(&format!("\"views\": {views},")),
-            "missing {views}-view ingest row"
-        );
-    }
-}
-
-#[test]
-fn views_bench_reads_beat_recompute_and_the_ingest_tax_is_bounded() {
-    let text = load_file("BENCH_views.json");
-    for chunk in text.split("\"view\": ").skip(1) {
-        let read = field_f64(chunk, "read_us");
-        let recompute = field_f64(chunk, "recompute_us");
-        let speedup = field_f64(chunk, "speedup");
-        assert!(read > 0.0 && recompute > 0.0 && speedup > 0.0);
-        // The recorded speedup must be consistent with the recorded times.
-        let implied = recompute / read;
-        assert!(
-            (speedup - implied).abs() <= 0.15 * implied,
-            "speedup {speedup} inconsistent with times ({implied:.1})"
-        );
-        // Acceptance target: a maintained view answers ≥ 10× faster than
-        // recomputing from the sketch (measured 500–100 000× on the
-        // recording box — a cached clone vs a grid walk or a fleet scan).
-        assert!(
-            speedup >= 10.0,
-            "view-read speedup regressed: {speedup}x < 10x"
-        );
-    }
-    let mut base = None;
-    for chunk in text.split("\"views\": ").skip(1) {
-        let n: f64 = field_f64(chunk, "meps");
-        let relative = field_f64(chunk, "relative");
-        assert!(n > 0.0 && relative > 0.0);
-        let views = chunk
-            .split(',')
-            .next()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .expect("views count");
-        if views == 0 {
-            base = Some(n);
-            continue;
-        }
-        let implied = n / base.expect("0-view row comes first");
-        assert!(
-            (relative - implied).abs() <= 0.15 * implied,
-            "relative {relative} inconsistent with rates ({implied:.3})"
-        );
-        // Acceptance target: maintaining 16 hot views after every batch
-        // costs at most 20% of bare ingest throughput (measured ~2% —
-        // dirty-key tracking touches only the registered keys).
-        assert!(
-            relative >= 0.8,
-            "ingest tax at {views} views regressed: {relative}x of bare < 0.8x"
-        );
-    }
-}
-
-#[test]
-fn wal_bench_schema_is_valid() {
-    let text = load_file("BENCH_wal.json");
-    assert_eq!(field_f64(&text, "schema_version") as u64, 1);
-    assert!(text.contains("\"bench\": \"wal\""));
-    assert!(field_f64(&text, "events") >= 1_000.0, "workload too small");
-    assert!(field_f64(&text, "shards") >= 1.0);
-    assert!(field_f64(&text, "batch") >= 1.0);
-    // All three ingest modes and at least two replay lengths are recorded.
-    for key in ["off_meps", "on_meps", "on_over_off", "fsync_meps"] {
-        assert!(field_f64(&text, key) > 0.0, "{key} must be positive");
-    }
-    assert!(
-        text.split("\"wal_events\": ").skip(1).count() >= 2,
-        "expected several replay log lengths"
-    );
-}
-
-#[test]
-fn wal_bench_durability_tax_and_replay_meet_the_floors() {
-    let text = load_file("BENCH_wal.json");
-    let off = field_f64(&text, "off_meps");
-    let on = field_f64(&text, "on_meps");
-    let ratio = field_f64(&text, "on_over_off");
-    // The recorded ratio must be consistent with the recorded rates.
-    let implied = on / off;
-    assert!(
-        (ratio - implied).abs() <= 0.05 * implied,
-        "on_over_off {ratio} inconsistent with rates ({implied:.3})"
-    );
-    // Acceptance floor: ack-after-append may not cost more than half the
-    // enqueue-is-ack throughput (measured ~1x on the recording box — the
-    // append is a buffered page-cache write on the shard's own thread).
+fn the_log_costs_at_most_half_the_engines_ingest_rate() {
+    let text = load();
+    let wal = section(&text, "wal").lines().next().expect("wal line");
+    let off = field_f64(wal, "off_meps");
+    let on = field_f64(wal, "on_meps");
+    let ratio = field_f64(wal, "on_over_off");
+    assert!(off > 0.0 && on > 0.0 && field_f64(wal, "fsync_meps") > 0.0);
+    assert_consistent("on_over_off", ratio, on / off, 0.05);
+    // Ack-after-append is a buffered page-cache write on the shard's own
+    // thread; it may not cost more than half the enqueue-is-ack rate.
     assert!(
         ratio >= 0.5,
         "durability tax regressed: on is {ratio}x of off (< 0.5)"
     );
-    for chunk in text.split("\"wal_events\": ").skip(1) {
-        let events = field_f64(chunk, "replay_ms");
-        let meps = field_f64(chunk, "replay_meps");
-        assert!(events > 0.0);
-        // Acceptance floor: recovery replays at least 1M events/s
-        // (measured ~3.3 Meps), so even a maximal 16 MiB-per-shard log is
-        // replayed in well under a second.
-        assert!(meps >= 1.0, "replay throughput regressed: {meps} Meps < 1");
-    }
 }
 
 #[test]
-fn wal_bench_weighted_log_is_per_run_and_its_replay_streams() {
-    let text = load_file("BENCH_wal.json");
-    let row = text
-        .split("\"weighted\": ")
-        .nth(1)
-        .expect("missing the weighted row");
-    let weight = field_f64(row, "mean_weight");
-    assert!((6.0..=10.0).contains(&weight), "mean weight {weight}");
-    let log = field_f64(row, "log_bytes");
-    let peak = field_f64(row, "replay_peak_bytes");
-    let share = field_f64(row, "replay_peak_bytes_over_log_bytes");
-    assert!(log > 0.0 && peak > 0.0);
+fn top_k_prunes_the_scan() {
+    let text = load();
+    let top_k = section(&text, "top_k");
+    assert_eq!(field_f64(top_k, "resident_keys") as u64, 10_000);
+    assert_eq!(field_f64(top_k, "k") as u64, 10);
+    let pruned = field_f64(top_k, "pruned_us");
+    let scan = field_f64(top_k, "scan_us");
+    assert!(pruned > 0.0 && scan > 0.0);
+    // The ranking reads one arrivals bound per key and scores the few
+    // that can place; at 10 000 skewed keys that is orders of magnitude
+    // under a scan. Below 5x, sketches are being scored wholesale again.
     assert!(
-        (share - peak / log).abs() <= 0.01,
-        "replay_peak_bytes_over_log_bytes {share} inconsistent with {peak} / {log}"
+        scan >= 5.0 * pruned,
+        "top_k at 10 000 keys: pruned {pruned} us vs scan {scan} us is under 5x"
     );
-    // Acceptance floors: a runs record costs a line, not an occurrence
-    // (measured ~1.5 B per occurrence where an events record took 10.9),
-    // and a replay holds one decoded record, not the log (measured ~0.26
-    // of a 300 KB log, where decoding every record first took ~8x).
-    let per_occurrence = field_f64(row, "bytes_per_occurrence");
-    assert!(
-        per_occurrence <= 2.5,
-        "the log grew per occurrence again: {per_occurrence} B"
-    );
-    assert!(
-        share <= 1.0,
-        "replay holds {share}x the log above the store"
-    );
+}
+
+/// One instrument per question: a second bench file at the workspace root,
+/// or a benchmark doc naming a file or bench target that is gone, is how
+/// the parallel bench system this file replaced grew.
+#[test]
+fn there_is_one_bench_file_and_the_doc_names_only_what_exists() {
+    let bench_files: Vec<String> = std::fs::read_dir(root())
+        .expect("workspace root")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .collect();
+    assert_eq!(bench_files, ["BENCH_kernels.json"]);
+
+    let doc = std::fs::read_to_string(root().join("docs/BENCHMARKS.md")).expect("the doc");
+    let mut words = doc
+        .split(|c: char| c.is_whitespace() || "`[]()\",;".contains(c))
+        .map(|w| w.trim_end_matches('.'))
+        .filter(|w| !w.is_empty());
+    while let Some(word) = words.next() {
+        // `Engine::start`-style and `file.rs:12`-style suffixes name the
+        // file before the colon; globs and placeholders name no one file.
+        let path = word.split(':').next().unwrap_or(word);
+        let names_a_file = ["crates/", "benchmark/", "docs/", "tests/", ".github/"]
+            .iter()
+            .any(|dir| path.starts_with(dir))
+            || (path.starts_with("BENCH") && path.ends_with(".json"));
+        if names_a_file && !path.contains(['*', '<', '{']) {
+            assert!(
+                root().join(path).exists(),
+                "the doc names {path}: no such file"
+            );
+        }
+        if word == "--bench" {
+            let target = words.next().expect("a target after --bench");
+            assert!(
+                root()
+                    .join(format!("crates/bench/benches/{target}.rs"))
+                    .exists(),
+                "the doc names bench target {target}: no such target"
+            );
+        }
+    }
 }

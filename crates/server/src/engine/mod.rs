@@ -38,6 +38,7 @@
 //!   before the worker exits.
 
 mod hub;
+mod manifest;
 mod router;
 mod shard;
 mod supervisor;

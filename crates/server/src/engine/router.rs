@@ -13,26 +13,22 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ecm::{
-    QueryError, Ranking, SketchStore, SpecError, StandingQuery, StreamEvent, ViewAnswer, ViewDef,
-    ViewError, ViewReadout, WindowSpec,
+    QueryError, Ranking, SpecError, StandingQuery, StreamEvent, ViewAnswer, ViewDef, ViewError,
+    ViewReadout, WindowSpec,
 };
 
 use super::hub::ViewHub;
-use super::shard;
+use super::manifest::{read_manifest, write_manifest, MANIFEST};
 use super::supervisor::{self, Fleet, SlotState};
-use super::wal::{ShardWal, WalConfig};
 use super::{route, ShardMsg, ShardReply, ShardStats, ShardStatus, ViewsSummary};
 use crate::config::ServerConfig;
-use crate::fault::{FaultHook, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::protocol::{parse_view_def, wire_view_def, OwnedQuery};
 
 /// Hard cap on the total event occurrences one [`Engine::ingest`] call may
 /// expand to (batch lines × per-line counts): keeps one request from
 /// ballooning into an unbounded allocation.
 pub const MAX_INGEST_OCCURRENCES: u64 = 1 << 22;
-
-/// Name of the snapshot-directory manifest recording the shard layout.
-const MANIFEST: &str = "MANIFEST.json";
 
 /// Why an engine call failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,71 +312,12 @@ impl Engine {
             None => FaultPlan::default(),
         };
         let hub = Arc::new(ViewHub::new(cfg.subscriber_outbox));
-        let wal_cfg = cfg.durability.then_some(WalConfig {
-            segment_bytes: cfg.wal_segment_bytes,
-            compact_bytes: cfg.wal_compact_bytes,
-            fsync: cfg.wal_fsync,
-        });
-        let item_limit = cfg
-            .spec
-            .hierarchy_bits()
-            .map(|bits| 1u64.checked_shl(bits).unwrap_or(u64::MAX));
         let (exit_tx, exit_rx) = channel();
-        let fleet = Arc::new(Fleet::new(
-            cfg.shards,
-            Instant::now(),
-            cfg.snapshot_dir.clone(),
-            cfg.durability,
-            cfg.spec.clone(),
-            wal_cfg,
-            cfg,
-            item_limit,
-            restored_views,
-            hub,
-            exit_tx,
-            faults,
-        ));
-        for i in 0..cfg.shards {
-            let (store, wal) = if cfg.durability {
-                let dir = cfg.snapshot_dir.as_deref().expect("validated above");
-                // The latest checkpoint (when one exists), then the log on
-                // top of it; a crash before any checkpoint replays the
-                // whole log into a fresh store.
-                let mut store = if dir.join(shard::full_file(i)).exists() {
-                    shard::restore(i, dir).map_err(EngineError::Restore)?
-                } else {
-                    SketchStore::new(cfg.spec.clone())?
-                };
-                let (wal, _report) = ShardWal::open(
-                    dir,
-                    i,
-                    wal_cfg.expect("durable has a wal config"),
-                    &mut store,
-                    FaultHook::new(&fleet.faults, i, supervisor::WAL_SALT),
-                )
-                .map_err(EngineError::Restore)?;
-                (store, Some(wal))
-            } else {
-                let store = match restore_from {
-                    Some(dir) => shard::restore(i, dir).map_err(EngineError::Restore)?,
-                    None => SketchStore::new(cfg.spec.clone())?,
-                };
-                (store, None)
-            };
-            // Each shard rebuilds exactly the restored views it owns:
-            // keyed views live on the key's shard, fleet views everywhere.
-            let shard_views: Vec<ViewDef<String>> = fleet
-                .views
-                .lock()
-                .expect("view registry poisoned")
-                .values()
-                .filter(|def| match &def.key {
-                    Some(k) => route(k, cfg.shards) == i,
-                    None => true,
-                })
-                .cloned()
-                .collect();
-            supervisor::spawn_worker(&fleet, i, store, wal, shard_views);
+        let fleet = Arc::new(Fleet::new(cfg, restored_views, hub, exit_tx, faults));
+        for shard in 0..cfg.shards {
+            let (store, wal, views) =
+                supervisor::recover_shard(&fleet, shard).map_err(EngineError::Restore)?;
+            supervisor::spawn_worker(&fleet, shard, store, wal, views);
         }
         let supervisor_stop = Arc::new(AtomicBool::new(false));
         let sup_fleet = Arc::clone(&fleet);
@@ -831,7 +768,7 @@ impl Engine {
         &self,
         registry: &BTreeMap<String, ViewDef<String>>,
     ) -> Result<(), EngineError> {
-        if !self.fleet.durable {
+        if self.fleet.wal_cfg.is_none() {
             return Ok(());
         }
         let dir = self
@@ -1107,119 +1044,4 @@ impl std::fmt::Debug for Engine {
             .field("snapshot_dir", &self.fleet.snapshot_dir)
             .finish()
     }
-}
-
-/// JSON-escape a manifest view string. View wire definitions are
-/// whitespace-joined tokens, so only `"` and `\` can actually occur, but
-/// the full escape keeps the manifest valid JSON no matter what.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Write the snapshot-layout manifest
-/// (`{"shards":N,"views":["…", …]}`) via a same-dir temp + rename, so a
-/// crash mid-write can't tear the manifest a restart needs to restore at
-/// all. Each view is persisted as its `VIEW CREATE` wire tail, re-parsed
-/// on restore by the same protocol grammar that created it.
-fn write_manifest(dir: &Path, shards: usize, views: &[String]) -> Result<(), EngineError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| EngineError::Snapshot(format!("create {}: {e}", dir.display())))?;
-    let views: Vec<String> = views
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect();
-    let tmp = dir.join(format!(".tmp.{MANIFEST}"));
-    std::fs::write(
-        &tmp,
-        format!("{{\"shards\":{shards},\"views\":[{}]}}\n", views.join(",")),
-    )
-    .map_err(|e| EngineError::Snapshot(format!("write {}: {e}", tmp.display())))?;
-    let path = dir.join(MANIFEST);
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| EngineError::Snapshot(format!("rename {}: {e}", path.display())))
-}
-
-/// Parse the JSON string array following `at` in `text` (the opening `[`
-/// position): minimal, escape-aware, and tolerant of whitespace.
-fn parse_string_array(text: &str, context: &str) -> Result<Vec<String>, EngineError> {
-    let corrupt = |what: &str| EngineError::Restore(format!("{context}: {what}"));
-    let mut out = Vec::new();
-    let mut chars = text.chars();
-    loop {
-        // Between elements: skip whitespace and separators until a string
-        // opens or the array closes.
-        let open = loop {
-            match chars.next() {
-                Some(']') => return Ok(out),
-                Some('"') => break '"',
-                Some(c) if c.is_whitespace() || c == ',' => continue,
-                _ => return Err(corrupt("malformed view array")),
-            }
-        };
-        let _ = open;
-        let mut s = String::new();
-        loop {
-            match chars.next() {
-                Some('"') => break,
-                Some('\\') => match chars.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('n') => s.push('\n'),
-                    Some('r') => s.push('\r'),
-                    Some('t') => s.push('\t'),
-                    Some('u') => {
-                        let hex: String = chars.by_ref().take(4).collect();
-                        let code =
-                            u32::from_str_radix(&hex, 16).map_err(|_| corrupt("bad \\u escape"))?;
-                        s.push(char::from_u32(code).ok_or_else(|| corrupt("bad \\u escape"))?);
-                    }
-                    _ => return Err(corrupt("bad escape")),
-                },
-                Some(c) => s.push(c),
-                None => return Err(corrupt("unterminated view string")),
-            }
-        }
-        out.push(s);
-    }
-}
-
-/// Read the shard count and persisted view definitions back from the
-/// manifest. A PR-7-era manifest without a `views` field restores with an
-/// empty view set.
-fn read_manifest(dir: &Path) -> Result<(usize, Vec<String>), EngineError> {
-    let path = dir.join(MANIFEST);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| EngineError::Restore(format!("read {}: {e}", path.display())))?;
-    let needle = "\"shards\":";
-    let at = text
-        .find(needle)
-        .ok_or_else(|| EngineError::Restore(format!("{}: no shard count", path.display())))?;
-    let digits: String = text[at + needle.len()..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    let shards = digits
-        .parse()
-        .map_err(|e| EngineError::Restore(format!("{}: bad shard count: {e}", path.display())))?;
-    let views = match text.find("\"views\":") {
-        None => Vec::new(),
-        Some(at) => {
-            let rest = &text[at + "\"views\":".len()..];
-            let open = rest
-                .find('[')
-                .ok_or_else(|| EngineError::Restore(format!("{}: bad views", path.display())))?;
-            parse_string_array(&rest[open + 1..], &format!("{} views", path.display()))?
-        }
-    };
-    Ok((shards, views))
 }

@@ -374,7 +374,12 @@ fn remove_stale_deltas(shard: usize, dir: &Path) {
 }
 
 /// Restore one shard's store from a snapshot directory: load the full
-/// checkpoint, then apply every delta in sequence order.
+/// checkpoint, then apply the deltas cut after it in sequence order.
+///
+/// A delta numbered at or below the full checkpoint's sequence was cut
+/// before it — a crash or a failed unlink between landing the `.full` and
+/// [`remove_stale_deltas`] leaves such files behind — so it is skipped and
+/// removed. A gap *above* the full checkpoint is a broken chain and fails.
 pub(super) fn restore(shard: usize, dir: &Path) -> Result<SketchStore<String>, String> {
     let full = dir.join(full_file(shard));
     let bytes = std::fs::read(&full).map_err(|e| format!("read {}: {e}", full.display()))?;
@@ -391,7 +396,14 @@ pub(super) fn restore(shard: usize, dir: &Path) -> Result<SketchStore<String>, S
         }
     }
     deltas.sort();
+    let full_seq = store.checkpoint_seq();
     for path in deltas {
+        let name = path.file_name().map(|n| n.to_string_lossy());
+        let seq = name.and_then(|n| n[prefix.len()..].parse::<u64>().ok());
+        if seq.is_some_and(|seq| seq <= full_seq) {
+            let _ = std::fs::remove_file(&path);
+            continue;
+        }
         let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         store
             .apply_incremental(&bytes)

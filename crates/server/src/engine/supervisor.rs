@@ -31,9 +31,11 @@ use std::time::{Duration, Instant};
 use ecm::{Epoch, LeftRight, SketchSpec, SketchStore, ViewDef};
 
 use super::hub::ViewHub;
+use super::manifest::MANIFEST;
 use super::shard;
 use super::wal::{ShardWal, WalConfig};
 use super::{route, ShardHealth, ShardMsg};
+use crate::config::ServerConfig;
 use crate::fault::{FaultHook, FaultPlan};
 use crate::protocol::response;
 
@@ -41,7 +43,7 @@ use crate::protocol::response;
 /// to the same shard and must not share a random stream).
 const WORKER_SALT: u64 = 0x574f_524b;
 /// Salt for the WAL-side fault hook.
-pub(super) const WAL_SALT: u64 = 0x57_414c;
+const WAL_SALT: u64 = 0x57_414c;
 
 /// How often the supervisor wakes to run the wedge health check and poll
 /// its stop flag.
@@ -204,8 +206,8 @@ pub(super) struct Fleet {
     /// Ingest/shutdown gate (see [`Engine`](super::Engine)).
     pub(super) down: RwLock<bool>,
     pub(super) snapshot_dir: Option<PathBuf>,
-    pub(super) durable: bool,
     pub(super) spec: SketchSpec,
+    /// `Some` exactly when the engine is durable.
     pub(super) wal_cfg: Option<WalConfig>,
     pub(super) mailbox_depth: usize,
     pub(super) admission_timeout: Duration,
@@ -221,35 +223,36 @@ pub(super) struct Fleet {
 }
 
 impl Fleet {
-    /// An empty fleet skeleton; the router restores stores and calls
+    /// An empty fleet skeleton; the router calls [`recover_shard`] and
     /// [`spawn_worker`] per shard, then starts the supervisor.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
-        shards: usize,
-        epoch: Instant,
-        snapshot_dir: Option<PathBuf>,
-        durable: bool,
-        spec: SketchSpec,
-        wal_cfg: Option<WalConfig>,
-        cfg: &crate::config::ServerConfig,
-        item_limit: Option<u64>,
+        cfg: &ServerConfig,
         views: BTreeMap<String, ViewDef<String>>,
         hub: Arc<ViewHub>,
         exit_tx: Sender<ExitNotice>,
         faults: FaultPlan,
     ) -> Fleet {
+        let epoch = Instant::now();
         Fleet {
-            slots: (0..shards).map(|_| ShardSlot::new(epoch, &spec)).collect(),
+            slots: (0..cfg.shards)
+                .map(|_| ShardSlot::new(epoch, &cfg.spec))
+                .collect(),
             down: RwLock::new(false),
-            snapshot_dir,
-            durable,
-            spec,
-            wal_cfg,
+            snapshot_dir: cfg.snapshot_dir.clone(),
+            spec: cfg.spec.clone(),
+            wal_cfg: cfg.durability.then_some(WalConfig {
+                segment_bytes: cfg.wal_segment_bytes,
+                compact_bytes: cfg.wal_compact_bytes,
+                fsync: cfg.wal_fsync,
+            }),
             mailbox_depth: cfg.mailbox_depth,
             admission_timeout: cfg.admission_timeout,
             request_timeout: cfg.request_timeout,
             health_deadline: cfg.health_deadline,
-            item_limit,
+            item_limit: cfg
+                .spec
+                .hierarchy_bits()
+                .map(|bits| 1u64.checked_shl(bits).unwrap_or(u64::MAX)),
             views: Mutex::new(views),
             hub,
             exit_tx,
@@ -397,54 +400,59 @@ fn respawn(fleet: &Arc<Fleet>, shard: usize) {
     }
 }
 
-/// The restore-and-respawn core, shared with nothing else: exactly the
-/// startup path (checkpoint, then WAL replay, then view re-registration)
-/// scoped to one shard.
-fn rebuild(fleet: &Arc<Fleet>, shard: usize) -> Result<(), String> {
-    let shards = fleet.slots.len();
-    let shard_views: Vec<ViewDef<String>> = fleet
+/// What [`recover_shard`] hands to [`spawn_worker`]: the shard's store, its
+/// log when durable, and the registered views it owns.
+pub(super) type Recovered = (SketchStore<String>, Option<ShardWal>, Vec<ViewDef<String>>);
+
+/// Rebuild one shard's state from disk — at start-up and on every respawn:
+/// the checkpoint chain of a snapshot directory that has a manifest, the
+/// write-ahead log replayed on top when durable (a durable shard that has
+/// not checkpointed yet has only its log), and the registered views the
+/// shard owns: keyed views live on the key's shard, fleet views everywhere.
+/// Without a log, events acked after the last checkpoint are lost.
+pub(super) fn recover_shard(fleet: &Fleet, shard: usize) -> Result<Recovered, String> {
+    let dir = fleet.snapshot_dir.as_deref();
+    let mut store = match dir.filter(|dir| dir.join(MANIFEST).exists()) {
+        Some(dir) if fleet.wal_cfg.is_none() || dir.join(shard::full_file(shard)).exists() => {
+            shard::restore(shard, dir)?
+        }
+        _ => SketchStore::new(fleet.spec.clone()).map_err(|e| format!("fresh store: {e}"))?,
+    };
+    let wal = match fleet.wal_cfg {
+        Some(cfg) => {
+            let dir = dir.expect("durable has a dir");
+            let faults = FaultHook::new(&fleet.faults, shard, WAL_SALT);
+            let (wal, _report) = ShardWal::open(dir, shard, cfg, &mut store, faults)?;
+            Some(wal)
+        }
+        None => None,
+    };
+    let views = fleet
         .views
         .lock()
         .expect("view registry poisoned")
         .values()
         .filter(|def| match &def.key {
-            Some(k) => route(k, shards) == shard,
+            Some(k) => route(k, fleet.slots.len()) == shard,
             None => true,
         })
         .cloned()
         .collect();
-    let has_checkpoint = |dir: &std::path::Path| dir.join(shard::full_file(shard)).exists();
-    let (store, wal) = if fleet.durable {
-        let dir = fleet.snapshot_dir.as_deref().expect("durable has a dir");
-        let mut store = if has_checkpoint(dir) {
-            shard::restore(shard, dir)?
-        } else {
-            SketchStore::new(fleet.spec.clone()).map_err(|e| format!("fresh store: {e}"))?
-        };
-        let cfg = fleet.wal_cfg.expect("durable has a wal config");
-        let faults = FaultHook::new(&fleet.faults, shard, WAL_SALT);
-        let (wal, _report) = ShardWal::open(dir, shard, cfg, &mut store, faults)?;
-        (store, Some(wal))
-    } else {
-        // No log to replay: the last checkpoint (when any) is the best
-        // available state — events acked after it are lost.
-        let store = match fleet.snapshot_dir.as_deref().filter(|d| has_checkpoint(d)) {
-            Some(dir) => shard::restore(shard, dir)?,
-            None => {
-                SketchStore::new(fleet.spec.clone()).map_err(|e| format!("fresh store: {e}"))?
-            }
-        };
-        (store, None)
-    };
+    Ok((store, wal, views))
+}
+
+/// Recover the shard and spawn its replacement worker.
+fn rebuild(fleet: &Arc<Fleet>, shard: usize) -> Result<(), String> {
+    let (store, wal, views) = recover_shard(fleet, shard)?;
     // Subscribers learn of the gap before the new worker can publish its
     // first post-restart notification (only this shard's worker publishes
     // for these views, and it does not exist yet).
-    for def in &shard_views {
+    for def in &views {
         fleet
             .hub
             .publish(&def.name, &response::restarted(&def.name, shard));
     }
-    spawn_worker(fleet, shard, store, wal, shard_views);
+    spawn_worker(fleet, shard, store, wal, views);
     Ok(())
 }
 

@@ -25,11 +25,10 @@
 //!   JSON responses that carry every estimate **with** its (ε, δ)
 //!   guarantee, served over threaded TCP with per-connection read/write
 //!   timeouts and a connection cap.
-//! * **Client + load generator** ([`client`], [`loadgen`]) — a pipelining
-//!   `sketch-client` library and a `loadgen` binary that replays
-//!   `stream-gen` bursty-Zipf scenarios over M connections against a live
-//!   server and reports *client-observed* ingest throughput and query
-//!   latency percentiles into the schema-validated `BENCH_server.json`.
+//! * **Client** ([`client`]) — a pipelining `sketch-client` library with
+//!   typed errors and seeded retry. (What the served system costs is
+//!   priced from outside the process by `sketchbench`, the repo benchmark
+//!   in `benchmark/`; see `docs/BENCHMARKS.md`.)
 //!
 //! # Quick start
 //!
@@ -54,7 +53,6 @@ pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod frontend;
-pub mod loadgen;
 pub mod protocol;
 
 pub use client::{answer_now, Client, ClientError, RetryPolicy};

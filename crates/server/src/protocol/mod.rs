@@ -41,6 +41,7 @@
 //! or `<name> topk <k> <window>` (see
 //! [`parser::parse_view_def`]).
 
+pub(crate) mod json;
 pub mod parser;
 pub mod response;
 

@@ -10,24 +10,8 @@
 
 use ecm::{Answer, Estimate, QueryError, ViewAnswer, ViewError, ViewEvent, ViewReadout};
 
+use super::json::escape;
 use crate::engine::{ShardStatus, SnapshotReport, ViewsSummary};
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Shortest-round-trip rendering of a finite `f64`; `null` otherwise.
 fn float(v: f64) -> String {

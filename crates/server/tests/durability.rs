@@ -473,3 +473,156 @@ fn durability_without_a_snapshot_dir_is_refused_typed() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One-shard config over `dir`, so the shard's checkpoint file is the
+/// whole store and compares byte for byte with an un-sharded mirror's.
+fn one_shard_config(dir: &Path, durable: bool) -> ServerConfig {
+    ServerConfig::new(spec())
+        .shards(1)
+        .read_timeout(Duration::from_secs(10))
+        .snapshot_dir(dir.to_path_buf())
+        .durability(durable)
+}
+
+/// `SNAPSHOT <dir> <mode>` over the wire, acked.
+fn snapshot_acked(client: &mut Client, dir: &Path, mode: &str) {
+    let resp = client
+        .call(&format!("SNAPSHOT {} {mode}", dir.display()))
+        .expect("SNAPSHOT");
+    assert!(response::is_ok(&resp), "snapshot refused: {resp}");
+}
+
+/// What a SIGKILL would leave of `dir`: every acked byte is already in its
+/// file (ack-after-append), so a copy taken between requests is the crash
+/// image — without the final checkpoint a graceful stop would write.
+fn crash_image(dir: &Path, tag: &str) -> PathBuf {
+    let image = scratch(tag);
+    for entry in std::fs::read_dir(dir).expect("read dir").flatten() {
+        std::fs::copy(entry.path(), image.join(entry.file_name())).expect("copy");
+    }
+    image
+}
+
+/// Feed the mirror in the frames [`ingest_acked`] sends: the store's
+/// eviction stamps count batches, and the snapshot bytes carry them.
+fn mirror_acked(mirror: &mut SketchStore<String>, events: &[(String, StreamEvent)]) {
+    for chunk in events.chunks(512) {
+        mirror.ingest(chunk);
+    }
+}
+
+fn full_then_two_deltas_then_restart(durable: bool) {
+    let tag = if durable { "chain-on" } else { "chain-off" };
+    let dir = scratch(tag);
+    let mut mirror: SketchStore<String> = SketchStore::new(spec()).unwrap();
+    let server = Server::start(one_shard_config(&dir, durable)).expect("start");
+    let mut client = connect(server.local_addr());
+
+    // full → incr → incr, with writes in between; the mirror cuts the same
+    // checkpoints so its sequence numbers line up with the shard's.
+    let mut now = 1;
+    for (round, mode) in ["full", "incr", "incr"].into_iter().enumerate() {
+        let events = trace(1_500, 0xC4A1 + round as u64, now);
+        now = events.last().unwrap().1.ts;
+        mirror_acked(&mut mirror, &events);
+        ingest_acked(&mut client, &events);
+        snapshot_acked(&mut client, &dir, mode);
+        if mode == "full" {
+            mirror.write_snapshot().unwrap();
+        } else {
+            mirror.write_incremental().unwrap();
+        }
+    }
+    for seq in [2, 3] {
+        assert!(
+            dir.join(format!("shard-0.delta-{seq:06}")).exists(),
+            "no delta {seq} on disk"
+        );
+    }
+    // With a log, what is acked after the last delta survives too.
+    if durable {
+        let tail = trace(700, 0x7A11, now);
+        mirror_acked(&mut mirror, &tail);
+        ingest_acked(&mut client, &tail);
+    }
+    let image = crash_image(&dir, &format!("{tag}-image"));
+    client.call("SHUTDOWN").expect("shutdown");
+    server.join();
+
+    // The restart loads the full, applies both deltas (and replays the log
+    // tail), and its next full checkpoint is the mirror's, byte for byte.
+    let server = Server::start(one_shard_config(&image, durable)).expect("restart");
+    let mut client = connect(server.local_addr());
+    let export = scratch(&format!("{tag}-export"));
+    snapshot_acked(&mut client, &export, "full");
+    let restored = std::fs::read(export.join("shard-0.full")).expect("exported checkpoint");
+    assert!(
+        restored == mirror.write_snapshot().unwrap(),
+        "restored store differs from the mirror (durability {durable})"
+    );
+    client.call("SHUTDOWN").expect("shutdown");
+    server.join();
+    for dir in [dir, image, export] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_full_and_two_deltas_restart_to_the_mirror_store_byte_for_byte() {
+    full_then_two_deltas_then_restart(false);
+    full_then_two_deltas_then_restart(true);
+}
+
+#[test]
+fn a_delta_older_than_the_full_checkpoint_is_skipped_and_a_gap_above_it_still_fails() {
+    let dir = scratch("stale-delta");
+    let mut mirror: SketchStore<String> = SketchStore::new(spec()).unwrap();
+    let server = Server::start(one_shard_config(&dir, false)).expect("start");
+    let mut client = connect(server.local_addr());
+    let delta2 = dir.join("shard-0.delta-000002");
+    let mut stale = Vec::new();
+    let mut now = 1;
+    for (round, mode) in ["full", "incr", "full"].into_iter().enumerate() {
+        let events = trace(1_000, 0x57A1 + round as u64, now);
+        now = events.last().unwrap().1.ts;
+        mirror.ingest(&events);
+        ingest_acked(&mut client, &events);
+        snapshot_acked(&mut client, &dir, mode);
+        if mode == "incr" {
+            stale = std::fs::read(&delta2).expect("delta 2 on disk");
+        }
+    }
+    assert!(!delta2.exists(), "the second full removes the delta");
+    client.call("SHUTDOWN").expect("shutdown");
+    server.join();
+
+    // The crash window between landing a full and unlinking the deltas it
+    // supersedes, re-created: delta 2 is back beside the full of the
+    // graceful stop (checkpoint 4).
+    std::fs::write(&delta2, &stale).expect("re-plant delta 2");
+    let server = Server::start(one_shard_config(&dir, false)).expect("restart over a stale delta");
+    assert!(!delta2.exists(), "the stale delta is cleaned up");
+    let mut client = connect(server.local_addr());
+    assert_bit_identical(&mut client, &mirror, now);
+    client.call("SHUTDOWN").expect("shutdown");
+    server.join();
+
+    // A delta *above* the full whose base is not the full is a broken
+    // chain, not a leftover: checkpoint 5 is on disk now, this one applies
+    // to 6.
+    let mut ahead: SketchStore<String> = SketchStore::new(spec()).unwrap();
+    for _ in 0..6 {
+        ahead.write_snapshot().unwrap();
+    }
+    ahead.insert("user-0".to_string(), now, 1);
+    let gap = dir.join("shard-0.delta-000007");
+    std::fs::write(&gap, ahead.write_incremental().unwrap()).expect("plant delta 7");
+    let err = Server::start(one_shard_config(&dir, false)).expect_err("a gap must refuse");
+    assert!(
+        err.to_string()
+            .contains("incremental snapshot applies to checkpoint 6, store is at 5"),
+        "unexpected error: {err}"
+    );
+    assert!(gap.exists(), "a delta above the full is never removed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
