@@ -1,9 +1,8 @@
 //! Criterion microbenchmarks for the extension modules: hybrid histograms
-//! (range-query baseline), sharded ingestion, the equi-width baseline, the
-//! reorder buffer, and wraparound-timestamp packing.
+//! (range-query baseline), the equi-width baseline, the reorder buffer, and
+//! wraparound-timestamp packing.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ecm::{EcmBuilder, Query, ShardedEcm, SketchReader, WindowSpec};
 use sliding_window::traits::WindowCounter;
 use sliding_window::{
     BitPacker, EquiWidthConfig, EquiWidthWindow, HybridConfig, HybridHistogram, ReorderBuffer,
@@ -59,34 +58,6 @@ fn equi_width_bench(c: &mut Criterion) {
     g.finish();
 }
 
-fn sharded_bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sharded_ecm");
-    g.sample_size(10);
-    let cfg = EcmBuilder::new(0.1, 0.1, N).seed(3).eh_config();
-    let pairs: Vec<(u64, u64)> = (1..=N).map(|i| ((i * 13) % 500, i)).collect();
-    for shards in [1usize, 4] {
-        g.bench_function(format!("ingest_10k_{shards}shards"), |b| {
-            b.iter(|| {
-                ShardedEcm::<sliding_window::ExponentialHistogram>::ingest_parallel(
-                    &cfg,
-                    shards,
-                    pairs.iter().copied(),
-                )
-            })
-        });
-    }
-    let sh = ShardedEcm::<sliding_window::ExponentialHistogram>::ingest_parallel(
-        &cfg,
-        4,
-        pairs.iter().copied(),
-    );
-    g.bench_function("point_query", |b| {
-        let w = WindowSpec::time(N, N);
-        b.iter(|| black_box(sh.query(&Query::point(black_box(42)), w).unwrap()))
-    });
-    g.finish();
-}
-
 fn reorder_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("reorder_buffer");
     g.bench_function("offer_10k_jittered", |b| {
@@ -137,7 +108,6 @@ criterion_group!(
     benches,
     hybrid_bench,
     equi_width_bench,
-    sharded_bench,
     reorder_bench,
     timestamp_bench
 );

@@ -14,10 +14,10 @@
 //!   answers queries, which is what registries, serving layers and the
 //!   keyed [`SketchStore`](crate::store::SketchStore) hold.
 //! * [`SketchSpec`] — a validating builder that replaces per-backend
-//!   constructor knowledge (`EcmConfig` flavors, positional `DecayedCm` /
-//!   `ShardedEcm` arguments) with one declarative description — clock,
-//!   window, accuracy, [`Backend`], optional dyadic hierarchy or sharding —
-//!   and [`build`](SketchSpec::build)s any backend as `Box<dyn Sketch>`.
+//!   constructor knowledge (`EcmConfig` flavors, positional `DecayedCm`
+//!   arguments) with one declarative description — clock, window,
+//!   accuracy, [`Backend`], optional dyadic hierarchy — and
+//!   [`build`](SketchSpec::build)s any backend as `Box<dyn Sketch>`.
 //!   Invalid or conflicting descriptions are [`SpecError`]s, not panics.
 //! * [`SpecBackend`] — the typed escape hatch: when code needs a *concrete*
 //!   `EcmConfig<W>` (e.g. the `distributed` crate's mergeable site
@@ -49,12 +49,11 @@
 //!
 //! // Descriptions that cannot be built are errors, not panics.
 //! assert!(SketchSpec::time(0).build().is_err());
-//! assert!(SketchSpec::count(100).sharded(4).build().is_err());
+//! assert!(SketchSpec::count(100).backend(Backend::Decayed).build().is_err());
 //! ```
 
 use std::fmt;
 
-use crate::concurrent::ShardedEcm;
 use crate::config::{EcmBuilder, EcmConfig, QueryKind};
 use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
 use crate::decayed_cm::{DecayedCm, DecayedCmConfig};
@@ -203,28 +202,6 @@ where
     }
 }
 
-impl<W> SketchWriter for ShardedEcm<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn insert(&mut self, ts: u64, item: u64) {
-        ShardedEcm::insert(self, item, ts);
-    }
-
-    fn insert_weighted(&mut self, ts: u64, item: u64, weight: u64) {
-        ShardedEcm::insert_weighted(self, item, ts, weight);
-    }
-
-    fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        ShardedEcm::ingest_batch(self, events);
-    }
-
-    fn advance_to(&mut self, ts: u64) {
-        ShardedEcm::advance_to(self, ts);
-    }
-}
-
 impl<W> SketchWriter for CountBasedEcm<W>
 where
     W: WindowCounter + 'static,
@@ -365,7 +342,8 @@ pub enum SpecError {
         detail: String,
     },
     /// Two requested features cannot be combined (e.g. a count-based clock
-    /// with sharding, or a decayed backend under a dyadic hierarchy).
+    /// with the decayed backend, or a decayed backend under a dyadic
+    /// hierarchy).
     Conflict {
         /// The incompatible pair and why.
         detail: &'static str,
@@ -404,8 +382,8 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// A declarative, validating description of a sketch: clock, window,
-/// accuracy targets, [`Backend`], and optional structure (dyadic hierarchy,
-/// sharding). One spec [`build`](SketchSpec::build)s any backend as a
+/// accuracy targets, [`Backend`], and an optional dyadic hierarchy. One
+/// spec [`build`](SketchSpec::build)s any backend as a
 /// [`Box<dyn Sketch>`](Sketch) — the write-side analogue of routing one
 /// [`Query`](crate::query::Query) value over interchangeable readers.
 ///
@@ -447,7 +425,6 @@ pub struct SketchSpec {
     pub(crate) seed: u64,
     pub(crate) max_arrivals: Option<u64>,
     pub(crate) hierarchy_bits: Option<u32>,
-    pub(crate) shards: Option<usize>,
 }
 
 impl SketchSpec {
@@ -462,7 +439,6 @@ impl SketchSpec {
             seed: 0,
             max_arrivals: None,
             hierarchy_bits: None,
-            shards: None,
         }
     }
 
@@ -524,13 +500,6 @@ impl SketchSpec {
         self
     }
 
-    /// Partition the key universe over `n` shard sketches
-    /// ([`ShardedEcm`]); time-based clocks only.
-    pub fn sharded(mut self, n: usize) -> Self {
-        self.shards = Some(n);
-        self
-    }
-
     /// The spec's clock.
     pub fn clock(&self) -> Clock {
         self.clock
@@ -574,11 +543,6 @@ impl SketchSpec {
                 return Err(SpecError::InvalidBits { got: bits });
             }
         }
-        if self.shards == Some(0) {
-            return Err(SpecError::InvalidParameter {
-                detail: "shard count must be positive".into(),
-            });
-        }
         if self.max_arrivals == Some(0) {
             return Err(SpecError::InvalidParameter {
                 detail: "max_arrivals must be positive".into(),
@@ -591,18 +555,6 @@ impl SketchSpec {
                 });
             }
         }
-        if self.hierarchy_bits.is_some() && self.shards.is_some() {
-            return Err(SpecError::Conflict {
-                detail: "hierarchy and sharding cannot be combined \
-                         (shard the level-0 stream upstream instead)",
-            });
-        }
-        if self.shards.is_some() && self.clock == Clock::Count {
-            return Err(SpecError::Conflict {
-                detail: "sharding is time-based only: one global arrival clock \
-                         cannot be split across key-partitioned shards",
-            });
-        }
         if self.backend == Backend::Decayed {
             if self.clock == Clock::Count {
                 return Err(SpecError::Conflict {
@@ -610,9 +562,9 @@ impl SketchSpec {
                              (decay weights arrivals by age, not by index)",
                 });
             }
-            if self.hierarchy_bits.is_some() || self.shards.is_some() {
+            if self.hierarchy_bits.is_some() {
                 return Err(SpecError::Conflict {
-                    detail: "the decayed backend has no hierarchy or sharded form",
+                    detail: "the decayed backend has no hierarchy form",
                 });
             }
         }
@@ -683,21 +635,17 @@ impl SketchSpec {
     }
 
     /// Dispatch a validated, typed config over the structural axes
-    /// (clock × hierarchy × sharding).
+    /// (clock × hierarchy).
     fn assemble<W>(&self, cfg: EcmConfig<W>) -> Result<Box<dyn Sketch>, SpecError>
     where
         W: WindowCounter + fmt::Debug + 'static,
         W::Config: 'static,
     {
-        Ok(match (self.clock, self.hierarchy_bits, self.shards) {
-            (Clock::Time, None, None) => Box::new(EcmSketch::new(&cfg)),
-            (Clock::Time, Some(bits), None) => Box::new(EcmHierarchy::new(bits, &cfg)),
-            (Clock::Time, None, Some(n)) => Box::new(ShardedEcm::new(&cfg, n)),
-            (Clock::Count, None, None) => Box::new(CountBasedEcm::new(&cfg)),
-            (Clock::Count, Some(bits), None) => Box::new(CountBasedHierarchy::new(bits, &cfg)),
-            // Hierarchy + sharding and count + sharding are rejected by
-            // validate(); this arm is unreachable on a validated spec.
-            _ => unreachable!("validate() rejects this combination"),
+        Ok(match (self.clock, self.hierarchy_bits) {
+            (Clock::Time, None) => Box::new(EcmSketch::new(&cfg)),
+            (Clock::Time, Some(bits)) => Box::new(EcmHierarchy::new(bits, &cfg)),
+            (Clock::Count, None) => Box::new(CountBasedEcm::new(&cfg)),
+            (Clock::Count, Some(bits)) => Box::new(CountBasedHierarchy::new(bits, &cfg)),
         })
     }
 }
@@ -804,7 +752,6 @@ mod tests {
             SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
             SketchSpec::time(1_000).backend(Backend::Decayed),
             SketchSpec::time(1_000).hierarchy(8),
-            SketchSpec::time(1_000).sharded(3),
             SketchSpec::count(1_000),
             SketchSpec::count(1_000).hierarchy(8),
         ];
@@ -848,10 +795,6 @@ mod tests {
             SpecError::InvalidBits { got: 64 }
         ));
         assert!(matches!(
-            SketchSpec::time(10).sharded(0).validate().unwrap_err(),
-            SpecError::InvalidParameter { .. }
-        ));
-        assert!(matches!(
             SketchSpec::time(10)
                 .backend(Backend::Ew { buckets: 0 })
                 .validate()
@@ -867,11 +810,8 @@ mod tests {
     #[test]
     fn validation_rejects_conflicts() {
         for bad in [
-            SketchSpec::time(10).hierarchy(4).sharded(2),
-            SketchSpec::count(10).sharded(2),
             SketchSpec::count(10).backend(Backend::Decayed),
             SketchSpec::time(10).backend(Backend::Decayed).hierarchy(4),
-            SketchSpec::time(10).backend(Backend::Decayed).sharded(2),
         ] {
             assert!(
                 matches!(bad.validate().unwrap_err(), SpecError::Conflict { .. }),

@@ -51,7 +51,6 @@
 //! ```
 
 pub mod api;
-pub mod concurrent;
 pub mod config;
 pub mod count_based;
 pub mod decayed_cm;
@@ -67,7 +66,6 @@ pub mod wal;
 pub use api::{
     Backend, Clock, CloneSketch, Sketch, SketchSpec, SketchWriter, SpecBackend, SpecError,
 };
-pub use concurrent::{partition_pairs, ShardedEcm};
 pub use config::{
     split_inner_product, split_point_query, split_point_query_randomized, EcmBuilder, EcmConfig,
     QueryKind,

@@ -16,11 +16,10 @@
 //! * [`SketchReader`] — *who answers*: implemented by
 //!   [`crate::EcmSketch`], [`crate::EcmHierarchy`],
 //!   [`crate::CountBasedEcm`], [`crate::CountBasedHierarchy`],
-//!   [`crate::ShardedEcm`], [`crate::DecayedCm`] and (in the `distributed`
-//!   crate) the tree-aggregation root, so callers can
-//!   route the *same* [`Query`] value
-//!   over interchangeable backends — the property that makes sharding and
-//!   caching layers composable.
+//!   [`crate::DecayedCm`] and (in the `distributed` crate) the
+//!   tree-aggregation root, so callers can route the *same* [`Query`]
+//!   value over interchangeable backends — the property that makes
+//!   serving and caching layers composable.
 //!
 //! Conditions the legacy positional-argument methods silently clamped or
 //! panicked on — a query range longer than the configured window, a
@@ -53,7 +52,6 @@
 use std::any::Any;
 use std::fmt;
 
-use crate::concurrent::ShardedEcm;
 use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
 use crate::decayed_cm::DecayedCm;
 use crate::hierarchy::{EcmHierarchy, Threshold};
@@ -463,7 +461,8 @@ impl std::error::Error for QueryError {}
 /// All implementations answer the *same* query vocabulary with the same
 /// [`Answer`] shapes, so callers can hold `&dyn SketchReader` (or a
 /// `Box<dyn SketchReader>`) and swap a local sketch for a hierarchy, a
-/// sharded array, or a distributed aggregate without touching query code.
+/// count-based sketch, or a distributed aggregate without touching query
+/// code.
 pub trait SketchReader {
     /// Answer `q` over the stream slice `w`.
     ///
@@ -475,8 +474,8 @@ pub trait SketchReader {
     /// Short backend name used in error messages.
     fn backend(&self) -> &'static str;
 
-    /// Bytes of memory the backend currently holds (cells, hierarchies
-    /// and shards included) — the sizing signal capacity planners and the
+    /// Bytes of memory the backend currently holds (cells and hierarchy
+    /// levels included) — the sizing signal capacity planners and the
     /// keyed store's [`memory_report`](crate::store::SketchStore::memory_report)
     /// aggregate.
     fn memory_bytes(&self) -> usize;
@@ -907,71 +906,6 @@ where
 
     fn write_clock(&self) -> u64 {
         self.arrivals()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl<W> SketchReader for ShardedEcm<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn query(&self, q: &Query<'_>, w: WindowSpec) -> Result<Answer, QueryError> {
-        let shard0 = &self.shard_sketches()[0];
-        let (now, range) = w.resolve_time(self.backend(), shard0.window_len())?;
-        let g = SketchGuarantees::derive::<W>(shard0.width(), shard0.depth(), shard0.cell_config());
-        match *q {
-            Query::Point { item } => Ok(Answer::Value(Estimate::new(
-                self.point_query(item, now, range),
-                g.point,
-            ))),
-            Query::SelfJoin => Ok(Answer::Value(Estimate::new(
-                self.self_join(now, range),
-                g.product,
-            ))),
-            Query::InnerProduct { other } => {
-                let other = downcast_operand::<ShardedEcm<W>>(other, self.backend())?;
-                let value = self.inner_product(other, now, range).map_err(|e| {
-                    QueryError::IncompatibleOperand {
-                        detail: e.to_string(),
-                    }
-                })?;
-                Ok(Answer::Value(Estimate::new(value, g.product)))
-            }
-            Query::TotalArrivals => Ok(Answer::Value(Estimate::new(
-                self.total_arrivals(now, range),
-                g.total,
-            ))),
-            Query::RangeSum { .. } | Query::HeavyHitters { .. } | Query::Quantile { .. } => {
-                Err(unsupported(
-                    self.backend(),
-                    q,
-                    "shard into EcmHierarchy backends for key-structured queries",
-                ))
-            }
-        }
-    }
-
-    fn backend(&self) -> &'static str {
-        "ShardedEcm"
-    }
-
-    fn score_bound(&self, q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
-        match q {
-            Query::TotalArrivals => self.arrivals_bound(),
-            _ => None,
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        ShardedEcm::memory_bytes(self)
-    }
-
-    fn write_clock(&self) -> u64 {
-        self.last_tick()
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -30,13 +30,6 @@ impl StreamEvent {
     }
 }
 
-impl From<(u64, u64)> for StreamEvent {
-    /// `(item, ts)` pairs — the shape the sharded ingestion APIs use.
-    fn from((item, ts): (u64, u64)) -> Self {
-        StreamEvent { item, ts }
-    }
-}
-
 /// Group a slice into runs of **adjacent** equal elements, yielding each
 /// run's first element and its length. This is the one grouping rule every
 /// batched ingest surface shares: only adjacency may be exploited, because

@@ -62,7 +62,6 @@
 use std::fmt;
 
 use crate::api::{Backend, Clock, Sketch, SketchSpec, SpecBackend, SpecError};
-use crate::concurrent::ShardedEcm;
 use crate::config::QueryKind;
 use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
 use crate::decayed_cm::DecayedCm;
@@ -277,11 +276,10 @@ fn get_opt(input: &mut &[u8], context: &'static str) -> Result<Option<u64>, Code
 /// rot, not adversaries; these bounds are the second layer, keeping a
 /// header whose varints or float bit patterns were blown up (or crafted)
 /// from driving giant derived allocations — Count-Min widths from a
-/// subnormal ε, shard vectors from a 2⁴⁴ shard count — before the payload
+/// subnormal ε, bucket vectors from a 2⁴⁴ bucket count — before the payload
 /// decoders can fail cleanly. Real deployments sit orders of magnitude
 /// inside every bound.
 pub(crate) fn format_bounds(spec: &SketchSpec) -> Result<(), SnapshotError> {
-    const MAX_SHARDS: usize = 4096;
     const MAX_EW_BUCKETS: usize = 1 << 16;
     const MIN_ACCURACY: f64 = 1e-4;
     const MAX_HORIZON: u64 = 1 << 48;
@@ -297,11 +295,6 @@ pub(crate) fn format_bounds(spec: &SketchSpec) -> Result<(), SnapshotError> {
             spec.window
         ));
     }
-    if spec.shards.is_some_and(|n| n > MAX_SHARDS) {
-        return fail(format!(
-            "snapshot format bound: at most {MAX_SHARDS} shards"
-        ));
-    }
     if let Backend::Ew { buckets } = spec.backend {
         if buckets > MAX_EW_BUCKETS {
             return fail(format!(
@@ -313,7 +306,8 @@ pub(crate) fn format_bounds(spec: &SketchSpec) -> Result<(), SnapshotError> {
 }
 
 /// Serialize a spec header (fixed field order; consumed by
-/// [`decode_spec`]).
+/// [`decode_spec`]). The trailing option byte once carried a shard count;
+/// it is kept, always "none", so the v1 layout does not move.
 pub(crate) fn encode_spec(spec: &SketchSpec, buf: &mut Vec<u8>) {
     put_u8(
         buf,
@@ -346,7 +340,7 @@ pub(crate) fn encode_spec(spec: &SketchSpec, buf: &mut Vec<u8>) {
     put_u64(buf, spec.seed);
     put_opt(buf, spec.max_arrivals);
     put_opt(buf, spec.hierarchy_bits.map(u64::from));
-    put_opt(buf, spec.shards.map(|n| n as u64));
+    put_opt(buf, None);
 }
 
 /// Parse a spec header and validate it — an embedded spec that fails
@@ -400,7 +394,11 @@ pub(crate) fn decode_spec(input: &mut &[u8]) -> Result<SketchSpec, SnapshotError
             context: "spec hierarchy bits",
         })?),
     };
-    let shards = get_opt(input, "spec shards")?.map(|n| n as usize);
+    if let Some(n) = get_opt(input, "spec shards")? {
+        return Err(SnapshotError::Spec(SpecError::InvalidParameter {
+            detail: format!("sharded sketches ({n} shards) are not supported"),
+        }));
+    }
     let spec = SketchSpec {
         clock,
         window,
@@ -411,7 +409,6 @@ pub(crate) fn decode_spec(input: &mut &[u8]) -> Result<SketchSpec, SnapshotError
         seed,
         max_arrivals,
         hierarchy_bits,
-        shards,
     };
     spec.validate()?;
     format_bounds(&spec)?;
@@ -463,23 +460,15 @@ where
     W: SpecBackend + fmt::Debug + 'static,
     W::Config: 'static,
 {
-    match (spec.clock, spec.hierarchy_bits, spec.shards) {
-        (Clock::Time, None, None) => downcast::<EcmSketch<W>>(sketch, "plain sketch")?.encode(buf),
-        (Clock::Time, Some(_), None) => {
-            downcast::<EcmHierarchy<W>>(sketch, "hierarchy")?.encode(buf)
-        }
-        (Clock::Time, None, Some(_)) => {
-            downcast::<ShardedEcm<W>>(sketch, "sharded sketch")?.encode(buf)
-        }
-        (Clock::Count, None, None) => {
+    match (spec.clock, spec.hierarchy_bits) {
+        (Clock::Time, None) => downcast::<EcmSketch<W>>(sketch, "plain sketch")?.encode(buf),
+        (Clock::Time, Some(_)) => downcast::<EcmHierarchy<W>>(sketch, "hierarchy")?.encode(buf),
+        (Clock::Count, None) => {
             downcast::<CountBasedEcm<W>>(sketch, "count-based sketch")?.encode(buf)
         }
-        (Clock::Count, Some(_), None) => {
+        (Clock::Count, Some(_)) => {
             downcast::<CountBasedHierarchy<W>>(sketch, "count-based hierarchy")?.encode(buf)
         }
-        // Hierarchy + sharding and count + sharding never validate, and
-        // every entry point validates the spec first.
-        _ => unreachable!("validate() rejects this combination"),
     }
     Ok(())
 }
@@ -508,15 +497,11 @@ where
     W::Config: 'static,
 {
     let cfg = spec.ecm_config::<W>()?;
-    Ok(match (spec.clock, spec.hierarchy_bits, spec.shards) {
-        (Clock::Time, None, None) => Box::new(EcmSketch::decode(&cfg, input)?),
-        (Clock::Time, Some(bits), None) => Box::new(EcmHierarchy::decode(bits, &cfg, input)?),
-        (Clock::Time, None, Some(n)) => Box::new(ShardedEcm::decode(&cfg, n, input)?),
-        (Clock::Count, None, None) => Box::new(CountBasedEcm::decode(&cfg, input)?),
-        (Clock::Count, Some(bits), None) => {
-            Box::new(CountBasedHierarchy::decode(bits, &cfg, input)?)
-        }
-        _ => unreachable!("validate() rejects this combination"),
+    Ok(match (spec.clock, spec.hierarchy_bits) {
+        (Clock::Time, None) => Box::new(EcmSketch::decode(&cfg, input)?),
+        (Clock::Time, Some(bits)) => Box::new(EcmHierarchy::decode(bits, &cfg, input)?),
+        (Clock::Count, None) => Box::new(CountBasedEcm::decode(&cfg, input)?),
+        (Clock::Count, Some(bits)) => Box::new(CountBasedHierarchy::decode(bits, &cfg, input)?),
     })
 }
 
@@ -660,7 +645,7 @@ impl SketchSpec {
 /// Structural guard for the typed (site-recovery) surface: it covers plain
 /// time-based sketches only — the shape aggregation-tree leaves have.
 fn require_plain_time(spec: &SketchSpec) -> Result<(), SnapshotError> {
-    if spec.clock != Clock::Time || spec.hierarchy_bits.is_some() || spec.shards.is_some() {
+    if spec.clock != Clock::Time || spec.hierarchy_bits.is_some() {
         return Err(SnapshotError::SpecMismatch {
             detail: "the typed snapshot surface covers plain time-based sketches \
                      (aggregation-tree leaves); use SketchSpec::snapshot for \
@@ -764,7 +749,6 @@ mod tests {
             SketchSpec::time(1_000).backend(Backend::Ew { buckets: 12 }),
             SketchSpec::time(1_000).backend(Backend::Decayed),
             SketchSpec::time(1_000).hierarchy(9),
-            SketchSpec::time(1_000).sharded(5),
             SketchSpec::count(64).epsilon(0.05),
             SketchSpec::count(64)
                 .hierarchy(8)
@@ -937,24 +921,98 @@ mod tests {
             tiny_eps.snapshot(&*sk),
             Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
         ));
-        // Read side: a crafted header describing 2^20 shards (validates —
-        // only zero is rejected by validate()) is refused by the bounds
-        // before any shard vector is allocated.
-        let crafted = SketchSpec::time(100).sharded(1 << 20);
-        assert!(crafted.validate().is_ok(), "bounds, not validate, gate it");
-        let mut buf = Vec::new();
-        encode_spec(&crafted, &mut buf);
-        let mut slice = buf.as_slice();
-        assert!(matches!(
-            decode_spec(&mut slice),
-            Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
-        ));
+        // Read side: crafted headers describing 2^20 equi-width buckets
+        // (validates — only zero is rejected by validate()) or 2^20 shards
+        // are refused before anything is sized from them.
+        let mut buckets = Vec::new();
+        encode_spec(
+            &SketchSpec::time(100).backend(Backend::Ew { buckets: 1 << 20 }),
+            &mut buckets,
+        );
+        let mut shards = Vec::new();
+        encode_spec(&SketchSpec::time(100), &mut shards);
+        let shards = with_shards_option(&shards, shards.len() - 1, 1 << 20);
+        for crafted in [buckets, shards] {
+            assert!(matches!(
+                decode_spec(&mut crafted.as_slice()),
+                Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
+            ));
+        }
         // In-bounds specs are untouched.
-        let ok = SketchSpec::time(100).sharded(8).epsilon(0.01).delta(0.01);
+        let ok = SketchSpec::time(100).epsilon(0.01).delta(0.01);
         let mut buf = Vec::new();
         encode_spec(&ok, &mut buf);
         let mut slice = buf.as_slice();
         assert_eq!(decode_spec(&mut slice).unwrap(), ok);
+    }
+
+    /// `bytes` with the "none" option byte at `at` rewritten to
+    /// "present, `n`".
+    fn with_shards_option(bytes: &[u8], at: usize, n: u64) -> Vec<u8> {
+        assert_eq!(bytes[at], 0, "the shards option is written as none");
+        let mut out = bytes[..at].to_vec();
+        put_opt(&mut out, Some(n));
+        out.extend_from_slice(&bytes[at + 1..]);
+        out
+    }
+
+    /// Re-seal a record whose trailing checksum covers everything before it.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        let sum = checksum(&bytes[..body]);
+        bytes.truncate(body);
+        put_u64(&mut bytes, sum);
+        bytes
+    }
+
+    #[test]
+    fn spec_header_bytes_are_pinned() {
+        let (spec, sk) = warm_spec_sketch();
+        let bytes = spec.snapshot(&*sk).unwrap();
+        let hex: String = bytes[..35].iter().map(|b| format!("{b:02x}")).collect();
+        // Magic, version and the spec header as format v1 lays them out:
+        // a change here moves every record already on disk.
+        assert_eq!(
+            hex,
+            "45530100e8079a9999999999c93f9a9999999999c93f00000b00000000000000000000"
+        );
+        let mut header = Vec::new();
+        encode_spec(&spec, &mut header);
+        assert_eq!(header[..], bytes[3..35]);
+        // The whole record, payload included, still seals to the same sum.
+        assert_eq!(bytes.len(), 1_089);
+        assert_eq!(
+            bytes[bytes.len() - 8..],
+            [0x87, 0x20, 0xd7, 0x4a, 0xa3, 0x45, 0xe1, 0x9b]
+        );
+    }
+
+    #[test]
+    fn a_present_shard_count_is_a_typed_error_on_every_restore_path() {
+        let (spec, sk) = warm_spec_sketch();
+        let mut header = Vec::new();
+        encode_spec(&spec, &mut header);
+        let opt_at = 3 + header.len() - 1;
+
+        let record = reseal(with_shards_option(&spec.snapshot(&*sk).unwrap(), opt_at, 3));
+        let rejected = |r: Result<(), SnapshotError>| {
+            assert!(
+                matches!(
+                    r,
+                    Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
+                ),
+                "{r:?}"
+            );
+        };
+        rejected(restore_any(&record).map(drop));
+        rejected(spec.restore(&record).map(drop));
+
+        // A fleet record carries the same spec header one kind byte later;
+        // with no resident keys its header checksum closes the record.
+        let mut store = crate::store::SketchStore::<u64>::new(spec).unwrap();
+        let fleet = store.write_snapshot().unwrap();
+        let fleet = reseal(with_shards_option(&fleet, opt_at + 1, 3));
+        rejected(crate::store::SketchStore::<u64>::load_snapshot(&fleet).map(drop));
     }
 
     #[test]

@@ -1325,7 +1325,7 @@ mod tests {
             SketchStore::<u64>::with_capacity(spec(), 0, Eviction::Lru).is_err(),
             "zero capacity must be rejected"
         );
-        assert!(SketchStore::<u64>::new(SketchSpec::count(10).sharded(2)).is_err());
+        assert!(SketchStore::<u64>::new(SketchSpec::count(10).backend(Backend::Decayed)).is_err());
     }
 
     #[test]

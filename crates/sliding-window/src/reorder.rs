@@ -78,7 +78,9 @@ impl<W: WindowCounter> ReorderBuffer<W> {
     /// Offer an arrival, possibly out of order. Returns `false` (and counts
     /// the drop) if it is older than the delay horizon.
     pub fn offer(&mut self, ts: u64, id: u64) -> bool {
-        if ts + self.cfg.delay_bound < self.watermark {
+        // The horizon `drain_ripe` uses, saturating: a bound near `u64::MAX`
+        // ("never drop") must not overflow `ts + delay_bound`.
+        if ts < self.watermark.saturating_sub(self.cfg.delay_bound) {
             self.dropped += 1;
             return false;
         }
@@ -214,6 +216,21 @@ mod tests {
         assert_eq!(r.dropped(), 1);
         r.flush_all();
         assert_eq!(r.inner().stored_ones(), 2);
+    }
+
+    #[test]
+    fn an_unbounded_delay_never_drops() {
+        let mut r = make(u64::MAX);
+        let mut offered = 0u64;
+        for t in [5u64, 9, 9, 12, 3, 1, 12, 100, 0, 50] {
+            // In order, a duplicate tick, then arrivals far behind the
+            // watermark: all of them are inside an unbounded horizon.
+            assert!(r.offer(t, offered), "ts={t} rejected");
+            offered += 1;
+        }
+        assert_eq!(r.dropped(), 0);
+        r.flush_all();
+        assert_eq!(r.inner().stored_ones(), offered);
     }
 
     #[test]

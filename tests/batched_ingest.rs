@@ -10,8 +10,7 @@
 //! reproducible; each property runs over many sampled traces.
 
 use ecm_suite::ecm::{
-    CountBasedEcm, CountBasedHierarchy, EcmBuilder, EcmConfig, EcmHierarchy, EcmSketch, ShardedEcm,
-    StreamEvent,
+    CountBasedEcm, CountBasedHierarchy, EcmBuilder, EcmConfig, EcmHierarchy, EcmSketch, StreamEvent,
 };
 use ecm_suite::sliding_window::traits::WindowCounter;
 use ecm_suite::sliding_window::{
@@ -216,108 +215,5 @@ fn count_based_batched_equals_sequential() {
         seq_h.as_inner().encode(&mut a);
         batched_h.as_inner().encode(&mut b2);
         assert_eq!(a, b2, "count-based hierarchy case {case} diverged");
-    }
-}
-
-/// Encode every shard of a sharded sketch (the bit-identity witness).
-fn encode_shards<W: WindowCounter>(sh: &ShardedEcm<W>) -> Vec<Vec<u8>> {
-    sh.shard_sketches()
-        .iter()
-        .map(|sk| {
-            let mut buf = Vec::new();
-            sk.encode(&mut buf);
-            buf
-        })
-        .collect()
-}
-
-/// `ShardedEcm::ingest_parallel` claims bit-determinism (module docs at
-/// crates/ecm/src/concurrent.rs) — enforce it byte-for-byte against
-/// sequential insertion, including the batched channel shipping and the
-/// pre-partitioned and `ingest_batch` paths, over random bursty streams.
-#[test]
-fn sharded_parallel_is_bit_identical_to_sequential() {
-    let mut rng = SeededRng::seed_from_u64(71);
-    for case in 0..8 {
-        let shards = 1 + (case % 5);
-        let cfg = EcmBuilder::new(0.2, 0.1, 2_000).seed(9).eh_config();
-        let bursts = random_bursts(&mut rng, 80, 2_000, 64);
-        let mut pairs = Vec::new();
-        let mut ts = 1u64;
-        for b in &bursts {
-            ts += b.gap;
-            for _ in 0..b.weight {
-                pairs.push((b.key, ts));
-            }
-        }
-
-        let mut seq = ShardedEcm::<ExponentialHistogram>::new(&cfg, shards);
-        for &(k, t) in &pairs {
-            seq.insert(k, t);
-        }
-        let want = encode_shards(&seq);
-
-        let chan = ShardedEcm::<ExponentialHistogram>::ingest_parallel(
-            &cfg,
-            shards,
-            pairs.iter().copied(),
-        );
-        assert_eq!(
-            encode_shards(&chan),
-            want,
-            "case {case}: channel-fed shards diverged"
-        );
-
-        let parts = ecm_suite::ecm::partition_pairs(pairs.iter().copied(), shards, cfg.seed);
-        let pre = ShardedEcm::<ExponentialHistogram>::ingest_prepartitioned(&cfg, parts);
-        assert_eq!(
-            encode_shards(&pre),
-            want,
-            "case {case}: pre-partitioned shards diverged"
-        );
-
-        let events: Vec<StreamEvent> = pairs.iter().map(|&(k, t)| StreamEvent::new(k, t)).collect();
-        let mut batched = ShardedEcm::<ExponentialHistogram>::new(&cfg, shards);
-        batched.ingest_batch(&events);
-        assert_eq!(
-            encode_shards(&batched),
-            want,
-            "case {case}: ingest_batch shards diverged"
-        );
-    }
-}
-
-/// The same determinism holds for the id-sampled randomized wave, whose
-/// weighted path must hand each occurrence the id the sequential dispatch
-/// would have assigned within its shard.
-#[test]
-fn sharded_parallel_is_bit_identical_for_randomized_waves() {
-    let mut rng = SeededRng::seed_from_u64(81);
-    let cfg = EcmBuilder::new(0.3, 0.2, 2_000)
-        .max_arrivals(100_000)
-        .seed(9)
-        .rw_config();
-    for case in 0..4 {
-        let shards = 2 + (case % 3);
-        let bursts = random_bursts(&mut rng, 60, 2_000, 48);
-        let mut pairs = Vec::new();
-        let mut ts = 1u64;
-        for b in &bursts {
-            ts += b.gap;
-            for _ in 0..b.weight {
-                pairs.push((b.key, ts));
-            }
-        }
-        let mut seq = ShardedEcm::<RandomizedWave>::new(&cfg, shards);
-        for &(k, t) in &pairs {
-            seq.insert(k, t);
-        }
-        let chan =
-            ShardedEcm::<RandomizedWave>::ingest_parallel(&cfg, shards, pairs.iter().copied());
-        assert_eq!(
-            encode_shards(&chan),
-            encode_shards(&seq),
-            "case {case}: randomized-wave shards diverged"
-        );
     }
 }

@@ -12,8 +12,8 @@
 use ecm_suite::ecm::EcmSketch;
 use ecm_suite::ecm::{
     grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, DecayedCm,
-    EcmBuilder, EcmConfig, EcmEh, EcmHierarchy, Eviction, Query, QueryError, ShardedEcm, Sketch,
-    SketchReader, SketchSpec, SketchStore, SpecError, StreamEvent, Threshold, WindowSpec,
+    EcmBuilder, EcmConfig, EcmEh, EcmHierarchy, Eviction, Query, QueryError, Sketch, SketchReader,
+    SketchSpec, SketchStore, SpecError, StreamEvent, Threshold, WindowSpec,
 };
 use ecm_suite::sliding_window::traits::WindowCounter;
 use ecm_suite::sliding_window::ExponentialHistogram;
@@ -99,8 +99,7 @@ fn feed_trait(boxed: &mut dyn Sketch, events: &[StreamEvent]) {
     boxed.ingest_batch(batched);
 }
 
-/// Inherent-side feeding of a plain `EcmSketch<W>` (also each shard-less
-/// building block the other shapes wrap).
+/// Inherent-side feeding of a plain `EcmSketch<W>`.
 fn feed_inherent_sketch<W: WindowCounter>(sk: &mut EcmSketch<W>, events: &[StreamEvent]) {
     let (single, weighted, batched) = thirds(events);
     for e in single {
@@ -122,18 +121,6 @@ fn feed_inherent_hierarchy<W: WindowCounter>(h: &mut EcmHierarchy<W>, events: &[
         h.insert_weighted(run.item, run.ts, n);
     }
     h.ingest_batch(batched);
-}
-
-/// Inherent-side feeding of a `ShardedEcm<W>`.
-fn feed_inherent_sharded<W: WindowCounter>(sh: &mut ShardedEcm<W>, events: &[StreamEvent]) {
-    let (single, weighted, batched) = thirds(events);
-    for e in single {
-        sh.insert(e.item, e.ts);
-    }
-    for (run, n) in grouped_runs(weighted) {
-        sh.insert_weighted(run.item, run.ts, n);
-    }
-    sh.ingest_batch(batched);
 }
 
 /// Inherent-side feeding of a `CountBasedEcm<W>` (timestamps play no role).
@@ -299,19 +286,6 @@ fn hierarchy_backends_dispatch_identically_including_key_queries() {
 }
 
 #[test]
-fn sharded_backend_dispatches_identically() {
-    let events = trace(3);
-    let now = events.last().unwrap().ts;
-    let w = WindowSpec::time(now, WINDOW);
-
-    let mut concrete: ShardedEcm<ExponentialHistogram> = ShardedEcm::new(&builder().eh_config(), 4);
-    let mut boxed = spec(Backend::Eh).sharded(4).build().unwrap();
-    feed_inherent_sharded(&mut concrete, &events);
-    feed_trait(&mut *boxed, &events);
-    assert_scalar_parity(&concrete, &*boxed, &scalar_queries(), w, "sharded");
-}
-
-#[test]
 fn count_based_backends_dispatch_identically() {
     let events = trace(4);
     let w = WindowSpec::last(WINDOW / 2);
@@ -464,7 +438,6 @@ fn a_heterogeneous_registry_of_dyn_sketches_is_usable() {
         ("eh", spec(Backend::Eh).build().unwrap()),
         ("exact", spec(Backend::Exact).build().unwrap()),
         ("hier", spec(Backend::Eh).hierarchy(10).build().unwrap()),
-        ("shard", spec(Backend::Eh).sharded(3).build().unwrap()),
         ("decay", spec(Backend::Decayed).build().unwrap()),
     ];
     let events = trace(7);
@@ -495,17 +468,11 @@ fn spec_validation_error_matrix() {
         (SketchSpec::time(10).delta(1.5), "delta above 1"),
         (SketchSpec::time(10).hierarchy(0), "zero bits"),
         (SketchSpec::time(10).hierarchy(64), "too many bits"),
-        (SketchSpec::time(10).sharded(0), "zero shards"),
         (SketchSpec::time(10).max_arrivals(0), "zero max_arrivals"),
         (
             SketchSpec::time(10).backend(Backend::Ew { buckets: 0 }),
             "zero buckets",
         ),
-        (
-            SketchSpec::time(10).hierarchy(4).sharded(2),
-            "hierarchy x sharded",
-        ),
-        (SketchSpec::count(10).sharded(2), "count x sharded"),
         (
             SketchSpec::count(10).backend(Backend::Decayed),
             "count x decayed",
@@ -532,7 +499,7 @@ fn spec_validation_error_matrix() {
         Err(SpecError::InvalidEpsilon { got }) if got == 7.0
     ));
     assert!(matches!(
-        SketchSpec::count(10).sharded(2).validate(),
+        SketchSpec::count(10).backend(Backend::Decayed).validate(),
         Err(SpecError::Conflict { .. })
     ));
 }
@@ -547,9 +514,9 @@ fn spec_accessors_reflect_the_description() {
     assert_eq!(Backend::Decayed.name(), "decayed");
 }
 
-/// Every backend shape the spec language can build — the ten the `ecm`
+/// Every backend shape the spec language can build — the nine the `ecm`
 /// API suite round-trips.
-fn ten_specs() -> Vec<SketchSpec> {
+fn nine_specs() -> Vec<SketchSpec> {
     vec![
         SketchSpec::time(1_000).backend(Backend::Eh),
         SketchSpec::time(1_000).backend(Backend::Dw),
@@ -561,7 +528,6 @@ fn ten_specs() -> Vec<SketchSpec> {
         SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
         SketchSpec::time(1_000).backend(Backend::Decayed),
         SketchSpec::time(1_000).hierarchy(8),
-        SketchSpec::time(1_000).sharded(3),
         SketchSpec::count(1_000),
         SketchSpec::count(1_000).hierarchy(8),
     ]
@@ -733,7 +699,7 @@ fn feed_per_occurrence(store: &mut SketchStore<u64>, batch: &[(u64, StreamEvent,
 /// `ingest_runs(batch)` ≡ `ingest(batch written out per occurrence)` ≡ one
 /// `insert` per occurrence, down to the bytes: full snapshots, the
 /// incremental after a checkpoint, resident keys and eviction victims —
-/// on all ten backend specs, unbounded and through three LRU / FIFO slots,
+/// on all nine backend specs, unbounded and through three LRU / FIFO slots,
 /// for weights all 1 and mixed; and, unbounded, for lines at the
 /// protocol's cap next to light ones.
 #[test]
@@ -744,7 +710,7 @@ fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
         ("mixed", |line, _| 1 + (line as u64 * 7) % 32),
         ("heaviest", |line, cap| [cap, 3][line % 3 / 2]),
     ];
-    for (i, spec) in ten_specs().into_iter().enumerate() {
+    for (i, spec) in nine_specs().into_iter().enumerate() {
         // A count-based window ticks once per occurrence, so a run at the
         // cap is a million ticks through a 1 000-tick window, by design
         // O(weight) a line: those two specs get a lighter "heaviest".
@@ -812,8 +778,8 @@ fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The pruned ranking is the scan, on all ten backend specs — those
-    /// with an arrivals bound (EH plain, hierarchy, sharded) and those
+    /// The pruned ranking is the scan, on all nine backend specs — those
+    /// with an arrivals bound (EH plain, hierarchy) and those
     /// without. The fleet is built so that a bound even slightly too low
     /// drops a winner: 24 tenants in 8 rate classes of three, so scores
     /// near-tie around every rank, and one tenant of each class falls
@@ -825,7 +791,7 @@ proptest! {
     /// from snapshot bytes, where the bound is recomputed on decode.
     #[test]
     fn prop_top_k_is_the_scan_on_every_backend(seed in 0u64..10_000) {
-        for (i, spec) in ten_specs().into_iter().enumerate() {
+        for (i, spec) in nine_specs().into_iter().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             let mut store = if seed % 2 == 0 {
                 SketchStore::<u64>::with_capacity(spec.clone(), 16, Eviction::Lru)
@@ -887,7 +853,7 @@ proptest! {
     /// reference, so no write ever leaks across a clone.
     #[test]
     fn prop_store_clone_is_observably_a_deep_copy(seed in 0u64..10_000, steps in 20usize..50) {
-        for (i, spec) in ten_specs().into_iter().enumerate() {
+        for (i, spec) in nine_specs().into_iter().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             // 8 tenants through 4 slots: eviction runs on both copies. Odd
             // seeds run unbounded, where the store keeps no eviction index.

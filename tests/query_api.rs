@@ -1,8 +1,8 @@
 //! Contract tests for the unified typed query API (`ecm::query`):
 //!
 //! * the *same* `Query` value yields consistent answers (within the summed
-//!   ε envelopes) from a local sketch, a dyadic hierarchy, a sharded
-//!   array, and a tree-aggregated distributed root;
+//!   ε envelopes) from a local sketch, a dyadic hierarchy, and a
+//!   tree-aggregated distributed root;
 //! * `Estimate` guarantees are honored against exact ground truth,
 //!   including through the `EcmExact` same-API harness;
 //! * `WindowSpec` validation turns the legacy silent clamps into typed
@@ -12,7 +12,7 @@
 use ecm_suite::distributed::aggregate_tree;
 use ecm_suite::ecm::{
     Answer, CountBasedEcm, CountBasedHierarchy, EcmBuilder, EcmEh, EcmExact, EcmHierarchy, Query,
-    QueryError, ShardedEcm, SketchReader, Threshold, WindowSpec,
+    QueryError, SketchReader, Threshold, WindowSpec,
 };
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{worldcup_like, WindowOracle};
@@ -30,13 +30,12 @@ fn value(reader: &dyn SketchReader, q: &Query<'_>, w: WindowSpec) -> f64 {
         .value
 }
 
-/// Build the four time-based backends over the identical event stream.
+/// Build the three time-based backends over the identical event stream.
 fn build_backends(
     events: &[ecm_suite::stream_gen::Event],
 ) -> (
     EcmEh,
     EcmHierarchy<ExponentialHistogram>,
-    ShardedEcm<ExponentialHistogram>,
     ecm_suite::distributed::AggregationOutcome<ExponentialHistogram>,
 ) {
     let cfg = EcmBuilder::new(EPS, 0.05, WINDOW).seed(9).eh_config();
@@ -50,8 +49,6 @@ fn build_backends(
     for e in events {
         hierarchy.insert(e.key, e.ts);
     }
-
-    let sharded = ShardedEcm::ingest_parallel(&cfg, 4, events.iter().map(|e| (e.key, e.ts)));
 
     let sites = 8usize;
     let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); sites];
@@ -72,14 +69,14 @@ fn build_backends(
     )
     .expect("homogeneous merge");
 
-    (local, hierarchy, sharded, aggregated)
+    (local, hierarchy, aggregated)
 }
 
 #[test]
 fn same_query_consistent_across_backends() {
     let events = worldcup_like(EVENTS, 51);
     let oracle = WindowOracle::from_events(&events);
-    let (local, hierarchy, sharded, aggregated) = build_backends(&events);
+    let (local, hierarchy, aggregated) = build_backends(&events);
     let now = oracle.last_tick();
 
     for range in [100_000u64, WINDOW] {
@@ -99,7 +96,6 @@ fn same_query_consistent_across_backends() {
             let answers = [
                 ("local", local.query(&q, w).unwrap().into_value()),
                 ("hierarchy", hierarchy.query(&q, w).unwrap().into_value()),
-                ("sharded", sharded.query(&q, w).unwrap().into_value()),
                 ("aggregated", aggregated.query(&q, w).unwrap().into_value()),
             ];
             // Each backend's observed error is covered by the guarantee it
@@ -128,7 +124,7 @@ fn same_query_consistent_across_backends() {
             // The merged backend must report a strictly wider contract than
             // the local sketch it was merged from.
             assert!(
-                answers[3].1.guarantee.unwrap().epsilon > answers[0].1.guarantee.unwrap().epsilon,
+                answers[2].1.guarantee.unwrap().epsilon > answers[0].1.guarantee.unwrap().epsilon,
                 "aggregation must widen the guarantee"
             );
         }
@@ -141,7 +137,6 @@ fn same_query_consistent_across_backends() {
     let totals = [
         value(&local, &Query::total_arrivals(), w),
         value(&hierarchy, &Query::total_arrivals(), w),
-        value(&sharded, &Query::total_arrivals(), w),
         value(&aggregated, &Query::total_arrivals(), w),
     ];
     for t in totals {
@@ -222,7 +217,7 @@ fn estimates_honor_their_guarantees_against_exact_ground_truth() {
 #[test]
 fn window_validation_rejects_out_of_contract_queries_on_every_backend() {
     let events = worldcup_like(2_000, 5);
-    let (local, hierarchy, sharded, aggregated) = build_backends(&events);
+    let (local, hierarchy, aggregated) = build_backends(&events);
     let now = events.last().unwrap().ts;
 
     let too_long = WindowSpec::time(now, WINDOW + 1);
@@ -232,7 +227,6 @@ fn window_validation_rejects_out_of_contract_queries_on_every_backend() {
     for (name, backend) in [
         ("local", &local as &dyn SketchReader),
         ("hierarchy", &hierarchy),
-        ("sharded", &sharded),
         ("aggregated", &aggregated),
     ] {
         assert!(
@@ -288,7 +282,7 @@ fn trait_object_dispatch_over_all_backends() {
         cb_hierarchy.insert(e.key);
     }
 
-    let (local, hierarchy, sharded, aggregated) = build_backends(&events);
+    let (local, hierarchy, aggregated) = build_backends(&events);
 
     // One heterogeneous registry, as a serving layer would hold it; each
     // entry carries the window vocabulary it speaks.
@@ -297,7 +291,6 @@ fn trait_object_dispatch_over_all_backends() {
     let registry: Vec<(&'static str, Box<dyn SketchReader>, WindowSpec)> = vec![
         ("EcmSketch", Box::new(local), time_w),
         ("EcmHierarchy", Box::new(hierarchy), time_w),
-        ("ShardedEcm", Box::new(sharded), time_w),
         ("AggregationOutcome", Box::new(aggregated), time_w),
         ("CountBasedEcm", Box::new(cb_sketch), count_w),
         ("CountBasedHierarchy", Box::new(cb_hierarchy), count_w),
@@ -409,9 +402,10 @@ fn inner_product_pairs_compatible_backends_only() {
     let ip_rev = b.query(&Query::inner_product(&a), w).unwrap().into_value();
     assert!((ip.value - ip_rev.value).abs() <= 1e-6 * exact);
 
-    // A sharded operand cannot pair with a plain sketch.
-    let sh = ShardedEcm::<ExponentialHistogram>::new(&cfg, 2);
-    let err = a.query(&Query::inner_product(&sh), w).unwrap_err();
+    // An operand of another backend (a hierarchy) cannot pair with a
+    // plain sketch.
+    let h = EcmHierarchy::<ExponentialHistogram>::new(4, &cfg);
+    let err = a.query(&Query::inner_product(&h), w).unwrap_err();
     assert!(matches!(err, QueryError::IncompatibleOperand { .. }));
 
     // An aggregation outcome pairs with another outcome or a plain sketch
@@ -423,7 +417,7 @@ fn inner_product_pairs_compatible_backends_only() {
         .unwrap()
         .into_value();
     assert!(paired.value > 0.0);
-    let err = out.query(&Query::inner_product(&sh), w).unwrap_err();
+    let err = out.query(&Query::inner_product(&h), w).unwrap_err();
     match err {
         QueryError::IncompatibleOperand { detail } => {
             assert!(detail.contains("AggregationOutcome"), "detail: {detail}");

@@ -1,64 +1,30 @@
-//! Cross-crate checks of the sharded-ingestion extension against the
-//! scenario generators: parallel ingestion must behave identically to
-//! sequential processing under flash crowds, poll bursts and bounded-delay
-//! reordering (repaired by the reorder buffer).
+//! Cross-crate checks of an ECM-sketch against the scenario generators:
+//! poll bursts surface as per-site keys, and a stream delivered with
+//! bounded delay, once repaired by a watermark buffer, builds the same
+//! sketch as the in-order stream. (Flash crowds: `tests/ddos_detection.rs`.)
 
-use ecm_suite::ecm::{partition_pairs, EcmBuilder, Query, ShardedEcm, SketchReader, WindowSpec};
+use ecm_suite::ecm::{EcmBuilder, EcmConfig, EcmEh, Query, SketchReader, WindowSpec};
 use ecm_suite::sliding_window::ExponentialHistogram;
-use ecm_suite::stream_gen::{
-    bounded_delay_shuffle, inject_flash_crowd, inject_poll_bursts, uniform_sites, FlashCrowd,
-    PollBursts, WindowOracle,
-};
+use ecm_suite::stream_gen::{bounded_delay_shuffle, inject_poll_bursts, uniform_sites, PollBursts};
 use std::collections::BTreeMap;
-
-type Sharded = ShardedEcm<ExponentialHistogram>;
 
 const WINDOW: u64 = 300_000;
 
 /// Route a point query through the unified typed API.
-fn point(sh: &Sharded, key: u64, now: u64, range: u64) -> f64 {
-    sh.query(&Query::point(key), WindowSpec::time(now, range))
+fn point(sk: &EcmEh, key: u64, now: u64, range: u64) -> f64 {
+    sk.query(&Query::point(key), WindowSpec::time(now, range))
         .expect("in-window query must succeed")
         .into_value()
         .value
 }
 
-#[test]
-fn sharded_sketch_detects_the_flash_crowd() {
-    let base = uniform_sites(30_000, 4, 3);
-    let start = 2_000_000u64;
-    let events = inject_flash_crowd(
-        &base,
-        &FlashCrowd {
-            target_key: 777,
-            start,
-            duration: WINDOW / 3,
-            volume: 6_000,
-            sources: 4,
-            seed: 1,
-        },
-    );
-    let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(9).eh_config();
-    let mid = start + WINDOW / 3;
-
-    // Ingest in parallel up to mid-attack.
-    let prefix: Vec<(u64, u64)> = events
-        .iter()
-        .take_while(|e| e.ts <= mid)
-        .map(|e| (e.key, e.ts))
-        .collect();
-    let oracle = WindowOracle::from_events(&events[..prefix.len()]);
-    let sh = Sharded::ingest_parallel(&cfg, 4, prefix.iter().copied());
-
-    let exact = oracle.frequency(777, mid, WINDOW) as f64;
-    let est = point(&sh, 777, mid, WINDOW);
-    let norm = oracle.total(mid, WINDOW) as f64;
-    assert!(exact > 3_000.0, "attack missing from the oracle: {exact}");
-    assert!(
-        (est - exact).abs() <= eps * norm + 2.0,
-        "est={est} exact={exact}"
-    );
+/// A plain sketch fed `(key, ts)` pairs in order.
+fn sketch_of(cfg: &EcmConfig<ExponentialHistogram>, pairs: &[(u64, u64)]) -> EcmEh {
+    let mut sk = EcmEh::new(cfg);
+    for &(key, ts) in pairs {
+        sk.insert(key, ts);
+    }
+    sk
 }
 
 #[test]
@@ -74,7 +40,7 @@ fn poll_bursts_show_up_as_per_site_keys() {
     let events = inject_poll_bursts(&uniform_sites(10_000, 5, 8), &polls);
     let cfg = EcmBuilder::new(0.1, 0.05, WINDOW).seed(4).eh_config();
     let pairs: Vec<(u64, u64)> = events.iter().map(|e| (e.key, e.ts)).collect();
-    let sh = Sharded::ingest_prepartitioned(&cfg, partition_pairs(pairs, 3, cfg.seed));
+    let sk = sketch_of(&cfg, &pairs);
 
     let now = events.last().unwrap().ts;
     // Each site's poll key fires per interval: WINDOW/interval rounds of
@@ -82,7 +48,7 @@ fn poll_bursts_show_up_as_per_site_keys() {
     let rounds_in_window = WINDOW / polls.interval;
     let expected = (rounds_in_window * polls.per_site as u64) as f64;
     for s in 0..5u64 {
-        let est = point(&sh, 9_000_000 + s, now, WINDOW);
+        let est = point(&sk, 9_000_000 + s, now, WINDOW);
         assert!(
             est >= expected * 0.6 && est <= expected * 1.8 + 100.0,
             "site {s}: est={est} expected≈{expected}"
@@ -91,7 +57,7 @@ fn poll_bursts_show_up_as_per_site_keys() {
 }
 
 #[test]
-fn reorder_buffer_repairs_bounded_delay_for_sharded_ingestion() {
+fn reorder_buffer_repairs_bounded_delay_bit_identically() {
     let base = uniform_sites(20_000, 2, 5);
     let max_delay = 5_000u64;
     let (delivered, max_inv) = bounded_delay_shuffle(&base, max_delay, 13);
@@ -139,19 +105,26 @@ fn reorder_buffer_repairs_bounded_delay_for_sharded_ingestion() {
 
     let eps = 0.1;
     let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(21).eh_config();
-    let sh = Sharded::ingest_parallel(&cfg, 4, repaired.iter().copied());
+    let sk = sketch_of(&cfg, &repaired);
 
-    // Estimates must match a sketch of the original in-order stream exactly:
+    // The sketch must equal one of the original in-order stream exactly:
     // the repaired stream is a permutation restoring tick order, and ties
     // within one tick do not affect any window counter.
     let in_order: Vec<(u64, u64)> = base.iter().map(|e| (e.key, e.ts)).collect();
-    let reference = Sharded::ingest_parallel(&cfg, 4, in_order.iter().copied());
+    let reference = sketch_of(&cfg, &in_order);
     let now = base.last().unwrap().ts;
     for key in (0..2_000u64).step_by(29) {
         assert_eq!(
-            point(&sh, key, now, WINDOW),
-            point(&reference, key, now, WINDOW),
+            point(&sk, key, now, WINDOW).to_bits(),
+            point(&reference, key, now, WINDOW).to_bits(),
             "key={key}"
         );
     }
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    sk.encode(&mut a);
+    reference.encode(&mut b);
+    assert_eq!(
+        a, b,
+        "repaired and in-order sketches must encode identically"
+    );
 }

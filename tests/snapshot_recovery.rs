@@ -17,7 +17,7 @@ const WINDOW: u64 = 2_000;
 const EVENTS: u64 = 3_000;
 
 /// The full backend matrix of the acceptance criterion: plain Eh/Dw/Rw/
-/// Exact/Ew/Decayed, time- and count-based hierarchies, sharded, and plain
+/// Exact/Ew/Decayed, time- and count-based hierarchies, and plain
 /// count-based.
 fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
     vec![
@@ -55,10 +55,6 @@ fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
         (
             "hierarchy",
             SketchSpec::time(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
-        ),
-        (
-            "sharded",
-            SketchSpec::time(WINDOW).epsilon(0.2).sharded(3).seed(3),
         ),
         ("count", SketchSpec::count(WINDOW).epsilon(0.2).seed(3)),
         (

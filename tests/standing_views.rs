@@ -54,10 +54,6 @@ fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
             "hierarchy",
             SketchSpec::time(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
         ),
-        (
-            "sharded",
-            SketchSpec::time(WINDOW).epsilon(0.2).sharded(3).seed(3),
-        ),
         ("count", SketchSpec::count(WINDOW).epsilon(0.2).seed(3)),
         (
             "count-hierarchy",
