@@ -14,11 +14,11 @@
 //!   answers queries, which is what registries, serving layers and the
 //!   keyed [`SketchStore`](crate::store::SketchStore) hold.
 //! * [`SketchSpec`] — a validating builder that replaces per-backend
-//!   constructor knowledge (`EcmConfig` flavors, positional `DecayedCm`
-//!   arguments) with one declarative description — clock, window,
-//!   accuracy, [`Backend`], optional dyadic hierarchy — and
-//!   [`build`](SketchSpec::build)s any backend as `Box<dyn Sketch>`.
-//!   Invalid or conflicting descriptions are [`SpecError`]s, not panics.
+//!   constructor knowledge (`EcmConfig` flavors) with one declarative
+//!   description — clock, window, accuracy, [`Backend`], optional dyadic
+//!   hierarchy — and [`build`](SketchSpec::build)s any backend as
+//!   `Box<dyn Sketch>`. Every clock × backend × hierarchy combination is
+//!   buildable; out-of-domain parameters are [`SpecError`]s, not panics.
 //! * [`SpecBackend`] — the typed escape hatch: when code needs a *concrete*
 //!   `EcmConfig<W>` (e.g. the `distributed` crate's mergeable site
 //!   sketches), the same validated spec materializes it without giving up
@@ -49,14 +49,13 @@
 //!
 //! // Descriptions that cannot be built are errors, not panics.
 //! assert!(SketchSpec::time(0).build().is_err());
-//! assert!(SketchSpec::count(100).backend(Backend::Decayed).build().is_err());
+//! assert!(SketchSpec::count(100).backend(Backend::Ew { buckets: 0 }).build().is_err());
 //! ```
 
 use std::fmt;
 
 use crate::config::{EcmBuilder, EcmConfig, QueryKind};
 use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
-use crate::decayed_cm::{DecayedCm, DecayedCmConfig};
 use crate::hierarchy::EcmHierarchy;
 use crate::query::SketchReader;
 use crate::sketch::{grouped_runs, EcmSketch, StreamEvent};
@@ -249,26 +248,6 @@ where
     fn advance_to(&mut self, _ts: u64) {}
 }
 
-impl SketchWriter for DecayedCm {
-    fn insert(&mut self, ts: u64, item: u64) {
-        DecayedCm::insert(self, item, ts);
-    }
-
-    fn insert_weighted(&mut self, ts: u64, item: u64, weight: u64) {
-        DecayedCm::insert_weighted(self, item, ts, weight);
-    }
-
-    fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        for (e, n) in grouped_runs(events) {
-            DecayedCm::insert_weighted(self, e.item, e.ts, n);
-        }
-    }
-
-    fn advance_to(&mut self, ts: u64) {
-        DecayedCm::advance_to(self, ts);
-    }
-}
-
 /// Which synopsis fills the sketch's cells — the backend axis of a
 /// [`SketchSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,10 +266,6 @@ pub enum Backend {
         /// Sub-windows per cell.
         buckets: usize,
     },
-    /// Count-Min over exponentially decayed counters ([`DecayedCm`]): the
-    /// spec's window length becomes the **half-life** (the decay model's
-    /// soft analogue of a window edge).
-    Decayed,
 }
 
 impl Backend {
@@ -302,7 +277,6 @@ impl Backend {
             Backend::Rw => "rw",
             Backend::Exact => "exact",
             Backend::Ew { .. } => "equi-width",
-            Backend::Decayed => "decayed",
         }
     }
 }
@@ -319,7 +293,7 @@ pub enum Clock {
 /// Why a [`SketchSpec`] could not be validated or built.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
-    /// The window (or half-life) must cover at least one tick/arrival.
+    /// The window must cover at least one tick/arrival.
     ZeroWindow,
     /// ε must lie in (0, 1).
     InvalidEpsilon {
@@ -340,13 +314,6 @@ pub enum SpecError {
     InvalidParameter {
         /// What was wrong.
         detail: String,
-    },
-    /// Two requested features cannot be combined (e.g. a count-based clock
-    /// with the decayed backend, or a decayed backend under a dyadic
-    /// hierarchy).
-    Conflict {
-        /// The incompatible pair and why.
-        detail: &'static str,
     },
     /// A typed-config request ([`SketchSpec::ecm_config`]) does not match
     /// the spec's declared backend.
@@ -370,7 +337,6 @@ impl fmt::Display for SpecError {
                 write!(f, "hierarchy bits must be in [1,63], got {got}")
             }
             SpecError::InvalidParameter { detail } => write!(f, "invalid parameter: {detail}"),
-            SpecError::Conflict { detail } => write!(f, "conflicting spec: {detail}"),
             SpecError::BackendMismatch { spec, requested } => write!(
                 f,
                 "spec declares the {spec} backend but a {requested} config was requested"
@@ -505,8 +471,7 @@ impl SketchSpec {
         self.clock
     }
 
-    /// The spec's window length (ticks, arrivals, or — for the decayed
-    /// backend — the half-life).
+    /// The spec's window length (ticks or arrivals).
     pub fn window(&self) -> u64 {
         self.window
     }
@@ -523,11 +488,12 @@ impl SketchSpec {
         self.hierarchy_bits
     }
 
-    /// Check the description for domain and conflict errors without
-    /// building anything.
+    /// Check every parameter's domain without building anything. Every
+    /// clock × backend × hierarchy combination is valid, so this is the
+    /// only way a spec can fail to build.
     ///
     /// # Errors
-    /// The first [`SpecError`] found, in domain-then-conflict order.
+    /// The first out-of-domain parameter's [`SpecError`].
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.window == 0 {
             return Err(SpecError::ZeroWindow);
@@ -552,19 +518,6 @@ impl SketchSpec {
             if buckets == 0 {
                 return Err(SpecError::InvalidParameter {
                     detail: "equi-width backend needs at least one bucket".into(),
-                });
-            }
-        }
-        if self.backend == Backend::Decayed {
-            if self.clock == Clock::Count {
-                return Err(SpecError::Conflict {
-                    detail: "the decayed backend is time-based only \
-                             (decay weights arrivals by age, not by index)",
-                });
-            }
-            if self.hierarchy_bits.is_some() {
-                return Err(SpecError::Conflict {
-                    detail: "the decayed backend has no hierarchy form",
                 });
             }
         }
@@ -595,29 +548,6 @@ impl SketchSpec {
         W::ecm_config(self)
     }
 
-    /// The [`DecayedCmConfig`] of a [`Backend::Decayed`] spec: the window
-    /// length is the half-life, and the whole ε budget goes to hashing
-    /// (decayed cells are exact).
-    ///
-    /// # Errors
-    /// Any validation error, or [`SpecError::BackendMismatch`] when the
-    /// spec declares a different backend.
-    pub fn decayed_config(&self) -> Result<DecayedCmConfig, SpecError> {
-        self.validate()?;
-        if self.backend != Backend::Decayed {
-            return Err(SpecError::BackendMismatch {
-                spec: self.backend.name(),
-                requested: "decayed",
-            });
-        }
-        Ok(DecayedCmConfig::from_accuracy(
-            self.epsilon,
-            self.delta,
-            self.window,
-            self.seed,
-        ))
-    }
-
     /// Build the described sketch as a [`Box<dyn Sketch>`](Sketch).
     ///
     /// # Errors
@@ -630,7 +560,6 @@ impl SketchSpec {
             Backend::Rw => self.assemble(self.ecm_builder().rw_config()),
             Backend::Exact => self.assemble(self.ecm_builder().exact_config()),
             Backend::Ew { buckets } => self.assemble(self.ecm_builder().ew_config(buckets)),
-            Backend::Decayed => Ok(Box::new(DecayedCm::new(&self.decayed_config()?))),
         }
     }
 
@@ -750,7 +679,6 @@ mod tests {
                 .max_arrivals(5_000),
             SketchSpec::time(1_000).backend(Backend::Exact),
             SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
-            SketchSpec::time(1_000).backend(Backend::Decayed),
             SketchSpec::time(1_000).hierarchy(8),
             SketchSpec::count(1_000),
             SketchSpec::count(1_000).hierarchy(8),
@@ -808,17 +736,42 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_conflicts() {
-        for bad in [
-            SketchSpec::count(10).backend(Backend::Decayed),
-            SketchSpec::time(10).backend(Backend::Decayed).hierarchy(4),
-        ] {
-            assert!(
-                matches!(bad.validate().unwrap_err(), SpecError::Conflict { .. }),
-                "{bad:?} must conflict"
-            );
-            assert!(bad.build().is_err(), "build must reject what validate does");
+    fn every_clock_backend_hierarchy_combination_builds_and_round_trips() {
+        let backends = [
+            Backend::Eh,
+            Backend::Dw,
+            Backend::Rw,
+            Backend::Exact,
+            Backend::Ew { buckets: 4 },
+        ];
+        let mut built = 0;
+        for base in [SketchSpec::time(1_000), SketchSpec::count(1_000)] {
+            for backend in backends {
+                for bits in [None, Some(8)] {
+                    let mut spec = base.clone().epsilon(0.25).max_arrivals(5_000);
+                    spec.backend = backend;
+                    spec.hierarchy_bits = bits;
+                    let label = format!("{:?} {} {bits:?}", spec.clock, backend.name());
+                    spec.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let mut sk = spec.build().unwrap_or_else(|e| panic!("{label}: {e}"));
+                    for t in 1..=300u64 {
+                        sk.insert(t, t % 16);
+                    }
+                    let bytes = spec.snapshot(&*sk).unwrap();
+                    let restored = spec.restore(&bytes).unwrap();
+                    let w = match spec.clock {
+                        Clock::Time => WindowSpec::time(300, 1_000),
+                        Clock::Count => WindowSpec::last(300),
+                    };
+                    let [a, b] = [&*sk, &*restored]
+                        .map(|s| s.query(&Query::point(3), w).unwrap().into_value().value);
+                    assert!(a > 0.0, "{label}: estimate must see key 3");
+                    assert_eq!(a.to_bits(), b.to_bits(), "{label}: restored");
+                    built += 1;
+                }
+            }
         }
+        assert_eq!(built, 20);
     }
 
     #[test]
@@ -833,11 +786,6 @@ mod tests {
         let err = spec.ecm_config::<DeterministicWave>().unwrap_err();
         assert!(matches!(err, SpecError::BackendMismatch { .. }));
         assert!(err.to_string().contains("dw"));
-
-        let dec = SketchSpec::time(500).backend(Backend::Decayed).seed(2);
-        let dcfg = dec.decayed_config().unwrap();
-        assert_eq!(dcfg.half_life, 500);
-        assert!(spec.decayed_config().is_err());
     }
 
     #[test]
@@ -846,12 +794,10 @@ mod tests {
             SpecError::ZeroWindow.to_string(),
             SpecError::InvalidEpsilon { got: 2.0 }.to_string(),
             SpecError::InvalidBits { got: 99 }.to_string(),
-            SpecError::Conflict { detail: "a with b" }.to_string(),
         ];
         assert!(msgs[0].contains("window"));
         assert!(msgs[1].contains("2"));
         assert!(msgs[2].contains("99"));
-        assert!(msgs[3].contains("a with b"));
     }
 
     #[test]

@@ -77,16 +77,6 @@ pub fn split_inner_product(eps: f64) -> (f64, f64) {
     (esw, ecm_of(esw))
 }
 
-/// The Count-Min shape the standard accuracy rule assigns:
-/// `width = ⌈e/ε_cm⌉`, `depth = max(1, ⌈ln(1/δ_cm)⌉)`. Shared by every
-/// config derivation in the crate (builder flavors and the decayed
-/// backend) so the shaping rule lives in exactly one place.
-pub(crate) fn cm_shape(eps_cm: f64, delta_cm: f64) -> (usize, usize) {
-    let width = (std::f64::consts::E / eps_cm).ceil() as usize;
-    let depth = (1.0 / delta_cm).ln().ceil().max(1.0) as usize;
-    (width, depth)
-}
-
 /// Full construction parameters for an [`EcmSketch`](crate::EcmSketch):
 /// the Count-Min shape plus the per-cell window-counter configuration.
 #[derive(Debug, Clone)]
@@ -168,8 +158,13 @@ impl EcmBuilder {
         }
     }
 
+    /// The Count-Min shape the standard accuracy rule assigns:
+    /// `width = ⌈e/ε_cm⌉`, `depth = max(1, ⌈ln(1/δ_cm)⌉)`. Every builder
+    /// flavor derives its array through here.
     fn cm_dims(&self, eps_cm: f64, delta_cm: f64) -> (usize, usize) {
-        cm_shape(eps_cm, delta_cm)
+        let width = (std::f64::consts::E / eps_cm).ceil() as usize;
+        let depth = (1.0 / delta_cm).ln().ceil().max(1.0) as usize;
+        (width, depth)
     }
 
     /// Config for the default exponential-histogram variant (ECM-EH).

@@ -53,7 +53,6 @@
 pub mod api;
 pub mod config;
 pub mod count_based;
-pub mod decayed_cm;
 pub mod hierarchy;
 pub mod publish;
 pub mod query;
@@ -71,7 +70,6 @@ pub use config::{
     QueryKind,
 };
 pub use count_based::{CountBasedEcm, CountBasedHierarchy};
-pub use decayed_cm::{DecayedCm, DecayedCmConfig};
 pub use hierarchy::{EcmHierarchy, Threshold};
 pub use publish::{Epoch, LeftRight};
 pub use query::{Answer, Estimate, Guarantee, Query, QueryError, SketchReader, WindowSpec};

@@ -15,11 +15,10 @@
 //!   (ε, δ) [`Guarantee`] derived from the backend's configuration.
 //! * [`SketchReader`] — *who answers*: implemented by
 //!   [`crate::EcmSketch`], [`crate::EcmHierarchy`],
-//!   [`crate::CountBasedEcm`], [`crate::CountBasedHierarchy`],
-//!   [`crate::DecayedCm`] and (in the `distributed` crate) the
-//!   tree-aggregation root, so callers can route the *same* [`Query`]
-//!   value over interchangeable backends — the property that makes
-//!   serving and caching layers composable.
+//!   [`crate::CountBasedEcm`], [`crate::CountBasedHierarchy`] and (in
+//!   the `distributed` crate) the tree-aggregation root, so callers can
+//!   route the *same* [`Query`] value over interchangeable backends — the
+//!   property that makes serving and caching layers composable.
 //!
 //! Conditions the legacy positional-argument methods silently clamped or
 //! panicked on — a query range longer than the configured window, a
@@ -53,7 +52,6 @@ use std::any::Any;
 use std::fmt;
 
 use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
-use crate::decayed_cm::DecayedCm;
 use crate::hierarchy::{EcmHierarchy, Threshold};
 use crate::sketch::EcmSketch;
 use sliding_window::traits::{WindowCounter, WindowGuarantee};
@@ -906,109 +904,6 @@ where
 
     fn write_clock(&self) -> u64 {
         self.arrivals()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl SketchReader for DecayedCm {
-    /// The decayed backend answers the same vocabulary with *decayed*
-    /// semantics: frequencies, self-joins and totals are taken over the
-    /// exponentially weighted stream at the window's `now`.
-    ///
-    /// **The `range` of a time window is not a cutoff here.** Exponential
-    /// decay has no hard window edge — every arrival retains `2^(−age/h)`
-    /// weight — so only `now` participates; this is exactly the semantic
-    /// gap between the two time-decay models the paper contrasts (§1), kept
-    /// visible rather than papered over. Count-based windows are
-    /// [`QueryError::ClockMismatch`]es.
-    ///
-    /// Point estimates carry the Count-Min hashing contract relative to the
-    /// decayed stream norm (`ε = e/width`, `δ = e^{−depth}`); cells are
-    /// exact, so totals are error-free.
-    fn query(&self, q: &Query<'_>, w: WindowSpec) -> Result<Answer, QueryError> {
-        let now = match w {
-            WindowSpec::Time { now, .. } => now,
-            WindowSpec::Count { .. } => {
-                return Err(QueryError::ClockMismatch {
-                    backend: self.backend(),
-                    expected: "time-based",
-                    got: "count-based",
-                })
-            }
-        };
-        // Lazy decay destroys the past: cells only know their value as of
-        // their last update, so a `now` behind the write clock is
-        // unanswerable (other backends can rewind; this model cannot).
-        if now < self.last_tick() {
-            return Err(QueryError::InvalidParameter {
-                detail: format!(
-                    "decayed sketches cannot answer queries before their write \
-                     clock (now = {now} < last tick {})",
-                    self.last_tick()
-                ),
-            });
-        }
-        let hashing = Some(Guarantee {
-            epsilon: cm_epsilon(self.width()),
-            delta: cm_delta(self.depth()),
-        });
-        match *q {
-            Query::Point { item } => Ok(Answer::Value(Estimate::new(
-                self.point_query(item, now),
-                hashing,
-            ))),
-            Query::SelfJoin => Ok(Answer::Value(Estimate::new(self.self_join(now), hashing))),
-            Query::InnerProduct { other } => {
-                let other = downcast_operand::<DecayedCm>(other, self.backend())?;
-                // The operand's cells are just as lazily decayed as ours:
-                // a `now` behind *its* write clock is equally unanswerable.
-                if now < other.last_tick() {
-                    return Err(QueryError::InvalidParameter {
-                        detail: format!(
-                            "decayed sketches cannot answer queries before their \
-                             write clock (now = {now} < operand last tick {})",
-                            other.last_tick()
-                        ),
-                    });
-                }
-                let value = self.inner_product(other, now).map_err(|e| {
-                    QueryError::IncompatibleOperand {
-                        detail: e.to_string(),
-                    }
-                })?;
-                Ok(Answer::Value(Estimate::new(value, hashing)))
-            }
-            Query::TotalArrivals => Ok(Answer::Value(Estimate::new(
-                self.total_mass(now),
-                // Row sums are collision-blind and the cells are exact.
-                Some(Guarantee {
-                    epsilon: 0.0,
-                    delta: 0.0,
-                }),
-            ))),
-            Query::RangeSum { .. } | Query::HeavyHitters { .. } | Query::Quantile { .. } => {
-                Err(unsupported(
-                    self.backend(),
-                    q,
-                    "decayed sketches have no dyadic hierarchy; use an EcmHierarchy",
-                ))
-            }
-        }
-    }
-
-    fn backend(&self) -> &'static str {
-        "DecayedCm"
-    }
-
-    fn memory_bytes(&self) -> usize {
-        DecayedCm::memory_bytes(self)
-    }
-
-    fn write_clock(&self) -> u64 {
-        self.last_tick()
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -64,7 +64,6 @@ use std::fmt;
 use crate::api::{Backend, Clock, Sketch, SketchSpec, SpecBackend, SpecError};
 use crate::config::QueryKind;
 use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
-use crate::decayed_cm::DecayedCm;
 use crate::hierarchy::EcmHierarchy;
 use crate::sketch::EcmSketch;
 use sliding_window::codec::{
@@ -307,7 +306,8 @@ pub(crate) fn format_bounds(spec: &SketchSpec) -> Result<(), SnapshotError> {
 
 /// Serialize a spec header (fixed field order; consumed by
 /// [`decode_spec`]). The trailing option byte once carried a shard count;
-/// it is kept, always "none", so the v1 layout does not move.
+/// it is kept, always "none", so the v1 layout does not move. Backend tag
+/// 5 (the retired decayed Count-Min) is never written.
 pub(crate) fn encode_spec(spec: &SketchSpec, buf: &mut Vec<u8>) {
     put_u8(
         buf,
@@ -328,7 +328,6 @@ pub(crate) fn encode_spec(spec: &SketchSpec, buf: &mut Vec<u8>) {
             put_u8(buf, 4);
             put_varint(buf, buckets as u64);
         }
-        Backend::Decayed => put_u8(buf, 5),
     }
     put_u8(
         buf,
@@ -368,7 +367,11 @@ pub(crate) fn decode_spec(input: &mut &[u8]) -> Result<SketchSpec, SnapshotError
         4 => Backend::Ew {
             buckets: get_varint(input, "spec ew buckets")? as usize,
         },
-        5 => Backend::Decayed,
+        5 => {
+            return Err(SnapshotError::Spec(SpecError::InvalidParameter {
+                detail: "the decayed count-min backend (tag 5) is retired".into(),
+            }))
+        }
         _ => {
             return Err(CodecError::Corrupt {
                 context: "spec backend",
@@ -444,10 +447,6 @@ pub(crate) fn encode_payload(
         Backend::Rw => encode_counter_payload::<RandomizedWave>(spec, sketch, buf),
         Backend::Exact => encode_counter_payload::<ExactWindow>(spec, sketch, buf),
         Backend::Ew { .. } => encode_counter_payload::<EquiWidthWindow>(spec, sketch, buf),
-        Backend::Decayed => {
-            downcast::<DecayedCm>(sketch, "decayed count-min")?.encode(buf);
-            Ok(())
-        }
     }
 }
 
@@ -484,7 +483,6 @@ pub(crate) fn decode_payload(
         Backend::Rw => decode_counter_payload::<RandomizedWave>(spec, input),
         Backend::Exact => decode_counter_payload::<ExactWindow>(spec, input),
         Backend::Ew { .. } => decode_counter_payload::<EquiWidthWindow>(spec, input),
-        Backend::Decayed => Ok(Box::new(DecayedCm::decode(&spec.decayed_config()?, input)?)),
     }
 }
 
@@ -747,7 +745,6 @@ mod tests {
                 .max_arrivals(5_000),
             SketchSpec::time(1_000).backend(Backend::Exact),
             SketchSpec::time(1_000).backend(Backend::Ew { buckets: 12 }),
-            SketchSpec::time(1_000).backend(Backend::Decayed),
             SketchSpec::time(1_000).hierarchy(9),
             SketchSpec::count(64).epsilon(0.05),
             SketchSpec::count(64)
@@ -931,7 +928,9 @@ mod tests {
         );
         let mut shards = Vec::new();
         encode_spec(&SketchSpec::time(100), &mut shards);
-        let shards = with_shards_option(&shards, shards.len() - 1, 1 << 20);
+        let mut huge = Vec::new();
+        put_opt(&mut huge, Some(1 << 20));
+        let shards = replace_zero(&shards, shards.len() - 1, &huge);
         for crafted in [buckets, shards] {
             assert!(matches!(
                 decode_spec(&mut crafted.as_slice()),
@@ -946,14 +945,11 @@ mod tests {
         assert_eq!(decode_spec(&mut slice).unwrap(), ok);
     }
 
-    /// `bytes` with the "none" option byte at `at` rewritten to
-    /// "present, `n`".
-    fn with_shards_option(bytes: &[u8], at: usize, n: u64) -> Vec<u8> {
-        assert_eq!(bytes[at], 0, "the shards option is written as none");
-        let mut out = bytes[..at].to_vec();
-        put_opt(&mut out, Some(n));
-        out.extend_from_slice(&bytes[at + 1..]);
-        out
+    /// `bytes` with the zero byte at `at` (a "none" option, or the EH
+    /// backend tag) replaced by `with`.
+    fn replace_zero(bytes: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+        assert_eq!(bytes[at], 0, "byte {at} is written as 0");
+        [&bytes[..at], with, &bytes[at + 1..]].concat()
     }
 
     /// Re-seal a record whose trailing checksum covers everything before it.
@@ -988,31 +984,43 @@ mod tests {
     }
 
     #[test]
-    fn a_present_shard_count_is_a_typed_error_on_every_restore_path() {
+    fn retired_header_values_are_typed_errors_on_every_restore_path() {
         let (spec, sk) = warm_spec_sketch();
         let mut header = Vec::new();
         encode_spec(&spec, &mut header);
-        let opt_at = 3 + header.len() - 1;
+        // Header values only a retired writer produced: where in the spec
+        // header, and the bytes that replace the zero byte written there.
+        let mut shards = Vec::new();
+        put_opt(&mut shards, Some(3));
+        let retired = [
+            ("a present shard count", header.len() - 1, shards),
+            // After the clock tag, window 1 000 (a two-byte varint), ε, δ.
+            ("backend tag 5 (decayed count-min)", 1 + 2 + 8 + 8, vec![5]),
+        ];
 
-        let record = reseal(with_shards_option(&spec.snapshot(&*sk).unwrap(), opt_at, 3));
-        let rejected = |r: Result<(), SnapshotError>| {
-            assert!(
-                matches!(
-                    r,
-                    Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
-                ),
-                "{r:?}"
-            );
-        };
-        rejected(restore_any(&record).map(drop));
-        rejected(spec.restore(&record).map(drop));
-
+        let record = spec.snapshot(&*sk).unwrap();
         // A fleet record carries the same spec header one kind byte later;
         // with no resident keys its header checksum closes the record.
-        let mut store = crate::store::SketchStore::<u64>::new(spec).unwrap();
+        let mut store = crate::store::SketchStore::<u64>::new(spec.clone()).unwrap();
         let fleet = store.write_snapshot().unwrap();
-        let fleet = reseal(with_shards_option(&fleet, opt_at + 1, 3));
-        rejected(crate::store::SketchStore::<u64>::load_snapshot(&fleet).map(drop));
+        for (what, at, with) in retired {
+            // `start`: where the spec header begins in `bytes`.
+            let edit = |bytes: &[u8], start: usize| replace_zero(bytes, start + at, &with);
+            let rejected = |r: Result<(), SnapshotError>| {
+                assert!(
+                    matches!(
+                        r,
+                        Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
+                    ),
+                    "{what}: {r:?}"
+                );
+            };
+            let bad = reseal(edit(&record, 3));
+            rejected(restore_any(&bad).map(drop));
+            rejected(spec.restore(&bad).map(drop));
+            let bad = reseal(edit(&fleet, 4));
+            rejected(crate::store::SketchStore::<u64>::load_snapshot(&bad).map(drop));
+        }
     }
 
     #[test]

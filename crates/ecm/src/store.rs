@@ -1001,7 +1001,8 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
     /// # Errors
     /// [`SnapshotError::SequenceMismatch`] when applied out of order,
     /// [`SpecMismatch`](SnapshotError::SpecMismatch) when spec or capacity
-    /// policy differ, or any decode error.
+    /// policy differ, or any decode error. On any error the store is
+    /// unchanged.
     pub fn apply_incremental(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let parsed = Self::parse(bytes)?;
         if parsed.kind != KIND_INCREMENTAL {
@@ -1028,23 +1029,28 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
                 found: self.checkpoint_seq,
             });
         }
+        // Applied to a copy (a map of pointers) and swapped in only whole:
+        // a delta that fails part-way leaves this store untouched.
+        let mut next = self.clone();
         // Tombstones first: a key evicted and then recreated since the
         // base carries both a tombstone and a fresh record.
         for key in &parsed.tombstones {
-            if let Some(entry) = self.entries.remove(key) {
-                self.order.remove(&entry.order_stamp);
+            if let Some(entry) = next.entries.remove(key) {
+                next.order.remove(&entry.order_stamp);
             }
         }
         for (key, _, _, _) in &parsed.records {
-            if let Some(entry) = self.entries.remove(key) {
-                self.order.remove(&entry.order_stamp);
+            if let Some(entry) = next.entries.remove(key) {
+                next.order.remove(&entry.order_stamp);
             }
         }
-        self.insert_records(parsed.records)?;
-        self.clock = parsed.clock;
-        self.evictions = parsed.evictions;
-        self.checkpointed(parsed.seq);
-        self.check_capacity()
+        next.insert_records(parsed.records)?;
+        next.clock = parsed.clock;
+        next.evictions = parsed.evictions;
+        next.checkpointed(parsed.seq);
+        next.check_capacity()?;
+        *self = next;
+        Ok(())
     }
 
     fn insert_records(
@@ -1325,11 +1331,10 @@ mod tests {
             SketchStore::<u64>::with_capacity(spec(), 0, Eviction::Lru).is_err(),
             "zero capacity must be rejected"
         );
-        assert!(SketchStore::<u64>::new(SketchSpec::count(10).backend(Backend::Decayed)).is_err());
     }
 
     #[test]
-    fn store_works_over_count_based_and_decayed_specs() {
+    fn store_works_over_count_based_specs() {
         let mut counts: SketchStore<u64> =
             SketchStore::new(SketchSpec::count(100).seed(1)).unwrap();
         for i in 0..400u64 {
@@ -1341,18 +1346,6 @@ mod tests {
             .unwrap()
             .into_value();
         assert!((est.value - 100.0).abs() <= 11.0);
-
-        let mut decayed: SketchStore<u64> =
-            SketchStore::new(SketchSpec::time(100).backend(Backend::Decayed)).unwrap();
-        for t in 0..200u64 {
-            decayed.insert(0, t, 9);
-        }
-        let est = decayed
-            .query(&0, &Query::point(9), WindowSpec::time(200, 1))
-            .unwrap()
-            .unwrap()
-            .into_value();
-        assert!(est.value > 0.0);
     }
 
     #[test]
@@ -1515,6 +1508,43 @@ mod tests {
         restored.apply_incremental(&delta).unwrap();
         assert_eq!(restored.keys(), vec![1, 2, 3]);
         assert_eq!(restored.evictions(), 1);
+    }
+
+    #[test]
+    fn a_delta_that_fails_part_way_leaves_the_store_untouched() {
+        let mut writer: SketchStore<u64> = SketchStore::new(spec()).unwrap();
+        for t in 1..=100u64 {
+            writer.insert(t % 3, t, 1);
+        }
+        let full = writer.write_snapshot().unwrap();
+        writer.insert(1, 101, 2);
+        let delta = writer.write_incremental().unwrap();
+
+        // Re-seal the one-record delta with its record repeated: checksum
+        // valid, so it fails only when the second copy meets the first.
+        let header_len = (1..delta.len() - 8)
+            .find(|&h| {
+                let mut sum = Vec::new();
+                put_u64(&mut sum, checksum(&delta[..h]));
+                delta[h..].starts_with(&sum)
+            })
+            .expect("the header checksum");
+        assert_eq!(delta[header_len - 1], 1, "the record count");
+        let record = &delta[header_len + 8..];
+        let mut doubled = delta[..header_len - 1].to_vec();
+        put_varint(&mut doubled, 2);
+        let sum = checksum(&doubled);
+        put_u64(&mut doubled, sum);
+        doubled.extend_from_slice(record);
+        doubled.extend_from_slice(record);
+
+        let mut store = SketchStore::<u64>::load_snapshot(&full).unwrap();
+        assert!(store.apply_incremental(&doubled).is_err());
+        let mut fresh = SketchStore::<u64>::load_snapshot(&full).unwrap();
+        assert!(
+            store.write_snapshot().unwrap() == fresh.write_snapshot().unwrap(),
+            "the failed delta changed the store"
+        );
     }
 
     #[test]

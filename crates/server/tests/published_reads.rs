@@ -17,7 +17,7 @@ use sketch_server::protocol::{response, OwnedQuery};
 use sketch_server::{ServerConfig, SketchSpec};
 use stream_gen::SeededRng;
 
-/// Every backend the spec language can build — the same nine shapes the
+/// Every backend the spec language can build — the same eight shapes the
 /// `ecm` API suite round-trips.
 fn backends() -> Vec<SketchSpec> {
     vec![
@@ -29,7 +29,6 @@ fn backends() -> Vec<SketchSpec> {
             .max_arrivals(5_000),
         SketchSpec::time(1_000).backend(Backend::Exact),
         SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
-        SketchSpec::time(1_000).backend(Backend::Decayed),
         SketchSpec::time(1_000).hierarchy(8),
         SketchSpec::count(1_000),
         SketchSpec::count(1_000).hierarchy(8),
@@ -93,7 +92,7 @@ fn assert_key_matches_mirror(
 }
 
 /// Read-your-writes without a gate: 4 writer threads over disjoint
-/// tenants, each against a non-durable and a durable engine, on all nine
+/// tenants, each against a non-durable and a durable engine, on all eight
 /// backend shapes. Every `ingest` → `Ok` is followed at once by reads of
 /// the key just written, which must already equal the thread's mirror of
 /// its own acked events (per-key sketches are independent, so a mirror of

@@ -27,7 +27,6 @@
 //! [`exponential_histogram::merge_exponential_histograms`].
 
 pub mod codec;
-pub mod decay;
 pub mod deterministic_wave;
 pub mod eh_slab;
 pub mod equi_width;
@@ -41,7 +40,6 @@ pub mod reorder;
 pub mod timestamp;
 pub mod traits;
 
-pub use decay::ExpDecayCounter;
 pub use deterministic_wave::{DeterministicWave, DwConfig};
 pub use eh_slab::{EhCellMut, EhCellRef, EhGrid};
 pub use equi_width::{EquiWidthConfig, EquiWidthWindow};

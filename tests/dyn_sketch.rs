@@ -11,9 +11,9 @@
 
 use ecm_suite::ecm::EcmSketch;
 use ecm_suite::ecm::{
-    grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, DecayedCm,
-    EcmBuilder, EcmConfig, EcmEh, EcmHierarchy, Eviction, Query, QueryError, Sketch, SketchReader,
-    SketchSpec, SketchStore, SpecError, StreamEvent, Threshold, WindowSpec,
+    grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, EcmBuilder,
+    EcmConfig, EcmEh, EcmHierarchy, Eviction, Query, QueryError, Sketch, SketchReader, SketchSpec,
+    SketchStore, SpecError, StreamEvent, Threshold, WindowSpec,
 };
 use ecm_suite::sliding_window::traits::WindowCounter;
 use ecm_suite::sliding_window::ExponentialHistogram;
@@ -150,22 +150,6 @@ fn feed_inherent_count_hierarchy<W: WindowCounter>(
     }
     let items: Vec<u64> = batched.iter().map(|e| e.item).collect();
     ch.ingest_batch(&items);
-}
-
-/// Inherent-side feeding of a `DecayedCm` (no inherent batch entry point:
-/// the batched third goes through grouped weighted inserts, which the
-/// trait impl documents as its own batching rule).
-fn feed_inherent_decayed(cm: &mut DecayedCm, events: &[StreamEvent]) {
-    let (single, weighted, batched) = thirds(events);
-    for e in single {
-        cm.insert(e.item, e.ts);
-    }
-    for (run, n) in grouped_runs(weighted) {
-        cm.insert_weighted(run.item, run.ts, n);
-    }
-    for (run, n) in grouped_runs(batched) {
-        cm.insert_weighted(run.item, run.ts, n);
-    }
 }
 
 const EPS: f64 = 0.15;
@@ -331,52 +315,6 @@ fn count_based_backends_dispatch_identically() {
 }
 
 #[test]
-fn decayed_backend_dispatches_identically() {
-    let events = trace(5);
-    let now = events.last().unwrap().ts;
-    // Half-life = spec window for Backend::Decayed.
-    let spec = SketchSpec::time(WINDOW)
-        .epsilon(EPS)
-        .delta(DELTA)
-        .seed(SEED)
-        .backend(Backend::Decayed);
-    let mut concrete = DecayedCm::new(&spec.decayed_config().unwrap());
-    let mut boxed = spec.build().unwrap();
-    feed_inherent_decayed(&mut concrete, &events);
-    feed_trait(&mut *boxed, &events);
-
-    let w = WindowSpec::time(now, WINDOW);
-    assert_scalar_parity(&concrete, &*boxed, &scalar_queries(), w, "decayed");
-    // Decay has no hard window edge: range does not change the answer.
-    let narrow = concrete
-        .query(&Query::point(1), WindowSpec::time(now, 1))
-        .unwrap();
-    let wide = boxed
-        .query(&Query::point(1), WindowSpec::time(now, WINDOW))
-        .unwrap();
-    assert_eq!(narrow, wide);
-    // Lazy decay destroys the past: queries behind the write clock are
-    // typed errors, not debug panics or stale release values.
-    assert!(matches!(
-        boxed.query(&Query::point(1), WindowSpec::time(now - 1, 1)),
-        Err(QueryError::InvalidParameter { .. })
-    ));
-    // ... and count-based windows are clock mismatches, key-structured
-    // queries unsupported with a hint.
-    assert!(matches!(
-        boxed.query(&Query::point(1), WindowSpec::last(10)),
-        Err(QueryError::ClockMismatch { .. })
-    ));
-    match boxed.query(&Query::range_sum(0, 9), w) {
-        Err(QueryError::Unsupported { backend, hint, .. }) => {
-            assert_eq!(backend, "DecayedCm");
-            assert!(hint.contains("EcmHierarchy"));
-        }
-        other => panic!("wrong result: {other:?}"),
-    }
-}
-
-#[test]
 fn inner_product_works_through_trait_objects() {
     let events = trace(6);
     let now = events.last().unwrap().ts;
@@ -402,32 +340,14 @@ fn inner_product_works_through_trait_objects() {
     assert_eq!(concrete_ip.value.to_bits(), boxed_ip.value.to_bits());
 
     // Mismatched trait objects are rejected with both backend names.
-    let dec = spec(Backend::Decayed).build().unwrap();
-    let err = a.query(&Query::inner_product(&*dec), w).unwrap_err();
+    let h = spec(Backend::Eh).hierarchy(10).build().unwrap();
+    let err = a.query(&Query::inner_product(&*h), w).unwrap_err();
     match err {
         QueryError::IncompatibleOperand { detail } => {
-            assert!(detail.contains("EcmSketch") && detail.contains("DecayedCm"));
+            assert!(detail.contains("EcmSketch") && detail.contains("EcmHierarchy"));
         }
         other => panic!("wrong error: {other:?}"),
     }
-
-    // The decayed pair also guards the *operand's* write clock: a `now`
-    // the left side can answer but the right side cannot is a typed
-    // error, not a stale un-decayed product.
-    let mut da = spec(Backend::Decayed).build().unwrap();
-    let mut db = spec(Backend::Decayed).build().unwrap();
-    da.insert(10, 1);
-    db.insert(50, 1);
-    let err = da
-        .query(&Query::inner_product(&*db), WindowSpec::time(10, WINDOW))
-        .unwrap_err();
-    assert!(
-        matches!(err, QueryError::InvalidParameter { .. }),
-        "operand clock must be guarded: {err:?}"
-    );
-    assert!(da
-        .query(&Query::inner_product(&*db), WindowSpec::time(50, WINDOW))
-        .is_ok());
 }
 
 #[test]
@@ -438,7 +358,6 @@ fn a_heterogeneous_registry_of_dyn_sketches_is_usable() {
         ("eh", spec(Backend::Eh).build().unwrap()),
         ("exact", spec(Backend::Exact).build().unwrap()),
         ("hier", spec(Backend::Eh).hierarchy(10).build().unwrap()),
-        ("decay", spec(Backend::Decayed).build().unwrap()),
     ];
     let events = trace(7);
     let now = events.last().unwrap().ts;
@@ -473,14 +392,6 @@ fn spec_validation_error_matrix() {
             SketchSpec::time(10).backend(Backend::Ew { buckets: 0 }),
             "zero buckets",
         ),
-        (
-            SketchSpec::count(10).backend(Backend::Decayed),
-            "count x decayed",
-        ),
-        (
-            SketchSpec::time(10).backend(Backend::Decayed).hierarchy(4),
-            "decayed x hierarchy",
-        ),
     ];
     for (bad, label) in cases {
         let validate_err = bad.validate().expect_err(label);
@@ -498,10 +409,6 @@ fn spec_validation_error_matrix() {
         SketchSpec::time(10).epsilon(7.0).validate(),
         Err(SpecError::InvalidEpsilon { got }) if got == 7.0
     ));
-    assert!(matches!(
-        SketchSpec::count(10).backend(Backend::Decayed).validate(),
-        Err(SpecError::Conflict { .. })
-    ));
 }
 
 #[test]
@@ -511,12 +418,11 @@ fn spec_accessors_reflect_the_description() {
     assert_eq!(s.window(), 500);
     assert_eq!(s.declared_backend(), Backend::Exact);
     assert_eq!(Backend::Ew { buckets: 3 }.name(), "equi-width");
-    assert_eq!(Backend::Decayed.name(), "decayed");
 }
 
-/// Every backend shape the spec language can build — the nine the `ecm`
+/// Every backend shape the spec language can build — the eight the `ecm`
 /// API suite round-trips.
-fn nine_specs() -> Vec<SketchSpec> {
+fn eight_specs() -> Vec<SketchSpec> {
     vec![
         SketchSpec::time(1_000).backend(Backend::Eh),
         SketchSpec::time(1_000).backend(Backend::Dw),
@@ -526,7 +432,6 @@ fn nine_specs() -> Vec<SketchSpec> {
             .max_arrivals(5_000),
         SketchSpec::time(1_000).backend(Backend::Exact),
         SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
-        SketchSpec::time(1_000).backend(Backend::Decayed),
         SketchSpec::time(1_000).hierarchy(8),
         SketchSpec::count(1_000),
         SketchSpec::count(1_000).hierarchy(8),
@@ -699,7 +604,7 @@ fn feed_per_occurrence(store: &mut SketchStore<u64>, batch: &[(u64, StreamEvent,
 /// `ingest_runs(batch)` ≡ `ingest(batch written out per occurrence)` ≡ one
 /// `insert` per occurrence, down to the bytes: full snapshots, the
 /// incremental after a checkpoint, resident keys and eviction victims —
-/// on all nine backend specs, unbounded and through three LRU / FIFO slots,
+/// on all eight backend specs, unbounded and through three LRU / FIFO slots,
 /// for weights all 1 and mixed; and, unbounded, for lines at the
 /// protocol's cap next to light ones.
 #[test]
@@ -710,7 +615,7 @@ fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
         ("mixed", |line, _| 1 + (line as u64 * 7) % 32),
         ("heaviest", |line, cap| [cap, 3][line % 3 / 2]),
     ];
-    for (i, spec) in nine_specs().into_iter().enumerate() {
+    for (i, spec) in eight_specs().into_iter().enumerate() {
         // A count-based window ticks once per occurrence, so a run at the
         // cap is a million ticks through a 1 000-tick window, by design
         // O(weight) a line: those two specs get a lighter "heaviest".
@@ -778,7 +683,7 @@ fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The pruned ranking is the scan, on all nine backend specs — those
+    /// The pruned ranking is the scan, on all eight backend specs — those
     /// with an arrivals bound (EH plain, hierarchy) and those
     /// without. The fleet is built so that a bound even slightly too low
     /// drops a winner: 24 tenants in 8 rate classes of three, so scores
@@ -791,7 +696,7 @@ proptest! {
     /// from snapshot bytes, where the bound is recomputed on decode.
     #[test]
     fn prop_top_k_is_the_scan_on_every_backend(seed in 0u64..10_000) {
-        for (i, spec) in nine_specs().into_iter().enumerate() {
+        for (i, spec) in eight_specs().into_iter().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             let mut store = if seed % 2 == 0 {
                 SketchStore::<u64>::with_capacity(spec.clone(), 16, Eviction::Lru)
@@ -853,7 +758,7 @@ proptest! {
     /// reference, so no write ever leaks across a clone.
     #[test]
     fn prop_store_clone_is_observably_a_deep_copy(seed in 0u64..10_000, steps in 20usize..50) {
-        for (i, spec) in nine_specs().into_iter().enumerate() {
+        for (i, spec) in eight_specs().into_iter().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             // 8 tenants through 4 slots: eviction runs on both copies. Odd
             // seeds run unbounded, where the store keeps no eviction index.

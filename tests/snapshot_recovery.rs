@@ -17,7 +17,7 @@ const WINDOW: u64 = 2_000;
 const EVENTS: u64 = 3_000;
 
 /// The full backend matrix of the acceptance criterion: plain Eh/Dw/Rw/
-/// Exact/Ew/Decayed, time- and count-based hierarchies, and plain
+/// Exact/Ew, time- and count-based hierarchies, and plain
 /// count-based.
 fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
     vec![
@@ -47,10 +47,6 @@ fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
             SketchSpec::time(WINDOW)
                 .backend(Backend::Ew { buckets: 8 })
                 .seed(3),
-        ),
-        (
-            "decayed",
-            SketchSpec::time(WINDOW).backend(Backend::Decayed).seed(3),
         ),
         (
             "hierarchy",
@@ -195,7 +191,7 @@ fn every_backend_round_trips_bit_identically() {
 fn restored_sketches_continue_ingesting_identically() {
     // The clock and arrival-id sequence are state: after restore, feeding
     // the same suffix must produce the same snapshot a never-restored
-    // sketch produces. (Decayed and count-based clocks included.)
+    // sketch produces. (Count-based clocks included.)
     for (label, spec) in spec_matrix() {
         let mut live = spec.build().unwrap();
         let now = feed(&mut *live, 7);

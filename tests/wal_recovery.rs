@@ -48,10 +48,6 @@ fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
                 .seed(3),
         ),
         (
-            "decayed",
-            SketchSpec::time(WINDOW).backend(Backend::Decayed).seed(3),
-        ),
-        (
             "hierarchy",
             SketchSpec::time(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
         ),
