@@ -1,21 +1,13 @@
-//! Count-Min sketches (Cormode & Muthukrishnan, J. Algorithms 2005) and the
-//! supporting machinery the ECM-sketch builds on: a seeded pairwise-
-//! independent hash family, dyadic-range decomposition, and a dyadic
-//! hierarchy of sketches for heavy hitters, range sums and quantiles.
-//!
-//! This crate covers the *conventional* (full-history) stream model — it is
-//! both the substrate of the `ecm` crate (which swaps the integer counters
-//! for sliding-window synopses, paper §4) and the baseline it is compared
-//! against. Codec helpers and error types are shared with the
+//! The hashing and range machinery the ECM-sketch's Count-Min layer is
+//! built on (Cormode & Muthukrishnan, J. Algorithms 2005): a seeded
+//! pairwise-independent hash family, one hash per Count-Min row, and the
+//! dyadic-range decomposition behind the `ecm` crate's hierarchies (paper
+//! §6.1). Codec helpers and error types are shared with the
 //! `sliding-window` crate so every synopsis in the workspace speaks the same
 //! wire vocabulary.
 
 pub mod dyadic;
 pub mod hash;
-pub mod hierarchy;
-pub mod sketch;
 
 pub use dyadic::{dyadic_cover, DyadicRange};
 pub use hash::{HashFamily, PairwiseHash};
-pub use hierarchy::CmHierarchy;
-pub use sketch::{CmConfig, CountMinSketch};

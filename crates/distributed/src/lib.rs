@@ -46,5 +46,5 @@ pub use geometric::{
     PointFn, SelfJoinFn,
 };
 pub use propagation::{DriftPropagation, PropagationStats};
-pub use recovery::{checkpoint_site, restore_site, resume_site};
+pub use recovery::resume_site;
 pub use topology::{BinaryTree, KaryTree};

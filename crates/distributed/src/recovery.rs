@@ -5,11 +5,11 @@
 //! window (10⁶ ticks in the evaluation) before its estimates are trustworthy
 //! again. This module closes that gap with the `ecm::snapshot` format:
 //!
-//! 1. [`checkpoint_site`] serializes a site's typed, mergeable sketch as a
-//!    versioned, checksummed record.
-//! 2. After a crash, [`restore_site`] rebuilds the sketch — including its
-//!    arrival-id namespace and sequence counter, so the ids it assigns next
-//!    continue exactly where the checkpoint left off.
+//! 1. [`ecm::snapshot::snapshot_sketch`] serializes a site's typed,
+//!    mergeable sketch as a versioned, checksummed record.
+//! 2. After a crash, [`ecm::snapshot::restore_sketch`] rebuilds the sketch —
+//!    including its arrival-id namespace and sequence counter, so the ids it
+//!    assigns next continue exactly where the checkpoint left off.
 //! 3. [`resume_site`] additionally replays the post-checkpoint event
 //!    backlog through the batched fast path; the result is **bit-identical**
 //!    to a site that never crashed, so it rejoins the aggregation tree with
@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use distributed::{aggregate_tree, recovery, site_sketch_from_spec};
-//! use ecm::{Query, SketchReader, SketchSpec, WindowSpec};
+//! use ecm::{snapshot_sketch, Query, SketchReader, SketchSpec, WindowSpec};
 //! use sliding_window::ExponentialHistogram;
 //! use stream_gen::Event;
 //!
@@ -31,7 +31,7 @@
 //!     .collect();
 //! // Site 1 checkpoints halfway through its stream, then "crashes".
 //! let half = site_sketch_from_spec::<ExponentialHistogram>(&spec, 1, &events[..50]).unwrap();
-//! let checkpoint = recovery::checkpoint_site(&spec, &half).unwrap();
+//! let checkpoint = snapshot_sketch(&spec, &half).unwrap();
 //!
 //! // Recovery: restore and replay the backlog; the site is whole again.
 //! let recovered =
@@ -56,45 +56,13 @@
 
 use std::fmt;
 
-use ecm::snapshot::{restore_sketch, snapshot_sketch};
+use ecm::snapshot::restore_sketch;
 use ecm::{EcmSketch, SketchSpec, SnapshotError, SpecBackend};
 use stream_gen::Event;
 
-/// Serialize a site's sketch as one self-describing snapshot record (see
-/// `ecm::snapshot` for the format). The record embeds the spec, so a
-/// coordinator can archive checkpoints from heterogeneous deployments and
-/// still restore them unambiguously.
-///
-/// # Errors
-/// Any [`SnapshotError`], including a backend/spec disagreement.
-pub fn checkpoint_site<W>(
-    spec: &SketchSpec,
-    sketch: &EcmSketch<W>,
-) -> Result<Vec<u8>, SnapshotError>
-where
-    W: SpecBackend + fmt::Debug + 'static,
-    W::Config: 'static,
-{
-    snapshot_sketch(spec, sketch)
-}
-
-/// Restore a site's sketch from a [`checkpoint_site`] record. The restored
-/// sketch carries the checkpoint's arrival-id namespace and sequence, so
-/// subsequent insertions assign the same ids a never-crashed site would.
-///
-/// # Errors
-/// Any [`SnapshotError`]: truncated/corrupted/version-bumped bytes and spec
-/// disagreements are typed failures, never panics.
-pub fn restore_site<W>(spec: &SketchSpec, bytes: &[u8]) -> Result<EcmSketch<W>, SnapshotError>
-where
-    W: SpecBackend + fmt::Debug + 'static,
-    W::Config: 'static,
-{
-    restore_sketch(spec, bytes)
-}
-
-/// Restore a site and replay its post-checkpoint backlog through the
-/// batched ingest fast path — the full crash-recovery cycle. Bit-identical
+/// Restore a site from a [`snapshot_sketch`](ecm::snapshot::snapshot_sketch)
+/// record and replay its post-checkpoint backlog through the batched
+/// ingest fast path — the full crash-recovery cycle. Bit-identical
 /// to a site that ingested the whole stream uninterrupted (proven in
 /// `tests/failure_injection.rs`), so the site rejoins its aggregation tree
 /// with guarantees unchanged.
@@ -110,7 +78,7 @@ where
     W: SpecBackend + fmt::Debug + 'static,
     W::Config: 'static,
 {
-    let mut sketch = restore_site::<W>(spec, bytes)?;
+    let mut sketch = restore_sketch::<W>(spec, bytes)?;
     for (e, n) in ecm::grouped_runs(backlog) {
         sketch.insert_weighted(e.key, e.ts, n);
     }

@@ -53,6 +53,7 @@
 pub mod api;
 pub mod config;
 pub mod count_based;
+pub mod frame;
 pub mod hierarchy;
 pub mod publish;
 pub mod query;

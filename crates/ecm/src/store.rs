@@ -21,6 +21,9 @@
 //! * **Capacity control** — an optional key cap with LRU or FIFO eviction,
 //!   so unbounded key universes (attack traffic, ephemeral sessions) cannot
 //!   exhaust memory.
+//! * **Fleet snapshots** — full and incremental `"EF"` records: a sealed
+//!   header, then one sealed record per key, framed by the shared rules of
+//!   [`frame`].
 //!
 //! # Example
 //!
@@ -53,14 +56,14 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::api::{Clock, Sketch, SketchSpec, SpecError};
+use crate::frame::{self, corrupt};
 use crate::query::{Answer, Query, QueryError, WindowSpec};
 use crate::sketch::StreamEvent;
 use crate::snapshot::{
-    checksum, decode_payload, decode_spec, encode_payload, encode_spec, SnapshotError, SnapshotKey,
-    SNAPSHOT_VERSION,
+    decode_payload, decode_spec, encode_payload, encode_spec, format_bounds, get_opt, put_opt,
+    SnapshotError, SnapshotKey, SNAPSHOT_VERSION,
 };
-use sliding_window::codec::{get_u64, get_u8, get_varint, put_u64, put_u8, put_varint};
-use sliding_window::CodecError;
+use sliding_window::codec::{get_u8, get_varint, put_u8, put_varint};
 
 /// Which resident key a full [`SketchStore`] discards for a new one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -768,23 +771,15 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
     }
 
     fn render(&self, kind: u8, keys: &[K]) -> Result<Vec<u8>, SnapshotError> {
-        crate::snapshot::format_bounds(&self.spec)?;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&STORE_MAGIC);
-        put_u8(&mut buf, SNAPSHOT_VERSION);
+        format_bounds(&self.spec)?;
+        let mut buf = frame::begin(STORE_MAGIC, SNAPSHOT_VERSION);
         put_u8(&mut buf, kind);
         encode_spec(&self.spec, &mut buf);
         put_varint(&mut buf, self.checkpoint_seq + 1);
         if kind == KIND_INCREMENTAL {
             put_varint(&mut buf, self.checkpoint_seq);
         }
-        match self.capacity {
-            None => put_u8(&mut buf, 0),
-            Some(c) => {
-                put_u8(&mut buf, 1);
-                put_varint(&mut buf, c as u64);
-            }
-        }
+        put_opt(&mut buf, self.capacity.map(|c| c as u64));
         put_u8(
             &mut buf,
             match self.eviction {
@@ -806,47 +801,30 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
             put_varint(&mut buf, 0);
         }
         put_varint(&mut buf, keys.len() as u64);
-        let header_sum = checksum(&buf);
-        put_u64(&mut buf, header_sum);
+        frame::seal(&mut buf, 0);
+        let mut payload = Vec::new();
         for key in keys {
             let entry = self.entries.get(key).expect("caller passes resident keys");
             let start = buf.len();
             key.encode_key(&mut buf);
             put_varint(&mut buf, entry.order_stamp);
             put_varint(&mut buf, entry.last_written);
-            let mut payload = Vec::new();
+            payload.clear();
             encode_payload(&self.spec, &*entry.sketch, &mut payload)?;
-            put_varint(&mut buf, payload.len() as u64);
-            buf.extend_from_slice(&payload);
-            let record_sum = checksum(&buf[start..]);
-            put_u64(&mut buf, record_sum);
+            frame::put_bytes(&mut buf, &payload);
+            frame::seal(&mut buf, start);
         }
         Ok(buf)
     }
 
+    /// The one decode path of an `"EF"` snapshot, full or incremental.
     fn parse(bytes: &[u8]) -> Result<ParsedStore<K>, SnapshotError> {
-        // Magic and format version first: a non-snapshot input should say
-        // so, not report a checksum failure.
-        if bytes.len() < 3 {
-            return Err(CodecError::Truncated {
-                context: "store snapshot header",
-            }
-            .into());
-        }
-        if bytes[..2] != STORE_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if bytes[2] != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion { found: bytes[2] });
-        }
-
-        let mut input = &bytes[3..];
+        let mut input = bytes;
+        let versions = SNAPSHOT_VERSION..=SNAPSHOT_VERSION;
+        frame::open(&mut input, STORE_MAGIC, versions, "store snapshot header")?;
         let kind = get_u8(&mut input, "store snapshot kind")?;
         if kind != KIND_FULL && kind != KIND_INCREMENTAL {
-            return Err(CodecError::Corrupt {
-                context: "store snapshot kind",
-            }
-            .into());
+            return Err(corrupt("store snapshot kind"));
         }
         let spec = decode_spec(&mut input)?;
         let seq = get_varint(&mut input, "store snapshot seq")?;
@@ -855,43 +833,20 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
         } else {
             0
         };
-        let capacity = match get_u8(&mut input, "store capacity flag")? {
-            0 => None,
-            1 => {
-                let c = get_varint(&mut input, "store capacity")? as usize;
-                if c == 0 {
-                    return Err(CodecError::Corrupt {
-                        context: "store capacity",
-                    }
-                    .into());
-                }
-                Some(c)
-            }
-            _ => {
-                return Err(CodecError::Corrupt {
-                    context: "store capacity flag",
-                }
-                .into())
-            }
+        let capacity = match get_opt(&mut input, "store capacity")? {
+            Some(0) => return Err(corrupt("store capacity")),
+            c => c.map(|c| c as usize),
         };
         let eviction = match get_u8(&mut input, "store eviction policy")? {
             0 => Eviction::Lru,
             1 => Eviction::Fifo,
-            _ => {
-                return Err(CodecError::Corrupt {
-                    context: "store eviction policy",
-                }
-                .into())
-            }
+            _ => return Err(corrupt("store eviction policy")),
         };
         let clock = get_varint(&mut input, "store clock")?;
         let evictions = get_varint(&mut input, "store evictions")?;
         let n_tombstones = get_varint(&mut input, "store tombstone count")? as usize;
         if kind == KIND_FULL && n_tombstones != 0 {
-            return Err(CodecError::Corrupt {
-                context: "store tombstones",
-            }
-            .into());
+            return Err(corrupt("store tombstones"));
         }
         let mut tombstones = Vec::with_capacity(n_tombstones.min(1024));
         for _ in 0..n_tombstones {
@@ -899,16 +854,9 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
         }
         let n_records = get_varint(&mut input, "store record count")? as usize;
         // Header integrity (everything parsed so far) before the records
-        // are decoded; each record then carries its own checksum, so every
+        // are decoded; each record then carries its own seal, so every
         // byte is verified exactly once.
-        let header_len = bytes.len() - input.len();
-        let expected = checksum(&bytes[..header_len]);
-        let header_sum = get_u64(&mut input, "store header checksum")?;
-        if header_sum != expected {
-            return Err(SnapshotError::ChecksumMismatch {
-                context: "store snapshot header",
-            });
-        }
+        frame::check_seal(bytes, &mut input, "store snapshot header")?;
         let mut records = Vec::new();
         for _ in 0..n_records {
             let start = input;
@@ -916,35 +864,11 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
             let order_stamp = get_varint(&mut input, "store order stamp")?;
             let last_written = get_varint(&mut input, "store write stamp")?;
             if order_stamp == 0 || order_stamp > clock || last_written > clock {
-                return Err(CodecError::Corrupt {
-                    context: "store stamps",
-                }
-                .into());
+                return Err(corrupt("store stamps"));
             }
-            let len = get_varint(&mut input, "store payload length")? as usize;
-            if len > input.len() {
-                return Err(CodecError::Truncated {
-                    context: "store payload",
-                }
-                .into());
-            }
-            let (payload, rest) = input.split_at(len);
-            input = rest;
-            let covered = start.len() - input.len();
-            let expected = checksum(&start[..covered]);
-            let record_sum = get_u64(&mut input, "store record checksum")?;
-            if record_sum != expected {
-                return Err(SnapshotError::ChecksumMismatch {
-                    context: "store key record",
-                });
-            }
-            let mut payload = payload;
-            let sketch = decode_payload(&spec, &mut payload)?;
-            if !payload.is_empty() {
-                return Err(SnapshotError::TrailingBytes {
-                    count: payload.len(),
-                });
-            }
+            let payload = frame::take_bytes(&mut input, "store payload")?;
+            frame::check_seal(start, &mut input, "store key record")?;
+            let sketch = decode_payload(&spec, payload)?;
             records.push((key, order_stamp, last_written, sketch));
         }
         if !input.is_empty() {
@@ -1059,10 +983,7 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
     ) -> Result<(), SnapshotError> {
         for (key, order_stamp, last_written, sketch) in records {
             if self.capacity.is_some() && self.order.insert(order_stamp, key.clone()).is_some() {
-                return Err(CodecError::Corrupt {
-                    context: "store duplicate order stamp",
-                }
-                .into());
+                return Err(corrupt("store duplicate order stamp"));
             }
             if self
                 .entries
@@ -1077,23 +998,15 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
                 )
                 .is_some()
             {
-                return Err(CodecError::Corrupt {
-                    context: "store duplicate key",
-                }
-                .into());
+                return Err(corrupt("store duplicate key"));
             }
         }
         Ok(())
     }
 
     fn check_capacity(&self) -> Result<(), SnapshotError> {
-        if let Some(cap) = self.capacity {
-            if self.entries.len() > cap {
-                return Err(CodecError::Corrupt {
-                    context: "store capacity exceeded",
-                }
-                .into());
-            }
+        if self.capacity.is_some_and(|cap| self.entries.len() > cap) {
+            return Err(corrupt("store capacity exceeded"));
         }
         Ok(())
     }
@@ -1523,18 +1436,13 @@ mod tests {
         // Re-seal the one-record delta with its record repeated: checksum
         // valid, so it fails only when the second copy meets the first.
         let header_len = (1..delta.len() - 8)
-            .find(|&h| {
-                let mut sum = Vec::new();
-                put_u64(&mut sum, checksum(&delta[..h]));
-                delta[h..].starts_with(&sum)
-            })
+            .find(|&h| delta[h..].starts_with(&frame::fnv1a(&delta[..h]).to_le_bytes()))
             .expect("the header checksum");
         assert_eq!(delta[header_len - 1], 1, "the record count");
         let record = &delta[header_len + 8..];
         let mut doubled = delta[..header_len - 1].to_vec();
         put_varint(&mut doubled, 2);
-        let sum = checksum(&doubled);
-        put_u64(&mut doubled, sum);
+        frame::seal(&mut doubled, 0);
         doubled.extend_from_slice(record);
         doubled.extend_from_slice(record);
 
@@ -1622,26 +1530,8 @@ mod tests {
             target.apply_incremental(&full),
             Err(SnapshotError::SpecMismatch { .. })
         ));
-        // Bad magic, version bump, bit rot, truncation: all typed errors.
-        let mut bad = full.clone();
-        bad[0] = b'Z';
-        assert!(matches!(
-            SketchStore::<u64>::load_snapshot(&bad),
-            Err(SnapshotError::BadMagic)
-        ));
-        let mut bad = full.clone();
-        bad[2] = 0xfe;
-        assert!(matches!(
-            SketchStore::<u64>::load_snapshot(&bad),
-            Err(SnapshotError::UnsupportedVersion { found: 0xfe })
-        ));
-        let mut bad = full.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x10;
-        assert!(SketchStore::<u64>::load_snapshot(&bad).is_err());
-        for cut in (0..full.len()).step_by(13) {
-            assert!(SketchStore::<u64>::load_snapshot(&full[..cut]).is_err());
-        }
+        // Bad magic, version bump, bit rot and truncation are the
+        // robustness suite's (`tests/frame_robustness.rs`).
         // A delta for a different spec is refused.
         let mut other: SketchStore<u64> =
             SketchStore::new(SketchSpec::time(1_000).seed(99)).unwrap();

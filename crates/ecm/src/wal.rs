@@ -9,9 +9,9 @@
 //! store bit for bit, by the same arrival-id-sequence argument the
 //! snapshot differential tests already prove.
 //!
-//! A log is a chain of **segment** files. Each segment opens with a
-//! checksummed header and carries length-framed, checksummed,
-//! sequence-numbered records:
+//! A log is a chain of **segment** files. Each segment opens with a sealed
+//! header and carries sealed, sequence-numbered records; magic, version,
+//! body length and seal follow the shared rules of [`frame`]:
 //!
 //! ```text
 //! segment header                          one record (repeated)
@@ -73,10 +73,11 @@
 
 use std::hash::Hash;
 
+use crate::frame::{self, corrupt};
 use crate::sketch::StreamEvent;
-use crate::snapshot::{checksum, SnapshotError, SnapshotKey};
+use crate::snapshot::{SnapshotError, SnapshotKey};
 use crate::store::SketchStore;
-use sliding_window::codec::{get_u64, get_u8, get_varint, put_u64, put_u8, put_varint};
+use sliding_window::codec::{get_u8, get_varint, put_u8, put_varint};
 use sliding_window::CodecError;
 
 /// The WAL format version segments are written with. Bump on any layout
@@ -113,17 +114,14 @@ pub struct WalSegmentHeader {
     pub base_checkpoint_seq: u64,
 }
 
-/// Encode a segment header (magic, version, fields, checksum).
+/// Encode a segment header (magic, version, fields, seal).
 pub fn encode_segment_header(h: &WalSegmentHeader) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32);
-    buf.extend_from_slice(&WAL_MAGIC);
-    put_u8(&mut buf, WAL_VERSION);
+    let mut buf = frame::begin(WAL_MAGIC, WAL_VERSION);
     put_varint(&mut buf, h.shard);
     put_varint(&mut buf, h.segment);
     put_varint(&mut buf, h.base_record_seq);
     put_varint(&mut buf, h.base_checkpoint_seq);
-    let sum = checksum(&buf);
-    put_u64(&mut buf, sum);
+    frame::seal(&mut buf, 0);
     buf
 }
 
@@ -131,13 +129,11 @@ pub fn encode_segment_header(h: &WalSegmentHeader) -> Vec<u8> {
 /// say. An owner about to append to an existing segment compares this with
 /// [`WAL_VERSION`]: records of the current version do not belong in a
 /// segment that announces an older one.
-pub fn segment_version(bytes: &[u8]) -> Option<u8> {
-    bytes
-        .strip_prefix(&WAL_MAGIC)
-        .and_then(|rest| rest.first().copied())
+pub fn segment_version(mut bytes: &[u8]) -> Option<u8> {
+    frame::open(&mut bytes, WAL_MAGIC, 0..=u8::MAX, "wal segment header").ok()
 }
 
-/// Decode a segment header, advancing the slice past it. The checksum is
+/// Decode a segment header, advancing the slice past it. The seal is
 /// verified before the header is trusted.
 ///
 /// # Errors
@@ -147,44 +143,23 @@ pub fn segment_version(bytes: &[u8]) -> Option<u8> {
 /// tail or hard corruption).
 pub fn decode_segment_header(input: &mut &[u8]) -> Result<WalSegmentHeader, SnapshotError> {
     let start = *input;
-    if input.len() < WAL_MAGIC.len() {
-        return Err(CodecError::Truncated {
-            context: "wal magic",
-        }
-        .into());
-    }
-    if start[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    *input = &input[WAL_MAGIC.len()..];
-    let version = get_u8(input, "wal version")?;
-    if !(WAL_MIN_VERSION..=WAL_VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
+    let versions = WAL_MIN_VERSION..=WAL_VERSION;
+    frame::open(input, WAL_MAGIC, versions, "wal segment header")?;
     let header = WalSegmentHeader {
         shard: get_varint(input, "wal shard")?,
         segment: get_varint(input, "wal segment index")?,
         base_record_seq: get_varint(input, "wal base record seq")?,
         base_checkpoint_seq: get_varint(input, "wal base checkpoint seq")?,
     };
-    let covered = start.len() - input.len();
-    let expected = checksum(&start[..covered]);
-    let found = get_u64(input, "wal header checksum")?;
-    if found != expected {
-        return Err(SnapshotError::ChecksumMismatch {
-            context: "wal segment header",
-        });
-    }
+    frame::check_seal(start, input, "wal segment header")?;
     Ok(header)
 }
 
-/// Frame `body` as one record: `[varint len][body][u64 FNV over both]`.
+/// Frame `body` as one record: `[varint len][body][seal over both]`.
 fn frame_record(body: &[u8], buf: &mut Vec<u8>) {
     let start = buf.len();
-    put_varint(buf, body.len() as u64);
-    buf.extend_from_slice(body);
-    let sum = checksum(&buf[start..]);
-    put_u64(buf, sum);
+    frame::put_bytes(buf, body);
+    frame::seal(buf, start);
 }
 
 /// Append one events record (kind 0) for `events` with sequence number
@@ -282,12 +257,7 @@ fn decode_body<K: SnapshotKey>(
             }
         }
         KIND_CHECKPOINT => checkpoint_seq = Some(get_varint(input, "wal checkpoint seq")?),
-        _ => {
-            return Err(CodecError::Corrupt {
-                context: "wal record kind",
-            }
-            .into())
-        }
+        _ => return Err(corrupt("wal record kind")),
     }
     if !input.is_empty() {
         return Err(SnapshotError::TrailingBytes { count: input.len() });
@@ -319,40 +289,27 @@ enum Frame<'a> {
 }
 
 /// Take one length-framed record off the front of `input`, verifying its
-/// checksum. `input` advances only past a complete record.
+/// seal. `input` advances only past a complete record.
 ///
 /// # Errors
 /// A checksum mismatch over *complete* bytes. Truncation is
 /// [`Frame::Torn`], not an error — the caller knows whether this segment
 /// is allowed a torn tail.
 fn next_frame<'a>(input: &mut &'a [u8]) -> Result<Frame<'a>, SnapshotError> {
-    let frame = *input;
-    if frame.is_empty() {
+    if input.is_empty() {
         return Ok(Frame::End);
     }
-    let mut cur = frame;
-    let len = match get_varint(&mut cur, "wal record length") {
-        Ok(v) => v as usize,
-        Err(CodecError::Truncated { .. }) => return Ok(Frame::Torn),
+    let mut rest = *input;
+    // A length the bytes cannot hold — cut, or a corrupt varint claiming
+    // up to u64::MAX — is indistinguishable from an interrupted write.
+    let body = match frame::take_bytes(&mut rest, "wal record") {
+        Ok(body) if rest.len() >= 8 => body,
+        Ok(_) | Err(CodecError::Truncated { .. }) => return Ok(Frame::Torn),
         Err(e) => return Err(e.into()),
     };
-    let len_bytes = frame.len() - cur.len();
-    // `len` is untrusted (its checksum sits *after* the payload it sizes):
-    // a corrupt varint can claim up to u64::MAX bytes, so the `+ 8` must
-    // not wrap into a passing comparison.
-    match len.checked_add(8) {
-        Some(need) if cur.len() >= need => {}
-        _ => return Ok(Frame::Torn),
-    }
-    let mut sum_bytes = &cur[len..len + 8];
-    let found = get_u64(&mut sum_bytes, "wal record checksum")?;
-    if found != checksum(&frame[..len_bytes + len]) {
-        return Err(SnapshotError::ChecksumMismatch {
-            context: "wal record",
-        });
-    }
-    *input = &cur[len + 8..];
-    Ok(Frame::Record(&cur[..len]))
+    frame::check_seal(input, &mut rest, "wal record")?;
+    *input = rest;
+    Ok(Frame::Record(body))
 }
 
 /// What [`replay`] did, and what it learned about the log's tail — the
@@ -442,10 +399,7 @@ where
                 continue;
             }
             Err(SnapshotError::Codec(CodecError::Truncated { .. })) => {
-                return Err(CodecError::Corrupt {
-                    context: "wal torn segment before the log tail",
-                }
-                .into());
+                return Err(corrupt("wal torn segment before the log tail"));
             }
             Err(e) => return Err(e),
         };
@@ -492,12 +446,7 @@ where
                     report.torn_tail = true;
                     break;
                 }
-                Frame::Torn => {
-                    return Err(CodecError::Corrupt {
-                        context: "wal torn segment before the log tail",
-                    }
-                    .into());
-                }
+                Frame::Torn => return Err(corrupt("wal torn segment before the log tail")),
                 Frame::Record(body) => {
                     let head = decode_body(body, &mut runs)?;
                     if head.seq != expected + 1 {
@@ -612,18 +561,8 @@ mod tests {
         assert_eq!(decode_segment_header(&mut input).unwrap(), h);
         assert!(input.is_empty());
 
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            decode_segment_header(&mut bad.as_slice()),
-            Err(SnapshotError::BadMagic)
-        ));
-        let mut bad = bytes.clone();
-        bad[2] = WAL_VERSION + 1;
-        assert!(matches!(
-            decode_segment_header(&mut bad.as_slice()),
-            Err(SnapshotError::UnsupportedVersion { .. })
-        ));
+        // Magic and version are the robustness suite's
+        // (`tests/frame_robustness.rs`); a field under the seal is this one's.
         let mut bad = bytes.clone();
         bad[4] ^= 0x10;
         assert!(matches!(
@@ -859,7 +798,7 @@ mod tests {
         .len()
             - 8;
         bytes[2] = 1;
-        let sum = checksum(&bytes[..covered]);
+        let sum = frame::fnv1a(&bytes[..covered]);
         bytes[covered..covered + 8].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(segment_version(&bytes), Some(1));
         let mut restored = SketchStore::<u64>::new(spec()).unwrap();

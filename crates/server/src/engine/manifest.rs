@@ -4,20 +4,23 @@
 
 use std::path::Path;
 
+use super::wal::write_atomic;
 use super::EngineError;
 use crate::protocol::json;
 
 /// Name of the manifest inside a snapshot directory.
 pub(super) const MANIFEST: &str = "MANIFEST.json";
 
-/// Write the manifest via a same-dir temp + rename, so a crash mid-write
-/// can't tear the file a restart needs to restore at all. Each view is
-/// persisted as its `VIEW CREATE` wire tail, re-parsed on restore by the
-/// same protocol grammar that created it.
+/// Land the manifest through [`write_atomic`] (synced with `fsync`, the
+/// log's setting), so a crash mid-write can't tear the file a restart
+/// needs to restore at all. Each view is persisted as its `VIEW CREATE`
+/// wire tail, re-parsed on restore by the same protocol grammar that
+/// created it.
 pub(super) fn write_manifest(
     dir: &Path,
     shards: usize,
     views: &[String],
+    fsync: bool,
 ) -> Result<(), EngineError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| EngineError::Snapshot(format!("create {}: {e}", dir.display())))?;
@@ -25,15 +28,8 @@ pub(super) fn write_manifest(
         .iter()
         .map(|v| format!("\"{}\"", json::escape(v)))
         .collect();
-    let tmp = dir.join(format!(".tmp.{MANIFEST}"));
-    std::fs::write(
-        &tmp,
-        format!("{{\"shards\":{shards},\"views\":[{}]}}\n", views.join(",")),
-    )
-    .map_err(|e| EngineError::Snapshot(format!("write {}: {e}", tmp.display())))?;
-    let path = dir.join(MANIFEST);
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| EngineError::Snapshot(format!("rename {}: {e}", path.display())))
+    let text = format!("{{\"shards\":{shards},\"views\":[{}]}}\n", views.join(","));
+    write_atomic(dir, MANIFEST, text.as_bytes(), fsync).map_err(EngineError::Snapshot)
 }
 
 /// Read the shard count and persisted view definitions back. A PR-7-era
@@ -93,7 +89,7 @@ mod tests {
 
         // Today's bytes differ only in the tab's short form, and read back
         // to the same views.
-        write_manifest(&dir, 4, &views).unwrap();
+        write_manifest(&dir, 4, &views, false).unwrap();
         let written = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
         assert_eq!(written, parent.replace("\\u0009", "\\t"));
         assert_eq!(read_manifest(&dir).unwrap(), (4, views));

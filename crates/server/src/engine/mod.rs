@@ -242,18 +242,9 @@ pub enum ShardReply {
     },
 }
 
-/// FNV-1a 64-bit hash of a key, the shard-routing function. Deterministic
-/// across runs and processes, so snapshots restore onto the same layout.
-pub fn fnv1a(key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The shard that owns `key` in an `n`-shard engine.
+/// The shard that owns `key` in an `n`-shard engine: the key's
+/// [`fnv1a`](ecm::frame::fnv1a), deterministic across runs and processes,
+/// so snapshots restore onto the same layout.
 pub fn route(key: &str, n: usize) -> usize {
-    (fnv1a(key) % n as u64) as usize
+    (ecm::frame::fnv1a(key.as_bytes()) % n as u64) as usize
 }

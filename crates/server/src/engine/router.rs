@@ -302,7 +302,7 @@ impl Engine {
             // count.
             let dir = cfg.snapshot_dir.as_deref().expect("validated above");
             if restore_from.is_none() {
-                write_manifest(dir, cfg.shards, &[])?;
+                write_manifest(dir, cfg.shards, &[], cfg.wal_fsync)?;
             }
         }
         // An empty/absent plan never reaches the parser, so release builds
@@ -768,16 +768,16 @@ impl Engine {
         &self,
         registry: &BTreeMap<String, ViewDef<String>>,
     ) -> Result<(), EngineError> {
-        if self.fleet.wal_cfg.is_none() {
+        let Some(wal_cfg) = self.fleet.wal_cfg else {
             return Ok(());
-        }
+        };
         let dir = self
             .fleet
             .snapshot_dir
             .as_deref()
             .expect("durable has a dir");
         let wire: Vec<String> = registry.values().map(wire_view_def).collect();
-        write_manifest(dir, self.fleet.slots.len(), &wire)
+        write_manifest(dir, self.fleet.slots.len(), &wire, wal_cfg.fsync)
     }
 
     /// Advance every shard's stream clock to `ts` with no arrivals.
@@ -819,7 +819,8 @@ impl Engine {
                 _ => return Err(EngineError::ShardDied { shard }),
             }
         }
-        write_manifest(dir, self.fleet.slots.len(), &self.wire_views())?;
+        let fsync = self.fleet.wal_cfg.is_some_and(|w| w.fsync);
+        write_manifest(dir, self.fleet.slots.len(), &self.wire_views(), fsync)?;
         Ok(SnapshotReport {
             dir: dir.display().to_string(),
             shards: self.fleet.slots.len(),
@@ -882,7 +883,8 @@ impl Engine {
         }
         if snapshot_error.is_none() {
             if let Some(dir) = &self.fleet.snapshot_dir {
-                write_manifest(dir, self.fleet.slots.len(), &self.wire_views())?;
+                let fsync = self.fleet.wal_cfg.is_some_and(|w| w.fsync);
+                write_manifest(dir, self.fleet.slots.len(), &self.wire_views(), fsync)?;
             }
         }
         match snapshot_error {

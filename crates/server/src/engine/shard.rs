@@ -9,7 +9,7 @@ use ecm::{Epoch, LeftRight, SketchStore, SnapshotError, ViewDef, ViewEvent, View
 
 use super::hub::ViewHub;
 use super::supervisor::ShardGauge;
-use super::wal::ShardWal;
+use super::wal::{write_atomic, ShardWal};
 use super::{ShardMsg, ShardReply, ShardStats};
 use crate::fault::{FaultHook, FaultSite};
 use crate::protocol::response;
@@ -22,36 +22,6 @@ pub(super) fn full_file(shard: usize) -> String {
 /// Name of shard `i`'s delta file for checkpoint sequence `seq`.
 pub(super) fn delta_file(shard: usize, seq: u64) -> String {
     format!("shard-{shard}.delta-{seq:06}")
-}
-
-/// Crash-safe checkpoint-file write: land the bytes in a same-directory
-/// temp file, then `rename` over the target (atomic on POSIX). The target
-/// either keeps its old contents or holds the complete new ones — a kill
-/// mid-write can no longer tear the only `.full` file and strand the
-/// shard. The temp name's leading dot keeps it out of every
-/// `shard-<i>.*` prefix scan (restore, delta cleanup, WAL listing), and
-/// being deterministic means a crash leaves at most one stale temp per
-/// target, overwritten by the next attempt. With `fsync`, the data and
-/// the directory entry are on the platter before this returns.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8], fsync: bool) -> Result<(), String> {
-    use std::io::Write;
-    let tmp = dir.join(format!(".tmp.{name}"));
-    let mut file =
-        std::fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
-    file.write_all(bytes)
-        .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    if fsync {
-        file.sync_data()
-            .map_err(|e| format!("fsync {}: {e}", tmp.display()))?;
-    }
-    drop(file);
-    let target = dir.join(name);
-    std::fs::rename(&tmp, &target)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), target.display()))?;
-    if fsync {
-        super::wal::sync_dir(dir)?;
-    }
-    Ok(())
 }
 
 /// The worker's half of the read path (see `ecm::publish`), and the one

@@ -36,6 +36,40 @@ pub(super) fn sync_dir(dir: &Path) -> Result<(), String> {
         .map_err(|e| format!("sync dir {}: {e}", dir.display()))
 }
 
+/// Crash-safe file landing for checkpoints and the manifest: write the
+/// bytes to a same-directory temp file, then `rename` over the target
+/// (atomic on POSIX). The target either keeps its old contents or holds
+/// the complete new ones — a kill mid-write cannot tear the only `.full`
+/// file or the manifest and strand a restart. The temp name's leading dot
+/// keeps it out of every `shard-<i>.*` prefix scan (restore, delta
+/// cleanup, WAL listing), and being deterministic means a crash leaves at
+/// most one stale temp per target, overwritten by the next attempt. With
+/// `fsync`, the data and the directory entry are on the platter before
+/// this returns.
+pub(super) fn write_atomic(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    fsync: bool,
+) -> Result<(), String> {
+    let tmp = dir.join(format!(".tmp.{name}"));
+    let mut file = File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
+    file.write_all(bytes)
+        .map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    if fsync {
+        file.sync_data()
+            .map_err(|e| format!("fsync {}: {e}", tmp.display()))?;
+    }
+    drop(file);
+    let target = dir.join(name);
+    std::fs::rename(&tmp, &target)
+        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), target.display()))?;
+    if fsync {
+        sync_dir(dir)?;
+    }
+    Ok(())
+}
+
 /// The durability knobs a [`ShardWal`] runs with, copied out of the
 /// [`ServerConfig`](crate::config::ServerConfig).
 #[derive(Debug, Clone, Copy)]
@@ -140,8 +174,7 @@ impl ShardWal {
         match indexed.last() {
             None => {
                 // Fresh log: open segment 1 and pin the chain point.
-                wal.segment = 1;
-                wal.create_segment(store.checkpoint_seq())?;
+                wal.create_segment(1, store.checkpoint_seq())?;
                 wal.append_marker(store.checkpoint_seq())?;
             }
             Some((last_index, last_path)) => {
@@ -157,7 +190,7 @@ impl ShardWal {
                     // first write): the file holds nothing — recreate the
                     // same segment index so the chain stays contiguous.
                     std::fs::remove_file(last_path).map_err(|e| fail("remove torn segment", &e))?;
-                    wal.create_segment(store.checkpoint_seq())?;
+                    wal.create_segment(*last_index, store.checkpoint_seq())?;
                     if wal.sealed_segments == 0 {
                         // No sealed history either: this was a fresh log's
                         // very first write, so re-pin the chain point.
@@ -221,9 +254,10 @@ impl ShardWal {
 
     /// Append one ingest batch as a runs record. On success the runs are on
     /// the log (and in the OS page cache — or on the platter, with `fsync`)
-    /// and the worker may apply + ack them. Rotates afterwards when the
-    /// active segment outgrew its threshold (`checkpoint_seq` seeds the new
-    /// header).
+    /// and the worker may apply + ack them. When the active segment has
+    /// outgrown its threshold it is rotated *first* (`checkpoint_seq` seeds
+    /// the new header), so every error leaves the batch off the log: a
+    /// refused batch never replays.
     pub(super) fn append_runs(
         &mut self,
         runs: &[(String, StreamEvent, u64)],
@@ -232,13 +266,13 @@ impl ShardWal {
         // Fires *before* any byte is written: an injected append error is
         // the clean ack-after-append failure (the run lands nowhere).
         self.faults.fire(FaultSite::WalAppend)?;
+        if self.active_bytes >= self.cfg.segment_bytes {
+            self.rotate(checkpoint_seq)?;
+        }
         self.buf.clear();
         encode_runs(self.record_seq + 1, runs, &mut self.body, &mut self.buf);
         self.write_buf()?;
         self.record_seq += 1;
-        if self.active_bytes >= self.cfg.segment_bytes {
-            self.rotate(checkpoint_seq)?;
-        }
         Ok(())
     }
 
@@ -254,13 +288,17 @@ impl ShardWal {
         Ok(())
     }
 
-    /// Seal the active segment and open the next one.
+    /// Seal the active segment and open the next one. The counters move
+    /// only once the next segment exists: after a failure this handle
+    /// keeps appending to the active segment, and the next rotation retries
+    /// the same index, so the chain has no gap.
     pub(super) fn rotate(&mut self, checkpoint_seq: u64) -> Result<(), String> {
         self.faults.fire(FaultSite::WalRotate)?;
-        self.sealed_bytes += self.active_bytes;
+        let sealed = self.active_bytes;
+        self.create_segment(self.segment + 1, checkpoint_seq)?;
+        self.sealed_bytes += sealed;
         self.sealed_segments += 1;
-        self.segment += 1;
-        self.create_segment(checkpoint_seq)
+        Ok(())
     }
 
     /// Delete every sealed segment. Only safe after the active segment
@@ -285,11 +323,12 @@ impl ShardWal {
         self.compactions += 1;
     }
 
-    fn create_segment(&mut self, base_checkpoint_seq: u64) -> Result<(), String> {
-        let path = self.dir.join(wal_file(self.shard, self.segment));
+    /// Create segment `segment` and make it the active one.
+    fn create_segment(&mut self, segment: u64, base_checkpoint_seq: u64) -> Result<(), String> {
+        let path = self.dir.join(wal_file(self.shard, segment));
         let header = encode_segment_header(&WalSegmentHeader {
             shard: self.shard as u64,
-            segment: self.segment,
+            segment,
             base_record_seq: self.record_seq,
             base_checkpoint_seq,
         });
@@ -307,6 +346,7 @@ impl ShardWal {
             sync_dir(&self.dir).map_err(|e| format!("shard {} wal {e}", self.shard))?;
         }
         self.file = file;
+        self.segment = segment;
         self.active_bytes = header.len() as u64;
         Ok(())
     }

@@ -1,8 +1,9 @@
 //! Engine-level tests below the TCP layer: routing determinism, the
 //! ingest gate, typed refusals, and backpressure-safe shutdown.
 
+use ecm::frame::fnv1a;
 use ecm::StreamEvent;
-use sketch_server::engine::{fnv1a, route, Engine, EngineError};
+use sketch_server::engine::{route, Engine, EngineError};
 use sketch_server::protocol::OwnedQuery;
 use sketch_server::{ServerConfig, SketchSpec, WindowSpec};
 
@@ -12,10 +13,12 @@ fn spec() -> SketchSpec {
 
 #[test]
 fn fnv1a_matches_the_reference_vectors() {
-    // Published FNV-1a 64-bit test vectors.
-    assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-    assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
-    assert_eq!(fnv1a("foobar"), 0x85944171f73967e8);
+    // Published FNV-1a 64-bit test vectors: the one hash behind every
+    // on-disk seal and the shard router.
+    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    assert_eq!(route("foobar", 7), (0x85944171f73967e8u64 % 7) as usize);
 }
 
 #[test]
@@ -431,6 +434,51 @@ fn a_worker_that_dies_holding_a_batch_never_acks_it() {
         .expect("scalar");
     assert_eq!(count.round() as u64, 4);
     engine.shutdown().expect("shutdown");
+}
+
+#[test]
+#[cfg(any(debug_assertions, feature = "fault-injection"))]
+fn a_batch_refused_by_a_failed_rotation_is_not_on_the_log() {
+    // A one-byte segment threshold makes every append rotate first, and
+    // the first rotation fails. The caller is told "not applied", so a
+    // restart must not replay the batch: a retry would count it twice.
+    let dir = std::env::temp_dir().join(format!("sketchd-engine-rotate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig::new(spec())
+        .shards(1)
+        .snapshot_dir(&dir)
+        .durability(true)
+        .wal_segment_bytes(1)
+        .fault_plan("wal_rotate:err@seq=1");
+    let engine = Engine::start(&cfg).expect("engine");
+    let err = engine
+        .ingest(&[("a".to_string(), StreamEvent::new(1, 10), 3)])
+        .expect_err("the rotation fails");
+    assert!(matches!(err, EngineError::Wal(_)), "{err}");
+
+    engine.restart_shard(0).expect("restart");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let row = &retry_until_ok(|| engine.stats(), "stats")[0];
+        if row.stats.is_some() && row.health.restarts == 1 && row.health.state == "up" {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shard 0 never came back"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let total = engine
+        .query_served("a", &OwnedQuery::Total, WindowSpec::time(10, 10_000))
+        .expect("query")
+        .answer
+        .map_or(0.0, |r| r.expect("answers").value().expect("scalar"));
+    assert_eq!(total, 0.0, "the refused batch was replayed");
+    // The respawned worker's fresh hook fails its first rotation too: the
+    // one shutdown's final compaction makes.
+    let _ = engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -43,8 +43,8 @@ pub use ecm::{
 /// [`SketchStore`], and the distributed aggregation entry points.
 pub mod prelude {
     pub use distributed::{
-        aggregate_kary_tree, aggregate_tree, checkpoint_site, restore_site, resume_site,
-        site_sketch_batched, site_sketch_from_spec, AggregationOutcome,
+        aggregate_kary_tree, aggregate_tree, resume_site, site_sketch_batched,
+        site_sketch_from_spec, AggregationOutcome,
     };
     pub use ecm::{
         restore_any, Answer, Backend, Clock, Estimate, Eviction, Guarantee, MemoryReport, Query,

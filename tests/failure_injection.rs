@@ -132,8 +132,6 @@ fn garbage_bytes_never_panic_the_decoders() {
         let _ = sliding_window::DeterministicWave::decode(&cfg_dw, &mut s);
         let mut s: &[u8] = &bytes;
         let _ = RandomizedWave::decode(&cfg_rw, &mut s);
-        let mut s: &[u8] = &bytes;
-        let _ = count_min::CountMinSketch::decode(&mut s);
     }
 }
 
@@ -156,8 +154,8 @@ mod site_recovery {
     //! recovers from its checkpoint and replays its backlog must rejoin
     //! the aggregation tree as if nothing happened — bit for bit.
 
-    use distributed::{aggregate_tree, checkpoint_site, restore_site, resume_site};
-    use ecm::snapshot::SnapshotError;
+    use distributed::{aggregate_tree, resume_site};
+    use ecm::snapshot::{restore_sketch, snapshot_sketch, SnapshotError};
     use ecm::{Query, SketchReader, SketchSpec, WindowSpec};
     use sliding_window::{ExponentialHistogram, RandomizedWave};
     use stream_gen::{partition_by_site, uniform_sites, Event};
@@ -187,7 +185,7 @@ mod site_recovery {
             &parts[3][..crash_at],
         )
         .unwrap();
-        let checkpoint = checkpoint_site(&spec, &doomed).unwrap();
+        let checkpoint = snapshot_sketch(&spec, &doomed).unwrap();
         drop(doomed);
 
         // Recovery: restore + replay the backlog.
@@ -265,7 +263,7 @@ mod site_recovery {
             )
             .unwrap();
             // Crash every site and recover it.
-            let checkpoint = checkpoint_site(&spec, &first_half).unwrap();
+            let checkpoint = snapshot_sketch(&spec, &first_half).unwrap();
             resume_site::<RandomizedWave>(&spec, &checkpoint, &parts[i][crash_at..]).unwrap()
         };
         let pristine_leaf = |i: usize| {
@@ -296,29 +294,29 @@ mod site_recovery {
             .collect();
         let site =
             distributed::site_sketch_from_spec::<ExponentialHistogram>(&spec, 1, &events).unwrap();
-        let checkpoint = checkpoint_site(&spec, &site).unwrap();
+        let checkpoint = snapshot_sketch(&spec, &site).unwrap();
 
         // Truncation, bit rot, version bumps: typed errors, never panics,
         // never a silently-wrong site.
         for cut in (0..checkpoint.len()).step_by(23) {
-            assert!(restore_site::<ExponentialHistogram>(&spec, &checkpoint[..cut]).is_err());
+            assert!(restore_sketch::<ExponentialHistogram>(&spec, &checkpoint[..cut]).is_err());
         }
         let mut bad = checkpoint.clone();
         bad[2] = 0x7e;
         assert!(matches!(
-            restore_site::<ExponentialHistogram>(&spec, &bad),
+            restore_sketch::<ExponentialHistogram>(&spec, &bad),
             Err(SnapshotError::UnsupportedVersion { found: 0x7e })
         ));
         let mut bad = checkpoint.clone();
         let mid = bad.len() - 12;
         bad[mid] ^= 0x01;
-        assert!(restore_site::<ExponentialHistogram>(&spec, &bad).is_err());
+        assert!(restore_sketch::<ExponentialHistogram>(&spec, &bad).is_err());
 
         // A checkpoint restored against the wrong deployment spec is a
         // spec mismatch, not a subtly different sketch.
         let other = SketchSpec::time(WINDOW).epsilon(0.2).delta(0.1).seed(10);
         assert!(matches!(
-            restore_site::<ExponentialHistogram>(&other, &checkpoint),
+            restore_sketch::<ExponentialHistogram>(&other, &checkpoint),
             Err(SnapshotError::SpecMismatch { .. })
         ));
     }

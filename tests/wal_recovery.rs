@@ -356,10 +356,7 @@ fn version_1_header(h: &WalSegmentHeader) -> Vec<u8> {
     let mut bytes = encode_segment_header(h);
     let covered = bytes.len() - 8;
     bytes[2] = 1;
-    let mut sum = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[..covered] {
-        sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let sum = ecm::frame::fnv1a(&bytes[..covered]);
     bytes[covered..].copy_from_slice(&sum.to_le_bytes());
     bytes
 }
