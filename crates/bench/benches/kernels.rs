@@ -25,12 +25,13 @@
 
 use count_min::HashFamily;
 use ecm::{
-    EcmBuilder, EcmConfig, EcmSketch, Query, SketchSpec, SketchStore, StreamEvent, WindowSpec,
+    Backend, EcmConfig, EcmSketch, Query, SketchSpec, SketchStore, SketchWriter, SpecBackend,
+    StreamEvent, WindowSpec,
 };
 use ecm_bench::{event_budget, WINDOW};
 use sketch_server::{Engine, ServerConfig};
 use sliding_window::traits::WindowCounter;
-use sliding_window::ExponentialHistogram;
+use sliding_window::{DeterministicWave, ExactWindow, ExponentialHistogram, RandomizedWave};
 use std::process::Command;
 use std::time::Instant;
 use stream_gen::{SeededRng, ZipfSampler};
@@ -186,6 +187,11 @@ fn best_of<T>(passes: usize, mut work: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one pass"))
 }
 
+/// The typed config `spec` describes.
+fn typed<W: SpecBackend>(spec: SketchSpec) -> EcmConfig<W> {
+    spec.ecm_config().expect("valid spec")
+}
+
 /// Time both ingest paths for one backend and verify the two builds agree
 /// byte for byte.
 fn ingest_row<W: WindowCounter>(
@@ -200,7 +206,7 @@ fn ingest_row<W: WindowCounter>(
     let (per_event_secs, per_event) = best_of(3, || {
         let mut sk = EcmSketch::new(cfg);
         for e in events {
-            sk.insert(e.item, e.ts);
+            sk.insert(e.ts, e.item);
         }
         sk
     });
@@ -458,20 +464,28 @@ fn main() {
         "{:<10} {:>16} {:>14} {:>9}",
         "backend", "per_event_Mev/s", "batched_Mev/s", "speedup"
     );
-    let builder = EcmBuilder::new(0.1, 0.1, WINDOW).seed(7);
-    let dw_builder = EcmBuilder::new(0.1, 0.1, WINDOW)
-        .max_arrivals(events.len() as u64)
-        .seed(7);
-    let rw_builder = EcmBuilder::new(0.25, 0.2, WINDOW)
-        .max_arrivals(events.len() as u64)
-        .seed(7);
+    let spec = SketchSpec::time(WINDOW).epsilon(0.1).delta(0.1).seed(7);
+    let waves = spec.clone().max_arrivals(events.len() as u64);
+    let eh = spec.ecm_config().expect("valid spec");
     let ingest = [
-        ingest_row("ecm-eh", &builder.eh_config(), &events),
-        ingest_row("ecm-dw", &dw_builder.dw_config(), &events),
-        ingest_row("ecm-exact", &builder.exact_config(), &events),
-        ingest_row("ecm-rw", &rw_builder.rw_config(), &events),
+        ingest_row("ecm-eh", &eh, &events),
+        ingest_row(
+            "ecm-dw",
+            &typed::<DeterministicWave>(waves.clone().backend(Backend::Dw)),
+            &events,
+        ),
+        ingest_row(
+            "ecm-exact",
+            &typed::<ExactWindow>(spec.backend(Backend::Exact)),
+            &events,
+        ),
+        ingest_row(
+            "ecm-rw",
+            &typed::<RandomizedWave>(waves.backend(Backend::Rw).epsilon(0.25).delta(0.2)),
+            &events,
+        ),
     ];
-    let memory = memory_row(&builder.eh_config(), &events);
+    let memory = memory_row(&eh, &events);
 
     println!("\nfleet checkpoint/restore: {n_events} events per fleet size");
     println!(

@@ -2,28 +2,29 @@
 //! insertion, point queries, self-joins and order-preserving merges.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ecm::{EcmBuilder, EcmEh, EcmSketch, Query, QueryKind, SketchReader, WindowSpec};
+use ecm::{EcmEh, EcmSketch, Query, QueryKind, SketchReader, SketchSpec, SketchWriter, WindowSpec};
+use sliding_window::ExponentialHistogram;
 use std::hint::black_box;
 
 const N: u64 = 20_000;
 
 fn build(seed: u64, stride: u64, offset: u64) -> EcmEh {
-    let cfg = EcmBuilder::new(0.1, 0.1, 1 << 20).seed(seed).eh_config();
+    let cfg = SketchSpec::time(1 << 20).seed(seed).ecm_config().unwrap();
     let mut sk = EcmEh::new(&cfg);
     for i in 1..=N {
-        sk.insert((i * 7) % 512, i * stride + offset);
+        sk.insert(i * stride + offset, (i * 7) % 512);
     }
     sk
 }
 
 fn insert_bench(c: &mut Criterion) {
-    let cfg = EcmBuilder::new(0.1, 0.1, 1 << 20).seed(1).eh_config();
+    let cfg = SketchSpec::time(1 << 20).seed(1).ecm_config().unwrap();
     c.bench_function("ecm_eh_insert_20k", |b| {
         b.iter_batched(
             || EcmEh::new(&cfg),
             |mut sk| {
                 for i in 1..=N {
-                    sk.insert((i * 7) % 512, i);
+                    sk.insert(i, (i * 7) % 512);
                 }
                 sk
             },
@@ -38,13 +39,14 @@ fn query_bench(c: &mut Criterion) {
         let w = WindowSpec::time(N, N / 2);
         b.iter(|| black_box(sk.query(&Query::point(black_box(42)), w).unwrap()))
     });
-    let sj_cfg = EcmBuilder::new(0.1, 0.1, 1 << 20)
+    let sj_cfg = SketchSpec::time(1 << 20)
         .query_kind(QueryKind::InnerProduct)
         .seed(2)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     let mut sj = EcmEh::new(&sj_cfg);
     for i in 1..=N {
-        sj.insert((i * 13) % 256, i);
+        sj.insert(i, (i * 13) % 256);
     }
     c.bench_function("ecm_eh_self_join", |b| {
         let w = WindowSpec::time(N, N / 2);
@@ -59,18 +61,18 @@ fn query_bench(c: &mut Criterion) {
 fn merge_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ecm_merge");
     g.sample_size(10);
-    let cfg = EcmBuilder::new(0.1, 0.1, 1 << 20).seed(3).eh_config();
+    let cfg = SketchSpec::time(1 << 20).seed(3).ecm_config().unwrap();
     let a = {
         let mut sk = EcmEh::new(&cfg);
         for i in 1..=N {
-            sk.insert((i * 7) % 512, i * 2);
+            sk.insert(i * 2, (i * 7) % 512);
         }
         sk
     };
     let b2 = {
         let mut sk = EcmEh::new(&cfg);
         for i in 1..=N {
-            sk.insert((i * 11) % 512, i * 2 + 1);
+            sk.insert(i * 2 + 1, (i * 11) % 512);
         }
         sk
     };
@@ -91,18 +93,21 @@ fn hierarchy_bench(c: &mut Criterion) {
     use ecm::{EcmHierarchy, Threshold};
     let mut g = c.benchmark_group("ecm_hierarchy");
     g.sample_size(10);
-    let cfg = EcmBuilder::new(0.1, 0.1, 1 << 20).seed(5).eh_config();
+    let cfg = SketchSpec::time(1 << 20)
+        .seed(5)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut h = EcmHierarchy::new(16, &cfg);
     for i in 1..=N {
         // Zipf-flavored keys: heavy low ids plus a uniform tail.
         let key = if i % 3 == 0 { i % 8 } else { (i * 31) % 50_000 };
-        h.insert(key, i);
+        h.insert(i, key);
     }
     g.bench_function("insert_one_key", |b| {
         b.iter_batched(
             || h.clone(),
             |mut h| {
-                h.insert(black_box(777), N + 1);
+                h.insert(N + 1, black_box(777));
                 h
             },
             BatchSize::SmallInput,
@@ -136,10 +141,12 @@ fn monitoring_bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("monitoring");
     g.sample_size(10);
-    let cfg = EcmBuilder::new(0.2, 0.1, 1 << 16)
+    let cfg = SketchSpec::time(1 << 16)
+        .epsilon(0.2)
         .query_kind(QueryKind::InnerProduct)
         .seed(6)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     g.bench_function("geometric_observe_2k", |b| {
         b.iter_batched(
             || {

@@ -10,7 +10,7 @@
 //! coordinator layout.
 
 use distributed::{aggregate_kary_tree, multilevel_epsilon, KaryTree};
-use ecm::{EcmBuilder, EcmEh};
+use ecm::{EcmEh, SketchSpec, SketchWriter};
 use ecm_bench::{header, mb, score_point_queries};
 use stream_gen::{partition_by_site, uniform_sites, WindowOracle};
 
@@ -40,7 +40,11 @@ fn main() {
     for &fanout in &[2usize, 4, 8, 16, SITES] {
         let levels = KaryTree::new(SITES, fanout).height();
         let site_eps = multilevel_epsilon(TARGET_EPS, levels);
-        let cfg = EcmBuilder::new(site_eps, 0.1, WINDOW).seed(7).eh_config();
+        let cfg = SketchSpec::time(WINDOW)
+            .epsilon(site_eps)
+            .seed(7)
+            .ecm_config()
+            .unwrap();
         let mut site_mb = 0.0f64;
         let out = aggregate_kary_tree(
             SITES,
@@ -49,7 +53,7 @@ fn main() {
                 let mut sk = EcmEh::new(&cfg);
                 sk.set_id_namespace(i as u64 + 1);
                 for e in &parts[i] {
-                    sk.insert(e.key, e.ts);
+                    sk.insert(e.ts, e.key);
                 }
                 site_mb = site_mb.max(mb(sk.memory_bytes()));
                 sk

@@ -8,7 +8,7 @@
 //!    per-site ε to hit a target root error.
 
 use distributed::aggregate_tree;
-use ecm::{EcmBuilder, EcmEh};
+use ecm::{EcmEh, SketchSpec, SketchWriter};
 use ecm_bench::{header, mb, score_point_queries};
 use sliding_window::exponential_histogram::multilevel_epsilon;
 use sliding_window::EhConfig;
@@ -27,7 +27,11 @@ fn main() {
     let events = uniform_sites(n_events, 8, 42);
     let oracle = WindowOracle::from_events(&events);
     let now = oracle.last_tick();
-    let cfg = EcmBuilder::new(site_eps, 0.1, WINDOW).seed(7).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(site_eps)
+        .seed(7)
+        .ecm_config()
+        .unwrap();
     let parts = partition_by_site(&events, 8);
 
     println!("Ablation 1: merge output epsilon' (8 sites, site eps = {site_eps})");
@@ -43,7 +47,7 @@ fn main() {
                 let mut sk = EcmEh::new(&cfg);
                 sk.set_id_namespace(i as u64 + 1);
                 for e in &parts[i] {
-                    sk.insert(e.key, e.ts);
+                    sk.insert(e.ts, e.key);
                 }
                 sk
             },
@@ -77,14 +81,18 @@ fn main() {
         let parts = partition_by_site(&events, nodes as u32);
 
         let run = |site_eps: f64| {
-            let cfg = EcmBuilder::new(site_eps, 0.1, WINDOW).seed(9).eh_config();
+            let cfg = SketchSpec::time(WINDOW)
+                .epsilon(site_eps)
+                .seed(9)
+                .ecm_config()
+                .unwrap();
             let out = aggregate_tree(
                 nodes,
                 |i| {
                     let mut sk = EcmEh::new(&cfg);
                     sk.set_id_namespace(i as u64 + 1);
                     for e in &parts[i] {
-                        sk.insert(e.key, e.ts);
+                        sk.insert(e.ts, e.key);
                     }
                     sk
                 },

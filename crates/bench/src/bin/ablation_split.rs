@@ -25,7 +25,7 @@ fn build(esw: f64, ecm_eps: f64, events: &[stream_gen::Event]) -> EcmEh {
     };
     let mut sk = EcmEh::new(&cfg);
     for (i, e) in events.iter().enumerate() {
-        sk.insert_with_id(e.key, e.ts, i as u64 + 1);
+        sk.insert_with_id(e.ts, e.key, i as u64 + 1).unwrap();
     }
     sk
 }

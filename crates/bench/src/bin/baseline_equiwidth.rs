@@ -7,7 +7,7 @@
 //! cluster at sub-window starts), which is adversarial for proration but
 //! irrelevant to the exponential histogram.
 
-use ecm::{EcmBuilder, EcmEh, EcmEw, Query, SketchReader, WindowSpec};
+use ecm::{Backend, EcmEh, EcmEw, Query, SketchReader, SketchSpec, WindowSpec};
 use ecm_bench::header;
 use sliding_window::traits::WindowCounter;
 use sliding_window::{EhConfig, EquiWidthConfig, EquiWidthWindow, ExponentialHistogram};
@@ -75,13 +75,18 @@ fn main() {
     // Part 2: the same comparison through full ECM-sketches — ECM-EW is the
     // complete Hung & Ting / Dimitropoulos design (Count-Min over equi-width
     // counters), queried for a bursty key's frequency at small ranges.
-    let b = EcmBuilder::new(eps, 0.1, window).seed(5);
-    let mut ecm_eh = EcmEh::new(&b.eh_config());
-    let mut ecm_ew = EcmEw::new(&b.ew_config(64));
+    let spec = SketchSpec::time(window).epsilon(eps).delta(0.1).seed(5);
+    let mut ecm_eh = EcmEh::new(&spec.ecm_config().unwrap());
+    let mut ecm_ew = EcmEw::new(
+        &spec
+            .backend(Backend::Ew { buckets: 64 })
+            .ecm_config()
+            .unwrap(),
+    );
     for (i, &t) in ticks.iter().enumerate() {
         let key = (i as u64) % 50;
-        ecm_eh.insert_with_id(key, t, i as u64 + 1);
-        ecm_ew.insert_with_id(key, t, i as u64 + 1);
+        ecm_eh.insert_with_id(t, key, i as u64 + 1).unwrap();
+        ecm_ew.insert_with_id(t, key, i as u64 + 1).unwrap();
     }
     let exact_key = |key: u64, range: u64| -> f64 {
         ticks

@@ -9,8 +9,9 @@
 //! error (vs ‖a_r‖₁) and memory for wide ranges, narrow ranges, and point
 //! queries (the worst case for uniformity assumptions).
 
-use ecm::{EcmBuilder, EcmHierarchy, Query, SketchReader, WindowSpec};
+use ecm::{EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use ecm_bench::{event_budget, header, mb, Dataset, WINDOW};
+use sliding_window::ExponentialHistogram;
 use sliding_window::{HybridConfig, HybridHistogram};
 use stream_gen::WindowOracle;
 
@@ -25,10 +26,14 @@ fn main() {
     let eps = 0.1;
 
     // Dyadic ECM hierarchy (guaranteed error).
-    let cfg = EcmBuilder::new(eps, 0.1, WINDOW).seed(7).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .seed(7)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut hierarchy = EcmHierarchy::new(KEY_BITS, &cfg);
     for e in &events {
-        hierarchy.insert(e.key, e.ts);
+        hierarchy.insert(e.ts, e.key);
     }
 
     // Hybrid histograms at two bin resolutions (accuracy/memory knob —

@@ -14,7 +14,7 @@ use distributed::{
     run_protocol, ForwardAllProtocol, GeometricMonitor, MonitoringProtocol, PeriodicPushProtocol,
     RunReport,
 };
-use ecm::{EcmBuilder, EcmEh, QueryKind};
+use ecm::{EcmEh, QueryKind, SketchSpec};
 use ecm_bench::header;
 use stream_gen::{inject_flash_crowd, uniform_sites, FlashCrowd};
 
@@ -22,10 +22,11 @@ const WINDOW: u64 = 1 << 20;
 const SITES: usize = 4;
 
 fn nodes_and_fn(seed: u64) -> (Vec<EcmEh>, SelfJoinFn) {
-    let cfg = EcmBuilder::new(0.1, 0.1, WINDOW)
+    let cfg = SketchSpec::time(WINDOW)
         .query_kind(QueryKind::InnerProduct)
         .seed(seed)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     let nodes: Vec<EcmEh> = (0..SITES)
         .map(|i| {
             let mut sk = EcmEh::new(&cfg);

@@ -11,8 +11,9 @@
 //! ECM_EPS=0.05 cargo run --release -p ecm-bench --bin replay_trace -- trace.bin
 //! ```
 
-use ecm::{EcmBuilder, QueryKind};
+use ecm::{QueryKind, SketchSpec};
 use ecm_bench::{build_sketch_batched, header, mb, score_point_queries, score_self_join};
+use sliding_window::ExponentialHistogram;
 use std::fs::File;
 use stream_gen::{read_binary, read_csv, uniform_sites, write_csv, Event, WindowOracle};
 
@@ -68,10 +69,12 @@ fn main() {
         "query        avg_err     max_err     queries   memory_MB",
     );
     for kind in [QueryKind::Point, QueryKind::InnerProduct] {
-        let cfg = EcmBuilder::new(eps, 0.1, WINDOW)
+        let cfg = SketchSpec::time(WINDOW)
+            .epsilon(eps)
             .query_kind(kind)
             .seed(7)
-            .eh_config();
+            .ecm_config::<ExponentialHistogram>()
+            .unwrap();
         // Batched ingest: real traces carry same-(key, ts) bursts, which
         // collapse into weighted updates (bit-identical to the per-event
         // loop; see benches/kernels.rs for the throughput delta).

@@ -13,7 +13,7 @@ fn rate<W: WindowCounter>(cfg: &ecm::EcmConfig<W>, events: &[stream_gen::Event])
     let mut sk = EcmSketch::new(cfg);
     let t0 = Instant::now();
     for (i, e) in events.iter().enumerate() {
-        sk.insert_with_id(e.key, e.ts, i as u64 + 1);
+        sk.insert_with_id(e.ts, e.key, i as u64 + 1).unwrap();
     }
     events.len() as f64 / t0.elapsed().as_secs_f64()
 }

@@ -10,7 +10,9 @@
 
 pub mod alloc;
 
-use ecm::{EcmBuilder, EcmSketch, Query, QueryKind, SketchReader, WindowSpec};
+use ecm::{
+    Backend, EcmSketch, Query, QueryKind, SketchReader, SketchSpec, SpecBackend, WindowSpec,
+};
 use sliding_window::traits::{MergeableCounter, WindowCounter};
 use stream_gen::{partition_by_site, snmp_like, worldcup_like, Event, WindowOracle};
 
@@ -157,7 +159,8 @@ pub fn score_self_join<W: WindowCounter + 'static>(
 pub fn build_sketch<W: WindowCounter>(cfg: &ecm::EcmConfig<W>, events: &[Event]) -> EcmSketch<W> {
     let mut sk = EcmSketch::new(cfg);
     for (i, e) in events.iter().enumerate() {
-        sk.insert_with_id(e.key, e.ts, i as u64 + 1);
+        sk.insert_with_id(e.ts, e.key, i as u64 + 1)
+            .expect("trace ticks are non-decreasing");
     }
     sk
 }
@@ -173,7 +176,8 @@ pub fn build_sketch_batched<W: WindowCounter>(
     let mut sk = EcmSketch::new(cfg);
     let mut next_id = 1u64;
     for (e, n) in ecm::grouped_runs(events) {
-        sk.insert_weighted_with_id(e.key, e.ts, next_id, n);
+        sk.insert_weighted_with_id(e.ts, e.key, next_id, n)
+            .expect("trace ticks are non-decreasing");
         next_id += n;
     }
     sk
@@ -198,7 +202,8 @@ pub fn build_distributed<W: MergeableCounter>(
         |i| {
             let mut sk = EcmSketch::new(cfg);
             for &(key, ts, id) in &site_events[i] {
-                sk.insert_with_id(key, ts, id);
+                sk.insert_with_id(ts, key, id)
+                    .expect("trace ticks are non-decreasing");
             }
             sk
         },
@@ -212,7 +217,7 @@ pub fn build_distributed<W: MergeableCounter>(
 pub struct VariantConfigs {
     /// ε used to build the configs.
     pub epsilon: f64,
-    builder: EcmBuilder,
+    spec: SketchSpec,
 }
 
 impl VariantConfigs {
@@ -220,7 +225,9 @@ impl VariantConfigs {
     pub fn point(epsilon: f64, delta: f64, max_arrivals: u64, seed: u64) -> Self {
         VariantConfigs {
             epsilon,
-            builder: EcmBuilder::new(epsilon, delta, WINDOW)
+            spec: SketchSpec::time(WINDOW)
+                .epsilon(epsilon)
+                .delta(delta)
                 .query_kind(QueryKind::Point)
                 .max_arrivals(max_arrivals)
                 .seed(seed),
@@ -231,26 +238,37 @@ impl VariantConfigs {
     pub fn inner_product(epsilon: f64, delta: f64, max_arrivals: u64, seed: u64) -> Self {
         VariantConfigs {
             epsilon,
-            builder: EcmBuilder::new(epsilon, delta, WINDOW)
+            spec: SketchSpec::time(WINDOW)
+                .epsilon(epsilon)
+                .delta(delta)
                 .query_kind(QueryKind::InnerProduct)
                 .max_arrivals(max_arrivals)
                 .seed(seed),
         }
     }
 
+    /// The typed config of `backend` at this accuracy target.
+    fn config<W: SpecBackend>(&self, backend: Backend) -> ecm::EcmConfig<W> {
+        self.spec
+            .clone()
+            .backend(backend)
+            .ecm_config()
+            .expect("the variant specs are valid")
+    }
+
     /// ECM-EH config.
     pub fn eh(&self) -> ecm::EcmConfig<sliding_window::ExponentialHistogram> {
-        self.builder.eh_config()
+        self.config(Backend::Eh)
     }
 
     /// ECM-DW config.
     pub fn dw(&self) -> ecm::EcmConfig<sliding_window::DeterministicWave> {
-        self.builder.dw_config()
+        self.config(Backend::Dw)
     }
 
     /// ECM-RW config.
     pub fn rw(&self) -> ecm::EcmConfig<sliding_window::RandomizedWave> {
-        self.builder.rw_config()
+        self.config(Backend::Rw)
     }
 }
 

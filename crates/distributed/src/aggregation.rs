@@ -8,7 +8,7 @@
 
 use crate::topology::{BinaryTree, KaryTree};
 use ecm::query::{Answer, Estimate, Guarantee, Query, QueryError, SketchReader, WindowSpec};
-use ecm::{EcmConfig, EcmSketch, SketchSpec, SpecBackend, SpecError};
+use ecm::{EcmConfig, EcmSketch, SketchSpec, SketchWriter, SpecBackend, SpecError};
 use sliding_window::traits::{MergeableCounter, WindowCounter};
 use sliding_window::MergeError;
 use stream_gen::Event;
@@ -170,7 +170,7 @@ pub fn site_sketch_batched<W: WindowCounter>(
     // Group directly over the borrowed slice — no O(n) staging copy on the
     // hot ingest path.
     for (e, n) in ecm::grouped_runs(events) {
-        sk.insert_weighted(e.key, e.ts, n);
+        sk.insert_weighted(e.ts, e.key, n);
     }
     sk
 }
@@ -239,16 +239,16 @@ pub fn site_sketch_from_spec<W: SpecBackend>(
 ///
 /// ```
 /// use distributed::aggregate_tree;
-/// use ecm::{EcmBuilder, EcmEh, Query, SketchReader, WindowSpec};
+/// use ecm::{EcmEh, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 ///
-/// let cfg = EcmBuilder::new(0.1, 0.1, 1000).seed(7).eh_config();
+/// let cfg = SketchSpec::time(1000).seed(7).ecm_config().unwrap();
 /// let out = aggregate_tree(
 ///     4,
 ///     |site| {
 ///         let mut sk = EcmEh::new(&cfg);
 ///         sk.set_id_namespace(site as u64 + 1);
 ///         for t in 1..=100u64 {
-///             sk.insert(/*item=*/ site as u64, /*tick=*/ t);
+///             sk.insert(/*tick=*/ t, /*item=*/ site as u64);
 ///         }
 ///         sk
 ///     },
@@ -373,7 +373,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecm::{EcmBuilder, EcmEh, EcmRw};
+    use ecm::{Backend, EcmEh, EcmRw, SketchSpec};
 
     /// Typed point query on any reader (sketches and roots alike).
     fn point(r: &dyn SketchReader, key: u64, now: u64, range: u64) -> f64 {
@@ -386,9 +386,9 @@ mod tests {
 
     #[test]
     fn single_site_tree_is_a_passthrough() {
-        let cfg = EcmBuilder::new(0.1, 0.1, 1000).seed(1).eh_config();
+        let cfg = SketchSpec::time(1000).seed(1).ecm_config().unwrap();
         let mut sk = EcmEh::new(&cfg);
-        sk.insert(5, 10);
+        sk.insert(10, 5);
         let out = aggregate_tree(1, |_| sk.clone(), &cfg.cell).unwrap();
         assert_eq!(out.stats.bytes, 0);
         assert_eq!(out.stats.messages, 0);
@@ -403,7 +403,12 @@ mod tests {
         let oracle = WindowOracle::from_events(&events);
         let window = 2_600_000u64;
         let eps = 0.1;
-        let cfg = EcmBuilder::new(eps, 0.05, window).seed(3).eh_config();
+        let cfg = SketchSpec::time(window)
+            .epsilon(eps)
+            .delta(0.05)
+            .seed(3)
+            .ecm_config()
+            .unwrap();
         let parts = partition_by_site(&events, n_sites);
 
         let out = aggregate_tree(
@@ -412,7 +417,7 @@ mod tests {
                 let mut sk = EcmEh::new(&cfg);
                 sk.set_id_namespace(i as u64 + 1);
                 for e in &parts[i] {
-                    sk.insert(e.key, e.ts);
+                    sk.insert(e.ts, e.key);
                 }
                 sk
             },
@@ -451,16 +456,19 @@ mod tests {
         let n_sites = 4u32;
         let events = uniform_sites(6_000, n_sites, 9);
         let window = 2_600_000u64;
-        let cfg = EcmBuilder::new(0.25, 0.1, window)
+        let cfg = SketchSpec::time(window)
+            .epsilon(0.25)
             .max_arrivals(10_000)
             .seed(7)
-            .rw_config();
+            .backend(Backend::Rw)
+            .ecm_config()
+            .unwrap();
         let parts = partition_by_site(&events, n_sites);
 
         // Union sketch built centrally with globally unique ids.
         let mut central = EcmRw::new(&cfg);
         for (i, e) in events.iter().enumerate() {
-            central.insert_with_id(e.key, e.ts, i as u64 + 1);
+            central.insert_with_id(e.ts, e.key, i as u64 + 1).unwrap();
         }
         // Distributed: same ids, routed to the observing site.
         let mut site_sketches: Vec<EcmRw> = (0..n_sites).map(|_| EcmRw::new(&cfg)).collect();
@@ -468,7 +476,9 @@ mod tests {
             let mut cursors = vec![0usize; n_sites as usize];
             for (next_id, e) in (1u64..).zip(events.iter()) {
                 let s = e.site as usize;
-                site_sketches[s].insert_with_id(e.key, e.ts, next_id);
+                site_sketches[s]
+                    .insert_with_id(e.ts, e.key, next_id)
+                    .unwrap();
                 cursors[s] += 1;
             }
             assert_eq!(
@@ -496,7 +506,7 @@ mod tests {
         let n_sites = 9u32; // forces uneven k-ary splits
         let events = uniform_sites(9_000, n_sites, 33);
         let window = 2_600_000u64;
-        let cfg = EcmBuilder::new(0.1, 0.1, window).seed(13).eh_config();
+        let cfg = SketchSpec::time(window).seed(13).ecm_config().unwrap();
         let parts = partition_by_site(&events, n_sites);
         let now = events.last().unwrap().ts;
 
@@ -504,7 +514,7 @@ mod tests {
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         };
@@ -540,13 +550,17 @@ mod tests {
     fn flatter_trees_ship_fewer_intermediate_bytes() {
         let n_sites = 16u32;
         let events = uniform_sites(8_000, n_sites, 3);
-        let cfg = EcmBuilder::new(0.2, 0.1, 2_600_000).seed(2).eh_config();
+        let cfg = SketchSpec::time(2_600_000)
+            .epsilon(0.2)
+            .seed(2)
+            .ecm_config()
+            .unwrap();
         let parts = partition_by_site(&events, n_sites);
         let leaf = |i: usize| {
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         };
@@ -567,13 +581,18 @@ mod tests {
         let n_sites = 6u32;
         let events = uniform_sites(3_000, n_sites, 4);
         let window = 2_600_000u64;
-        let cfg = EcmBuilder::new(0.25, 0.1, window)
+        let cfg = SketchSpec::time(window)
+            .epsilon(0.25)
             .max_arrivals(5_000)
             .seed(2)
-            .rw_config();
+            .backend(Backend::Rw)
+            .ecm_config()
+            .unwrap();
         let mut site_sketches: Vec<EcmRw> = (0..n_sites).map(|_| EcmRw::new(&cfg)).collect();
         for (id, e) in (1u64..).zip(events.iter()) {
-            site_sketches[e.site as usize].insert_with_id(e.key, e.ts, id);
+            site_sketches[e.site as usize]
+                .insert_with_id(e.ts, e.key, id)
+                .unwrap();
         }
         let leaf = |i: usize| site_sketches[i].clone();
         let now = events.last().unwrap().ts;
@@ -594,7 +613,11 @@ mod tests {
         // constructor must reproduce the per-event sketch byte for byte,
         // and the aggregated roots must therefore agree exactly.
         let window = 100_000u64;
-        let cfg = EcmBuilder::new(0.15, 0.1, window).seed(19).eh_config();
+        let cfg = SketchSpec::time(window)
+            .epsilon(0.15)
+            .seed(19)
+            .ecm_config()
+            .unwrap();
         let n_sites = 5u32;
         let mut events = Vec::new();
         for t in 1..=400u64 {
@@ -613,7 +636,7 @@ mod tests {
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         };
@@ -646,7 +669,11 @@ mod tests {
     #[test]
     fn transfer_volume_grows_with_sites() {
         let window = 2_600_000u64;
-        let cfg = EcmBuilder::new(0.2, 0.1, window).seed(5).eh_config();
+        let cfg = SketchSpec::time(window)
+            .epsilon(0.2)
+            .seed(5)
+            .ecm_config()
+            .unwrap();
         let mut volumes = Vec::new();
         for &n in &[2usize, 8, 32] {
             let events = uniform_sites(8_000, n as u32, 77);
@@ -656,7 +683,7 @@ mod tests {
                 |i| {
                     let mut sk = EcmEh::new(&cfg);
                     for e in &parts[i] {
-                        sk.insert(e.key, e.ts);
+                        sk.insert(e.ts, e.key);
                     }
                     sk
                 },

@@ -24,7 +24,7 @@
 //! disagrees with the truth — and the maximum detection delay.
 //! `crates/bench/src/bin/continuous_monitoring.rs` prints the comparison.
 
-use ecm::EcmSketch;
+use ecm::{EcmSketch, SketchWriter};
 use sliding_window::traits::WindowCounter;
 use stream_gen::Event;
 
@@ -164,7 +164,7 @@ impl<W: WindowCounter, F: MonitoredFunction> MonitoringProtocol for PeriodicPush
     fn observe(&mut self, e: Event) {
         let site = e.site as usize;
         assert!(site < self.nodes.len(), "site {site} out of range");
-        self.nodes[site].insert(e.key, e.ts);
+        self.nodes[site].insert(e.ts, e.key);
         self.tick(e.ts);
         self.stats.checks += 1;
     }
@@ -252,7 +252,7 @@ impl<W: WindowCounter, F: MonitoredFunction> MonitoringProtocol for ForwardAllPr
     fn observe(&mut self, e: Event) {
         let site = e.site as usize;
         assert!(site < self.nodes.len(), "site {site} out of range");
-        self.nodes[site].insert(e.key, e.ts);
+        self.nodes[site].insert(e.ts, e.key);
         self.stats.messages += 1;
         self.stats.bytes += EVENT_RECORD_BYTES;
         self.stats.checks += 1;
@@ -336,13 +336,14 @@ pub fn run_protocol<P: MonitoringProtocol>(
 mod tests {
     use super::*;
     use crate::geometric::SelfJoinFn;
-    use ecm::{EcmBuilder, EcmEh, QueryKind};
+    use ecm::{EcmEh, QueryKind, SketchSpec};
 
     fn sketch_nodes(n: usize, window: u64) -> (Vec<EcmEh>, SelfJoinFn) {
-        let cfg = EcmBuilder::new(0.1, 0.1, window)
+        let cfg = SketchSpec::time(window)
             .query_kind(QueryKind::InnerProduct)
             .seed(41)
-            .eh_config();
+            .ecm_config()
+            .unwrap();
         let nodes: Vec<EcmEh> = (0..n)
             .map(|i| {
                 let mut sk = EcmEh::new(&cfg);
@@ -466,7 +467,7 @@ mod tests {
         // The intro's distributed trigger: monitor one target key's average
         // per-site windowed frequency against a threshold via PointFn.
         use crate::geometric::PointFn;
-        let cfg = EcmBuilder::new(0.1, 0.1, 1 << 16).seed(33).eh_config();
+        let cfg = SketchSpec::time(1 << 16).seed(33).ecm_config().unwrap();
         let nodes: Vec<EcmEh> = (0..3)
             .map(|i| {
                 let mut sk = EcmEh::new(&cfg);
@@ -479,7 +480,7 @@ mod tests {
             // PointFn columns must match the shared hash family: insert the
             // key once into a scratch sketch and find the touched cells.
             let mut probe = EcmEh::new(&cfg);
-            probe.insert(target, 1);
+            probe.insert(1, target);
             let v = probe.estimate_vector(1, 1 << 16);
             (0..cfg.depth)
                 .map(|j| {

@@ -2,7 +2,7 @@
 //! synchronization on violation, and message/byte accounting (paper §6.2).
 
 use super::functions::MonitoredFunction;
-use ecm::EcmSketch;
+use ecm::{EcmSketch, SketchWriter};
 use sliding_window::traits::WindowCounter;
 use stream_gen::Event;
 
@@ -138,7 +138,7 @@ impl<W: WindowCounter, F: MonitoredFunction> GeometricMonitor<W, F> {
     pub fn observe(&mut self, e: Event) -> MonitorEvent {
         let site = e.site as usize;
         assert!(site < self.nodes.len(), "site {site} out of range");
-        self.nodes[site].insert(e.key, e.ts);
+        self.nodes[site].insert(e.ts, e.key);
         self.tick(e.ts)
     }
 
@@ -302,17 +302,19 @@ impl<W: WindowCounter, F: MonitoredFunction> GeometricMonitor<W, F> {
 mod tests {
     use super::*;
     use crate::geometric::functions::SelfJoinFn;
-    use ecm::{EcmBuilder, EcmEh, QueryKind};
+    use ecm::{EcmEh, QueryKind, SketchSpec};
+
     use stream_gen::Event;
 
     fn make_monitor(
         n_sites: usize,
         threshold: f64,
     ) -> GeometricMonitor<sliding_window::ExponentialHistogram, SelfJoinFn> {
-        let cfg = EcmBuilder::new(0.1, 0.1, 1 << 20)
+        let cfg = SketchSpec::time(1 << 20)
             .query_kind(QueryKind::InnerProduct)
             .seed(17)
-            .eh_config();
+            .ecm_config()
+            .unwrap();
         let nodes: Vec<EcmEh> = (0..n_sites)
             .map(|i| {
                 let mut sk = EcmEh::new(&cfg);
@@ -398,10 +400,11 @@ mod tests {
     fn downward_crossings_are_caught_too() {
         // Push above the threshold, then let the window age the mass out.
         let threshold = 25.0;
-        let cfg = EcmBuilder::new(0.1, 0.1, 100)
+        let cfg = SketchSpec::time(100)
             .query_kind(QueryKind::InnerProduct)
             .seed(23)
-            .eh_config();
+            .ecm_config()
+            .unwrap();
         let nodes: Vec<EcmEh> = (0..2).map(|_| EcmEh::new(&cfg)).collect();
         let func = SelfJoinFn {
             width: cfg.width,

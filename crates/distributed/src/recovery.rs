@@ -57,7 +57,7 @@
 use std::fmt;
 
 use ecm::snapshot::restore_sketch;
-use ecm::{EcmSketch, SketchSpec, SnapshotError, SpecBackend};
+use ecm::{EcmSketch, SketchSpec, SketchWriter, SnapshotError, SpecBackend};
 use stream_gen::Event;
 
 /// Restore a site from a [`snapshot_sketch`](ecm::snapshot::snapshot_sketch)
@@ -80,7 +80,7 @@ where
 {
     let mut sketch = restore_sketch::<W>(spec, bytes)?;
     for (e, n) in ecm::grouped_runs(backlog) {
-        sketch.insert_weighted(e.key, e.ts, n);
+        sketch.insert_weighted(e.ts, e.key, n);
     }
     Ok(sketch)
 }

@@ -5,18 +5,19 @@
 //! ([`Query`](crate::query::Query) / [`SketchReader`]); this module closes
 //! the loop on the other side:
 //!
-//! * [`SketchWriter`] — one object-safe ingest vocabulary (`insert`,
-//!   `insert_weighted`, `ingest_batch`, `advance_to`) implemented by every
-//!   backend, so writers no longer need to know which of three per-backend
-//!   ingest spellings a type happens to expose.
+//! * [`SketchWriter`] — the one object-safe ingest vocabulary, implemented
+//!   by every backend: a single checked entry
+//!   ([`try_insert_weighted`](SketchWriter::try_insert_weighted), refusing
+//!   a write with a typed [`WriteError`] and leaving the sketch untouched)
+//!   plus `advance_to`; `insert`, `insert_weighted` and `ingest_batch` are
+//!   provided on top of the entry, so every write crosses the same check.
 //! * [`Sketch`] — the combined `SketchReader + SketchWriter` supertrait:
 //!   `Box<dyn Sketch>` is a first-class handle that both ingests and
 //!   answers queries, which is what registries, serving layers and the
 //!   keyed [`SketchStore`](crate::store::SketchStore) hold.
-//! * [`SketchSpec`] — a validating builder that replaces per-backend
-//!   constructor knowledge (`EcmConfig` flavors) with one declarative
+//! * [`SketchSpec`] — the one constructor: a validating, declarative
 //!   description — clock, window, accuracy, [`Backend`], optional dyadic
-//!   hierarchy — and [`build`](SketchSpec::build)s any backend as
+//!   hierarchy — that [`build`](SketchSpec::build)s any backend as
 //!   `Box<dyn Sketch>`. Every clock × backend × hierarchy combination is
 //!   buildable; out-of-domain parameters are [`SpecError`]s, not panics.
 //! * [`SpecBackend`] — the typed escape hatch: when code needs a *concrete*
@@ -54,7 +55,7 @@
 
 use std::fmt;
 
-use crate::config::{EcmBuilder, EcmConfig, QueryKind};
+use crate::config::{self, EcmConfig, QueryKind};
 use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
 use crate::hierarchy::EcmHierarchy;
 use crate::query::SketchReader;
@@ -64,52 +65,120 @@ use sliding_window::{
     DeterministicWave, EquiWidthWindow, ExactWindow, ExponentialHistogram, RandomizedWave,
 };
 
-/// The object-safe ingest surface every sketch backend shares.
+/// Why a write was refused. A refused write leaves the sketch exactly as it
+/// was: no cell, clock or arrival counter moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteError {
+    /// The tick precedes the sketch's write clock (the last tick written or
+    /// declared through [`SketchWriter::advance_to`]). A time-based cell
+    /// synopsis must see its ticks in order for its error bound to hold.
+    StaleTimestamp {
+        /// The refused tick.
+        ts: u64,
+        /// The write clock it precedes.
+        clock: u64,
+    },
+    /// The item lies outside a dyadic hierarchy's `2^bits` key universe.
+    OutOfUniverse {
+        /// The refused item.
+        item: u64,
+        /// The universe width in bits.
+        bits: u32,
+    },
+}
+
+impl WriteError {
+    /// The timestamp precondition of every time-based write, in one place:
+    /// `ts` may equal the write clock but not precede it
+    /// ([`WriteError::StaleTimestamp`] otherwise).
+    #[inline]
+    pub fn check_tick(ts: u64, clock: u64) -> Result<(), WriteError> {
+        if ts < clock {
+            Err(WriteError::StaleTimestamp { ts, clock })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+impl fmt::Display for WriteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WriteError::StaleTimestamp { ts, clock } => write!(
+                f,
+                "tick {ts} precedes the write clock {clock} (ticks must be non-decreasing)"
+            ),
+            WriteError::OutOfUniverse { item, bits } => {
+                write!(f, "item {item} outside the {bits}-bit hierarchy universe")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WriteError {}
+
+/// The object-safe ingest surface every sketch backend shares, and the only
+/// write vocabulary the library has: callers hold `&mut dyn SketchWriter`
+/// (or a [`Box<dyn Sketch>`](Sketch)) and feed any backend the same way,
+/// timestamp first (`insert(ts, item)`), as the cell-level
+/// [`WindowCounter::insert(ts, id)`](sliding_window::traits::WindowCounter::insert).
+/// A backend implements the one checked entry
+/// [`try_insert_weighted`](Self::try_insert_weighted) and
+/// [`advance_to`](Self::advance_to); the other writes are provided on the
+/// entry, so every write crosses the same precondition check.
 ///
-/// Mirrors [`SketchReader`] on the write side: callers hold
-/// `&mut dyn SketchWriter` (or a [`Box<dyn Sketch>`](Sketch)) and feed any
-/// backend the same way.
-///
-/// **Argument order:** the write surface is timestamp-first —
-/// `insert(ts, item)` — matching the cell-level
-/// [`WindowCounter::insert(ts, id)`](sliding_window::traits::WindowCounter::insert)
-/// convention. (The concrete backends' inherent methods predate this trait
-/// and take `(item, ts)`; the differential suite in `tests/dyn_sketch.rs`
-/// pins the two paths to byte-identical results.)
-///
-/// **Clocks.** Time-based backends interpret `ts` as a tick and require it
-/// non-decreasing. Count-based backends own their clock (the arrival
-/// index): they ignore `ts` and advance one tick per occurrence, as their
-/// inherent `insert(item)` does.
+/// **Clocks.** Time-based backends interpret `ts` as a tick and refuse one
+/// that precedes their write clock ([`WriteError::StaleTimestamp`], checked
+/// in release builds too). Count-based backends own their clock (the arrival
+/// index): they ignore `ts`, advance one tick per occurrence and never
+/// report a stale write.
 ///
 /// # Panics
 ///
-/// Write preconditions are the backends' own, and trait dispatch does not
-/// soften them: hierarchy backends (built with
-/// [`SketchSpec::hierarchy`]) panic on items outside their `2^bits` key
-/// universe, and time-based backends debug-assert timestamp monotonicity.
-/// Feeding untrusted items into a hierarchy requires masking or validating
-/// them upstream.
+/// [`insert`](Self::insert), [`insert_weighted`](Self::insert_weighted) and
+/// [`ingest_batch`](Self::ingest_batch) panic on a write the entry refuses:
+/// a tick before the write clock, or (for hierarchy backends built with
+/// [`SketchSpec::hierarchy`]) an item outside the `2^bits` key universe.
+/// Callers feeding untrusted ticks or items use
+/// [`try_insert_weighted`](Self::try_insert_weighted) instead.
 pub trait SketchWriter {
-    /// Record one occurrence of `item` at tick `ts` (ignored by
-    /// count-based backends, whose clock is the arrival index).
-    fn insert(&mut self, ts: u64, item: u64);
-
-    /// Record `weight` occurrences of `item` at tick `ts`, through the
-    /// backend's weighted fast path. Bit-identical to `weight` single
-    /// [`insert`](SketchWriter::insert)s (count-based backends advance
-    /// their clock by `weight`).
-    fn insert_weighted(&mut self, ts: u64, item: u64, weight: u64);
-
-    /// Batched ingest of a timestamp-ordered event slice; runs of adjacent
-    /// equal events collapse into weighted updates. Bit-identical to
-    /// per-event insertion.
-    fn ingest_batch(&mut self, events: &[StreamEvent]);
+    /// Record `weight` occurrences of `item` at tick `ts` through the
+    /// backend's weighted fast path — bit-identical to `weight` single
+    /// occurrences (count-based backends advance their clock by `weight`).
+    /// A zero weight records nothing.
+    ///
+    /// # Errors
+    /// [`WriteError`] when the write breaks the backend's precondition; the
+    /// sketch is then unchanged.
+    fn try_insert_weighted(&mut self, ts: u64, item: u64, weight: u64) -> Result<(), WriteError>;
 
     /// Declare that the stream clock has reached `ts` with no arrivals:
-    /// later inserts must not precede it. A no-op on count-based backends
+    /// later writes must not precede it. A no-op on count-based backends
     /// (their clock only moves on arrivals).
     fn advance_to(&mut self, ts: u64);
+
+    /// Record one occurrence of `item` at tick `ts`; panics on a
+    /// [`WriteError`] (see the [trait docs](SketchWriter#panics)).
+    fn insert(&mut self, ts: u64, item: u64) {
+        self.insert_weighted(ts, item, 1);
+    }
+
+    /// [`try_insert_weighted`](Self::try_insert_weighted) for trusted ticks
+    /// and items; panics on a [`WriteError`].
+    fn insert_weighted(&mut self, ts: u64, item: u64, weight: u64) {
+        if let Err(e) = self.try_insert_weighted(ts, item, weight) {
+            panic!("{e}");
+        }
+    }
+
+    /// Batched ingest of a timestamp-ordered event slice; runs of adjacent
+    /// equal events collapse into weighted updates, bit-identical to
+    /// per-event insertion. Panics on a [`WriteError`].
+    fn ingest_batch(&mut self, events: &[StreamEvent]) {
+        for (e, n) in grouped_runs(events) {
+            self.insert_weighted(e.ts, e.item, n);
+        }
+    }
 }
 
 /// A full-duplex sketch handle: one object that both ingests
@@ -157,92 +226,46 @@ impl Clone for Box<dyn Sketch> {
     }
 }
 
-impl<W> SketchWriter for EcmSketch<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn insert(&mut self, ts: u64, item: u64) {
-        EcmSketch::insert(self, item, ts);
-    }
-
-    fn insert_weighted(&mut self, ts: u64, item: u64, weight: u64) {
-        EcmSketch::insert_weighted(self, item, ts, weight);
-    }
-
-    fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        EcmSketch::ingest_batch(self, events);
+impl<W: WindowCounter> SketchWriter for EcmSketch<W> {
+    fn try_insert_weighted(&mut self, ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
+        self.check(ts)?;
+        self.record(ts, item, weight);
+        Ok(())
     }
 
     fn advance_to(&mut self, ts: u64) {
-        EcmSketch::advance_to(self, ts);
+        self.advance_clock(ts);
     }
 }
 
-impl<W> SketchWriter for EcmHierarchy<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn insert(&mut self, ts: u64, item: u64) {
-        EcmHierarchy::insert(self, item, ts);
-    }
-
-    fn insert_weighted(&mut self, ts: u64, item: u64, weight: u64) {
-        EcmHierarchy::insert_weighted(self, item, ts, weight);
-    }
-
-    fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        EcmHierarchy::ingest_batch(self, events);
+impl<W: WindowCounter> SketchWriter for EcmHierarchy<W> {
+    fn try_insert_weighted(&mut self, ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
+        self.check(item)?;
+        // Every level sees the same stream, so level 0's clock is theirs.
+        self.levels()[0].check(ts)?;
+        self.record(ts, item, weight);
+        Ok(())
     }
 
     fn advance_to(&mut self, ts: u64) {
-        EcmHierarchy::advance_to(self, ts);
+        self.advance_clock(ts);
     }
 }
 
-impl<W> SketchWriter for CountBasedEcm<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn insert(&mut self, _ts: u64, item: u64) {
-        CountBasedEcm::insert(self, item);
-    }
-
-    fn insert_weighted(&mut self, _ts: u64, item: u64, weight: u64) {
-        CountBasedEcm::insert_many(self, item, weight);
-    }
-
-    fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        // The count-based clock advances per occurrence regardless of the
-        // events' timestamps, so grouping by the full (item, ts) pair is
-        // still bit-identical to per-event insertion.
-        for (e, n) in grouped_runs(events) {
-            CountBasedEcm::insert_many(self, e.item, n);
-        }
+impl<W: WindowCounter> SketchWriter for CountBasedEcm<W> {
+    fn try_insert_weighted(&mut self, _ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
+        self.record(item, weight);
+        Ok(())
     }
 
     fn advance_to(&mut self, _ts: u64) {}
 }
 
-impl<W> SketchWriter for CountBasedHierarchy<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn insert(&mut self, _ts: u64, item: u64) {
-        CountBasedHierarchy::insert(self, item);
-    }
-
-    fn insert_weighted(&mut self, _ts: u64, item: u64, weight: u64) {
-        CountBasedHierarchy::insert_many(self, item, weight);
-    }
-
-    fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        for (e, n) in grouped_runs(events) {
-            CountBasedHierarchy::insert_many(self, e.item, n);
-        }
+impl<W: WindowCounter> SketchWriter for CountBasedHierarchy<W> {
+    fn try_insert_weighted(&mut self, _ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
+        self.as_inner().check(item)?;
+        self.record(item, weight);
+        Ok(())
     }
 
     fn advance_to(&mut self, _ts: u64) {}
@@ -458,9 +481,9 @@ impl SketchSpec {
 
     /// Stack the sketch into a dyadic hierarchy over a `bits`-bit key
     /// universe, unlocking range-sum / heavy-hitter / quantile queries.
-    /// Hierarchy writes **panic** on items outside the universe (see the
-    /// [`SketchWriter`] panics section); mask or validate untrusted items
-    /// upstream.
+    /// Hierarchy writes refuse items outside the universe with
+    /// [`WriteError::OutOfUniverse`] (and the panicking writes panic on
+    /// them; see the [`SketchWriter`] panics section).
     pub fn hierarchy(mut self, bits: u32) -> Self {
         self.hierarchy_bits = Some(bits);
         self
@@ -483,9 +506,35 @@ impl SketchSpec {
 
     /// The dyadic-hierarchy width in bits, if the spec stacks one. Serving
     /// layers use this to validate untrusted items *before* ingest — a
-    /// hierarchy write panics on items outside its `2^bits` universe.
+    /// hierarchy refuses items outside its `2^bits` universe.
     pub fn hierarchy_bits(&self) -> Option<u32> {
         self.hierarchy_bits
+    }
+
+    /// The differential suites' spec matrix: one labelled row per
+    /// clock × backend × hierarchy shape the library builds, all over a
+    /// `window` of the caller's choosing. Test support, not API: the rows'
+    /// accuracy targets are picked to keep the suites fast.
+    #[doc(hidden)]
+    pub fn matrix(window: u64) -> [(&'static str, SketchSpec); 8] {
+        let time = SketchSpec::time(window).epsilon(0.2).seed(3);
+        let count = SketchSpec::count(window).epsilon(0.2).seed(3);
+        let rw = time
+            .clone()
+            .backend(Backend::Rw)
+            .epsilon(0.3)
+            .delta(0.2)
+            .max_arrivals(10 * window);
+        [
+            ("eh", time.clone()),
+            ("dw", time.clone().backend(Backend::Dw)),
+            ("rw", rw),
+            ("exact", time.clone().backend(Backend::Exact)),
+            ("ew", time.clone().backend(Backend::Ew { buckets: 8 })),
+            ("hierarchy", time.hierarchy(8)),
+            ("count", count.clone()),
+            ("count-hierarchy", count.hierarchy(8)),
+        ]
     }
 
     /// Check every parameter's domain without building anything. Every
@@ -524,17 +573,6 @@ impl SketchSpec {
         Ok(())
     }
 
-    /// The `EcmBuilder` this spec's accuracy targets resolve to.
-    fn ecm_builder(&self) -> EcmBuilder {
-        let mut b = EcmBuilder::new(self.epsilon, self.delta, self.window)
-            .query_kind(self.query_kind)
-            .seed(self.seed);
-        if let Some(u) = self.max_arrivals {
-            b = b.max_arrivals(u);
-        }
-        b
-    }
-
     /// Materialize the concrete [`EcmConfig`] for counter type `W`, for
     /// callers that need static types (mergeable site sketches in the
     /// `distributed` crate, hand-rolled baselines in benches). The spec is
@@ -545,7 +583,10 @@ impl SketchSpec {
     /// Any validation error, or [`SpecError::BackendMismatch`].
     pub fn ecm_config<W: SpecBackend>(&self) -> Result<EcmConfig<W>, SpecError> {
         self.validate()?;
-        W::ecm_config(self)
+        W::derive(self).ok_or(SpecError::BackendMismatch {
+            spec: self.backend.name(),
+            requested: W::NAME,
+        })
     }
 
     /// Build the described sketch as a [`Box<dyn Sketch>`](Sketch).
@@ -555,11 +596,11 @@ impl SketchSpec {
     pub fn build(&self) -> Result<Box<dyn Sketch>, SpecError> {
         self.validate()?;
         match self.backend {
-            Backend::Eh => self.assemble(self.ecm_builder().eh_config()),
-            Backend::Dw => self.assemble(self.ecm_builder().dw_config()),
-            Backend::Rw => self.assemble(self.ecm_builder().rw_config()),
-            Backend::Exact => self.assemble(self.ecm_builder().exact_config()),
-            Backend::Ew { buckets } => self.assemble(self.ecm_builder().ew_config(buckets)),
+            Backend::Eh => self.assemble(config::eh_config(self)),
+            Backend::Dw => self.assemble(config::dw_config(self)),
+            Backend::Rw => self.assemble(config::rw_config(self)),
+            Backend::Exact => self.assemble(config::exact_config(self)),
+            Backend::Ew { buckets } => self.assemble(config::ew_config(self, buckets)),
         }
     }
 
@@ -587,79 +628,51 @@ pub trait SpecBackend: WindowCounter + Sized {
     /// The [`Backend`] label this counter type corresponds to.
     const NAME: &'static str;
 
-    /// Derive the typed config from an already-validated spec.
-    ///
-    /// # Errors
-    /// [`SpecError::BackendMismatch`] when the spec declares a different
-    /// backend.
-    fn ecm_config(spec: &SketchSpec) -> Result<EcmConfig<Self>, SpecError>;
-}
-
-fn check_backend(
-    spec: &SketchSpec,
-    expected: Backend,
-    name: &'static str,
-) -> Result<(), SpecError> {
-    // Ew carries a parameter; compare discriminants only for it.
-    let matches = match (spec.backend, expected) {
-        (Backend::Ew { .. }, Backend::Ew { .. }) => true,
-        (a, b) => a == b,
-    };
-    if matches {
-        Ok(())
-    } else {
-        Err(SpecError::BackendMismatch {
-            spec: spec.backend.name(),
-            requested: name,
-        })
-    }
+    /// The typed config of an already-validated spec, or `None` when the
+    /// spec declares another backend.
+    fn derive(spec: &SketchSpec) -> Option<EcmConfig<Self>>;
 }
 
 impl SpecBackend for ExponentialHistogram {
     const NAME: &'static str = "eh";
 
-    fn ecm_config(spec: &SketchSpec) -> Result<EcmConfig<Self>, SpecError> {
-        check_backend(spec, Backend::Eh, Self::NAME)?;
-        Ok(spec.ecm_builder().eh_config())
+    fn derive(spec: &SketchSpec) -> Option<EcmConfig<Self>> {
+        (spec.backend == Backend::Eh).then(|| config::eh_config(spec))
     }
 }
 
 impl SpecBackend for DeterministicWave {
     const NAME: &'static str = "dw";
 
-    fn ecm_config(spec: &SketchSpec) -> Result<EcmConfig<Self>, SpecError> {
-        check_backend(spec, Backend::Dw, Self::NAME)?;
-        Ok(spec.ecm_builder().dw_config())
+    fn derive(spec: &SketchSpec) -> Option<EcmConfig<Self>> {
+        (spec.backend == Backend::Dw).then(|| config::dw_config(spec))
     }
 }
 
 impl SpecBackend for RandomizedWave {
     const NAME: &'static str = "rw";
 
-    fn ecm_config(spec: &SketchSpec) -> Result<EcmConfig<Self>, SpecError> {
-        check_backend(spec, Backend::Rw, Self::NAME)?;
-        Ok(spec.ecm_builder().rw_config())
+    fn derive(spec: &SketchSpec) -> Option<EcmConfig<Self>> {
+        (spec.backend == Backend::Rw).then(|| config::rw_config(spec))
     }
 }
 
 impl SpecBackend for ExactWindow {
     const NAME: &'static str = "exact";
 
-    fn ecm_config(spec: &SketchSpec) -> Result<EcmConfig<Self>, SpecError> {
-        check_backend(spec, Backend::Exact, Self::NAME)?;
-        Ok(spec.ecm_builder().exact_config())
+    fn derive(spec: &SketchSpec) -> Option<EcmConfig<Self>> {
+        (spec.backend == Backend::Exact).then(|| config::exact_config(spec))
     }
 }
 
 impl SpecBackend for EquiWidthWindow {
     const NAME: &'static str = "equi-width";
 
-    fn ecm_config(spec: &SketchSpec) -> Result<EcmConfig<Self>, SpecError> {
-        check_backend(spec, Backend::Ew { buckets: 1 }, Self::NAME)?;
+    fn derive(spec: &SketchSpec) -> Option<EcmConfig<Self>> {
         let Backend::Ew { buckets } = spec.backend else {
-            unreachable!("check_backend matched Ew");
+            return None;
         };
-        Ok(spec.ecm_builder().ew_config(buckets))
+        Some(config::ew_config(spec, buckets))
     }
 }
 
@@ -667,38 +680,6 @@ impl SpecBackend for EquiWidthWindow {
 mod tests {
     use super::*;
     use crate::query::{Query, WindowSpec};
-
-    #[test]
-    fn every_backend_builds_and_round_trips_a_point_query() {
-        let specs = [
-            SketchSpec::time(1_000).backend(Backend::Eh),
-            SketchSpec::time(1_000).backend(Backend::Dw),
-            SketchSpec::time(1_000)
-                .backend(Backend::Rw)
-                .epsilon(0.25)
-                .max_arrivals(5_000),
-            SketchSpec::time(1_000).backend(Backend::Exact),
-            SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
-            SketchSpec::time(1_000).hierarchy(8),
-            SketchSpec::count(1_000),
-            SketchSpec::count(1_000).hierarchy(8),
-        ];
-        for (i, spec) in specs.iter().enumerate() {
-            let mut sk = spec.build().unwrap_or_else(|e| panic!("spec {i}: {e}"));
-            for t in 1..=300u64 {
-                sk.insert(t, t % 16);
-            }
-            let w = match spec.clock() {
-                Clock::Time => WindowSpec::time(300, 1_000),
-                Clock::Count => WindowSpec::last(300),
-            };
-            let est = sk
-                .query(&Query::point(3), w)
-                .unwrap_or_else(|e| panic!("spec {i}: {e}"))
-                .into_value();
-            assert!(est.value > 0.0, "spec {i}: estimate must see key 3");
-        }
-    }
 
     #[test]
     fn validation_rejects_domain_errors() {
@@ -778,7 +759,7 @@ mod tests {
     fn typed_configs_match_the_builder_and_check_the_backend() {
         let spec = SketchSpec::time(1_000).epsilon(0.1).delta(0.1).seed(5);
         let cfg = spec.ecm_config::<ExponentialHistogram>().unwrap();
-        let direct = EcmBuilder::new(0.1, 0.1, 1_000).seed(5).eh_config();
+        let direct = config::eh_config(&spec);
         assert_eq!(cfg.width, direct.width);
         assert_eq!(cfg.depth, direct.depth);
         assert_eq!(cfg.seed, direct.seed);
@@ -801,13 +782,12 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "non-decreasing")]
     fn insert_before_an_advanced_clock_is_rejected() {
-        let mut sk = crate::EcmEh::new(&EcmBuilder::new(0.1, 0.1, 100).eh_config());
+        let mut sk = SketchSpec::time(100).build().unwrap();
         sk.advance_to(50);
         // The advance is binding: an earlier tick is a contract violation,
-        // not a silent clock rewind.
+        // not a silent clock rewind — in release builds too.
         sk.insert(5, 1);
     }
 

@@ -4,8 +4,12 @@
 //! `∝ 1/(ε_sw·ε_cm)` is minimized under the composition constraint of the
 //! relevant theorem.
 
+use crate::api::SketchSpec;
 use sliding_window::traits::WindowCounter;
-use sliding_window::{DwConfig, EhConfig, EquiWidthConfig, ExactWindowConfig, RwConfig};
+use sliding_window::{
+    DeterministicWave, DwConfig, EhConfig, EquiWidthConfig, EquiWidthWindow, ExactWindow,
+    ExactWindowConfig, ExponentialHistogram, RandomizedWave, RwConfig,
+};
 
 /// Which query type the ε-split should be optimized for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,169 +95,106 @@ pub struct EcmConfig<W: WindowCounter> {
     pub cell: W::Config,
 }
 
-/// Builder deriving concrete [`EcmConfig`]s from accuracy targets
-/// (ε, δ, window length) for each window-counter variant, applying the
-/// appropriate ε-split (paper §4.1, §4.2.2).
-#[derive(Debug, Clone)]
-pub struct EcmBuilder {
-    epsilon: f64,
-    delta: f64,
-    window: u64,
-    query: QueryKind,
-    seed: u64,
-    max_arrivals: u64,
+// The five derivations below are the only place accuracy targets become
+// array and cell shapes. They take a spec that `SketchSpec::validate` has
+// already accepted, so ε, δ and the window are in domain.
+
+/// The ε-split the spec's query kind asks for (paper §4.1).
+fn split(spec: &SketchSpec) -> (f64, f64) {
+    match spec.query_kind {
+        QueryKind::Point => split_point_query(spec.epsilon),
+        QueryKind::InnerProduct => split_inner_product(spec.epsilon),
+    }
 }
 
-impl EcmBuilder {
-    /// Target end-to-end relative error `epsilon`, failure probability
-    /// `delta`, and window length in ticks.
-    ///
-    /// # Panics
-    /// If `epsilon ∉ (0,1)`, `delta ∉ (0,1)`, or `window == 0`.
-    pub fn new(epsilon: f64, delta: f64, window: u64) -> Self {
-        assert!(
-            epsilon > 0.0 && epsilon < 1.0,
-            "epsilon must be in (0,1), got {epsilon}"
-        );
-        assert!(
-            delta > 0.0 && delta < 1.0,
-            "delta must be in (0,1), got {delta}"
-        );
-        assert!(window > 0, "window must be positive");
-        EcmBuilder {
-            epsilon,
-            delta,
-            window,
-            query: QueryKind::Point,
-            seed: 0,
-            max_arrivals: window,
-        }
-    }
+/// Upper bound `u(N,S)` on arrivals per window that sizes the wave
+/// variants' level pyramids (default: the window length, one arrival per
+/// tick).
+fn max_arrivals(spec: &SketchSpec) -> u64 {
+    spec.max_arrivals.unwrap_or(spec.window)
+}
 
-    /// Optimize the ε-split for this query type (default: point queries).
-    pub fn query_kind(mut self, q: QueryKind) -> Self {
-        self.query = q;
-        self
+/// An [`EcmConfig`] with the Count-Min shape the standard accuracy rule
+/// assigns: `width = ⌈e/ε_cm⌉`, `depth = max(1, ⌈ln(1/δ_cm)⌉)`.
+fn shaped<W: WindowCounter>(
+    spec: &SketchSpec,
+    eps_cm: f64,
+    delta_cm: f64,
+    cell: W::Config,
+) -> EcmConfig<W> {
+    EcmConfig {
+        width: (std::f64::consts::E / eps_cm).ceil() as usize,
+        depth: (1.0 / delta_cm).ln().ceil().max(1.0) as usize,
+        seed: spec.seed,
+        cell,
     }
+}
 
-    /// Hash seed (default 0). Sketches merge only when seeds match.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
+/// Config for the default exponential-histogram variant (ECM-EH).
+pub(crate) fn eh_config(spec: &SketchSpec) -> EcmConfig<ExponentialHistogram> {
+    let (esw, ecm) = split(spec);
+    shaped(spec, ecm, spec.delta, EhConfig::new(esw, spec.window))
+}
 
-    /// Upper bound `u(N,S)` on arrivals per window, needed by the wave
-    /// variants to size their level pyramids (default: the window length,
-    /// i.e. one arrival per tick).
-    pub fn max_arrivals(mut self, u: u64) -> Self {
-        assert!(u > 0, "max_arrivals must be positive");
-        self.max_arrivals = u;
-        self
-    }
+/// Config for the deterministic-wave variant (ECM-DW). Arrivals spread
+/// across w cells per row; the per-cell bound can be kept loose (space
+/// grows only logarithmically with it).
+pub(crate) fn dw_config(spec: &SketchSpec) -> EcmConfig<DeterministicWave> {
+    let (esw, ecm) = split(spec);
+    let cell = DwConfig::new(esw, spec.window, max_arrivals(spec));
+    shaped(spec, ecm, spec.delta, cell)
+}
 
-    fn split(&self) -> (f64, f64) {
-        match self.query {
-            QueryKind::Point => split_point_query(self.epsilon),
-            QueryKind::InnerProduct => split_inner_product(self.epsilon),
-        }
-    }
+/// Config for the randomized-wave variant (ECM-RW). The failure budget is
+/// split δ/2 to hashing and δ/2 to the window counters (Theorem 3), and the
+/// ε-split accounts for the quadratic window-memory dependence. Theorem 2
+/// gives no RW guarantee for inner products (paper §7.2), so both query
+/// kinds use the point split for a usable structure.
+pub(crate) fn rw_config(spec: &SketchSpec) -> EcmConfig<RandomizedWave> {
+    let (esw, ecm) = split_point_query_randomized(spec.epsilon);
+    let cell = RwConfig::new(
+        esw,
+        spec.delta / 2.0,
+        spec.window,
+        max_arrivals(spec),
+        // Cell hashing must agree across mergeable sketches.
+        spec.seed ^ 0xecc5_11d5_0f0f_a11e,
+    );
+    shaped(spec, ecm, spec.delta / 2.0, cell)
+}
 
-    /// The Count-Min shape the standard accuracy rule assigns:
-    /// `width = ⌈e/ε_cm⌉`, `depth = max(1, ⌈ln(1/δ_cm)⌉)`. Every builder
-    /// flavor derives its array through here.
-    fn cm_dims(&self, eps_cm: f64, delta_cm: f64) -> (usize, usize) {
-        let width = (std::f64::consts::E / eps_cm).ceil() as usize;
-        let depth = (1.0 / delta_cm).ln().ceil().max(1.0) as usize;
-        (width, depth)
-    }
+/// Config for the equi-width baseline variant (ECM-EW; Hung & Ting /
+/// Dimitropoulos et al., paper §2). The window is cut into `buckets` equal
+/// sub-windows per cell. **No window-error guarantee**: the window
+/// dimension has no ε at all — reproducing the baseline's structural
+/// weakness is the point. The Count-Min array is dimensioned exactly as the
+/// ECM-EH variant at the same ε, so head-to-head comparisons isolate the
+/// window counter.
+pub(crate) fn ew_config(spec: &SketchSpec, buckets: usize) -> EcmConfig<EquiWidthWindow> {
+    let (_, ecm) = split(spec);
+    shaped(
+        spec,
+        ecm,
+        spec.delta,
+        EquiWidthConfig::new(spec.window, buckets),
+    )
+}
 
-    /// Config for the default exponential-histogram variant (ECM-EH).
-    pub fn eh_config(&self) -> EcmConfig<sliding_window::ExponentialHistogram> {
-        let (esw, ecm) = self.split();
-        let (width, depth) = self.cm_dims(ecm, self.delta);
-        EcmConfig {
-            width,
-            depth,
-            seed: self.seed,
-            cell: EhConfig::new(esw, self.window),
-        }
-    }
-
-    /// Config for the deterministic-wave variant (ECM-DW).
-    pub fn dw_config(&self) -> EcmConfig<sliding_window::DeterministicWave> {
-        let (esw, ecm) = self.split();
-        let (width, depth) = self.cm_dims(ecm, self.delta);
-        EcmConfig {
-            width,
-            depth,
-            seed: self.seed,
-            // Arrivals spread across w cells per row; per-cell bound can be
-            // kept loose (space grows only logarithmically with it).
-            cell: DwConfig::new(esw, self.window, self.max_arrivals),
-        }
-    }
-
-    /// Config for the randomized-wave variant (ECM-RW). The failure budget
-    /// is split δ/2 to hashing and δ/2 to the window counters (Theorem 3),
-    /// and the ε-split accounts for the quadratic window-memory dependence.
-    pub fn rw_config(&self) -> EcmConfig<sliding_window::RandomizedWave> {
-        let (esw, ecm) = match self.query {
-            QueryKind::Point => split_point_query_randomized(self.epsilon),
-            // Theorem 2 gives no RW guarantee for inner products (paper
-            // §7.2); fall back to the point split for a usable structure.
-            QueryKind::InnerProduct => split_point_query_randomized(self.epsilon),
-        };
-        let (width, depth) = self.cm_dims(ecm, self.delta / 2.0);
-        EcmConfig {
-            width,
-            depth,
-            seed: self.seed,
-            cell: RwConfig::new(
-                esw,
-                self.delta / 2.0,
-                self.window,
-                self.max_arrivals,
-                // Cell hashing must agree across mergeable sketches.
-                self.seed ^ 0xecc5_11d5_0f0f_a11e,
-            ),
-        }
-    }
-
-    /// Config for the equi-width baseline variant (ECM-EW; Hung & Ting /
-    /// Dimitropoulos et al., paper §2). The window is cut into `buckets`
-    /// equal sub-windows per cell. **No window-error guarantee**: the
-    /// window dimension has no ε at all — reproducing the baseline's
-    /// structural weakness is the point. The Count-Min array is dimensioned
-    /// exactly as the ECM-EH variant at the same ε, so head-to-head
-    /// comparisons isolate the window counter.
-    pub fn ew_config(&self, buckets: usize) -> EcmConfig<sliding_window::EquiWidthWindow> {
-        let (_, ecm) = self.split();
-        let (width, depth) = self.cm_dims(ecm, self.delta);
-        EcmConfig {
-            width,
-            depth,
-            seed: self.seed,
-            cell: EquiWidthConfig::new(self.window, buckets),
-        }
-    }
-
-    /// Config for the exact-counter variant (no window error; useful as a
-    /// ground-truth harness with the same API).
-    pub fn exact_config(&self) -> EcmConfig<sliding_window::ExactWindow> {
-        // All of ε goes to the Count-Min dimension.
-        let (width, depth) = self.cm_dims(self.epsilon, self.delta);
-        EcmConfig {
-            width,
-            depth,
-            seed: self.seed,
-            cell: ExactWindowConfig::new(self.window),
-        }
-    }
+/// Config for the exact-counter variant (no window error; a ground-truth
+/// harness with the same API). All of ε goes to the Count-Min dimension.
+pub(crate) fn exact_config(spec: &SketchSpec) -> EcmConfig<ExactWindow> {
+    shaped(
+        spec,
+        spec.epsilon,
+        spec.delta,
+        ExactWindowConfig::new(spec.window),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Backend;
 
     #[test]
     fn point_split_satisfies_theorem1_constraint() {
@@ -312,8 +253,8 @@ mod tests {
 
     #[test]
     fn builder_produces_paper_dimensions() {
-        let b = EcmBuilder::new(0.1, 0.1, 1000).seed(5);
-        let cfg = b.eh_config();
+        let spec = SketchSpec::time(1000).epsilon(0.1).delta(0.1).seed(5);
+        let cfg = spec.ecm_config::<ExponentialHistogram>().unwrap();
         // ε_cm = √1.1 − 1 ≈ 0.0488 → w = ⌈e/0.0488⌉ = 56; d = ⌈ln 10⌉ = 3.
         assert_eq!(cfg.width, 56);
         assert_eq!(cfg.depth, 3);
@@ -324,8 +265,10 @@ mod tests {
 
     #[test]
     fn rw_config_splits_delta() {
-        let b = EcmBuilder::new(0.1, 0.1, 1000).max_arrivals(50_000);
-        let cfg = b.rw_config();
+        let spec = SketchSpec::time(1000)
+            .backend(Backend::Rw)
+            .max_arrivals(50_000);
+        let cfg = spec.ecm_config::<RandomizedWave>().unwrap();
         // δ_cm = 0.05 → d = ⌈ln 20⌉ = 3.
         assert_eq!(cfg.depth, 3);
         assert!((cfg.cell.delta - 0.05).abs() < 1e-12);
@@ -334,20 +277,17 @@ mod tests {
 
     #[test]
     fn dw_and_exact_configs_consistent() {
-        let b = EcmBuilder::new(0.2, 0.05, 500).max_arrivals(10_000);
-        let dw = b.dw_config();
+        let spec = SketchSpec::time(500)
+            .epsilon(0.2)
+            .delta(0.05)
+            .max_arrivals(10_000);
+        let dw = dw_config(&spec);
         assert_eq!(dw.cell.window, 500);
         assert_eq!(dw.cell.max_arrivals, 10_000);
-        let ex = b.exact_config();
+        let ex = exact_config(&spec);
         // Exact cells: the whole ε budget goes to hashing → narrower array
         // than the EH variant at the same ε.
-        assert!(ex.width < b.eh_config().width);
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn builder_rejects_bad_epsilon() {
-        let _ = EcmBuilder::new(1.5, 0.1, 10);
+        assert!(ex.width < eh_config(&spec).width);
     }
 
     #[test]

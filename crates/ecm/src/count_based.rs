@@ -22,13 +22,12 @@ const CODEC_VERSION: u8 = 1;
 /// ECM-sketch over a count-based window of the last `N` arrivals.
 ///
 /// ```
-/// use ecm::{CountBasedEcm, EcmBuilder, Query, SketchReader, WindowSpec};
+/// use ecm::{Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 ///
 /// // Frequencies over the last 1000 arrivals, ε = 0.1.
-/// let cfg = EcmBuilder::new(0.1, 0.1, 1000).seed(1).eh_config();
-/// let mut sk = CountBasedEcm::new(&cfg);
+/// let mut sk = SketchSpec::count(1000).seed(1).build().unwrap();
 /// for i in 0..5000u64 {
-///     sk.insert(i % 10);
+///     sk.insert(i, i % 10); // the arrival index is the clock; `ts` is ignored
 /// }
 /// // Each key holds ~100 of the last 1000 arrivals.
 /// let est = sk
@@ -56,33 +55,18 @@ impl<W: WindowCounter> CountBasedEcm<W> {
         }
     }
 
-    /// Record one occurrence of `item` (the clock advances by one).
-    pub fn insert(&mut self, item: u64) {
-        self.arrivals += 1;
-        self.inner
-            .insert_with_id(item, self.arrivals, self.arrivals);
-    }
-
-    /// Record `n` occurrences of `item`; the count-based clock advances by
-    /// `n`, so — unlike the same-tick bursts of time-based sketches — the
-    /// occurrences land on `n` **consecutive** ticks. The fast path hashes
-    /// the `d` bucket indices once per run instead of once per occurrence
-    /// and is bit-identical to `n` [`insert`](Self::insert) calls.
-    pub fn insert_many(&mut self, item: u64, n: u64) {
+    /// The write kernel: `n` occurrences of `item`; the count-based clock
+    /// advances by `n`, so — unlike the same-tick bursts of time-based
+    /// sketches — the occurrences land on `n` **consecutive** ticks, each
+    /// carrying its tick as its id. The `d` bucket indices are hashed once
+    /// per run.
+    pub(crate) fn record(&mut self, item: u64, n: u64) {
         if n == 0 {
             return;
         }
         let first = self.arrivals + 1;
         self.arrivals += n;
-        self.inner.insert_ticking_run(item, first, first, n);
-    }
-
-    /// Batched ingest: runs of consecutive equal items collapse into
-    /// [`insert_many`](Self::insert_many) calls.
-    pub fn ingest_batch(&mut self, items: &[u64]) {
-        for (item, n) in crate::sketch::grouped_runs(items) {
-            self.insert_many(item, n);
-        }
+        self.inner.insert_ticking_run(first, item, first, n);
     }
 
     /// Estimated frequency of `item` among the last `last_n` arrivals;
@@ -193,13 +177,18 @@ impl<W: WindowCounter> CountBasedEcm<W> {
 /// like [`CountBasedEcm`], it deliberately exposes no merge (paper Fig. 2).
 ///
 /// ```
-/// use ecm::{CountBasedHierarchy, EcmBuilder, Query, SketchReader, Threshold, WindowSpec};
+/// use ecm::{Query, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec};
 ///
-/// let cfg = EcmBuilder::new(0.05, 0.05, 1_000).seed(2).eh_config();
-/// let mut h: CountBasedHierarchy = CountBasedHierarchy::new(8, &cfg);
+/// let mut h = SketchSpec::count(1_000)
+///     .epsilon(0.05)
+///     .delta(0.05)
+///     .seed(2)
+///     .hierarchy(8)
+///     .build()
+///     .unwrap();
 /// for i in 0..5_000u64 {
 ///     // Key 42 takes a third of the recent traffic.
-///     h.insert(if i % 3 == 0 { 42 } else { i % 200 });
+///     h.insert(i, if i % 3 == 0 { 42 } else { i % 200 });
 /// }
 /// let hot = h
 ///     .query(
@@ -236,39 +225,16 @@ impl<W: WindowCounter> CountBasedHierarchy<W> {
         self.arrivals
     }
 
-    /// Record one occurrence of key `x` (the clock advances by one).
-    ///
-    /// # Panics
-    /// If `x` lies outside the universe.
-    pub fn insert(&mut self, x: u64) {
-        self.arrivals += 1;
-        self.inner.insert(x, self.arrivals);
-    }
-
-    /// Record `n` occurrences of key `x` on `n` consecutive clock ticks —
-    /// one hashed run per level, bit-identical to `n`
-    /// [`insert`](Self::insert) calls.
-    ///
-    /// # Panics
-    /// If `x` lies outside the universe.
-    pub fn insert_many(&mut self, x: u64, n: u64) {
+    /// The write kernel: `n` occurrences of key `x` on `n` consecutive
+    /// clock ticks — one hashed run per level. The caller checks `x`
+    /// against the universe.
+    pub(crate) fn record(&mut self, x: u64, n: u64) {
         if n == 0 {
             return;
         }
         let first = self.arrivals + 1;
         self.arrivals += n;
-        self.inner.insert_ticking_run(x, first, n);
-    }
-
-    /// Batched ingest: runs of consecutive equal keys collapse into
-    /// [`insert_many`](Self::insert_many) calls.
-    ///
-    /// # Panics
-    /// If any key lies outside the universe.
-    pub fn ingest_batch(&mut self, items: &[u64]) {
-        for (x, n) in crate::sketch::grouped_runs(items) {
-            self.insert_many(x, n);
-        }
+        self.inner.insert_ticking_run(first, x, n);
     }
 
     /// Heavy hitters among the last `last_n` arrivals.
@@ -341,11 +307,12 @@ mod tests {
     // they pin down the computation the typed query layer delegates to.
     // Query-surface coverage lives in the query module's own tests.
     use super::*;
-    use crate::config::EcmBuilder;
+    use crate::api::{SketchSpec, SketchWriter};
+    use crate::config::eh_config;
     use std::collections::HashMap;
 
     fn cfg(n: u64) -> EcmConfig<ExponentialHistogram> {
-        EcmBuilder::new(0.1, 0.1, n).seed(13).eh_config()
+        eh_config(&SketchSpec::time(n).seed(13))
     }
 
     #[test]
@@ -354,10 +321,10 @@ mod tests {
         // 500 arrivals of key 1, then 100 of key 2: the last 100 arrivals
         // are all key 2 regardless of any wall-clock notion.
         for _ in 0..500 {
-            sk.insert(1);
+            sk.insert(0, 1);
         }
         for _ in 0..100 {
-            sk.insert(2);
+            sk.insert(0, 2);
         }
         let est1 = sk.point_query(1, 100);
         let est2 = sk.point_query(2, 100);
@@ -375,7 +342,7 @@ mod tests {
         let mut log = Vec::new();
         for i in 0..3_000u64 {
             let key = (i / 10) % 7;
-            sk.insert(key);
+            sk.insert(0, key);
             log.push(key);
         }
         for last_n in [50u64, 300, 1_000] {
@@ -399,7 +366,7 @@ mod tests {
     fn self_join_and_totals() {
         let mut sk: CountBasedEcm = CountBasedEcm::new(&cfg(500));
         for i in 0..2_000u64 {
-            sk.insert(i % 5);
+            sk.insert(0, i % 5);
         }
         // Last 500 arrivals: 100 each of 5 keys → F2 = 5·100² = 50 000.
         let sj = sk.self_join(500);
@@ -421,7 +388,7 @@ mod tests {
     fn query_wider_than_history_clamps() {
         let mut sk: CountBasedEcm = CountBasedEcm::new(&cfg(1_000));
         for _ in 0..50 {
-            sk.insert(9);
+            sk.insert(0, 9);
         }
         // Asking for the last 1000 arrivals when only 50 happened.
         let est = sk.point_query(9, 1_000);
@@ -434,13 +401,13 @@ mod tests {
         // still advance the count-based clock one per arrival.
         let mut sk: CountBasedEcm = CountBasedEcm::new(&cfg(200));
         for _ in 0..100 {
-            sk.insert(1);
+            sk.insert(0, 1);
         }
         for _ in 0..100 {
-            sk.insert(2);
+            sk.insert(0, 2);
         }
         for _ in 0..100 {
-            sk.insert(3);
+            sk.insert(0, 3);
         }
         // Last 200: keys 2 and 3 only.
         assert!(sk.point_query(1, 200) <= 0.1 * 200.0 + 1.0);
@@ -452,7 +419,7 @@ mod tests {
     fn clock_advances_monotonically_per_insert() {
         let mut sk: CountBasedEcm = CountBasedEcm::new(&cfg(64));
         for i in 1..=300u64 {
-            sk.insert(i % 3);
+            sk.insert(0, i % 3);
             assert_eq!(sk.arrivals(), i);
         }
         assert_eq!(sk.as_inner().lifetime_arrivals(), 300);
@@ -463,11 +430,11 @@ mod tests {
     fn memory_is_bounded_by_window_not_stream() {
         let mut sk: CountBasedEcm = CountBasedEcm::new(&cfg(256));
         for i in 0..1_000u64 {
-            sk.insert(i % 50);
+            sk.insert(0, i % 50);
         }
         let early = sk.memory_bytes();
         for i in 0..50_000u64 {
-            sk.insert(i % 50);
+            sk.insert(0, i % 50);
         }
         let late = sk.memory_bytes();
         // Polylog growth with the arrival count, never linear.
@@ -479,14 +446,14 @@ mod tests {
 
     #[test]
     fn count_based_hierarchy_heavy_hitters_follow_the_clock() {
-        let cfg = EcmBuilder::new(0.05, 0.05, 2_000).seed(21).eh_config();
+        let cfg = eh_config(&SketchSpec::time(2_000).epsilon(0.05).delta(0.05).seed(21));
         let mut h: CountBasedHierarchy = CountBasedHierarchy::new(8, &cfg);
         // First 4000 arrivals: key 9 dominates; last 2000: key 200 does.
         for i in 0..4_000u64 {
-            h.insert(if i % 2 == 0 { 9 } else { i % 128 });
+            h.insert(0, if i % 2 == 0 { 9 } else { i % 128 });
         }
         for i in 0..2_000u64 {
-            h.insert(if i % 2 == 0 { 200 } else { i % 128 });
+            h.insert(0, if i % 2 == 0 { 200 } else { i % 128 });
         }
         let hot = h.heavy_hitters(Threshold::Relative(0.3), 2_000);
         let keys: Vec<u64> = hot.iter().map(|&(k, _)| k).collect();
@@ -497,10 +464,10 @@ mod tests {
 
     #[test]
     fn count_based_hierarchy_quantiles_and_ranges() {
-        let cfg = EcmBuilder::new(0.05, 0.05, 1_000).seed(8).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1_000).epsilon(0.05).delta(0.05).seed(8));
         let mut h: CountBasedHierarchy = CountBasedHierarchy::new(10, &cfg);
         for i in 0..10_000u64 {
-            h.insert(i % 1000);
+            h.insert(0, i % 1000);
         }
         // The last 1000 arrivals hold each key exactly once.
         let med = h.quantile(0.5, 1_000).unwrap();
@@ -517,8 +484,8 @@ mod tests {
         let mut a: CountBasedEcm = CountBasedEcm::new(&c);
         let mut b: CountBasedEcm = CountBasedEcm::new(&c);
         for i in 0..1_000u64 {
-            a.insert(i % 4);
-            b.insert(i % 8);
+            a.insert(0, i % 4);
+            b.insert(0, i % 8);
         }
         // Last 400 of each: a has 100 per key in 0..4; b has 50 per key in
         // 0..8. Overlap keys 0..4 → 4·100·50 = 20 000.
@@ -528,7 +495,7 @@ mod tests {
         let other = CountBasedEcm::<ExponentialHistogram>::new(&cfg(100));
         // Different shape (same builder settings, different window → same
         // shape actually; force a different width via epsilon).
-        let wide_cfg = EcmBuilder::new(0.05, 0.1, 400).seed(13).eh_config();
+        let wide_cfg = eh_config(&SketchSpec::time(400).epsilon(0.05).seed(13));
         let wide: CountBasedEcm = CountBasedEcm::new(&wide_cfg);
         assert!(a.inner_product(&wide, 100).is_err());
         let _ = other;

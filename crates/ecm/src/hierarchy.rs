@@ -8,6 +8,7 @@
 //! row-average — paper §6.1's "better alternative that does not require
 //! additional memory").
 
+use crate::api::WriteError;
 use crate::config::EcmConfig;
 use crate::sketch::EcmSketch;
 use count_min::dyadic::{dyadic_cover, DyadicRange};
@@ -69,65 +70,41 @@ impl<W: WindowCounter> EcmHierarchy<W> {
         self.sketches[0].last_tick()
     }
 
-    /// Insert one occurrence of key `x` at tick `ts`.
-    ///
-    /// # Panics
-    /// If `x` lies outside the universe.
-    pub fn insert(&mut self, x: u64, ts: u64) {
-        assert!(
-            self.bits == 63 || x < (1u64 << self.bits),
-            "key {x} outside universe"
-        );
+    /// The hierarchy's item precondition: `x` must lie inside the
+    /// `2^bits` key universe.
+    pub(crate) fn check(&self, x: u64) -> Result<(), WriteError> {
+        if self.bits == 63 || x < (1u64 << self.bits) {
+            Ok(())
+        } else {
+            Err(WriteError::OutOfUniverse {
+                item: x,
+                bits: self.bits,
+            })
+        }
+    }
+
+    /// The unchecked write kernel: `n` occurrences of key `x` at tick `ts`,
+    /// one weighted update per level (each level sketch advances its
+    /// sequence by `n`).
+    pub(crate) fn record(&mut self, ts: u64, x: u64, n: u64) {
         for (l, sk) in self.sketches.iter_mut().enumerate() {
-            sk.insert(x >> l, ts);
+            sk.record(ts, x >> l, n);
         }
     }
 
-    /// Insert `n` occurrences of key `x`, all at tick `ts` — one weighted
-    /// update per level. Bit-identical to `n` [`insert`](Self::insert)
-    /// calls (each level sketch advances its sequence by `n`).
-    ///
-    /// # Panics
-    /// If `x` lies outside the universe.
-    pub fn insert_weighted(&mut self, x: u64, ts: u64, n: u64) {
-        assert!(
-            self.bits == 63 || x < (1u64 << self.bits),
-            "key {x} outside universe"
-        );
-        for (l, sk) in self.sketches.iter_mut().enumerate() {
-            sk.insert_weighted(x >> l, ts, n);
-        }
-    }
-
-    /// Batched ingest: runs of consecutive equal `(item, ts)` events become
-    /// one weighted update per level (see [`EcmSketch::ingest_batch`]).
-    ///
-    /// # Panics
-    /// If any key lies outside the universe.
-    pub fn ingest_batch(&mut self, events: &[crate::sketch::StreamEvent]) {
-        for (run, n) in crate::sketch::grouped_runs(events) {
-            self.insert_weighted(run.item, run.ts, n);
-        }
-    }
-
-    /// Count-based helper mirroring [`EcmSketch::insert_ticking_run_auto`]:
+    /// Count-based kernel mirroring [`EcmSketch::insert_ticking_run_auto`]:
     /// `n` occurrences of `x` at consecutive ticks, one hashed run per
-    /// level.
-    pub(crate) fn insert_ticking_run(&mut self, x: u64, first_ts: u64, n: u64) {
-        assert!(
-            self.bits == 63 || x < (1u64 << self.bits),
-            "key {x} outside universe"
-        );
+    /// level. Unchecked, like [`record`](Self::record).
+    pub(crate) fn insert_ticking_run(&mut self, first_ts: u64, x: u64, n: u64) {
         for (l, sk) in self.sketches.iter_mut().enumerate() {
-            sk.insert_ticking_run_auto(x >> l, first_ts, n);
+            sk.insert_ticking_run_auto(first_ts, x >> l, n);
         }
     }
 
-    /// Declare that the stream clock has reached `ts` with no arrivals
-    /// (forwarded to every level sketch).
-    pub fn advance_to(&mut self, ts: u64) {
+    /// Move every level's write clock to `ts` with no arrivals.
+    pub(crate) fn advance_clock(&mut self, ts: u64) {
         for sk in &mut self.sketches {
-            sk.advance_to(ts);
+            sk.advance_clock(ts);
         }
     }
 
@@ -338,14 +315,15 @@ mod tests {
     // they pin down the computation the typed query layer delegates to.
     // Query-surface coverage lives in the query module's own tests.
     use super::*;
-    use crate::config::EcmBuilder;
+    use crate::api::{SketchSpec, SketchWriter};
+    use crate::config::{eh_config, ew_config};
     use sliding_window::ExponentialHistogram;
     use std::collections::HashMap;
 
     type EhHierarchy = EcmHierarchy<ExponentialHistogram>;
 
     fn hierarchy(bits: u32, eps: f64) -> EhHierarchy {
-        let cfg = EcmBuilder::new(eps, 0.02, 1 << 20).seed(31).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1 << 20).epsilon(eps).delta(0.02).seed(31));
         EcmHierarchy::new(bits, &cfg)
     }
 
@@ -381,7 +359,7 @@ mod tests {
         let mut h = hierarchy(8, 0.05);
         let events: Vec<(u64, u64)> = (1..=20_000u64).map(|i| (i % 256, i)).collect();
         for &(k, t) in &events {
-            h.insert(k, t);
+            h.insert(t, k);
         }
         let now = 20_000;
         for &(lo, hi, range) in &[
@@ -411,7 +389,7 @@ mod tests {
         let mut h = hierarchy(8, 0.02);
         let events = hh_stream(40_000);
         for &(k, t) in &events {
-            h.insert(k, t);
+            h.insert(t, k);
         }
         let now = 40_000;
         // Whole-window: key 7 (5000 hits in first half) and key 200
@@ -428,7 +406,7 @@ mod tests {
         let mut h = hierarchy(8, 0.02);
         let events = hh_stream(40_000);
         for &(k, t) in &events {
-            h.insert(k, t);
+            h.insert(t, k);
         }
         let now = 40_000;
         // Key 7 stopped arriving at t = 20_000; in the last quarter it must
@@ -444,7 +422,7 @@ mod tests {
         let mut h = hierarchy(8, 0.02);
         let events = hh_stream(40_000);
         for &(k, t) in &events {
-            h.insert(k, t);
+            h.insert(t, k);
         }
         let hh = h.heavy_hitters(Threshold::Relative(0.15), 40_000, 10_000);
         let keys: Vec<u64> = hh.iter().map(|&(k, _)| k).collect();
@@ -463,7 +441,7 @@ mod tests {
     fn phi_quantile_convenience() {
         let mut h = hierarchy(10, 0.02);
         for i in 1..=5_000u64 {
-            h.insert(i % 1000, i);
+            h.insert(i, i % 1000);
         }
         let med = h.quantile(0.5, 5_000, 5_000).unwrap();
         assert!((450..=550).contains(&med), "median={med}");
@@ -484,7 +462,7 @@ mod tests {
         let mut events: Vec<(u64, u64)> = (1..=10_000u64).map(|i| (i % 1000, i)).collect();
         events.extend((10_001..=14_000u64).map(|i| (i % 100, i)));
         for &(k, t) in &events {
-            h.insert(k, t);
+            h.insert(t, k);
         }
         let now = 14_000;
         // Recent window only: all mass on 0..99, median ≈ 50.
@@ -503,15 +481,15 @@ mod tests {
 
     #[test]
     fn merge_hierarchies_preserves_heavy_hitters() {
-        let cfg = EcmBuilder::new(0.05, 0.02, 1 << 20).seed(77).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1 << 20).epsilon(0.05).delta(0.02).seed(77));
         let mut a = EcmHierarchy::new(8, &cfg);
         let mut b = EcmHierarchy::new(8, &cfg);
         let events = hh_stream(30_000);
         for (i, &(k, t)) in events.iter().enumerate() {
             if i % 2 == 0 {
-                a.insert(k, t);
+                a.insert(t, k);
             } else {
-                b.insert(k, t);
+                b.insert(t, k);
             }
         }
         let merged = EcmHierarchy::merge(&[&a, &b], &cfg.cell).unwrap();
@@ -524,10 +502,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside universe")]
+    #[should_panic(expected = "item 16 outside the 4-bit hierarchy universe")]
     fn key_outside_universe_rejected() {
         let mut h = hierarchy(4, 0.1);
-        h.insert(16, 1);
+        h.insert(1, 16);
     }
 
     mod props {
@@ -548,7 +526,7 @@ mod tests {
                 let eps = 0.1;
                 let mut h = hierarchy(8, eps);
                 for (i, &k) in keys.iter().enumerate() {
-                    h.insert(k, i as u64 + 1);
+                    h.insert(i as u64 + 1, k);
                 }
                 let now = keys.len() as u64;
                 let hi = (lo + width).min(255);
@@ -582,7 +560,7 @@ mod tests {
                     } else {
                         i % 128
                     };
-                    h.insert(k, i);
+                    h.insert(i, k);
                 }
                 let norm = n as f64;
                 let thresh = hot_count as f64 * 0.8;
@@ -611,10 +589,10 @@ mod tests {
 
     #[test]
     fn hierarchy_codec_round_trips() {
-        let cfg = EcmBuilder::new(0.1, 0.1, 1 << 16).seed(19).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1 << 16).seed(19));
         let mut h = EcmHierarchy::new(8, &cfg);
         for i in 1..=5_000u64 {
-            h.insert(i % 200, i);
+            h.insert(i, i % 200);
         }
         let mut buf = Vec::new();
         h.encode(&mut buf);
@@ -642,10 +620,10 @@ mod tests {
 
     #[test]
     fn hierarchy_codec_rejects_mismatch_and_truncation() {
-        let cfg = EcmBuilder::new(0.2, 0.1, 1 << 10).seed(4).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1 << 10).epsilon(0.2).seed(4));
         let mut h = EcmHierarchy::new(6, &cfg);
         for i in 1..=200u64 {
-            h.insert(i % 64, i);
+            h.insert(i, i % 64);
         }
         let mut buf = Vec::new();
         h.encode(&mut buf);
@@ -675,15 +653,15 @@ mod tests {
         // at sub-window starts make small-range queries arbitrarily wrong,
         // while ECM-EH holds its ε envelope on the same stream.
         use crate::sketch::{EcmEh, EcmEw};
-        let b = EcmBuilder::new(0.1, 0.05, 1_000).seed(3);
-        let mut ew = EcmEw::new(&b.ew_config(10));
-        let mut eh = EcmEh::new(&b.eh_config());
+        let spec = SketchSpec::time(1_000).epsilon(0.1).delta(0.05).seed(3);
+        let mut ew = EcmEw::new(&ew_config(&spec, 10));
+        let mut eh = EcmEh::new(&eh_config(&spec));
         // 100-tick sub-windows; all arrivals burst at slot starts.
         for slot in 0..10u64 {
             for i in 0..100u64 {
                 let ts = slot * 100 + 1;
-                ew.insert_with_id(5, ts, slot * 100 + i + 1);
-                eh.insert_with_id(5, ts, slot * 100 + i + 1);
+                ew.insert_with_id(ts, 5, slot * 100 + i + 1).unwrap();
+                eh.insert_with_id(ts, 5, slot * 100 + i + 1).unwrap();
             }
         }
         let now = 999u64;

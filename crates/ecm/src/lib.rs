@@ -31,16 +31,17 @@
 //! guarantee:
 //!
 //! ```
-//! use ecm::{EcmBuilder, Query, QueryKind, SketchReader, WindowSpec};
+//! use ecm::{Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 //!
 //! // 0.1-approximate point queries over a 1-hour (3600-tick) window.
-//! let cfg = EcmBuilder::new(0.1, 0.1, 3_600)
-//!     .query_kind(QueryKind::Point)
+//! let mut sketch = SketchSpec::time(3_600)
+//!     .epsilon(0.1)
+//!     .delta(0.1)
 //!     .seed(42)
-//!     .eh_config();
-//! let mut sketch = ecm::EcmEh::new(&cfg);
+//!     .build()
+//!     .unwrap();
 //! for t in 1..=1000u64 {
-//!     sketch.insert(t % 50, t); // item, tick
+//!     sketch.insert(t, t % 50); // tick, item
 //! }
 //! let freq = sketch
 //!     .query(&Query::point(7), WindowSpec::time(1000, 3_600))
@@ -48,6 +49,8 @@
 //!     .into_value();
 //! let eps = freq.guarantee.unwrap().epsilon; // ≤ the configured 0.1
 //! assert!(freq.value >= 20.0 * (1.0 - eps) && freq.value <= 20.0 + eps * 1000.0);
+//! // A tick before the write clock is refused, and the sketch is untouched.
+//! assert!(sketch.try_insert_weighted(999, 7, 1).is_err());
 //! ```
 
 pub mod api;
@@ -65,10 +68,10 @@ pub mod wal;
 
 pub use api::{
     Backend, Clock, CloneSketch, Sketch, SketchSpec, SketchWriter, SpecBackend, SpecError,
+    WriteError,
 };
 pub use config::{
-    split_inner_product, split_point_query, split_point_query_randomized, EcmBuilder, EcmConfig,
-    QueryKind,
+    split_inner_product, split_point_query, split_point_query_randomized, EcmConfig, QueryKind,
 };
 pub use count_based::{CountBasedEcm, CountBasedHierarchy};
 pub use hierarchy::{EcmHierarchy, Threshold};

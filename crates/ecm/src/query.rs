@@ -29,12 +29,11 @@
 //!
 //! ```
 //! use ecm::query::{Query, SketchReader, WindowSpec};
-//! use ecm::{EcmBuilder, EcmEh};
+//! use ecm::{SketchSpec, SketchWriter};
 //!
-//! let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(1).eh_config();
-//! let mut sk = EcmEh::new(&cfg);
+//! let mut sk = SketchSpec::time(1_000).seed(1).build().unwrap();
 //! for t in 1..=600u64 {
-//!     sk.insert(t % 3, t);
+//!     sk.insert(t, t % 3);
 //! }
 //! let est = sk
 //!     .query(&Query::point(2), WindowSpec::time(600, 1_000))
@@ -914,15 +913,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EcmBuilder;
+    use crate::api::{SketchSpec, SketchWriter};
+    use crate::config::{eh_config, exact_config};
     use crate::sketch::{EcmEh, EcmEw, EcmExact};
+
     use sliding_window::ExponentialHistogram;
 
     fn filled_sketch() -> EcmEh {
-        let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(3).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1_000).seed(3));
         let mut sk = EcmEh::new(&cfg);
         for t in 1..=900u64 {
-            sk.insert(t % 5, t);
+            sk.insert(t, t % 5);
         }
         sk
     }
@@ -955,7 +956,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, QueryError::ClockMismatch { .. }));
 
-        let cfg = EcmBuilder::new(0.1, 0.1, 100).seed(1).eh_config();
+        let cfg = eh_config(&SketchSpec::time(100).seed(1));
         let cb: crate::CountBasedEcm<ExponentialHistogram> = crate::CountBasedEcm::new(&cfg);
         let err = cb
             .query(&Query::point(1), WindowSpec::time(10, 10))
@@ -982,10 +983,10 @@ mod tests {
 
     #[test]
     fn exact_backend_guarantee_is_hashing_only() {
-        let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(3).exact_config();
+        let cfg = exact_config(&SketchSpec::time(1_000).seed(3));
         let mut sk = EcmExact::new(&cfg);
         for t in 1..=600u64 {
-            sk.insert(t % 4, t);
+            sk.insert(t, t % 4);
         }
         let est = sk
             .query(&Query::point(1), WindowSpec::time(600, 500))
@@ -1005,10 +1006,12 @@ mod tests {
 
     #[test]
     fn equi_width_baseline_has_no_guarantee() {
-        let b = EcmBuilder::new(0.1, 0.1, 1_000).seed(3);
-        let mut sk = EcmEw::new(&b.ew_config(10));
+        let spec = SketchSpec::time(1_000)
+            .seed(3)
+            .backend(crate::api::Backend::Ew { buckets: 10 });
+        let mut sk = EcmEw::new(&spec.ecm_config().unwrap());
         for t in 1..=500u64 {
-            sk.insert(t % 3, t);
+            sk.insert(t, t % 3);
         }
         let est = sk
             .query(&Query::point(1), WindowSpec::time(500, 1_000))
@@ -1047,14 +1050,14 @@ mod tests {
         assert!(ip.value > 0.0);
 
         // A hierarchy is not a valid operand for a plain sketch.
-        let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(3).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1_000).seed(3));
         let h: EcmHierarchy<ExponentialHistogram> = EcmHierarchy::new(8, &cfg);
         let err = a.query(&Query::inner_product(&h), w).unwrap_err();
         assert!(matches!(err, QueryError::IncompatibleOperand { .. }));
 
         // Same type, different seed: the legacy MergeError surfaces as an
         // operand error.
-        let cfg2 = EcmBuilder::new(0.1, 0.1, 1_000).seed(4).eh_config();
+        let cfg2 = eh_config(&SketchSpec::time(1_000).seed(4));
         let mut c = EcmEh::new(&cfg2);
         c.insert(1, 1);
         let err = a.query(&Query::inner_product(&c), w).unwrap_err();
@@ -1063,10 +1066,10 @@ mod tests {
 
     #[test]
     fn invalid_parameters_are_errors_not_panics() {
-        let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(5).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1_000).seed(5));
         let mut h: EcmHierarchy<ExponentialHistogram> = EcmHierarchy::new(8, &cfg);
         for t in 1..=100u64 {
-            h.insert(t % 16, t);
+            h.insert(t, t % 16);
         }
         let w = WindowSpec::time(100, 100);
         for bad in [
@@ -1096,8 +1099,8 @@ mod tests {
 
     #[test]
     fn guarantees_tighten_with_more_memory() {
-        let loose = EcmBuilder::new(0.2, 0.1, 1_000).seed(1).eh_config();
-        let tight = EcmBuilder::new(0.02, 0.1, 1_000).seed(1).eh_config();
+        let loose = eh_config(&SketchSpec::time(1_000).epsilon(0.2).seed(1));
+        let tight = eh_config(&SketchSpec::time(1_000).epsilon(0.02).seed(1));
         let gl =
             SketchGuarantees::derive::<ExponentialHistogram>(loose.width, loose.depth, &loose.cell);
         let gt =

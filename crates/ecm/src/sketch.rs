@@ -1,6 +1,7 @@
 //! The ECM-sketch itself (paper §4): a Count-Min array whose counters are
 //! sliding-window synopses, generic over the counter type.
 
+use crate::api::WriteError;
 use crate::config::EcmConfig;
 use count_min::HashFamily;
 use sliding_window::codec::{get_u8, get_varint, put_u8, put_varint};
@@ -14,7 +15,8 @@ use sliding_window::{
 const CODEC_VERSION: u8 = 1;
 
 /// One `(item, tick)` stream arrival — the unit of the batched ingest path
-/// ([`EcmSketch::ingest_batch`] and the batch entry points layered on it).
+/// ([`SketchWriter::ingest_batch`](crate::api::SketchWriter::ingest_batch)
+/// and the batch entry points layered on it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamEvent {
     /// Stream item (the key being counted).
@@ -156,58 +158,70 @@ impl<W: WindowCounter> EcmSketch<W> {
         self.id_namespace = namespace;
     }
 
-    /// Insert one occurrence of `item` at tick `ts` (non-decreasing).
-    pub fn insert(&mut self, item: u64, ts: u64) {
-        self.seq += 1;
-        let id = (self.id_namespace << 40) + self.seq;
-        self.insert_with_id(item, ts, id);
+    /// The write precondition: `ts` must not precede the write clock. The
+    /// one compare every time-based write of this sketch (and of a
+    /// hierarchy's levels) crosses before any state moves.
+    #[inline]
+    pub(crate) fn check(&self, ts: u64) -> Result<(), WriteError> {
+        WriteError::check_tick(ts, self.last_ts)
     }
 
     /// Insert one occurrence of `item` at tick `ts` with an explicit
     /// stream-unique arrival id (drives randomized-wave sampling; ignored by
-    /// deterministic counters).
-    pub fn insert_with_id(&mut self, item: u64, ts: u64, id: u64) {
-        debug_assert!(ts >= self.last_ts, "timestamps must be non-decreasing");
-        // max, not assignment: a clock set by advance_to must not be
-        // silently rewound in release builds either.
-        self.last_ts = self.last_ts.max(ts);
-        self.lifetime += 1;
-        for j in 0..self.depth {
-            let idx = j * self.width + self.hashes.bucket(j, item, self.width);
-            self.cells.insert(idx, ts, id);
-        }
-    }
-
-    /// Insert `weight` occurrences of `item` at tick `ts`.
+    /// deterministic counters). Does not advance the local sequence counter
+    /// — callers own the id space.
     ///
-    /// The `d` bucket indices are hashed once and each touched cell absorbs
-    /// the whole burst through its weighted fast path, so the cost is
-    /// `O(d · cell_burst_cost)` instead of `O(weight · d)`. **Arrival-id
-    /// semantics:** the burst is `weight` distinct arrivals — the local
-    /// sequence number advances by `weight` and the occurrences carry the
-    /// consecutive ids `seq+1 ..= seq+weight`, exactly as if
-    /// [`insert`](Self::insert) had been called `weight` times. The state is
-    /// bit-identical to that loop for every counter type, including the
-    /// id-sampled randomized wave.
-    pub fn insert_weighted(&mut self, item: u64, ts: u64, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        let first_id = (self.id_namespace << 40) + self.seq + 1;
-        self.seq += weight;
-        self.insert_weighted_with_id(item, ts, first_id, weight);
+    /// # Errors
+    /// [`WriteError::StaleTimestamp`] when `ts` precedes the write clock;
+    /// the sketch is then unchanged.
+    pub fn insert_with_id(&mut self, ts: u64, item: u64, id: u64) -> Result<(), WriteError> {
+        self.insert_weighted_with_id(ts, item, id, 1)
     }
 
     /// Insert `weight` occurrences of `item` at tick `ts` with an explicit
     /// **first** arrival id; the occurrences carry the consecutive ids
     /// `first_id .. first_id + weight`. Like
     /// [`insert_with_id`](Self::insert_with_id), this does not advance the
-    /// local sequence counter — callers own the id space.
-    pub fn insert_weighted_with_id(&mut self, item: u64, ts: u64, first_id: u64, weight: u64) {
+    /// local sequence counter.
+    ///
+    /// # Errors
+    /// [`WriteError::StaleTimestamp`] when `ts` precedes the write clock;
+    /// the sketch is then unchanged.
+    pub fn insert_weighted_with_id(
+        &mut self,
+        ts: u64,
+        item: u64,
+        first_id: u64,
+        weight: u64,
+    ) -> Result<(), WriteError> {
+        self.check(ts)?;
+        self.record_weighted_with_id(ts, item, first_id, weight);
+        Ok(())
+    }
+
+    /// The unchecked write kernel behind
+    /// [`SketchWriter::try_insert_weighted`](crate::api::SketchWriter::try_insert_weighted):
+    /// `weight` occurrences of `item` at tick `ts` carrying auto-assigned
+    /// ids. **Arrival-id semantics:** the burst is `weight` distinct
+    /// arrivals — the local sequence number advances by `weight` and the
+    /// occurrences carry the consecutive (namespaced) ids
+    /// `seq+1 ..= seq+weight`, exactly as `weight` single writes would. The
+    /// state is bit-identical to that loop for every counter type,
+    /// including the id-sampled randomized wave.
+    pub(crate) fn record(&mut self, ts: u64, item: u64, weight: u64) {
+        let first_id = (self.id_namespace << 40) + self.seq + 1;
+        self.seq += weight;
+        self.record_weighted_with_id(ts, item, first_id, weight);
+    }
+
+    /// `weight` occurrences with consecutive ids from `first_id`,
+    /// unchecked. The `d` bucket indices are hashed once and each touched
+    /// cell absorbs the whole burst through its weighted fast path, so the
+    /// cost is `O(d · cell_burst_cost)` instead of `O(weight · d)`.
+    fn record_weighted_with_id(&mut self, ts: u64, item: u64, first_id: u64, weight: u64) {
         if weight == 0 {
             return;
         }
-        debug_assert!(ts >= self.last_ts, "timestamps must be non-decreasing");
         self.last_ts = self.last_ts.max(ts);
         self.lifetime += weight;
         // Hand all d row cells to the storage at once: layouts that share
@@ -228,34 +242,17 @@ impl<W: WindowCounter> EcmSketch<W> {
         }
     }
 
-    /// Batched ingest: feed a timestamp-ordered slice of events, collapsing
-    /// each run of **consecutive** equal `(item, ts)` events into one
-    /// weighted update (one hash evaluation per row per run instead of per
-    /// event). Arrival order — and with it the id assignment — is
-    /// preserved, so the resulting sketch is bit-identical to inserting the
-    /// events one at a time; only adjacent duplicates are grouped, because
-    /// reordering occurrences would permute the ids the randomized wave
-    /// samples by.
-    pub fn ingest_batch(&mut self, events: &[StreamEvent]) {
-        for (run, n) in grouped_runs(events) {
-            self.insert_weighted(run.item, run.ts, n);
-        }
-    }
-
-    /// Count-based helper: `n` occurrences of `item` at the **consecutive**
+    /// Count-based kernel: `n` occurrences of `item` at the **consecutive**
     /// ticks `first_ts .. first_ts + n`, carrying ids equal to their ticks'
     /// offsets from `first_id`. This is the burst shape of count-based
     /// windows, where the clock itself is the arrival index (one tick per
     /// occurrence); the win over a plain loop is hashing the `d` bucket
-    /// indices once per run.
-    pub(crate) fn insert_ticking_run(&mut self, item: u64, first_ts: u64, first_id: u64, n: u64) {
+    /// indices once per run. Unchecked: the count-based owner's clock is
+    /// monotone by construction.
+    pub(crate) fn insert_ticking_run(&mut self, first_ts: u64, item: u64, first_id: u64, n: u64) {
         if n == 0 {
             return;
         }
-        debug_assert!(
-            first_ts >= self.last_ts,
-            "timestamps must be non-decreasing"
-        );
         self.last_ts = self.last_ts.max(first_ts + (n - 1));
         self.lifetime += n;
         for j in 0..self.depth {
@@ -266,21 +263,21 @@ impl<W: WindowCounter> EcmSketch<W> {
 
     /// Like [`insert_ticking_run`](Self::insert_ticking_run) with
     /// auto-assigned ids: advances the local sequence by `n` and derives the
-    /// id range from it (namespaced), mirroring `n` calls of
-    /// [`insert`](Self::insert) at consecutive ticks.
-    pub(crate) fn insert_ticking_run_auto(&mut self, item: u64, first_ts: u64, n: u64) {
+    /// id range from it (namespaced), mirroring `n` single writes at
+    /// consecutive ticks.
+    pub(crate) fn insert_ticking_run_auto(&mut self, first_ts: u64, item: u64, n: u64) {
         if n == 0 {
             return;
         }
         let first_id = (self.id_namespace << 40) + self.seq + 1;
         self.seq += n;
-        self.insert_ticking_run(item, first_ts, first_id, n);
+        self.insert_ticking_run(first_ts, item, first_id, n);
     }
 
-    /// Declare that the stream clock has reached `ts` with no arrivals:
-    /// later insertions must not precede it. Window counters are queried
-    /// with an explicit `now`, so this only moves the bookkeeping clock.
-    pub fn advance_to(&mut self, ts: u64) {
+    /// Move the write clock to `ts` with no arrivals (never backwards).
+    /// Window counters are queried with an explicit `now`, so this only
+    /// moves the bookkeeping clock later writes are checked against.
+    pub(crate) fn advance_clock(&mut self, ts: u64) {
         self.last_ts = self.last_ts.max(ts);
     }
 

@@ -1,7 +1,8 @@
 // These unit tests exercise the crate-private positional core on purpose:
 // they pin down the computation the typed query layer delegates to. New
 // query-surface coverage lives in ecm::query and tests/query_api.rs.
-use crate::config::{EcmBuilder, QueryKind};
+use crate::api::{SketchSpec, SketchWriter};
+use crate::config::{dw_config, eh_config, exact_config, rw_config, QueryKind};
 use crate::sketch::{EcmDw, EcmEh, EcmExact, EcmRw, EcmSketch};
 use proptest::prelude::*;
 use sliding_window::MergeError;
@@ -38,11 +39,11 @@ fn skewed_stream(n: u64) -> Vec<(u64, u64)> {
 fn point_queries_respect_theorem1_bound() {
     let eps = 0.1;
     let window = 1 << 20;
-    let cfg = EcmBuilder::new(eps, 0.05, window).seed(9).eh_config();
+    let cfg = eh_config(&SketchSpec::time(window).epsilon(eps).delta(0.05).seed(9));
     let mut sk = EcmEh::new(&cfg);
     let events = skewed_stream(30_000);
     for &(item, ts) in &events {
-        sk.insert(item, ts);
+        sk.insert(ts, item);
     }
     let now = 30_000u64;
     for range in [1_000u64, 10_000, 30_000] {
@@ -62,14 +63,17 @@ fn point_queries_respect_theorem1_bound() {
 #[test]
 fn self_join_respects_theorem2_bound() {
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.05, 1 << 20)
-        .query_kind(QueryKind::InnerProduct)
-        .seed(4)
-        .eh_config();
+    let cfg = eh_config(
+        &SketchSpec::time(1 << 20)
+            .epsilon(eps)
+            .delta(0.05)
+            .query_kind(QueryKind::InnerProduct)
+            .seed(4),
+    );
     let mut sk = EcmEh::new(&cfg);
     let events = skewed_stream(20_000);
     for &(item, ts) in &events {
-        sk.insert(item, ts);
+        sk.insert(ts, item);
     }
     let now = 20_000u64;
     for range in [2_000u64, 20_000] {
@@ -88,19 +92,22 @@ fn self_join_respects_theorem2_bound() {
 #[test]
 fn inner_product_between_streams() {
     let eps = 0.15;
-    let cfg = EcmBuilder::new(eps, 0.05, 1 << 20)
-        .query_kind(QueryKind::InnerProduct)
-        .seed(12)
-        .eh_config();
+    let cfg = eh_config(
+        &SketchSpec::time(1 << 20)
+            .epsilon(eps)
+            .delta(0.05)
+            .query_kind(QueryKind::InnerProduct)
+            .seed(12),
+    );
     let mut a = EcmEh::new(&cfg);
     let mut b = EcmEh::new(&cfg);
     let ev_a: Vec<(u64, u64)> = (1..=8000u64).map(|i| (i % 40, i)).collect();
     let ev_b: Vec<(u64, u64)> = (1..=8000u64).map(|i| (i % 25, i)).collect();
     for &(k, t) in &ev_a {
-        a.insert(k, t);
+        a.insert(t, k);
     }
     for &(k, t) in &ev_b {
-        b.insert(k, t);
+        b.insert(t, k);
     }
     let now = 8000u64;
     let range = 5000u64;
@@ -122,8 +129,8 @@ fn inner_product_between_streams() {
 
 #[test]
 fn incompatible_sketches_rejected() {
-    let cfg1 = EcmBuilder::new(0.1, 0.1, 100).seed(1).eh_config();
-    let cfg2 = EcmBuilder::new(0.1, 0.1, 100).seed(2).eh_config();
+    let cfg1 = eh_config(&SketchSpec::time(100).seed(1));
+    let cfg2 = eh_config(&SketchSpec::time(100).seed(2));
     let a = EcmEh::new(&cfg1);
     let b = EcmEh::new(&cfg2);
     assert!(matches!(
@@ -145,7 +152,7 @@ fn incompatible_sketches_rejected() {
 fn merge_of_eh_sketches_matches_union_stream() {
     let eps = 0.1;
     let window = 1 << 20;
-    let cfg = EcmBuilder::new(eps, 0.05, window).seed(33).eh_config();
+    let cfg = eh_config(&SketchSpec::time(window).epsilon(eps).delta(0.05).seed(33));
     let mut a = EcmEh::new(&cfg);
     let mut b = EcmEh::new(&cfg);
     a.set_id_namespace(1);
@@ -153,9 +160,9 @@ fn merge_of_eh_sketches_matches_union_stream() {
     let events = skewed_stream(24_000);
     for (i, &(item, ts)) in events.iter().enumerate() {
         if i % 2 == 0 {
-            a.insert(item, ts);
+            a.insert(ts, item);
         } else {
-            b.insert(item, ts);
+            b.insert(ts, item);
         }
     }
     let merged = EcmSketch::merge(&[&a, &b], &cfg.cell).unwrap();
@@ -181,10 +188,12 @@ fn merge_of_eh_sketches_matches_union_stream() {
 
 #[test]
 fn merge_of_rw_sketches_is_lossless() {
-    let cfg = EcmBuilder::new(0.2, 0.1, 1 << 20)
-        .max_arrivals(40_000)
-        .seed(77)
-        .rw_config();
+    let cfg = rw_config(
+        &SketchSpec::time(1 << 20)
+            .epsilon(0.2)
+            .max_arrivals(40_000)
+            .seed(77),
+    );
     let mut whole = EcmRw::new(&cfg);
     let mut a = EcmRw::new(&cfg);
     let mut b = EcmRw::new(&cfg);
@@ -192,11 +201,11 @@ fn merge_of_rw_sketches_is_lossless() {
     for (i, &(item, ts)) in events.iter().enumerate() {
         // Shared explicit ids reproduce the union wave exactly.
         let id = (i as u64) + 1;
-        whole.insert_with_id(item, ts, id);
+        whole.insert_with_id(ts, item, id).unwrap();
         if i % 3 == 0 {
-            a.insert_with_id(item, ts, id);
+            a.insert_with_id(ts, item, id).unwrap();
         } else {
-            b.insert_with_id(item, ts, id);
+            b.insert_with_id(ts, item, id).unwrap();
         }
     }
     let merged = EcmSketch::merge(&[&a, &b], &cfg.cell).unwrap();
@@ -215,14 +224,17 @@ fn merge_of_rw_sketches_is_lossless() {
 #[test]
 fn dw_variant_answers_point_queries() {
     let eps = 0.15;
-    let cfg = EcmBuilder::new(eps, 0.05, 1 << 20)
-        .max_arrivals(20_000)
-        .seed(3)
-        .dw_config();
+    let cfg = dw_config(
+        &SketchSpec::time(1 << 20)
+            .epsilon(eps)
+            .delta(0.05)
+            .max_arrivals(20_000)
+            .seed(3),
+    );
     let mut sk = EcmDw::new(&cfg);
     let events = skewed_stream(12_000);
     for &(item, ts) in &events {
-        sk.insert(item, ts);
+        sk.insert(ts, item);
     }
     let now = 12_000u64;
     let range = 6_000u64;
@@ -242,11 +254,11 @@ fn dw_variant_answers_point_queries() {
 fn exact_variant_matches_cm_semantics() {
     // With exact window counters the only error is hash collisions, which
     // can only overestimate — the classic CM property, per range.
-    let cfg = EcmBuilder::new(0.05, 0.01, 1 << 20).seed(8).exact_config();
+    let cfg = exact_config(&SketchSpec::time(1 << 20).epsilon(0.05).delta(0.01).seed(8));
     let mut sk = EcmExact::new(&cfg);
     let events = skewed_stream(10_000);
     for &(item, ts) in &events {
-        sk.insert(item, ts);
+        sk.insert(ts, item);
     }
     let now = 10_000u64;
     for range in [500u64, 10_000] {
@@ -261,11 +273,11 @@ fn exact_variant_matches_cm_semantics() {
 
 #[test]
 fn total_arrivals_row_average_estimator() {
-    let cfg = EcmBuilder::new(0.1, 0.05, 1 << 20).seed(21).eh_config();
+    let cfg = eh_config(&SketchSpec::time(1 << 20).delta(0.05).seed(21));
     let mut sk = EcmEh::new(&cfg);
     let events = skewed_stream(20_000);
     for &(item, ts) in &events {
-        sk.insert(item, ts);
+        sk.insert(ts, item);
     }
     let now = 20_000u64;
     for range in [2_000u64, 20_000] {
@@ -280,10 +292,10 @@ fn total_arrivals_row_average_estimator() {
 
 #[test]
 fn estimate_vector_has_sketch_shape() {
-    let cfg = EcmBuilder::new(0.2, 0.2, 1000).seed(5).eh_config();
+    let cfg = eh_config(&SketchSpec::time(1000).epsilon(0.2).delta(0.2).seed(5));
     let mut sk = EcmEh::new(&cfg);
     for t in 1..=100u64 {
-        sk.insert(t % 10, t);
+        sk.insert(t, t % 10);
     }
     let v = sk.estimate_vector(100, 1000);
     assert_eq!(v.len(), sk.width() * sk.depth());
@@ -303,7 +315,7 @@ fn estimate_vector_has_sketch_shape() {
 #[test]
 #[should_panic(expected = "before insertions")]
 fn namespace_after_insert_rejected() {
-    let cfg = EcmBuilder::new(0.2, 0.2, 100).eh_config();
+    let cfg = eh_config(&SketchSpec::time(100).epsilon(0.2).delta(0.2));
     let mut sk = EcmEh::new(&cfg);
     sk.insert(1, 1);
     sk.set_id_namespace(3);
@@ -311,10 +323,10 @@ fn namespace_after_insert_rejected() {
 
 #[test]
 fn codec_round_trips_eh() {
-    let cfg = EcmBuilder::new(0.15, 0.1, 10_000).seed(6).eh_config();
+    let cfg = eh_config(&SketchSpec::time(10_000).epsilon(0.15).seed(6));
     let mut sk = EcmEh::new(&cfg);
     for &(item, ts) in &skewed_stream(5_000) {
-        sk.insert(item, ts);
+        sk.insert(ts, item);
     }
     let mut buf = Vec::new();
     sk.encode(&mut buf);
@@ -330,16 +342,16 @@ fn codec_round_trips_eh() {
     }
     assert_eq!(back.lifetime_arrivals(), sk.lifetime_arrivals());
     // Wrong config shape must be rejected.
-    let other = EcmBuilder::new(0.3, 0.1, 10_000).seed(6).eh_config();
+    let other = eh_config(&SketchSpec::time(10_000).epsilon(0.3).seed(6));
     let mut slice = buf.as_slice();
     assert!(EcmEh::decode(&other, &mut slice).is_err());
 }
 
 #[test]
 fn weighted_insert_counts_multiply() {
-    let cfg = EcmBuilder::new(0.1, 0.1, 1000).seed(2).eh_config();
+    let cfg = eh_config(&SketchSpec::time(1000).seed(2));
     let mut sk = EcmEh::new(&cfg);
-    sk.insert_weighted(42, 10, 7);
+    sk.insert_weighted(10, 42, 7);
     let est = sk.point_query(42, 10, 1000);
     assert!((est - 7.0).abs() < 1e-9, "est={est}");
     assert_eq!(sk.lifetime_arrivals(), 7);
@@ -357,7 +369,7 @@ proptest! {
         range_frac in 0.1f64..1.0,
     ) {
         let eps = 0.15;
-        let cfg = EcmBuilder::new(eps, 0.05, 1 << 20).seed(seed).eh_config();
+        let cfg = eh_config(&SketchSpec::time(1 << 20).epsilon(eps).delta(0.05).seed(seed));
         let mut sk = EcmEh::new(&cfg);
         let events: Vec<(u64, u64)> = keys
             .iter()
@@ -365,7 +377,7 @@ proptest! {
             .map(|(i, &k)| (k, (i + 1) as u64))
             .collect();
         for &(k, t) in &events {
-            sk.insert(k, t);
+            sk.insert(t, k);
         }
         let now = events.len() as u64;
         let range = ((now as f64 * range_frac) as u64).max(1);
@@ -391,11 +403,11 @@ proptest! {
     ) {
         let eps = 0.2;
         let window = 1u64 << 20;
-        let cfg = EcmBuilder::new(eps, 0.1, window).seed(13).eh_config();
+        let cfg = eh_config(&SketchSpec::time(window).epsilon(eps).seed(13));
         let mut parts: Vec<EcmEh> = (0..split).map(|_| EcmEh::new(&cfg)).collect();
         let events: Vec<(u64, u64)> = (1..=n).map(|i| (i % 16, i)).collect();
         for (i, &(k, t)) in events.iter().enumerate() {
-            parts[i % split as usize].insert(k, t);
+            parts[i % split as usize].insert(t, k);
         }
         let refs: Vec<&EcmEh> = parts.iter().collect();
         let merged = EcmSketch::merge(&refs, &cfg.cell).unwrap();

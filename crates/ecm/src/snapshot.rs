@@ -584,6 +584,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::SketchWriter;
     use crate::query::{Query, SketchReader, WindowSpec};
 
     fn warm_spec_sketch() -> (SketchSpec, Box<dyn Sketch>) {
@@ -700,7 +701,7 @@ mod tests {
         let cfg = spec.ecm_config::<ExponentialHistogram>().unwrap();
         let mut typed = EcmSketch::new(&cfg);
         for t in 1..=200u64 {
-            typed.insert(t % 9, t);
+            typed.insert(t, t % 9);
         }
         let typed_bytes = snapshot_sketch(&spec, &typed).unwrap();
 

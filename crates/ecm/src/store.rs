@@ -55,7 +55,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
-use crate::api::{Clock, Sketch, SketchSpec, SpecError};
+use crate::api::{Clock, Sketch, SketchSpec, SpecError, WriteError};
 use crate::frame::{self, corrupt};
 use crate::query::{Answer, Query, QueryError, WindowSpec};
 use crate::sketch::StreamEvent;
@@ -422,12 +422,20 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     }
 
     /// Record one occurrence of `item` at tick `ts` on `key`'s stream.
+    ///
+    /// # Panics
+    /// On a write the key's sketch refuses (see
+    /// [`SketchWriter`](crate::api::SketchWriter#panics)).
     pub fn insert(&mut self, key: K, ts: u64, item: u64) {
         self.sketch_mut(&key).insert(ts, item);
     }
 
     /// Record `weight` occurrences of `item` at tick `ts` on `key`'s
     /// stream, through the backend's weighted fast path.
+    ///
+    /// # Panics
+    /// On a write the key's sketch refuses (see
+    /// [`SketchWriter`](crate::api::SketchWriter#panics)).
     pub fn insert_weighted(&mut self, key: K, ts: u64, item: u64, weight: u64) {
         self.sketch_mut(&key).insert_weighted(ts, item, weight);
     }
@@ -439,8 +447,14 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     /// capacity eviction deterministic for a given batch — note that
     /// within one batch, write recency (and so the LRU order) follows that
     /// first-appearance order, not the raw event interleaving.
+    ///
+    /// A run its sketch refuses ([`WriteError`]: a tick before the key's
+    /// write clock, an item outside a hierarchy's universe) is skipped and
+    /// leaves the sketch untouched; the rest of the batch is applied.
+    /// [`retain_fresh`](Self::retain_fresh) tells a caller beforehand which
+    /// runs those are.
     pub fn ingest(&mut self, batch: &[(K, StreamEvent)]) {
-        self.ingest_grouped(batch.iter().map(|(key, event)| (key, *event, 1)));
+        self.ingest_grouped(batch.iter().map(|(key, event)| (key, *event, 1)))
     }
 
     /// [`ingest`](Self::ingest) for a batch that arrives as weighted runs:
@@ -450,7 +464,43 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     /// (and to one `insert` per occurrence); a run of weight 0 is no
     /// occurrence at all and does not create its key.
     pub fn ingest_runs(&mut self, batch: &[(K, StreamEvent, u64)]) {
-        self.ingest_grouped(batch.iter().map(|(key, event, n)| (key, *event, *n)));
+        self.ingest_grouped(batch.iter().map(|(key, event, n)| (key, *event, *n)))
+    }
+
+    /// Remove from `runs` every run whose tick precedes its key's write
+    /// clock — the resident sketch's, advanced by the runs before it in the
+    /// batch — and return how many were removed. What remains is exactly
+    /// what [`ingest_runs`](Self::ingest_runs) applies, checked by the same
+    /// [`WriteError::check_tick`] the sketches run. A serving layer calls
+    /// this *before* logging a batch, so its log holds only what was
+    /// applied and replays without a policy.
+    pub fn retain_fresh(&self, runs: &mut Vec<(K, StreamEvent, u64)>) -> u64 {
+        if self.spec.clock() == Clock::Count {
+            return 0; // a count-based clock is the arrival index itself
+        }
+        // Sized like the grouping map of `ingest_grouped`: a batch's keys.
+        let mut clocks: HashMap<&K, u64> =
+            HashMap::with_capacity(runs.len().min(self.entries.len().max(16)));
+        let fresh: Vec<bool> = runs
+            .iter()
+            .map(|(key, event, n)| {
+                let clock = clocks.entry(key).or_insert_with(|| {
+                    let entry = self.entries.get(key);
+                    entry.map_or(0, |entry| entry.sketch.write_clock())
+                });
+                let fresh = WriteError::check_tick(event.ts, *clock).is_ok();
+                if fresh && *n > 0 {
+                    *clock = event.ts;
+                }
+                fresh || *n == 0
+            })
+            .collect();
+        let stale = fresh.iter().filter(|&&f| !f).count();
+        if stale > 0 {
+            let mut keep = fresh.iter();
+            runs.retain(|_| *keep.next().expect("one flag per run"));
+        }
+        stale as u64
     }
 
     /// The one grouping routine behind both batch entry points. Pass 1
@@ -509,12 +559,12 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
                 if e == event {
                     weight += n;
                 } else {
-                    sketch.insert_weighted(event.ts, event.item, weight);
+                    let _ = sketch.try_insert_weighted(event.ts, event.item, weight);
                     (event, weight) = (e, n);
                 }
                 next = after;
             }
-            sketch.insert_weighted(event.ts, event.item, weight);
+            let _ = sketch.try_insert_weighted(event.ts, event.item, weight);
         }
         scratch.runs.clear();
         scratch.chains.clear();

@@ -45,7 +45,9 @@ mod supervisor;
 mod wal;
 
 pub use hub::{HubStats, ViewHub};
-pub use router::{Engine, EngineError, ServedAnswer, SnapshotReport, MAX_INGEST_OCCURRENCES};
+pub use router::{
+    Engine, EngineError, IngestAck, ServedAnswer, SnapshotReport, MAX_INGEST_OCCURRENCES,
+};
 
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
@@ -83,6 +85,9 @@ pub struct ShardStats {
     /// Weighted runs (ingest lines) those occurrences arrived as; the mean
     /// run weight is `ingested / ingest_runs`.
     pub ingest_runs: u64,
+    /// Runs refused since startup because their tick preceded their key's
+    /// write clock (`stale_timestamp`); none of them reached the log.
+    pub stale: u64,
     /// The shard store's checkpoint sequence number.
     pub checkpoint_seq: u64,
     /// Bytes in this shard's write-ahead log (0 with durability off).
@@ -146,10 +151,11 @@ pub enum ShardMsg {
     Ingest {
         /// The runs, in arrival order.
         runs: Vec<(String, StreamEvent, u64)>,
-        /// Where the worker acks: [`ShardReply::Ingested`] once the run is
-        /// appended to the write-ahead log (when durable), applied and
-        /// published, or [`ShardReply::WalError`] when the append failed
-        /// — in which case the run was **not** applied.
+        /// Where the worker acks: [`ShardReply::Ingested`] once the runs
+        /// its keys' write clocks accept are appended to the write-ahead
+        /// log (when durable), applied and published, or
+        /// [`ShardReply::WalError`] when the append failed — in which case
+        /// nothing was applied.
         reply: Sender<ShardReply>,
     },
     /// This shard's [`ShardStats`].
@@ -218,9 +224,14 @@ pub enum ShardReply {
     Stats(ShardStats),
     /// `Flush` applied and published.
     Flushed,
-    /// The ingest run is on the write-ahead log (when durable), applied
-    /// and published.
-    Ingested,
+    /// The accepted runs are on the write-ahead log (when durable),
+    /// applied and published; the stale ones were refused before the log.
+    Ingested {
+        /// Occurrences applied.
+        events: u64,
+        /// Runs refused as stale.
+        stale: u64,
+    },
     /// The write-ahead-log append failed; the run was not applied.
     WalError(String),
     /// Checkpoint written: bytes on disk.

@@ -208,6 +208,17 @@ pub struct SnapshotReport {
     pub incremental: bool,
 }
 
+/// What an acked [`Engine::ingest`] applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IngestAck {
+    /// Event occurrences applied (and, when durable, logged).
+    pub ingested: u64,
+    /// Runs refused because their tick preceded their key's write clock
+    /// (`stale_timestamp`). A refused run is applied nowhere and never
+    /// logged; the rest of the batch is applied.
+    pub stale: u64,
+}
+
 /// Suggested client backoff attached to [`EngineError::Overloaded`].
 const RETRY_AFTER_MS: u64 = 100;
 
@@ -377,6 +388,15 @@ impl Engine {
     /// dispatch (universe violation, cap, shutdown race, admission) is
     /// applied nowhere.
     ///
+    /// **Stale ticks.** A run whose tick precedes its key's write clock —
+    /// the latest tick applied to the key or declared by a `FLUSH` — is
+    /// refused by the owning shard before its log append (the one
+    /// [`WriteError::check_tick`](ecm::WriteError::check_tick) every sketch
+    /// write crosses), and counted in [`IngestAck::stale`]; the batch's
+    /// other runs are applied. Two connections writing one key therefore
+    /// cannot reorder its synopsis: the later-arriving older tick is
+    /// refused, not merged out of order.
+    ///
     /// **Retry semantics across shards.** Each shard appends and applies
     /// its partition independently, so an error after dispatch means only
     /// that the batch *as a whole* is not acked: sibling partitions that
@@ -396,7 +416,7 @@ impl Engine {
     /// [`ShardTimeout`](EngineError::ShardTimeout),
     /// [`Wal`](EngineError::Wal), or
     /// [`ShardDied`](EngineError::ShardDied).
-    pub fn ingest(&self, batch: &[(String, StreamEvent, u64)]) -> Result<u64, EngineError> {
+    pub fn ingest(&self, batch: &[(String, StreamEvent, u64)]) -> Result<IngestAck, EngineError> {
         let mut total: u64 = 0;
         for (_, event, count) in batch {
             if let Some(limit) = self.fleet.item_limit {
@@ -436,14 +456,18 @@ impl Engine {
         // the failing shard's partition unapplied while sibling
         // partitions landed — the error tells the client the batch (as a
         // whole) is not acked.
+        let mut ack = IngestAck::default();
         for (i, rx) in pending {
             match self.collect(i, &rx)? {
-                ShardReply::Ingested => {}
+                ShardReply::Ingested { events, stale } => {
+                    ack.ingested += events;
+                    ack.stale += stale;
+                }
                 ShardReply::WalError(e) => return Err(EngineError::Wal(e)),
                 _ => return Err(EngineError::ShardDied { shard: i }),
             }
         }
-        Ok(total)
+        Ok(ack)
     }
 
     /// Answer `query` over `window` from `key`'s sketch, wait-free: pin

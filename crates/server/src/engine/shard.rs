@@ -26,7 +26,8 @@ pub(super) fn delta_file(shard: usize, seq: u64) -> String {
 
 /// The worker's half of the read path (see `ecm::publish`), and the one
 /// place that decides when a write becomes visible: every write message
-/// (`Ingest`, `Flush`) runs WAL append → apply → [`commit`](Self::commit),
+/// (`Ingest`, `Flush`) runs stale filter → WAL append → apply →
+/// [`commit`](Self::commit),
 /// and `commit` publishes the store before it acks. An ack therefore means
 /// "visible to every reader" — read-your-writes needs no gate and no
 /// second read path — and because the log append comes first, a pinned
@@ -121,6 +122,7 @@ pub(super) fn run(
 ) -> bool {
     let mut ingested: u64 = 0;
     let mut ingest_runs: u64 = 0;
+    let mut stale: u64 = 0;
     let mut views: ViewSet<String> = ViewSet::new();
     for def in restored_views {
         // The engine validated and de-duplicated these when they were
@@ -132,29 +134,40 @@ pub(super) fn run(
     while let Ok(msg) = rx.recv() {
         gauge.note_dequeue();
         match msg {
-            ShardMsg::Ingest { runs, reply } => {
+            ShardMsg::Ingest { mut runs, reply } => {
                 // Parse forbids `err` at this site, so a firing rule
                 // panics or sleeps — before the WAL sees the run, keeping
                 // acked ⇔ applied exact across an injected crash.
                 let _ = faults.fire(FaultSite::Shard);
+                // A run whose tick precedes its key's write clock is
+                // refused here, before the log: the log then holds exactly
+                // what was applied, and replay — which never sees a `FLUSH`
+                // — needs no policy of its own.
+                let refused = store.retain_fresh(&mut runs);
+                stale += refused;
                 // Ack-after-append: the run reaches the log before it is
                 // applied or acked, so an acked event survives `kill -9`.
                 // On append failure the run is applied *nowhere* — the
                 // store and the log never disagree.
                 let appended = match &mut wal {
-                    Some(w) => w.append_runs(&runs, store.checkpoint_seq()),
-                    None => Ok(()),
+                    Some(w) if !runs.is_empty() => w.append_runs(&runs, store.checkpoint_seq()),
+                    _ => Ok(()),
                 };
                 match appended {
                     Ok(()) => {
-                        ingested += runs.iter().map(|(_, _, n)| n).sum::<u64>();
+                        let events = runs.iter().map(|(_, _, n)| n).sum::<u64>();
+                        ingested += events;
                         ingest_runs += runs.len() as u64;
                         let latest = runs.iter().map(|(_, e, _)| e.ts).max().unwrap_or(0);
                         store.ingest_runs(&runs);
+                        let ack = ShardReply::Ingested {
+                            events,
+                            stale: refused,
+                        };
                         // Maintenance reads the just-published epoch —
                         // views observe exactly what wait-free readers do
                         // — and runs behind the ack.
-                        let epoch = publisher.commit(&store, latest, &reply, ShardReply::Ingested);
+                        let epoch = publisher.commit(&store, latest, &reply, ack);
                         publish(&hub, &views.maintain(&epoch.value));
                         if let Some(w) = &mut wal {
                             if w.needs_compaction() {
@@ -183,6 +196,7 @@ pub(super) fn run(
                     memory_bytes: store.memory_bytes(),
                     ingested,
                     ingest_runs,
+                    stale,
                     checkpoint_seq: store.checkpoint_seq(),
                     wal_bytes: wal.as_ref().map_or(0, ShardWal::total_bytes),
                     wal_segments: wal.as_ref().map_or(0, ShardWal::segments),

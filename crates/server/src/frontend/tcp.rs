@@ -463,7 +463,7 @@ fn engine_error(e: &EngineError) -> String {
 
 fn ingest(engine: &Engine, triples: &[(String, StreamEvent, u64)]) -> String {
     match engine.ingest(triples) {
-        Ok(n) => response::ingested(n),
+        Ok(ack) => response::ingest_ack(&ack),
         Err(e) => engine_error(&e),
     }
 }
@@ -484,7 +484,14 @@ fn dispatch(
             ts,
             item,
             count,
-        } => ingest(engine, &[(key, StreamEvent::new(item, ts), count)]),
+        } => match engine.ingest(&[(key.clone(), StreamEvent::new(item, ts), count)]) {
+            Ok(ack) if ack.stale > 0 => response::error(
+                "stale_timestamp",
+                &format!("tick {ts} precedes the write clock of key {key:?}; nothing was applied"),
+            ),
+            Ok(ack) => response::ingest_ack(&ack),
+            Err(e) => engine_error(&e),
+        },
         Command::Batch { .. } => unreachable!("BATCH handled by the caller"),
         Command::Query { key, query, window } => match engine.query_served(&key, &query, window) {
             Err(e) => engine_error(&e),

@@ -12,8 +12,8 @@
 //! | Command | Reply |
 //! |---|---|
 //! | `PING` | `{"ok":true,"pong":true}` |
-//! | `STORE <key> <ts> <item> [<count>]` | `{"ok":true,"ingested":n}` |
-//! | `BATCH <n>` + n × `<key> <ts> <item> [<count>]` | one `{"ok":true,"ingested":n}` |
+//! | `STORE <key> <ts> <item> [<count>]` | `{"ok":true,"ingested":n}`, or a `stale_timestamp` error |
+//! | `BATCH <n>` + n × `<key> <ts> <item> [<count>]` | one `{"ok":true,"ingested":n}`, plus `"stale":k` when k lines were refused |
 //! | `QUERY <key> point <item> <window>` | `{"ok":true,...,"value":v,"guarantee":{...}}` |
 //! | `QUERY <key> range <lo> <hi> <window>` | as above |
 //! | `QUERY <key> self_join <window>` | as above |
@@ -21,7 +21,7 @@
 //! | `QUERY <key> heavy_hitters <rel:φ\|abs:n> <window>` | `{"ok":true,...,"hitters":[...]}` |
 //! | `QUERY <key> quantile <φ> <window>` | `{"ok":true,...,"key":k}` |
 //! | `TOPK <k> <window>` | `{"ok":true,"topk":[...]}` |
-//! | `STATS` | per-shard key counts / memory / ingest counters |
+//! | `STATS` | per-shard key counts / memory / ingest and stale counters |
 //! | `FLUSH <ts>` | advance every shard's clock to `ts` |
 //! | `SNAPSHOT <dir> [full\|incr]` | checkpoint every shard into `dir` |
 //! | `VIEW CREATE <name> <def>` | register a standing view |
@@ -30,6 +30,10 @@
 //! | `VIEW LIST` | `{"ok":true,"views":[...]}` |
 //! | `SUBSCRIBE <view>` | push stream of maintenance notifications |
 //! | `SHUTDOWN` | drain, final snapshot, stop the server |
+//!
+//! A line whose tick precedes its key's write clock (the latest tick the
+//! key took, or a later `FLUSH`) is *stale*: its shard refuses it before
+//! logging anything, and applies the rest of the batch.
 //!
 //! `<window>` is either `time <now> <range>` (a time-based window covering
 //! ticks `(now − range, now]`) or `last <n>` (the most recent `n` arrivals,

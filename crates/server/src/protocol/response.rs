@@ -11,7 +11,7 @@
 use ecm::{Answer, Estimate, QueryError, ViewAnswer, ViewError, ViewEvent, ViewReadout};
 
 use super::json::escape;
-use crate::engine::{ShardStatus, SnapshotReport, ViewsSummary};
+use crate::engine::{IngestAck, ShardStatus, SnapshotReport, ViewsSummary};
 
 /// Shortest-round-trip rendering of a finite `f64`; `null` otherwise.
 fn float(v: f64) -> String {
@@ -68,6 +68,18 @@ pub fn pong() -> String {
 /// Ack for `STORE` / `BATCH`: `n` event occurrences accepted.
 pub fn ingested(n: u64) -> String {
     format!("{{\"ok\":true,\"ingested\":{n}}}")
+}
+
+/// [`ingested`] for an [`IngestAck`]: byte-identical when no run was
+/// refused, with a trailing `"stale":k` when `k > 0` were.
+pub fn ingest_ack(ack: &IngestAck) -> String {
+    match ack.stale {
+        0 => ingested(ack.ingested),
+        k => format!(
+            "{{\"ok\":true,\"ingested\":{},\"stale\":{k}}}",
+            ack.ingested
+        ),
+    }
 }
 
 /// Ack for `FLUSH`.
@@ -167,13 +179,14 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
             match &r.stats {
                 Some(s) => format!(
                     "{{\"shard\":{},{health},\"keys\":{},\"memory_bytes\":{},\"ingested\":{},\
-                     \"ingest_runs\":{},\"checkpoint_seq\":{},\"wal_bytes\":{},\"wal_segments\":{},\
-                     \"compactions\":{},\"views\":{},\"view_maintenance\":{}}}",
+                     \"ingest_runs\":{},\"stale\":{},\"checkpoint_seq\":{},\"wal_bytes\":{},\
+                     \"wal_segments\":{},\"compactions\":{},\"views\":{},\"view_maintenance\":{}}}",
                     r.shard,
                     s.keys,
                     s.memory_bytes,
                     s.ingested,
                     s.ingest_runs,
+                    s.stale,
                     s.checkpoint_seq,
                     s.wal_bytes,
                     s.wal_segments,

@@ -292,14 +292,15 @@ fn stats_count_occurrences_and_the_log_stores_runs() {
             })
             .collect();
         lines += batch.len() as u64;
-        acked += engine.ingest(&batch).expect("ingest");
+        acked += engine.ingest(&batch).expect("ingest").ingested;
     }
     // A zero-weight line is no occurrence: acked as 0, logged nowhere.
     let before = engine.stats().expect("stats");
     assert_eq!(
         engine
             .ingest(&[("ghost".to_string(), StreamEvent::new(1, 200_000), 0)])
-            .expect("empty ingest"),
+            .expect("empty ingest")
+            .ingested,
         0
     );
     let stats = engine.stats().expect("stats");

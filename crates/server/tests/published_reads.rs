@@ -11,29 +11,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ecm::{Backend, Clock, SketchStore, StreamEvent, Threshold, WindowSpec};
+use ecm::{Clock, SketchStore, StreamEvent, Threshold, WindowSpec};
 use sketch_server::engine::Engine;
 use sketch_server::protocol::{response, OwnedQuery};
 use sketch_server::{ServerConfig, SketchSpec};
 use stream_gen::SeededRng;
-
-/// Every backend the spec language can build — the same eight shapes the
-/// `ecm` API suite round-trips.
-fn backends() -> Vec<SketchSpec> {
-    vec![
-        SketchSpec::time(1_000).backend(Backend::Eh),
-        SketchSpec::time(1_000).backend(Backend::Dw),
-        SketchSpec::time(1_000)
-            .backend(Backend::Rw)
-            .epsilon(0.25)
-            .max_arrivals(5_000),
-        SketchSpec::time(1_000).backend(Backend::Exact),
-        SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
-        SketchSpec::time(1_000).hierarchy(8),
-        SketchSpec::count(1_000),
-        SketchSpec::count(1_000).hierarchy(8),
-    ]
-}
 
 /// The full query vocabulary — including kinds some backends refuse, so
 /// the *error* rendering is proven identical too.
@@ -99,7 +81,7 @@ fn assert_key_matches_mirror(
 /// one thread's tenants is exact whatever the other threads do).
 #[test]
 fn acked_writes_are_served_at_once_on_every_backend() {
-    for (i, spec) in backends().into_iter().enumerate() {
+    for (i, (_, spec)) in SketchSpec::matrix(1_000).into_iter().enumerate() {
         for durable in [false, true] {
             let dir = scratch(&format!("ryw-{i}-{durable}"));
             let mut cfg = ServerConfig::new(spec.clone()).shards(2);

@@ -12,7 +12,7 @@
 //! ```
 
 use distributed::{aggregate_tree, naive_compounded_epsilon, per_level_errors, HierarchyPlan};
-use ecm::{EcmConfig, EcmEh, Query, SketchReader, WindowSpec};
+use ecm::{EcmConfig, EcmEh, Query, SketchReader, SketchWriter, WindowSpec};
 use sliding_window::EhConfig;
 use stream_gen::{partition_by_site, uniform_sites, WindowOracle};
 
@@ -90,7 +90,7 @@ fn main() {
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         },

@@ -23,7 +23,7 @@
 //! ```
 
 use distributed::{GeometricMonitor, MonitorEvent, SelfJoinFn};
-use ecm::{EcmBuilder, EcmEh, QueryKind};
+use ecm::{EcmEh, QueryKind};
 use sketch_server::protocol::response::is_ok;
 use sketch_server::{Client, Server, ServerConfig, SketchSpec};
 use stream_gen::Event;
@@ -201,10 +201,11 @@ fn json_value(resp: &str) -> f64 {
 }
 
 fn main() {
-    let cfg = EcmBuilder::new(0.1, 0.1, WINDOW)
+    let cfg = SketchSpec::time(WINDOW)
         .query_kind(QueryKind::InnerProduct)
         .seed(99)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     let nodes: Vec<EcmEh> = (0..SITES)
         .map(|i| {
             let mut sk = EcmEh::new(&cfg);

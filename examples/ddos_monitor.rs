@@ -12,7 +12,7 @@
 //! cargo run --release --example ddos_monitor
 //! ```
 
-use ecm::{EcmBuilder, EcmHierarchy, Query, SketchReader, Threshold, WindowSpec};
+use ecm::{EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec};
 use sliding_window::ExponentialHistogram;
 use stream_gen::SeededRng;
 
@@ -21,7 +21,12 @@ const WINDOW: u64 = 10_000; // seconds
 const UNIVERSE_BITS: u32 = 16; // 65 536 target addresses
 
 fn main() {
-    let cfg = EcmBuilder::new(0.05, 0.05, WINDOW).seed(2024).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(0.05)
+        .delta(0.05)
+        .seed(2024)
+        .ecm_config()
+        .unwrap();
     let mut routers: Vec<EcmHierarchy<ExponentialHistogram>> = (0..ROUTERS)
         .map(|_| EcmHierarchy::new(UNIVERSE_BITS, &cfg))
         .collect();
@@ -35,12 +40,12 @@ fn main() {
     for t in 1..=total_ticks {
         let router = rng.gen_range(0..ROUTERS);
         let target = rng.gen_range(0u64..(1 << UNIVERSE_BITS));
-        routers[router].insert(target, t);
+        routers[router].insert(t, target);
         if t > 3 * total_ticks / 4 {
             // Flood wave: every tick, several routers see the victim.
             for _ in 0..3 {
                 let router = rng.gen_range(0..ROUTERS);
-                routers[router].insert(victim, t);
+                routers[router].insert(t, victim);
                 victim_requests += 1;
             }
         }

@@ -10,7 +10,10 @@
 //! cargo run --release --example eshop_ranking
 //! ```
 
-use ecm::{CountBasedEcm, EcmBuilder, EcmHierarchy, Query, SketchReader, Threshold, WindowSpec};
+use ecm::{
+    CountBasedEcm, EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold,
+    WindowSpec,
+};
 use sliding_window::ExponentialHistogram;
 use stream_gen::SeededRng;
 
@@ -18,9 +21,19 @@ const WINDOW: u64 = 86_400; // one day of seconds
 const CATALOG_BITS: u32 = 14; // 16 384 products
 
 fn main() {
-    let cfg = EcmBuilder::new(0.05, 0.05, WINDOW).seed(7).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(0.05)
+        .delta(0.05)
+        .seed(7)
+        .ecm_config()
+        .unwrap();
     let mut visits: EcmHierarchy<ExponentialHistogram> = EcmHierarchy::new(CATALOG_BITS, &cfg);
-    let cb_cfg = EcmBuilder::new(0.05, 0.05, 10_000).seed(8).eh_config();
+    let cb_cfg = SketchSpec::time(10_000)
+        .epsilon(0.05)
+        .delta(0.05)
+        .seed(8)
+        .ecm_config()
+        .unwrap();
     let mut last_visits: CountBasedEcm = CountBasedEcm::new(&cb_cfg);
 
     // Three days of browsing: steady Zipf-ish interest, plus a product
@@ -35,8 +48,8 @@ fn main() {
             let r = rng.gen_f64();
             ((r * r * 16_000.0) as u64).min((1 << CATALOG_BITS) - 1)
         };
-        visits.insert(product, t);
-        last_visits.insert(product);
+        visits.insert(t, product);
+        last_visits.insert(t, product); // count-based: the tick is ignored
     }
     let now = total_ticks;
 

@@ -18,7 +18,7 @@
 //! ```
 
 use distributed::DriftPropagation;
-use ecm::{EcmBuilder, EcmHierarchy, Query, SketchReader, Threshold, WindowSpec};
+use ecm::{EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec};
 use sliding_window::{EhConfig, ExponentialHistogram};
 use stream_gen::{inject_flash_crowd, uniform_sites, FlashCrowd};
 
@@ -50,7 +50,12 @@ fn main() {
 
     // Per-router state.
     let eps = 0.05;
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(17).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(17)
+        .ecm_config()
+        .unwrap();
     let mut routers: Vec<EcmHierarchy<ExponentialHistogram>> =
         (0..SITES).map(|_| EcmHierarchy::new(BITS, &cfg)).collect();
     // Volume tracking at the coordinator (drift budget 10%).
@@ -64,7 +69,7 @@ fn main() {
 
     for e in &events {
         let site = e.site as usize;
-        routers[site].insert(e.key % (1 << BITS), e.ts);
+        routers[site].insert(e.ts, e.key % (1 << BITS));
         volume.observe(site, e.ts);
         // Local trigger: cheap point query on the router's own level-0
         // sketch. (Real deployments would check only keys seen in the

@@ -6,17 +6,18 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ecm::{EcmBuilder, EcmEh, Query, QueryKind, SketchReader, WindowSpec};
+use ecm::{EcmEh, Query, QueryKind, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use std::collections::HashMap;
 
 fn main() {
     // A 0.1-approximate, 90%-confidence sketch over a 1-hour window
     // (ticks are seconds here).
     let window = 3_600u64;
-    let cfg = EcmBuilder::new(0.1, 0.1, window)
+    let cfg = SketchSpec::time(window)
         .query_kind(QueryKind::Point)
         .seed(42)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     let mut sketch = EcmEh::new(&cfg);
     println!(
         "ECM-EH sketch: {}x{} cells, ε_sw = {:.4}, window = {window}s",
@@ -40,7 +41,7 @@ fn main() {
         } else {
             t % 100
         };
-        sketch.insert(key, t);
+        sketch.insert(t, key);
         exact.entry(key).or_default().push(t);
     }
 

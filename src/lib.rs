@@ -33,9 +33,9 @@ pub use stream_gen;
 // The typed construction / write / read surface, fronted at the root so the
 // facade is usable without spelunking into sub-crates.
 pub use ecm::{
-    restore_any, Answer, Backend, Clock, EcmBuilder, Estimate, Eviction, Guarantee, MemoryReport,
-    Query, QueryError, QueryKind, Sketch, SketchReader, SketchSpec, SketchStore, SketchWriter,
-    SnapshotError, SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec,
+    restore_any, Answer, Backend, Clock, Estimate, Eviction, Guarantee, MemoryReport, Query,
+    QueryError, QueryKind, Sketch, SketchReader, SketchSpec, SketchStore, SketchWriter,
+    SnapshotError, SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
 };
 
 /// The working vocabulary in one import: spec-driven construction
@@ -49,6 +49,6 @@ pub mod prelude {
     pub use ecm::{
         restore_any, Answer, Backend, Clock, Estimate, Eviction, Guarantee, MemoryReport, Query,
         QueryError, QueryKind, Sketch, SketchReader, SketchSpec, SketchStore, SketchWriter,
-        SnapshotError, SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec,
+        SnapshotError, SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
     };
 }

@@ -98,7 +98,7 @@ fn grouping_a_batch_that_creates_keys_adds_only_the_per_batch_containers() {
             }
         }
     });
-    let (grouped, ()) = allocations(|| store.ingest_runs(&next));
+    let (grouped, _) = allocations(|| store.ingest_runs(&next));
     assert_eq!(store.key_count(), 80);
     assert!(by_hand >= 16, "creation allocates: {by_hand}");
     // The containers are sized for the resident tenants; 16 more make
@@ -132,7 +132,7 @@ fn the_router_allocates_per_line_whatever_the_lines_weigh() {
     for weight in [1u64, 32] {
         let next = batch(weight, |_| weight);
         let (count, acked) = allocations(|| engine.ingest(&next));
-        assert_eq!(acked.expect("ingest"), 1024 * weight);
+        assert_eq!(acked.expect("ingest").ingested, 1024 * weight);
         // One key clone a line; then two partitions growing by doubling,
         // two reply channels and two mailbox sends.
         assert!(

@@ -10,7 +10,8 @@
 //! reproducible; each property runs over many sampled traces.
 
 use ecm_suite::ecm::{
-    CountBasedEcm, CountBasedHierarchy, EcmBuilder, EcmConfig, EcmHierarchy, EcmSketch, StreamEvent,
+    Backend, CountBasedEcm, CountBasedHierarchy, EcmConfig, EcmHierarchy, EcmSketch, SketchSpec,
+    SketchWriter, StreamEvent,
 };
 use ecm_suite::sliding_window::traits::WindowCounter;
 use ecm_suite::sliding_window::{
@@ -114,10 +115,10 @@ fn sketch_differential<W: WindowCounter>(cfg: &EcmConfig<W>, label: &str, seed: 
         for b in &bursts {
             ts += b.gap;
             for _ in 0..b.weight {
-                seq.insert(b.key, ts);
+                seq.insert(ts, b.key);
                 events.push(StreamEvent::new(b.key, ts));
             }
-            weighted.insert_weighted(b.key, ts, b.weight);
+            weighted.insert_weighted(ts, b.key, b.weight);
         }
         batched.ingest_batch(&events);
 
@@ -132,19 +133,57 @@ fn sketch_differential<W: WindowCounter>(cfg: &EcmConfig<W>, label: &str, seed: 
 
 #[test]
 fn ecm_backends_batched_equals_sequential() {
-    let b = EcmBuilder::new(0.15, 0.1, 1_000)
+    let b = SketchSpec::time(1_000)
+        .epsilon(0.15)
+        .delta(0.1)
         .max_arrivals(400_000)
         .seed(5);
-    sketch_differential(&b.eh_config(), "ecm-eh", 21);
-    sketch_differential(&b.dw_config(), "ecm-dw", 22);
-    sketch_differential(&b.rw_config(), "ecm-rw", 23);
-    sketch_differential(&b.exact_config(), "ecm-exact", 24);
-    sketch_differential(&b.ew_config(16), "ecm-ew", 25);
+    sketch_differential(
+        &b.clone().ecm_config::<ExponentialHistogram>().unwrap(),
+        "ecm-eh",
+        21,
+    );
+    sketch_differential(
+        &b.clone()
+            .backend(Backend::Dw)
+            .ecm_config::<DeterministicWave>()
+            .unwrap(),
+        "ecm-dw",
+        22,
+    );
+    sketch_differential(
+        &b.clone()
+            .backend(Backend::Rw)
+            .ecm_config::<RandomizedWave>()
+            .unwrap(),
+        "ecm-rw",
+        23,
+    );
+    sketch_differential(
+        &b.clone()
+            .backend(Backend::Exact)
+            .ecm_config::<ExactWindow>()
+            .unwrap(),
+        "ecm-exact",
+        24,
+    );
+    sketch_differential(
+        &b.clone()
+            .backend(Backend::Ew { buckets: 16 })
+            .ecm_config::<EquiWidthWindow>()
+            .unwrap(),
+        "ecm-ew",
+        25,
+    );
 }
 
 #[test]
 fn hierarchy_batched_equals_sequential() {
-    let cfg = EcmBuilder::new(0.2, 0.1, 1_000).seed(31).eh_config();
+    let cfg = SketchSpec::time(1_000)
+        .epsilon(0.2)
+        .seed(31)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut rng = SeededRng::seed_from_u64(41);
     for case in 0..6 {
         let bursts = random_bursts(&mut rng, 50, 1_000, 256);
@@ -155,7 +194,7 @@ fn hierarchy_batched_equals_sequential() {
         for b in &bursts {
             ts += b.gap;
             for _ in 0..b.weight {
-                seq.insert(b.key, ts);
+                seq.insert(ts, b.key);
                 events.push(StreamEvent::new(b.key, ts));
             }
         }
@@ -171,11 +210,19 @@ fn hierarchy_batched_equals_sequential() {
 fn count_based_batched_equals_sequential() {
     // Count-based bursts advance the clock per occurrence; the fast path
     // must replicate the exact per-arrival ticks and ids.
-    let cfg = EcmBuilder::new(0.15, 0.1, 500).seed(51).eh_config();
-    let rw_cfg = EcmBuilder::new(0.3, 0.2, 500)
+    let cfg = SketchSpec::time(500)
+        .epsilon(0.15)
+        .seed(51)
+        .ecm_config()
+        .unwrap();
+    let rw_cfg = SketchSpec::time(500)
+        .epsilon(0.3)
+        .delta(0.2)
         .max_arrivals(200_000)
         .seed(51)
-        .rw_config();
+        .backend(Backend::Rw)
+        .ecm_config()
+        .unwrap();
     let mut rng = SeededRng::seed_from_u64(61);
     for case in 0..6 {
         let bursts = random_bursts(&mut rng, 50, 500, 16);
@@ -189,11 +236,13 @@ fn count_based_batched_equals_sequential() {
         let mut seq_rw = CountBasedEcm::<RandomizedWave>::new(&rw_cfg);
         let mut batched_rw = CountBasedEcm::<RandomizedWave>::new(&rw_cfg);
         for &x in &items {
-            seq.insert(x);
-            seq_rw.insert(x);
+            seq.insert(0, x);
+            seq_rw.insert(0, x);
         }
-        batched.ingest_batch(&items);
-        batched_rw.ingest_batch(&items);
+        // Count-based backends ignore the tick: one run per equal item.
+        let events: Vec<StreamEvent> = items.iter().map(|&x| StreamEvent::new(x, 0)).collect();
+        batched.ingest_batch(&events);
+        batched_rw.ingest_batch(&events);
         assert_eq!(batched.arrivals(), seq.arrivals());
         let (mut a, mut b2) = (Vec::new(), Vec::new());
         seq.as_inner().encode(&mut a);
@@ -207,9 +256,9 @@ fn count_based_batched_equals_sequential() {
         let mut seq_h: CountBasedHierarchy = CountBasedHierarchy::new(6, &cfg);
         let mut batched_h: CountBasedHierarchy = CountBasedHierarchy::new(6, &cfg);
         for &x in &items {
-            seq_h.insert(x % 64);
+            seq_h.insert(0, x % 64);
         }
-        let capped: Vec<u64> = items.iter().map(|&x| x % 64).collect();
+        let capped: Vec<StreamEvent> = items.iter().map(|&x| StreamEvent::new(x % 64, 0)).collect();
         batched_h.ingest_batch(&capped);
         let (mut a, mut b2) = (Vec::new(), Vec::new());
         seq_h.as_inner().encode(&mut a);

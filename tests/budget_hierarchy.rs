@@ -5,7 +5,7 @@
 //! trees.
 
 use ecm_suite::distributed::{achieved_epsilon, aggregate_tree, HierarchyPlan};
-use ecm_suite::ecm::{EcmBuilder, EcmConfig, EcmEh, Query, SketchReader, WindowSpec};
+use ecm_suite::ecm::{EcmConfig, EcmEh, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use ecm_suite::sliding_window::{EhConfig, ExponentialHistogram};
 use ecm_suite::stream_gen::{partition_by_site, uniform_sites, WindowOracle};
 
@@ -24,7 +24,7 @@ fn measure_root_error(
             let mut sk = EcmEh::new(cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         },
@@ -163,7 +163,7 @@ fn plan_memory_prediction_is_the_right_order() {
     let parts = partition_by_site(&events, sites as u32);
     let mut sk = EcmEh::new(&cfg);
     for e in &parts[0] {
-        sk.insert(e.key, e.ts);
+        sk.insert(e.ts, e.key);
     }
     let actual = sk.encoded_len() as u64;
     assert!(
@@ -182,7 +182,7 @@ fn plan_memory_prediction_is_the_right_order() {
 
 #[test]
 fn forward_recursion_matches_builder_budgets() {
-    // The EcmBuilder Theorem 1 split and the budget module must agree: a
+    // The spec's Theorem 1 split and the budget module must agree: a
     // plan's window share run through the forward recursion at the plan's
     // site ε reproduces the target share.
     for &(target, sites) in &[(0.1, 4usize), (0.2, 33), (0.1, 256)] {
@@ -194,7 +194,10 @@ fn forward_recursion_matches_builder_budgets() {
         );
         // And the builder's split at the same ε target agrees with the
         // plan's hashing share.
-        let builder_cfg = EcmBuilder::new(target, 0.1, WINDOW).eh_config();
+        let builder_cfg = SketchSpec::time(WINDOW)
+            .epsilon(target)
+            .ecm_config::<ExponentialHistogram>()
+            .unwrap();
         assert_eq!(builder_cfg.width, plan.width);
     }
 }

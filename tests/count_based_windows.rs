@@ -1,7 +1,7 @@
 //! Count-based sliding windows (paper §4.2.1) and the impossibility of
 //! their order-preserving aggregation (paper Fig. 2).
 
-use ecm::{EcmBuilder, EcmEh, Query, SketchReader, WindowSpec};
+use ecm::{EcmEh, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use sliding_window::traits::WindowCounter;
 use sliding_window::{EhConfig, ExponentialHistogram};
 use std::collections::HashMap;
@@ -12,12 +12,16 @@ use std::collections::HashMap;
 fn count_based_point_queries() {
     let window = 5_000u64; // last 5000 arrivals
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.1, window).seed(4).eh_config();
+    let cfg = SketchSpec::time(window)
+        .epsilon(eps)
+        .seed(4)
+        .ecm_config()
+        .unwrap();
     let mut sk = EcmEh::new(&cfg);
     let mut log: Vec<u64> = Vec::new();
     for i in 1..=20_000u64 {
         let key = i % 37;
-        sk.insert(key, i); // tick = arrival index
+        sk.insert(i, key); // tick = arrival index
         log.push(key);
     }
     let now = 20_000u64;

@@ -11,8 +11,11 @@
 //! so each test replays the trace and queries at checkpoints: mid-attack and
 //! well after the attack.
 
-use ecm_suite::ecm::{EcmBuilder, EcmEh, EcmHierarchy, Query, SketchReader, Threshold, WindowSpec};
+use ecm_suite::ecm::{
+    EcmEh, EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec,
+};
 use ecm_suite::stream_gen::{inject_flash_crowd, uniform_sites, Event, FlashCrowd, WindowOracle};
+use sliding_window::ExponentialHistogram;
 
 const WINDOW: u64 = 200_000;
 const SITES: u32 = 8;
@@ -42,7 +45,12 @@ fn aggregated_sketch_sees_the_attack() {
     let (events, mid_attack, after) = attacked_trace(40_000);
     let oracle = WindowOracle::from_events(&events);
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(3).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(3)
+        .ecm_config()
+        .unwrap();
 
     let mut sites: Vec<EcmEh> = (0..SITES)
         .map(|i| {
@@ -81,14 +89,14 @@ fn aggregated_sketch_sees_the_attack() {
             break;
         }
         let e = it.next().unwrap();
-        sites[e.site as usize].insert(e.key, e.ts);
+        sites[e.site as usize].insert(e.ts, e.key);
     }
     check(&sites, mid_attack, true);
     for e in it {
         if e.ts > after {
             break;
         }
-        sites[e.site as usize].insert(e.key, e.ts);
+        sites[e.site as usize].insert(e.ts, e.key);
     }
     check(&sites, after, false);
 }
@@ -97,7 +105,12 @@ fn aggregated_sketch_sees_the_attack() {
 fn hierarchy_flags_the_target_as_heavy_hitter_only_during_attack() {
     let (events, mid_attack, after) = attacked_trace(30_000);
     let eps = 0.05;
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(11).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(11)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut h = EcmHierarchy::new(16, &cfg);
 
     let mut it = events.iter().peekable();
@@ -106,7 +119,7 @@ fn hierarchy_flags_the_target_as_heavy_hitter_only_during_attack() {
             break;
         }
         let e = it.next().unwrap();
-        h.insert(e.key, e.ts);
+        h.insert(e.ts, e.key);
     }
 
     // φ = 5% of window arrivals: far above any organic key (50k keys,
@@ -133,7 +146,7 @@ fn hierarchy_flags_the_target_as_heavy_hitter_only_during_attack() {
         if e.ts > after {
             break;
         }
-        h.insert(e.key, e.ts);
+        h.insert(e.ts, e.key);
     }
     let hh_after = h
         .query(
@@ -153,14 +166,14 @@ fn per_site_thresholds_fire_at_attacking_sites() {
     // The Jain et al. scheme the paper cites: each node tracks per-target
     // sliding-window counts and triggers when a count exceeds its share.
     let (events, mid_attack, _) = attacked_trace(24_000);
-    let cfg = EcmBuilder::new(0.1, 0.1, WINDOW).seed(23).eh_config();
+    let cfg = SketchSpec::time(WINDOW).seed(23).ecm_config().unwrap();
 
     let mut sites: Vec<EcmEh> = (0..SITES).map(|_| EcmEh::new(&cfg)).collect();
     for e in &events {
         if e.ts > mid_attack {
             break;
         }
-        sites[e.site as usize].insert(e.key, e.ts);
+        sites[e.site as usize].insert(e.ts, e.key);
     }
 
     // Per-site share of the attack ≈ volume / SITES ≈ 750; organic per-key

@@ -2,7 +2,9 @@
 //! tree aggregation, and root accuracy against the oracle (papers §5, §7.3).
 
 use distributed::aggregate_tree;
-use ecm::{EcmBuilder, EcmEh, EcmRw, EcmSketch, Query, SketchReader, WindowSpec};
+use ecm::{
+    Backend, EcmEh, EcmRw, EcmSketch, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec,
+};
 
 /// Route a point query through the unified typed API (works identically
 /// for a plain sketch and for a whole aggregation outcome).
@@ -22,7 +24,11 @@ fn tree_root_tracks_oracle_at_33_sites() {
     let events = worldcup_like(60_000, 42);
     let oracle = WindowOracle::from_events(&events);
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.1, WINDOW).seed(3).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .seed(3)
+        .ecm_config()
+        .unwrap();
     let parts = partition_by_site(&events, 33);
 
     let out = aggregate_tree(
@@ -31,7 +37,7 @@ fn tree_root_tracks_oracle_at_33_sites() {
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         },
@@ -66,7 +72,11 @@ fn aggregation_through_the_wire_round_trips() {
     // Simulate the real protocol: children *encode* their sketches, the
     // parent decodes and merges — estimates must match in-memory merging.
     let events = worldcup_like(20_000, 5);
-    let cfg = EcmBuilder::new(0.15, 0.1, WINDOW).seed(11).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(0.15)
+        .seed(11)
+        .ecm_config()
+        .unwrap();
     // Fold the trace's 33 sites onto 4 aggregating gateways.
     let mut parts: Vec<Vec<&stream_gen::Event>> = vec![Vec::new(); 4];
     for e in &events {
@@ -78,7 +88,7 @@ fn aggregation_through_the_wire_round_trips() {
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         })
@@ -119,18 +129,23 @@ fn rw_tree_equals_centralized_sketch_exactly() {
     // saw the union stream, when ids are globally unique and shared.
     let n_sites = 16u32;
     let events = uniform_sites(12_000, n_sites, 33);
-    let cfg = EcmBuilder::new(0.25, 0.1, WINDOW)
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(0.25)
         .max_arrivals(events.len() as u64)
         .seed(21)
-        .rw_config();
+        .backend(Backend::Rw)
+        .ecm_config()
+        .unwrap();
 
     let mut central = EcmRw::new(&cfg);
     for (i, e) in events.iter().enumerate() {
-        central.insert_with_id(e.key, e.ts, i as u64 + 1);
+        central.insert_with_id(e.ts, e.key, i as u64 + 1).unwrap();
     }
     let mut per_site: Vec<EcmRw> = (0..n_sites).map(|_| EcmRw::new(&cfg)).collect();
     for (i, e) in events.iter().enumerate() {
-        per_site[e.site as usize].insert_with_id(e.key, e.ts, i as u64 + 1);
+        per_site[e.site as usize]
+            .insert_with_id(e.ts, e.key, i as u64 + 1)
+            .unwrap();
     }
 
     let out = aggregate_tree(n_sites as usize, |i| per_site[i].clone(), &cfg.cell).unwrap();
@@ -152,11 +167,13 @@ fn transfer_volume_shape_eh_vs_rw() {
     // network than EH at matched ε.
     let n_sites = 8u32;
     let events = uniform_sites(30_000, n_sites, 7);
-    let b = EcmBuilder::new(0.1, 0.1, WINDOW)
+    let b = SketchSpec::time(WINDOW)
+        .epsilon(0.1)
+        .delta(0.1)
         .max_arrivals(events.len() as u64)
         .seed(13);
-    let cfg_eh = b.eh_config();
-    let cfg_rw = b.rw_config();
+    let cfg_eh = b.clone().ecm_config().unwrap();
+    let cfg_rw = b.clone().backend(Backend::Rw).ecm_config().unwrap();
 
     let mut per_site_events: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); n_sites as usize];
     for (i, e) in events.iter().enumerate() {
@@ -168,7 +185,7 @@ fn transfer_volume_shape_eh_vs_rw() {
         |i| {
             let mut sk = EcmEh::new(&cfg_eh);
             for &(k, t, id) in &per_site_events[i] {
-                sk.insert_with_id(k, t, id);
+                sk.insert_with_id(t, k, id).unwrap();
             }
             sk
         },
@@ -180,7 +197,7 @@ fn transfer_volume_shape_eh_vs_rw() {
         |i| {
             let mut sk = EcmRw::new(&cfg_rw);
             for &(k, t, id) in &per_site_events[i] {
-                sk.insert_with_id(k, t, id);
+                sk.insert_with_id(t, k, id).unwrap();
             }
             sk
         },
@@ -208,7 +225,11 @@ fn multilevel_epsilon_budgeting_keeps_root_on_target() {
     let site_eps = multilevel_epsilon(target, h);
     assert!(site_eps < target);
 
-    let cfg = EcmBuilder::new(site_eps, 0.1, WINDOW).seed(17).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(site_eps)
+        .seed(17)
+        .ecm_config()
+        .unwrap();
     let parts = partition_by_site(&events, 8);
     let out = aggregate_tree(
         8,
@@ -216,7 +237,7 @@ fn multilevel_epsilon_budgeting_keeps_root_on_target() {
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for e in &parts[i] {
-                sk.insert(e.key, e.ts);
+                sk.insert(e.ts, e.key);
             }
             sk
         },

@@ -5,7 +5,7 @@
 //! network-monitoring application with byte-accurate wire hops.
 
 use ecm_suite::ecm::{
-    EcmBuilder, EcmConfig, EcmHierarchy, Query, SketchReader, Threshold, WindowSpec,
+    EcmConfig, EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec,
 };
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{partition_by_site, uniform_sites, WindowOracle};
@@ -24,7 +24,7 @@ fn build_site_hierarchies(
         .map(|part| {
             let mut h = EcmHierarchy::new(BITS, cfg);
             for e in part {
-                h.insert(e.key % (1 << BITS), e.ts);
+                h.insert(e.ts, e.key % (1 << BITS));
             }
             h
         })
@@ -44,7 +44,12 @@ fn coordinator_pipeline_over_the_wire() {
     }
     let oracle = WindowOracle::from_events(&events);
     let eps = 0.05;
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(8).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(8)
+        .ecm_config()
+        .unwrap();
     let hierarchies = build_site_hierarchies(&cfg, &events);
 
     // Wire hop: every site encodes; the coordinator decodes.
@@ -114,11 +119,17 @@ fn coordinator_pipeline_over_the_wire() {
 
 #[test]
 fn wire_format_rejects_cross_config_decode() {
-    let cfg_a = EcmBuilder::new(0.1, 0.1, WINDOW).seed(1).eh_config();
-    let cfg_b = EcmBuilder::new(0.1, 0.1, WINDOW).seed(2).eh_config(); // different seed
+    let cfg_a = SketchSpec::time(WINDOW)
+        .seed(1)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
+    let cfg_b = SketchSpec::time(WINDOW)
+        .seed(2)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap(); // different seed
     let mut h = EcmHierarchy::new(BITS, &cfg_a);
     for i in 1..=500u64 {
-        h.insert(i % 100, i);
+        h.insert(i, i % 100);
     }
     let mut buf = Vec::new();
     h.encode(&mut buf);

@@ -1,24 +1,26 @@
 //! Differential suite for the unified write API: a `SketchSpec`-built
 //! `Box<dyn Sketch>` fed through the object-safe `SketchWriter` surface
-//! (timestamp-first) must be **byte-identical** in its answers to the
-//! hand-constructed concrete backend fed through its *inherent*
-//! `(item, ts)`-order methods — for every backend, every ingest path
-//! (single, weighted, batched), and every query the backend supports.
-//! Plus the `SketchSpec` validation-error matrix.
+//! must be **byte-identical** in its answers to the concrete backend built
+//! from the same spec's typed config and fed through the same trait by
+//! static dispatch — for every backend, every ingest path (single,
+//! weighted, batched), and every query the backend supports. Plus the
+//! `SketchSpec` validation-error matrix and the write precondition: a
+//! refused write is a typed error that leaves the sketch's bytes alone, in
+//! release builds too.
 //!
 //! This is the write-side analogue of `tests/batched_ingest.rs`: f64
 //! results are compared by bit pattern, not tolerance.
 
-use ecm_suite::ecm::EcmSketch;
 use ecm_suite::ecm::{
-    grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, EcmBuilder,
-    EcmConfig, EcmEh, EcmHierarchy, Eviction, Query, QueryError, Sketch, SketchReader, SketchSpec,
-    SketchStore, SpecError, StreamEvent, Threshold, WindowSpec,
+    grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, EcmEh, EcmHierarchy,
+    Eviction, Query, QueryError, Sketch, SketchReader, SketchSpec, SketchStore, SpecBackend,
+    SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
 };
-use ecm_suite::sliding_window::traits::WindowCounter;
+use ecm_suite::ecm::{EcmSketch, SketchWriter};
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{SeededRng, ZipfSampler};
 use proptest::prelude::*;
+use sliding_window::{DeterministicWave, EquiWidthWindow, ExactWindow, RandomizedWave};
 
 const WINDOW: u64 = 10_000;
 const EVENTS: usize = 6_000;
@@ -73,11 +75,7 @@ fn assert_scalar_parity(
 }
 
 /// Split the trace into the three ingest spellings: per-event, weighted
-/// runs, batched. Both sides of every parity test use the same split —
-/// the *concrete* side through each backend's inherent `(item, ts)`-order
-/// methods, the *boxed* side through the trait's `(ts, item)` order — so
-/// an argument-swap bug in any `SketchWriter` impl corrupts exactly one
-/// side and fails the bit comparison.
+/// runs, batched. Both sides of every parity test use the same split.
 fn thirds(events: &[StreamEvent]) -> (&[StreamEvent], &[StreamEvent], &[StreamEvent]) {
     let third = events.len() / 3;
     (
@@ -87,69 +85,17 @@ fn thirds(events: &[StreamEvent]) -> (&[StreamEvent], &[StreamEvent], &[StreamEv
     )
 }
 
-/// Trait-side feeding of a spec-built `Box<dyn Sketch>`.
-fn feed_trait(boxed: &mut dyn Sketch, events: &[StreamEvent]) {
+/// Feed a sketch through the three spellings — the concrete side by static
+/// dispatch, the spec-built `Box<dyn Sketch>` through the vtable.
+fn feed<S: SketchWriter + ?Sized>(sk: &mut S, events: &[StreamEvent]) {
     let (single, weighted, batched) = thirds(events);
     for e in single {
-        boxed.insert(e.ts, e.item);
+        sk.insert(e.ts, e.item);
     }
     for (run, n) in grouped_runs(weighted) {
-        boxed.insert_weighted(run.ts, run.item, n);
-    }
-    boxed.ingest_batch(batched);
-}
-
-/// Inherent-side feeding of a plain `EcmSketch<W>`.
-fn feed_inherent_sketch<W: WindowCounter>(sk: &mut EcmSketch<W>, events: &[StreamEvent]) {
-    let (single, weighted, batched) = thirds(events);
-    for e in single {
-        sk.insert(e.item, e.ts);
-    }
-    for (run, n) in grouped_runs(weighted) {
-        sk.insert_weighted(run.item, run.ts, n);
+        sk.insert_weighted(run.ts, run.item, n);
     }
     sk.ingest_batch(batched);
-}
-
-/// Inherent-side feeding of an `EcmHierarchy<W>`.
-fn feed_inherent_hierarchy<W: WindowCounter>(h: &mut EcmHierarchy<W>, events: &[StreamEvent]) {
-    let (single, weighted, batched) = thirds(events);
-    for e in single {
-        h.insert(e.item, e.ts);
-    }
-    for (run, n) in grouped_runs(weighted) {
-        h.insert_weighted(run.item, run.ts, n);
-    }
-    h.ingest_batch(batched);
-}
-
-/// Inherent-side feeding of a `CountBasedEcm<W>` (timestamps play no role).
-fn feed_inherent_count<W: WindowCounter>(cb: &mut CountBasedEcm<W>, events: &[StreamEvent]) {
-    let (single, weighted, batched) = thirds(events);
-    for e in single {
-        cb.insert(e.item);
-    }
-    for (run, n) in grouped_runs(weighted) {
-        cb.insert_many(run.item, n);
-    }
-    let items: Vec<u64> = batched.iter().map(|e| e.item).collect();
-    cb.ingest_batch(&items);
-}
-
-/// Inherent-side feeding of a `CountBasedHierarchy<W>`.
-fn feed_inherent_count_hierarchy<W: WindowCounter>(
-    ch: &mut CountBasedHierarchy<W>,
-    events: &[StreamEvent],
-) {
-    let (single, weighted, batched) = thirds(events);
-    for e in single {
-        ch.insert(e.item);
-    }
-    for (run, n) in grouped_runs(weighted) {
-        ch.insert_many(run.item, n);
-    }
-    let items: Vec<u64> = batched.iter().map(|e| e.item).collect();
-    ch.ingest_batch(&items);
 }
 
 const EPS: f64 = 0.15;
@@ -164,10 +110,6 @@ fn spec(backend: Backend) -> SketchSpec {
         .backend(backend)
 }
 
-fn builder() -> EcmBuilder {
-    EcmBuilder::new(EPS, DELTA, WINDOW).seed(SEED)
-}
-
 fn scalar_queries<'a>() -> Vec<Query<'a>> {
     vec![
         Query::point(1),
@@ -177,20 +119,20 @@ fn scalar_queries<'a>() -> Vec<Query<'a>> {
     ]
 }
 
-/// Inherent-vs-trait parity for one plain counter type: feed the typed
-/// sketch through inherent `(item, ts)` calls and the spec-built trait
-/// object through `(ts, item)` calls, then compare answers bit for bit.
-fn check_plain_backend<W>(label: &str, cfg: &EcmConfig<W>, boxed_spec: &SketchSpec)
+/// Typed-vs-dyn parity for one plain counter type: build the concrete
+/// sketch from the spec's typed config and the trait object from the spec
+/// itself, feed both the same trace, then compare answers bit for bit.
+fn check_plain_backend<W>(label: &str, spec: &SketchSpec)
 where
-    W: WindowCounter + std::fmt::Debug + 'static,
+    W: SpecBackend + std::fmt::Debug + 'static,
     W::Config: 'static,
 {
     let events = trace(1);
     let now = events.last().unwrap().ts;
-    let mut concrete = EcmSketch::new(cfg);
-    let mut boxed = boxed_spec.build().unwrap();
-    feed_inherent_sketch(&mut concrete, &events);
-    feed_trait(&mut *boxed, &events);
+    let mut concrete = EcmSketch::<W>::new(&spec.ecm_config().unwrap());
+    let mut boxed = spec.build().unwrap();
+    feed(&mut concrete, &events);
+    feed(&mut *boxed, &events);
     for w in [
         WindowSpec::time(now, WINDOW),
         WindowSpec::time(now, WINDOW / 7),
@@ -201,31 +143,12 @@ where
 
 #[test]
 fn plain_sketch_backends_dispatch_identically() {
-    check_plain_backend("eh", &builder().eh_config(), &spec(Backend::Eh));
-    check_plain_backend(
-        "dw",
-        &builder().max_arrivals(EVENTS as u64 * 2).dw_config(),
-        &spec(Backend::Dw).max_arrivals(EVENTS as u64 * 2),
-    );
-    check_plain_backend(
-        "rw",
-        &EcmBuilder::new(0.3, DELTA, WINDOW)
-            .seed(SEED)
-            .max_arrivals(EVENTS as u64 * 2)
-            .rw_config(),
-        &SketchSpec::time(WINDOW)
-            .epsilon(0.3)
-            .delta(DELTA)
-            .seed(SEED)
-            .backend(Backend::Rw)
-            .max_arrivals(EVENTS as u64 * 2),
-    );
-    check_plain_backend("exact", &builder().exact_config(), &spec(Backend::Exact));
-    check_plain_backend(
-        "ew",
-        &builder().ew_config(8),
-        &spec(Backend::Ew { buckets: 8 }),
-    );
+    let waves = |backend| spec(backend).max_arrivals(EVENTS as u64 * 2);
+    check_plain_backend::<ExponentialHistogram>("eh", &spec(Backend::Eh));
+    check_plain_backend::<DeterministicWave>("dw", &waves(Backend::Dw));
+    check_plain_backend::<RandomizedWave>("rw", &waves(Backend::Rw).epsilon(0.3));
+    check_plain_backend::<ExactWindow>("exact", &spec(Backend::Exact));
+    check_plain_backend::<EquiWidthWindow>("ew", &spec(Backend::Ew { buckets: 8 }));
 }
 
 #[test]
@@ -235,10 +158,10 @@ fn hierarchy_backends_dispatch_identically_including_key_queries() {
     let w = WindowSpec::time(now, WINDOW);
 
     let mut concrete: EcmHierarchy<ExponentialHistogram> =
-        EcmHierarchy::new(10, &builder().eh_config());
+        EcmHierarchy::new(10, &spec(Backend::Eh).ecm_config().unwrap());
     let mut boxed = spec(Backend::Eh).hierarchy(10).build().unwrap();
-    feed_inherent_hierarchy(&mut concrete, &events);
-    feed_trait(&mut *boxed, &events);
+    feed(&mut concrete, &events);
+    feed(&mut *boxed, &events);
 
     assert_scalar_parity(&concrete, &*boxed, &scalar_queries(), w, "hierarchy");
     assert_scalar_parity(
@@ -275,19 +198,19 @@ fn count_based_backends_dispatch_identically() {
     let w = WindowSpec::last(WINDOW / 2);
 
     let mut concrete: CountBasedEcm<ExponentialHistogram> =
-        CountBasedEcm::new(&builder().eh_config());
+        CountBasedEcm::new(&spec(Backend::Eh).ecm_config().unwrap());
     let mut boxed = SketchSpec::count(WINDOW)
         .epsilon(EPS)
         .delta(DELTA)
         .seed(SEED)
         .build()
         .unwrap();
-    feed_inherent_count(&mut concrete, &events);
-    feed_trait(&mut *boxed, &events);
+    feed(&mut concrete, &events);
+    feed(&mut *boxed, &events);
     assert_scalar_parity(&concrete, &*boxed, &scalar_queries(), w, "count-based");
 
     let mut ch: CountBasedHierarchy<ExponentialHistogram> =
-        CountBasedHierarchy::new(10, &builder().eh_config());
+        CountBasedHierarchy::new(10, &spec(Backend::Eh).ecm_config().unwrap());
     let mut bh = SketchSpec::count(WINDOW)
         .epsilon(EPS)
         .delta(DELTA)
@@ -295,8 +218,8 @@ fn count_based_backends_dispatch_identically() {
         .hierarchy(10)
         .build()
         .unwrap();
-    feed_inherent_count_hierarchy(&mut ch, &events);
-    feed_trait(&mut *bh, &events);
+    feed(&mut ch, &events);
+    feed(&mut *bh, &events);
     assert_scalar_parity(
         &ch,
         &*bh,
@@ -322,13 +245,13 @@ fn inner_product_works_through_trait_objects() {
 
     let mut a = spec(Backend::Eh).build().unwrap();
     let mut b = spec(Backend::Eh).build().unwrap();
-    let mut ca = EcmEh::new(&builder().eh_config());
-    let mut cb = EcmEh::new(&builder().eh_config());
+    let mut ca = EcmEh::new(&spec(Backend::Eh).ecm_config().unwrap());
+    let mut cb = EcmEh::new(&spec(Backend::Eh).ecm_config().unwrap());
     for e in &events {
         a.insert(e.ts, e.item);
-        ca.insert(e.item, e.ts);
+        ca.insert(e.ts, e.item);
         b.insert(e.ts, e.item % 37);
-        cb.insert(e.item % 37, e.ts);
+        cb.insert(e.ts, e.item % 37);
     }
     // The dyn-built operand must downcast inside the query layer exactly
     // like the concrete one.
@@ -420,22 +343,62 @@ fn spec_accessors_reflect_the_description() {
     assert_eq!(Backend::Ew { buckets: 3 }.name(), "equi-width");
 }
 
-/// Every backend shape the spec language can build — the eight the `ecm`
-/// API suite round-trips.
-fn eight_specs() -> Vec<SketchSpec> {
-    vec![
-        SketchSpec::time(1_000).backend(Backend::Eh),
-        SketchSpec::time(1_000).backend(Backend::Dw),
-        SketchSpec::time(1_000)
-            .backend(Backend::Rw)
-            .epsilon(0.25)
-            .max_arrivals(5_000),
-        SketchSpec::time(1_000).backend(Backend::Exact),
-        SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
-        SketchSpec::time(1_000).hierarchy(8),
-        SketchSpec::count(1_000),
-        SketchSpec::count(1_000).hierarchy(8),
-    ]
+/// The spec matrix every differential suite shares, over this suite's
+/// 1 000-tick window.
+fn eight_specs() -> impl Iterator<Item = SketchSpec> {
+    SketchSpec::matrix(1_000).into_iter().map(|(_, spec)| spec)
+}
+
+/// The write precondition, checked in every build profile: after
+/// `advance_to`, a time-clock sketch refuses an earlier tick with a typed
+/// `StaleTimestamp` and its snapshot bytes do not move; a count-clock
+/// sketch owns its clock and never reports stale; a hierarchy refuses an
+/// item outside its universe with `OutOfUniverse` instead of panicking.
+#[test]
+fn refused_writes_are_typed_and_leave_the_sketch_untouched() {
+    for (label, spec) in SketchSpec::matrix(1_000) {
+        let mut sk = spec.build().unwrap();
+        for t in 1..=200u64 {
+            sk.insert(t, t % 16);
+        }
+        sk.advance_to(500);
+        let before = spec.snapshot(&*sk).unwrap();
+        let stale = sk.try_insert_weighted(499, 3, 2);
+        match spec.clock() {
+            Clock::Time => {
+                assert_eq!(
+                    stale,
+                    Err(WriteError::StaleTimestamp {
+                        ts: 499,
+                        clock: 500
+                    }),
+                    "{label}"
+                );
+                assert!(
+                    spec.snapshot(&*sk).unwrap() == before,
+                    "{label}: state moved"
+                );
+                // The clock's own tick is not stale.
+                assert_eq!(sk.try_insert_weighted(500, 3, 1), Ok(()), "{label}");
+            }
+            Clock::Count => assert_eq!(stale, Ok(()), "{label}: count clocks are never stale"),
+        }
+        if let Some(bits) = spec.hierarchy_bits() {
+            let before = spec.snapshot(&*sk).unwrap();
+            assert_eq!(
+                sk.try_insert_weighted(600, 1 << bits, 1),
+                Err(WriteError::OutOfUniverse {
+                    item: 1 << bits,
+                    bits
+                }),
+                "{label}"
+            );
+            assert!(
+                spec.snapshot(&*sk).unwrap() == before,
+                "{label}: state moved"
+            );
+        }
+    }
 }
 
 /// Everything a store can be asked, rendered so that f64s compare by bit
@@ -615,7 +578,7 @@ fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
         ("mixed", |line, _| 1 + (line as u64 * 7) % 32),
         ("heaviest", |line, cap| [cap, 3][line % 3 / 2]),
     ];
-    for (i, spec) in eight_specs().into_iter().enumerate() {
+    for (i, spec) in eight_specs().enumerate() {
         // A count-based window ticks once per occurrence, so a run at the
         // cap is a million ticks through a 1 000-tick window, by design
         // O(weight) a line: those two specs get a lighter "heaviest".
@@ -696,7 +659,7 @@ proptest! {
     /// from snapshot bytes, where the bound is recomputed on decode.
     #[test]
     fn prop_top_k_is_the_scan_on_every_backend(seed in 0u64..10_000) {
-        for (i, spec) in eight_specs().into_iter().enumerate() {
+        for (i, spec) in eight_specs().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             let mut store = if seed % 2 == 0 {
                 SketchStore::<u64>::with_capacity(spec.clone(), 16, Eviction::Lru)
@@ -758,7 +721,7 @@ proptest! {
     /// reference, so no write ever leaks across a clone.
     #[test]
     fn prop_store_clone_is_observably_a_deep_copy(seed in 0u64..10_000, steps in 20usize..50) {
-        for (i, spec) in eight_specs().into_iter().enumerate() {
+        for (i, spec) in eight_specs().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             // 8 tenants through 4 slots: eviction runs on both copies. Odd
             // seeds run unbounded, where the store keeps no eviction index.

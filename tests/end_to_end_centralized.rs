@@ -2,8 +2,11 @@
 //! traces must meet its configured error envelope against the exact oracle
 //! (the property behind paper Fig. 4).
 
-use ecm::{EcmBuilder, EcmDw, EcmEh, EcmRw, EcmSketch, Query, QueryKind, SketchReader, WindowSpec};
+use ecm::{
+    Backend, EcmDw, EcmEh, EcmRw, EcmSketch, Query, QueryKind, SketchReader, SketchSpec, WindowSpec,
+};
 use sliding_window::traits::WindowCounter;
+use sliding_window::{ExponentialHistogram, RandomizedWave};
 use stream_gen::{snmp_like, worldcup_like, WindowOracle};
 
 const WINDOW: u64 = 1_000_000;
@@ -11,7 +14,7 @@ const WINDOW: u64 = 1_000_000;
 fn build<W: WindowCounter>(cfg: &ecm::EcmConfig<W>, events: &[stream_gen::Event]) -> EcmSketch<W> {
     let mut sk = EcmSketch::new(cfg);
     for (i, e) in events.iter().enumerate() {
-        sk.insert_with_id(e.key, e.ts, i as u64 + 1);
+        sk.insert_with_id(e.ts, e.key, i as u64 + 1).unwrap();
     }
     sk
 }
@@ -56,15 +59,23 @@ fn all_variants_meet_point_envelope_wc98() {
     let events = worldcup_like(60_000, 11);
     let oracle = WindowOracle::from_events(&events);
     let eps = 0.1;
-    let b = EcmBuilder::new(eps, 0.1, WINDOW)
+    let b = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.1)
         .max_arrivals(events.len() as u64)
         .seed(5);
 
-    let eh: EcmEh = build(&b.eh_config(), &events);
+    let eh: EcmEh = build(&b.clone().ecm_config().unwrap(), &events);
     check_point_envelope(&eh, &oracle, eps, "ECM-EH");
-    let dw: EcmDw = build(&b.dw_config(), &events);
+    let dw: EcmDw = build(
+        &b.clone().backend(Backend::Dw).ecm_config().unwrap(),
+        &events,
+    );
     check_point_envelope(&dw, &oracle, eps, "ECM-DW");
-    let rw: EcmRw = build(&b.rw_config(), &events);
+    let rw: EcmRw = build(
+        &b.clone().backend(Backend::Rw).ecm_config().unwrap(),
+        &events,
+    );
     check_point_envelope(&rw, &oracle, eps, "ECM-RW");
 }
 
@@ -73,15 +84,23 @@ fn all_variants_meet_point_envelope_snmp() {
     let events = snmp_like(60_000, 23);
     let oracle = WindowOracle::from_events(&events);
     let eps = 0.15;
-    let b = EcmBuilder::new(eps, 0.1, WINDOW)
+    let b = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.1)
         .max_arrivals(events.len() as u64)
         .seed(6);
 
-    let eh: EcmEh = build(&b.eh_config(), &events);
+    let eh: EcmEh = build(&b.clone().ecm_config().unwrap(), &events);
     check_point_envelope(&eh, &oracle, eps, "ECM-EH");
-    let dw: EcmDw = build(&b.dw_config(), &events);
+    let dw: EcmDw = build(
+        &b.clone().backend(Backend::Dw).ecm_config().unwrap(),
+        &events,
+    );
     check_point_envelope(&dw, &oracle, eps, "ECM-DW");
-    let rw: EcmRw = build(&b.rw_config(), &events);
+    let rw: EcmRw = build(
+        &b.clone().backend(Backend::Rw).ecm_config().unwrap(),
+        &events,
+    );
     check_point_envelope(&rw, &oracle, eps, "ECM-RW");
 }
 
@@ -93,10 +112,12 @@ fn self_join_envelope_on_both_datasets() {
     ] {
         let oracle = WindowOracle::from_events(&events);
         let eps = 0.1;
-        let cfg = EcmBuilder::new(eps, 0.1, WINDOW)
+        let cfg = SketchSpec::time(WINDOW)
+            .epsilon(eps)
             .query_kind(QueryKind::InnerProduct)
             .seed(7)
-            .eh_config();
+            .ecm_config()
+            .unwrap();
         let sk: EcmEh = build(&cfg, &events);
         let now = oracle.last_tick();
         for range in [100_000u64, WINDOW] {
@@ -122,12 +143,20 @@ fn self_join_envelope_on_both_datasets() {
 fn memory_ordering_matches_paper() {
     // Fig. 4 shape: memory(EH) < memory(DW) ≪ memory(RW) at equal ε.
     let events = worldcup_like(40_000, 9);
-    let b = EcmBuilder::new(0.1, 0.1, WINDOW)
+    let b = SketchSpec::time(WINDOW)
+        .epsilon(0.1)
+        .delta(0.1)
         .max_arrivals(events.len() as u64)
         .seed(8);
-    let eh: EcmEh = build(&b.eh_config(), &events);
-    let dw: EcmDw = build(&b.dw_config(), &events);
-    let rw: EcmRw = build(&b.rw_config(), &events);
+    let eh: EcmEh = build(&b.clone().ecm_config().unwrap(), &events);
+    let dw: EcmDw = build(
+        &b.clone().backend(Backend::Dw).ecm_config().unwrap(),
+        &events,
+    );
+    let rw: EcmRw = build(
+        &b.clone().backend(Backend::Rw).ecm_config().unwrap(),
+        &events,
+    );
     let (m_eh, m_dw, m_rw) = (eh.memory_bytes(), dw.memory_bytes(), rw.memory_bytes());
     assert!(
         m_eh < m_dw,
@@ -144,7 +173,9 @@ fn update_rate_ordering_matches_paper() {
     // Table 3 shape: EH at least as fast as DW, both faster than RW.
     use std::time::Instant;
     let events = worldcup_like(80_000, 10);
-    let b = EcmBuilder::new(0.1, 0.1, WINDOW)
+    let b = SketchSpec::time(WINDOW)
+        .epsilon(0.1)
+        .delta(0.1)
         .max_arrivals(events.len() as u64)
         .seed(9);
 
@@ -152,13 +183,22 @@ fn update_rate_ordering_matches_paper() {
         let mut sk = EcmSketch::new(cfg);
         let t0 = Instant::now();
         for (i, e) in events.iter().enumerate() {
-            sk.insert_with_id(e.key, e.ts, i as u64 + 1);
+            sk.insert_with_id(e.ts, e.key, i as u64 + 1).unwrap();
         }
         events.len() as f64 / t0.elapsed().as_secs_f64()
     }
 
-    let r_eh = rate(&b.eh_config(), &events);
-    let r_rw = rate(&b.rw_config(), &events);
+    let r_eh = rate(
+        &b.clone().ecm_config::<ExponentialHistogram>().unwrap(),
+        &events,
+    );
+    let r_rw = rate(
+        &b.clone()
+            .backend(Backend::Rw)
+            .ecm_config::<RandomizedWave>()
+            .unwrap(),
+        &events,
+    );
     // Timing is only meaningful with optimizations; debug builds skew the
     // relative costs and CI noise dominates, so assert in release only.
     if cfg!(debug_assertions) {

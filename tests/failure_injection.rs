@@ -2,7 +2,7 @@
 //! configurations, and contract violations must fail loudly and precisely —
 //! never corrupt state or silently return wrong answers.
 
-use ecm::{EcmBuilder, EcmEh, EcmRw, EcmSketch};
+use ecm::{Backend, EcmEh, EcmRw, EcmSketch, SketchSpec, SketchWriter};
 use sliding_window::traits::WindowCounter;
 use sliding_window::{
     merge_randomized_waves, CodecError, DwConfig, EhConfig, ExponentialHistogram, MergeError,
@@ -10,10 +10,14 @@ use sliding_window::{
 };
 
 fn sample_sketch(seed: u64) -> (ecm::EcmConfig<ExponentialHistogram>, EcmEh) {
-    let cfg = EcmBuilder::new(0.2, 0.1, 10_000).seed(seed).eh_config();
+    let cfg = SketchSpec::time(10_000)
+        .epsilon(0.2)
+        .seed(seed)
+        .ecm_config()
+        .unwrap();
     let mut sk = EcmEh::new(&cfg);
     for t in 1..=500u64 {
-        sk.insert(t % 20, t);
+        sk.insert(t, t % 20);
     }
     (cfg, sk)
 }
@@ -61,7 +65,11 @@ fn decoding_with_the_wrong_config_is_rejected() {
     let mut buf = Vec::new();
     sk.encode(&mut buf);
     // Same shape, different seed: the hash family disagrees.
-    let other = EcmBuilder::new(0.2, 0.1, 10_000).seed(999).eh_config();
+    let other = SketchSpec::time(10_000)
+        .epsilon(0.2)
+        .seed(999)
+        .ecm_config()
+        .unwrap();
     let mut slice = buf.as_slice();
     assert!(matches!(
         EcmEh::decode(&other, &mut slice),
@@ -71,8 +79,18 @@ fn decoding_with_the_wrong_config_is_rejected() {
 
 #[test]
 fn merge_rejects_every_kind_of_mismatch() {
-    let a = EcmEh::new(&EcmBuilder::new(0.2, 0.1, 1_000).seed(1).eh_config());
-    let cfg_b = EcmBuilder::new(0.2, 0.1, 1_000).seed(2).eh_config();
+    let a = EcmEh::new(
+        &SketchSpec::time(1_000)
+            .epsilon(0.2)
+            .seed(1)
+            .ecm_config()
+            .unwrap(),
+    );
+    let cfg_b = SketchSpec::time(1_000)
+        .epsilon(0.2)
+        .seed(2)
+        .ecm_config()
+        .unwrap();
     let b = EcmEh::new(&cfg_b);
     // Different hash seeds.
     assert!(matches!(
@@ -80,14 +98,22 @@ fn merge_rejects_every_kind_of_mismatch() {
         Err(MergeError::IncompatibleConfig { .. })
     ));
     // Different shapes.
-    let cfg_c = EcmBuilder::new(0.4, 0.1, 1_000).seed(1).eh_config();
+    let cfg_c = SketchSpec::time(1_000)
+        .epsilon(0.4)
+        .seed(1)
+        .ecm_config()
+        .unwrap();
     let c = EcmEh::new(&cfg_c);
     assert!(matches!(
         EcmSketch::merge(&[&a, &c], &cfg_c.cell),
         Err(MergeError::IncompatibleConfig { .. })
     ));
     // Different window lengths surface from the cell merge.
-    let cfg_d = EcmBuilder::new(0.2, 0.1, 2_000).seed(1).eh_config();
+    let cfg_d = SketchSpec::time(2_000)
+        .epsilon(0.2)
+        .seed(1)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     assert!(EcmSketch::merge(&[&a, &a], &cfg_d.cell).is_err());
 }
 
@@ -103,8 +129,18 @@ fn rw_merge_guards_randomization_compatibility() {
         Err(MergeError::IncompatibleConfig { .. })
     ));
     // Whole-sketch level: ECM-RW built from different builder seeds.
-    let cfg1 = EcmBuilder::new(0.2, 0.1, 1_000).seed(1).rw_config();
-    let cfg2 = EcmBuilder::new(0.2, 0.1, 1_000).seed(2).rw_config();
+    let cfg1 = SketchSpec::time(1_000)
+        .epsilon(0.2)
+        .seed(1)
+        .backend(Backend::Rw)
+        .ecm_config()
+        .unwrap();
+    let cfg2 = SketchSpec::time(1_000)
+        .epsilon(0.2)
+        .seed(2)
+        .backend(Backend::Rw)
+        .ecm_config()
+        .unwrap();
     let s1 = EcmRw::new(&cfg1);
     let s2 = EcmRw::new(&cfg2);
     assert!(EcmSketch::merge(&[&s1, &s2], &cfg1.cell).is_err());
@@ -324,13 +360,26 @@ mod site_recovery {
 
 #[test]
 fn empty_merges_and_zero_budgets_fail_cleanly() {
-    let cfg = EcmBuilder::new(0.2, 0.1, 1_000).seed(9).eh_config();
+    let cfg = SketchSpec::time(1_000)
+        .epsilon(0.2)
+        .seed(9)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let empty: [&EcmEh; 0] = [];
     assert!(matches!(
         EcmSketch::merge(&empty, &cfg.cell),
         Err(MergeError::Empty)
     ));
-    assert!(std::panic::catch_unwind(|| EcmBuilder::new(0.0, 0.1, 10)).is_err());
-    assert!(std::panic::catch_unwind(|| EcmBuilder::new(0.1, 1.0, 10)).is_err());
-    assert!(std::panic::catch_unwind(|| EcmBuilder::new(0.1, 0.1, 0)).is_err());
+    // Out-of-domain accuracy targets are typed errors, not panics.
+    assert!(SketchSpec::time(10)
+        .epsilon(0.0)
+        .ecm_config::<ExponentialHistogram>()
+        .is_err());
+    assert!(SketchSpec::time(10)
+        .delta(1.0)
+        .ecm_config::<ExponentialHistogram>()
+        .is_err());
+    assert!(SketchSpec::time(0)
+        .ecm_config::<ExponentialHistogram>()
+        .is_err());
 }

@@ -3,7 +3,7 @@
 //! communication advantage over ship-every-update.
 
 use distributed::{GeometricMonitor, MonitorEvent, PointFn, SelfJoinFn};
-use ecm::{EcmBuilder, EcmEh, QueryKind};
+use ecm::{EcmEh, QueryKind, SketchSpec, SketchWriter};
 use stream_gen::{uniform_sites, Event};
 
 const WINDOW: u64 = 50_000;
@@ -20,10 +20,11 @@ fn nodes(n: usize, cfg: &ecm::EcmConfig<sliding_window::ExponentialHistogram>) -
 
 #[test]
 fn self_join_monitoring_never_misses_a_crossing() {
-    let cfg = EcmBuilder::new(0.1, 0.1, WINDOW)
+    let cfg = SketchSpec::time(WINDOW)
         .query_kind(QueryKind::InnerProduct)
         .seed(71)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     let func = SelfJoinFn {
         width: cfg.width,
         depth: cfg.depth,
@@ -63,14 +64,14 @@ fn self_join_monitoring_never_misses_a_crossing() {
 #[test]
 fn point_frequency_monitoring_tracks_one_item() {
     // Monitor the frequency estimate of a single item across sites.
-    let cfg = EcmBuilder::new(0.1, 0.1, WINDOW).seed(5).eh_config();
+    let cfg = SketchSpec::time(WINDOW).seed(5).ecm_config().unwrap();
     // Derive the item's column in each row from a scratch sketch (all sites
     // share the hash family): insert the item once and find the touched
     // cells.
     let item = 1234u64;
     let columns: Vec<usize> = {
         let mut sk = EcmEh::new(&cfg);
-        sk.insert(item, 1);
+        sk.insert(1, item);
         let v = sk.estimate_vector(1, WINDOW);
         (0..cfg.depth)
             .map(|j| {
@@ -126,10 +127,12 @@ fn inner_product_fn_tracks_the_exact_inner_join() {
     use distributed::{InnerProductFn, MonitoredFunction};
     use stream_gen::WindowOracle;
 
-    let cfg = EcmBuilder::new(0.1, 0.05, WINDOW)
+    let cfg = SketchSpec::time(WINDOW)
+        .delta(0.05)
         .query_kind(QueryKind::InnerProduct)
         .seed(13)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     let n_sites = 3usize;
     let mut a_sketches = nodes(n_sites, &cfg);
     let mut b_sketches = nodes(n_sites, &cfg);
@@ -140,13 +143,13 @@ fn inner_product_fn_tracks_the_exact_inner_join() {
     let mut b_events = Vec::new();
     for t in 1..=6_000u64 {
         let site = (t % n_sites as u64) as usize;
-        a_sketches[site].insert(t % 100, t);
+        a_sketches[site].insert(t, t % 100);
         a_events.push(Event {
             ts: t,
             key: t % 100,
             site: site as u32,
         });
-        b_sketches[site].insert(t % 200, t);
+        b_sketches[site].insert(t, t % 200);
         b_events.push(Event {
             ts: t,
             key: t % 200,
@@ -188,10 +191,11 @@ fn inner_product_fn_tracks_the_exact_inner_join() {
 
 #[test]
 fn communication_scales_with_volatility_not_stream_size() {
-    let cfg = EcmBuilder::new(0.1, 0.1, WINDOW)
+    let cfg = SketchSpec::time(WINDOW)
         .query_kind(QueryKind::InnerProduct)
         .seed(91)
-        .eh_config();
+        .ecm_config()
+        .unwrap();
     let func = SelfJoinFn {
         width: cfg.width,
         depth: cfg.depth,

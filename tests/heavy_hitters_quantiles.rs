@@ -3,7 +3,7 @@
 //! against the exact oracle — all through the unified `SketchReader::query`
 //! surface.
 
-use ecm::{EcmBuilder, EcmHierarchy, Query, SketchReader, Threshold, WindowSpec};
+use ecm::{EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec};
 use sliding_window::ExponentialHistogram;
 use stream_gen::{worldcup_like, WindowOracle};
 
@@ -15,10 +15,15 @@ fn build_hierarchy(
     eps: f64,
     seed: u64,
 ) -> EcmHierarchy<ExponentialHistogram> {
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(seed).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(seed)
+        .ecm_config()
+        .unwrap();
     let mut h = EcmHierarchy::new(BITS, &cfg);
     for e in events {
-        h.insert(e.key, e.ts);
+        h.insert(e.ts, e.key);
     }
     h
 }

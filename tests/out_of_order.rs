@@ -3,7 +3,7 @@
 //! the per-site sketches, preserving the ECM error guarantees (the
 //! asynchronous-streams concern of paper §2, handled the practical way).
 
-use ecm::{EcmBuilder, EcmEh, EcmSketch, Query, SketchReader, WindowSpec};
+use ecm::{EcmEh, EcmSketch, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use sliding_window::{ExponentialHistogram, ReorderBuffer, ReorderConfig};
 use std::collections::HashMap;
 use stream_gen::SeededRng;
@@ -42,7 +42,7 @@ impl Site {
     fn finish(mut self) -> EcmEh {
         self.staged.sort_by_key(|&(ts, _)| ts);
         for (ts, key) in self.staged {
-            self.sketch.insert(key, ts);
+            self.sketch.insert(ts, key);
         }
         self.sketch
     }
@@ -51,7 +51,11 @@ impl Site {
 #[test]
 fn delayed_arrivals_do_not_break_accuracy() {
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.1, WINDOW).seed(3).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .seed(3)
+        .ecm_config()
+        .unwrap();
     let delay_bound = 50u64;
     let mut rng = SeededRng::seed_from_u64(9);
 
@@ -106,7 +110,11 @@ fn delayed_arrivals_do_not_break_accuracy() {
 
 #[test]
 fn excessively_late_events_are_dropped_not_misfiled() {
-    let cfg = EcmBuilder::new(0.2, 0.1, WINDOW).seed(5).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(0.2)
+        .seed(5)
+        .ecm_config()
+        .unwrap();
     let mut site = Site::new(&cfg, 10, 1);
     assert!(site.offer(1_000, 7));
     assert!(site.offer(995, 7)); // 5 late: fine

@@ -11,8 +11,8 @@
 
 use ecm_suite::distributed::aggregate_tree;
 use ecm_suite::ecm::{
-    Answer, CountBasedEcm, CountBasedHierarchy, EcmBuilder, EcmEh, EcmExact, EcmHierarchy, Query,
-    QueryError, SketchReader, Threshold, WindowSpec,
+    Answer, Backend, CountBasedEcm, CountBasedHierarchy, EcmEh, EcmExact, EcmHierarchy, Query,
+    QueryError, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec,
 };
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{worldcup_like, WindowOracle};
@@ -38,16 +38,21 @@ fn build_backends(
     EcmHierarchy<ExponentialHistogram>,
     ecm_suite::distributed::AggregationOutcome<ExponentialHistogram>,
 ) {
-    let cfg = EcmBuilder::new(EPS, 0.05, WINDOW).seed(9).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(EPS)
+        .delta(0.05)
+        .seed(9)
+        .ecm_config()
+        .unwrap();
 
     let mut local = EcmEh::new(&cfg);
     for e in events {
-        local.insert(e.key, e.ts);
+        local.insert(e.ts, e.key);
     }
 
     let mut hierarchy = EcmHierarchy::new(BITS, &cfg);
     for e in events {
-        hierarchy.insert(e.key, e.ts);
+        hierarchy.insert(e.ts, e.key);
     }
 
     let sites = 8usize;
@@ -61,7 +66,7 @@ fn build_backends(
             let mut sk = EcmEh::new(&cfg);
             sk.set_id_namespace(i as u64 + 1);
             for &(k, t) in &parts[i] {
-                sk.insert(k, t);
+                sk.insert(t, k);
             }
             sk
         },
@@ -152,12 +157,12 @@ fn estimates_honor_their_guarantees_against_exact_ground_truth() {
 
     // The EcmExact harness answers the same typed API with exact window
     // counters — its guarantee collapses to hashing error only.
-    let b = EcmBuilder::new(EPS, 0.05, WINDOW).seed(4);
-    let mut exact_backend = EcmExact::new(&b.exact_config());
-    let mut eh_backend = EcmEh::new(&b.eh_config());
+    let b = SketchSpec::time(WINDOW).epsilon(EPS).delta(0.05).seed(4);
+    let mut exact_backend = EcmExact::new(&b.clone().backend(Backend::Exact).ecm_config().unwrap());
+    let mut eh_backend = EcmEh::new(&b.clone().ecm_config().unwrap());
     for e in &events {
-        exact_backend.insert(e.key, e.ts);
-        eh_backend.insert(e.key, e.ts);
+        exact_backend.insert(e.ts, e.key);
+        eh_backend.insert(e.ts, e.key);
     }
 
     for range in [300_000u64, WINDOW] {
@@ -249,10 +254,14 @@ fn window_validation_rejects_out_of_contract_queries_on_every_backend() {
     }
 
     // Count-based backends mirror the validation on their own clock.
-    let cfg = EcmBuilder::new(EPS, 0.1, 1_000).seed(2).eh_config();
+    let cfg = SketchSpec::time(1_000)
+        .epsilon(EPS)
+        .seed(2)
+        .ecm_config()
+        .unwrap();
     let mut cb: CountBasedEcm<ExponentialHistogram> = CountBasedEcm::new(&cfg);
     for i in 0..500u64 {
-        cb.insert(i % 10);
+        cb.insert(0, i % 10);
     }
     assert!(matches!(
         cb.query(&q, WindowSpec::last(1_001)),
@@ -271,15 +280,19 @@ fn window_validation_rejects_out_of_contract_queries_on_every_backend() {
 fn trait_object_dispatch_over_all_backends() {
     let events = worldcup_like(5_000, 33);
     let now = events.last().unwrap().ts;
-    let cfg = EcmBuilder::new(EPS, 0.1, WINDOW).seed(9).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(EPS)
+        .seed(9)
+        .ecm_config()
+        .unwrap();
 
     // Count-based twins over the same key sequence.
     let mut cb_sketch: CountBasedEcm<ExponentialHistogram> = CountBasedEcm::new(&cfg);
     let mut cb_hierarchy: CountBasedHierarchy<ExponentialHistogram> =
         CountBasedHierarchy::new(BITS, &cfg);
     for e in &events {
-        cb_sketch.insert(e.key);
-        cb_hierarchy.insert(e.key);
+        cb_sketch.insert(0, e.key);
+        cb_hierarchy.insert(0, e.key);
     }
 
     let (local, hierarchy, aggregated) = build_backends(&events);
@@ -357,13 +370,18 @@ fn trait_object_dispatch_over_all_backends() {
 fn heavy_hitters_agree_between_hierarchy_clocks() {
     // The same logical stream addressed by tick and by arrival index gives
     // the same heavy-hitter set when the windows coincide.
-    let cfg = EcmBuilder::new(0.05, 0.05, 10_000).seed(3).eh_config();
+    let cfg = SketchSpec::time(10_000)
+        .epsilon(0.05)
+        .delta(0.05)
+        .seed(3)
+        .ecm_config()
+        .unwrap();
     let mut time_h: EcmHierarchy<ExponentialHistogram> = EcmHierarchy::new(10, &cfg);
     let mut count_h: CountBasedHierarchy<ExponentialHistogram> = CountBasedHierarchy::new(10, &cfg);
     for i in 1..=10_000u64 {
         let key = if i % 4 == 0 { 77 } else { i % 512 };
-        time_h.insert(key, i); // tick = arrival index
-        count_h.insert(key);
+        time_h.insert(i, key); // tick = arrival index
+        count_h.insert(0, key);
     }
     let q = Query::heavy_hitters(Threshold::Relative(0.2));
     let from_time = time_h
@@ -382,12 +400,12 @@ fn heavy_hitters_agree_between_hierarchy_clocks() {
 
 #[test]
 fn inner_product_pairs_compatible_backends_only() {
-    let cfg = EcmBuilder::new(0.1, 0.1, 10_000).seed(6).eh_config();
+    let cfg = SketchSpec::time(10_000).seed(6).ecm_config().unwrap();
     let mut a = EcmEh::new(&cfg);
     let mut b = EcmEh::new(&cfg);
     for t in 1..=4_000u64 {
-        a.insert(t % 8, t);
-        b.insert(t % 16, t);
+        a.insert(t, t % 8);
+        b.insert(t, t % 16);
     }
     let w = WindowSpec::time(4_000, 10_000);
     // a: 500 per key on 0..8; b: 250 per key on 0..16; overlap 8·500·250.
@@ -435,7 +453,12 @@ fn spec_built_backends_agree_with_hand_constructed_ones() {
     use ecm_suite::ecm::{Backend, SketchSpec};
     let events = worldcup_like(8_000, 21);
     let now = events.last().unwrap().ts;
-    let cfg = EcmBuilder::new(EPS, 0.05, WINDOW).seed(9).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(EPS)
+        .delta(0.05)
+        .seed(9)
+        .ecm_config()
+        .unwrap();
     let mut sk = EcmEh::new(&cfg);
     let mut dyn_sk = SketchSpec::time(WINDOW)
         .epsilon(EPS)
@@ -445,7 +468,7 @@ fn spec_built_backends_agree_with_hand_constructed_ones() {
         .build()
         .expect("valid spec");
     for e in &events {
-        sk.insert(e.key, e.ts);
+        sk.insert(e.ts, e.key);
         dyn_sk.insert(e.ts, e.key);
     }
     let w = WindowSpec::time(now, WINDOW);

@@ -3,9 +3,10 @@
 //! related-work section dismisses (§2). All hierarchy queries go through
 //! the unified `SketchReader::query` surface.
 
-use ecm_suite::ecm::{EcmBuilder, EcmHierarchy, Query, SketchReader, WindowSpec};
+use ecm_suite::ecm::{EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use ecm_suite::sliding_window::{HybridConfig, HybridHistogram};
 use ecm_suite::stream_gen::{worldcup_like, WindowOracle};
+use sliding_window::ExponentialHistogram;
 
 const WINDOW: u64 = 1_000_000;
 const KEY_BITS: u32 = 16;
@@ -29,10 +30,15 @@ fn value(reader: &dyn SketchReader, q: &Query<'_>, w: WindowSpec) -> f64 {
 fn hierarchy_range_sums_meet_dyadic_envelope() {
     let (events, oracle) = build_inputs(30_000, 3);
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(5).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(5)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut h = EcmHierarchy::new(KEY_BITS, &cfg);
     for e in &events {
-        h.insert(e.key, e.ts);
+        h.insert(e.ts, e.key);
     }
     let now = oracle.last_tick();
 
@@ -76,10 +82,13 @@ fn hierarchy_range_sums_meet_dyadic_envelope() {
 #[test]
 fn whole_domain_range_equals_total_arrivals_estimate() {
     let (events, oracle) = build_inputs(10_000, 9);
-    let cfg = EcmBuilder::new(0.1, 0.1, WINDOW).seed(2).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .seed(2)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut h = EcmHierarchy::new(KEY_BITS, &cfg);
     for e in &events {
-        h.insert(e.key, e.ts);
+        h.insert(e.ts, e.key);
     }
     let now = oracle.last_tick();
     let exact = oracle.total(now, WINDOW) as f64;
@@ -107,14 +116,19 @@ fn hybrid_baseline_fails_where_hierarchy_holds() {
     let domain = 1u64 << KEY_BITS;
     let hcfg = HybridConfig::new(eps, WINDOW, domain, 256); // bins of 256 keys
     let mut hybrid = HybridHistogram::new(&hcfg);
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(5).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(5)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut hierarchy = EcmHierarchy::new(KEY_BITS, &cfg);
 
     // All mass on key 1000 (bin 3: keys 768..1023).
     let n = 20_000u64;
     for t in 1..=n {
         hybrid.insert(t, 1_000);
-        hierarchy.insert(1_000, t);
+        hierarchy.insert(t, 1_000);
     }
     // Query a sibling key range in the same bin, truly empty.
     let (lo, hi) = (800u64, 900u64);
@@ -141,14 +155,19 @@ fn hybrid_baseline_fails_where_hierarchy_holds() {
 #[test]
 fn range_queries_respect_the_time_dimension() {
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.05, 1_000).seed(8).eh_config();
+    let cfg = SketchSpec::time(1_000)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(8)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut h = EcmHierarchy::new(8, &cfg);
     // Two epochs: keys 0..16 early, keys 64..80 late.
     for t in 1..=1_000u64 {
-        h.insert(t % 16, t);
+        h.insert(t, t % 16);
     }
     for t in 1_001..=2_000u64 {
-        h.insert(64 + t % 16, t);
+        h.insert(t, 64 + t % 16);
     }
     // Recent window: early keys aged out.
     let w = WindowSpec::time(2_000, 900);
@@ -163,10 +182,14 @@ fn range_queries_respect_the_time_dimension() {
 
 #[test]
 fn over_long_ranges_error_instead_of_clamping() {
-    let cfg = EcmBuilder::new(0.1, 0.05, 1_000).seed(8).eh_config();
+    let cfg = SketchSpec::time(1_000)
+        .delta(0.05)
+        .seed(8)
+        .ecm_config::<ExponentialHistogram>()
+        .unwrap();
     let mut h = EcmHierarchy::new(8, &cfg);
     for t in 1..=500u64 {
-        h.insert(t % 16, t);
+        h.insert(t, t % 16);
     }
     // The legacy API silently clamped ranges beyond the configured window;
     // the typed API reports them.

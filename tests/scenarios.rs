@@ -3,7 +3,7 @@
 //! bounded delay, once repaired by a watermark buffer, builds the same
 //! sketch as the in-order stream. (Flash crowds: `tests/ddos_detection.rs`.)
 
-use ecm_suite::ecm::{EcmBuilder, EcmConfig, EcmEh, Query, SketchReader, WindowSpec};
+use ecm_suite::ecm::{EcmConfig, EcmEh, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{bounded_delay_shuffle, inject_poll_bursts, uniform_sites, PollBursts};
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ fn point(sk: &EcmEh, key: u64, now: u64, range: u64) -> f64 {
 fn sketch_of(cfg: &EcmConfig<ExponentialHistogram>, pairs: &[(u64, u64)]) -> EcmEh {
     let mut sk = EcmEh::new(cfg);
     for &(key, ts) in pairs {
-        sk.insert(key, ts);
+        sk.insert(ts, key);
     }
     sk
 }
@@ -38,7 +38,11 @@ fn poll_bursts_show_up_as_per_site_keys() {
         end: 2_599_999,
     };
     let events = inject_poll_bursts(&uniform_sites(10_000, 5, 8), &polls);
-    let cfg = EcmBuilder::new(0.1, 0.05, WINDOW).seed(4).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .delta(0.05)
+        .seed(4)
+        .ecm_config()
+        .unwrap();
     let pairs: Vec<(u64, u64)> = events.iter().map(|e| (e.key, e.ts)).collect();
     let sk = sketch_of(&cfg, &pairs);
 
@@ -104,7 +108,12 @@ fn reorder_buffer_repairs_bounded_delay_bit_identically() {
     );
 
     let eps = 0.1;
-    let cfg = EcmBuilder::new(eps, 0.05, WINDOW).seed(21).eh_config();
+    let cfg = SketchSpec::time(WINDOW)
+        .epsilon(eps)
+        .delta(0.05)
+        .seed(21)
+        .ecm_config()
+        .unwrap();
     let sk = sketch_of(&cfg, &repaired);
 
     // The sketch must equal one of the original in-order stream exactly:

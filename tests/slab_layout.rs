@@ -19,7 +19,7 @@
 //! `crates/sliding-window/src/eh_slab.rs`.
 
 use ecm_suite::count_min::HashFamily;
-use ecm_suite::ecm::{EcmBuilder, EcmConfig, EcmSketch, StreamEvent};
+use ecm_suite::ecm::{EcmConfig, EcmSketch, SketchSpec, SketchWriter, StreamEvent};
 use ecm_suite::sliding_window::codec::{put_u8, put_varint};
 use ecm_suite::sliding_window::traits::WindowCounter;
 use ecm_suite::sliding_window::ExponentialHistogram;
@@ -100,7 +100,7 @@ fn differential(cfg: &EcmConfig<ExponentialHistogram>, trace: &[(u64, u64, u64)]
     let mut slab = EcmSketch::new(cfg);
     let mut legacy = LegacyReplica::new(cfg);
     for &(key, ts, weight) in trace {
-        slab.insert_weighted(key, ts, weight);
+        slab.insert_weighted(ts, key, weight);
         legacy.insert_weighted(key, ts, weight);
     }
     let now = trace.last().map(|&(_, ts, _)| ts).unwrap_or(0);
@@ -159,7 +159,12 @@ fn random_trace(rng: &mut SeededRng, steps: usize, window: u64, keys: u64) -> Ve
 }
 
 fn small_cfg(eps: f64, window: u64, seed: u64) -> EcmConfig<ExponentialHistogram> {
-    EcmBuilder::new(eps, 0.2, window).seed(seed).eh_config()
+    SketchSpec::time(window)
+        .epsilon(eps)
+        .delta(0.2)
+        .seed(seed)
+        .ecm_config()
+        .unwrap()
 }
 
 #[test]
@@ -180,7 +185,7 @@ fn slab_matches_legacy_on_bursts_and_gaps() {
 #[test]
 fn slab_matches_legacy_at_paper_scale_parameters() {
     // The acceptance configuration: (ε, δ) = (0.1, 0.1), 1M-tick window.
-    let cfg = EcmBuilder::new(0.1, 0.1, 1_000_000).seed(7).eh_config();
+    let cfg = SketchSpec::time(1_000_000).seed(7).ecm_config().unwrap();
     let mut rng = SeededRng::seed_from_u64(5);
     let trace = random_trace(&mut rng, 4_000, 1_000_000, 500);
     differential(&cfg, &trace);

@@ -9,56 +9,12 @@
 
 use ecm_suite::ecm::snapshot::{restore_any, SnapshotError, SNAPSHOT_VERSION};
 use ecm_suite::ecm::{
-    Answer, Backend, Clock, Query, SketchSpec, SketchStore, StreamEvent, Threshold, WindowSpec,
+    Answer, Clock, Query, SketchSpec, SketchStore, StreamEvent, Threshold, WindowSpec,
 };
 use ecm_suite::stream_gen::SeededRng;
 
 const WINDOW: u64 = 2_000;
 const EVENTS: u64 = 3_000;
-
-/// The full backend matrix of the acceptance criterion: plain Eh/Dw/Rw/
-/// Exact/Ew, time- and count-based hierarchies, and plain
-/// count-based.
-fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
-    vec![
-        ("eh", SketchSpec::time(WINDOW).epsilon(0.2).seed(3)),
-        (
-            "dw",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Dw)
-                .epsilon(0.2)
-                .seed(3),
-        ),
-        (
-            "rw",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Rw)
-                .epsilon(0.3)
-                .delta(0.2)
-                .max_arrivals(2 * EVENTS)
-                .seed(3),
-        ),
-        (
-            "exact",
-            SketchSpec::time(WINDOW).backend(Backend::Exact).seed(3),
-        ),
-        (
-            "ew",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Ew { buckets: 8 })
-                .seed(3),
-        ),
-        (
-            "hierarchy",
-            SketchSpec::time(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
-        ),
-        ("count", SketchSpec::count(WINDOW).epsilon(0.2).seed(3)),
-        (
-            "count-hierarchy",
-            SketchSpec::count(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
-        ),
-    ]
-}
 
 /// Deterministic bursty stream over an 8-bit key universe (hierarchies
 /// panic outside it), exercising single, weighted and batched ingest.
@@ -150,7 +106,7 @@ fn assert_answers_bit_identical(
 
 #[test]
 fn every_backend_round_trips_bit_identically() {
-    for (label, spec) in spec_matrix() {
+    for (label, spec) in SketchSpec::matrix(WINDOW) {
         let mut sketch = spec.build().unwrap_or_else(|e| panic!("{label}: {e}"));
         let now = feed(&mut *sketch, 42);
 
@@ -192,7 +148,7 @@ fn restored_sketches_continue_ingesting_identically() {
     // The clock and arrival-id sequence are state: after restore, feeding
     // the same suffix must produce the same snapshot a never-restored
     // sketch produces. (Count-based clocks included.)
-    for (label, spec) in spec_matrix() {
+    for (label, spec) in SketchSpec::matrix(WINDOW) {
         let mut live = spec.build().unwrap();
         let now = feed(&mut *live, 7);
         let checkpoint = spec.snapshot(&*live).unwrap();
@@ -210,7 +166,7 @@ fn restored_sketches_continue_ingesting_identically() {
 
 #[test]
 fn corrupted_snapshots_fail_typed_for_every_backend() {
-    for (label, spec) in spec_matrix() {
+    for (label, spec) in SketchSpec::matrix(WINDOW) {
         let mut sketch = spec.build().unwrap();
         feed(&mut *sketch, 11);
         let bytes = spec.snapshot(&*sketch).unwrap();

@@ -7,7 +7,7 @@
 //! included).
 
 use ecm_suite::ecm::{
-    Answer, Backend, Clock, Estimate, Query, ScalarQuery, SketchSpec, SketchStore, StandingQuery,
+    Answer, Clock, Estimate, Query, ScalarQuery, SketchSpec, SketchStore, StandingQuery,
     StreamEvent, Threshold, ViewAnswer, ViewDef, ViewError, ViewSet, ViewWindow,
 };
 use ecm_suite::stream_gen::SeededRng;
@@ -15,48 +15,6 @@ use ecm_suite::stream_gen::SeededRng;
 const WINDOW: u64 = 2_000;
 const EVENTS: usize = 1_500;
 const BATCH: usize = 100;
-
-/// The same backend matrix as `tests/snapshot_recovery.rs`.
-fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
-    vec![
-        ("eh", SketchSpec::time(WINDOW).epsilon(0.2).seed(3)),
-        (
-            "dw",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Dw)
-                .epsilon(0.2)
-                .seed(3),
-        ),
-        (
-            "rw",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Rw)
-                .epsilon(0.3)
-                .delta(0.2)
-                .max_arrivals(2 * EVENTS as u64)
-                .seed(3),
-        ),
-        (
-            "exact",
-            SketchSpec::time(WINDOW).backend(Backend::Exact).seed(3),
-        ),
-        (
-            "ew",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Ew { buckets: 8 })
-                .seed(3),
-        ),
-        (
-            "hierarchy",
-            SketchSpec::time(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
-        ),
-        ("count", SketchSpec::count(WINDOW).epsilon(0.2).seed(3)),
-        (
-            "count-hierarchy",
-            SketchSpec::count(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
-        ),
-    ]
-}
 
 fn view_window(spec: &SketchSpec) -> ViewWindow {
     match spec.clock() {
@@ -231,7 +189,7 @@ fn assert_views_match_on_demand(
 
 #[test]
 fn view_reads_match_on_demand_queries_at_every_publication_point() {
-    for (label, spec) in spec_matrix() {
+    for (label, spec) in SketchSpec::matrix(WINDOW) {
         // Warm a probe store with the first batch to discover which query
         // classes this backend answers.
         let all = batches(42);
@@ -355,7 +313,7 @@ fn cold_and_pending_views_materialize_correctly() {
 
 #[test]
 fn restored_stores_rebuild_views_bit_identically_and_keep_maintaining() {
-    for (label, spec) in spec_matrix() {
+    for (label, spec) in SketchSpec::matrix(WINDOW) {
         let all = batches(7);
         let mut store: SketchStore<String> = SketchStore::new(spec.clone()).unwrap();
         store.ingest(&all[0]);

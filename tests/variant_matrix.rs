@@ -5,9 +5,12 @@
 //! test per contract the paper states, parameterized over the variants.
 
 use ecm_suite::distributed::aggregate_tree;
-use ecm_suite::ecm::{EcmBuilder, EcmConfig, EcmSketch, Query, SketchReader, WindowSpec};
+use ecm_suite::ecm::{Backend, EcmConfig, EcmSketch, Query, SketchReader, SketchSpec, WindowSpec};
 use ecm_suite::sliding_window::traits::{MergeableCounter, WindowCounter};
 use ecm_suite::stream_gen::{worldcup_like, WindowOracle};
+use sliding_window::{
+    DeterministicWave, EquiWidthWindow, ExactWindow, ExponentialHistogram, RandomizedWave,
+};
 
 const WINDOW: u64 = 1_000_000;
 const EVENTS: usize = 12_000;
@@ -37,7 +40,7 @@ where
     let oracle = WindowOracle::from_events(&events);
     let mut sk = EcmSketch::new(cfg);
     for (i, e) in events.iter().enumerate() {
-        sk.insert_with_id(e.key, e.ts, i as u64 + 1);
+        sk.insert_with_id(e.ts, e.key, i as u64 + 1).unwrap();
     }
     let now = oracle.last_tick();
     let norm = oracle.total(now, WINDOW) as f64;
@@ -93,7 +96,7 @@ where
         |i| {
             let mut sk = EcmSketch::new(cfg);
             for &(k, t, id) in &site_events[i] {
-                sk.insert_with_id(k, t, id);
+                sk.insert_with_id(t, k, id).unwrap();
             }
             sk
         },
@@ -123,35 +126,78 @@ where
 
 #[test]
 fn eh_centralized_and_distributed() {
-    let b = EcmBuilder::new(EPS, 0.05, WINDOW).seed(3);
-    centralized_contract(&b.eh_config(), "ECM-EH");
+    let b = SketchSpec::time(WINDOW).epsilon(EPS).delta(0.05).seed(3);
+    centralized_contract(
+        &b.clone().ecm_config::<ExponentialHistogram>().unwrap(),
+        "ECM-EH",
+    );
     // 3 merge levels: h·ε_sw(1+ε_sw) + ε_sw + ε_cm.
-    distributed_contract(&b.eh_config(), "ECM-EH", 4.0 * EPS);
+    distributed_contract(
+        &b.clone().ecm_config::<ExponentialHistogram>().unwrap(),
+        "ECM-EH",
+        4.0 * EPS,
+    );
 }
 
 #[test]
 fn dw_centralized_and_distributed() {
-    let b = EcmBuilder::new(EPS, 0.05, WINDOW)
+    let b = SketchSpec::time(WINDOW)
+        .epsilon(EPS)
+        .delta(0.05)
         .max_arrivals(EVENTS as u64)
         .seed(4);
-    centralized_contract(&b.dw_config(), "ECM-DW");
-    distributed_contract(&b.dw_config(), "ECM-DW", 4.0 * EPS);
+    centralized_contract(
+        &b.clone()
+            .backend(Backend::Dw)
+            .ecm_config::<DeterministicWave>()
+            .unwrap(),
+        "ECM-DW",
+    );
+    distributed_contract(
+        &b.clone()
+            .backend(Backend::Dw)
+            .ecm_config::<DeterministicWave>()
+            .unwrap(),
+        "ECM-DW",
+        4.0 * EPS,
+    );
 }
 
 #[test]
 fn rw_centralized_and_distributed() {
-    let b = EcmBuilder::new(EPS, 0.1, WINDOW)
+    let b = SketchSpec::time(WINDOW)
+        .epsilon(EPS)
+        .delta(0.1)
         .max_arrivals(EVENTS as u64)
         .seed(5);
-    centralized_contract(&b.rw_config(), "ECM-RW");
+    centralized_contract(
+        &b.clone()
+            .backend(Backend::Rw)
+            .ecm_config::<RandomizedWave>()
+            .unwrap(),
+        "ECM-RW",
+    );
     // Lossless composition: the centralized envelope suffices.
-    distributed_contract(&b.rw_config(), "ECM-RW", EPS);
+    distributed_contract(
+        &b.clone()
+            .backend(Backend::Rw)
+            .ecm_config::<RandomizedWave>()
+            .unwrap(),
+        "ECM-RW",
+        EPS,
+    );
 }
 
 #[test]
 fn exact_variant_is_a_pure_count_min() {
-    let b = EcmBuilder::new(EPS, 0.05, WINDOW).seed(6);
-    centralized_contract(&b.exact_config(), "ECM-exact");
+    let b = SketchSpec::time(WINDOW).epsilon(EPS).delta(0.05).seed(6);
+    centralized_contract(
+        &b.clone()
+            .backend(Backend::Exact)
+            .ecm_config::<ExactWindow>()
+            .unwrap(),
+        "ECM-exact",
+    );
 }
 
 #[test]
@@ -160,21 +206,82 @@ fn ew_baseline_centralized_wide_ranges_only() {
     // whole-window queries land within a slot of the truth — and its
     // grid-aligned merge is exact, so the distributed contract holds with
     // the same (wide-range) envelope.
-    let b = EcmBuilder::new(EPS, 0.05, WINDOW).seed(7);
-    let cfg = b.ew_config(64);
+    let b = SketchSpec::time(WINDOW).epsilon(EPS).delta(0.05).seed(7);
+    let cfg = b
+        .clone()
+        .backend(Backend::Ew { buckets: 64 })
+        .ecm_config::<EquiWidthWindow>()
+        .unwrap();
     centralized_contract(&cfg, "ECM-EW");
     distributed_contract(&cfg, "ECM-EW", EPS + 1.0 / 64.0);
 }
 
 #[test]
 fn variants_agree_on_empty_sketches() {
-    let b = EcmBuilder::new(0.1, 0.1, 1_000).seed(8);
-    assert_eq!(point(&EcmSketch::new(&b.eh_config()), 5, 100, 1_000), 0.0);
-    assert_eq!(point(&EcmSketch::new(&b.dw_config()), 5, 100, 1_000), 0.0);
-    assert_eq!(point(&EcmSketch::new(&b.rw_config()), 5, 100, 1_000), 0.0);
+    let b = SketchSpec::time(1_000).epsilon(0.1).delta(0.1).seed(8);
     assert_eq!(
-        point(&EcmSketch::new(&b.exact_config()), 5, 100, 1_000),
+        point(
+            &EcmSketch::new(&b.clone().ecm_config::<ExponentialHistogram>().unwrap()),
+            5,
+            100,
+            1_000
+        ),
         0.0
     );
-    assert_eq!(point(&EcmSketch::new(&b.ew_config(10)), 5, 100, 1_000), 0.0);
+    assert_eq!(
+        point(
+            &EcmSketch::new(
+                &b.clone()
+                    .backend(Backend::Dw)
+                    .ecm_config::<DeterministicWave>()
+                    .unwrap()
+            ),
+            5,
+            100,
+            1_000
+        ),
+        0.0
+    );
+    assert_eq!(
+        point(
+            &EcmSketch::new(
+                &b.clone()
+                    .backend(Backend::Rw)
+                    .ecm_config::<RandomizedWave>()
+                    .unwrap()
+            ),
+            5,
+            100,
+            1_000
+        ),
+        0.0
+    );
+    assert_eq!(
+        point(
+            &EcmSketch::new(
+                &b.clone()
+                    .backend(Backend::Exact)
+                    .ecm_config::<ExactWindow>()
+                    .unwrap()
+            ),
+            5,
+            100,
+            1_000
+        ),
+        0.0
+    );
+    assert_eq!(
+        point(
+            &EcmSketch::new(
+                &b.clone()
+                    .backend(Backend::Ew { buckets: 10 })
+                    .ecm_config::<EquiWidthWindow>()
+                    .unwrap()
+            ),
+            5,
+            100,
+            1_000
+        ),
+        0.0
+    );
 }

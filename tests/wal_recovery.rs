@@ -11,53 +11,10 @@ use ecm_suite::ecm::wal::{
     encode_checkpoint, encode_ingest, encode_runs, encode_segment_header, replay, WalSegment,
     WalSegmentHeader,
 };
-use ecm_suite::ecm::{Backend, Query, SketchSpec, SketchStore, StreamEvent, WindowSpec};
+use ecm_suite::ecm::{Query, SketchSpec, SketchStore, StreamEvent, WindowSpec};
 use ecm_suite::stream_gen::SeededRng;
 
 const WINDOW: u64 = 2_000;
-
-/// The full backend matrix of the acceptance criterion — the same specs the
-/// snapshot differential suite proves round-trip.
-fn spec_matrix() -> Vec<(&'static str, SketchSpec)> {
-    vec![
-        ("eh", SketchSpec::time(WINDOW).epsilon(0.2).seed(3)),
-        (
-            "dw",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Dw)
-                .epsilon(0.2)
-                .seed(3),
-        ),
-        (
-            "rw",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Rw)
-                .epsilon(0.3)
-                .delta(0.2)
-                .max_arrivals(20_000)
-                .seed(3),
-        ),
-        (
-            "exact",
-            SketchSpec::time(WINDOW).backend(Backend::Exact).seed(3),
-        ),
-        (
-            "ew",
-            SketchSpec::time(WINDOW)
-                .backend(Backend::Ew { buckets: 8 })
-                .seed(3),
-        ),
-        (
-            "hierarchy",
-            SketchSpec::time(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
-        ),
-        ("count", SketchSpec::count(WINDOW).epsilon(0.2).seed(3)),
-        (
-            "count-hierarchy",
-            SketchSpec::count(WINDOW).epsilon(0.2).hierarchy(8).seed(3),
-        ),
-    ]
-}
 
 /// Deterministic keyed batches with globally non-decreasing timestamps
 /// (which implies the per-key monotonicity ingest requires) over an 8-bit
@@ -129,7 +86,7 @@ fn assert_fleets_bit_identical(
 
 #[test]
 fn snapshot_plus_replay_is_bit_identical_for_every_backend() {
-    for (label, spec) in spec_matrix() {
+    for (label, spec) in SketchSpec::matrix(WINDOW) {
         let bs = batches(42, 30, 1);
         let mut live = SketchStore::<u64>::new(spec.clone()).unwrap();
         let mut log = fresh_header();
@@ -367,7 +324,7 @@ fn an_old_log_continued_with_runs_records_replays_to_the_unbatched_oracle() {
     // per occurrence — sealed by an upgrade; segment 2 in today's format,
     // runs records, with a mid-stream checkpoint. Replay must land where a
     // store fed every occurrence separately landed, for every backend.
-    for (label, spec) in spec_matrix() {
+    for (label, spec) in SketchSpec::matrix(WINDOW) {
         let bs = run_batches(17, 16, 1);
         let mut oracle = SketchStore::<u64>::new(spec.clone()).unwrap();
         let mut uncut = SketchStore::<u64>::new(spec.clone()).unwrap();
