@@ -1596,6 +1596,40 @@ mod tests {
     }
 
     #[test]
+    fn store_full_bytes_are_pinned() {
+        let spec = SketchSpec::time(100)
+            .epsilon(0.5)
+            .delta(0.5)
+            .seed(7)
+            .backend(Backend::Exact);
+        let mut store: SketchStore<u64> = SketchStore::new(spec).unwrap();
+        store.insert(2, 5, 9);
+        store.insert(1, 6, 3);
+        store.insert(2, 7, 9);
+        let bytes = store.write_snapshot().unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        // An unbounded two-key fleet as format v1 lays it out: magic,
+        // version, kind, spec, seq, capacity, policy, clock, evictions,
+        // tombstones, record count, header seal, then one sealed record per
+        // key in key order. A change here moves every fleet already on disk.
+        assert_eq!(
+            hex,
+            concat!(
+                // Header: EF v1, kind 0, the spec, seq 1, no capacity,
+                // policy 0, clock 3, 0 evictions, 0 tombstones, 2 records.
+                "454601000064000000000000e03f000000000000e03f03000700000000000000",
+                "00000001000003000002e11e3ca2d49e5b30",
+                // Key 1: stamps 2 and 2, a 35-byte payload, its seal.
+                "0102022301060107010101060106010100000001000000010000000100000001",
+                "000000000106019c3831608daa45a1",
+                // Key 2: stamps 3 and 3, a 37-byte payload, its seal.
+                "0203032501060107010100000001000000010000000100000001000000010205",
+                "01020107020002070227d41e3e6ccf7d46",
+            )
+        );
+    }
+
+    #[test]
     fn string_keyed_stores_snapshot_too() {
         let mut store: SketchStore<String> = SketchStore::new(spec()).unwrap();
         for t in 1..=200u64 {
