@@ -9,7 +9,7 @@
 //!   bursty Zipf trace, for the four counter backends (the two builds are
 //!   checked **bit-identical** on the trace being timed), and `memory`, the
 //!   warm ECM-EH slab against the per-cell layout it replaced;
-//! * `snapshot` — full / incremental (1 % dirty) / restore rates of a
+//! * `snapshot` — full checkpoint and restore rates of a
 //!   `SketchStore` fleet at 10 k and 100 k tenant keys, the restored store
 //!   spot-checked for bit-identical answers;
 //! * `wal` — one keyed trace through the in-process engine with the
@@ -269,9 +269,6 @@ fn memory_row(cfg: &EcmConfig<ExponentialHistogram>, events: &[StreamEvent]) -> 
 // --------------------------------------------------------------- snapshot
 
 const SNAPSHOT_BATCH: usize = 4_096;
-/// Fraction of the fleet dirtied between the full checkpoint and the
-/// incremental one (a 1 % working set — the shape incremental mode targets).
-const DIRTY_FRACTION: f64 = 0.01;
 
 fn snapshot_row(keys: u64, events: usize) -> String {
     let spec = fleet_spec(23);
@@ -285,22 +282,11 @@ fn snapshot_row(keys: u64, events: usize) -> String {
 
     let (full_secs, snapshot) = best_of(2, || store.write_snapshot().expect("fleet snapshots"));
 
-    // Dirty a small working set, then take the incremental checkpoint.
-    let dirty = ((resident as f64 * DIRTY_FRACTION).ceil() as usize).max(1);
-    for key in store.keys().into_iter().take(dirty) {
-        store.insert(key, now + 1, 7);
-    }
-    let start = Instant::now();
-    let delta = store.write_incremental().expect("fleet snapshots");
-    let incr_secs = start.elapsed().as_secs_f64();
-
-    // Restore: the full load, then the delta on top, then prove the round
-    // trip with bit-identical spot queries.
-    let (restore_secs, mut restored) = best_of(2, || {
+    // Restore, then prove the round trip with bit-identical spot queries.
+    let (restore_secs, restored) = best_of(2, || {
         SketchStore::<u64>::load_snapshot(&snapshot).expect("snapshot restores")
     });
-    restored.apply_incremental(&delta).expect("delta applies");
-    let w = WindowSpec::time(now + 1, WINDOW);
+    let w = WindowSpec::time(now, WINDOW);
     for probe in (1..=keys).step_by((keys / 37).max(1) as usize) {
         let (Some(a), Some(b)) = (store.get(&probe), restored.get(&probe)) else {
             continue;
@@ -317,11 +303,10 @@ fn snapshot_row(keys: u64, events: usize) -> String {
     }
 
     println!(
-        "{keys:>8} {resident:>9} {:>11.2} {:>9.2} {:>12.0} {:>10.3} {:>11.2} {:>12.0}",
+        "{keys:>8} {resident:>9} {:>11.2} {:>9.2} {:>12.0} {:>11.2} {:>12.0}",
         snapshot.len() as f64 / 1e6,
         full_secs * 1e3,
         resident as f64 / full_secs,
-        incr_secs * 1e3,
         restore_secs * 1e3,
         resident as f64 / restore_secs
     );
@@ -331,9 +316,6 @@ fn snapshot_row(keys: u64, events: usize) -> String {
         ("snapshot_bytes", snapshot.len().to_string()),
         ("full_ms", num(full_secs * 1e3, 3)),
         ("full_keys_per_s", num(resident as f64 / full_secs, 0)),
-        ("incr_keys", dirty.to_string()),
-        ("incr_bytes", delta.len().to_string()),
-        ("incr_ms", num(incr_secs * 1e3, 3)),
         ("restore_ms", num(restore_secs * 1e3, 3)),
         ("restore_keys_per_s", num(resident as f64 / restore_secs, 0)),
     ])
@@ -489,15 +471,8 @@ fn main() {
 
     println!("\nfleet checkpoint/restore: {n_events} events per fleet size");
     println!(
-        "{:>8} {:>9} {:>11} {:>9} {:>12} {:>10} {:>11} {:>12}",
-        "keys",
-        "resident",
-        "snap_MB",
-        "full_ms",
-        "full_keys/s",
-        "incr_ms",
-        "restore_ms",
-        "rest_keys/s"
+        "{:>8} {:>9} {:>11} {:>9} {:>12} {:>11} {:>12}",
+        "keys", "resident", "snap_MB", "full_ms", "full_keys/s", "restore_ms", "rest_keys/s"
     );
     let snapshot = [10_000u64, 100_000].map(|keys| snapshot_row(keys, n_events));
 
@@ -527,7 +502,6 @@ fn main() {
                 ("epsilon", FLEET_EPS.to_string()),
                 ("delta", FLEET_DELTA.to_string()),
                 ("snapshot_batch", SNAPSHOT_BATCH.to_string()),
-                ("dirty_fraction", DIRTY_FRACTION.to_string()),
                 ("wal_batch", WAL_BATCH.to_string()),
                 ("wal_shards", WAL_SHARDS.to_string()),
                 ("wal_sites", WAL_SITES.to_string()),

@@ -73,7 +73,6 @@ fn the_file_has_every_section_a_machine_record_and_a_real_workload() {
     );
     assert!(field_f64(workload, "trace_events") >= 1_000.0);
     assert!(field_f64(workload, "runs") >= 1.0);
-    assert!(field_f64(workload, "dirty_fraction") > 0.0);
     assert!(
         field_f64(workload, "mean_run_weight") > 1.0,
         "ingest trace not bursty"
@@ -145,8 +144,6 @@ fn checkpoint_and_restore_meet_the_floors_at_both_fleet_sizes() {
         let snapshot_bytes = field_f64(chunk, "snapshot_bytes");
         let full_ms = field_f64(chunk, "full_ms");
         let full_rate = field_f64(chunk, "full_keys_per_s");
-        let incr_bytes = field_f64(chunk, "incr_bytes");
-        let incr_ms = field_f64(chunk, "incr_ms");
         let restore_ms = field_f64(chunk, "restore_ms");
         let restore_rate = field_f64(chunk, "restore_keys_per_s");
         assert!(resident >= 1_000.0, "fleet too small to be meaningful");
@@ -157,16 +154,6 @@ fn checkpoint_and_restore_meet_the_floors_at_both_fleet_sizes() {
             restore_rate,
             resident / (restore_ms / 1e3),
             0.15,
-        );
-        // Incremental mode must actually be incremental: a 1%-dirty delta
-        // far smaller and cheaper than the full checkpoint.
-        assert!(
-            incr_bytes < 0.5 * snapshot_bytes,
-            "delta {incr_bytes} B not smaller than full {snapshot_bytes} B"
-        );
-        assert!(
-            incr_ms < full_ms,
-            "delta {incr_ms} ms not cheaper than full {full_ms} ms"
         );
         // Measured ~300k / ~100k keys/s; an order of magnitude of headroom
         // against machine variance.

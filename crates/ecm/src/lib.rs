@@ -81,7 +81,7 @@ pub use sketch::{grouped_runs, EcmDw, EcmEh, EcmEw, EcmExact, EcmRw, EcmSketch, 
 pub use snapshot::{
     restore_any, restore_sketch, snapshot_sketch, SnapshotError, SnapshotKey, SNAPSHOT_VERSION,
 };
-pub use store::{Eviction, MemoryReport, Ranking, SketchStore};
+pub use store::{MemoryReport, Ranking, SketchStore};
 pub use views::{
     ScalarQuery, StandingQuery, ViewAnswer, ViewDef, ViewError, ViewEvent, ViewReadout, ViewSet,
     ViewSetStats, ViewWindow,

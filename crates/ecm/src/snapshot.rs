@@ -115,12 +115,20 @@ pub enum SnapshotError {
         /// Clock carried by the decoded payload.
         payload: u64,
     },
-    /// An incremental store snapshot was applied out of order.
+    /// A write-ahead-log segment or record is out of sequence, or the log
+    /// holds no marker for the checkpoint it must replay onto.
     SequenceMismatch {
-        /// The base checkpoint sequence the delta requires.
+        /// The sequence number the reader required.
         expected: u64,
-        /// The sequence the target store is actually at.
+        /// The sequence number it found.
         found: u64,
+    },
+    /// A fleet snapshot field holds a value that only a retired writer
+    /// produced: an incremental delta's kind or tombstones, or a bounded
+    /// store's capacity, eviction policy, evictions or order stamps.
+    Retired {
+        /// The field.
+        field: &'static str,
     },
     /// Extra bytes follow a complete record.
     TrailingBytes {
@@ -148,9 +156,13 @@ impl fmt::Display for SnapshotError {
                 f,
                 "snapshot header clock {header} disagrees with payload clock {payload}"
             ),
-            SnapshotError::SequenceMismatch { expected, found } => write!(
+            SnapshotError::SequenceMismatch { expected, found } => {
+                write!(f, "sequence mismatch: expected {expected}, found {found}")
+            }
+            SnapshotError::Retired { field } => write!(
                 f,
-                "incremental snapshot applies to checkpoint {expected}, store is at {found}"
+                "{field} holds a value only a retired writer produced \
+                 (incremental checkpoints and bounded stores are gone)"
             ),
             SnapshotError::TrailingBytes { count } => {
                 write!(f, "{count} trailing bytes after a complete snapshot")
@@ -582,7 +594,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::api::SketchWriter;
     use crate::query::{Query, SketchReader, WindowSpec};
@@ -787,13 +799,13 @@ mod tests {
 
     /// `bytes` with the zero byte at `at` (a "none" option, or the EH
     /// backend tag) replaced by `with`.
-    fn replace_zero(bytes: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+    pub(crate) fn replace_zero(bytes: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
         assert_eq!(bytes[at], 0, "byte {at} is written as 0");
         [&bytes[..at], with, &bytes[at + 1..]].concat()
     }
 
     /// Re-seal a record whose trailing checksum covers everything before it.
-    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    pub(crate) fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
         bytes.truncate(bytes.len() - 8);
         frame::seal(&mut bytes, 0);
         bytes

@@ -18,12 +18,15 @@
 //!   ([`query`](SketchStore::query)), full scans
 //!   ([`query_all`](SketchStore::query_all)), and top-k selection over any
 //!   scalar query ([`top_k`](SketchStore::top_k)).
-//! * **Capacity control** — an optional key cap with LRU or FIFO eviction,
-//!   so unbounded key universes (attack traffic, ephemeral sessions) cannot
-//!   exhaust memory.
-//! * **Fleet snapshots** — full and incremental `"EF"` records: a sealed
-//!   header, then one sealed record per key, framed by the shared rules of
-//!   [`frame`].
+//! * **Fleet snapshots** — one full `"EF"` record: a sealed header, then one
+//!   sealed record per key, framed by the shared rules of [`frame`]. What
+//!   follows a checkpoint is the write-ahead log's ([`crate::wal`]), so a
+//!   store is recovered as one snapshot plus the log replayed on top.
+//!
+//! The store never discards a key: an evicted key would answer 0, an
+//! undercount the sketch's contract forbids. A caller that must bound
+//! memory refuses new keys instead ([`memory_bytes`](SketchStore::memory_bytes)
+//! is the bookkeeping to check).
 //!
 //! # Example
 //!
@@ -51,7 +54,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -65,29 +68,13 @@ use crate::snapshot::{
 };
 use sliding_window::codec::{get_u8, get_varint, put_u8, put_varint};
 
-/// Which resident key a full [`SketchStore`] discards for a new one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Eviction {
-    /// Discard the least recently *written* key (queries do not refresh
-    /// recency; reads are cheap and should not pin attack keys in).
-    Lru,
-    /// Discard the earliest-created key.
-    Fifo,
-}
-
-/// One tenant slot: the sketch plus its two clock stamps — `order_stamp`
-/// is the key's current position in [`SketchStore::order`] (refreshed per
-/// write under LRU, the creation stamp under FIFO), `last_written` the
-/// stamp of the most recent write. The sketch is shared with every clone
+/// One tenant slot: the sketch plus `last_written`, the store clock's stamp
+/// of the key's most recent write. The sketch is shared with every clone
 /// of the store until one side writes it ([`unshared`]).
 #[derive(Clone)]
 struct Entry {
     sketch: Arc<dyn Sketch>,
-    order_stamp: u64,
     last_written: u64,
-    /// Written (or created) since the last checkpoint — the working set an
-    /// incremental snapshot rewrites.
-    dirty: bool,
 }
 
 /// Write access to a sketch a store clone may still point at: the first
@@ -239,8 +226,8 @@ struct GroupScratch {
 }
 
 /// A keyed collection of identically-specified sketches with lazy creation,
-/// grouped batched ingest, cross-key queries and bounded capacity. See the
-/// [module docs](self) for the full tour.
+/// grouped batched ingest and cross-key queries. See the [module
+/// docs](self) for the full tour.
 ///
 /// The store is `Clone`, and a clone is observably a deep, bit-identical
 /// copy (clock and write stamps included): queries against it answer
@@ -254,31 +241,17 @@ struct GroupScratch {
 pub struct SketchStore<K> {
     spec: SketchSpec,
     entries: HashMap<K, Entry>,
-    /// Eviction index: policy stamp → key, ordered oldest-first. For LRU
-    /// the stamp is the key's `last_written`, for FIFO the stamp it was
-    /// created with; stamps are unique (one clock tick per write), so the
-    /// map's first entry is always the current victim and eviction is
-    /// O(log n). Kept only by bounded stores: an unbounded one never
-    /// evicts, and without the index neither a write nor a `clone` copies
-    /// the key a second time.
-    order: BTreeMap<u64, K>,
-    capacity: Option<usize>,
-    eviction: Eviction,
-    /// Monotone stamp source for `created` / `last_written`.
+    /// Monotone stamp source for `last_written`: one tick per write.
     clock: u64,
-    evictions: u64,
     /// Sequence number of the last checkpoint written or restored (0 =
-    /// none yet); incremental snapshots chain on it.
+    /// none yet); the write-ahead log's markers name it.
     checkpoint_seq: u64,
-    /// Keys evicted since the last checkpoint — shipped as tombstones so an
-    /// incremental restore drops them too.
-    dropped: BTreeSet<K>,
     scratch: GroupScratch,
 }
 
 impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
-    /// An unbounded store; the spec is validated eagerly so a bad
-    /// description fails here, not on the first write.
+    /// An empty store; the spec is validated eagerly so a bad description
+    /// fails here, not on the first write.
     ///
     /// # Errors
     /// Any [`SketchSpec::validate`] error.
@@ -287,38 +260,10 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
         Ok(SketchStore {
             spec,
             entries: HashMap::new(),
-            order: BTreeMap::new(),
-            capacity: None,
-            eviction: Eviction::Lru,
             clock: 0,
-            evictions: 0,
             checkpoint_seq: 0,
-            dropped: BTreeSet::new(),
             scratch: GroupScratch::default(),
         })
-    }
-
-    /// A store holding at most `capacity` keys, discarding per `eviction`
-    /// when a new key arrives at the cap.
-    ///
-    /// # Errors
-    /// Any spec validation error, or an
-    /// [`InvalidParameter`](SpecError::InvalidParameter) for a zero
-    /// capacity.
-    pub fn with_capacity(
-        spec: SketchSpec,
-        capacity: usize,
-        eviction: Eviction,
-    ) -> Result<Self, SpecError> {
-        if capacity == 0 {
-            return Err(SpecError::InvalidParameter {
-                detail: "store capacity must be positive".into(),
-            });
-        }
-        let mut store = SketchStore::new(spec)?;
-        store.capacity = Some(capacity);
-        store.eviction = eviction;
-        Ok(store)
     }
 
     /// The spec every sketch is built from.
@@ -343,11 +288,6 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
         self.entries.is_empty()
     }
 
-    /// Keys discarded by the capacity policy so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// The resident keys, in sorted order (the map iteration order is not
     /// deterministic; scans and tests want one).
     pub fn keys(&self) -> Vec<K> {
@@ -362,63 +302,25 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     }
 
     /// Write access to one key's sketch, creating it from the spec on first
-    /// touch (evicting per policy if at capacity). Direct access marks the
-    /// key written; prefer [`insert`](Self::insert) /
-    /// [`ingest`](Self::ingest) unless you need trait methods not surfaced
-    /// here.
+    /// touch and stamping the key written. Prefer [`insert`](Self::insert)
+    /// / [`ingest`](Self::ingest) unless you need trait methods not
+    /// surfaced here.
     pub fn sketch_mut(&mut self, key: &K) -> &mut dyn Sketch {
         self.clock += 1;
-        let stamp = self.clock;
         if !self.entries.contains_key(key) {
-            if let Some(cap) = self.capacity {
-                if self.entries.len() >= cap {
-                    self.evict_one();
-                }
-            }
             let sketch = self
                 .spec
                 .build()
                 .expect("spec was validated at store construction");
-            self.entries.insert(
-                key.clone(),
-                Entry {
-                    sketch: Arc::from(sketch),
-                    order_stamp: stamp,
-                    last_written: stamp,
-                    dirty: true,
-                },
-            );
-            if self.capacity.is_some() {
-                self.order.insert(stamp, key.clone());
-            }
-            let entry = self.entries.get_mut(key).expect("just inserted");
-            return unshared(&mut entry.sketch);
+            let entry = Entry {
+                sketch: Arc::from(sketch),
+                last_written: 0,
+            };
+            self.entries.insert(key.clone(), entry);
         }
-        let entry = self.entries.get_mut(key).expect("presence checked");
-        if self.eviction == Eviction::Lru {
-            // Refresh the key's position in the eviction order.
-            if self.capacity.is_some() {
-                self.order.remove(&entry.order_stamp);
-                self.order.insert(stamp, key.clone());
-            }
-            entry.order_stamp = stamp;
-        }
-        entry.last_written = stamp;
-        entry.dirty = true;
+        let entry = self.entries.get_mut(key).expect("resident or just created");
+        entry.last_written = self.clock;
         unshared(&mut entry.sketch)
-    }
-
-    /// Discard the policy's victim: the oldest stamp in the eviction
-    /// index, O(log n) even under sustained new-key churn at capacity.
-    fn evict_one(&mut self) {
-        if let Some((_, victim)) = self.order.pop_first() {
-            self.entries.remove(&victim);
-            self.evictions += 1;
-            // The victim becomes a tombstone; should it be recreated
-            // later, a fresh dirty record will shadow the tombstone
-            // (tombstones apply first).
-            self.dropped.insert(victim);
-        }
     }
 
     /// Record one occurrence of `item` at tick `ts` on `key`'s stream.
@@ -443,10 +345,9 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     /// Batched keyed ingest: the mixed-key batch is grouped into per-key
     /// event runs first (preserving each key's arrival order), then each
     /// resident-or-created sketch absorbs its runs as weighted updates.
-    /// Keys are dispatched in order of first appearance, which makes
-    /// capacity eviction deterministic for a given batch — note that
-    /// within one batch, write recency (and so the LRU order) follows that
-    /// first-appearance order, not the raw event interleaving.
+    /// Keys are dispatched in order of first appearance, so within one
+    /// batch the write stamps follow that order, not the raw event
+    /// interleaving.
     ///
     /// A run its sketch refuses ([`WriteError`]: a tick before the key's
     /// write clock, an item outside a hierarchy's universe) is skipped and
@@ -506,8 +407,8 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     /// The one grouping routine behind both batch entry points. Pass 1
     /// threads each key's runs into a chain through the store's scratch
     /// (reused across batches; no key is cloned); pass 2 walks the keys in
-    /// first-appearance order — [`sketch_mut`](Self::sketch_mut) creates,
-    /// stamps and evicts exactly as one write per key would — and feeds
+    /// first-appearance order — [`sketch_mut`](Self::sketch_mut) creates
+    /// and stamps exactly as one write per key would — and feeds
     /// each chain to its sketch, folding adjacent equal events into one
     /// weighted update.
     fn ingest_grouped<'a>(&mut self, batch: impl Iterator<Item = (&'a K, StreamEvent, u64)>)
@@ -572,12 +473,10 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     }
 
     /// Declare that every resident sketch's stream clock has reached `ts`
-    /// with no arrivals. Does not refresh write recency. Keys whose write
-    /// clock actually moves are marked dirty — the clock is sketch state an
-    /// incremental snapshot must carry — while keys already at or past `ts`
-    /// (and every key of a count-based store, whose clock only moves on
-    /// arrivals) are provably unchanged: they stay out of the next delta
-    /// and stay shared with any clone of the store.
+    /// with no arrivals. Does not stamp any key written. Keys already at or
+    /// past `ts` (and every key of a count-based store, whose clock only
+    /// moves on arrivals) are provably unchanged, so they stay shared with
+    /// any clone of the store.
     pub fn advance_to(&mut self, ts: u64) {
         if self.spec.clock() == Clock::Count {
             return;
@@ -585,7 +484,6 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
         for entry in self.entries.values_mut() {
             if entry.sketch.write_clock() < ts {
                 unshared(&mut entry.sketch).advance_to(ts);
-                entry.dirty = true;
             }
         }
     }
@@ -697,15 +595,9 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     }
 
     /// Sequence number of the last checkpoint written or restored (0 when
-    /// none); incremental snapshots chain on it.
+    /// none); a write-ahead log's markers name it.
     pub fn checkpoint_seq(&self) -> u64 {
         self.checkpoint_seq
-    }
-
-    /// Number of resident keys an incremental snapshot would rewrite
-    /// (written or created since the last checkpoint).
-    pub fn dirty_len(&self) -> usize {
-        self.entries.values().filter(|e| e.dirty).count()
     }
 
     /// The store's current write-stamp clock: a monotone version that
@@ -738,327 +630,134 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
 /// single-sketch record magic so the two formats cannot be confused.
 const STORE_MAGIC: [u8; 2] = *b"EF";
 
+/// The header's kind byte. Kind 1, an incremental delta, is retired.
 const KIND_FULL: u8 = 0;
-const KIND_INCREMENTAL: u8 = 1;
 
-/// A parsed-and-verified store snapshot, ready to materialize.
-struct ParsedStore<K> {
-    kind: u8,
-    spec: SketchSpec,
-    seq: u64,
-    /// Checkpoint the delta applies on top of (incremental only).
-    base: u64,
-    capacity: Option<usize>,
-    eviction: Eviction,
-    clock: u64,
-    evictions: u64,
-    /// `(key, order_stamp, last_written, sketch)` in writer order.
-    records: Vec<(K, u64, u64, Box<dyn Sketch>)>,
-    tombstones: Vec<K>,
-}
-
-/// Fleet persistence: one snapshot holds the spec, the eviction state
-/// (stamps, clock, counters) and every resident sketch's full payload, so
-/// [`load_snapshot`](SketchStore::load_snapshot) rebuilds a store that is
-/// observationally identical — queries, memory accounting, and *future
-/// eviction decisions* included. [`write_incremental`](SketchStore::write_incremental)
-/// rewrites only keys dirtied since the last checkpoint (plus tombstones
-/// for evicted keys), chained by sequence number.
+/// Fleet persistence: one snapshot holds the spec, the write stamps (the
+/// store clock and each key's `last_written`) and every resident sketch's
+/// full payload, so [`load_snapshot`](SketchStore::load_snapshot) rebuilds a
+/// store that is observationally identical — queries, memory accounting and
+/// [`written_since`](SketchStore::written_since) included.
+///
+/// Format v1 keeps the fields of the retired bounded store and incremental
+/// delta, each written with the one value an unbounded full snapshot always
+/// had: kind 0, no capacity, eviction policy 0, no evictions, no tombstones,
+/// and an order stamp equal to each record's write stamp. Any other value is
+/// a [`Retired`](SnapshotError::Retired) error, so a loaded store re-encodes
+/// to the bytes it was loaded from.
 impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
-    /// Serialize the whole fleet as a **full** checkpoint. Advances the
-    /// checkpoint sequence and resets the dirty set, so a subsequent
-    /// [`write_incremental`](Self::write_incremental) captures exactly the
-    /// writes from here on.
+    /// Serialize the whole fleet as a checkpoint and advance the checkpoint
+    /// sequence.
     ///
     /// **Durability contract:** the sequence advances when the bytes are
     /// rendered, not when they reach disk — the caller owns persistence.
     /// If persisting fails, retry with the *same returned bytes* (they
-    /// remain the checkpoint for this sequence number); discarding them and
-    /// writing the next checkpoint instead leaves a gap the restore side
-    /// reports as [`SequenceMismatch`](SnapshotError::SequenceMismatch).
+    /// remain the checkpoint for this sequence number).
     ///
     /// # Errors
     /// [`SnapshotError::SpecMismatch`] if a resident sketch does not match
     /// the spec (impossible through this API, possible through downcasting
     /// games).
     pub fn write_snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let keys: Vec<K> = self.keys();
-        let bytes = self.render(KIND_FULL, &keys)?;
-        self.checkpointed(self.checkpoint_seq + 1);
-        Ok(bytes)
-    }
-
-    /// Serialize only the keys dirtied since the last checkpoint, plus
-    /// tombstones for keys evicted since — the delta to chain onto the
-    /// snapshot (full or incremental) with the current
-    /// [`checkpoint_seq`](Self::checkpoint_seq). Advances the sequence and
-    /// resets the dirty set. The durability contract of
-    /// [`write_snapshot`](Self::write_snapshot) applies: on a failed
-    /// persist, retry with the same returned bytes.
-    ///
-    /// # Errors
-    /// As [`write_snapshot`](Self::write_snapshot).
-    pub fn write_incremental(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let mut keys: Vec<K> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.sort_unstable();
-        let bytes = self.render(KIND_INCREMENTAL, &keys)?;
-        self.checkpointed(self.checkpoint_seq + 1);
-        Ok(bytes)
-    }
-
-    /// The store now equals checkpoint `seq`: the working set is empty.
-    fn checkpointed(&mut self, seq: u64) {
-        self.checkpoint_seq = seq;
-        for entry in self.entries.values_mut() {
-            entry.dirty = false;
-        }
-        self.dropped.clear();
-    }
-
-    fn render(&self, kind: u8, keys: &[K]) -> Result<Vec<u8>, SnapshotError> {
         format_bounds(&self.spec)?;
+        let seq = self.checkpoint_seq + 1;
         let mut buf = frame::begin(STORE_MAGIC, SNAPSHOT_VERSION);
-        put_u8(&mut buf, kind);
+        put_u8(&mut buf, KIND_FULL);
         encode_spec(&self.spec, &mut buf);
-        put_varint(&mut buf, self.checkpoint_seq + 1);
-        if kind == KIND_INCREMENTAL {
-            put_varint(&mut buf, self.checkpoint_seq);
-        }
-        put_opt(&mut buf, self.capacity.map(|c| c as u64));
-        put_u8(
-            &mut buf,
-            match self.eviction {
-                Eviction::Lru => 0,
-                Eviction::Fifo => 1,
-            },
-        );
+        put_varint(&mut buf, seq);
+        put_opt(&mut buf, None); // capacity
+        put_u8(&mut buf, 0); // eviction policy
         put_varint(&mut buf, self.clock);
-        put_varint(&mut buf, self.evictions);
-        // Tombstones live in the header segment so that one header checksum
-        // and the per-record checksums together cover every byte exactly
-        // once — no redundant whole-file hashing pass on multi-MB fleets.
-        if kind == KIND_INCREMENTAL {
-            put_varint(&mut buf, self.dropped.len() as u64);
-            for key in &self.dropped {
-                key.encode_key(&mut buf);
-            }
-        } else {
-            put_varint(&mut buf, 0);
-        }
-        put_varint(&mut buf, keys.len() as u64);
+        put_varint(&mut buf, 0); // evictions
+        put_varint(&mut buf, 0); // tombstones
+        put_varint(&mut buf, self.entries.len() as u64);
         frame::seal(&mut buf, 0);
+        let mut entries: Vec<(&K, &Entry)> = self.entries.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut payload = Vec::new();
-        for key in keys {
-            let entry = self.entries.get(key).expect("caller passes resident keys");
+        for (key, entry) in entries {
             let start = buf.len();
             key.encode_key(&mut buf);
-            put_varint(&mut buf, entry.order_stamp);
+            // The order stamp, then the write stamp.
+            put_varint(&mut buf, entry.last_written);
             put_varint(&mut buf, entry.last_written);
             payload.clear();
             encode_payload(&self.spec, &*entry.sketch, &mut payload)?;
             frame::put_bytes(&mut buf, &payload);
             frame::seal(&mut buf, start);
         }
+        self.checkpoint_seq = seq;
         Ok(buf)
     }
 
-    /// The one decode path of an `"EF"` snapshot, full or incremental.
-    fn parse(bytes: &[u8]) -> Result<ParsedStore<K>, SnapshotError> {
+    /// Rebuild a store from a snapshot: spec, write stamps and every
+    /// sketch, observationally identical to the store that wrote it, at
+    /// the snapshot's [`checkpoint_seq`](Self::checkpoint_seq).
+    ///
+    /// # Errors
+    /// Any [`SnapshotError`]; a field holding a value only a retired writer
+    /// produced is [`Retired`](SnapshotError::Retired).
+    pub fn load_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let retired = |field| Err(SnapshotError::Retired { field });
         let mut input = bytes;
         let versions = SNAPSHOT_VERSION..=SNAPSHOT_VERSION;
         frame::open(&mut input, STORE_MAGIC, versions, "store snapshot header")?;
-        let kind = get_u8(&mut input, "store snapshot kind")?;
-        if kind != KIND_FULL && kind != KIND_INCREMENTAL {
-            return Err(corrupt("store snapshot kind"));
+        // A delta's header is laid out differently from here on.
+        match get_u8(&mut input, "store snapshot kind")? {
+            KIND_FULL => {}
+            1 => return retired("store snapshot kind (an incremental delta)"),
+            _ => return Err(corrupt("store snapshot kind")),
         }
-        let spec = decode_spec(&mut input)?;
-        let seq = get_varint(&mut input, "store snapshot seq")?;
-        let base = if kind == KIND_INCREMENTAL {
-            get_varint(&mut input, "store snapshot base seq")?
-        } else {
-            0
-        };
-        let capacity = match get_opt(&mut input, "store capacity")? {
-            Some(0) => return Err(corrupt("store capacity")),
-            c => c.map(|c| c as usize),
-        };
-        let eviction = match get_u8(&mut input, "store eviction policy")? {
-            0 => Eviction::Lru,
-            1 => Eviction::Fifo,
-            _ => return Err(corrupt("store eviction policy")),
-        };
-        let clock = get_varint(&mut input, "store clock")?;
+        let mut store = SketchStore::new(decode_spec(&mut input)?)?;
+        store.checkpoint_seq = get_varint(&mut input, "store snapshot seq")?;
+        let capacity = get_opt(&mut input, "store capacity")?;
+        let policy = get_u8(&mut input, "store eviction policy")?;
+        store.clock = get_varint(&mut input, "store clock")?;
         let evictions = get_varint(&mut input, "store evictions")?;
-        let n_tombstones = get_varint(&mut input, "store tombstone count")? as usize;
-        if kind == KIND_FULL && n_tombstones != 0 {
-            return Err(corrupt("store tombstones"));
+        // Tombstone keys would follow the count.
+        if get_varint(&mut input, "store tombstone count")? != 0 {
+            return retired("store tombstones");
         }
-        let mut tombstones = Vec::with_capacity(n_tombstones.min(1024));
-        for _ in 0..n_tombstones {
-            tombstones.push(K::decode_key(&mut input)?);
-        }
-        let n_records = get_varint(&mut input, "store record count")? as usize;
-        // Header integrity (everything parsed so far) before the records
-        // are decoded; each record then carries its own seal, so every
-        // byte is verified exactly once.
+        let n_records = get_varint(&mut input, "store record count")?;
+        // Header integrity (everything parsed so far) before any field is
+        // trusted; each record then carries its own seal, so every byte is
+        // verified exactly once.
         frame::check_seal(bytes, &mut input, "store snapshot header")?;
-        let mut records = Vec::new();
+        if capacity.is_some() {
+            return retired("store capacity");
+        }
+        if policy != 0 {
+            return retired("store eviction policy");
+        }
+        if evictions != 0 {
+            return retired("store evictions");
+        }
         for _ in 0..n_records {
             let start = input;
             let key = K::decode_key(&mut input)?;
             let order_stamp = get_varint(&mut input, "store order stamp")?;
             let last_written = get_varint(&mut input, "store write stamp")?;
-            if order_stamp == 0 || order_stamp > clock || last_written > clock {
-                return Err(corrupt("store stamps"));
-            }
             let payload = frame::take_bytes(&mut input, "store payload")?;
             frame::check_seal(start, &mut input, "store key record")?;
-            let sketch = decode_payload(&spec, payload)?;
-            records.push((key, order_stamp, last_written, sketch));
+            if last_written == 0 || last_written > store.clock {
+                return Err(corrupt("store write stamp"));
+            }
+            if order_stamp != last_written {
+                return retired("store order stamp");
+            }
+            let sketch = Arc::from(decode_payload(&store.spec, payload)?);
+            let entry = Entry {
+                sketch,
+                last_written,
+            };
+            if store.entries.insert(key, entry).is_some() {
+                return Err(corrupt("store duplicate key"));
+            }
         }
         if !input.is_empty() {
             return Err(SnapshotError::TrailingBytes { count: input.len() });
         }
-        Ok(ParsedStore {
-            kind,
-            spec,
-            seq,
-            base,
-            capacity,
-            eviction,
-            clock,
-            evictions,
-            records,
-            tombstones,
-        })
-    }
-
-    /// Rebuild a store from a **full** snapshot: spec, capacity policy,
-    /// eviction stamps and every sketch, observationally identical to the
-    /// store that wrote it. The restored store starts with a clean dirty
-    /// set at the snapshot's [`checkpoint_seq`](Self::checkpoint_seq),
-    /// ready for [`apply_incremental`](Self::apply_incremental) deltas.
-    ///
-    /// # Errors
-    /// Any [`SnapshotError`]; applying an incremental snapshot here is a
-    /// [`SpecMismatch`](SnapshotError::SpecMismatch).
-    pub fn load_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let parsed = Self::parse(bytes)?;
-        if parsed.kind != KIND_FULL {
-            return Err(SnapshotError::SpecMismatch {
-                detail: "incremental snapshot: load the full base first, \
-                         then apply_incremental"
-                    .into(),
-            });
-        }
-        let mut store = SketchStore::new(parsed.spec)?;
-        store.capacity = parsed.capacity;
-        store.eviction = parsed.eviction;
-        store.clock = parsed.clock;
-        store.evictions = parsed.evictions;
-        store.checkpoint_seq = parsed.seq;
-        store.insert_records(parsed.records)?;
-        store.check_capacity()?;
         Ok(store)
-    }
-
-    /// Apply an incremental snapshot on top of this (restored) store:
-    /// tombstoned keys are dropped, rewritten keys replaced, and the
-    /// eviction clock fast-forwarded to the writer's. The delta must chain
-    /// directly on this store's [`checkpoint_seq`](Self::checkpoint_seq).
-    ///
-    /// # Errors
-    /// [`SnapshotError::SequenceMismatch`] when applied out of order,
-    /// [`SpecMismatch`](SnapshotError::SpecMismatch) when spec or capacity
-    /// policy differ, or any decode error. On any error the store is
-    /// unchanged.
-    pub fn apply_incremental(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let parsed = Self::parse(bytes)?;
-        if parsed.kind != KIND_INCREMENTAL {
-            return Err(SnapshotError::SpecMismatch {
-                detail: "full snapshot: use load_snapshot, not apply_incremental".into(),
-            });
-        }
-        if parsed.spec != self.spec {
-            return Err(SnapshotError::SpecMismatch {
-                detail: format!(
-                    "delta spec {:?} differs from the store's {:?}",
-                    parsed.spec, self.spec
-                ),
-            });
-        }
-        if parsed.capacity != self.capacity || parsed.eviction != self.eviction {
-            return Err(SnapshotError::SpecMismatch {
-                detail: "delta capacity/eviction policy differs from the store's".into(),
-            });
-        }
-        if parsed.base != self.checkpoint_seq {
-            return Err(SnapshotError::SequenceMismatch {
-                expected: parsed.base,
-                found: self.checkpoint_seq,
-            });
-        }
-        // Applied to a copy (a map of pointers) and swapped in only whole:
-        // a delta that fails part-way leaves this store untouched.
-        let mut next = self.clone();
-        // Tombstones first: a key evicted and then recreated since the
-        // base carries both a tombstone and a fresh record.
-        for key in &parsed.tombstones {
-            if let Some(entry) = next.entries.remove(key) {
-                next.order.remove(&entry.order_stamp);
-            }
-        }
-        for (key, _, _, _) in &parsed.records {
-            if let Some(entry) = next.entries.remove(key) {
-                next.order.remove(&entry.order_stamp);
-            }
-        }
-        next.insert_records(parsed.records)?;
-        next.clock = parsed.clock;
-        next.evictions = parsed.evictions;
-        next.checkpointed(parsed.seq);
-        next.check_capacity()?;
-        *self = next;
-        Ok(())
-    }
-
-    fn insert_records(
-        &mut self,
-        records: Vec<(K, u64, u64, Box<dyn Sketch>)>,
-    ) -> Result<(), SnapshotError> {
-        for (key, order_stamp, last_written, sketch) in records {
-            if self.capacity.is_some() && self.order.insert(order_stamp, key.clone()).is_some() {
-                return Err(corrupt("store duplicate order stamp"));
-            }
-            if self
-                .entries
-                .insert(
-                    key,
-                    Entry {
-                        sketch: Arc::from(sketch),
-                        order_stamp,
-                        last_written,
-                        dirty: false,
-                    },
-                )
-                .is_some()
-            {
-                return Err(corrupt("store duplicate key"));
-            }
-        }
-        Ok(())
-    }
-
-    fn check_capacity(&self) -> Result<(), SnapshotError> {
-        if self.capacity.is_some_and(|cap| self.entries.len() > cap) {
-            return Err(corrupt("store capacity exceeded"));
-        }
-        Ok(())
     }
 }
 
@@ -1076,9 +775,6 @@ impl<K> std::fmt::Debug for SketchStore<K> {
         f.debug_struct("SketchStore")
             .field("spec", &self.spec)
             .field("keys", &self.entries.len())
-            .field("capacity", &self.capacity)
-            .field("eviction", &self.eviction)
-            .field("evictions", &self.evictions)
             .finish()
     }
 }
@@ -1087,6 +783,8 @@ impl<K> std::fmt::Debug for SketchStore<K> {
 mod tests {
     use super::*;
     use crate::api::Backend;
+    use crate::snapshot::tests::{replace_zero, reseal};
+    use sliding_window::CodecError;
 
     fn spec() -> SketchSpec {
         SketchSpec::time(1_000).epsilon(0.1).delta(0.1).seed(3)
@@ -1224,76 +922,23 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_lru_by_write_recency() {
-        let mut store: SketchStore<u64> =
-            SketchStore::with_capacity(spec(), 2, Eviction::Lru).unwrap();
-        store.insert(1, 10, 0);
-        store.insert(2, 11, 0);
-        store.insert(1, 12, 0); // refresh key 1; key 2 is now LRU
-        store.insert(3, 13, 0); // evicts key 2
-        assert_eq!(store.keys(), vec![1, 3]);
-        assert_eq!(store.evictions(), 1);
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
     fn grouped_ingest_eviction_follows_first_appearance_order() {
-        use crate::sketch::StreamEvent;
-        let mut store: SketchStore<&'static str> =
-            SketchStore::with_capacity(spec(), 2, Eviction::Lru).unwrap();
+        let mut store: SketchStore<&'static str> = SketchStore::new(spec()).unwrap();
         // Raw interleaving writes "a" last, but grouped dispatch stamps
-        // keys by first appearance: a, b, then c evicts a.
+        // keys by first appearance: a, b, c.
         store.ingest(&[
             ("a", StreamEvent::new(1, 1)),
             ("b", StreamEvent::new(1, 1)),
             ("a", StreamEvent::new(2, 2)),
             ("c", StreamEvent::new(1, 3)),
         ]);
-        assert_eq!(store.keys(), vec!["b", "c"]);
-        assert_eq!(store.evictions(), 1);
-    }
-
-    #[test]
-    fn capacity_evicts_fifo_by_creation() {
-        let mut store: SketchStore<u64> =
-            SketchStore::with_capacity(spec(), 2, Eviction::Fifo).unwrap();
-        store.insert(1, 10, 0);
-        store.insert(2, 11, 0);
-        store.insert(1, 12, 0); // writes don't matter to FIFO
-        store.insert(3, 13, 0); // evicts key 1 (oldest creation)
-        assert_eq!(store.keys(), vec![2, 3]);
-        assert_eq!(store.evictions(), 1);
-    }
-
-    #[test]
-    fn churning_one_shot_keys_stay_within_capacity() {
-        // The attack-traffic scenario: sustained brand-new keys at
-        // capacity. Every arrival evicts exactly one resident, the hot
-        // keys being rewritten stay resident under LRU, and the eviction
-        // index never drifts from the entry map.
-        let mut store: SketchStore<u64> =
-            SketchStore::with_capacity(spec(), 8, Eviction::Lru).unwrap();
-        for t in 1..=500u64 {
-            store.insert(t % 4, t, 0); // four hot tenants, always refreshed
-            store.insert(1_000 + t, t, 0); // one-shot noise key per tick
-        }
-        assert_eq!(store.len(), 8);
-        let keys = store.keys();
-        for hot in 0..4u64 {
-            assert!(keys.contains(&hot), "hot key {hot} evicted: {keys:?}");
-        }
-        // 500 noise keys entered an 8-slot store: all but the last few
-        // were pushed back out.
-        assert!(store.evictions() >= 490, "evictions={}", store.evictions());
+        assert_eq!(store.version(), 3);
+        assert_eq!(store.written_since(1), vec![&"b", &"c"]);
     }
 
     #[test]
     fn construction_validates_spec_and_capacity() {
         assert!(SketchStore::<u64>::new(SketchSpec::time(0)).is_err());
-        assert!(
-            SketchStore::<u64>::with_capacity(spec(), 0, Eviction::Lru).is_err(),
-            "zero capacity must be rejected"
-        );
     }
 
     #[test]
@@ -1351,10 +996,9 @@ mod tests {
 
     #[test]
     fn debug_formatting_is_stable() {
-        let store: SketchStore<u64> =
-            SketchStore::with_capacity(spec(), 7, Eviction::Fifo).unwrap();
+        let store: SketchStore<u64> = SketchStore::new(spec()).unwrap();
         let dbg = format!("{store:?}");
-        assert!(dbg.contains("SketchStore") && dbg.contains("capacity"));
+        assert!(dbg.contains("SketchStore") && dbg.contains("keys"));
     }
 
     /// Bit-identical point answers across two stores for every resident key.
@@ -1381,218 +1025,132 @@ mod tests {
 
     #[test]
     fn full_snapshot_round_trips_fleet_and_eviction_state() {
-        let mut store: SketchStore<u64> =
-            SketchStore::with_capacity(spec(), 4, Eviction::Lru).unwrap();
+        let mut store: SketchStore<u64> = SketchStore::new(spec()).unwrap();
         for t in 1..=800u64 {
-            store.insert(t % 6, t, t % 8); // 6 keys through a 4-slot store
+            store.insert(t % 6, t, t % 8);
         }
-        let before_evictions = store.evictions();
         let bytes = store.write_snapshot().unwrap();
         assert_eq!(store.checkpoint_seq(), 1);
-        assert_eq!(store.dirty_len(), 0, "checkpoint resets the dirty set");
 
         let restored = SketchStore::<u64>::load_snapshot(&bytes).unwrap();
         assert_eq!(restored.checkpoint_seq(), 1);
-        assert_eq!(restored.evictions(), before_evictions);
         assert_eq!(restored.memory_bytes(), store.memory_bytes());
         assert_stores_agree(&store, &restored, WindowSpec::time(800, 1_000));
 
-        // The restored store makes the *same* future eviction decision: the
-        // LRU stamp index survived the round trip.
+        // The write stamps survived: the same keys read as written since
+        // any version, and the next write stamps the same version.
+        assert_eq!(restored.version(), store.version());
+        assert_eq!(restored.written_since(797), store.written_since(797));
         let mut live = store;
         let mut back = restored;
         live.insert(99, 801, 0);
         back.insert(99, 801, 0);
-        assert_eq!(live.keys(), back.keys(), "same victim evicted");
-    }
-
-    #[test]
-    fn incremental_chain_restores_to_the_live_state() {
-        let mut store: SketchStore<u64> = SketchStore::new(spec()).unwrap();
-        for t in 1..=300u64 {
-            store.insert(t % 5, t, t % 8);
-        }
-        let full = store.write_snapshot().unwrap();
-
-        // Epoch 1: two keys move, one is brand new.
-        for t in 301..=400u64 {
-            store.insert(t % 2, t, 1);
-        }
-        store.insert(7, 401, 3);
-        assert_eq!(store.dirty_len(), 3);
-        let delta1 = store.write_incremental().unwrap();
-
-        // Epoch 2: one more key moves.
-        for t in 402..=450u64 {
-            store.insert(3, t, 5);
-        }
-        let delta2 = store.write_incremental().unwrap();
-
-        // Deltas only carry the dirty keys: far smaller than the base.
-        assert!(
-            delta1.len() < full.len(),
-            "{} !< {}",
-            delta1.len(),
-            full.len()
-        );
-
-        let mut restored = SketchStore::<u64>::load_snapshot(&full).unwrap();
-        restored.apply_incremental(&delta1).unwrap();
-        restored.apply_incremental(&delta2).unwrap();
-        assert_stores_agree(&store, &restored, WindowSpec::time(450, 1_000));
-
-        // Replays and skips are sequence errors, not silent corruption.
-        assert!(matches!(
-            restored.apply_incremental(&delta1),
-            Err(crate::snapshot::SnapshotError::SequenceMismatch { .. })
-        ));
-        let mut fresh = SketchStore::<u64>::load_snapshot(&full).unwrap();
-        assert!(matches!(
-            fresh.apply_incremental(&delta2),
-            Err(crate::snapshot::SnapshotError::SequenceMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn incremental_tombstones_carry_evictions() {
-        let mut store: SketchStore<u64> =
-            SketchStore::with_capacity(spec(), 3, Eviction::Lru).unwrap();
-        for key in 0..3u64 {
-            store.insert(key, 10, 0);
-        }
-        let full = store.write_snapshot().unwrap();
-        // Key 3 arrives, evicting key 0 (the LRU victim).
-        store.insert(3, 20, 0);
-        assert_eq!(store.keys(), vec![1, 2, 3]);
-        let delta = store.write_incremental().unwrap();
-
-        let mut restored = SketchStore::<u64>::load_snapshot(&full).unwrap();
-        assert_eq!(restored.keys(), vec![0, 1, 2]);
-        restored.apply_incremental(&delta).unwrap();
-        assert_eq!(restored.keys(), vec![1, 2, 3]);
-        assert_eq!(restored.evictions(), 1);
-    }
-
-    #[test]
-    fn a_delta_that_fails_part_way_leaves_the_store_untouched() {
-        let mut writer: SketchStore<u64> = SketchStore::new(spec()).unwrap();
-        for t in 1..=100u64 {
-            writer.insert(t % 3, t, 1);
-        }
-        let full = writer.write_snapshot().unwrap();
-        writer.insert(1, 101, 2);
-        let delta = writer.write_incremental().unwrap();
-
-        // Re-seal the one-record delta with its record repeated: checksum
-        // valid, so it fails only when the second copy meets the first.
-        let header_len = (1..delta.len() - 8)
-            .find(|&h| delta[h..].starts_with(&frame::fnv1a(&delta[..h]).to_le_bytes()))
-            .expect("the header checksum");
-        assert_eq!(delta[header_len - 1], 1, "the record count");
-        let record = &delta[header_len + 8..];
-        let mut doubled = delta[..header_len - 1].to_vec();
-        put_varint(&mut doubled, 2);
-        frame::seal(&mut doubled, 0);
-        doubled.extend_from_slice(record);
-        doubled.extend_from_slice(record);
-
-        let mut store = SketchStore::<u64>::load_snapshot(&full).unwrap();
-        assert!(store.apply_incremental(&doubled).is_err());
-        let mut fresh = SketchStore::<u64>::load_snapshot(&full).unwrap();
-        assert!(
-            store.write_snapshot().unwrap() == fresh.write_snapshot().unwrap(),
-            "the failed delta changed the store"
-        );
-    }
-
-    #[test]
-    fn eviction_shrinks_memory_accounting() {
-        // The exact backend's memory is content-proportional (the EH slab
-        // pre-allocates to capacity), so warm-vs-cold differences are
-        // visible in the accounting.
-        let exact_spec = spec().backend(Backend::Exact);
-        let mut store: SketchStore<u64> =
-            SketchStore::with_capacity(exact_spec, 3, Eviction::Lru).unwrap();
-        for t in 1..=600u64 {
-            store.insert(t % 3, t, t % 32);
-        }
-        let full3 = store.memory_bytes();
-        assert!(full3 > 0);
-        // A new key evicts one resident; the accounting must track it.
-        store.insert(50, 601, 0);
-        assert_eq!(store.len(), 3);
-        let after = store.memory_bytes();
-        assert!(
-            after < full3,
-            "evicting a warm sketch for a cold one must shrink memory: \
-             {full3} -> {after}"
-        );
-        assert_eq!(
-            after,
-            store
-                .memory_report()
-                .per_key
-                .iter()
-                .map(|&(_, b)| b)
-                .sum::<usize>()
-        );
-    }
-
-    #[test]
-    fn snapshot_mid_eviction_round_trips() {
-        // The satellite scenario guarding the LRU stamp index: checkpoint a
-        // store that has already evicted (and will evict again), restore,
-        // and verify both the query surface and the *next* eviction.
-        let mut store: SketchStore<u64> =
-            SketchStore::with_capacity(spec(), 2, Eviction::Fifo).unwrap();
-        store.insert(1, 10, 0);
-        store.insert(2, 11, 0);
-        store.insert(3, 12, 0); // evicts 1 (FIFO)
-        assert_eq!(store.evictions(), 1);
-        let bytes = store.write_snapshot().unwrap();
-        let mut restored = SketchStore::<u64>::load_snapshot(&bytes).unwrap();
-        assert_eq!(restored.keys(), vec![2, 3]);
-        assert_eq!(restored.evictions(), 1);
-        // Next eviction victim must match the original store's.
-        store.insert(4, 13, 0);
-        restored.insert(4, 13, 0);
-        assert_eq!(store.keys(), restored.keys());
-        assert_eq!(store.evictions(), restored.evictions());
+        assert_eq!(live.written_since(800), back.written_since(800));
+        // Re-encoded at the sequence it was written at, a loaded store is
+        // the loaded bytes, byte for byte.
+        let mut again = SketchStore::<u64>::load_snapshot(&bytes).unwrap();
+        again.checkpoint_seq = 0;
+        assert!(again.write_snapshot().unwrap() == bytes);
     }
 
     #[test]
     fn store_snapshot_rejects_corruption_and_misuse() {
+        use crate::snapshot::SnapshotError;
         let mut store: SketchStore<u64> = SketchStore::new(spec()).unwrap();
         for t in 1..=100u64 {
             store.insert(t % 3, t, 1);
         }
         let full = store.write_snapshot().unwrap();
-        let delta = store.write_incremental().unwrap();
-
-        use crate::snapshot::SnapshotError;
-        // Kind misuse is typed.
-        assert!(matches!(
-            SketchStore::<u64>::load_snapshot(&delta),
-            Err(SnapshotError::SpecMismatch { .. })
-        ));
-        let mut target = SketchStore::<u64>::load_snapshot(&full).unwrap();
-        assert!(matches!(
-            target.apply_incremental(&full),
-            Err(SnapshotError::SpecMismatch { .. })
-        ));
         // Bad magic, version bump, bit rot and truncation are the
-        // robustness suite's (`tests/frame_robustness.rs`).
-        // A delta for a different spec is refused.
-        let mut other: SketchStore<u64> =
-            SketchStore::new(SketchSpec::time(1_000).seed(99)).unwrap();
-        other.insert(1, 1, 1);
-        let _ = other.write_snapshot().unwrap();
-        other.insert(1, 2, 1);
-        let foreign = other.write_incremental().unwrap();
+        // robustness suite's (`tests/frame_robustness.rs`); retired header
+        // values are `retired_values_are_typed_errors_naming_the_field`'s.
+        // A single-sketch record is not a fleet.
+        let record = spec().snapshot(store.get(&1).unwrap()).unwrap();
         assert!(matches!(
-            target.apply_incremental(&foreign),
-            Err(SnapshotError::SpecMismatch { .. })
+            SketchStore::<u64>::load_snapshot(&record),
+            Err(SnapshotError::BadMagic)
         ));
+        // Nothing may follow the last record.
+        let mut trailing = full.clone();
+        trailing.push(0);
+        assert!(matches!(
+            SketchStore::<u64>::load_snapshot(&trailing),
+            Err(SnapshotError::TrailingBytes { count: 1 })
+        ));
+        // A one-key fleet re-sealed with its record repeated: every checksum
+        // is valid, so it fails only when the second copy meets the first.
+        let mut one: SketchStore<u64> = SketchStore::new(spec()).unwrap();
+        one.insert(1, 1, 1);
+        let bytes = one.write_snapshot().unwrap();
+        let (header, record) = split_header(&bytes);
+        let mut count = header.to_vec();
+        assert_eq!(count[header.len() - 9], 1, "the record count");
+        count[header.len() - 9] = 2;
+        let mut doubled = reseal(count);
+        doubled.extend_from_slice(record);
+        doubled.extend_from_slice(record);
+        assert!(matches!(
+            SketchStore::<u64>::load_snapshot(&doubled),
+            Err(SnapshotError::Codec(CodecError::Corrupt {
+                context: "store duplicate key"
+            }))
+        ));
+    }
+
+    /// `bytes` split after the header seal: the sealed header, then the
+    /// key records.
+    fn split_header(bytes: &[u8]) -> (&[u8], &[u8]) {
+        let end = (1..bytes.len() - 8)
+            .find(|&h| bytes[h..].starts_with(&frame::fnv1a(&bytes[..h]).to_le_bytes()))
+            .expect("the header seal");
+        bytes.split_at(end + 8)
+    }
+
+    #[test]
+    fn retired_values_are_typed_errors_naming_the_field() {
+        use crate::snapshot::SnapshotError;
+        // One key written twice: clock 2, and the key's stamps 2 and 2.
+        let mut store: SketchStore<u64> = SketchStore::new(spec()).unwrap();
+        store.insert(7, 1, 1);
+        store.insert(7, 2, 1);
+        let bytes = store.write_snapshot().unwrap();
+        let (header, record) = split_header(&bytes);
+        // The header closes with seq 1, no capacity, policy 0, clock 2, no
+        // evictions, no tombstones and 1 record, then its 8-byte seal.
+        let fields = header.len() - 8 - 7;
+        assert_eq!(header[fields..header.len() - 8], [1, 0, 0, 2, 0, 0, 1]);
+        let mut capacity = Vec::new();
+        put_opt(&mut capacity, Some(3));
+        let mut tombstone = vec![1];
+        9u64.encode_key(&mut tombstone);
+        // The one record after the key: order stamp 2 → 1.
+        let mut stale_order = record.to_vec();
+        assert_eq!(stale_order[1..3], [2, 2], "the record's stamps");
+        stale_order[1] = 1;
+
+        let header_with = |at: usize, with: &[u8]| {
+            let mut bad = reseal(replace_zero(header, at, with));
+            bad.extend_from_slice(record);
+            bad
+        };
+        let retired = [
+            ("kind", header_with(3, &[1])),
+            ("capacity", header_with(fields + 1, &capacity)),
+            ("policy", header_with(fields + 2, &[1])),
+            ("evictions", header_with(fields + 4, &[1])),
+            ("tombstones", header_with(fields + 5, &tombstone)),
+            ("order stamp", [header, &reseal(stale_order)].concat()),
+        ];
+        for (name, bad) in retired {
+            match SketchStore::<u64>::load_snapshot(&bad) {
+                Err(SnapshotError::Retired { field }) => {
+                    assert!(field.contains(name), "{name}: {field}")
+                }
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+        // The unedited bytes still load.
+        assert!(SketchStore::<u64>::load_snapshot(&bytes).is_ok());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! every read, a caller registers a [`ViewDef`] once and the ingest path
 //! keeps the answer fresh: after each batch, [`ViewSet::maintain`]
 //! recomputes exactly the views whose inputs changed — dirty keys are
-//! detected through the same per-entry write stamps the incremental
-//! snapshot (delta) machinery records, via
+//! detected through the store's per-key write stamps, via
 //! [`SketchStore::written_since`] — and publishes a new sequence number.
 //! Reads ([`ViewSet::read`]) return the cached answer at memory speed.
 //!
@@ -510,7 +509,7 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     /// Maintenance round after an applied ingest batch: publish a new
     /// sequence, recompute exactly the hot/pending views whose inputs
     /// changed — keys written since the previous round, read from the
-    /// store's incremental-snapshot write stamps — and report the
+    /// store's write stamps — and report the
     /// changes subscribers should hear about.
     pub fn maintain(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent<K>> {
         self.seq += 1;
@@ -576,7 +575,7 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
             }
             recomputes += 1;
             let Ok(Some((answer, now))) = evaluate(&view.def, store) else {
-                // Key evicted or the backend rejected the query: fall back
+                // Key not resident or the backend rejected the query: fall back
                 // to pending and let a later write re-materialize it.
                 view.state = State::Pending;
                 continue;

@@ -1,6 +1,6 @@
 //! One robustness suite for every framed on-disk format (`ecm::frame`):
-//! the single-sketch record (`"ES"`), full and incremental fleet snapshots
-//! (`"EF"`) and a write-ahead-log segment (`"EL"`) holding runs and marker
+//! the single-sketch record (`"ES"`), the fleet snapshot (`"EF"`) and a
+//! write-ahead-log segment (`"EL"`) holding runs and marker
 //! records. Each producer's bytes are damaged the same ways — magic,
 //! version, truncation at every offset, every single-bit flip at every byte
 //! — and the decoder must answer with a typed error, never a panic and
@@ -10,7 +10,7 @@
 
 use ecm::wal::{encode_checkpoint, encode_runs, encode_segment_header, replay};
 use ecm::wal::{WalSegment, WalSegmentHeader};
-use ecm::{restore_any, Eviction, SketchSpec, SketchStore, SnapshotError, StreamEvent};
+use ecm::{restore_any, SketchSpec, SketchStore, SnapshotError, StreamEvent};
 
 type Decode = Box<dyn Fn(&[u8]) -> Result<u64, SnapshotError>>;
 
@@ -67,18 +67,12 @@ fn producers() -> Vec<Producer> {
     }
     let record = spec().snapshot(&*sketch).unwrap();
 
-    // Three keys through a three-slot LRU store, checkpointed; then a
-    // fourth key evicts the first, so the delta carries records and a
-    // tombstone.
-    let mut store = SketchStore::with_capacity(spec(), 3, Eviction::Lru).unwrap();
+    // Three keys, checkpointed.
+    let mut store = SketchStore::new(spec()).unwrap();
     for t in 1..=60u64 {
         store.insert(["a", "b", "c"][t as usize % 3].to_string(), t, t % 5);
     }
     let full = store.write_snapshot().unwrap();
-    store.insert("b".to_string(), 61, 2);
-    store.insert("d".to_string(), 62, 3);
-    let delta = store.write_incremental().unwrap();
-    let base = SketchStore::<String>::load_snapshot(&full).unwrap();
 
     // A segment as a shard writes it: the genesis marker, runs, a marker
     // for a checkpoint that never landed, more runs.
@@ -104,12 +98,6 @@ fn producers() -> Vec<Producer> {
             name: "EF full",
             bytes: full,
             decode: Box::new(|b| SketchStore::<String>::load_snapshot(b).map(|_| 0)),
-            clean_prefix: None,
-        },
-        Producer {
-            name: "EF delta",
-            bytes: delta,
-            decode: Box::new(move |b| base.clone().apply_incremental(b).map(|()| 0)),
             clean_prefix: None,
         },
         Producer {

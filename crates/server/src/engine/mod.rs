@@ -170,13 +170,10 @@ pub enum ShardMsg {
         /// Where the worker acks.
         reply: Sender<ShardReply>,
     },
-    /// Checkpoint this shard's store into `dir` as `shard-<i>.full` (or a
-    /// sequence-chained `shard-<i>.delta-<seq>` when `incremental`).
+    /// Checkpoint this shard's store into `dir` as `shard-<i>.full`.
     Snapshot {
         /// Target directory.
         dir: PathBuf,
-        /// Dirty-keys-only delta instead of a full checkpoint.
-        incremental: bool,
         /// Where the worker reports bytes written or the error.
         reply: Sender<ShardReply>,
     },

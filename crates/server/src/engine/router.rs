@@ -204,8 +204,6 @@ pub struct SnapshotReport {
     pub shards: usize,
     /// Total bytes across all shard files.
     pub bytes: u64,
-    /// Whether the delta form was requested.
-    pub incremental: bool,
 }
 
 /// What an acked [`Engine::ingest`] applied.
@@ -823,16 +821,15 @@ impl Engine {
         Ok(())
     }
 
-    /// Checkpoint every shard into `dir` (full by default; `incremental`
-    /// chains a dirty-keys delta per shard) and write the layout manifest.
+    /// Checkpoint every shard into `dir` (one `shard-<i>.full` each) and
+    /// write the layout manifest.
     ///
     /// # Errors
     /// [`Snapshot`](EngineError::Snapshot) carrying the first shard
     /// failure, or the routing errors of [`flush`](Engine::flush).
-    pub fn snapshot(&self, dir: &Path, incremental: bool) -> Result<SnapshotReport, EngineError> {
+    pub fn snapshot(&self, dir: &Path) -> Result<SnapshotReport, EngineError> {
         let replies = self.broadcast(|tx| ShardMsg::Snapshot {
             dir: dir.to_path_buf(),
-            incremental,
             reply: tx,
         })?;
         let mut bytes = 0u64;
@@ -849,7 +846,6 @@ impl Engine {
             dir: dir.display().to_string(),
             shards: self.fleet.slots.len(),
             bytes,
-            incremental,
         })
     }
 

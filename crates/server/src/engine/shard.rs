@@ -19,11 +19,6 @@ pub(super) fn full_file(shard: usize) -> String {
     format!("shard-{shard}.full")
 }
 
-/// Name of shard `i`'s delta file for checkpoint sequence `seq`.
-pub(super) fn delta_file(shard: usize, seq: u64) -> String {
-    format!("shard-{shard}.delta-{seq:06}")
-}
-
 /// The worker's half of the read path (see `ecm::publish`), and the one
 /// place that decides when a write becomes visible: every write message
 /// (`Ingest`, `Flush`) runs stale filter → WAL append → apply →
@@ -175,7 +170,8 @@ pub(super) fn run(
                                     // Compaction failure degrades to "log
                                     // keeps growing" — ingest stays up and
                                     // the next batch retries.
-                                    if let Err(e) = compact(shard, &mut store, dir, w, &mut faults)
+                                    if let Err(e) =
+                                        checkpoint(shard, &mut store, dir, Some(w), &mut faults)
                                     {
                                         eprintln!("sketchd: shard {shard} compaction failed: {e}");
                                     }
@@ -226,22 +222,15 @@ pub(super) fn run(
             ShardMsg::ViewRead { name, reply } => {
                 let _ = reply.send(ShardReply::View(views.read(&name, &store)));
             }
-            ShardMsg::Snapshot {
-                dir,
-                incremental,
-                reply,
-            } => {
-                // A checkpoint into the WAL's own directory chains the log
-                // onto it (marker before file); any other directory is a
-                // plain export that must not touch the log.
+            ShardMsg::Snapshot { dir, reply } => {
+                // A checkpoint into the WAL's own directory compacts the log
+                // into it; any other directory is a plain export that must
+                // not touch the log.
                 let chained = match &mut wal {
                     Some(w) if snapshot_dir.as_deref() == Some(dir.as_path()) => Some(w),
                     _ => None,
                 };
-                let outcome = match chained {
-                    Some(w) if !incremental => compact(shard, &mut store, &dir, w, &mut faults),
-                    _ => checkpoint(shard, &mut store, &dir, incremental, chained, &mut faults),
-                };
+                let outcome = checkpoint(shard, &mut store, &dir, chained, &mut faults);
                 let _ = reply.send(match outcome {
                     Ok(bytes) => ShardReply::Snapshot { bytes },
                     Err(e) => ShardReply::SnapshotError(e),
@@ -251,13 +240,9 @@ pub(super) fn run(
                 // Everything sent before this message has been applied (the
                 // mailbox is FIFO); the final full checkpoint therefore
                 // captures every acked event.
-                let snapshot_error = match &snapshot_dir {
-                    Some(dir) => match &mut wal {
-                        Some(w) => compact(shard, &mut store, dir, w, &mut faults).err(),
-                        None => checkpoint(shard, &mut store, dir, false, None, &mut faults).err(),
-                    },
-                    None => None,
-                };
+                let snapshot_error = snapshot_dir.as_deref().and_then(|dir| {
+                    checkpoint(shard, &mut store, dir, wal.as_mut(), &mut faults).err()
+                });
                 let _ = reply.send(ShardReply::Stopped { snapshot_error });
                 gauge.note_idle();
                 return true;
@@ -274,59 +259,19 @@ pub(super) fn run(
     true
 }
 
-/// Write this shard's checkpoint file. A full checkpoint replaces the
-/// `.full` file and removes the now-stale delta chain; an incremental one
-/// appends a `.delta-<seq>` link (falling back to a full checkpoint when
-/// the store has never been checkpointed, so a chain always has a base).
-/// With `wal` present (checkpointing into the log's directory), a marker
-/// is appended *before* the file lands — the crash window between the two
-/// leaves a log that still replays from the previous marker.
+/// Write this shard's full checkpoint, `shard-<i>.full`, into `dir`.
+///
+/// With `wal` (`dir` is the log's own directory) this folds the log into
+/// the checkpoint: encode the snapshot, rotate onto a new segment, pin the
+/// marker there, land the file, then delete every sealed segment. The
+/// marker lives in the surviving active segment, so every crash window
+/// along the way leaves a log that replays onto whichever checkpoint is on
+/// disk; afterwards the log is one near-empty segment.
 fn checkpoint(
     shard: usize,
     store: &mut SketchStore<String>,
     dir: &Path,
-    incremental: bool,
-    wal: Option<&mut ShardWal>,
-    faults: &mut FaultHook,
-) -> Result<u64, String> {
-    faults.fire(FaultSite::Snapshot)?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let fail = |stage: &str, e: &dyn std::fmt::Display| format!("shard {shard} {stage}: {e}");
-    let fsync = wal.as_ref().is_some_and(|w| w.fsync());
-    if incremental && store.checkpoint_seq() > 0 {
-        let bytes = store
-            .write_incremental()
-            .map_err(|e: SnapshotError| fail("delta encode", &e))?;
-        if let Some(w) = wal {
-            w.append_marker(store.checkpoint_seq())?;
-        }
-        let name = delta_file(shard, store.checkpoint_seq());
-        write_atomic(dir, &name, &bytes, fsync).map_err(|e| fail("delta write", &e))?;
-        Ok(bytes.len() as u64)
-    } else {
-        let bytes = store
-            .write_snapshot()
-            .map_err(|e: SnapshotError| fail("full encode", &e))?;
-        if let Some(w) = wal {
-            w.append_marker(store.checkpoint_seq())?;
-        }
-        write_atomic(dir, &full_file(shard), &bytes, fsync).map_err(|e| fail("full write", &e))?;
-        remove_stale_deltas(shard, dir);
-        Ok(bytes.len() as u64)
-    }
-}
-
-/// Fold the log into a fresh full checkpoint: encode the snapshot, rotate
-/// onto a new segment, pin the marker there, land the checkpoint file,
-/// then delete every sealed segment (and stale deltas). The marker lives
-/// in the surviving active segment, so every crash window along the way
-/// leaves a recoverable chain; afterwards the log is one near-empty
-/// segment.
-fn compact(
-    shard: usize,
-    store: &mut SketchStore<String>,
-    dir: &Path,
-    wal: &mut ShardWal,
+    mut wal: Option<&mut ShardWal>,
     faults: &mut FaultHook,
 ) -> Result<u64, String> {
     faults.fire(FaultSite::Snapshot)?;
@@ -334,64 +279,54 @@ fn compact(
     let bytes = store
         .write_snapshot()
         .map_err(|e: SnapshotError| format!("shard {shard} full encode: {e}"))?;
-    wal.rotate(store.checkpoint_seq())?;
-    wal.append_marker(store.checkpoint_seq())?;
-    write_atomic(dir, &full_file(shard), &bytes, wal.fsync())
+    let fsync = wal.as_ref().is_some_and(|w| w.fsync());
+    if let Some(w) = wal.as_deref_mut() {
+        w.rotate(store.checkpoint_seq())?;
+        w.append_marker(store.checkpoint_seq())?;
+    }
+    write_atomic(dir, &full_file(shard), &bytes, fsync)
         .map_err(|e| format!("shard {shard} full write: {e}"))?;
-    remove_stale_deltas(shard, dir);
-    wal.truncate_sealed()?;
-    wal.note_compaction();
+    if let Some(w) = wal {
+        w.truncate_sealed()?;
+        w.note_compaction();
+    }
     Ok(bytes.len() as u64)
 }
 
-/// Best-effort removal of this shard's delta files: after a new full
-/// checkpoint they no longer chain onto anything restorable.
-fn remove_stale_deltas(shard: usize, dir: &Path) {
-    let prefix = format!("shard-{shard}.delta-");
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if entry.file_name().to_string_lossy().starts_with(&prefix) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
-}
-
-/// Restore one shard's store from a snapshot directory: load the full
-/// checkpoint, then apply the deltas cut after it in sequence order.
+/// Restore one shard's store from a snapshot directory: load
+/// `shard-<i>.full`; the log, when durable, replays on top.
 ///
-/// A delta numbered at or below the full checkpoint's sequence was cut
-/// before it — a crash or a failed unlink between landing the `.full` and
-/// [`remove_stale_deltas`] leaves such files behind — so it is skipped and
-/// removed. A gap *above* the full checkpoint is a broken chain and fails.
+/// An older release may have left `shard-<i>.delta-<seq>` files beside it.
+/// One numbered at or below the full checkpoint's sequence was cut before
+/// it and is superseded, so it is ignored. One above it holds acked writes
+/// the full checkpoint lacks; dropping it would lose them, so it refuses
+/// the restore, naming the file.
 pub(super) fn restore(shard: usize, dir: &Path) -> Result<SketchStore<String>, String> {
     let full = dir.join(full_file(shard));
     let bytes = std::fs::read(&full).map_err(|e| format!("read {}: {e}", full.display()))?;
-    let mut store = SketchStore::<String>::load_snapshot(&bytes)
+    let store = SketchStore::<String>::load_snapshot(&bytes)
         .map_err(|e| format!("decode {}: {e}", full.display()))?;
-    // Delta files sort lexicographically by their zero-padded sequence
-    // number, which is exactly chain order.
     let prefix = format!("shard-{shard}.delta-");
-    let mut deltas: Vec<std::path::PathBuf> = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read dir {}: {e}", dir.display()))?;
     for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().starts_with(&prefix) {
-            deltas.push(entry.path());
-        }
-    }
-    deltas.sort();
-    let full_seq = store.checkpoint_seq();
-    for path in deltas {
-        let name = path.file_name().map(|n| n.to_string_lossy());
-        let seq = name.and_then(|n| n[prefix.len()..].parse::<u64>().ok());
-        if seq.is_some_and(|seq| seq <= full_seq) {
-            let _ = std::fs::remove_file(&path);
+        let name = entry.file_name();
+        let Some(seq) = name
+            .to_string_lossy()
+            .strip_prefix(&prefix)
+            .map(str::parse::<u64>)
+        else {
             continue;
+        };
+        if !seq.is_ok_and(|seq| seq <= store.checkpoint_seq()) {
+            return Err(format!(
+                "{} is newer than checkpoint {} in {}, and incremental checkpoints are \
+                 retired: restore it with the release that wrote it, or remove it to give \
+                 up its writes",
+                entry.path().display(),
+                store.checkpoint_seq(),
+                full.display()
+            ));
         }
-        let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        store
-            .apply_incremental(&bytes)
-            .map_err(|e| format!("apply {}: {e}", path.display()))?;
     }
     Ok(store)
 }

@@ -41,8 +41,8 @@ pub(super) fn sync_dir(dir: &Path) -> Result<(), String> {
 /// (atomic on POSIX). The target either keeps its old contents or holds
 /// the complete new ones — a kill mid-write cannot tear the only `.full`
 /// file or the manifest and strand a restart. The temp name's leading dot
-/// keeps it out of every `shard-<i>.*` prefix scan (restore, delta
-/// cleanup, WAL listing), and being deterministic means a crash leaves at
+/// keeps it out of every `shard-<i>.*` prefix scan (restore, WAL
+/// listing), and being deterministic means a crash leaves at
 /// most one stale temp per target, overwritten by the next attempt. With
 /// `fsync`, the data and the directory entry are on the platter before
 /// this returns.

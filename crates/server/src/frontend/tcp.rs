@@ -547,12 +547,10 @@ fn dispatch(
             Ok(()) => response::flushed(ts),
             Err(e) => engine_error(&e),
         },
-        Command::Snapshot { dir, incremental } => {
-            match engine.snapshot(Path::new(&dir), incremental) {
-                Ok(report) => response::snapshot(&report),
-                Err(e) => engine_error(&e),
-            }
-        }
+        Command::Snapshot { dir } => match engine.snapshot(Path::new(&dir)) {
+            Ok(report) => response::snapshot(&report),
+            Err(e) => engine_error(&e),
+        },
         Command::Shutdown => {
             // Drain + final checkpoint + worker join happen *before* the
             // ack, so a client that saw the ack knows every prior ack is

@@ -23,7 +23,7 @@
 //! | `TOPK <k> <window>` | `{"ok":true,"topk":[...]}` |
 //! | `STATS` | per-shard key counts / memory / ingest and stale counters |
 //! | `FLUSH <ts>` | advance every shard's clock to `ts` |
-//! | `SNAPSHOT <dir> [full\|incr]` | checkpoint every shard into `dir` |
+//! | `SNAPSHOT <dir> [full]` | `{"ok":true,"snapshot":"full",...}`: a full checkpoint of every shard into `dir`; the retired `incr` option is a `bad_request` error |
 //! | `VIEW CREATE <name> <def>` | register a standing view |
 //! | `VIEW READ <name>` | `{"ok":true,"view":...,"now":n,"seq":s}` |
 //! | `VIEW DROP <name>` | `{"ok":true,...,"dropped":true}` |

@@ -133,8 +133,6 @@ pub enum Command {
     Snapshot {
         /// Target directory (created if missing).
         dir: String,
-        /// `true` for an incremental (dirty-keys-only) delta.
-        incremental: bool,
     },
     /// Register a standing view.
     ViewCreate {
@@ -217,6 +215,11 @@ pub enum CmdError {
     },
     /// A `BATCH 0` header: an empty batch is a protocol error.
     EmptyBatch,
+    /// A well-formed request this server no longer serves.
+    BadRequest {
+        /// What was refused, and why.
+        detail: &'static str,
+    },
 }
 
 impl CmdError {
@@ -234,6 +237,7 @@ impl CmdError {
             CmdError::BadThreshold { .. } => "bad_threshold",
             CmdError::BatchTooLarge { .. } => "batch_too_large",
             CmdError::EmptyBatch => "empty_batch",
+            CmdError::BadRequest { .. } => "bad_request",
         }
     }
 }
@@ -263,6 +267,7 @@ impl fmt::Display for CmdError {
                 write!(f, "batch of {got} lines exceeds the {limit}-line limit")
             }
             CmdError::EmptyBatch => write!(f, "batch must contain at least one line"),
+            CmdError::BadRequest { detail } => write!(f, "bad request: {detail}"),
         }
     }
 }
@@ -696,31 +701,19 @@ pub fn parse_command(line: &[u8]) -> Result<Command, CmdError> {
                 expected: "<ts>",
             }),
         },
-        "SNAPSHOT" => {
-            let incremental = match toks.len() {
-                2 => false,
-                3 => match toks[2] {
-                    "full" => false,
-                    "incr" => true,
-                    _ => {
-                        return Err(CmdError::WrongArity {
-                            verb: "SNAPSHOT",
-                            expected: "<dir> [full|incr]",
-                        })
-                    }
-                },
-                _ => {
-                    return Err(CmdError::WrongArity {
-                        verb: "SNAPSHOT",
-                        expected: "<dir> [full|incr]",
-                    })
-                }
-            };
-            Ok(Command::Snapshot {
-                dir: toks[1].to_string(),
-                incremental,
-            })
-        }
+        "SNAPSHOT" => match toks[1..] {
+            [dir] | [dir, "full"] => Ok(Command::Snapshot {
+                dir: dir.to_string(),
+            }),
+            [_, "incr"] => Err(CmdError::BadRequest {
+                detail: "SNAPSHOT option `incr` is retired: every checkpoint is full, \
+                         and the write-ahead log carries what follows it",
+            }),
+            _ => Err(CmdError::WrongArity {
+                verb: "SNAPSHOT",
+                expected: "<dir> [full]",
+            }),
+        },
         "VIEW" => {
             if toks.len() < 2 {
                 return Err(CmdError::WrongArity {

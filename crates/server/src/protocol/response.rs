@@ -214,8 +214,7 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
 /// A completed `SNAPSHOT` as a response line.
 pub fn snapshot(r: &SnapshotReport) -> String {
     format!(
-        "{{\"ok\":true,\"snapshot\":\"{}\",\"dir\":\"{}\",\"shards\":{},\"bytes\":{}}}",
-        if r.incremental { "incr" } else { "full" },
+        "{{\"ok\":true,\"snapshot\":\"full\",\"dir\":\"{}\",\"shards\":{},\"bytes\":{}}}",
         escape(&r.dir),
         r.shards,
         r.bytes

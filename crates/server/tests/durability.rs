@@ -501,42 +501,33 @@ fn crash_image(dir: &Path, tag: &str) -> PathBuf {
 }
 
 /// Feed the mirror in the frames [`ingest_acked`] sends: the store's
-/// eviction stamps count batches, and the snapshot bytes carry them.
+/// write stamps count batches, and the snapshot bytes carry them.
 fn mirror_acked(mirror: &mut SketchStore<String>, events: &[(String, StreamEvent)]) {
     for chunk in events.chunks(512) {
         mirror.ingest(chunk);
     }
 }
 
-fn full_then_two_deltas_then_restart(durable: bool) {
-    let tag = if durable { "chain-on" } else { "chain-off" };
+fn three_fulls_then_restart(durable: bool) {
+    let tag = if durable { "fulls-on" } else { "fulls-off" };
     let dir = scratch(tag);
     let mut mirror: SketchStore<String> = SketchStore::new(spec()).unwrap();
     let server = Server::start(one_shard_config(&dir, durable)).expect("start");
     let mut client = connect(server.local_addr());
 
-    // full → incr → incr, with writes in between; the mirror cuts the same
-    // checkpoints so its sequence numbers line up with the shard's.
+    // Three full checkpoints with writes in between; the mirror cuts the
+    // same checkpoints so its sequence numbers line up with the shard's.
     let mut now = 1;
-    for (round, mode) in ["full", "incr", "incr"].into_iter().enumerate() {
-        let events = trace(1_500, 0xC4A1 + round as u64, now);
+    for round in 0..3u64 {
+        let events = trace(1_500, 0xC4A1 + round, now);
         now = events.last().unwrap().1.ts;
         mirror_acked(&mut mirror, &events);
         ingest_acked(&mut client, &events);
-        snapshot_acked(&mut client, &dir, mode);
-        if mode == "full" {
-            mirror.write_snapshot().unwrap();
-        } else {
-            mirror.write_incremental().unwrap();
-        }
+        snapshot_acked(&mut client, &dir, "full");
+        mirror.write_snapshot().unwrap();
     }
-    for seq in [2, 3] {
-        assert!(
-            dir.join(format!("shard-0.delta-{seq:06}")).exists(),
-            "no delta {seq} on disk"
-        );
-    }
-    // With a log, what is acked after the last delta survives too.
+    assert!(dir.join("shard-0.full").exists(), "no checkpoint on disk");
+    // With a log, what is acked after the last checkpoint survives too.
     if durable {
         let tail = trace(700, 0x7A11, now);
         mirror_acked(&mut mirror, &tail);
@@ -546,8 +537,8 @@ fn full_then_two_deltas_then_restart(durable: bool) {
     client.call("SHUTDOWN").expect("shutdown");
     server.join();
 
-    // The restart loads the full, applies both deltas (and replays the log
-    // tail), and its next full checkpoint is the mirror's, byte for byte.
+    // The restart loads the last full (and replays the log tail), and its
+    // next full checkpoint is the mirror's, byte for byte.
     let server = Server::start(one_shard_config(&image, durable)).expect("restart");
     let mut client = connect(server.local_addr());
     let export = scratch(&format!("{tag}-export"));
@@ -565,9 +556,9 @@ fn full_then_two_deltas_then_restart(durable: bool) {
 }
 
 #[test]
-fn a_full_and_two_deltas_restart_to_the_mirror_store_byte_for_byte() {
-    full_then_two_deltas_then_restart(false);
-    full_then_two_deltas_then_restart(true);
+fn three_full_checkpoints_restart_to_the_mirror_store_byte_for_byte() {
+    three_fulls_then_restart(false);
+    three_fulls_then_restart(true);
 }
 
 #[test]
@@ -576,50 +567,40 @@ fn a_delta_older_than_the_full_checkpoint_is_skipped_and_a_gap_above_it_still_fa
     let mut mirror: SketchStore<String> = SketchStore::new(spec()).unwrap();
     let server = Server::start(one_shard_config(&dir, false)).expect("start");
     let mut client = connect(server.local_addr());
-    let delta2 = dir.join("shard-0.delta-000002");
-    let mut stale = Vec::new();
     let mut now = 1;
-    for (round, mode) in ["full", "incr", "full"].into_iter().enumerate() {
-        let events = trace(1_000, 0x57A1 + round as u64, now);
+    for round in 0..2u64 {
+        let events = trace(1_000, 0x57A1 + round, now);
         now = events.last().unwrap().1.ts;
         mirror.ingest(&events);
         ingest_acked(&mut client, &events);
-        snapshot_acked(&mut client, &dir, mode);
-        if mode == "incr" {
-            stale = std::fs::read(&delta2).expect("delta 2 on disk");
-        }
+        snapshot_acked(&mut client, &dir, "full");
     }
-    assert!(!delta2.exists(), "the second full removes the delta");
     client.call("SHUTDOWN").expect("shutdown");
     server.join();
 
-    // The crash window between landing a full and unlinking the deltas it
-    // supersedes, re-created: delta 2 is back beside the full of the
-    // graceful stop (checkpoint 4).
-    std::fs::write(&delta2, &stale).expect("re-plant delta 2");
+    // An older release's incremental checkpoints left delta files beside
+    // the full. The name alone decides, so the bytes are never read. Delta
+    // 2 was cut before the full of the graceful stop (checkpoint 3): it is
+    // superseded, and the restart ignores it.
+    let below = dir.join("shard-0.delta-000002");
+    std::fs::write(&below, b"a superseded delta").expect("plant delta 2");
     let server = Server::start(one_shard_config(&dir, false)).expect("restart over a stale delta");
-    assert!(!delta2.exists(), "the stale delta is cleaned up");
     let mut client = connect(server.local_addr());
     assert_bit_identical(&mut client, &mirror, now);
     client.call("SHUTDOWN").expect("shutdown");
     server.join();
 
-    // A delta *above* the full whose base is not the full is a broken
-    // chain, not a leftover: checkpoint 5 is on disk now, this one applies
-    // to 6.
-    let mut ahead: SketchStore<String> = SketchStore::new(spec()).unwrap();
-    for _ in 0..6 {
-        ahead.write_snapshot().unwrap();
-    }
-    ahead.insert("user-0".to_string(), now, 1);
-    let gap = dir.join("shard-0.delta-000007");
-    std::fs::write(&gap, ahead.write_incremental().unwrap()).expect("plant delta 7");
-    let err = Server::start(one_shard_config(&dir, false)).expect_err("a gap must refuse");
+    // A delta *above* the full (checkpoint 4 now) holds acked writes the
+    // full lacks: without a log, ignoring it would lose them, so the
+    // restart refuses and names the file.
+    let above = dir.join("shard-0.delta-000005");
+    std::fs::write(&above, b"a newer delta").expect("plant delta 5");
+    let err = Server::start(one_shard_config(&dir, false)).expect_err("a newer delta must refuse");
+    let err = err.to_string();
     assert!(
-        err.to_string()
-            .contains("incremental snapshot applies to checkpoint 6, store is at 5"),
+        err.contains("shard-0.delta-000005") && err.contains("incremental checkpoints are retired"),
         "unexpected error: {err}"
     );
-    assert!(gap.exists(), "a delta above the full is never removed");
+    assert!(above.exists(), "a delta above the full is never removed");
     let _ = std::fs::remove_dir_all(&dir);
 }

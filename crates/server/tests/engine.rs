@@ -503,7 +503,7 @@ fn broadcast_errors_name_the_shard_that_failed() {
             ("b".to_string(), StreamEvent::new(1, 10), 5),
         ])
         .expect("ingest");
-    engine.snapshot(&dir, false).expect("snapshot");
+    engine.snapshot(&dir).expect("snapshot");
     std::fs::write(dir.join("shard-1.full"), b"not a checkpoint").expect("corrupt");
     engine.restart_shard(1).expect("restart");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -514,7 +514,7 @@ fn broadcast_errors_name_the_shard_that_failed() {
 
     let died = EngineError::ShardDied { shard: 1 };
     assert_eq!(engine.flush(20).expect_err("flush"), died);
-    assert_eq!(engine.snapshot(&dir, false).expect_err("snapshot"), died);
+    assert_eq!(engine.snapshot(&dir).expect_err("snapshot"), died);
     assert_eq!(engine.view_read("top").expect_err("view read"), died);
     let _ = engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

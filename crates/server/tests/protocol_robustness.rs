@@ -94,21 +94,12 @@ fn accepts_every_documented_command_shape() {
             "SNAPSHOT /tmp/snap",
             Command::Snapshot {
                 dir: "/tmp/snap".into(),
-                incremental: false,
-            },
-        ),
-        (
-            "SNAPSHOT /tmp/snap incr",
-            Command::Snapshot {
-                dir: "/tmp/snap".into(),
-                incremental: true,
             },
         ),
         (
             "SNAPSHOT /tmp/snap full",
             Command::Snapshot {
                 dir: "/tmp/snap".into(),
-                incremental: false,
             },
         ),
         ("SHUTDOWN", Command::Shutdown),
@@ -184,11 +175,19 @@ fn rejects_malformed_lines_with_the_right_code() {
         ("FLUSH soon", "bad_number"),
         ("SNAPSHOT", "wrong_arity"),
         ("SNAPSHOT /tmp/x sideways", "wrong_arity"),
+        ("SNAPSHOT /tmp/x full now", "wrong_arity"),
+        ("SNAPSHOT /tmp/x incr", "bad_request"),
         ("SHUTDOWN now", "wrong_arity"),
     ];
     for (line, want) in table {
         assert_eq!(&code(line), want, "{line:?}");
     }
+    // The retired option is named, not reported as a shape error.
+    let retired = parse("SNAPSHOT /tmp/x incr").expect_err("incr is retired");
+    assert!(
+        retired.to_string().contains("`incr` is retired"),
+        "{retired}"
+    );
 }
 
 #[test]
@@ -247,7 +246,7 @@ fn fuzz_random_bytes_never_panic() {
         "QUERY alice heavy_hitters rel:0.01 time 100 50",
         "QUERY alice range 16 31 last 64",
         "TOPK 5 time 100 50",
-        "SNAPSHOT /tmp/snap incr",
+        "SNAPSHOT /tmp/snap full",
         "FLUSH 123",
     ];
     for round in 0..5_000 {

@@ -197,7 +197,7 @@ fn mid_run_snapshot_restores_and_republishes_after_wal_replay() {
 
     // Mid-run: cut a full checkpoint while writes are in flight.
     std::thread::sleep(Duration::from_millis(30));
-    engine.snapshot(&dir, false).expect("mid-run checkpoint");
+    engine.snapshot(&dir).expect("mid-run checkpoint");
 
     let mut all: Vec<(String, StreamEvent)> = Vec::new();
     for w in writers {

@@ -1,13 +1,19 @@
 //! Checkpoint/restart walkthrough: a multi-tenant monitoring process
 //! checkpoints its whole sketch fleet to disk, crashes, restarts from the
-//! snapshot, catches up from an incremental delta, and keeps serving — with
-//! every answer bit-identical to an uninterrupted run.
+//! latest checkpoint, and keeps serving — with every answer bit-identical
+//! to an uninterrupted run.
 //!
 //! The cycle:
-//! 1. ingest → `write_snapshot()` (full base, self-describing + checksummed)
-//! 2. keep ingesting → `write_incremental()` (only the dirtied keys ride)
-//! 3. *crash*
-//! 4. `load_snapshot()` + `apply_incremental()` → the fleet is whole again
+//! 1. ingest → `write_snapshot()` (a full checkpoint, self-describing +
+//!    checksummed), periodically, each one replacing the last
+//! 2. *crash*
+//! 3. `load_snapshot()` → the fleet is whole again, at the checkpoint's
+//!    sequence number
+//! 4. keep ingesting → the next full checkpoint continues the sequence
+//!
+//! Every checkpoint is full. What a process acks between two of them is
+//! the write-ahead log's job (`ecm::wal`; `sketchd` replays it on top of
+//! the checkpoint), not a second, incremental checkpoint's.
 //!
 //! ```bash
 //! cargo run --release --example checkpoint_restart
@@ -33,61 +39,55 @@ fn traffic(from_tick: u64, to_tick: u64, seed: u64) -> Vec<(u64, StreamEvent)> {
     out
 }
 
+/// Land a checkpoint: a temp file renamed over the target, so a crash
+/// mid-write leaves the previous checkpoint whole.
+fn land(path: &std::path::Path, bytes: &[u8]) {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes).expect("write checkpoint");
+    std::fs::rename(&tmp, path).expect("land checkpoint");
+}
+
 fn main() {
     let spec = SketchSpec::time(WINDOW).epsilon(0.1).delta(0.1).seed(42);
-    let dir = std::env::temp_dir();
-    let base_path = dir.join("ecm_fleet_base.snap");
-    let delta_path = dir.join("ecm_fleet_delta.snap");
+    let path = std::env::temp_dir().join(format!("ecm_fleet_{}.snap", std::process::id()));
 
     // ── Before the crash ────────────────────────────────────────────────
     let mut live: SketchStore<u64> = SketchStore::new(spec.clone()).expect("valid spec");
-
-    // First half hour of traffic, then the periodic full checkpoint.
-    let phase1 = traffic(1, 1_800, 7);
-    live.ingest(&phase1);
-    let base = live.write_snapshot().expect("fleet snapshots");
-    std::fs::write(&base_path, &base).expect("write base snapshot");
-    println!(
-        "checkpoint #1 (full):        {:>8} keys, {:>9} bytes -> {}",
-        live.len(),
-        base.len(),
-        base_path.display()
-    );
-
-    // More traffic; only the keys written since ride in the delta.
-    let phase2 = traffic(1_800, 2_100, 8);
-    live.ingest(&phase2);
-    let dirtied = live.dirty_len();
-    let delta = live.write_incremental().expect("fleet snapshots");
-    std::fs::write(&delta_path, &delta).expect("write delta snapshot");
-    println!(
-        "checkpoint #2 (incremental): {:>8} keys, {:>9} bytes ({}x smaller)",
-        dirtied,
-        delta.len(),
-        base.len() / delta.len().max(1)
-    );
+    let phases = [traffic(1, 1_800, 7), traffic(1_800, 2_100, 8)];
+    for (n, phase) in phases.iter().enumerate() {
+        live.ingest(phase);
+        let bytes = live.write_snapshot().expect("fleet snapshots");
+        land(&path, &bytes);
+        println!(
+            "checkpoint #{} (full): {:>5} keys, {:>9} bytes -> {}",
+            n + 1,
+            live.len(),
+            bytes.len(),
+            path.display()
+        );
+    }
 
     // ── Crash ───────────────────────────────────────────────────────────
     drop(live);
     println!("\n*** process killed: in-memory fleet lost ***\n");
 
     // ── Restart ─────────────────────────────────────────────────────────
-    let base = std::fs::read(&base_path).expect("read base snapshot");
-    let delta = std::fs::read(&delta_path).expect("read delta snapshot");
-    let mut restored = SketchStore::<u64>::load_snapshot(&base).expect("base restores");
-    restored
-        .apply_incremental(&delta)
-        .expect("delta chains on the base");
+    let bytes = std::fs::read(&path).expect("read checkpoint");
+    let mut restored = SketchStore::<u64>::load_snapshot(&bytes).expect("checkpoint restores");
+    assert_eq!(restored.checkpoint_seq(), 2, "the latest checkpoint");
     println!(
         "restored: {} keys at checkpoint seq {}",
         restored.len(),
         restored.checkpoint_seq()
     );
 
-    // The restored fleet answers exactly like an uninterrupted one.
+    // The restored fleet answers exactly like an uninterrupted one that
+    // checkpointed at the same points.
     let mut uninterrupted: SketchStore<u64> = SketchStore::new(spec).expect("valid spec");
-    uninterrupted.ingest(&phase1);
-    uninterrupted.ingest(&phase2);
+    for phase in &phases {
+        uninterrupted.ingest(phase);
+        let _ = uninterrupted.write_snapshot().expect("fleet snapshots");
+    }
     let w = WindowSpec::time(2_100, WINDOW);
     let mut checked = 0u32;
     for tenant in restored.keys() {
@@ -106,18 +106,27 @@ fn main() {
         assert_eq!(a.to_bits(), b.to_bits(), "tenant {tenant} diverged");
         checked += 1;
     }
+    assert_eq!(
+        checked as usize,
+        uninterrupted.len(),
+        "every tenant restored"
+    );
     println!("verified {checked} tenants bit-identical to an uninterrupted run");
 
-    // ...and keeps ingesting: the next delta chains on the restored seq.
+    // ...and keeps ingesting: the next full checkpoint continues the
+    // sequence, and is the uninterrupted run's byte for byte.
     let phase3 = traffic(2_100, 2_400, 9);
     restored.ingest(&phase3);
-    let next_delta = restored.write_incremental().expect("fleet snapshots");
+    uninterrupted.ingest(&phase3);
+    let next = restored.write_snapshot().expect("fleet snapshots");
+    assert!(next == uninterrupted.write_snapshot().expect("fleet snapshots"));
+    assert_eq!(restored.checkpoint_seq(), 3);
+    land(&path, &next);
     println!(
-        "life goes on: next incremental checkpoint is {} bytes at seq {}",
-        next_delta.len(),
+        "life goes on: the next full checkpoint is {} bytes at seq {}",
+        next.len(),
         restored.checkpoint_seq()
     );
 
-    let _ = std::fs::remove_file(base_path);
-    let _ = std::fs::remove_file(delta_path);
+    let _ = std::fs::remove_file(path);
 }

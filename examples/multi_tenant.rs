@@ -1,29 +1,27 @@
 //! Multi-tenant quickstart: one `SketchSpec` describes every tenant's
 //! sketch, a `SketchStore` creates them lazily, ingests mixed-key batches,
-//! and answers cross-tenant queries — with a bounded key budget guarded by
-//! LRU eviction.
+//! and answers cross-tenant queries — and reports what each tenant costs.
 //!
 //! The scenario: a shared API gateway tracks per-tenant request streams
-//! over a 1-hour sliding window. Most tenants are quiet; a few are heavy;
-//! a burst of ephemeral one-off keys (scrapers, scanners) must not grow
-//! the store without bound.
+//! over a 1-hour sliding window. Most tenants are quiet; a few are heavy.
+//! The store never evicts a tenant (an evicted key would answer 0, an
+//! undercount the sketch's guarantee forbids), so memory is sized from
+//! `memory_report()`, and a caller that must cap it refuses new keys.
 //!
 //! ```bash
 //! cargo run --release --example multi_tenant
 //! ```
 
-use ecm::{Eviction, Query, SketchSpec, SketchStore, StreamEvent, WindowSpec};
+use ecm::{Query, SketchSpec, SketchStore, StreamEvent, WindowSpec};
 use stream_gen::{SeededRng, ZipfSampler};
 
 const WINDOW: u64 = 3_600; // 1 hour of 1-second ticks
 const TENANTS: u64 = 200;
-const CAPACITY: usize = 256;
 
 fn main() {
     // One description for the whole fleet: ε = 0.1, δ = 0.1, ECM-EH cells.
     let spec = SketchSpec::time(WINDOW).epsilon(0.1).delta(0.1).seed(42);
-    let mut store: SketchStore<u64> =
-        SketchStore::with_capacity(spec, CAPACITY, Eviction::Lru).expect("valid spec");
+    let mut store: SketchStore<u64> = SketchStore::new(spec).expect("valid spec");
 
     // Two hours of gateway traffic: tenant popularity is Zipf-skewed, each
     // request carries an endpoint id (the item being counted).
@@ -38,11 +36,6 @@ fn main() {
             batch.push((tenant, StreamEvent::new(endpoint, t)));
             total += 1;
         }
-        // Ephemeral noise keys: one-shot tenants that LRU should age out.
-        if t % 16 == 0 {
-            batch.push((10_000 + t, StreamEvent::new(0, t)));
-            total += 1;
-        }
         if batch.len() >= 4_096 {
             store.ingest(&batch); // grouped per tenant before dispatch
             batch.clear();
@@ -53,11 +46,10 @@ fn main() {
     let now = 2 * WINDOW;
     let w = WindowSpec::time(now, WINDOW);
     println!(
-        "{total} requests over {} tenants → {} resident sketches (cap {CAPACITY}, {} evicted)",
-        TENANTS,
-        store.len(),
-        store.evictions()
+        "{total} requests over {TENANTS} tenants → {} resident sketches",
+        store.len()
     );
+    assert!(store.len() as u64 <= TENANTS);
 
     // Which tenants carried the most traffic in the last hour?
     println!("\ntop tenants by windowed request volume:");
@@ -78,7 +70,18 @@ fn main() {
         est.value, g.epsilon, g.delta
     );
 
-    // The ephemeral keys were evicted, not accumulated.
-    assert!(store.len() <= CAPACITY);
-    println!("\nstore stayed within its {CAPACITY}-key budget — LRU absorbed the noise keys");
+    // What the fleet costs, largest tenant first: the numbers a key budget
+    // is set from.
+    let report = store.memory_report();
+    println!(
+        "\nmemory: {} bytes over {} sketches ({} per tenant on average); largest:",
+        report.total,
+        report.per_key.len(),
+        report.total / report.per_key.len().max(1)
+    );
+    for (tenant, bytes) in report.per_key.iter().take(3) {
+        println!("  tenant {tenant:>5}: {bytes:>8} bytes");
+    }
+    assert_eq!(report.total, store.memory_bytes());
+    assert_eq!(report.per_key.len(), store.len());
 }

@@ -33,9 +33,9 @@ pub use stream_gen;
 // The typed construction / write / read surface, fronted at the root so the
 // facade is usable without spelunking into sub-crates.
 pub use ecm::{
-    restore_any, Answer, Backend, Clock, Estimate, Eviction, Guarantee, MemoryReport, Query,
-    QueryError, QueryKind, Sketch, SketchReader, SketchSpec, SketchStore, SketchWriter,
-    SnapshotError, SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
+    restore_any, Answer, Backend, Clock, Estimate, Guarantee, MemoryReport, Query, QueryError,
+    QueryKind, Sketch, SketchReader, SketchSpec, SketchStore, SketchWriter, SnapshotError,
+    SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
 };
 
 /// The working vocabulary in one import: spec-driven construction
@@ -47,8 +47,8 @@ pub mod prelude {
         site_sketch_from_spec, AggregationOutcome,
     };
     pub use ecm::{
-        restore_any, Answer, Backend, Clock, Estimate, Eviction, Guarantee, MemoryReport, Query,
-        QueryError, QueryKind, Sketch, SketchReader, SketchSpec, SketchStore, SketchWriter,
-        SnapshotError, SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
+        restore_any, Answer, Backend, Clock, Estimate, Guarantee, MemoryReport, Query, QueryError,
+        QueryKind, Sketch, SketchReader, SketchSpec, SketchStore, SketchWriter, SnapshotError,
+        SpecBackend, SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
     };
 }

@@ -13,8 +13,8 @@
 
 use ecm_suite::ecm::{
     grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, EcmEh, EcmHierarchy,
-    Eviction, Query, QueryError, Sketch, SketchReader, SketchSpec, SketchStore, SpecBackend,
-    SpecError, StreamEvent, Threshold, WindowSpec, WriteError,
+    Query, QueryError, Sketch, SketchReader, SketchSpec, SketchStore, SpecBackend, SpecError,
+    StreamEvent, Threshold, WindowSpec, WriteError,
 };
 use ecm_suite::ecm::{EcmSketch, SketchWriter};
 use ecm_suite::sliding_window::ExponentialHistogram;
@@ -408,7 +408,7 @@ fn observe(store: &SketchStore<u64>, spec: &SketchSpec, now: u64) -> String {
         Clock::Time => WindowSpec::time(now, 1_000),
         Clock::Count => WindowSpec::last(200),
     };
-    let mut out = format!("keys={:?} evictions={}", store.keys(), store.evictions());
+    let mut out = format!("keys={:?}", store.keys());
     for q in [
         Query::total_arrivals(),
         Query::self_join(),
@@ -565,11 +565,9 @@ fn feed_per_occurrence(store: &mut SketchStore<u64>, batch: &[(u64, StreamEvent,
 }
 
 /// `ingest_runs(batch)` ≡ `ingest(batch written out per occurrence)` ≡ one
-/// `insert` per occurrence, down to the bytes: full snapshots, the
-/// incremental after a checkpoint, resident keys and eviction victims —
-/// on all eight backend specs, unbounded and through three LRU / FIFO slots,
-/// for weights all 1 and mixed; and, unbounded, for lines at the
-/// protocol's cap next to light ones.
+/// `insert` per occurrence, down to the bytes: two full snapshots and the
+/// resident keys — on all eight backend specs, for weights all 1 and mixed;
+/// and for lines at the protocol's cap next to light ones.
 #[test]
 fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
     type Weights = (&'static str, fn(usize, u64) -> u64);
@@ -588,57 +586,39 @@ fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
         };
         for (name, weight) in weightings {
             let mut batches = run_batches(|line| weight(line, cap));
-            let mut bounds = vec![None, Some(Eviction::Lru), Some(Eviction::Fifo)];
             if name == "heaviest" {
-                // Three lines a batch, two batches, one store shape:
-                // written out per occurrence that is four million events.
+                // Three lines a batch, two batches: written out per
+                // occurrence that is four million events.
                 for batch in &mut batches {
                     batch.truncate(3);
                 }
                 batches.truncate(2);
-                bounds.truncate(1);
             }
-            for bound in bounds {
-                let fresh = || {
-                    match bound {
-                        None => SketchStore::<u64>::new(spec.clone()),
-                        Some(policy) => SketchStore::with_capacity(spec.clone(), 3, policy),
-                    }
-                    .expect("valid spec")
-                };
-                let label = format!("spec {i}, weights {name}, {bound:?}");
-                let (mut runs, mut events, mut singles) = (fresh(), fresh(), fresh());
-                for (b, batch) in batches.iter().enumerate() {
-                    runs.ingest_runs(batch);
-                    let unbatched: Vec<(u64, StreamEvent)> = batch
-                        .iter()
-                        .flat_map(|&(key, e, n)| (0..n).map(move |_| (key, e)))
-                        .collect();
-                    events.ingest(&unbatched);
-                    drop(unbatched);
-                    feed_per_occurrence(&mut singles, batch);
-                    assert_eq!(runs.keys(), singles.keys(), "{label}: residents, batch {b}");
-                    assert_eq!(
-                        runs.evictions(),
-                        singles.evictions(),
-                        "{label}: victims, batch {b}"
-                    );
-                    let bytes = if b == batches.len() / 2 {
-                        [&mut runs, &mut events, &mut singles].map(|s| s.write_snapshot())
-                    } else if b + 1 == batches.len() {
-                        [&mut runs, &mut events, &mut singles].map(|s| s.write_incremental())
-                    } else {
-                        continue;
-                    };
-                    let [runs, events, singles] = bytes.map(|b| b.expect("encode"));
-                    assert!(runs == events, "{label}: runs vs events, batch {b}");
-                    assert!(runs == singles, "{label}: runs vs inserts, batch {b}");
+            let fresh = || SketchStore::<u64>::new(spec.clone()).expect("valid spec");
+            let label = format!("spec {i}, weights {name}");
+            let (mut runs, mut events, mut singles) = (fresh(), fresh(), fresh());
+            for (b, batch) in batches.iter().enumerate() {
+                runs.ingest_runs(batch);
+                let unbatched: Vec<(u64, StreamEvent)> = batch
+                    .iter()
+                    .flat_map(|&(key, e, n)| (0..n).map(move |_| (key, e)))
+                    .collect();
+                events.ingest(&unbatched);
+                drop(unbatched);
+                feed_per_occurrence(&mut singles, batch);
+                assert_eq!(runs.keys(), singles.keys(), "{label}: residents, batch {b}");
+                if b != batches.len() / 2 && b + 1 != batches.len() {
+                    continue;
                 }
-                assert!(
-                    runs.write_snapshot().unwrap() == singles.write_snapshot().unwrap(),
-                    "{label}: final snapshot"
-                );
+                let bytes = [&mut runs, &mut events, &mut singles].map(|s| s.write_snapshot());
+                let [runs, events, singles] = bytes.map(|b| b.expect("encode"));
+                assert!(runs == events, "{label}: runs vs events, batch {b}");
+                assert!(runs == singles, "{label}: runs vs inserts, batch {b}");
             }
+            assert!(
+                runs.write_snapshot().unwrap() == singles.write_snapshot().unwrap(),
+                "{label}: final snapshot"
+            );
         }
     }
 }
@@ -655,18 +635,13 @@ proptest! {
     /// still holds its last arrivals: a high bound over a score of zero).
     /// Checked on the live store; on both sides of a `clone` after each
     /// side took different writes (copy-on-write must not share a bound);
-    /// through capacity eviction (even seeds); and on a store restored
+    /// and on a store restored
     /// from snapshot bytes, where the bound is recomputed on decode.
     #[test]
     fn prop_top_k_is_the_scan_on_every_backend(seed in 0u64..10_000) {
         for (i, spec) in eight_specs().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
-            let mut store = if seed % 2 == 0 {
-                SketchStore::<u64>::with_capacity(spec.clone(), 16, Eviction::Lru)
-            } else {
-                SketchStore::new(spec.clone())
-            }
-            .expect("valid spec");
+            let mut store = SketchStore::<u64>::new(spec.clone()).expect("valid spec");
             // Per tick, a tenant of class `key / 3` writes with
             // probability 1/(1 + class); tenants 2, 5, 8, … stop at tick
             // 400 of 2 200.
@@ -714,8 +689,8 @@ proptest! {
     /// `SketchStore::clone` shares sketches until one side writes them,
     /// yet must stay observably a deep copy. Two stores related by
     /// `clone` (in either direction, repeatedly) are driven through
-    /// random weighted inserts, batched ingests, clock advances and
-    /// capacity evictions, next to two references that are only ever
+    /// random weighted inserts, batched ingests and clock advances, next
+    /// to two references that are only ever
     /// copied through snapshot bytes and therefore never share a sketch:
     /// after every step each store answers bit-identically to its
     /// reference, so no write ever leaks across a clone.
@@ -723,14 +698,7 @@ proptest! {
     fn prop_store_clone_is_observably_a_deep_copy(seed in 0u64..10_000, steps in 20usize..50) {
         for (i, spec) in eight_specs().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
-            // 8 tenants through 4 slots: eviction runs on both copies. Odd
-            // seeds run unbounded, where the store keeps no eviction index.
-            let fresh = || if seed % 2 == 0 {
-                SketchStore::<u64>::with_capacity(spec.clone(), 4, Eviction::Lru)
-            } else {
-                SketchStore::new(spec.clone())
-            }
-            .expect("valid spec");
+            let fresh = || SketchStore::<u64>::new(spec.clone()).expect("valid spec");
             let mut stores = [fresh(), fresh()];
             let mut refs = [fresh(), fresh()];
             let mut ts = 1u64;

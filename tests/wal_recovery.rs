@@ -137,8 +137,8 @@ fn snapshot_plus_replay_is_bit_identical_for_every_backend() {
             restored.ingest(&b);
         }
         assert_eq!(
-            live.write_incremental().unwrap(),
-            restored.write_incremental().unwrap(),
+            live.write_snapshot().unwrap(),
+            restored.write_snapshot().unwrap(),
             "{label}: post-recovery ingest diverged"
         );
     }
@@ -395,7 +395,7 @@ fn an_old_log_continued_with_runs_records_replays_to_the_unbatched_oracle() {
             "{label}: events + runs replay left the oracle"
         );
         assert!(
-            oracle.write_incremental().unwrap() == from_snap.write_incremental().unwrap(),
+            oracle.write_snapshot().unwrap() == from_snap.write_snapshot().unwrap(),
             "{label}: checkpoint + runs replay left the oracle"
         );
     }
