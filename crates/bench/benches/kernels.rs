@@ -28,11 +28,11 @@ use ecm::{
     Backend, EcmConfig, EcmSketch, Query, SketchSpec, SketchStore, SketchWriter, SpecBackend,
     StreamEvent, WindowSpec,
 };
+use ecm_bench::json::{env_block, num, object, rows, text};
 use ecm_bench::{event_budget, WINDOW};
 use sketch_server::{Engine, ServerConfig};
 use sliding_window::traits::WindowCounter;
 use sliding_window::{DeterministicWave, ExactWindow, ExponentialHistogram, RandomizedWave};
-use std::process::Command;
 use std::time::Instant;
 use stream_gen::{SeededRng, ZipfSampler};
 
@@ -99,76 +99,6 @@ fn fleet_spec(seed: u64) -> SketchSpec {
         .epsilon(FLEET_EPS)
         .delta(FLEET_DELTA)
         .seed(seed)
-}
-
-// ------------------------------------------------------------ JSON writer
-
-/// One JSON object on one line, from names and already-rendered values.
-fn object(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(name, value)| format!("\"{name}\": {value}"))
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-/// A JSON array, one row per line.
-fn rows(rows: &[String]) -> String {
-    format!("[\n    {}\n  ]", rows.join(",\n    "))
-}
-
-/// A number with `decimals` places.
-fn num(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
-
-/// A JSON string. The strings written here are backend names and machine
-/// descriptions, for which Rust's `Debug` escapes and JSON's coincide.
-fn text(s: &str) -> String {
-    format!("{s:?}")
-}
-
-/// The machine record, with the keys a `sketchbench` report carries.
-fn env_block() -> String {
-    let first_line = |cmd: &mut Command| {
-        let out = cmd.output().ok().filter(|o| o.status.success())?;
-        let line = String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .next()?
-            .trim()
-            .to_string();
-        Some(line)
-    };
-    let unknown = || "unknown".to_string();
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|cpuinfo| {
-            let line = cpuinfo.lines().find(|l| l.starts_with("model name"))?;
-            Some(line.split(':').nth(1)?.trim().to_string())
-        })
-        .unwrap_or_else(unknown);
-    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
-        .map_or_else(|_| unknown(), |s| s.trim().to_string());
-    let rustc = first_line(Command::new("rustc").arg("--version")).unwrap_or_else(unknown);
-    let commit = first_line(
-        Command::new("git")
-            .args(["rev-parse", "HEAD"])
-            .current_dir(env!("CARGO_MANIFEST_DIR")),
-    )
-    .unwrap_or_else(unknown);
-    object(&[
-        (
-            "nproc",
-            std::thread::available_parallelism()
-                .map_or(1, usize::from)
-                .to_string(),
-        ),
-        ("cpu_model", text(&cpu_model)),
-        ("kernel", text(&kernel)),
-        ("rustc", text(&rustc)),
-        ("profile", text("release (lto=thin, codegen-units=1)")),
-        ("commit", text(&commit)),
-    ])
 }
 
 // ----------------------------------------------------------------- ingest

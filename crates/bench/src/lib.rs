@@ -1,20 +1,22 @@
-//! Shared harness for regenerating every table and figure of the paper's
-//! evaluation (§7). Each `src/bin/*.rs` binary prints the rows/series of one
-//! table or figure; this library holds the common plumbing: workload
-//! selection, sketch construction, error scoring against the exact oracle,
-//! and output formatting.
+//! Harness regenerating every table and figure of the paper's evaluation
+//! (§7). [`repro`] holds the experiments, each returning rows and checked
+//! claims, which `src/bin/repro.rs` writes to `REPRODUCTION.json`; this
+//! module holds their plumbing: workload selection, sketch construction and
+//! error scoring against the exact oracle. [`json`] is the one JSON writer
+//! (and reader) of the crate's two result files.
 //!
-//! Scale control: every binary reads `ECM_EVENTS` (default 200 000) so the
-//! full suite runs in minutes on a laptop; raise it to approach paper-scale
-//! runs.
+//! Scale control: `ECM_EVENTS` (default 200 000) sizes the traces, so the
+//! whole suite runs in about a minute in release; raise it to approach
+//! paper-scale runs.
 
 pub mod alloc;
+pub mod json;
+pub mod repro;
 
-use ecm::{
-    Backend, EcmSketch, Query, QueryKind, SketchReader, SketchSpec, SpecBackend, WindowSpec,
-};
+use ecm::{Backend, EcmConfig, EcmSketch, Query, QueryKind, SketchReader, SketchSpec};
+use ecm::{SpecBackend, WindowSpec};
 use sliding_window::traits::{MergeableCounter, WindowCounter};
-use stream_gen::{partition_by_site, snmp_like, worldcup_like, Event, WindowOracle};
+use stream_gen::{snmp_like, worldcup_like, Event, WindowOracle};
 
 /// The paper's sliding window: 10⁶ seconds (≈ 11.5 days).
 pub const WINDOW: u64 = 1_000_000;
@@ -27,7 +29,8 @@ pub fn event_budget() -> usize {
         .unwrap_or(200_000)
 }
 
-/// The two evaluation datasets (synthetic substitutes; DESIGN.md §4).
+/// The two evaluation datasets: the synthetic substitutes of
+/// [`stream_gen::workloads`] for the paper's WorldCup'98 and SNMP traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataset {
     /// WorldCup'98-like: 33 sites, Zipf(0.85) keys.
@@ -79,6 +82,36 @@ pub struct ErrorSummary {
     pub queries: usize,
 }
 
+impl FromIterator<f64> for ErrorSummary {
+    fn from_iter<I: IntoIterator<Item = f64>>(errors: I) -> Self {
+        let (mut sum, mut s) = (0.0, ErrorSummary::default());
+        for err in errors {
+            (sum, s.max, s.queries) = (sum + err, s.max.max(err), s.queries + 1);
+        }
+        s.avg = sum / s.queries.max(1) as f64;
+        s
+    }
+}
+
+/// The query ranges worth scoring at `now`, with their ‖a_r‖₁. Near-empty
+/// ranges are skipped: at paper scale (10⁹ events) every range holds
+/// thousands of arrivals; at laptop scale a range with a handful of
+/// arrivals turns one hash collision into a meaningless 30%+ "relative"
+/// error.
+fn scored_ranges(oracle: &WindowOracle, now: u64) -> impl Iterator<Item = (u64, f64)> + '_ {
+    let ranges = query_ranges().into_iter();
+    ranges
+        .map(move |r| (r, oracle.total(now, r) as f64))
+        .filter(|&(_, norm)| norm >= 30.0)
+}
+
+/// `sk`'s estimate of `query` over `(now - range, now]`.
+fn estimate<W: WindowCounter + 'static>(sk: &EcmSketch<W>, q: &Query, now: u64, range: u64) -> f64 {
+    let answer = sk.query(q, WindowSpec::time(now, range));
+    let answer = answer.expect("query ranges never exceed the configured window");
+    answer.into_value().value
+}
+
 /// Score point queries over every distinct in-range key for each query
 /// range (paper §7.1: one point query per distinct item in the range),
 /// capped at `max_keys` per range for tractability.
@@ -88,38 +121,16 @@ pub fn score_point_queries<W: WindowCounter + 'static>(
     now: u64,
     max_keys: usize,
 ) -> ErrorSummary {
-    let mut sum = 0.0;
-    let mut max = 0.0f64;
-    let mut n = 0usize;
-    for range in query_ranges() {
-        let norm = oracle.total(now, range) as f64;
-        // Skip near-empty ranges: at paper scale (10⁹ events) every range
-        // holds thousands of arrivals; at laptop scale a range with a
-        // handful of arrivals turns one hash collision into a meaningless
-        // 30%+ "relative" error.
-        if norm < 30.0 {
-            continue;
-        }
-        let mut keys: Vec<u64> = oracle.keys().collect();
-        keys.sort_unstable();
-        for key in keys.into_iter().take(max_keys) {
+    let mut keys: Vec<u64> = oracle.keys().collect();
+    keys.sort_unstable();
+    let keys = &keys[..keys.len().min(max_keys)];
+    let per_range = |(range, norm): (u64, f64)| {
+        keys.iter().map(move |&key| {
             let exact = oracle.frequency(key, now, range) as f64;
-            let est = sk
-                .query(&Query::point(key), WindowSpec::time(now, range))
-                .expect("query ranges never exceed the configured window")
-                .into_value()
-                .value;
-            let err = (est - exact).abs() / norm;
-            sum += err;
-            max = max.max(err);
-            n += 1;
-        }
-    }
-    ErrorSummary {
-        avg: if n == 0 { 0.0 } else { sum / n as f64 },
-        max,
-        queries: n,
-    }
+            (estimate(sk, &Query::point(key), now, range) - exact).abs() / norm
+        })
+    };
+    scored_ranges(oracle, now).flat_map(per_range).collect()
 }
 
 /// Score self-join queries for each query range:
@@ -129,50 +140,18 @@ pub fn score_self_join<W: WindowCounter + 'static>(
     oracle: &WindowOracle,
     now: u64,
 ) -> ErrorSummary {
-    let mut sum = 0.0;
-    let mut max = 0.0f64;
-    let mut n = 0usize;
-    for range in query_ranges() {
-        let norm = oracle.total(now, range) as f64;
-        if norm < 30.0 {
-            continue;
-        }
-        let exact = oracle.self_join(now, range);
-        let est = sk
-            .query(&Query::self_join(), WindowSpec::time(now, range))
-            .expect("query ranges never exceed the configured window")
-            .into_value()
-            .value;
-        let err = (est - exact).abs() / (norm * norm);
-        sum += err;
-        max = max.max(err);
-        n += 1;
-    }
-    ErrorSummary {
-        avg: if n == 0 { 0.0 } else { sum / n as f64 },
-        max,
-        queries: n,
-    }
+    let err = |(range, norm): (u64, f64)| {
+        let est = estimate(sk, &Query::self_join(), now, range);
+        (est - oracle.self_join(now, range)).abs() / (norm * norm)
+    };
+    scored_ranges(oracle, now).map(err).collect()
 }
 
-/// Build a centralized sketch of `events` with the given inserter.
-pub fn build_sketch<W: WindowCounter>(cfg: &ecm::EcmConfig<W>, events: &[Event]) -> EcmSketch<W> {
-    let mut sk = EcmSketch::new(cfg);
-    for (i, e) in events.iter().enumerate() {
-        sk.insert_with_id(e.ts, e.key, i as u64 + 1)
-            .expect("trace ticks are non-decreasing");
-    }
-    sk
-}
-
-/// Build a centralized sketch through the **batched ingest fast path**:
-/// runs of consecutive equal `(key, ts)` events collapse into one weighted
-/// update carrying the same global arrival ids `build_sketch` assigns, so
-/// the result is bit-identical — just faster on bursty traces.
-pub fn build_sketch_batched<W: WindowCounter>(
-    cfg: &ecm::EcmConfig<W>,
-    events: &[Event],
-) -> EcmSketch<W> {
+/// Build a centralized sketch of `events`, arrival ids `1..=n` in trace
+/// order. Runs of consecutive equal events go in as one weighted update
+/// carrying the same ids, which is bit-identical to the per-event loop and
+/// faster on bursty traces.
+pub fn build_sketch<W: WindowCounter>(cfg: &EcmConfig<W>, events: &[Event]) -> EcmSketch<W> {
     let mut sk = EcmSketch::new(cfg);
     let mut next_id = 1u64;
     for (e, n) in ecm::grouped_runs(events) {
@@ -186,106 +165,73 @@ pub fn build_sketch_batched<W: WindowCounter>(
 /// Build per-site sketches and aggregate them up a balanced binary tree,
 /// returning the root sketch and the transfer stats.
 pub fn build_distributed<W: MergeableCounter>(
-    cfg: &ecm::EcmConfig<W>,
+    cfg: &EcmConfig<W>,
     events: &[Event],
     n_sites: u32,
 ) -> (EcmSketch<W>, distributed::TransferStats) {
-    let parts = partition_by_site(events, n_sites);
     // Globally unique arrival ids (consistent with the centralized build).
     let mut site_events: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); n_sites as usize];
     for (i, e) in events.iter().enumerate() {
         site_events[e.site as usize].push((e.key, e.ts, i as u64 + 1));
     }
-    let _ = parts;
-    let out = distributed::aggregate_tree(
-        n_sites as usize,
-        |i| {
-            let mut sk = EcmSketch::new(cfg);
-            for &(key, ts, id) in &site_events[i] {
-                sk.insert_with_id(ts, key, id)
-                    .expect("trace ticks are non-decreasing");
-            }
-            sk
-        },
-        &cfg.cell,
-    )
-    .expect("homogeneous sketches always merge");
+    let site = |i: usize| {
+        let mut sk = EcmSketch::new(cfg);
+        for &(key, ts, id) in &site_events[i] {
+            let inserted = sk.insert_with_id(ts, key, id);
+            inserted.expect("trace ticks are non-decreasing");
+        }
+        sk
+    };
+    let out = distributed::aggregate_tree(n_sites as usize, site, &cfg.cell);
+    let out = out.expect("homogeneous sketches always merge");
     (out.root, out.stats)
 }
 
-/// Sketch-variant constructors sharing one accuracy target.
+/// Sketch-variant configs sharing one accuracy target over the paper
+/// window.
 pub struct VariantConfigs {
-    /// ε used to build the configs.
-    pub epsilon: f64,
     spec: SketchSpec,
 }
 
 impl VariantConfigs {
-    /// Point-query-optimized configs at (ε, δ) over the paper window.
+    /// Configs optimized for `kind` queries at (ε, δ).
+    pub fn new(kind: QueryKind, epsilon: f64, delta: f64, max_arrivals: u64, seed: u64) -> Self {
+        let spec = SketchSpec::time(WINDOW).epsilon(epsilon).delta(delta);
+        let spec = spec.query_kind(kind).max_arrivals(max_arrivals).seed(seed);
+        VariantConfigs { spec }
+    }
+
+    /// Point-query-optimized configs.
     pub fn point(epsilon: f64, delta: f64, max_arrivals: u64, seed: u64) -> Self {
-        VariantConfigs {
-            epsilon,
-            spec: SketchSpec::time(WINDOW)
-                .epsilon(epsilon)
-                .delta(delta)
-                .query_kind(QueryKind::Point)
-                .max_arrivals(max_arrivals)
-                .seed(seed),
-        }
+        Self::new(QueryKind::Point, epsilon, delta, max_arrivals, seed)
     }
 
     /// Self-join-optimized configs.
     pub fn inner_product(epsilon: f64, delta: f64, max_arrivals: u64, seed: u64) -> Self {
-        VariantConfigs {
-            epsilon,
-            spec: SketchSpec::time(WINDOW)
-                .epsilon(epsilon)
-                .delta(delta)
-                .query_kind(QueryKind::InnerProduct)
-                .max_arrivals(max_arrivals)
-                .seed(seed),
-        }
+        Self::new(QueryKind::InnerProduct, epsilon, delta, max_arrivals, seed)
     }
 
     /// The typed config of `backend` at this accuracy target.
-    fn config<W: SpecBackend>(&self, backend: Backend) -> ecm::EcmConfig<W> {
-        self.spec
-            .clone()
-            .backend(backend)
-            .ecm_config()
-            .expect("the variant specs are valid")
+    fn config<W: SpecBackend>(&self, backend: Backend) -> EcmConfig<W> {
+        let spec = self.spec.clone().backend(backend);
+        spec.ecm_config().expect("the variant specs are valid")
     }
 
     /// ECM-EH config.
-    pub fn eh(&self) -> ecm::EcmConfig<sliding_window::ExponentialHistogram> {
+    pub fn eh(&self) -> EcmConfig<sliding_window::ExponentialHistogram> {
         self.config(Backend::Eh)
     }
 
     /// ECM-DW config.
-    pub fn dw(&self) -> ecm::EcmConfig<sliding_window::DeterministicWave> {
+    pub fn dw(&self) -> EcmConfig<sliding_window::DeterministicWave> {
         self.config(Backend::Dw)
     }
 
     /// ECM-RW config.
-    pub fn rw(&self) -> ecm::EcmConfig<sliding_window::RandomizedWave> {
+    pub fn rw(&self) -> EcmConfig<sliding_window::RandomizedWave> {
         self.config(Backend::Rw)
     }
 }
-
-/// Megabytes, for table formatting.
-pub fn mb(bytes: usize) -> f64 {
-    bytes as f64 / (1024.0 * 1024.0)
-}
-
-/// Print a table header followed by an underline.
-pub fn header(title: &str, columns: &str) {
-    println!("\n=== {title} ===");
-    println!("{columns}");
-    println!("{}", "-".repeat(columns.len().min(100)));
-}
-
-/// Convenience alias exports for the binaries.
-pub use ecm::{EcmDw as Dw, EcmEh as Eh, EcmRw as Rw};
 
 #[cfg(test)]
 mod tests {

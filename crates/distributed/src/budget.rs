@@ -12,8 +12,9 @@
 //! top: per-level error tracking, the naive-compounding comparison that the
 //! additive analysis beats, and memory/transfer predictions for a whole tree.
 //!
-//! `crates/bench/src/bin/ablation_height.rs` measures the observed error of
-//! budgeted vs un-budgeted hierarchies against these predictions.
+//! `ecm_bench::repro::ablation_merge` and `ablation_fanout` measure the
+//! observed error of budgeted and un-budgeted hierarchies (the `ablation_*`
+//! rows and claims of `REPRODUCTION.json`).
 
 use ecm::config::split_point_query;
 pub use sliding_window::exponential_histogram::multilevel_epsilon;

@@ -22,7 +22,8 @@
 //! (sketch-level) global value in parallel to charge *wrong-side ticks* —
 //! events during which the protocol's reported side of the threshold
 //! disagrees with the truth — and the maximum detection delay.
-//! `crates/bench/src/bin/continuous_monitoring.rs` prints the comparison.
+//! `ecm_bench::repro::monitoring` records the comparison (the `monitoring`
+//! rows and `s6_2.*` claims of `REPRODUCTION.json`).
 
 use ecm::{EcmSketch, SketchWriter};
 use sliding_window::traits::WindowCounter;

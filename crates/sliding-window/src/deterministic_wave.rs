@@ -16,8 +16,9 @@
 //! trailing zeros), which is O(1) amortized but O(log u) worst-case, versus
 //! the O(1) worst-case of the original paper (achievable with linked level
 //! splicing). The ECM paper's measured Table 3 — where waves update *slower*
-//! than exponential histograms in practice — is unaffected; DESIGN.md §6
-//! records the deviation.
+//! than exponential histograms in practice — is unaffected; the measured
+//! rates, and whether they reproduce the paper's ordering, are the
+//! `table3.*` claims of `REPRODUCTION.json`.
 
 use std::collections::VecDeque;
 

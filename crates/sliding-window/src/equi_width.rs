@@ -9,8 +9,9 @@
 //! sub-window width, so a query whose range is comparable to (or smaller
 //! than) one sub-window can be off by an entire bucket's mass — there is
 //! **no multiplicative error guarantee**, especially for small query
-//! ranges. `crates/bench/src/bin/baseline_equiwidth.rs` measures exactly
-//! this failure mode against the exponential histogram.
+//! ranges. `ecm_bench::repro::baseline_equiwidth` measures exactly this
+//! failure mode against the exponential histogram (the `s2.*` claims of
+//! `REPRODUCTION.json`).
 
 use std::collections::VecDeque;
 

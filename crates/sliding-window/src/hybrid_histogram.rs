@@ -13,9 +13,10 @@
 //! its ε guarantee, but the value dimension has none — a value range narrower
 //! than one bin inherits whatever fraction of the bin's mass the uniformity
 //! assumption assigns it, which can be arbitrarily wrong on skewed data.
-//! `crates/bench/src/bin/baseline_hybrid.rs` measures this failure mode
-//! against the dyadic ECM hierarchy, which answers the same queries with a
-//! guaranteed error.
+//! `ecm_bench::repro::baseline_hybrid` measures this failure mode against
+//! the dyadic ECM hierarchy, which answers the same queries with a
+//! guaranteed error (the `s2.hybrid_unbounded` claim of
+//! `REPRODUCTION.json`).
 //!
 //! Composition is also absent (the paper: "cannot be composed in a
 //! distributed setting"): merging two hybrid histograms would need the

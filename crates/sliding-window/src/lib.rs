@@ -52,5 +52,5 @@ pub use grid::{CellStorage, VecCells};
 pub use hybrid_histogram::{HybridConfig, HybridHistogram};
 pub use randomized_wave::{merge_randomized_waves, RandomizedWave, RwConfig, RwGrid};
 pub use reorder::{ReorderBuffer, ReorderConfig};
-pub use timestamp::{compact_eh_bits, BitPacker, WrapClock};
+pub use timestamp::compact_eh_bits;
 pub use traits::{MergeableCounter, WindowCounter, WindowGuarantee};

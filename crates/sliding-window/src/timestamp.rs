@@ -1,304 +1,30 @@
-//! Wraparound timestamp counters (paper §4.2.1).
+//! Compact timestamp accounting (paper §4.2.1).
 //!
 //! Time-based exponential histograms identify every bucket by its arrival
 //! tick. Stored naively, that is a full 64-bit word per bucket. The paper
 //! observes that ticks only ever need to be compared *within one window*:
 //! "to reduce memory, arrival times are stored in wraparound counters of
-//! `O(log N)` bits, where `N` is the length of the sliding window".
+//! `O(log N)` bits, where `N` is the length of the sliding window". A
+//! synopsis never retains a timestamp older than one window plus one
+//! bucket, so live ticks span at most `2N` and a residue modulo the
+//! smallest power of two above `2N` recovers every one of them.
 //!
-//! [`WrapClock`] implements that scheme: it maps a monotone `u64` tick into a
-//! `b`-bit residue with `2^b > N`, and recovers the original tick — or the
-//! age — of any *live* timestamp given the current tick. Recovery is
-//! unambiguous precisely because a synopsis never retains a timestamp older
-//! than one window plus one bucket, and the modulus is chosen to cover that
-//! slack.
-//!
-//! [`BitPacker`] packs a sequence of such residues at `b` bits apiece, which
-//! is how the paper's `O(log N + log log u)` bits-per-bucket memory accounting
-//! is realized physically. The synopsis structs in this crate keep plain
-//! `u64`s in their working representation for speed; the wire codecs and the
-//! `compact_bits` helpers below are where the wraparound representation pays.
-
-use crate::codec::{get_varint, put_varint};
-use crate::error::CodecError;
-
-/// A fixed-width wraparound clock for timestamps that live at most
-/// `span` ticks in the past.
-///
-/// ```
-/// use sliding_window::timestamp::WrapClock;
-///
-/// // Timestamps within a window of 1000 ticks, plus slack for the oldest,
-/// // partially-expired bucket.
-/// let clock = WrapClock::for_window(1000);
-/// assert!(clock.modulus() > 2 * 1000);
-///
-/// let now = 123_456_789_u64;
-/// let ts = now - 997; // lives inside the window
-/// let wrapped = clock.wrap(ts);
-/// assert!(wrapped < clock.modulus());
-/// assert_eq!(clock.unwrap(wrapped, now), ts);
-/// assert_eq!(clock.age(wrapped, now), 997);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WrapClock {
-    bits: u32,
-    mask: u64,
-}
-
-impl WrapClock {
-    /// Smallest clock whose modulus strictly exceeds `2 * window`.
-    ///
-    /// The factor two covers the paper's slack: the oldest retained bucket of
-    /// an exponential histogram may *end* inside the window while *starting*
-    /// up to one full window earlier (its range is what the half-bucket query
-    /// rule reasons about), so live ticks span at most `2N`.
-    ///
-    /// # Panics
-    /// Panics if `window == 0` or the doubled span overflows `u64`.
-    pub fn for_window(window: u64) -> Self {
-        assert!(window > 0, "window must be positive");
-        let span = window.checked_mul(2).expect("window span overflows u64");
-        Self::for_span(span)
-    }
-
-    /// Smallest clock whose modulus strictly exceeds `span`.
-    ///
-    /// Use this directly when the caller guarantees a tighter bound on how
-    /// old a live timestamp can be (e.g. `span = window` for structures that
-    /// only ever store in-window end ticks).
-    ///
-    /// # Panics
-    /// Panics if `span == u64::MAX` (no strictly larger power of two fits).
-    pub fn for_span(span: u64) -> Self {
-        assert!(span < u64::MAX, "span too large for a 64-bit clock");
-        // Smallest b with 2^b > span.
-        let bits = 64 - span.leading_zeros();
-        let bits = bits.max(1);
-        WrapClock::with_bits(bits)
-    }
-
-    /// A clock with an explicit residue width in bits (1..=64).
-    ///
-    /// # Panics
-    /// Panics if `bits` is zero or exceeds 64.
-    pub fn with_bits(bits: u32) -> Self {
-        assert!((1..=64).contains(&bits), "bits must be in 1..=64");
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        WrapClock { bits, mask }
-    }
-
-    /// Residue width in bits — the paper's `O(log N)`.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Number of distinct residues (`2^bits`); saturates at `u64::MAX` for
-    /// the degenerate 64-bit clock.
-    pub fn modulus(&self) -> u64 {
-        if self.bits == 64 {
-            u64::MAX
-        } else {
-            1u64 << self.bits
-        }
-    }
-
-    /// Wrap a monotone tick into its residue.
-    #[inline]
-    pub fn wrap(&self, ts: u64) -> u64 {
-        ts & self.mask
-    }
-
-    /// Recover the latest tick `t <= now` whose residue is `wrapped`.
-    ///
-    /// Correct whenever the original tick satisfies
-    /// `now - ts < modulus()` — i.e. the timestamp is still *live* for the
-    /// span this clock was sized for.
-    ///
-    /// # Panics
-    /// Debug-panics if `wrapped` is not a valid residue.
-    #[inline]
-    pub fn unwrap(&self, wrapped: u64, now: u64) -> u64 {
-        debug_assert!(wrapped <= self.mask, "residue {wrapped} out of range");
-        now - self.age(wrapped, now)
-    }
-
-    /// Age `now - ts` of the live timestamp with residue `wrapped`.
-    #[inline]
-    pub fn age(&self, wrapped: u64, now: u64) -> u64 {
-        (self.wrap(now).wrapping_sub(wrapped)) & self.mask
-    }
-
-    /// Whether a live timestamp with residue `wrapped` falls in the query
-    /// range `(now - range, now]`.
-    #[inline]
-    pub fn in_range(&self, wrapped: u64, now: u64, range: u64) -> bool {
-        self.age(wrapped, now) < range
-    }
-}
-
-/// Append-only bit-level packer for fixed-width residues.
-///
-/// Stores `k` values of `width` bits in `⌈k·width/64⌉` words. This is the
-/// physical layout behind the paper's bits-per-bucket memory accounting
-/// (§4.2.1): an exponential histogram bucket costs `O(log N + log log u)`
-/// bits, not a machine word.
-///
-/// ```
-/// use sliding_window::timestamp::BitPacker;
-///
-/// let mut packer = BitPacker::new(11); // 11-bit residues: window 1024
-/// for v in [0u64, 1, 2047, 1023, 512] {
-///     packer.push(v);
-/// }
-/// assert_eq!(packer.len(), 5);
-/// assert_eq!(packer.get(2), 2047);
-/// assert_eq!(packer.bits_used(), 55);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitPacker {
-    width: u32,
-    len: usize,
-    words: Vec<u64>,
-}
-
-impl BitPacker {
-    /// A packer for `width`-bit values (1..=64).
-    ///
-    /// # Panics
-    /// Panics if `width` is zero or exceeds 64.
-    pub fn new(width: u32) -> Self {
-        assert!((1..=64).contains(&width), "width must be in 1..=64");
-        BitPacker {
-            width,
-            len: 0,
-            words: Vec::new(),
-        }
-    }
-
-    /// Value width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Number of values stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no values are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total bits consumed by the stored values.
-    pub fn bits_used(&self) -> u64 {
-        self.len as u64 * self.width as u64
-    }
-
-    /// Append a value.
-    ///
-    /// # Panics
-    /// Debug-panics if `v` does not fit in `width` bits.
-    pub fn push(&mut self, v: u64) {
-        debug_assert!(
-            self.width == 64 || v < (1u64 << self.width),
-            "value {v} exceeds {} bits",
-            self.width
-        );
-        let bit = self.len as u64 * self.width as u64;
-        let word = (bit / 64) as usize;
-        let off = (bit % 64) as u32;
-        if word >= self.words.len() {
-            self.words.push(0);
-        }
-        self.words[word] |= v << off;
-        let spill = off as u64 + self.width as u64;
-        if spill > 64 {
-            // Value straddles a word boundary.
-            self.words.push(v >> (64 - off));
-        }
-        self.len += 1;
-    }
-
-    /// Read the value at `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx >= len()`.
-    pub fn get(&self, idx: usize) -> u64 {
-        assert!(
-            idx < self.len,
-            "index {idx} out of bounds (len {})",
-            self.len
-        );
-        let bit = idx as u64 * self.width as u64;
-        let word = (bit / 64) as usize;
-        let off = (bit % 64) as u32;
-        let mask = if self.width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        };
-        let lo = self.words[word] >> off;
-        let spill = off as u64 + self.width as u64;
-        let v = if spill > 64 {
-            lo | (self.words[word + 1] << (64 - off))
-        } else {
-            lo
-        };
-        v & mask
-    }
-
-    /// Iterate the stored values in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(move |i| self.get(i))
-    }
-
-    /// Append the wire encoding (width, length, raw words) to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.width as u64);
-        put_varint(buf, self.len as u64);
-        let words = self.bits_used().div_ceil(64) as usize;
-        for &w in &self.words[..words] {
-            put_varint(buf, w);
-        }
-    }
-
-    /// Decode a packer previously produced by [`encode`](BitPacker::encode).
-    pub fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let width = get_varint(input, "bitpacker width")? as u32;
-        if !(1..=64).contains(&width) {
-            return Err(CodecError::Corrupt {
-                context: "bitpacker width",
-            });
-        }
-        let len = get_varint(input, "bitpacker len")? as usize;
-        let bits = len as u64 * width as u64;
-        let n_words = bits.div_ceil(64) as usize;
-        // Cap pathological allocations before the words are actually present.
-        if n_words > 1 << 28 {
-            return Err(CodecError::Corrupt {
-                context: "bitpacker len",
-            });
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(get_varint(input, "bitpacker word")?);
-        }
-        Ok(BitPacker { width, len, words })
-    }
-}
+//! The synopsis structs keep plain `u64` ticks for speed; [`compact_eh_bits`]
+//! is the paper's bits-per-bucket memory accounting, which the distributed
+//! budget planner uses to predict what a histogram would cost on the wire.
 
 /// Paper-faithful compact size of an exponential histogram, in bits:
-/// `buckets` bucket end-ticks at `O(log N)` bits apiece (wraparound clock for
-/// `window`) plus a per-bucket size exponent at `log₂ log₂ (max count)` bits
-/// (§4.2.1's `log log u(N, S)` term) plus one full-width reference tick.
+/// `buckets` bucket end-ticks at `O(log N)` bits apiece (the smallest
+/// wraparound width whose modulus exceeds `2 * window`) plus a per-bucket
+/// size exponent at `log₂ log₂ (max count)` bits (§4.2.1's `log log u(N, S)`
+/// term) plus one full-width reference tick.
+///
+/// # Panics
+/// Panics if `window == 0` or `2 * window` overflows `u64`.
 pub fn compact_eh_bits(buckets: usize, window: u64, max_count: u64) -> u64 {
-    let ts_bits = WrapClock::for_window(window).bits() as u64;
+    assert!(window > 0, "window must be positive");
+    let span = window.checked_mul(2).expect("window span overflows u64");
+    let ts_bits = u64::from(64 - span.leading_zeros()); // smallest b with 2^b > span
     let exp_bits = 64 - max_count.max(2).leading_zeros() as u64; // log2(u)
     let size_bits = 64 - exp_bits.max(2).leading_zeros() as u64; // log2 log2(u)
     buckets as u64 * (ts_bits + size_bits) + 64
@@ -307,150 +33,6 @@ pub fn compact_eh_bits(buckets: usize, window: u64, max_count: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn for_window_sizes_modulus() {
-        let c = WrapClock::for_window(1000);
-        assert!(c.modulus() > 2000);
-        assert!(
-            c.modulus() <= 4000,
-            "modulus should be the next power of two"
-        );
-        assert_eq!(c.bits(), 11);
-    }
-
-    #[test]
-    fn for_span_exact_powers() {
-        // span = 2^k needs k+1 bits for a strictly larger modulus.
-        assert_eq!(WrapClock::for_span(1024).bits(), 11);
-        assert_eq!(WrapClock::for_span(1023).bits(), 10);
-        assert_eq!(WrapClock::for_span(1).bits(), 1);
-    }
-
-    #[test]
-    fn wrap_unwrap_round_trips_live_timestamps() {
-        let c = WrapClock::for_window(500);
-        let now = 10_000_000u64;
-        for age in 0..=999 {
-            let ts = now - age;
-            assert_eq!(c.unwrap(c.wrap(ts), now), ts, "age {age}");
-            assert_eq!(c.age(c.wrap(ts), now), age);
-        }
-    }
-
-    #[test]
-    fn unwrap_across_wrap_boundary() {
-        let c = WrapClock::with_bits(4); // modulus 16
-                                         // now wraps to 1, ts = now-3 wraps to 14: recovery must borrow.
-        let now = 17u64;
-        let ts = 14u64;
-        assert_eq!(c.wrap(now), 1);
-        assert_eq!(c.wrap(ts), 14);
-        assert_eq!(c.unwrap(14, now), ts);
-    }
-
-    #[test]
-    fn in_range_is_half_open() {
-        let c = WrapClock::for_window(100);
-        let now = 1_000u64;
-        assert!(c.in_range(c.wrap(now), now, 10)); // age 0 in
-        assert!(c.in_range(c.wrap(now - 9), now, 10)); // age 9 in
-        assert!(!c.in_range(c.wrap(now - 10), now, 10)); // age 10 out
-    }
-
-    #[test]
-    fn stale_timestamp_aliases_as_documented() {
-        // A timestamp older than the modulus aliases onto a younger one —
-        // the contract explicitly requires liveness.
-        let c = WrapClock::with_bits(4);
-        let now = 100u64;
-        let stale = now - 16; // exactly one modulus ago
-        assert_eq!(c.unwrap(c.wrap(stale), now), now);
-    }
-
-    #[test]
-    fn degenerate_full_width_clock() {
-        let c = WrapClock::with_bits(64);
-        assert_eq!(c.wrap(u64::MAX), u64::MAX);
-        assert_eq!(c.unwrap(u64::MAX - 5, u64::MAX), u64::MAX - 5);
-    }
-
-    #[test]
-    fn bitpacker_round_trips_values() {
-        for width in [1u32, 3, 7, 11, 13, 31, 33, 63, 64] {
-            let mask = if width == 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            };
-            let mut p = BitPacker::new(width);
-            let vals: Vec<u64> = (0..200u64)
-                .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15)) & mask)
-                .collect();
-            for &v in &vals {
-                p.push(v);
-            }
-            assert_eq!(p.len(), vals.len());
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(p.get(i), v, "width {width} idx {i}");
-            }
-            let collected: Vec<u64> = p.iter().collect();
-            assert_eq!(collected, vals, "width {width}");
-        }
-    }
-
-    #[test]
-    fn bitpacker_word_straddle() {
-        // width 60: the second value straddles the first word boundary.
-        let mut p = BitPacker::new(60);
-        p.push(0x0FFF_FFFF_FFFF_FFFF);
-        p.push(0x0ABC_DEF0_1234_5678);
-        assert_eq!(p.get(0), 0x0FFF_FFFF_FFFF_FFFF);
-        assert_eq!(p.get(1), 0x0ABC_DEF0_1234_5678);
-    }
-
-    #[test]
-    fn bitpacker_codec_round_trips() {
-        let mut p = BitPacker::new(11);
-        for v in 0..500u64 {
-            p.push(v % 2048);
-        }
-        let mut buf = Vec::new();
-        p.encode(&mut buf);
-        let mut input = buf.as_slice();
-        let q = BitPacker::decode(&mut input).expect("decode");
-        assert!(input.is_empty(), "decoder must consume exactly its bytes");
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn bitpacker_decode_rejects_truncation() {
-        let mut p = BitPacker::new(17);
-        for v in 0..64u64 {
-            p.push(v * 3);
-        }
-        let mut buf = Vec::new();
-        p.encode(&mut buf);
-        for cut in [0, 1, buf.len() / 2, buf.len() - 1] {
-            let mut input = &buf[..cut];
-            assert!(
-                BitPacker::decode(&mut input).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn bitpacker_decode_rejects_bad_width() {
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 0); // width 0
-        put_varint(&mut buf, 0);
-        assert!(BitPacker::decode(&mut buf.as_slice()).is_err());
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 65); // width 65
-        put_varint(&mut buf, 0);
-        assert!(BitPacker::decode(&mut buf.as_slice()).is_err());
-    }
 
     #[test]
     fn compact_bits_tracks_window_and_count() {
@@ -464,57 +46,25 @@ mod tests {
         assert!(small < 100 * 20 + 64);
     }
 
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Every live timestamp round-trips through any adequately
-            /// sized clock.
-            #[test]
-            fn prop_wrap_unwrap_round_trips(
-                window in 1u64..1_000_000,
-                now in 0u64..u64::MAX / 2,
-                age_frac in 0.0f64..2.0,
-            ) {
-                let clock = WrapClock::for_window(window);
-                // Live ticks span up to 2·window by the slack contract.
-                let age = ((age_frac * window as f64) as u64).min(now);
-                let ts = now - age;
-                prop_assert_eq!(clock.unwrap(clock.wrap(ts), now), ts);
-                prop_assert_eq!(clock.age(clock.wrap(ts), now), age);
-            }
-
-            /// BitPacker stores and recovers arbitrary width/value mixes.
-            #[test]
-            fn prop_bitpacker_round_trips(
-                width in 1u32..64,
-                raw in proptest::collection::vec(proptest::num::u64::ANY, 1..200),
-            ) {
-                let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-                let vals: Vec<u64> = raw.iter().map(|v| v & mask).collect();
-                let mut p = BitPacker::new(width);
-                for &v in &vals {
-                    p.push(v);
-                }
-                let got: Vec<u64> = p.iter().collect();
-                prop_assert_eq!(&got, &vals);
-                // And through the codec.
-                let mut buf = Vec::new();
-                p.encode(&mut buf);
-                let q = BitPacker::decode(&mut buf.as_slice())
-                    .map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
-                prop_assert_eq!(p, q);
-            }
+    /// The sizes the wraparound-clock implementation produced, unchanged.
+    #[test]
+    fn compact_bits_are_pinned() {
+        for (buckets, window, max_count, bits) in [
+            (100, 1_000, 1_000, 1_564),
+            (100, 1_000_000, 1_000, 2_564),
+            (100, 1_000, u64::MAX, 1_864),
+            (0, 1, 0, 64),
+            (37, 1 << 20, 5_000, 1_026),
+        ] {
+            assert_eq!(compact_eh_bits(buckets, window, max_count), bits);
         }
     }
 
     #[test]
-    fn wrapclock_matches_eh_query_semantics() {
-        // Round-tripping every bucket end of a live histogram through the
-        // wraparound clock must not change any query answer.
+    fn live_bucket_ends_fit_the_charged_width() {
+        // Every bucket end a live histogram retains is younger than the
+        // modulus of the width `compact_eh_bits` charges, so a residue of
+        // that width recovers it.
         use crate::{EhConfig, ExponentialHistogram};
         let cfg = EhConfig::new(0.1, 1_000);
         let mut eh = ExponentialHistogram::new(&cfg);
@@ -523,10 +73,10 @@ mod tests {
             now = i * 3 + i / 7;
             eh.insert_one(now);
         }
-        let clock = WrapClock::for_window(cfg.window);
+        let per_bucket = compact_eh_bits(1, cfg.window, 2) - compact_eh_bits(0, cfg.window, 2);
+        let ts_bits = per_bucket - 2; // two size bits at max count 2
         for b in eh.buckets() {
-            // Ends of retained buckets are live by construction.
-            assert_eq!(clock.unwrap(clock.wrap(b.end), now), b.end);
+            assert!(now - b.end < 1 << ts_bits, "bucket end {} at {now}", b.end);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! The paper evaluates on two real traces we cannot redistribute:
 //! WorldCup'98 HTTP requests (1.089 B requests, 33 servers, URL keys) and
 //! the CRAWDAD Dartmouth SNMP trace (134 M records, 535 APs, MAC keys).
-//! The generators here are the documented substitutes (DESIGN.md §4): they
+//! The generators of [`workloads`] are the documented substitutes: they
 //! preserve the properties every measured quantity depends on — Zipfian key
 //! skew, diurnally modulated arrival density, site partitioning — while
 //! being deterministic from a seed and scalable to laptop sizes.

@@ -1,14 +1,15 @@
 //! Trace import/export.
 //!
 //! The evaluation ships with synthetic substitutes for the paper's two
-//! proprietary traces (DESIGN.md §4). Users who hold the real WorldCup'98 or
-//! CRAWDAD data — or any other timestamped key stream — can run every
-//! experiment on it by converting to the simple formats here:
+//! proprietary traces (see [`crate::workloads`]). Users who hold the real
+//! WorldCup'98 or CRAWDAD data — or any other timestamped key stream — can
+//! run the Fig. 4 experiment on it (`repro --trace FILE` in the `bench`
+//! package) by converting to the simple formats here:
 //!
 //! * **CSV** (`ts,key,site` per line, `#` comments allowed) — easy to
 //!   produce with standard tools from the original datasets' readers.
 //! * **Binary** — the workspace varint codec, ~3–6 bytes/event on sorted
-//!   traces; the format the bench binaries cache regenerated workloads in.
+//!   traces.
 //!
 //! Both formats round-trip exactly and validate on load (timestamps must be
 //! non-decreasing, since every synopsis in the workspace requires it).

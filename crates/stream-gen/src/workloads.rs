@@ -1,5 +1,10 @@
 //! Synthetic trace generators standing in for the paper's WorldCup'98 and
-//! CRAWDAD SNMP datasets (substitution rationale in DESIGN.md §4).
+//! CRAWDAD SNMP datasets, which cannot be redistributed. Every quantity the
+//! evaluation measures depends on the key skew, the arrival density over
+//! the window and the partitioning across sites, not on the identity of the
+//! keys, so the substitutes reproduce those three from a seed: Zipfian key
+//! popularity, diurnally modulated arrivals and skewed site load, at the
+//! site counts of the real traces.
 
 use crate::event::Event;
 use crate::rng::SeededRng;
