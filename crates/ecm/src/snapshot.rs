@@ -834,6 +834,38 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn count_clock_record_bytes_are_pinned() {
+        // A count-clock payload is `[version, arrivals]` then the wrapped
+        // tick-addressed sketch. The arrival ids it assigns are in the
+        // bytes: a plain sketch's ids are its ticks (`seq` stays 0), a
+        // hierarchy's levels count them in their auto sequence, and a
+        // randomized wave samples by them.
+        let count = SketchSpec::count(500).epsilon(0.2).delta(0.2).seed(11);
+        let pins: [(SketchSpec, usize, [u8; 8]); 3] = [
+            (count.clone(), 1_233, [42, 92, 242, 224, 193, 205, 136, 57]),
+            (
+                count.clone().hierarchy(6),
+                4_449,
+                [32, 173, 217, 137, 202, 27, 54, 53],
+            ),
+            (
+                count.backend(Backend::Rw).epsilon(0.3).max_arrivals(5_000),
+                28_567,
+                [42, 227, 255, 249, 177, 58, 72, 80],
+            ),
+        ];
+        for (spec, len, seal) in pins {
+            let mut sk = spec.build().unwrap();
+            for t in 1..=800u64 {
+                sk.insert_weighted(t, t % 13, 1 + t % 3);
+            }
+            let bytes = spec.snapshot(&*sk).unwrap();
+            assert_eq!(bytes.len(), len, "{spec:?}");
+            assert_eq!(bytes[bytes.len() - 8..], seal, "{spec:?}");
+        }
+    }
+
+    #[test]
     fn retired_header_values_are_typed_errors_on_every_restore_path() {
         let (spec, sk) = warm_spec_sketch();
         let mut header = Vec::new();
