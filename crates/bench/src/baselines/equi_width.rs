@@ -15,9 +15,9 @@
 
 use std::collections::VecDeque;
 
-use crate::codec::{get_u8, get_varint, put_u8, put_varint};
-use crate::error::{CodecError, MergeError};
-use crate::traits::{MergeableCounter, WindowCounter, WindowGuarantee};
+use sliding_window::codec::{get_u8, get_varint, put_u8, put_varint};
+use sliding_window::traits::{WindowCounter, WindowGuarantee};
+use sliding_window::CodecError;
 
 const CODEC_VERSION: u8 = 4;
 
@@ -146,7 +146,7 @@ impl EquiWidthWindow {
 
 impl WindowCounter for EquiWidthWindow {
     type Config = EquiWidthConfig;
-    type GridStorage = crate::grid::VecCells<Self>;
+    type GridStorage = sliding_window::VecCells<Self>;
 
     fn new(cfg: &Self::Config) -> Self {
         EquiWidthWindow::new(cfg)
@@ -226,47 +226,6 @@ impl WindowCounter for EquiWidthWindow {
     }
 }
 
-impl MergeableCounter for EquiWidthWindow {
-    const LOSSLESS_MERGE: bool = true;
-
-    /// Grid-aligned slot-wise sum. Exact with respect to the slot grid
-    /// (both inputs bucket arrivals identically), so the merged counter
-    /// equals the counter of the interleaved union stream.
-    fn merge(parts: &[&Self], out_cfg: &Self::Config) -> Result<Self, MergeError> {
-        if parts.is_empty() {
-            return Err(MergeError::Empty);
-        }
-        for (i, p) in parts.iter().enumerate() {
-            if p.window != out_cfg.window || p.width != out_cfg.bucket_width() {
-                return Err(MergeError::IncompatibleConfig {
-                    detail: format!(
-                        "part {i}: window/width {}x{} vs config {}x{}",
-                        p.window,
-                        p.width,
-                        out_cfg.window,
-                        out_cfg.bucket_width()
-                    ),
-                });
-            }
-        }
-        let mut all: Vec<Slot> = parts.iter().flat_map(|p| p.slots.iter().copied()).collect();
-        all.sort_unstable_by_key(|s| s.index);
-        let mut out = EquiWidthWindow::new(out_cfg);
-        for s in all {
-            match out.slots.back_mut() {
-                Some(last) if last.index == s.index => last.count += s.count,
-                _ => out.slots.push_back(s),
-            }
-        }
-        while out.slots.len() > out.max_slots {
-            out.slots.pop_front();
-        }
-        out.last_ts = parts.iter().map(|p| p.last_ts).max().unwrap_or(0);
-        out.lifetime = parts.iter().map(|p| p.lifetime).sum();
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,41 +259,6 @@ mod tests {
         let est = w.estimate(now, 10);
         // True count in (989, 999] is 0; estimate is ~10.
         assert!(est > 5.0, "proration must misattribute mass, est={est}");
-    }
-
-    #[test]
-    fn alignment_makes_merge_exact_wrt_grid() {
-        let cfg = EquiWidthConfig::new(1000, 10);
-        let mut a = EquiWidthWindow::new(&cfg);
-        let mut b = EquiWidthWindow::new(&cfg);
-        let mut whole = EquiWidthWindow::new(&cfg);
-        for t in 1..=800u64 {
-            whole.insert_ones(t, 1);
-            if t % 2 == 0 {
-                a.insert_ones(t, 1);
-            } else {
-                b.insert_ones(t, 1);
-            }
-        }
-        let merged = EquiWidthWindow::merge(&[&a, &b], &cfg).unwrap();
-        for range in [100u64, 500, 1000] {
-            assert_eq!(merged.estimate(800, range), whole.estimate(800, range));
-        }
-        assert_eq!(merged.lifetime_ones(), 800);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_grids() {
-        let a = EquiWidthWindow::new(&EquiWidthConfig::new(1000, 10));
-        let cfg2 = EquiWidthConfig::new(1000, 20);
-        assert!(matches!(
-            EquiWidthWindow::merge(&[&a], &cfg2),
-            Err(MergeError::IncompatibleConfig { .. })
-        ));
-        assert!(matches!(
-            EquiWidthWindow::merge(&[], &cfg2),
-            Err(MergeError::Empty)
-        ));
     }
 
     #[test]

@@ -26,11 +26,6 @@
 
 use std::collections::VecDeque;
 
-use crate::codec::{get_u8, get_varint, put_u8, put_varint};
-use crate::error::CodecError;
-
-const CODEC_VERSION: u8 = 7;
-
 /// Construction parameters for a [`HybridHistogram`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridConfig {
@@ -103,7 +98,7 @@ impl HybridBucket {
 /// dimension only — the value dimension prorates uniformly, with no bound).
 ///
 /// ```
-/// use sliding_window::hybrid_histogram::{HybridConfig, HybridHistogram};
+/// use ecm_bench::baselines::{HybridConfig, HybridHistogram};
 ///
 /// // Last 1000 ticks, values 0..100 in 10 bins, time error 10%.
 /// let cfg = HybridConfig::new(0.1, 1000, 100, 10);
@@ -350,128 +345,6 @@ impl HybridHistogram {
                 .sum::<usize>()
     }
 
-    /// Append the compact wire encoding to `buf` (sparse bins).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        put_u8(buf, CODEC_VERSION);
-        put_varint(buf, self.levels.len() as u64);
-        for level in &self.levels {
-            put_varint(buf, level.len() as u64);
-            for b in level {
-                put_varint(buf, b.end);
-                let nonzero = b.bins.iter().filter(|&&c| c != 0).count();
-                put_varint(buf, nonzero as u64);
-                for (i, &c) in b.bins.iter().enumerate() {
-                    if c != 0 {
-                        put_varint(buf, i as u64);
-                        put_varint(buf, c);
-                    }
-                }
-            }
-        }
-        put_varint(buf, self.last_ts);
-        put_varint(buf, self.lifetime);
-        match self.first_ts {
-            Some(t) => {
-                put_u8(buf, 1);
-                put_varint(buf, t);
-            }
-            None => put_u8(buf, 0),
-        }
-        match self.dropped_end {
-            Some(t) => {
-                put_u8(buf, 1);
-                put_varint(buf, t);
-            }
-            None => put_u8(buf, 0),
-        }
-    }
-
-    /// Decode a histogram previously produced by [`encode`](Self::encode).
-    pub fn decode(cfg: &HybridConfig, input: &mut &[u8]) -> Result<Self, CodecError> {
-        let version = get_u8(input, "hybrid version")?;
-        if version != CODEC_VERSION {
-            return Err(CodecError::BadVersion { found: version });
-        }
-        let n_levels = get_varint(input, "hybrid levels")? as usize;
-        if n_levels > 64 {
-            return Err(CodecError::Corrupt {
-                context: "hybrid levels",
-            });
-        }
-        let cap = cfg.level_capacity();
-        let mut levels = Vec::with_capacity(n_levels);
-        let mut total = 0u64;
-        for li in 0..n_levels {
-            let n = get_varint(input, "hybrid level len")? as usize;
-            if n > cap + 1 {
-                return Err(CodecError::Corrupt {
-                    context: "hybrid level len",
-                });
-            }
-            let mut level = VecDeque::with_capacity(cap + 1);
-            for _ in 0..n {
-                let end = get_varint(input, "hybrid bucket end")?;
-                let nonzero = get_varint(input, "hybrid nonzero")? as usize;
-                if nonzero > cfg.bins {
-                    return Err(CodecError::Corrupt {
-                        context: "hybrid nonzero",
-                    });
-                }
-                let mut bins = vec![0u64; cfg.bins];
-                for _ in 0..nonzero {
-                    let i = get_varint(input, "hybrid bin idx")? as usize;
-                    let c = get_varint(input, "hybrid bin count")?;
-                    if i >= cfg.bins || c == 0 {
-                        return Err(CodecError::Corrupt {
-                            context: "hybrid bin",
-                        });
-                    }
-                    bins[i] = c;
-                }
-                // Checked sum: corrupted bin counts must error, not overflow.
-                let bucket_total = bins
-                    .iter()
-                    .try_fold(0u64, |acc, &c| acc.checked_add(c))
-                    .ok_or(CodecError::Corrupt {
-                        context: "hybrid bucket size",
-                    })?;
-                if bucket_total != 1u64 << li {
-                    return Err(CodecError::Corrupt {
-                        context: "hybrid bucket size",
-                    });
-                }
-                total = total.checked_add(bucket_total).ok_or(CodecError::Corrupt {
-                    context: "hybrid total",
-                })?;
-                level.push_back(HybridBucket { end, bins });
-            }
-            levels.push(level);
-        }
-        let last_ts = get_varint(input, "hybrid last_ts")?;
-        let lifetime = get_varint(input, "hybrid lifetime")?;
-        let first_ts = if get_u8(input, "hybrid first flag")? == 1 {
-            Some(get_varint(input, "hybrid first_ts")?)
-        } else {
-            None
-        };
-        let dropped_end = if get_u8(input, "hybrid dropped flag")? == 1 {
-            Some(get_varint(input, "hybrid dropped_end")?)
-        } else {
-            None
-        };
-        Ok(HybridHistogram {
-            cap,
-            bin_width: cfg.bin_width(),
-            cfg: cfg.clone(),
-            levels,
-            total,
-            last_ts,
-            first_ts,
-            dropped_end,
-            lifetime,
-        })
-    }
-
     /// Validate structural invariants (level capacities, timestamp ordering,
     /// power-of-two bucket totals, cached total).
     pub fn validate(&self) -> Result<(), String> {
@@ -580,54 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_round_trips() {
-        let cfg = HybridConfig::new(0.15, 3_000, 128, 16);
-        let mut h = HybridHistogram::new(&cfg);
-        for t in 1..=4_000u64 {
-            h.insert(t * 2, (t * 7) % 128);
-        }
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        let mut input = buf.as_slice();
-        let back = HybridHistogram::decode(&cfg, &mut input).unwrap();
-        assert!(input.is_empty());
-        back.validate().unwrap();
-        for range in [10u64, 100, 1_000, 3_000] {
-            for (lo, hi) in [(0u64, 127u64), (0, 63), (32, 95), (5, 5)] {
-                assert_eq!(
-                    h.range_query(8_000, range, lo, hi),
-                    back.range_query(8_000, range, lo, hi),
-                    "range={range} [{lo},{hi}]"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn codec_rejects_truncation_and_corruption() {
-        let cfg = HybridConfig::new(0.2, 500, 32, 4);
-        let mut h = HybridHistogram::new(&cfg);
-        for t in 1..=600u64 {
-            h.insert(t, t % 32);
-        }
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        for cut in [0usize, 1, 2, buf.len() / 2, buf.len() - 1] {
-            let mut input = &buf[..cut];
-            assert!(
-                HybridHistogram::decode(&cfg, &mut input).is_err(),
-                "cut {cut}"
-            );
-        }
-        let mut bad = buf.clone();
-        bad[0] = 99; // version
-        assert!(matches!(
-            HybridHistogram::decode(&cfg, &mut bad.as_slice()),
-            Err(CodecError::BadVersion { found: 99 })
-        ));
-    }
-
-    #[test]
     fn empty_histogram_answers_zero() {
         let cfg = HybridConfig::new(0.1, 100, 10, 2);
         let h = HybridHistogram::new(&cfg);
@@ -671,32 +496,6 @@ mod tests {
                     (est - exact).abs() <= 0.1 * exact + 1.0,
                     "est={} exact={} range={}", est, exact, range
                 );
-            }
-
-            /// Codec round-trips preserve every query answer.
-            #[test]
-            fn prop_codec_round_trips(
-                n in 50usize..400,
-                domain_bits in 3u32..8,
-            ) {
-                let domain = 1u64 << domain_bits;
-                let bins = (domain / 2) as usize;
-                let cfg = HybridConfig::new(0.15, 2_000, domain, bins);
-                let mut h = HybridHistogram::new(&cfg);
-                for i in 1..=n as u64 {
-                    h.insert(i * 3, (i * 11) % domain);
-                }
-                let mut buf = Vec::new();
-                h.encode(&mut buf);
-                let back = HybridHistogram::decode(&cfg, &mut buf.as_slice())
-                    .map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
-                let now = n as u64 * 3;
-                for range in [10u64, 500, 2_000] {
-                    prop_assert_eq!(
-                        h.range_query(now, range, 0, domain / 3),
-                        back.range_query(now, range, 0, domain / 3)
-                    );
-                }
             }
 
             /// Range queries are monotone in the value range: widening the

@@ -10,6 +10,7 @@
 //! paper-scale runs.
 
 pub mod alloc;
+pub mod baselines;
 pub mod json;
 pub mod repro;
 

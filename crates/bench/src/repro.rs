@@ -6,17 +6,17 @@
 //! `REPRODUCTION.json`; `tests/reproduction.rs` checks the file and re-runs
 //! the scale-free claims live.
 
+use crate::baselines::{EquiWidthConfig, EquiWidthWindow, HybridConfig, HybridHistogram};
 use crate::{build_distributed, build_sketch, score_point_queries, score_self_join};
 use crate::{Dataset, ErrorSummary, VariantConfigs, WINDOW};
 use distributed::geometric::SelfJoinFn;
 use distributed::{aggregate_kary_tree, aggregate_tree, multilevel_epsilon, run_protocol};
 use distributed::{DriftPropagation, ForwardAllProtocol, GeometricMonitor, KaryTree};
 use distributed::{MonitoringProtocol, PeriodicPushProtocol, RunReport};
-use ecm::{split_inner_product, split_point_query, Backend, EcmConfig, EcmEh, EcmEw, EcmSketch};
+use ecm::{split_inner_product, split_point_query, EcmConfig, EcmEh, EcmSketch};
 use ecm::{EcmHierarchy, Query, QueryKind, SketchReader, SketchSpec, SketchWriter, WindowSpec};
 use sliding_window::traits::{MergeableCounter, WindowCounter};
-use sliding_window::{DeterministicWave as Dw, DwConfig, EhConfig, EquiWidthConfig};
-use sliding_window::{EquiWidthWindow, ExponentialHistogram as Eh, HybridConfig, HybridHistogram};
+use sliding_window::{DeterministicWave as Dw, DwConfig, EhConfig, ExponentialHistogram as Eh};
 use sliding_window::{RandomizedWave as Rw, RwConfig};
 use std::time::Instant;
 use stream_gen::WindowOracle;
@@ -628,9 +628,16 @@ pub fn baseline_equiwidth() -> Report {
     let mut ew = EquiWidthWindow::new(&EquiWidthConfig::new(window, buckets));
     ticks.iter().for_each(|&t| ew.insert_ones(t, 1));
     let spec = SketchSpec::time(window).epsilon(eps).delta(0.1).seed(5);
-    let mut ecm_eh = EcmEh::new(&spec.ecm_config().expect("valid spec"));
-    let ew_spec = spec.backend(Backend::Ew { buckets: 64 });
-    let mut ecm_ew = EcmEw::new(&ew_spec.ecm_config().expect("valid spec"));
+    let eh_cfg: EcmConfig<Eh> = spec.ecm_config().expect("valid spec");
+    // ECM-EW: the ECM-EH sketch's Count-Min array over equi-width cells.
+    let ew_cfg = EcmConfig {
+        width: eh_cfg.width,
+        depth: eh_cfg.depth,
+        seed: eh_cfg.seed,
+        cell: EquiWidthConfig::new(window, 64),
+    };
+    let mut ecm_eh = EcmEh::new(&eh_cfg);
+    let mut ecm_ew = EcmSketch::<EquiWidthWindow>::new(&ew_cfg);
     for (i, &t) in ticks.iter().enumerate() {
         let (key, id) = (i as u64 % 50, i as u64 + 1);
         ecm_eh.insert_with_id(t, key, id).expect("ticks are sorted");

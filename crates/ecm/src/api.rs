@@ -50,20 +50,17 @@
 //!
 //! // Descriptions that cannot be built are errors, not panics.
 //! assert!(SketchSpec::time(0).build().is_err());
-//! assert!(SketchSpec::count(100).backend(Backend::Ew { buckets: 0 }).build().is_err());
+//! assert!(SketchSpec::count(100).max_arrivals(0).build().is_err());
 //! ```
 
 use std::fmt;
 
 use crate::config::{self, EcmConfig, QueryKind};
-use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
 use crate::hierarchy::EcmHierarchy;
 use crate::query::SketchReader;
 use crate::sketch::{grouped_runs, EcmSketch, StreamEvent};
 use sliding_window::traits::WindowCounter;
-use sliding_window::{
-    DeterministicWave, EquiWidthWindow, ExactWindow, ExponentialHistogram, RandomizedWave,
-};
+use sliding_window::{DeterministicWave, ExactWindow, ExponentialHistogram, RandomizedWave};
 
 /// Why a write was refused. A refused write leaves the sketch exactly as it
 /// was: no cell, clock or arrival counter moves.
@@ -127,11 +124,11 @@ impl std::error::Error for WriteError {}
 /// [`advance_to`](Self::advance_to); the other writes are provided on the
 /// entry, so every write crosses the same precondition check.
 ///
-/// **Clocks.** Time-based backends interpret `ts` as a tick and refuse one
-/// that precedes their write clock ([`WriteError::StaleTimestamp`], checked
-/// in release builds too). Count-based backends own their clock (the arrival
-/// index): they ignore `ts`, advance one tick per occurrence and never
-/// report a stale write.
+/// **Clocks.** A sketch on the time clock interprets `ts` as a tick and
+/// refuses one that precedes its write clock
+/// ([`WriteError::StaleTimestamp`], checked in release builds too). A
+/// sketch on the count clock owns its clock (the arrival index): it ignores
+/// `ts`, advances one tick per occurrence and never reports a stale write.
 ///
 /// # Panics
 ///
@@ -144,7 +141,7 @@ impl std::error::Error for WriteError {}
 pub trait SketchWriter {
     /// Record `weight` occurrences of `item` at tick `ts` through the
     /// backend's weighted fast path — bit-identical to `weight` single
-    /// occurrences (count-based backends advance their clock by `weight`).
+    /// occurrences (a count clock advances by `weight`).
     /// A zero weight records nothing.
     ///
     /// # Errors
@@ -153,8 +150,8 @@ pub trait SketchWriter {
     fn try_insert_weighted(&mut self, ts: u64, item: u64, weight: u64) -> Result<(), WriteError>;
 
     /// Declare that the stream clock has reached `ts` with no arrivals:
-    /// later writes must not precede it. A no-op on count-based backends
-    /// (their clock only moves on arrivals).
+    /// later writes must not precede it. A no-op on the count clock, which
+    /// only arrivals move.
     fn advance_to(&mut self, ts: u64);
 
     /// Record one occurrence of `item` at tick `ts`; panics on a
@@ -228,8 +225,13 @@ impl Clone for Box<dyn Sketch> {
 
 impl<W: WindowCounter> SketchWriter for EcmSketch<W> {
     fn try_insert_weighted(&mut self, ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
-        self.check(ts)?;
-        self.record(ts, item, weight);
+        match self.clock() {
+            Clock::Time => {
+                self.check(ts)?;
+                self.record(ts, item, weight);
+            }
+            Clock::Count => self.record_arrivals(item, weight),
+        }
         Ok(())
     }
 
@@ -241,34 +243,21 @@ impl<W: WindowCounter> SketchWriter for EcmSketch<W> {
 impl<W: WindowCounter> SketchWriter for EcmHierarchy<W> {
     fn try_insert_weighted(&mut self, ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
         self.check(item)?;
-        // Every level sees the same stream, so level 0's clock is theirs.
-        self.levels()[0].check(ts)?;
-        self.record(ts, item, weight);
+        match self.clock() {
+            Clock::Time => {
+                // Every level sees the same stream, so level 0's clock is
+                // theirs.
+                self.levels()[0].check(ts)?;
+                self.record(ts, item, weight);
+            }
+            Clock::Count => self.record_arrivals(item, weight),
+        }
         Ok(())
     }
 
     fn advance_to(&mut self, ts: u64) {
         self.advance_clock(ts);
     }
-}
-
-impl<W: WindowCounter> SketchWriter for CountBasedEcm<W> {
-    fn try_insert_weighted(&mut self, _ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
-        self.record(item, weight);
-        Ok(())
-    }
-
-    fn advance_to(&mut self, _ts: u64) {}
-}
-
-impl<W: WindowCounter> SketchWriter for CountBasedHierarchy<W> {
-    fn try_insert_weighted(&mut self, _ts: u64, item: u64, weight: u64) -> Result<(), WriteError> {
-        self.as_inner().check(item)?;
-        self.record(item, weight);
-        Ok(())
-    }
-
-    fn advance_to(&mut self, _ts: u64) {}
 }
 
 /// Which synopsis fills the sketch's cells — the backend axis of a
@@ -283,12 +272,6 @@ pub enum Backend {
     Rw,
     /// Exact window counters — zero window error, same API.
     Exact,
-    /// Equi-width sub-window baseline — **no window-error guarantee**; the
-    /// window is cut into `buckets` equal sub-windows per cell.
-    Ew {
-        /// Sub-windows per cell.
-        buckets: usize,
-    },
 }
 
 impl Backend {
@@ -299,7 +282,6 @@ impl Backend {
             Backend::Dw => "dw",
             Backend::Rw => "rw",
             Backend::Exact => "exact",
-            Backend::Ew { .. } => "equi-width",
         }
     }
 }
@@ -516,7 +498,7 @@ impl SketchSpec {
     /// `window` of the caller's choosing. Test support, not API: the rows'
     /// accuracy targets are picked to keep the suites fast.
     #[doc(hidden)]
-    pub fn matrix(window: u64) -> [(&'static str, SketchSpec); 8] {
+    pub fn matrix(window: u64) -> [(&'static str, SketchSpec); 7] {
         let time = SketchSpec::time(window).epsilon(0.2).seed(3);
         let count = SketchSpec::count(window).epsilon(0.2).seed(3);
         let rw = time
@@ -530,7 +512,6 @@ impl SketchSpec {
             ("dw", time.clone().backend(Backend::Dw)),
             ("rw", rw),
             ("exact", time.clone().backend(Backend::Exact)),
-            ("ew", time.clone().backend(Backend::Ew { buckets: 8 })),
             ("hierarchy", time.hierarchy(8)),
             ("count", count.clone()),
             ("count-hierarchy", count.hierarchy(8)),
@@ -563,13 +544,6 @@ impl SketchSpec {
                 detail: "max_arrivals must be positive".into(),
             });
         }
-        if let Backend::Ew { buckets } = self.backend {
-            if buckets == 0 {
-                return Err(SpecError::InvalidParameter {
-                    detail: "equi-width backend needs at least one bucket".into(),
-                });
-            }
-        }
         Ok(())
     }
 
@@ -600,22 +574,19 @@ impl SketchSpec {
             Backend::Dw => self.assemble(config::dw_config(self)),
             Backend::Rw => self.assemble(config::rw_config(self)),
             Backend::Exact => self.assemble(config::exact_config(self)),
-            Backend::Ew { buckets } => self.assemble(config::ew_config(self, buckets)),
         }
     }
 
-    /// Dispatch a validated, typed config over the structural axes
-    /// (clock × hierarchy).
+    /// Build a validated, typed config as a plain sketch or a hierarchy on
+    /// the spec's clock.
     fn assemble<W>(&self, cfg: EcmConfig<W>) -> Result<Box<dyn Sketch>, SpecError>
     where
         W: WindowCounter + fmt::Debug + 'static,
         W::Config: 'static,
     {
-        Ok(match (self.clock, self.hierarchy_bits) {
-            (Clock::Time, None) => Box::new(EcmSketch::new(&cfg)),
-            (Clock::Time, Some(bits)) => Box::new(EcmHierarchy::new(bits, &cfg)),
-            (Clock::Count, None) => Box::new(CountBasedEcm::new(&cfg)),
-            (Clock::Count, Some(bits)) => Box::new(CountBasedHierarchy::new(bits, &cfg)),
+        Ok(match self.hierarchy_bits {
+            None => Box::new(EcmSketch::new(&cfg).on_clock(self.clock)),
+            Some(bits) => Box::new(EcmHierarchy::new(bits, &cfg).on_clock(self.clock)),
         })
     }
 }
@@ -665,17 +636,6 @@ impl SpecBackend for ExactWindow {
     }
 }
 
-impl SpecBackend for EquiWidthWindow {
-    const NAME: &'static str = "equi-width";
-
-    fn derive(spec: &SketchSpec) -> Option<EcmConfig<Self>> {
-        let Backend::Ew { buckets } = spec.backend else {
-            return None;
-        };
-        Some(config::ew_config(spec, buckets))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,13 +664,6 @@ mod tests {
             SpecError::InvalidBits { got: 64 }
         ));
         assert!(matches!(
-            SketchSpec::time(10)
-                .backend(Backend::Ew { buckets: 0 })
-                .validate()
-                .unwrap_err(),
-            SpecError::InvalidParameter { .. }
-        ));
-        assert!(matches!(
             SketchSpec::time(10).max_arrivals(0).validate().unwrap_err(),
             SpecError::InvalidParameter { .. }
         ));
@@ -718,13 +671,7 @@ mod tests {
 
     #[test]
     fn every_clock_backend_hierarchy_combination_builds_and_round_trips() {
-        let backends = [
-            Backend::Eh,
-            Backend::Dw,
-            Backend::Rw,
-            Backend::Exact,
-            Backend::Ew { buckets: 4 },
-        ];
+        let backends = [Backend::Eh, Backend::Dw, Backend::Rw, Backend::Exact];
         let mut built = 0;
         for base in [SketchSpec::time(1_000), SketchSpec::count(1_000)] {
             for backend in backends {
@@ -752,7 +699,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(built, 20);
+        assert_eq!(built, 16);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use crate::api::SketchSpec;
 use sliding_window::traits::WindowCounter;
 use sliding_window::{
-    DeterministicWave, DwConfig, EhConfig, EquiWidthConfig, EquiWidthWindow, ExactWindow,
-    ExactWindowConfig, ExponentialHistogram, RandomizedWave, RwConfig,
+    DeterministicWave, DwConfig, EhConfig, ExactWindow, ExactWindowConfig, ExponentialHistogram,
+    RandomizedWave, RwConfig,
 };
 
 /// Which query type the ε-split should be optimized for.
@@ -95,7 +95,7 @@ pub struct EcmConfig<W: WindowCounter> {
     pub cell: W::Config,
 }
 
-// The five derivations below are the only place accuracy targets become
+// The four derivations below are the only place accuracy targets become
 // array and cell shapes. They take a spec that `SketchSpec::validate` has
 // already accepted, so ε, δ and the window are in domain.
 
@@ -161,23 +161,6 @@ pub(crate) fn rw_config(spec: &SketchSpec) -> EcmConfig<RandomizedWave> {
         spec.seed ^ 0xecc5_11d5_0f0f_a11e,
     );
     shaped(spec, ecm, spec.delta / 2.0, cell)
-}
-
-/// Config for the equi-width baseline variant (ECM-EW; Hung & Ting /
-/// Dimitropoulos et al., paper §2). The window is cut into `buckets` equal
-/// sub-windows per cell. **No window-error guarantee**: the window
-/// dimension has no ε at all — reproducing the baseline's structural
-/// weakness is the point. The Count-Min array is dimensioned exactly as the
-/// ECM-EH variant at the same ε, so head-to-head comparisons isolate the
-/// window counter.
-pub(crate) fn ew_config(spec: &SketchSpec, buckets: usize) -> EcmConfig<EquiWidthWindow> {
-    let (_, ecm) = split(spec);
-    shaped(
-        spec,
-        ecm,
-        spec.delta,
-        EquiWidthConfig::new(spec.window, buckets),
-    )
 }
 
 /// Config for the exact-counter variant (no window error; a ground-truth

@@ -8,7 +8,7 @@
 //! row-average — paper §6.1's "better alternative that does not require
 //! additional memory").
 
-use crate::api::WriteError;
+use crate::api::{Clock, WriteError};
 use crate::config::EcmConfig;
 use crate::sketch::EcmSketch;
 use count_min::dyadic::{dyadic_cover, DyadicRange};
@@ -70,6 +70,21 @@ impl<W: WindowCounter> EcmHierarchy<W> {
         self.sketches[0].last_tick()
     }
 
+    /// The clock every level's window rides on.
+    pub fn clock(&self) -> Clock {
+        self.sketches[0].clock()
+    }
+
+    /// This hierarchy, fresh or just decoded, on `clock` (every level).
+    pub(crate) fn on_clock(mut self, clock: Clock) -> Self {
+        self.sketches = self
+            .sketches
+            .into_iter()
+            .map(|sk| sk.on_clock(clock))
+            .collect();
+        self
+    }
+
     /// The hierarchy's item precondition: `x` must lie inside the
     /// `2^bits` key universe.
     pub(crate) fn check(&self, x: u64) -> Result<(), WriteError> {
@@ -92,10 +107,12 @@ impl<W: WindowCounter> EcmHierarchy<W> {
         }
     }
 
-    /// Count-based kernel mirroring [`EcmSketch::insert_ticking_run_auto`]:
-    /// `n` occurrences of `x` at consecutive ticks, one hashed run per
-    /// level. Unchecked, like [`record`](Self::record).
-    pub(crate) fn insert_ticking_run(&mut self, first_ts: u64, x: u64, n: u64) {
+    /// The count-clock write kernel: `n` occurrences of `x` on the next
+    /// `n` ticks of the arrival clock, one hashed run per level, each level
+    /// numbering them in its auto sequence. Unchecked, like
+    /// [`record`](Self::record).
+    pub(crate) fn record_arrivals(&mut self, x: u64, n: u64) {
+        let first_ts = self.last_tick() + 1;
         for (l, sk) in self.sketches.iter_mut().enumerate() {
             sk.insert_ticking_run_auto(first_ts, x >> l, n);
         }
@@ -316,7 +333,7 @@ mod tests {
     // Query-surface coverage lives in the query module's own tests.
     use super::*;
     use crate::api::{SketchSpec, SketchWriter};
-    use crate::config::{eh_config, ew_config};
+    use crate::config::eh_config;
     use sliding_window::ExponentialHistogram;
     use std::collections::HashMap;
 
@@ -645,38 +662,5 @@ mod tests {
                 "cut {cut}"
             );
         }
-    }
-
-    #[test]
-    fn equi_width_variant_loses_small_range_guarantees() {
-        // The ECM-EW baseline (Hung & Ting / Dimitropoulos): bursty arrivals
-        // at sub-window starts make small-range queries arbitrarily wrong,
-        // while ECM-EH holds its ε envelope on the same stream.
-        use crate::sketch::{EcmEh, EcmEw};
-        let spec = SketchSpec::time(1_000).epsilon(0.1).delta(0.05).seed(3);
-        let mut ew = EcmEw::new(&ew_config(&spec, 10));
-        let mut eh = EcmEh::new(&eh_config(&spec));
-        // 100-tick sub-windows; all arrivals burst at slot starts.
-        for slot in 0..10u64 {
-            for i in 0..100u64 {
-                let ts = slot * 100 + 1;
-                ew.insert_with_id(ts, 5, slot * 100 + i + 1).unwrap();
-                eh.insert_with_id(ts, 5, slot * 100 + i + 1).unwrap();
-            }
-        }
-        let now = 999u64;
-        // True count of key 5 in the last 10 ticks is 0 (bursts happen at
-        // slot starts, tick 901 is 99 ticks ago... the last burst at 901 is
-        // outside (989, 999]).
-        let ew_est = ew.point_query(5, now, 10);
-        let eh_est = eh.point_query(5, now, 10);
-        assert!(
-            ew_est > 5.0,
-            "equi-width proration must misattribute mass: {ew_est}"
-        );
-        assert!(
-            eh_est <= 1.0,
-            "exponential histogram must stay accurate: {eh_est}"
-        );
     }
 }

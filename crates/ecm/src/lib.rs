@@ -55,7 +55,6 @@
 
 pub mod api;
 pub mod config;
-pub mod count_based;
 pub mod frame;
 pub mod hierarchy;
 pub mod publish;
@@ -73,11 +72,10 @@ pub use api::{
 pub use config::{
     split_inner_product, split_point_query, split_point_query_randomized, EcmConfig, QueryKind,
 };
-pub use count_based::{CountBasedEcm, CountBasedHierarchy};
 pub use hierarchy::{EcmHierarchy, Threshold};
 pub use publish::{Epoch, LeftRight};
 pub use query::{Answer, Estimate, Guarantee, Query, QueryError, SketchReader, WindowSpec};
-pub use sketch::{grouped_runs, EcmDw, EcmEh, EcmEw, EcmExact, EcmRw, EcmSketch, StreamEvent};
+pub use sketch::{grouped_runs, EcmDw, EcmEh, EcmExact, EcmRw, EcmSketch, StreamEvent};
 pub use snapshot::{
     restore_any, restore_sketch, snapshot_sketch, SnapshotError, SnapshotKey, SNAPSHOT_VERSION,
 };

@@ -14,11 +14,10 @@
 //! * [`Estimate`] — *the result*, carrying the point estimate **and** the
 //!   (ε, δ) [`Guarantee`] derived from the backend's configuration.
 //! * [`SketchReader`] — *who answers*: implemented by
-//!   [`crate::EcmSketch`], [`crate::EcmHierarchy`],
-//!   [`crate::CountBasedEcm`], [`crate::CountBasedHierarchy`] and (in
-//!   the `distributed` crate) the tree-aggregation root, so callers can
-//!   route the *same* [`Query`] value over interchangeable backends — the
-//!   property that makes serving and caching layers composable.
+//!   [`crate::EcmSketch`] and [`crate::EcmHierarchy`] on either clock and
+//!   (in the `distributed` crate) the tree-aggregation root, so callers
+//!   can route the *same* [`Query`] value over interchangeable backends —
+//!   the property that makes serving and caching layers composable.
 //!
 //! Conditions the legacy positional-argument methods silently clamped or
 //! panicked on — a query range longer than the configured window, a
@@ -50,7 +49,7 @@
 use std::any::Any;
 use std::fmt;
 
-use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
+use crate::api::Clock;
 use crate::hierarchy::{EcmHierarchy, Threshold};
 use crate::sketch::EcmSketch;
 use sliding_window::traits::{WindowCounter, WindowGuarantee};
@@ -91,54 +90,38 @@ impl WindowSpec {
         }
     }
 
-    /// Resolve against a time-based backend with the given configured
-    /// window: yields the `(now, range)` pair the counters consume.
-    fn resolve_time(self, backend: &'static str, window: u64) -> Result<(u64, u64), QueryError> {
-        match self {
-            WindowSpec::Time { now, range } => {
-                if range > window {
-                    Err(QueryError::WindowTooLong {
-                        requested: range,
-                        configured: window,
-                    })
-                } else {
-                    Ok((now, range))
-                }
-            }
-            WindowSpec::Count { .. } => Err(QueryError::ClockMismatch {
-                backend,
-                expected: "time-based",
-                got: "count-based",
-            }),
-        }
-    }
-
-    /// Resolve against a count-based backend whose clock (total arrivals so
-    /// far) is `arrivals`: yields the `(now, range)` pair in arrival-index
-    /// coordinates.
-    fn resolve_count(
+    /// Resolve against a backend on `clock`, configured for a `window`
+    /// of ticks or arrivals, whose write clock is `write_clock`: yields the
+    /// `(now, range)` pair its counters consume. A count window ends at the
+    /// write clock, the arrivals so far.
+    fn resolve(
         self,
         backend: &'static str,
+        clock: Clock,
         window: u64,
-        arrivals: u64,
+        write_clock: u64,
     ) -> Result<(u64, u64), QueryError> {
-        match self {
-            WindowSpec::Count { last_n } => {
-                if last_n > window {
-                    Err(QueryError::WindowTooLong {
-                        requested: last_n,
-                        configured: window,
-                    })
-                } else {
-                    Ok((arrivals, last_n))
-                }
+        let (now, range) = match (self, clock) {
+            (WindowSpec::Time { now, range }, Clock::Time) => (now, range),
+            (WindowSpec::Count { last_n }, Clock::Count) => (write_clock, last_n),
+            _ => {
+                return Err(QueryError::ClockMismatch {
+                    backend,
+                    expected: match clock {
+                        Clock::Time => "time-based",
+                        Clock::Count => "count-based",
+                    },
+                    got: self.clock_name(),
+                })
             }
-            WindowSpec::Time { .. } => Err(QueryError::ClockMismatch {
-                backend,
-                expected: "count-based",
-                got: "time-based",
-            }),
+        };
+        if range > window {
+            return Err(QueryError::WindowTooLong {
+                requested: range,
+                configured: window,
+            });
         }
+        Ok((now, range))
     }
 }
 
@@ -278,8 +261,8 @@ pub struct Guarantee {
 pub struct Estimate {
     /// The estimated quantity.
     pub value: f64,
-    /// The (ε, δ) contract, or `None` for backends without an analytical
-    /// guarantee (the equi-width baseline).
+    /// The (ε, δ) contract, or `None` for a sketch whose cell type has no
+    /// analytical window guarantee (no spec builds one).
     pub guarantee: Option<Guarantee>,
 }
 
@@ -493,8 +476,8 @@ pub trait SketchReader {
     /// but speed: [`SketchStore::top_k`](crate::store::SketchStore::top_k)
     /// skips a sketch only when its bound is below the k-th score so far.
     ///
-    /// Only [`Query::TotalArrivals`] on time-based sketches over
-    /// exponential histograms is bounded: their cells keep a count of the
+    /// Only [`Query::TotalArrivals`] on sketches over exponential
+    /// histograms, on either clock, is bounded: their cells keep a count of the
     /// arrivals they still hold, and a window estimate sums a subset of
     /// those whatever the window.
     fn score_bound(&self, _q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
@@ -640,7 +623,12 @@ where
     W::Config: 'static,
 {
     fn query(&self, q: &Query<'_>, w: WindowSpec) -> Result<Answer, QueryError> {
-        let (now, range) = w.resolve_time(self.backend(), self.window_len())?;
+        let (now, range) = w.resolve(
+            self.backend(),
+            self.clock(),
+            self.window_len(),
+            self.last_tick(),
+        )?;
         let g = SketchGuarantees::derive::<W>(self.width(), self.depth(), self.cell_config());
         match *q {
             Query::Point { item } => Ok(Answer::Value(Estimate::new(
@@ -705,7 +693,12 @@ where
 {
     fn query(&self, q: &Query<'_>, w: WindowSpec) -> Result<Answer, QueryError> {
         let level0 = &self.levels()[0];
-        let (now, range) = w.resolve_time(self.backend(), level0.window_len())?;
+        let (now, range) = w.resolve(
+            self.backend(),
+            self.clock(),
+            level0.window_len(),
+            self.last_tick(),
+        )?;
         let g = SketchGuarantees::derive::<W>(level0.width(), level0.depth(), level0.cell_config());
         match *q {
             Query::Point { item } => Ok(Answer::Value(Estimate::new(
@@ -780,142 +773,12 @@ where
     }
 }
 
-impl<W> SketchReader for CountBasedEcm<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn query(&self, q: &Query<'_>, w: WindowSpec) -> Result<Answer, QueryError> {
-        let inner = self.as_inner();
-        let (_, last_n) = w.resolve_count(self.backend(), inner.window_len(), self.arrivals())?;
-        let g = SketchGuarantees::derive::<W>(inner.width(), inner.depth(), inner.cell_config());
-        match *q {
-            Query::Point { item } => Ok(Answer::Value(Estimate::new(
-                self.point_query(item, last_n),
-                g.point,
-            ))),
-            Query::SelfJoin => Ok(Answer::Value(Estimate::new(
-                self.self_join(last_n),
-                g.product,
-            ))),
-            Query::InnerProduct { other } => {
-                let other = downcast_operand::<CountBasedEcm<W>>(other, self.backend())?;
-                let value = self.inner_product(other, last_n).map_err(|e| {
-                    QueryError::IncompatibleOperand {
-                        detail: e.to_string(),
-                    }
-                })?;
-                Ok(Answer::Value(Estimate::new(value, g.product)))
-            }
-            Query::TotalArrivals => Ok(Answer::Value(Estimate::new(
-                self.total_arrivals(last_n),
-                g.total,
-            ))),
-            Query::RangeSum { .. } | Query::HeavyHitters { .. } | Query::Quantile { .. } => {
-                Err(unsupported(
-                    self.backend(),
-                    q,
-                    "use a CountBasedHierarchy over the same stream",
-                ))
-            }
-        }
-    }
-
-    fn backend(&self) -> &'static str {
-        "CountBasedEcm"
-    }
-
-    fn memory_bytes(&self) -> usize {
-        CountBasedEcm::memory_bytes(self)
-    }
-
-    fn write_clock(&self) -> u64 {
-        self.arrivals()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl<W> SketchReader for CountBasedHierarchy<W>
-where
-    W: WindowCounter + 'static,
-    W::Config: 'static,
-{
-    fn query(&self, q: &Query<'_>, w: WindowSpec) -> Result<Answer, QueryError> {
-        let level0 = &self.as_inner().levels()[0];
-        let (now, last_n) =
-            w.resolve_count(self.backend(), level0.window_len(), self.arrivals())?;
-        let g = SketchGuarantees::derive::<W>(level0.width(), level0.depth(), level0.cell_config());
-        match *q {
-            Query::Point { item } => Ok(Answer::Value(Estimate::new(
-                level0.point_query(item, now, last_n),
-                g.point,
-            ))),
-            Query::SelfJoin => Ok(Answer::Value(Estimate::new(
-                level0.self_join(now, last_n),
-                g.product,
-            ))),
-            Query::RangeSum { lo, hi } => {
-                if lo > hi {
-                    return Err(QueryError::InvalidParameter {
-                        detail: format!("range-sum bounds are inverted: [{lo}, {hi}]"),
-                    });
-                }
-                Ok(Answer::Value(Estimate::new(
-                    self.range_sum(lo, hi, last_n),
-                    g.range_sum(self.bits()),
-                )))
-            }
-            Query::HeavyHitters { threshold } => {
-                validate_phi_threshold(&threshold)?;
-                let hits = self
-                    .heavy_hitters(threshold, last_n)
-                    .into_iter()
-                    .map(|(k, est)| (k, Estimate::new(est, g.point)))
-                    .collect();
-                Ok(Answer::HeavyHitters(hits))
-            }
-            Query::Quantile { phi } => {
-                validate_quantile_phi(phi)?;
-                Ok(Answer::Quantile(self.quantile(phi, last_n)))
-            }
-            Query::TotalArrivals => Ok(Answer::Value(Estimate::new(
-                self.total_arrivals(last_n),
-                g.total,
-            ))),
-            Query::InnerProduct { .. } => Err(unsupported(
-                self.backend(),
-                q,
-                "count-based hierarchies have no aligned second operand (paper Fig. 2)",
-            )),
-        }
-    }
-
-    fn backend(&self) -> &'static str {
-        "CountBasedHierarchy"
-    }
-
-    fn memory_bytes(&self) -> usize {
-        CountBasedHierarchy::memory_bytes(self)
-    }
-
-    fn write_clock(&self) -> u64 {
-        self.arrivals()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{SketchSpec, SketchWriter};
     use crate::config::{eh_config, exact_config};
-    use crate::sketch::{EcmEh, EcmEw, EcmExact};
+    use crate::sketch::{EcmEh, EcmExact};
 
     use sliding_window::ExponentialHistogram;
 
@@ -956,8 +819,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, QueryError::ClockMismatch { .. }));
 
-        let cfg = eh_config(&SketchSpec::time(100).seed(1));
-        let cb: crate::CountBasedEcm<ExponentialHistogram> = crate::CountBasedEcm::new(&cfg);
+        let cb = SketchSpec::count(100).seed(1).build().unwrap();
         let err = cb
             .query(&Query::point(1), WindowSpec::time(10, 10))
             .unwrap_err();
@@ -1002,23 +864,6 @@ mod tests {
             .into_value();
         assert_eq!(total.guarantee.unwrap().epsilon, 0.0);
         assert!((total.value - 600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn equi_width_baseline_has_no_guarantee() {
-        let spec = SketchSpec::time(1_000)
-            .seed(3)
-            .backend(crate::api::Backend::Ew { buckets: 10 });
-        let mut sk = EcmEw::new(&spec.ecm_config().unwrap());
-        for t in 1..=500u64 {
-            sk.insert(t, t % 3);
-        }
-        let est = sk
-            .query(&Query::point(1), WindowSpec::time(500, 1_000))
-            .unwrap()
-            .into_value();
-        assert_eq!(est.guarantee, None);
-        assert_eq!(est.absolute_bound(500.0), None);
     }
 
     #[test]

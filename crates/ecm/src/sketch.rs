@@ -1,15 +1,14 @@
 //! The ECM-sketch itself (paper §4): a Count-Min array whose counters are
 //! sliding-window synopses, generic over the counter type.
 
-use crate::api::WriteError;
+use crate::api::{Clock, WriteError};
 use crate::config::EcmConfig;
 use count_min::HashFamily;
 use sliding_window::codec::{get_u8, get_varint, put_u8, put_varint};
 use sliding_window::grid::CellStorage;
 use sliding_window::traits::{MergeableCounter, WindowCounter};
 use sliding_window::{
-    CodecError, DeterministicWave, EquiWidthWindow, ExactWindow, ExponentialHistogram, MergeError,
-    RandomizedWave,
+    CodecError, DeterministicWave, ExactWindow, ExponentialHistogram, MergeError, RandomizedWave,
 };
 
 const CODEC_VERSION: u8 = 1;
@@ -58,12 +57,6 @@ pub type EcmRw = EcmSketch<RandomizedWave>;
 /// ECM-sketch over exact window counters — zero window error, used as a
 /// same-API harness in tests and benchmarks.
 pub type EcmExact = EcmSketch<ExactWindow>;
-/// ECM-sketch over equi-width sub-window counters — the design of Hung &
-/// Ting (LATIN 2008) and Dimitropoulos et al. (Computer Networks 2008) that
-/// the paper's related work contrasts against (§2): fast and compact, but
-/// with **no meaningful error guarantee** on query ranges comparable to one
-/// sub-window. Kept as a measurable baseline.
-pub type EcmEw = EcmSketch<EquiWidthWindow>;
 
 /// Count-Min sketch over sliding windows (paper §4).
 ///
@@ -71,14 +64,20 @@ pub type EcmEw = EcmSketch<EquiWidthWindow>;
 /// tick `ts` registers the arrival in the `d` cells `CM[h_j(x), j]`; point
 /// queries take the row minimum of per-cell window estimates, inner products
 /// the row minimum of per-cell estimate products (paper §4.1).
+///
+/// The sketch runs on a [`Clock`]. On the time clock a write's tick is the
+/// caller's; on the count clock (paper §4.2.1) the arrival index is the
+/// tick, so a window covers the last `N` arrivals and the write clock is
+/// the number of arrivals so far.
 #[derive(Debug, Clone)]
 pub struct EcmSketch<W: WindowCounter> {
     width: usize,
-    depth: usize,
+    /// The depth `d` is `hashes.depth()`: one hash function per row.
     hashes: HashFamily,
+    clock: Clock,
     /// Row-major `depth × width` counter cells, in the memory layout the
     /// counter type selects ([`WindowCounter::GridStorage`]): a plain
-    /// `Vec` of counters for the wave/exact/equi-width backends, the
+    /// `Vec` of counters for the wave and exact backends, the
     /// contiguous [`EhGrid`](sliding_window::EhGrid) slab for exponential
     /// histograms.
     cells: W::GridStorage,
@@ -89,14 +88,15 @@ pub struct EcmSketch<W: WindowCounter> {
     id_namespace: u64,
     /// Local arrival sequence number.
     seq: u64,
-    /// Tick of the most recent insertion.
+    /// Tick of the most recent insertion (on the count clock: the
+    /// arrivals so far).
     last_ts: u64,
     /// Lifetime arrivals inserted.
     lifetime: u64,
 }
 
 impl<W: WindowCounter> EcmSketch<W> {
-    /// Create an empty sketch.
+    /// Create an empty sketch on the time clock.
     pub fn new(cfg: &EcmConfig<W>) -> Self {
         assert!(
             cfg.width > 0 && cfg.depth > 0,
@@ -105,8 +105,8 @@ impl<W: WindowCounter> EcmSketch<W> {
         let cells = W::GridStorage::new_grid(&cfg.cell, cfg.width * cfg.depth);
         EcmSketch {
             width: cfg.width,
-            depth: cfg.depth,
             hashes: HashFamily::from_seed(cfg.seed, cfg.depth),
+            clock: Clock::Time,
             cells,
             cell_cfg: cfg.cell.clone(),
             id_namespace: 0,
@@ -123,7 +123,19 @@ impl<W: WindowCounter> EcmSketch<W> {
 
     /// Sketch depth `d`.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.hashes.depth()
+    }
+
+    /// The clock the sketch's window rides on.
+    pub fn clock(&self) -> Clock {
+        self.clock
+    }
+
+    /// This sketch, fresh or just decoded, on `clock`: how a spec builds
+    /// and restores its count-clock sketches.
+    pub(crate) fn on_clock(mut self, clock: Clock) -> Self {
+        self.clock = clock;
+        self
     }
 
     /// The per-cell window configuration.
@@ -228,37 +240,46 @@ impl<W: WindowCounter> EcmSketch<W> {
         // per-occurrence work across the rows (the randomized wave's id
         // sampling) exploit it; the rest fall back to a per-cell loop.
         let mut idx_buf = [0usize; 64];
-        if self.depth <= idx_buf.len() {
-            for (j, slot) in idx_buf[..self.depth].iter_mut().enumerate() {
+        let depth = self.depth();
+        if depth <= idx_buf.len() {
+            for (j, slot) in idx_buf[..depth].iter_mut().enumerate() {
                 *slot = j * self.width + self.hashes.bucket(j, item, self.width);
             }
             self.cells
-                .insert_weighted_rows(&idx_buf[..self.depth], ts, first_id, weight);
+                .insert_weighted_rows(&idx_buf[..depth], ts, first_id, weight);
         } else {
-            for j in 0..self.depth {
+            for j in 0..depth {
                 let idx = j * self.width + self.hashes.bucket(j, item, self.width);
                 self.cells.insert_weighted(idx, ts, first_id, weight);
             }
         }
     }
 
-    /// Count-based kernel: `n` occurrences of `item` at the **consecutive**
+    /// Count-clock kernel: `n` occurrences of `item` at the **consecutive**
     /// ticks `first_ts .. first_ts + n`, carrying ids equal to their ticks'
     /// offsets from `first_id`. This is the burst shape of count-based
     /// windows, where the clock itself is the arrival index (one tick per
     /// occurrence); the win over a plain loop is hashing the `d` bucket
-    /// indices once per run. Unchecked: the count-based owner's clock is
-    /// monotone by construction.
+    /// indices once per run. Unchecked: the arrival clock is monotone by
+    /// construction.
     pub(crate) fn insert_ticking_run(&mut self, first_ts: u64, item: u64, first_id: u64, n: u64) {
         if n == 0 {
             return;
         }
         self.last_ts = self.last_ts.max(first_ts + (n - 1));
         self.lifetime += n;
-        for j in 0..self.depth {
+        for j in 0..self.depth() {
             let idx = j * self.width + self.hashes.bucket(j, item, self.width);
             self.cells.insert_run(idx, first_ts, first_id, n);
         }
+    }
+
+    /// The count-clock write kernel: `n` occurrences of `item` on the next
+    /// `n` ticks of the arrival clock, each carrying its tick as its id
+    /// (the local sequence stays 0).
+    pub(crate) fn record_arrivals(&mut self, item: u64, n: u64) {
+        let first = self.last_ts + 1;
+        self.insert_ticking_run(first, item, first, n);
     }
 
     /// Like [`insert_ticking_run`](Self::insert_ticking_run) with
@@ -276,9 +297,12 @@ impl<W: WindowCounter> EcmSketch<W> {
 
     /// Move the write clock to `ts` with no arrivals (never backwards).
     /// Window counters are queried with an explicit `now`, so this only
-    /// moves the bookkeeping clock later writes are checked against.
+    /// moves the bookkeeping clock later writes are checked against. A
+    /// no-op on the count clock, which only arrivals move.
     pub(crate) fn advance_clock(&mut self, ts: u64) {
-        self.last_ts = self.last_ts.max(ts);
+        if self.clock == Clock::Time {
+            self.last_ts = self.last_ts.max(ts);
+        }
     }
 
     /// Point query (paper §4.1, Theorem 1): estimated frequency of `item`
@@ -289,7 +313,7 @@ impl<W: WindowCounter> EcmSketch<W> {
     /// [`SketchReader::query`](crate::query::SketchReader) with
     /// [`Query::point`](crate::query::Query::point).
     pub(crate) fn point_query(&self, item: u64, now: u64, range: u64) -> f64 {
-        (0..self.depth)
+        (0..self.depth())
             .map(|j| {
                 let idx = j * self.width + self.hashes.bucket(j, item, self.width);
                 self.cells.query(idx, now, range)
@@ -302,17 +326,20 @@ impl<W: WindowCounter> EcmSketch<W> {
     /// query range (paper §4.1, Theorem 2 with `b = a`); core of the typed
     /// [`Query::self_join`](crate::query::Query::self_join) path.
     pub(crate) fn self_join(&self, now: u64, range: u64) -> f64 {
-        (0..self.depth)
-            .map(|j| self.row_dot(self, j, now, range))
+        (0..self.depth())
+            .map(|j| self.row_dot(self, j, [now; 2], range))
             .fold(f64::INFINITY, f64::min)
     }
 
     /// Inner-product estimate `â_r ⊙ b_r` against another sketch over the
     /// same query range (paper §4.1, Theorem 2); core of the typed
     /// [`Query::inner_product`](crate::query::Query::inner_product) path.
+    /// A count window ends at each operand's own arrival clock: two
+    /// count-based streams share no global order (paper Fig. 2).
     ///
     /// # Errors
-    /// [`MergeError::IncompatibleConfig`] if shapes or hash seeds differ.
+    /// [`MergeError::IncompatibleConfig`] if shapes, hash seeds or clocks
+    /// differ.
     pub(crate) fn inner_product(
         &self,
         other: &EcmSketch<W>,
@@ -320,15 +347,29 @@ impl<W: WindowCounter> EcmSketch<W> {
         range: u64,
     ) -> Result<f64, MergeError> {
         self.check_compatible(other)?;
-        Ok((0..self.depth)
-            .map(|j| self.row_dot(other, j, now, range))
+        let other_now = match self.clock {
+            Clock::Time => now,
+            Clock::Count => other.last_ts,
+        };
+        Ok((0..self.depth())
+            .map(|j| self.row_dot(other, j, [now, other_now], range))
             .fold(f64::INFINITY, f64::min))
     }
 
-    fn row_dot(&self, other: &EcmSketch<W>, j: usize, now: u64, range: u64) -> f64 {
+    /// Row `j`'s dot product of the two sketches' cell estimates, each side
+    /// read at its own `now`.
+    fn row_dot(
+        &self,
+        other: &EcmSketch<W>,
+        j: usize,
+        [now, other_now]: [u64; 2],
+        range: u64,
+    ) -> f64 {
         let row = j * self.width;
         (0..self.width)
-            .map(|i| self.cells.query(row + i, now, range) * other.cells.query(row + i, now, range))
+            .map(|i| {
+                self.cells.query(row + i, now, range) * other.cells.query(row + i, other_now, range)
+            })
             .sum()
     }
 
@@ -339,13 +380,13 @@ impl<W: WindowCounter> EcmSketch<W> {
     /// [`Query::total_arrivals`](crate::query::Query::total_arrivals) path.
     pub(crate) fn total_arrivals(&self, now: u64, range: u64) -> f64 {
         let mut sum = 0.0;
-        for j in 0..self.depth {
+        for j in 0..self.depth() {
             let row = j * self.width;
             for i in 0..self.width {
                 sum += self.cells.query(row + i, now, range);
             }
         }
-        sum / self.depth as f64
+        sum / self.depth() as f64
     }
 
     /// An O(1) upper bound on [`total_arrivals`](Self::total_arrivals) for
@@ -359,13 +400,13 @@ impl<W: WindowCounter> EcmSketch<W> {
     /// division by `depth` both sides share is monotone.
     pub(crate) fn arrivals_bound(&self) -> Option<f64> {
         let held = self.cells.held_ones()?;
-        Some(held as f64 / self.depth as f64)
+        Some(held as f64 / self.depth() as f64)
     }
 
     /// Direct access to a cell's window estimate (used by the geometric-
     /// method monitor to extract statistics vectors, paper §6.2).
     pub fn cell_estimate(&self, row: usize, col: usize, now: u64, range: u64) -> f64 {
-        assert!(row < self.depth && col < self.width, "cell out of bounds");
+        assert!(row < self.depth() && col < self.width, "cell out of bounds");
         self.cells.query(row * self.width + col, now, range)
     }
 
@@ -378,16 +419,18 @@ impl<W: WindowCounter> EcmSketch<W> {
     }
 
     fn check_compatible(&self, other: &EcmSketch<W>) -> Result<(), MergeError> {
-        if self.width != other.width || self.depth != other.depth || self.hashes != other.hashes {
+        if self.width != other.width || self.hashes != other.hashes || self.clock != other.clock {
             return Err(MergeError::IncompatibleConfig {
                 detail: format!(
-                    "shape {}x{} seed {} vs {}x{} seed {}",
+                    "shape {}x{} seed {} {:?} clock vs {}x{} seed {} {:?} clock",
                     self.width,
-                    self.depth,
+                    self.depth(),
                     self.hashes.seed(),
+                    self.clock,
                     other.width,
-                    other.depth,
+                    other.depth(),
                     other.hashes.seed(),
+                    other.clock,
                 ),
             });
         }
@@ -405,7 +448,7 @@ impl<W: WindowCounter> EcmSketch<W> {
     pub fn encode(&self, buf: &mut Vec<u8>) {
         put_u8(buf, CODEC_VERSION);
         put_varint(buf, self.width as u64);
-        put_varint(buf, self.depth as u64);
+        put_varint(buf, self.depth() as u64);
         self.hashes.encode(buf);
         for idx in 0..self.cells.n_cells() {
             self.cells.encode_cell(idx, buf);
@@ -424,7 +467,8 @@ impl<W: WindowCounter> EcmSketch<W> {
     }
 
     /// Decode a sketch previously produced by [`encode`](Self::encode);
-    /// `cfg` must match the encoder's configuration.
+    /// `cfg` must match the encoder's configuration. The sketch runs on
+    /// the time clock.
     pub fn decode(cfg: &EcmConfig<W>, input: &mut &[u8]) -> Result<Self, CodecError> {
         let version = get_u8(input, "ecm version")?;
         if version != CODEC_VERSION {
@@ -450,8 +494,8 @@ impl<W: WindowCounter> EcmSketch<W> {
         let lifetime = get_varint(input, "ecm lifetime")?;
         Ok(EcmSketch {
             width,
-            depth,
             hashes,
+            clock: Clock::Time,
             cells,
             cell_cfg: cfg.cell.clone(),
             id_namespace,
@@ -471,13 +515,20 @@ impl<W: MergeableCounter> EcmSketch<W> {
     /// the merge is lossless).
     ///
     /// # Errors
-    /// [`MergeError::Empty`] on no inputs, or
-    /// [`MergeError::IncompatibleConfig`] on shape/seed mismatch.
+    /// [`MergeError::Empty`] on no inputs,
+    /// [`MergeError::IncompatibleConfig`] on shape/seed mismatch, or
+    /// [`MergeError::Unsupported`] on the count clock: count-based windows
+    /// admit no order-preserving aggregation (paper Fig. 2).
     pub fn merge(
         parts: &[&EcmSketch<W>],
         out_cell_cfg: &W::Config,
     ) -> Result<EcmSketch<W>, MergeError> {
         let first = parts.first().ok_or(MergeError::Empty)?;
+        if first.clock == Clock::Count {
+            return Err(MergeError::Unsupported {
+                detail: "count-based windows do not merge (paper Fig. 2)".into(),
+            });
+        }
         for p in &parts[1..] {
             first.check_compatible(p)?;
         }
@@ -503,8 +554,8 @@ impl<W: MergeableCounter> EcmSketch<W> {
         let cells = W::GridStorage::from_counters(out_cell_cfg, merged);
         Ok(EcmSketch {
             width: first.width,
-            depth: first.depth,
             hashes: first.hashes.clone(),
+            clock: Clock::Time,
             cells,
             cell_cfg: out_cell_cfg.clone(),
             id_namespace: 0,

@@ -1,7 +1,7 @@
 // These unit tests exercise the crate-private positional core on purpose:
 // they pin down the computation the typed query layer delegates to. New
 // query-surface coverage lives in ecm::query and tests/query_api.rs.
-use crate::api::{SketchSpec, SketchWriter};
+use crate::api::{Clock, SketchSpec, SketchWriter};
 use crate::config::{dw_config, eh_config, exact_config, rw_config, QueryKind};
 use crate::sketch::{EcmDw, EcmEh, EcmExact, EcmRw, EcmSketch};
 use proptest::prelude::*;
@@ -145,6 +145,61 @@ fn incompatible_sketches_rejected() {
     assert!(matches!(
         EcmSketch::merge(&empty, &cfg1.cell),
         Err(MergeError::Empty)
+    ));
+}
+
+/// An empty EH sketch on the count clock over a window of `n` arrivals.
+fn counting(n: u64) -> EcmEh {
+    EcmEh::new(&eh_config(&SketchSpec::time(n).seed(13))).on_clock(Clock::Count)
+}
+
+#[test]
+fn window_is_counted_in_arrivals_not_time() {
+    let mut sk = counting(100);
+    assert_eq!(sk.point_query(1, 0, 100), 0.0);
+    // 500 arrivals of key 1, then 100 of key 2, all at tick 0: the last 100
+    // arrivals are all key 2 whatever the caller's ticks say.
+    sk.insert_weighted(0, 1, 500);
+    for _ in 0..100 {
+        sk.insert(0, 2);
+    }
+    assert_eq!(sk.last_tick(), 600, "the write clock is the arrival count");
+    assert!(sk.point_query(1, 600, 100) <= 0.1 * 100.0 + 1.0);
+    assert!((sk.point_query(2, 600, 100) - 100.0).abs() <= 0.1 * 100.0);
+    // Only arrivals move the clock.
+    sk.advance_to(10_000);
+    assert_eq!((sk.last_tick(), sk.lifetime_arrivals()), (600, 600));
+    // Memory is bounded by the window, not the stream.
+    let early = sk.memory_bytes();
+    sk.insert_weighted(0, 3, 50_000);
+    assert!(
+        sk.memory_bytes() < 2 * early,
+        "{early} → {}",
+        sk.memory_bytes()
+    );
+}
+
+#[test]
+fn inner_product_between_count_based_streams() {
+    let (mut a, mut b) = (counting(400), counting(400));
+    for i in 0..1_000u64 {
+        a.insert(0, i % 4);
+    }
+    for i in 0..600u64 {
+        b.insert(0, i % 8);
+    }
+    // Each operand is read at its own arrival clock: the last 400 of a hold
+    // 100 per key in 0..4, the last 400 of b 50 per key in 0..8, so the
+    // overlap on keys 0..4 is 4·100·50 = 20 000.
+    let ip = a.inner_product(&b, a.last_tick(), 400).unwrap();
+    assert!((ip - 20_000.0).abs() <= 0.3 * 20_000.0, "ip={ip}");
+    // A time-clock operand of the same shape pairs with neither side, and
+    // count-based windows do not merge (paper Fig. 2).
+    let time = EcmEh::new(&eh_config(&SketchSpec::time(400).seed(13)));
+    assert!(a.inner_product(&time, 1_000, 400).is_err());
+    assert!(matches!(
+        EcmSketch::merge(&[&a, &b], a.cell_config()),
+        Err(MergeError::Unsupported { .. })
     ));
 }
 

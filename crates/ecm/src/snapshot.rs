@@ -60,7 +60,6 @@ use std::fmt;
 
 use crate::api::{Backend, Clock, Sketch, SketchSpec, SpecBackend, SpecError};
 use crate::config::QueryKind;
-use crate::count_based::{CountBasedEcm, CountBasedHierarchy};
 use crate::frame::{self, corrupt};
 use crate::hierarchy::EcmHierarchy;
 use crate::sketch::EcmSketch;
@@ -68,8 +67,7 @@ use sliding_window::codec::{
     get_f64, get_u64, get_u8, get_varint, put_f64, put_u64, put_u8, put_varint,
 };
 use sliding_window::{
-    CodecError, DeterministicWave, EquiWidthWindow, ExactWindow, ExponentialHistogram,
-    RandomizedWave,
+    CodecError, DeterministicWave, ExactWindow, ExponentialHistogram, RandomizedWave,
 };
 
 /// Current snapshot format version. Bump on any layout change; older
@@ -79,6 +77,9 @@ pub const SNAPSHOT_VERSION: u8 = 1;
 
 /// Leading magic of every snapshot record ("ECM Sketch").
 pub(crate) const MAGIC: [u8; 2] = *b"ES";
+
+/// Version byte of a count-clock payload's `[version, arrivals]` prefix.
+const COUNT_PAYLOAD_VERSION: u8 = 1;
 
 /// Why a snapshot could not be written or restored. Every failure mode of
 /// the durability path is typed — decoders never panic on untrusted bytes.
@@ -267,11 +268,10 @@ pub(crate) fn get_opt(input: &mut &[u8], context: &'static str) -> Result<Option
 /// rot, not adversaries; these bounds are the second layer, keeping a
 /// header whose varints or float bit patterns were blown up (or crafted)
 /// from driving giant derived allocations — Count-Min widths from a
-/// subnormal ε, bucket vectors from a 2⁴⁴ bucket count — before the payload
+/// subnormal ε, level pyramids from a 2⁶⁰ window — before the payload
 /// decoders can fail cleanly. Real deployments sit orders of magnitude
 /// inside every bound.
 pub(crate) fn format_bounds(spec: &SketchSpec) -> Result<(), SnapshotError> {
-    const MAX_EW_BUCKETS: usize = 1 << 16;
     const MIN_ACCURACY: f64 = 1e-4;
     const MAX_HORIZON: u64 = 1 << 48;
     let fail = |detail: String| Err(SnapshotError::Spec(SpecError::InvalidParameter { detail }));
@@ -286,20 +286,14 @@ pub(crate) fn format_bounds(spec: &SketchSpec) -> Result<(), SnapshotError> {
             spec.window
         ));
     }
-    if let Backend::Ew { buckets } = spec.backend {
-        if buckets > MAX_EW_BUCKETS {
-            return fail(format!(
-                "snapshot format bound: at most {MAX_EW_BUCKETS} equi-width buckets"
-            ));
-        }
-    }
     Ok(())
 }
 
 /// Serialize a spec header (fixed field order; consumed by
 /// [`decode_spec`]). The trailing option byte once carried a shard count;
-/// it is kept, always "none", so the v1 layout does not move. Backend tag
-/// 5 (the retired decayed Count-Min) is never written.
+/// it is kept, always "none", so the v1 layout does not move. Backend tags
+/// 4 (the retired equi-width baseline) and 5 (the retired decayed
+/// Count-Min) are never written.
 pub(crate) fn encode_spec(spec: &SketchSpec, buf: &mut Vec<u8>) {
     put_u8(
         buf,
@@ -316,10 +310,6 @@ pub(crate) fn encode_spec(spec: &SketchSpec, buf: &mut Vec<u8>) {
         Backend::Dw => put_u8(buf, 1),
         Backend::Rw => put_u8(buf, 2),
         Backend::Exact => put_u8(buf, 3),
-        Backend::Ew { buckets } => {
-            put_u8(buf, 4);
-            put_varint(buf, buckets as u64);
-        }
     }
     put_u8(
         buf,
@@ -351,12 +341,11 @@ pub(crate) fn decode_spec(input: &mut &[u8]) -> Result<SketchSpec, SnapshotError
         1 => Backend::Dw,
         2 => Backend::Rw,
         3 => Backend::Exact,
-        4 => Backend::Ew {
-            buckets: get_varint(input, "spec ew buckets")? as usize,
-        },
-        5 => {
+        tag @ (4 | 5) => {
             return Err(SnapshotError::Spec(SpecError::InvalidParameter {
-                detail: "the decayed count-min backend (tag 5) is retired".into(),
+                detail: format!(
+                    "backend tag {tag} is retired (4: equi-width, 5: decayed count-min)"
+                ),
             }))
         }
         _ => return Err(corrupt("spec backend")),
@@ -419,7 +408,6 @@ pub(crate) fn encode_payload(
         Backend::Dw => encode_counter_payload::<DeterministicWave>(spec, sketch, buf),
         Backend::Rw => encode_counter_payload::<RandomizedWave>(spec, sketch, buf),
         Backend::Exact => encode_counter_payload::<ExactWindow>(spec, sketch, buf),
-        Backend::Ew { .. } => encode_counter_payload::<EquiWidthWindow>(spec, sketch, buf),
     }
 }
 
@@ -432,15 +420,40 @@ where
     W: SpecBackend + fmt::Debug + 'static,
     W::Config: 'static,
 {
-    match (spec.clock, spec.hierarchy_bits) {
-        (Clock::Time, None) => downcast::<EcmSketch<W>>(sketch, "plain sketch")?.encode(buf),
-        (Clock::Time, Some(_)) => downcast::<EcmHierarchy<W>>(sketch, "hierarchy")?.encode(buf),
-        (Clock::Count, None) => {
-            downcast::<CountBasedEcm<W>>(sketch, "count-based sketch")?.encode(buf)
+    match spec.hierarchy_bits {
+        None => {
+            let sk = downcast::<EcmSketch<W>>(sketch, "plain sketch")?;
+            put_clock(spec, sk.clock(), sk.last_tick(), buf)?;
+            sk.encode(buf);
         }
-        (Clock::Count, Some(_)) => {
-            downcast::<CountBasedHierarchy<W>>(sketch, "count-based hierarchy")?.encode(buf)
+        Some(_) => {
+            let h = downcast::<EcmHierarchy<W>>(sketch, "hierarchy")?;
+            put_clock(spec, h.clock(), h.last_tick(), buf)?;
+            h.encode(buf);
         }
+    }
+    Ok(())
+}
+
+/// Check that a sketch runs on the spec's clock, and lead a count-clock
+/// payload with its `[version, arrivals]` prefix.
+fn put_clock(
+    spec: &SketchSpec,
+    clock: Clock,
+    arrivals: u64,
+    buf: &mut Vec<u8>,
+) -> Result<(), SnapshotError> {
+    if clock != spec.clock {
+        return Err(SnapshotError::SpecMismatch {
+            detail: format!(
+                "the sketch runs a {clock:?} clock, the spec a {:?} one",
+                spec.clock
+            ),
+        });
+    }
+    if clock == Clock::Count {
+        put_u8(buf, COUNT_PAYLOAD_VERSION);
+        put_varint(buf, arrivals);
     }
     Ok(())
 }
@@ -457,7 +470,6 @@ pub(crate) fn decode_payload(
         Backend::Dw => decode_counter_payload::<DeterministicWave>(spec, input),
         Backend::Rw => decode_counter_payload::<RandomizedWave>(spec, input),
         Backend::Exact => decode_counter_payload::<ExactWindow>(spec, input),
-        Backend::Ew { .. } => decode_counter_payload::<EquiWidthWindow>(spec, input),
     }?;
     if !payload.is_empty() {
         return Err(SnapshotError::TrailingBytes {
@@ -476,12 +488,26 @@ where
     W::Config: 'static,
 {
     let cfg = spec.ecm_config::<W>()?;
-    Ok(match (spec.clock, spec.hierarchy_bits) {
-        (Clock::Time, None) => Box::new(EcmSketch::decode(&cfg, input)?),
-        (Clock::Time, Some(bits)) => Box::new(EcmHierarchy::decode(bits, &cfg, input)?),
-        (Clock::Count, None) => Box::new(CountBasedEcm::decode(&cfg, input)?),
-        (Clock::Count, Some(bits)) => Box::new(CountBasedHierarchy::decode(bits, &cfg, input)?),
-    })
+    let arrivals = match spec.clock {
+        Clock::Time => None,
+        Clock::Count => {
+            let version = get_u8(input, "count-based version")?;
+            if version != COUNT_PAYLOAD_VERSION {
+                return Err(CodecError::BadVersion { found: version }.into());
+            }
+            Some(get_varint(input, "count-based arrivals")?)
+        }
+    };
+    let sketch: Box<dyn Sketch> = match spec.hierarchy_bits {
+        None => Box::new(EcmSketch::decode(&cfg, input)?.on_clock(spec.clock)),
+        Some(bits) => Box::new(EcmHierarchy::decode(bits, &cfg, input)?.on_clock(spec.clock)),
+    };
+    // The count clock *is* the wrapped sketch's tick clock (one tick per
+    // arrival); a payload where they diverge is corrupt.
+    if arrivals.is_some_and(|a| a != sketch.write_clock()) {
+        return Err(corrupt("count-based clock"));
+    }
+    Ok(sketch)
 }
 
 /// Restore a sketch from a snapshot **without** prior configuration: the
@@ -590,7 +616,13 @@ where
 {
     spec.ecm_config::<W>()?;
     let sketch = spec.restore(bytes)?;
-    downcast::<EcmSketch<W>>(&*sketch, "plain time-based sketch").cloned()
+    let sketch = downcast::<EcmSketch<W>>(&*sketch, "plain time-based sketch")?;
+    if sketch.clock() != Clock::Time {
+        return Err(SnapshotError::SpecMismatch {
+            detail: "the sketch runs the count clock, not the time clock".into(),
+        });
+    }
+    Ok(sketch.clone())
 }
 
 #[cfg(test)]
@@ -618,7 +650,6 @@ pub(crate) mod tests {
                 .epsilon(0.25)
                 .max_arrivals(5_000),
             SketchSpec::time(1_000).backend(Backend::Exact),
-            SketchSpec::time(1_000).backend(Backend::Ew { buckets: 12 }),
             SketchSpec::time(1_000).hierarchy(9),
             SketchSpec::count(64).epsilon(0.05),
             SketchSpec::count(64)
@@ -671,15 +702,19 @@ pub(crate) mod tests {
 
     #[test]
     fn snapshot_rejects_a_sketch_from_a_different_spec() {
-        let (spec, _) = warm_spec_sketch();
+        let (spec, sk) = warm_spec_sketch();
         let other = SketchSpec::time(1_000)
             .backend(Backend::Dw)
             .build()
             .unwrap();
-        assert!(matches!(
-            spec.snapshot(&*other),
-            Err(SnapshotError::SpecMismatch { .. })
-        ));
+        // Another backend, or the same sketch type on the other clock.
+        let count = SketchSpec::count(1_000).epsilon(0.2).delta(0.2).seed(11);
+        for (spec, sketch) in [(&spec, &other), (&count, &sk)] {
+            assert!(matches!(
+                spec.snapshot(&**sketch),
+                Err(SnapshotError::SpecMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -770,25 +805,17 @@ pub(crate) mod tests {
             tiny_eps.snapshot(&*sk),
             Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
         ));
-        // Read side: crafted headers describing 2^20 equi-width buckets
-        // (validates — only zero is rejected by validate()) or 2^20 shards
-        // are refused before anything is sized from them.
-        let mut buckets = Vec::new();
-        encode_spec(
-            &SketchSpec::time(100).backend(Backend::Ew { buckets: 1 << 20 }),
-            &mut buckets,
-        );
+        // Read side: a crafted header describing 2^20 shards is refused
+        // before anything is sized from it.
         let mut shards = Vec::new();
         encode_spec(&SketchSpec::time(100), &mut shards);
         let mut huge = Vec::new();
         put_opt(&mut huge, Some(1 << 20));
         let shards = replace_zero(&shards, shards.len() - 1, &huge);
-        for crafted in [buckets, shards] {
-            assert!(matches!(
-                decode_spec(&mut crafted.as_slice()),
-                Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
-            ));
-        }
+        assert!(matches!(
+            decode_spec(&mut shards.as_slice()),
+            Err(SnapshotError::Spec(SpecError::InvalidParameter { .. }))
+        ));
         // In-bounds specs are untouched.
         let ok = SketchSpec::time(100).epsilon(0.01).delta(0.01);
         let mut buf = Vec::new();
@@ -877,6 +904,7 @@ pub(crate) mod tests {
         let retired = [
             ("a present shard count", header.len() - 1, shards),
             // After the clock tag, window 1 000 (a two-byte varint), ε, δ.
+            ("backend tag 4 (equi-width)", 1 + 2 + 8 + 8, vec![4]),
             ("backend tag 5 (decayed count-min)", 1 + 2 + 8 + 8, vec![5]),
         ];
 

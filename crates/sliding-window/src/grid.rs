@@ -8,7 +8,7 @@
 //! [`WindowCounter::GridStorage`]:
 //!
 //! * [`VecCells<W>`] — one heap value per cell (`Vec<W>`), the generic
-//!   layout used by the wave, exact and equi-width counters, whose state is
+//!   layout used by the wave and exact counters, whose state is
 //!   dynamically sized.
 //! * [`EhGrid`](crate::eh_slab::EhGrid) — the slab specialization for
 //!   exponential histograms: every level of every cell is a fixed-capacity

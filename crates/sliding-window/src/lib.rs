@@ -29,12 +29,10 @@
 pub mod codec;
 pub mod deterministic_wave;
 pub mod eh_slab;
-pub mod equi_width;
 pub mod error;
 pub mod exact;
 pub mod exponential_histogram;
 pub mod grid;
-pub mod hybrid_histogram;
 pub mod randomized_wave;
 pub mod reorder;
 pub mod timestamp;
@@ -42,14 +40,12 @@ pub mod traits;
 
 pub use deterministic_wave::{DeterministicWave, DwConfig};
 pub use eh_slab::{EhCellMut, EhCellRef, EhGrid};
-pub use equi_width::{EquiWidthConfig, EquiWidthWindow};
 pub use error::{CodecError, MergeError};
 pub use exact::{ExactWindow, ExactWindowConfig};
 pub use exponential_histogram::{
     merge_exponential_histograms, BucketView, EhConfig, ExponentialHistogram,
 };
 pub use grid::{CellStorage, VecCells};
-pub use hybrid_histogram::{HybridConfig, HybridHistogram};
 pub use randomized_wave::{merge_randomized_waves, RandomizedWave, RwConfig, RwGrid};
 pub use reorder::{ReorderBuffer, ReorderConfig};
 pub use timestamp::compact_eh_bits;

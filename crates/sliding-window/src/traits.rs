@@ -8,8 +8,8 @@ use crate::error::{CodecError, MergeError};
 /// with probability at least `1 − delta`.
 ///
 /// Deterministic synopses have `delta = 0`; the exact baseline has
-/// `epsilon = 0` as well. Counters with no analytical guarantee (the
-/// equi-width baseline) return `None` from
+/// `epsilon = 0` as well. A counter with no analytical guarantee (the §2
+/// equi-width baseline the `bench` crate keeps) returns `None` from
 /// [`WindowCounter::guarantee`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowGuarantee {
@@ -123,8 +123,8 @@ pub trait WindowCounter: Clone + std::fmt::Debug + Send + Sync {
     fn window_len(&self) -> u64;
 
     /// The (ε, δ) accuracy contract `cfg` promises for in-window range
-    /// estimates, or `None` for synopses without an analytical guarantee
-    /// (the equi-width baseline). Consumed by the `ecm` crate's query layer
+    /// estimates, or `None` for a synopsis without an analytical guarantee
+    /// (no counter of this crate). Consumed by the `ecm` crate's query layer
     /// to annotate every estimate with its end-to-end error bound.
     fn guarantee(cfg: &Self::Config) -> Option<WindowGuarantee>;
 
@@ -152,8 +152,8 @@ pub trait WindowCounter: Clone + std::fmt::Debug + Send + Sync {
 pub trait MergeableCounter: WindowCounter {
     /// Whether `⊕`-merging preserves the inputs' accuracy exactly.
     ///
-    /// `true` for randomized waves (lossless composition, paper §5.2), the
-    /// exact baseline and the grid-aligned equi-width baseline; `false`
+    /// `true` for randomized waves (lossless composition, paper §5.2) and
+    /// the exact baseline; `false`
     /// for the deterministic synopses, whose every merge level inflates the
     /// window error by Theorem 4. Consumers (e.g. the `ecm` query layer's
     /// distributed backend) use this to decide whether merged estimates

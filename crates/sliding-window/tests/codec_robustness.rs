@@ -12,9 +12,8 @@
 use proptest::test_runner::TestRng;
 use sliding_window::traits::WindowCounter;
 use sliding_window::{
-    DeterministicWave, DwConfig, EhConfig, EquiWidthConfig, EquiWidthWindow, ExactWindow,
-    ExactWindowConfig, ExponentialHistogram, HybridConfig, HybridHistogram, RandomizedWave,
-    RwConfig,
+    DeterministicWave, DwConfig, EhConfig, ExactWindow, ExactWindowConfig, ExponentialHistogram,
+    RandomizedWave, RwConfig,
 };
 
 /// Drive one counter type through build → encode → fuzz.
@@ -102,56 +101,6 @@ fn randomized_wave_codec_survives_fuzz() {
 fn exact_window_codec_survives_fuzz() {
     let mut rng = TestRng::for_test("codec_robustness::exact", 4);
     fuzz_window_counter::<ExactWindow>(&ExactWindowConfig::new(5_000), "exact", &mut rng);
-}
-
-#[test]
-fn equi_width_codec_survives_fuzz() {
-    let mut rng = TestRng::for_test("codec_robustness::ew", 5);
-    fuzz_window_counter::<EquiWidthWindow>(&EquiWidthConfig::new(5_000, 25), "ew", &mut rng);
-}
-
-/// The hybrid histogram is not a `WindowCounter` (two-dimensional queries);
-/// fuzz its codec through its own API.
-#[test]
-fn hybrid_histogram_codec_survives_fuzz() {
-    let mut rng = TestRng::for_test("codec_robustness::hybrid", 6);
-    let cfg = HybridConfig::new(0.15, 5_000, 128, 16);
-    let mut h = HybridHistogram::new(&cfg);
-    let mut ts = 1u64;
-    for _ in 0..600 {
-        ts += rng.bounded(20);
-        h.insert(ts, rng.bounded(128));
-    }
-    let mut buf = Vec::new();
-    h.encode(&mut buf);
-
-    let back = HybridHistogram::decode(&cfg, &mut buf.as_slice()).expect("round trip");
-    let mut re = Vec::new();
-    back.encode(&mut re);
-    assert_eq!(re, buf, "hybrid: round trip must be byte-identical");
-
-    for cut in 0..buf.len() {
-        let mut s = &buf[..cut];
-        if let Ok(partial) = HybridHistogram::decode(&cfg, &mut s) {
-            let _ = partial.range_query(ts, 100, 0, 127);
-        }
-    }
-    for _ in 0..300 {
-        let mut bad = buf.clone();
-        let flips = 1 + rng.bounded(4) as usize;
-        for _ in 0..flips {
-            let pos = rng.bounded(bad.len() as u64) as usize;
-            bad[pos] = rng.next_u64() as u8;
-        }
-        if let Ok(mutant) = HybridHistogram::decode(&cfg, &mut bad.as_slice()) {
-            let _ = mutant.range_query(ts, 100, 0, 127);
-        }
-    }
-    for _ in 0..100 {
-        let len = rng.bounded(96) as usize;
-        let junk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let _ = HybridHistogram::decode(&cfg, &mut junk.as_slice());
-    }
 }
 
 /// The varint reader itself: arbitrary byte soup must terminate with a

@@ -3,17 +3,14 @@
 //! product". One hierarchy of ECM-sketches answers, over any recency
 //! horizon: which products are trending (heavy hitters), how is traffic
 //! distributed over the catalog (quantiles), and how concentrated is demand
-//! (self-join skew) — while a count-based sketch ranks by "last N visits"
+//! (self-join skew) — while a count-clock sketch ranks by "last N visits"
 //! instead of wall-clock recency.
 //!
 //! ```bash
 //! cargo run --release --example eshop_ranking
 //! ```
 
-use ecm::{
-    CountBasedEcm, EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold,
-    WindowSpec,
-};
+use ecm::{EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec};
 use sliding_window::ExponentialHistogram;
 use stream_gen::SeededRng;
 
@@ -28,13 +25,8 @@ fn main() {
         .ecm_config()
         .unwrap();
     let mut visits: EcmHierarchy<ExponentialHistogram> = EcmHierarchy::new(CATALOG_BITS, &cfg);
-    let cb_cfg = SketchSpec::time(10_000)
-        .epsilon(0.05)
-        .delta(0.05)
-        .seed(8)
-        .ecm_config()
-        .unwrap();
-    let mut last_visits: CountBasedEcm = CountBasedEcm::new(&cb_cfg);
+    let last_n = SketchSpec::count(10_000).epsilon(0.05).delta(0.05).seed(8);
+    let mut last_visits = last_n.build().unwrap();
 
     // Three days of browsing: steady Zipf-ish interest, plus a product
     // launch (id 777) that goes viral on day 3.
@@ -49,7 +41,7 @@ fn main() {
             ((r * r * 16_000.0) as u64).min((1 << CATALOG_BITS) - 1)
         };
         visits.insert(t, product);
-        last_visits.insert(t, product); // count-based: the tick is ignored
+        last_visits.insert(t, product); // the count clock ignores the tick
     }
     let now = total_ticks;
 

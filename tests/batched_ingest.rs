@@ -10,13 +10,12 @@
 //! reproducible; each property runs over many sampled traces.
 
 use ecm_suite::ecm::{
-    Backend, CountBasedEcm, CountBasedHierarchy, EcmConfig, EcmHierarchy, EcmSketch, SketchSpec,
-    SketchWriter, StreamEvent,
+    Backend, EcmConfig, EcmHierarchy, EcmSketch, SketchSpec, SketchWriter, StreamEvent,
 };
 use ecm_suite::sliding_window::traits::WindowCounter;
 use ecm_suite::sliding_window::{
-    DeterministicWave, DwConfig, EhConfig, EquiWidthConfig, EquiWidthWindow, ExactWindow,
-    ExactWindowConfig, ExponentialHistogram, RandomizedWave, RwConfig,
+    DeterministicWave, DwConfig, EhConfig, ExactWindow, ExactWindowConfig, ExponentialHistogram,
+    RandomizedWave, RwConfig,
 };
 use ecm_suite::stream_gen::SeededRng;
 
@@ -98,7 +97,6 @@ fn window_counters_weighted_equals_sequential() {
     counter_differential::<RandomizedWave>(&RwConfig::new(0.3, 0.2, 1_000, 300_000, 99), "rw", 15);
     counter_differential::<RandomizedWave>(&RwConfig::new(0.5, 0.4, 80, 4_000, 7), "rw-small", 16);
     counter_differential::<ExactWindow>(&ExactWindowConfig::new(1_000), "exact", 17);
-    counter_differential::<EquiWidthWindow>(&EquiWidthConfig::new(1_000, 20), "ew", 18);
 }
 
 /// Sketch level: `insert_weighted` + `ingest_batch` vs the per-event loop,
@@ -167,14 +165,6 @@ fn ecm_backends_batched_equals_sequential() {
         "ecm-exact",
         24,
     );
-    sketch_differential(
-        &b.clone()
-            .backend(Backend::Ew { buckets: 16 })
-            .ecm_config::<EquiWidthWindow>()
-            .unwrap(),
-        "ecm-ew",
-        25,
-    );
 }
 
 #[test]
@@ -208,61 +198,33 @@ fn hierarchy_batched_equals_sequential() {
 
 #[test]
 fn count_based_batched_equals_sequential() {
-    // Count-based bursts advance the clock per occurrence; the fast path
+    // Count-clock bursts advance the clock per occurrence; the fast path
     // must replicate the exact per-arrival ticks and ids.
-    let cfg = SketchSpec::time(500)
-        .epsilon(0.15)
-        .seed(51)
-        .ecm_config()
-        .unwrap();
-    let rw_cfg = SketchSpec::time(500)
+    let eh = SketchSpec::count(500).epsilon(0.15).seed(51);
+    let rw = SketchSpec::count(500)
         .epsilon(0.3)
         .delta(0.2)
         .max_arrivals(200_000)
         .seed(51)
-        .backend(Backend::Rw)
-        .ecm_config()
-        .unwrap();
+        .backend(Backend::Rw);
     let mut rng = SeededRng::seed_from_u64(61);
     for case in 0..6 {
-        let bursts = random_bursts(&mut rng, 50, 500, 16);
-        let items: Vec<u64> = bursts
+        // The count clock ignores the tick: one run per equal item.
+        let events: Vec<StreamEvent> = random_bursts(&mut rng, 50, 500, 16)
             .iter()
-            .flat_map(|b| std::iter::repeat_n(b.key, b.weight as usize))
+            .flat_map(|b| std::iter::repeat_n(StreamEvent::new(b.key, 0), b.weight as usize))
             .collect();
-
-        let mut seq: CountBasedEcm = CountBasedEcm::new(&cfg);
-        let mut batched: CountBasedEcm = CountBasedEcm::new(&cfg);
-        let mut seq_rw = CountBasedEcm::<RandomizedWave>::new(&rw_cfg);
-        let mut batched_rw = CountBasedEcm::<RandomizedWave>::new(&rw_cfg);
-        for &x in &items {
-            seq.insert(0, x);
-            seq_rw.insert(0, x);
+        for spec in [eh.clone(), rw.clone(), eh.clone().hierarchy(6)] {
+            let (mut seq, mut batched) = (spec.build().unwrap(), spec.build().unwrap());
+            for e in &events {
+                seq.insert(e.ts, e.item);
+            }
+            batched.ingest_batch(&events);
+            let bytes = |sk: &dyn ecm_suite::ecm::Sketch| spec.snapshot(sk).unwrap();
+            assert!(
+                bytes(&*seq) == bytes(&*batched),
+                "{spec:?} case {case} diverged"
+            );
         }
-        // Count-based backends ignore the tick: one run per equal item.
-        let events: Vec<StreamEvent> = items.iter().map(|&x| StreamEvent::new(x, 0)).collect();
-        batched.ingest_batch(&events);
-        batched_rw.ingest_batch(&events);
-        assert_eq!(batched.arrivals(), seq.arrivals());
-        let (mut a, mut b2) = (Vec::new(), Vec::new());
-        seq.as_inner().encode(&mut a);
-        batched.as_inner().encode(&mut b2);
-        assert_eq!(a, b2, "count-based eh case {case} diverged");
-        let (mut a, mut b2) = (Vec::new(), Vec::new());
-        seq_rw.as_inner().encode(&mut a);
-        batched_rw.as_inner().encode(&mut b2);
-        assert_eq!(a, b2, "count-based rw case {case} diverged");
-
-        let mut seq_h: CountBasedHierarchy = CountBasedHierarchy::new(6, &cfg);
-        let mut batched_h: CountBasedHierarchy = CountBasedHierarchy::new(6, &cfg);
-        for &x in &items {
-            seq_h.insert(0, x % 64);
-        }
-        let capped: Vec<StreamEvent> = items.iter().map(|&x| StreamEvent::new(x % 64, 0)).collect();
-        batched_h.ingest_batch(&capped);
-        let (mut a, mut b2) = (Vec::new(), Vec::new());
-        seq_h.as_inner().encode(&mut a);
-        batched_h.as_inner().encode(&mut b2);
-        assert_eq!(a, b2, "count-based hierarchy case {case} diverged");
     }
 }

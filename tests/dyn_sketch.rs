@@ -12,15 +12,15 @@
 //! results are compared by bit pattern, not tolerance.
 
 use ecm_suite::ecm::{
-    grouped_runs, Answer, Backend, Clock, CountBasedEcm, CountBasedHierarchy, EcmEh, EcmHierarchy,
-    Query, QueryError, Sketch, SketchReader, SketchSpec, SketchStore, SpecBackend, SpecError,
-    StreamEvent, Threshold, WindowSpec, WriteError,
+    grouped_runs, Answer, Backend, Clock, EcmEh, EcmHierarchy, Query, QueryError, Sketch,
+    SketchReader, SketchSpec, SketchStore, SpecBackend, SpecError, StreamEvent, Threshold,
+    WindowSpec, WriteError,
 };
 use ecm_suite::ecm::{EcmSketch, SketchWriter};
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{SeededRng, ZipfSampler};
 use proptest::prelude::*;
-use sliding_window::{DeterministicWave, EquiWidthWindow, ExactWindow, RandomizedWave};
+use sliding_window::{DeterministicWave, ExactWindow, RandomizedWave};
 
 const WINDOW: u64 = 10_000;
 const EVENTS: usize = 6_000;
@@ -148,7 +148,6 @@ fn plain_sketch_backends_dispatch_identically() {
     check_plain_backend::<DeterministicWave>("dw", &waves(Backend::Dw));
     check_plain_backend::<RandomizedWave>("rw", &waves(Backend::Rw).epsilon(0.3));
     check_plain_backend::<ExactWindow>("exact", &spec(Backend::Exact));
-    check_plain_backend::<EquiWidthWindow>("ew", &spec(Backend::Ew { buckets: 8 }));
 }
 
 #[test]
@@ -192,49 +191,42 @@ fn hierarchy_backends_dispatch_identically_including_key_queries() {
     }
 }
 
+/// The count clock is the time clock over arrival-index ticks (paper
+/// §4.2.1): a count-clock sketch fed through every ingest spelling answers
+/// bit-identically to a time-clock sketch fed each arrival at its index.
 #[test]
 fn count_based_backends_dispatch_identically() {
     let events = trace(4);
-    let w = WindowSpec::last(WINDOW / 2);
-
-    let mut concrete: CountBasedEcm<ExponentialHistogram> =
-        CountBasedEcm::new(&spec(Backend::Eh).ecm_config().unwrap());
-    let mut boxed = SketchSpec::count(WINDOW)
-        .epsilon(EPS)
-        .delta(DELTA)
-        .seed(SEED)
-        .build()
-        .unwrap();
-    feed(&mut concrete, &events);
-    feed(&mut *boxed, &events);
-    assert_scalar_parity(&concrete, &*boxed, &scalar_queries(), w, "count-based");
-
-    let mut ch: CountBasedHierarchy<ExponentialHistogram> =
-        CountBasedHierarchy::new(10, &spec(Backend::Eh).ecm_config().unwrap());
-    let mut bh = SketchSpec::count(WINDOW)
-        .epsilon(EPS)
-        .delta(DELTA)
-        .seed(SEED)
-        .hierarchy(10)
-        .build()
-        .unwrap();
-    feed(&mut ch, &events);
-    feed(&mut *bh, &events);
-    assert_scalar_parity(
-        &ch,
-        &*bh,
-        &[
-            Query::point(1),
-            Query::range_sum(0, 255),
-            Query::total_arrivals(),
-        ],
-        w,
-        "count-hierarchy",
-    );
-    assert_eq!(
-        ch.query(&Query::quantile(0.5), w).unwrap(),
-        bh.query(&Query::quantile(0.5), w).unwrap()
-    );
+    let n = events.len() as u64;
+    for bits in [None, Some(10)] {
+        let build = |s: SketchSpec| match bits {
+            None => s.build().unwrap(),
+            Some(b) => s.hierarchy(b).build().unwrap(),
+        };
+        let mut by_count = build(
+            SketchSpec::count(WINDOW)
+                .epsilon(EPS)
+                .delta(DELTA)
+                .seed(SEED),
+        );
+        let mut by_tick = build(spec(Backend::Eh));
+        feed(&mut *by_count, &events);
+        for (i, e) in (1..).zip(&events) {
+            by_tick.insert(i, e.item);
+        }
+        let mut queries = scalar_queries();
+        if bits.is_some() {
+            queries.extend([Query::range_sum(0, 255), Query::quantile(0.5)]);
+        }
+        // A sub-window, and the whole window: more than the history.
+        for (q, range) in queries.iter().flat_map(|q| [(q, WINDOW / 2), (q, WINDOW)]) {
+            assert_eq!(
+                by_count.query(q, WindowSpec::last(range)),
+                by_tick.query(q, WindowSpec::time(n, range)),
+                "{bits:?} {q:?} over {range}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -311,10 +303,6 @@ fn spec_validation_error_matrix() {
         (SketchSpec::time(10).hierarchy(0), "zero bits"),
         (SketchSpec::time(10).hierarchy(64), "too many bits"),
         (SketchSpec::time(10).max_arrivals(0), "zero max_arrivals"),
-        (
-            SketchSpec::time(10).backend(Backend::Ew { buckets: 0 }),
-            "zero buckets",
-        ),
     ];
     for (bad, label) in cases {
         let validate_err = bad.validate().expect_err(label);
@@ -340,12 +328,12 @@ fn spec_accessors_reflect_the_description() {
     assert_eq!(s.clock(), Clock::Count);
     assert_eq!(s.window(), 500);
     assert_eq!(s.declared_backend(), Backend::Exact);
-    assert_eq!(Backend::Ew { buckets: 3 }.name(), "equi-width");
+    assert_eq!(Backend::Exact.name(), "exact");
 }
 
 /// The spec matrix every differential suite shares, over this suite's
 /// 1 000-tick window.
-fn eight_specs() -> impl Iterator<Item = SketchSpec> {
+fn matrix_specs() -> impl Iterator<Item = SketchSpec> {
     SketchSpec::matrix(1_000).into_iter().map(|(_, spec)| spec)
 }
 
@@ -354,6 +342,7 @@ fn eight_specs() -> impl Iterator<Item = SketchSpec> {
 /// `StaleTimestamp` and its snapshot bytes do not move; a count-clock
 /// sketch owns its clock and never reports stale; a hierarchy refuses an
 /// item outside its universe with `OutOfUniverse` instead of panicking.
+/// Every spec the library builds answers with its (ε, δ) guarantee.
 #[test]
 fn refused_writes_are_typed_and_leave_the_sketch_untouched() {
     for (label, spec) in SketchSpec::matrix(1_000) {
@@ -361,6 +350,12 @@ fn refused_writes_are_typed_and_leave_the_sketch_untouched() {
         for t in 1..=200u64 {
             sk.insert(t, t % 16);
         }
+        let w = match spec.clock() {
+            Clock::Time => WindowSpec::time(200, 1_000),
+            Clock::Count => WindowSpec::last(1_000),
+        };
+        let point = sk.query(&Query::point(3), w).unwrap().into_value();
+        assert!(point.guarantee.is_some(), "{label}: no guarantee");
         sk.advance_to(500);
         let before = spec.snapshot(&*sk).unwrap();
         let stale = sk.try_insert_weighted(499, 3, 2);
@@ -576,7 +571,7 @@ fn runs_unbatched_events_and_single_inserts_build_the_same_store() {
         ("mixed", |line, _| 1 + (line as u64 * 7) % 32),
         ("heaviest", |line, cap| [cap, 3][line % 3 / 2]),
     ];
-    for (i, spec) in eight_specs().enumerate() {
+    for (i, spec) in matrix_specs().enumerate() {
         // A count-based window ticks once per occurrence, so a run at the
         // cap is a million ticks through a 1 000-tick window, by design
         // O(weight) a line: those two specs get a lighter "heaviest".
@@ -639,7 +634,7 @@ proptest! {
     /// from snapshot bytes, where the bound is recomputed on decode.
     #[test]
     fn prop_top_k_is_the_scan_on_every_backend(seed in 0u64..10_000) {
-        for (i, spec) in eight_specs().enumerate() {
+        for (i, spec) in matrix_specs().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             let mut store = SketchStore::<u64>::new(spec.clone()).expect("valid spec");
             // Per tick, a tenant of class `key / 3` writes with
@@ -696,7 +691,7 @@ proptest! {
     /// reference, so no write ever leaks across a clone.
     #[test]
     fn prop_store_clone_is_observably_a_deep_copy(seed in 0u64..10_000, steps in 20usize..50) {
-        for (i, spec) in eight_specs().enumerate() {
+        for (i, spec) in matrix_specs().enumerate() {
             let mut rng = SeededRng::seed_from_u64(seed ^ (i as u64) << 32);
             let fresh = || SketchStore::<u64>::new(spec.clone()).expect("valid spec");
             let mut stores = [fresh(), fresh()];

@@ -11,8 +11,8 @@
 
 use ecm_suite::distributed::aggregate_tree;
 use ecm_suite::ecm::{
-    Answer, Backend, CountBasedEcm, CountBasedHierarchy, EcmEh, EcmExact, EcmHierarchy, Query,
-    QueryError, SketchReader, SketchSpec, SketchWriter, Threshold, WindowSpec,
+    Answer, Backend, Clock, EcmEh, EcmExact, EcmHierarchy, Query, QueryError, SketchReader,
+    SketchSpec, SketchWriter, Threshold, WindowSpec,
 };
 use ecm_suite::sliding_window::ExponentialHistogram;
 use ecm_suite::stream_gen::{worldcup_like, WindowOracle};
@@ -253,13 +253,12 @@ fn window_validation_rejects_out_of_contract_queries_on_every_backend() {
         );
     }
 
-    // Count-based backends mirror the validation on their own clock.
-    let cfg = SketchSpec::time(1_000)
+    // Count-clock sketches mirror the validation on their own clock.
+    let mut cb = SketchSpec::count(1_000)
         .epsilon(EPS)
         .seed(2)
-        .ecm_config()
+        .build()
         .unwrap();
-    let mut cb: CountBasedEcm<ExponentialHistogram> = CountBasedEcm::new(&cfg);
     for i in 0..500u64 {
         cb.insert(0, i % 10);
     }
@@ -280,16 +279,10 @@ fn window_validation_rejects_out_of_contract_queries_on_every_backend() {
 fn trait_object_dispatch_over_all_backends() {
     let events = worldcup_like(5_000, 33);
     let now = events.last().unwrap().ts;
-    let cfg = SketchSpec::time(WINDOW)
-        .epsilon(EPS)
-        .seed(9)
-        .ecm_config()
-        .unwrap();
-
-    // Count-based twins over the same key sequence.
-    let mut cb_sketch: CountBasedEcm<ExponentialHistogram> = CountBasedEcm::new(&cfg);
-    let mut cb_hierarchy: CountBasedHierarchy<ExponentialHistogram> =
-        CountBasedHierarchy::new(BITS, &cfg);
+    // Count-clock twins over the same key sequence.
+    let count = SketchSpec::count(WINDOW).epsilon(EPS).seed(9);
+    let mut cb_sketch = count.build().unwrap();
+    let mut cb_hierarchy = count.hierarchy(BITS).build().unwrap();
     for e in &events {
         cb_sketch.insert(0, e.key);
         cb_hierarchy.insert(0, e.key);
@@ -305,8 +298,8 @@ fn trait_object_dispatch_over_all_backends() {
         ("EcmSketch", Box::new(local), time_w),
         ("EcmHierarchy", Box::new(hierarchy), time_w),
         ("AggregationOutcome", Box::new(aggregated), time_w),
-        ("CountBasedEcm", Box::new(cb_sketch), count_w),
-        ("CountBasedHierarchy", Box::new(cb_hierarchy), count_w),
+        ("EcmSketch", cb_sketch, count_w),
+        ("EcmHierarchy", cb_hierarchy, count_w),
     ];
 
     let probe = events[0].key;
@@ -370,14 +363,11 @@ fn trait_object_dispatch_over_all_backends() {
 fn heavy_hitters_agree_between_hierarchy_clocks() {
     // The same logical stream addressed by tick and by arrival index gives
     // the same heavy-hitter set when the windows coincide.
-    let cfg = SketchSpec::time(10_000)
-        .epsilon(0.05)
-        .delta(0.05)
-        .seed(3)
-        .ecm_config()
-        .unwrap();
-    let mut time_h: EcmHierarchy<ExponentialHistogram> = EcmHierarchy::new(10, &cfg);
-    let mut count_h: CountBasedHierarchy<ExponentialHistogram> = CountBasedHierarchy::new(10, &cfg);
+    let spec = SketchSpec::time(10_000).epsilon(0.05).delta(0.05).seed(3);
+    let mut time_h: EcmHierarchy<ExponentialHistogram> =
+        EcmHierarchy::new(10, &spec.ecm_config().unwrap());
+    let count = SketchSpec::count(10_000).epsilon(0.05).delta(0.05).seed(3);
+    let mut count_h = count.hierarchy(10).build().unwrap();
     for i in 1..=10_000u64 {
         let key = if i % 4 == 0 { 77 } else { i % 512 };
         time_h.insert(i, key); // tick = arrival index
@@ -425,6 +415,25 @@ fn inner_product_pairs_compatible_backends_only() {
     let h = EcmHierarchy::<ExponentialHistogram>::new(4, &cfg);
     let err = a.query(&Query::inner_product(&h), w).unwrap_err();
     assert!(matches!(err, QueryError::IncompatibleOperand { .. }));
+
+    // Neither is a sketch hashed with another seed, on either clock.
+    for base in [SketchSpec::time(1_000), SketchSpec::count(1_000)] {
+        let [mut x, mut y] = [1, 2].map(|seed| base.clone().seed(seed).build().unwrap());
+        for t in 1..=1_000u64 {
+            x.insert(t, t % 4);
+            y.insert(t, t % 4);
+        }
+        let w = match base.clock() {
+            Clock::Time => WindowSpec::time(1_000, 1_000),
+            Clock::Count => WindowSpec::last(1_000),
+        };
+        let err = x.query(&Query::inner_product(&*y), w);
+        assert!(
+            matches!(err, Err(QueryError::IncompatibleOperand { .. })),
+            "{:?} clock: {err:?}",
+            base.clock()
+        );
+    }
 
     // An aggregation outcome pairs with another outcome or a plain sketch
     // of the same counter type; anything else is rejected with the

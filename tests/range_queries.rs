@@ -3,8 +3,8 @@
 //! related-work section dismisses (§2). All hierarchy queries go through
 //! the unified `SketchReader::query` surface.
 
+use ecm_bench::baselines::{HybridConfig, HybridHistogram};
 use ecm_suite::ecm::{EcmHierarchy, Query, SketchReader, SketchSpec, SketchWriter, WindowSpec};
-use ecm_suite::sliding_window::{HybridConfig, HybridHistogram};
 use ecm_suite::stream_gen::{worldcup_like, WindowOracle};
 use sliding_window::ExponentialHistogram;
 

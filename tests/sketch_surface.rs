@@ -5,7 +5,9 @@
 //! derivations are private functions behind `SketchSpec::ecm_config`.) The
 //! store's incremental checkpoints and its capacity eviction are gone
 //! everywhere, `crates/ecm/src` included: the write-ahead log is the only
-//! increment, and a store never discards a key.
+//! increment, and a store never discards a key. So are the count-based
+//! wrapper types (the count clock is a value on `EcmSketch` and
+//! `EcmHierarchy`) and the equi-width spec backend.
 
 use std::path::{Path, PathBuf};
 
@@ -32,13 +34,16 @@ fn text_files(path: &Path, out: &mut Vec<PathBuf>) {
 
 /// Each retired name in two halves, so this file does not match itself,
 /// and the one directory it may still appear under.
-const RETIRED: [([&str; 2], Option<&str>); 6] = [
+const RETIRED: [([&str; 2], Option<&str>); 9] = [
     (["Ecm", "Builder"], Some("crates/ecm/src")),
     (["write_", "incremental"], None),
     (["apply_", "incremental"], None),
     (["Evic", "tion"], None),
     (["SketchStore::", "with_capacity"], None),
     (["KIND_", "INCREMENTAL"], None),
+    (["CountBased", "Ecm"], None),
+    (["CountBased", "Hierarchy"], None),
+    (["Backend::", "Ew"], None),
 ];
 
 #[test]

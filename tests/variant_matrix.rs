@@ -1,5 +1,5 @@
 //! The full variant matrix in one place: every window-counter instantiation
-//! of the ECM-sketch (EH, DW, RW, exact baseline, equi-width baseline) runs
+//! of the ECM-sketch (EH, DW, RW, exact baseline) runs
 //! through the same centralized pipeline — insert, query, serialize,
 //! deserialize — and the mergeable ones also through tree aggregation. One
 //! test per contract the paper states, parameterized over the variants.
@@ -8,9 +8,7 @@ use ecm_suite::distributed::aggregate_tree;
 use ecm_suite::ecm::{Backend, EcmConfig, EcmSketch, Query, SketchReader, SketchSpec, WindowSpec};
 use ecm_suite::sliding_window::traits::{MergeableCounter, WindowCounter};
 use ecm_suite::stream_gen::{worldcup_like, WindowOracle};
-use sliding_window::{
-    DeterministicWave, EquiWidthWindow, ExactWindow, ExponentialHistogram, RandomizedWave,
-};
+use sliding_window::{DeterministicWave, ExactWindow, ExponentialHistogram, RandomizedWave};
 
 const WINDOW: u64 = 1_000_000;
 const EVENTS: usize = 12_000;
@@ -201,22 +199,6 @@ fn exact_variant_is_a_pure_count_min() {
 }
 
 #[test]
-fn ew_baseline_centralized_wide_ranges_only() {
-    // The equi-width baseline has no window guarantee on narrow ranges, but
-    // whole-window queries land within a slot of the truth — and its
-    // grid-aligned merge is exact, so the distributed contract holds with
-    // the same (wide-range) envelope.
-    let b = SketchSpec::time(WINDOW).epsilon(EPS).delta(0.05).seed(7);
-    let cfg = b
-        .clone()
-        .backend(Backend::Ew { buckets: 64 })
-        .ecm_config::<EquiWidthWindow>()
-        .unwrap();
-    centralized_contract(&cfg, "ECM-EW");
-    distributed_contract(&cfg, "ECM-EW", EPS + 1.0 / 64.0);
-}
-
-#[test]
 fn variants_agree_on_empty_sketches() {
     let b = SketchSpec::time(1_000).epsilon(0.1).delta(0.1).seed(8);
     assert_eq!(
@@ -262,20 +244,6 @@ fn variants_agree_on_empty_sketches() {
                 &b.clone()
                     .backend(Backend::Exact)
                     .ecm_config::<ExactWindow>()
-                    .unwrap()
-            ),
-            5,
-            100,
-            1_000
-        ),
-        0.0
-    );
-    assert_eq!(
-        point(
-            &EcmSketch::new(
-                &b.clone()
-                    .backend(Backend::Ew { buckets: 10 })
-                    .ecm_config::<EquiWidthWindow>()
                     .unwrap()
             ),
             5,
