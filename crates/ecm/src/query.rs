@@ -477,8 +477,8 @@ pub trait SketchReader {
     /// skips a sketch only when its bound is below the k-th score so far.
     ///
     /// Only [`Query::TotalArrivals`] on sketches over exponential
-    /// histograms, on either clock, is bounded: their cells keep a count of the
-    /// arrivals they still hold, and a window estimate sums a subset of
+    /// histograms, on either clock, is bounded: their cells keep a count of
+    /// the arrivals they still hold, and a window estimate sums a subset of
     /// those whatever the window.
     fn score_bound(&self, _q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
         None
