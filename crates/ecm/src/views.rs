@@ -298,10 +298,10 @@ pub struct ViewReadout<K> {
     pub seq: u64,
 }
 
-/// A notification emitted by maintenance when a view's answer changed in
-/// a way a subscriber cares about.
+/// A notification emitted by maintenance when a keyed view's answer
+/// changed in a way a subscriber cares about. Top-k views emit none.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ViewEvent<K> {
+pub enum ViewEvent {
     /// A threshold view's estimate crossed its limit (or first
     /// materialized above it).
     ThresholdCrossed {
@@ -331,26 +331,15 @@ pub enum ViewEvent<K> {
         /// Publication sequence.
         seq: u64,
     },
-    /// A top-k view's ranking changed.
-    RankingChanged {
-        /// The view name.
-        name: String,
-        /// The full new ranking, best first.
-        ranking: Vec<(K, f64)>,
-        /// Evaluation clock.
-        now: u64,
-        /// Publication sequence.
-        seq: u64,
-    },
 }
 
-impl<K> ViewEvent<K> {
+impl ViewEvent {
     /// The view this event belongs to.
     pub fn view(&self) -> &str {
         match self {
-            ViewEvent::ThresholdCrossed { name, .. }
-            | ViewEvent::HittersChanged { name, .. }
-            | ViewEvent::RankingChanged { name, .. } => name,
+            ViewEvent::ThresholdCrossed { name, .. } | ViewEvent::HittersChanged { name, .. } => {
+                name
+            }
         }
     }
 }
@@ -511,7 +500,7 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     /// changed — keys written since the previous round, read from the
     /// store's write stamps — and report the
     /// changes subscribers should hear about.
-    pub fn maintain(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent<K>> {
+    pub fn maintain(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent> {
         self.seq += 1;
         let since = self.watermark;
         self.watermark = store.version();
@@ -532,7 +521,7 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     /// Maintenance round after a clock advance (`advance_to`): every hot
     /// and pending view re-evaluates, because window contents slide even
     /// for keys that saw no arrivals.
-    pub fn refresh(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent<K>> {
+    pub fn refresh(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent> {
         self.seq += 1;
         self.watermark = store.version();
         self.update_views(store, |_| true)
@@ -560,17 +549,12 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
         &mut self,
         store: &SketchStore<K>,
         affected: impl Fn(&ViewDef<K>) -> bool,
-    ) -> Vec<ViewEvent<K>> {
+    ) -> Vec<ViewEvent> {
         let seq = self.seq;
         let mut events = Vec::new();
         let mut recomputes = 0u64;
         for view in self.views.values_mut() {
-            let pending = match &view.state {
-                State::Cold => continue,
-                State::Pending => true,
-                State::Hot { .. } => false,
-            };
-            if !affected(&view.def) {
+            if matches!(view.state, State::Cold) || !affected(&view.def) {
                 continue;
             }
             recomputes += 1;
@@ -580,87 +564,62 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
                 view.state = State::Pending;
                 continue;
             };
-            let change =
-                match (&view.state, &answer) {
-                    // First materialization: only noteworthy states notify.
-                    (State::Pending | State::Cold, ViewAnswer::Scalar { estimate, above }) => above
-                        .then(|| ViewEvent::ThresholdCrossed {
-                            name: view.def.name.clone(),
-                            above: true,
-                            estimate: *estimate,
-                            now,
-                            seq,
-                        }),
-                    (State::Pending | State::Cold, ViewAnswer::Hitters(new)) => (!new.is_empty())
-                        .then(|| ViewEvent::HittersChanged {
-                            name: view.def.name.clone(),
-                            entered: new.iter().map(|&(item, _)| item).collect(),
-                            left: Vec::new(),
-                            hitters: new.clone(),
-                            now,
-                            seq,
-                        }),
-                    (State::Pending | State::Cold, ViewAnswer::Ranking(new)) => (!new.is_empty())
-                        .then(|| ViewEvent::RankingChanged {
-                            name: view.def.name.clone(),
-                            ranking: new.clone(),
-                            now,
-                            seq,
-                        }),
-                    (
-                        State::Hot {
-                            answer: ViewAnswer::Scalar { above: was, .. },
-                            ..
-                        },
-                        ViewAnswer::Scalar { estimate, above },
-                    ) => (above != was).then(|| ViewEvent::ThresholdCrossed {
+            let change = match (&view.state, &answer) {
+                // First materialization: only noteworthy states notify.
+                (State::Pending, ViewAnswer::Scalar { estimate, above }) => {
+                    above.then(|| ViewEvent::ThresholdCrossed {
                         name: view.def.name.clone(),
-                        above: *above,
+                        above: true,
                         estimate: *estimate,
                         now,
                         seq,
-                    }),
-                    (
-                        State::Hot {
-                            answer: ViewAnswer::Hitters(old),
-                            ..
-                        },
-                        ViewAnswer::Hitters(new),
-                    ) => {
-                        let old_items: BTreeSet<u64> = old.iter().map(|&(item, _)| item).collect();
-                        let new_items: BTreeSet<u64> = new.iter().map(|&(item, _)| item).collect();
-                        (old_items != new_items).then(|| ViewEvent::HittersChanged {
-                            name: view.def.name.clone(),
-                            entered: new_items.difference(&old_items).copied().collect(),
-                            left: old_items.difference(&new_items).copied().collect(),
-                            hitters: new.clone(),
-                            now,
-                            seq,
-                        })
-                    }
-                    (
-                        State::Hot {
-                            answer: ViewAnswer::Ranking(old),
-                            ..
-                        },
-                        ViewAnswer::Ranking(new),
-                    ) => {
-                        // Notify on membership/order changes, not on every
-                        // value drift — a per-batch score wiggle on a stable
-                        // ranking is noise.
-                        let same: bool =
-                            old.len() == new.len() && old.iter().zip(new).all(|(a, b)| a.0 == b.0);
-                        (!same).then(|| ViewEvent::RankingChanged {
-                            name: view.def.name.clone(),
-                            ranking: new.clone(),
-                            now,
-                            seq,
-                        })
-                    }
-                    // A definition cannot change shape between rounds.
-                    (State::Hot { .. }, _) => None,
-                };
-            let _ = pending;
+                    })
+                }
+                (State::Pending, ViewAnswer::Hitters(new)) => {
+                    (!new.is_empty()).then(|| ViewEvent::HittersChanged {
+                        name: view.def.name.clone(),
+                        entered: new.iter().map(|&(item, _)| item).collect(),
+                        left: Vec::new(),
+                        hitters: new.clone(),
+                        now,
+                        seq,
+                    })
+                }
+                (
+                    State::Hot {
+                        answer: ViewAnswer::Scalar { above: was, .. },
+                        ..
+                    },
+                    ViewAnswer::Scalar { estimate, above },
+                ) => (above != was).then(|| ViewEvent::ThresholdCrossed {
+                    name: view.def.name.clone(),
+                    above: *above,
+                    estimate: *estimate,
+                    now,
+                    seq,
+                }),
+                (
+                    State::Hot {
+                        answer: ViewAnswer::Hitters(old),
+                        ..
+                    },
+                    ViewAnswer::Hitters(new),
+                ) => {
+                    let old_items: BTreeSet<u64> = old.iter().map(|&(item, _)| item).collect();
+                    let new_items: BTreeSet<u64> = new.iter().map(|&(item, _)| item).collect();
+                    (old_items != new_items).then(|| ViewEvent::HittersChanged {
+                        name: view.def.name.clone(),
+                        entered: new_items.difference(&old_items).copied().collect(),
+                        left: old_items.difference(&new_items).copied().collect(),
+                        hitters: new.clone(),
+                        now,
+                        seq,
+                    })
+                }
+                // Rankings notify nobody, and a definition cannot
+                // change shape between rounds.
+                _ => None,
+            };
             view.state = State::Hot { answer, now };
             events.extend(change);
         }

@@ -120,12 +120,15 @@ pub struct ShardHealth {
     /// Requests shed by admission control: the mailbox stayed full past
     /// the deadline, or the worker was quarantined as wedged.
     pub shed_requests: u64,
-    /// Queries served wait-free from this shard's published epoch.
+    /// Queries (`TOPK` and fleet view reads included) served wait-free
+    /// from this shard's published epoch.
     pub published_reads: u64,
-    /// Sketches `TOPK` requests had to score on this shard. A call scores
-    /// a few more than `k` while the arrivals bounds prune, and up to
-    /// every resident key once they have gone stale (a fleet of keys
-    /// silent for longer than a window).
+    /// Time queries whose `now` was behind the key's write clock.
+    pub behind_clock: u64,
+    /// Sketches `TOPK` requests and fleet view reads had to score on
+    /// this shard. A call scores a few more than `k` while the arrivals
+    /// bounds prune, and up to every resident key once they have gone
+    /// stale (a fleet of keys silent for longer than a window).
     pub ranked_sketches: u64,
 }
 

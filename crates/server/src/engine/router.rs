@@ -13,8 +13,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ecm::{
-    QueryError, Ranking, SpecError, StandingQuery, StreamEvent, ViewAnswer, ViewDef, ViewError,
-    ViewReadout, WindowSpec,
+    Epoch, QueryError, Ranking, SketchStore, SpecError, StandingQuery, StreamEvent, ViewAnswer,
+    ViewDef, ViewError, ViewReadout, WindowSpec,
 };
 
 use super::hub::ViewHub;
@@ -494,10 +494,14 @@ impl Engine {
         let slot = &self.fleet.slots[route(key, self.fleet.slots.len())];
         let epoch = slot.published.pin();
         slot.published_reads.fetch_add(1, Ordering::Relaxed);
+        let sketch = epoch.value.get(&key.to_string());
+        if let (Some(s), WindowSpec::Time { now, .. }) = (sketch, window) {
+            if now < s.write_clock() {
+                slot.behind_clock.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         Ok(ServedAnswer {
-            answer: epoch
-                .value
-                .query(&key.to_string(), &query.to_query(), window),
+            answer: sketch.map(|s| s.query(&query.to_query(), window)),
             clock: epoch.clock,
         })
     }
@@ -518,13 +522,28 @@ impl Engine {
     /// # Errors
     /// As [`query_served`](Engine::query_served).
     pub fn top_k(&self, k: usize, window: WindowSpec) -> Result<Vec<(String, f64)>, EngineError> {
+        let epochs = self.pin_all()?;
+        Ok(self.rank(&epochs, k, window))
+    }
+
+    /// Pin every shard's published epoch, in shard order.
+    fn pin_all(&self) -> Result<Vec<Arc<Epoch<SketchStore<String>>>>, EngineError> {
         if *self.fleet.down.read().expect("gate poisoned") {
             return Err(EngineError::ShuttingDown);
         }
-        let slots = &self.fleet.slots;
-        let epochs: Vec<_> = slots.iter().map(|slot| slot.published.pin()).collect();
+        Ok(self.fleet.slots.iter().map(|s| s.published.pin()).collect())
+    }
+
+    /// The ranking loop of [`top_k`](Engine::top_k) and fleet view reads:
+    /// thread one [`Ranking`] through the pinned `epochs`.
+    fn rank(
+        &self,
+        epochs: &[Arc<Epoch<SketchStore<String>>>],
+        k: usize,
+        window: WindowSpec,
+    ) -> Vec<(String, f64)> {
         let mut ranking = Ranking::new(k);
-        for (slot, epoch) in slots.iter().zip(&epochs) {
+        for (slot, epoch) in self.fleet.slots.iter().zip(epochs) {
             slot.published_reads.fetch_add(1, Ordering::Relaxed);
             let scored = epoch
                 .value
@@ -532,7 +551,7 @@ impl Engine {
             slot.ranked_sketches
                 .fetch_add(scored as u64, Ordering::Relaxed);
         }
-        Ok(ranking.into_owned())
+        ranking.into_owned()
     }
 
     /// Per-shard status, in shard order: the supervision health row is
@@ -576,10 +595,10 @@ impl Engine {
         &self.fleet.hub
     }
 
-    /// Register a standing view: validate, route the definition to the
-    /// owning shard (keyed) or every shard (fleet-wide top-k), record it
-    /// in the registry, and — when durable — persist it to the manifest
-    /// immediately so it survives `kill -9`.
+    /// Register a standing view: validate, route a keyed definition to
+    /// its owning shard (a fleet-wide top-k view lives in the registry
+    /// only), record it in the registry, and — when durable — persist it
+    /// to the manifest immediately so it survives `kill -9`.
     ///
     /// # Errors
     /// [`View`](EngineError::View) (invalid or duplicate definition), or
@@ -605,7 +624,7 @@ impl Engine {
                 name: def.name.clone(),
             }));
         }
-        for shard in self.view_shards(&def) {
+        if let Some(shard) = self.view_shard(&def) {
             let (tx, rx) = channel();
             self.request(
                 shard,
@@ -624,7 +643,7 @@ impl Engine {
         self.persist_views(&registry)
     }
 
-    /// Drop a standing view everywhere: registry, owning shard(s), its
+    /// Drop a standing view everywhere: registry, owning shard, its
     /// subscribers (their streams end), and the durable manifest.
     ///
     /// # Errors
@@ -637,7 +656,7 @@ impl Engine {
                 name: name.to_string(),
             })
         })?;
-        for shard in self.view_shards(&def) {
+        if let Some(shard) = self.view_shard(&def) {
             let (tx, rx) = channel();
             self.request(
                 shard,
@@ -656,15 +675,17 @@ impl Engine {
     }
 
     /// Read a standing view's current answer. Keyed views read from the
-    /// owning shard (first read materializes — partial state); fleet-wide
-    /// top-k views broadcast and merge exactly like
-    /// [`top_k`](Engine::top_k), with `now` the maximum shard clock and
-    /// `seq` the (monotone) sum of shard publication sequences.
+    /// owning shard (first read materializes — partial state). Fleet-wide
+    /// top-k views read like [`top_k`](Engine::top_k), from every shard's
+    /// published epoch: `now` is the largest shard clock, the view's
+    /// window is resolved there, and `seq` is the sum of the epochs'
+    /// publication sequences, which a respawn never lowers.
     ///
     /// # Errors
     /// [`View`](EngineError::View) — including
-    /// [`NoData`](ecm::ViewError::NoData) when the view's key has never
-    /// been written — or the routing errors of [`flush`](Engine::flush).
+    /// [`NoData`](ecm::ViewError::NoData) when the view's key (for a fleet
+    /// view: every shard) has never been written — or the routing errors
+    /// of [`flush`](Engine::flush).
     pub fn view_read(&self, name: &str) -> Result<ViewReadout<String>, EngineError> {
         let def = self
             .fleet
@@ -678,66 +699,35 @@ impl Engine {
                     name: name.to_string(),
                 })
             })?;
-        match &def.key {
-            Some(k) => {
-                let shard = route(k, self.fleet.slots.len());
-                let (tx, rx) = channel();
-                self.request(
-                    shard,
-                    ShardMsg::ViewRead {
-                        name: name.to_string(),
-                        reply: tx,
-                    },
-                )?;
-                match self.collect(shard, &rx)? {
-                    ShardReply::View(r) => r.map_err(EngineError::View),
-                    _ => Err(EngineError::ShardDied { shard }),
-                }
-            }
-            None => {
-                let k = match def.query {
-                    StandingQuery::TopK { k } => k,
-                    _ => unreachable!("validated: fleet-wide views are top-k"),
-                };
-                let replies = self.broadcast(|tx| ShardMsg::ViewRead {
+        if let Some(shard) = self.view_shard(&def) {
+            let (tx, rx) = channel();
+            self.request(
+                shard,
+                ShardMsg::ViewRead {
                     name: name.to_string(),
                     reply: tx,
-                })?;
-                let mut merged = Ranking::new(k);
-                let (mut now, mut seq, mut any) = (0u64, 0u64, false);
-                for (shard, reply) in replies.into_iter().enumerate() {
-                    let readout = match reply {
-                        ShardReply::View(Ok(r)) => r,
-                        // An empty shard has no data for the fleet view
-                        // yet; its siblings may.
-                        ShardReply::View(Err(ViewError::NoData { .. })) => continue,
-                        ShardReply::View(Err(e)) => return Err(EngineError::View(e)),
-                        _ => return Err(EngineError::ShardDied { shard }),
-                    };
-                    any = true;
-                    now = now.max(readout.now);
-                    seq += readout.seq;
-                    match readout.answer {
-                        ViewAnswer::Ranking(local) => {
-                            for (key, score) in local {
-                                merged.offer(key, score);
-                            }
-                        }
-                        _ => return Err(EngineError::ShardDied { shard }),
-                    }
-                }
-                if !any {
-                    return Err(EngineError::View(ViewError::NoData {
-                        name: name.to_string(),
-                    }));
-                }
-                Ok(ViewReadout {
-                    answer: ViewAnswer::Ranking(merged.into_sorted()),
-                    now,
-                    seq,
-                })
-            }
+                },
+            )?;
+            return match self.collect(shard, &rx)? {
+                ShardReply::View(r) => r.map_err(EngineError::View),
+                _ => Err(EngineError::ShardDied { shard }),
+            };
         }
+        let StandingQuery::TopK { k } = def.query else {
+            unreachable!("validated: fleet-wide views are top-k")
+        };
+        let epochs = self.pin_all()?;
+        if epochs.iter().all(|e| e.value.is_empty()) {
+            return Err(EngineError::View(ViewError::NoData {
+                name: name.to_string(),
+            }));
+        }
+        let now = epochs.iter().map(|e| e.clock).max().unwrap_or(0);
+        Ok(ViewReadout {
+            answer: ViewAnswer::Ranking(self.rank(&epochs, k, def.window.resolve(now))),
+            now,
+            seq: epochs.iter().map(|e| e.seq).sum(),
+        })
     }
 
     /// Registered definitions, in name order.
@@ -773,12 +763,9 @@ impl Engine {
         }
     }
 
-    /// The shards a definition lives on.
-    fn view_shards(&self, def: &ViewDef<String>) -> Vec<usize> {
-        match &def.key {
-            Some(k) => vec![route(k, self.fleet.slots.len())],
-            None => (0..self.fleet.slots.len()).collect(),
-        }
+    /// The shard a keyed definition lives on; shards hold no fleet view.
+    fn view_shard(&self, def: &ViewDef<String>) -> Option<usize> {
+        def.key.as_ref().map(|k| route(k, self.fleet.slots.len()))
     }
 
     /// Re-write the manifest with the current view set — only when the

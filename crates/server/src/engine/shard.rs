@@ -80,15 +80,9 @@ impl Publisher {
     }
 }
 
-/// Publish maintenance events to the hub. Only keyed notifications
-/// (threshold crossings, heavy-hitter set changes) go out: a fleet-wide
-/// top-k view's per-shard ranking is partial state no subscriber should
-/// see, so those views are read-merged by the router instead.
-fn publish(hub: &ViewHub, events: &[ViewEvent<String>]) {
+/// Publish maintenance events to the hub.
+fn publish(hub: &ViewHub, events: &[ViewEvent]) {
     for event in events {
-        if matches!(event, ViewEvent::RankingChanged { .. }) {
-            continue;
-        }
         hub.publish(event.view(), &response::view_event(event));
     }
 }

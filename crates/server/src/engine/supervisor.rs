@@ -160,8 +160,11 @@ pub(super) struct ShardSlot {
     pub(super) published: Arc<LeftRight<SketchStore<String>>>,
     /// Queries served from the published epoch (for `STATS`).
     pub(super) published_reads: AtomicU64,
-    /// Sketches `TOPK` had to score on this shard (for `STATS`): against
-    /// keys × calls, how well the arrivals bounds still prune.
+    /// Time queries whose `now` was behind the key's write clock.
+    pub(super) behind_clock: AtomicU64,
+    /// Sketches `TOPK` and fleet view reads had to score on this shard
+    /// (for `STATS`): against keys × calls, how well the arrivals bounds
+    /// still prune.
     pub(super) ranked_sketches: AtomicU64,
 }
 
@@ -183,6 +186,7 @@ impl ShardSlot {
             handle: Mutex::new(None),
             published: Arc::new(LeftRight::new(Epoch::initial(empty, 0, 0))),
             published_reads: AtomicU64::new(0),
+            behind_clock: AtomicU64::new(0),
             ranked_sketches: AtomicU64::new(0),
         }
     }
@@ -270,6 +274,7 @@ impl Fleet {
             mailbox_hwm: slot.gauge.hwm.load(Ordering::Relaxed),
             shed_requests: slot.shed.load(Ordering::Relaxed),
             published_reads: slot.published_reads.load(Ordering::Relaxed),
+            behind_clock: slot.behind_clock.load(Ordering::Relaxed),
             ranked_sketches: slot.ranked_sketches.load(Ordering::Relaxed),
         }
     }
@@ -401,14 +406,14 @@ fn respawn(fleet: &Arc<Fleet>, shard: usize) {
 }
 
 /// What [`recover_shard`] hands to [`spawn_worker`]: the shard's store, its
-/// log when durable, and the registered views it owns.
+/// log when durable, and the keyed views it owns.
 pub(super) type Recovered = (SketchStore<String>, Option<ShardWal>, Vec<ViewDef<String>>);
 
 /// Rebuild one shard's state from disk — at start-up and on every respawn:
 /// the checkpoint chain of a snapshot directory that has a manifest, the
 /// write-ahead log replayed on top when durable (a durable shard that has
-/// not checkpointed yet has only its log), and the registered views the
-/// shard owns: keyed views live on the key's shard, fleet views everywhere.
+/// not checkpointed yet has only its log), and the keyed views whose key
+/// routes to the shard (fleet views are ranked on read and live on none).
 /// Without a log, events acked after the last checkpoint are lost.
 pub(super) fn recover_shard(fleet: &Fleet, shard: usize) -> Result<Recovered, String> {
     let dir = fleet.snapshot_dir.as_deref();
@@ -432,9 +437,10 @@ pub(super) fn recover_shard(fleet: &Fleet, shard: usize) -> Result<Recovered, St
         .lock()
         .expect("view registry poisoned")
         .values()
-        .filter(|def| match &def.key {
-            Some(k) => route(k, fleet.slots.len()) == shard,
-            None => true,
+        .filter(|def| {
+            def.key
+                .as_ref()
+                .is_some_and(|k| route(k, fleet.slots.len()) == shard)
         })
         .cloned()
         .collect();

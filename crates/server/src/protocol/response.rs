@@ -139,11 +139,7 @@ pub fn answer_at(query: &str, a: &Answer, now: u64) -> String {
 
 /// A merged `TOPK` ranking as a response line.
 pub fn topk(rows: &[(String, f64)]) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|(k, v)| format!("{{\"key\":\"{}\",\"value\":{}}}", escape(k), float(*v)))
-        .collect();
-    format!("{{\"ok\":true,\"topk\":[{}]}}", rows.join(","))
+    format!("{{\"ok\":true,\"topk\":[{}]}}", ranking_rows(rows))
 }
 
 /// Per-shard `STATS` as a response line, plus fleet-wide totals and the
@@ -167,13 +163,14 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
             let health = format!(
                 "\"health\":{{\"state\":\"{}\",\"restarts\":{},\"last_restart_ms\":{},\
                  \"mailbox_hwm\":{},\"shed_requests\":{},\"published_reads\":{},\
-                 \"ranked_sketches\":{}}}",
+                 \"behind_clock\":{},\"ranked_sketches\":{}}}",
                 h.state,
                 h.restarts,
                 h.last_restart_ms,
                 h.mailbox_hwm,
                 h.shed_requests,
                 h.published_reads,
+                h.behind_clock,
                 h.ranked_sketches
             );
             match &r.stats {
@@ -231,7 +228,7 @@ fn hitter_rows(hits: &[(u64, Estimate)]) -> String {
     rows.join(",")
 }
 
-/// Ranking rows — the same rendering [`topk`] uses.
+/// Ranking rows, as [`topk`] and a top-k [`view_read`] render them.
 fn ranking_rows(rows: &[(String, f64)]) -> String {
     let rows: Vec<String> = rows
         .iter()
@@ -300,7 +297,7 @@ pub fn subscribed(view: &str) -> String {
 }
 
 /// A maintenance notification as a push line.
-pub fn view_event(e: &ViewEvent<String>) -> String {
+pub fn view_event(e: &ViewEvent) -> String {
     match e {
         ViewEvent::ThresholdCrossed {
             name,
@@ -333,17 +330,6 @@ pub fn view_event(e: &ViewEvent<String>) -> String {
                 hitter_rows(hitters)
             )
         }
-        ViewEvent::RankingChanged {
-            name,
-            ranking,
-            now,
-            seq,
-        } => format!(
-            "{{\"ok\":true,\"notify\":\"topk\",\"view\":\"{}\",\"topk\":[{}],\
-             \"now\":{now},\"seq\":{seq}}}",
-            escape(name),
-            ranking_rows(ranking)
-        ),
     }
 }
 

@@ -515,7 +515,14 @@ fn broadcast_errors_name_the_shard_that_failed() {
     let died = EngineError::ShardDied { shard: 1 };
     assert_eq!(engine.flush(20).expect_err("flush"), died);
     assert_eq!(engine.snapshot(&dir).expect_err("snapshot"), died);
-    assert_eq!(engine.view_read("top").expect_err("view read"), died);
+    // A fleet view is no broadcast: like `TOPK`, it still answers from
+    // every shard's published epoch, the dead shard's last one included.
+    let readout = engine.view_read("top").expect("view read");
+    let window = WindowSpec::time(readout.now, 10_000);
+    assert_eq!(
+        readout.answer,
+        ecm::ViewAnswer::Ranking(engine.top_k(3, window).expect("top_k"))
+    );
     let _ = engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

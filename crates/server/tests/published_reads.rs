@@ -11,8 +11,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ecm::{Clock, SketchStore, StreamEvent, Threshold, WindowSpec};
-use sketch_server::engine::Engine;
+use ecm::{
+    Clock, Query, SketchStore, StandingQuery, StreamEvent, Threshold, ViewAnswer, ViewDef,
+    ViewWindow, WindowSpec,
+};
+use sketch_server::engine::{route, Engine};
 use sketch_server::protocol::{response, OwnedQuery};
 use sketch_server::{ServerConfig, SketchSpec};
 use stream_gen::SeededRng;
@@ -257,6 +260,95 @@ fn mid_run_snapshot_restores_and_republishes_after_wal_replay() {
     )
     .expect("restart from disk");
     assert_matches_mirror(&engine, &store, window, "after graceful restart");
+    engine.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Block until every shard reports itself back up after at least one
+/// restart.
+fn await_restarted(engine: &Engine) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        match engine.stats() {
+            Ok(rows)
+                if rows
+                    .iter()
+                    .all(|r| r.health.state == "up" && r.health.restarts >= 1) =>
+            {
+                return
+            }
+            Ok(_) => {}
+            Err(e) if e.is_retryable() => {}
+            Err(e) => panic!("stats during restart: {e}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shards never came back up"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A fleet top-k view reads like `TOPK`: every shard's published epoch,
+/// ranked over the view's window at the fleet clock (the largest shard
+/// clock). A shard whose keys went quiet long ago must not rank them at
+/// its own, older clock: `k1`'s 20 arrivals at tick 500 are outside
+/// `time 5000 100`, so `k0`'s 5 at tick 5 000 win. The readout's `seq`
+/// never goes backwards, across a respawn of every shard included.
+#[test]
+fn fleet_views_rank_the_published_epochs_at_the_fleet_clock() {
+    let dir = scratch("fleetview");
+    let spec = SketchSpec::time(10_000).epsilon(0.2).delta(0.2).seed(7);
+    let cfg = ServerConfig::new(spec.clone())
+        .shards(2)
+        .snapshot_dir(&dir)
+        .durability(true);
+    let engine = Engine::start(&cfg).expect("engine start");
+    assert_ne!(
+        route("k0", 2),
+        route("k1", 2),
+        "the probe spans both shards"
+    );
+    engine
+        .view_create(ViewDef {
+            name: "top".to_string(),
+            key: None,
+            query: StandingQuery::TopK { k: 1 },
+            window: ViewWindow::Time { range: 100 },
+        })
+        .expect("fleet view");
+    let mut events = Vec::new();
+    for (key, ts, n) in [("k1", 500, 20), ("k0", 5_000, 5)] {
+        let event = StreamEvent::new(1, ts);
+        engine
+            .ingest(&[(key.to_string(), event, n)])
+            .expect("ingest");
+        events.extend(std::iter::repeat_n((key.to_string(), event), n as usize));
+    }
+    let store = mirror(&spec, &events);
+
+    let readout = engine.view_read("top").expect("view read");
+    assert_eq!(readout.now, 5_000);
+    let window = WindowSpec::time(readout.now, 100);
+    let ViewAnswer::Ranking(rows) = &readout.answer else {
+        panic!("a topk view answers a ranking: {readout:?}");
+    };
+    assert_eq!(rows, &engine.top_k(1, window).expect("top_k"));
+    assert_eq!(rows, &store.top_k(1, &Query::total_arrivals(), window));
+    assert_eq!(rows[0].0, "k0");
+
+    for shard in 0..engine.shards() {
+        engine.restart_shard(shard).expect("restart");
+    }
+    await_restarted(&engine);
+    let after = engine.view_read("top").expect("view read after restart");
+    assert_eq!(after.answer, readout.answer);
+    assert!(
+        after.seq > readout.seq,
+        "seq went from {} to {} across a respawn",
+        readout.seq,
+        after.seq
+    );
     engine.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

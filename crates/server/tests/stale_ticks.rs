@@ -167,19 +167,25 @@ fn assert_matches_mirror(client: &mut Client, mirror: &SketchStore<String>, now:
     }
 }
 
-/// The sum of every `"stale":` counter in a `STATS` reply (one per shard
-/// row), and whether every shard reports `"restarts":0`.
-fn stale_and_clean(stats: &str) -> (u64, bool) {
-    let stale = stats
-        .match_indices("\"stale\":")
+/// The sum of every `"<name>":` counter in a `STATS` reply (one per
+/// shard row).
+fn counter_sum(stats: &str, name: &str) -> u64 {
+    stats
+        .match_indices(&format!("\"{name}\":"))
         .map(|(at, tag)| {
             let digits: String = stats[at + tag.len()..]
                 .chars()
                 .take_while(char::is_ascii_digit)
                 .collect();
-            digits.parse::<u64>().expect("stale count")
+            digits.parse::<u64>().expect("counter value")
         })
-        .sum();
+        .sum()
+}
+
+/// The sum of every `"stale":` counter in a `STATS` reply, and whether
+/// every shard reports `"restarts":0`.
+fn stale_and_clean(stats: &str) -> (u64, bool) {
+    let stale = counter_sum(stats, "stale");
     let restarts = stats.matches("\"restarts\":").count();
     (
         stale,
@@ -276,5 +282,23 @@ fn interleaved_writers_on_one_key_are_refused_typed_and_survive_sigkill() {
     let (_sketchd, addr) = spawn_sketchd(&dir);
     let mut client = connect(&addr);
     assert_matches_mirror(&mut client, &mirror, now);
+
+    // `behind_clock` counts a time query whose `now` precedes its key's
+    // write clock, and not one asked at the clock. The answer is served
+    // either way.
+    let tick = now + 100;
+    let stored = client
+        .call(&format!("STORE probe {tick} 1"))
+        .expect("STORE");
+    assert_eq!(stored, response::ingested(1));
+    let behind = |c: &mut Client| counter_sum(&c.call("STATS").expect("STATS"), "behind_clock");
+    for (at, counted) in [(tick - 1, 1), (tick, 0)] {
+        let before = behind(&mut client);
+        let served = client
+            .call(&format!("QUERY probe total time {at} {WINDOW}"))
+            .expect("query");
+        assert!(response::is_ok(&served), "QUERY at {at}: {served}");
+        assert_eq!(behind(&mut client) - before, counted, "QUERY at {at}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
