@@ -195,6 +195,56 @@ impl<K> ViewDef<K> {
             StandingQuery::TopK { .. } => "topk",
         }
     }
+
+    /// Evaluate this definition on `store` now: the answer and its clock
+    /// (the target sketch's write clock; for top-k, the store's largest),
+    /// or `None` while the key has no sketch (the store is empty). The one
+    /// evaluator: [`ViewSet`] calls it, and a server calls it on a
+    /// published snapshot to answer a read wait-free.
+    ///
+    /// # Errors
+    /// [`ViewError::Query`] when the backend rejects the standing query.
+    #[allow(clippy::type_complexity)]
+    pub fn evaluate(
+        &self,
+        store: &SketchStore<K>,
+    ) -> Result<Option<(ViewAnswer<K>, u64)>, ViewError>
+    where
+        K: Eq + Hash + Ord + Clone,
+    {
+        let (query, limit) = match self.query {
+            StandingQuery::TopK { k } => {
+                let Some(now) = store.iter().map(|(_, s)| s.write_clock()).max() else {
+                    return Ok(None);
+                };
+                let ranking = store.top_k(k, &Query::total_arrivals(), self.window.resolve(now));
+                return Ok(Some((ViewAnswer::Ranking(ranking), now)));
+            }
+            StandingQuery::HeavyHitters { threshold } => (Query::heavy_hitters(threshold), None),
+            StandingQuery::Threshold { query, limit } => (query.to_query(), Some(limit)),
+        };
+        let key = self.key.as_ref().expect("keyed views have a key");
+        let Some(sketch) = store.get(key) else {
+            return Ok(None);
+        };
+        let now = sketch.write_clock();
+        let answer = sketch
+            .query(&query, self.window.resolve(now))
+            .map_err(ViewError::Query)?;
+        let answer = match (answer, limit) {
+            (Answer::HeavyHitters(rows), None) => ViewAnswer::Hitters(rows),
+            (Answer::Value(estimate), Some(limit)) => ViewAnswer::Scalar {
+                estimate,
+                above: estimate.value > limit,
+            },
+            _ => {
+                return Err(ViewError::Invalid {
+                    detail: "standing query answer had an unexpected shape",
+                })
+            }
+        };
+        Ok(Some((answer, now)))
+    }
 }
 
 /// Why a view operation failed.
@@ -474,25 +524,21 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
         let view = self.views.get_mut(name).ok_or_else(|| ViewError::Unknown {
             name: name.to_string(),
         })?;
-        if !matches!(view.state, State::Hot { .. }) {
-            match evaluate(&view.def, store)? {
-                Some((answer, now)) => view.state = State::Hot { answer, now },
-                None => {
-                    view.state = State::Pending;
-                    return Err(ViewError::NoData {
-                        name: name.to_string(),
-                    });
-                }
-            }
+        if let State::Hot { answer, now } = &view.state {
+            let (answer, now) = (answer.clone(), *now);
+            return Ok(ViewReadout { answer, now, seq });
         }
-        match &view.state {
-            State::Hot { answer, now } => Ok(ViewReadout {
-                answer: answer.clone(),
-                now: *now,
-                seq,
-            }),
-            _ => unreachable!("state materialized above"),
-        }
+        let Some((answer, now)) = view.def.evaluate(store)? else {
+            view.state = State::Pending;
+            return Err(ViewError::NoData {
+                name: name.to_string(),
+            });
+        };
+        view.state = State::Hot {
+            answer: answer.clone(),
+            now,
+        };
+        Ok(ViewReadout { answer, now, seq })
     }
 
     /// Maintenance round after an applied ingest batch: publish a new
@@ -501,7 +547,13 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     /// store's write stamps — and report the
     /// changes subscribers should hear about.
     pub fn maintain(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent> {
-        self.seq += 1;
+        self.maintain_at(store, self.seq + 1)
+    }
+
+    /// [`maintain`](Self::maintain) publishing sequence `seq` (a published
+    /// snapshot's), so a push and a read of one snapshot carry one number.
+    pub fn maintain_at(&mut self, store: &SketchStore<K>, seq: u64) -> Vec<ViewEvent> {
+        self.seq = seq;
         let since = self.watermark;
         self.watermark = store.version();
         if self.views.is_empty() {
@@ -522,7 +574,13 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     /// and pending view re-evaluates, because window contents slide even
     /// for keys that saw no arrivals.
     pub fn refresh(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent> {
-        self.seq += 1;
+        self.refresh_at(store, self.seq + 1)
+    }
+
+    /// [`refresh`](Self::refresh), publishing sequence `seq` (see
+    /// [`maintain_at`](Self::maintain_at)).
+    pub fn refresh_at(&mut self, store: &SketchStore<K>, seq: u64) -> Vec<ViewEvent> {
+        self.seq = seq;
         self.watermark = store.version();
         self.update_views(store, |_| true)
     }
@@ -535,10 +593,9 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     pub fn rebuild(&mut self, store: &SketchStore<K>) {
         self.watermark = store.version();
         for view in self.views.values_mut() {
-            view.state = match evaluate(&view.def, store) {
+            view.state = match view.def.evaluate(store) {
                 Ok(Some((answer, now))) => State::Hot { answer, now },
-                Ok(None) => State::Pending,
-                Err(_) => State::Pending,
+                _ => State::Pending,
             };
         }
     }
@@ -558,7 +615,7 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
                 continue;
             }
             recomputes += 1;
-            let Ok(Some((answer, now))) = evaluate(&view.def, store) else {
+            let Ok(Some((answer, now))) = view.def.evaluate(store) else {
                 // Key not resident or the backend rejected the query: fall back
                 // to pending and let a later write re-materialize it.
                 view.state = State::Pending;
@@ -625,61 +682,6 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
         }
         self.maintenance += recomputes;
         events
-    }
-}
-
-/// Evaluate one definition against the store right now. `Ok(None)` means
-/// the target key has no sketch yet (or, for top-k, the fleet is empty).
-#[allow(clippy::type_complexity)]
-fn evaluate<K: Eq + Hash + Ord + Clone>(
-    def: &ViewDef<K>,
-    store: &SketchStore<K>,
-) -> Result<Option<(ViewAnswer<K>, u64)>, ViewError> {
-    match &def.query {
-        StandingQuery::TopK { k } => {
-            let Some(now) = store.iter().map(|(_, s)| s.write_clock()).max() else {
-                return Ok(None);
-            };
-            let ranking = store.top_k(*k, &Query::total_arrivals(), def.window.resolve(now));
-            Ok(Some((ViewAnswer::Ranking(ranking), now)))
-        }
-        keyed => {
-            let key = def.key.as_ref().expect("validated: keyed views have a key");
-            let Some(sketch) = store.get(key) else {
-                return Ok(None);
-            };
-            let now = sketch.write_clock();
-            let window = def.window.resolve(now);
-            match keyed {
-                StandingQuery::HeavyHitters { threshold } => {
-                    match sketch.query(&Query::heavy_hitters(*threshold), window) {
-                        Ok(Answer::HeavyHitters(rows)) => {
-                            Ok(Some((ViewAnswer::Hitters(rows), now)))
-                        }
-                        Ok(_) => Err(ViewError::Invalid {
-                            detail: "heavy-hitters answer had an unexpected shape",
-                        }),
-                        Err(e) => Err(ViewError::Query(e)),
-                    }
-                }
-                StandingQuery::Threshold { query, limit } => {
-                    match sketch.query(&query.to_query(), window) {
-                        Ok(Answer::Value(estimate)) => Ok(Some((
-                            ViewAnswer::Scalar {
-                                estimate,
-                                above: estimate.value > *limit,
-                            },
-                            now,
-                        ))),
-                        Ok(_) => Err(ViewError::Invalid {
-                            detail: "scalar answer had an unexpected shape",
-                        }),
-                        Err(e) => Err(ViewError::Query(e)),
-                    }
-                }
-                StandingQuery::TopK { .. } => unreachable!("handled above"),
-            }
-        }
     }
 }
 

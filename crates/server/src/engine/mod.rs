@@ -12,11 +12,11 @@
 //! **Reads never enqueue.** A worker publishes an immutable snapshot of
 //! its store through a left-right epoch pair (see [`ecm::publish`]) before
 //! it acks each write; the router answers point / range / self-join /
-//! heavy-hitter queries — and each shard's `TOPK` contribution — by
-//! pinning the shard's published epoch, wait-free and without touching
-//! the mailbox. That is the only read path. `STATS`, `VIEW READ`,
-//! `SNAPSHOT` and `FLUSH` stay on the mailbox (they report or change
-//! worker-owned state).
+//! heavy-hitter queries, each shard's `TOPK` contribution and every
+//! `VIEW READ` by pinning published epochs, wait-free and without
+//! touching the mailbox. That is the only read path. `STATS`, `SNAPSHOT`,
+//! `FLUSH` and `VIEW CREATE`/`DROP` stay on the mailbox (they report or
+//! change worker-owned state).
 //!
 //! Invariants:
 //! * Same key → always the same shard, so each key's arrival order is the
@@ -52,7 +52,7 @@ pub use router::{
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
 
-use ecm::{StreamEvent, ViewDef, ViewError, ViewReadout};
+use ecm::{StreamEvent, ViewDef};
 
 /// Fleet-wide standing-view counters for `STATS`: the registry size, the
 /// summed per-shard maintenance cost, and the hub's subscriber numbers.
@@ -120,7 +120,7 @@ pub struct ShardHealth {
     /// Requests shed by admission control: the mailbox stayed full past
     /// the deadline, or the worker was quarantined as wedged.
     pub shed_requests: u64,
-    /// Queries (`TOPK` and fleet view reads included) served wait-free
+    /// Queries (`TOPK` and every view read included) served wait-free
     /// from this shard's published epoch.
     pub published_reads: u64,
     /// Time queries whose `now` was behind the key's write clock.
@@ -180,27 +180,22 @@ pub enum ShardMsg {
         /// Where the worker reports bytes written or the error.
         reply: Sender<ShardReply>,
     },
-    /// Register a standing view on this shard (keyed views go only to the
-    /// key's owner; fleet-wide views go to every shard).
+    /// Register a keyed standing view on the key's owning shard, which
+    /// materializes it at once and pushes its changes to subscribers.
+    /// Idempotent: a definition of the same name is replaced. Fleet-wide
+    /// views live on no shard.
     ViewCreate {
         /// The validated definition.
         def: ViewDef<String>,
         /// Where the worker acks.
         reply: Sender<ShardReply>,
     },
-    /// Drop a standing view from this shard's registry.
+    /// Drop a standing view from this shard's registry (a no-op when it is
+    /// not there).
     ViewDrop {
         /// The view name.
         name: String,
         /// Where the worker acks.
-        reply: Sender<ShardReply>,
-    },
-    /// Read a standing view's materialized answer (computing it on first
-    /// read — partial state).
-    ViewRead {
-        /// The view name.
-        name: String,
-        /// Where the worker sends its [`ShardReply::View`].
         reply: Sender<ShardReply>,
     },
     /// Drain, write a final full checkpoint when a snapshot dir is
@@ -243,8 +238,6 @@ pub enum ShardReply {
     SnapshotError(String),
     /// `ViewCreate` / `ViewDrop` applied on this shard.
     ViewOk,
-    /// `ViewRead` outcome.
-    View(Result<ViewReadout<String>, ViewError>),
     /// `Shutdown` complete (final checkpoint written if configured).
     Stopped {
         /// Error from the final checkpoint, if one was attempted and

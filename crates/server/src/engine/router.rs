@@ -488,16 +488,14 @@ impl Engine {
         query: &OwnedQuery,
         window: WindowSpec,
     ) -> Result<ServedAnswer, EngineError> {
-        if *self.fleet.down.read().expect("gate poisoned") {
-            return Err(EngineError::ShuttingDown);
-        }
-        let slot = &self.fleet.slots[route(key, self.fleet.slots.len())];
-        let epoch = slot.published.pin();
-        slot.published_reads.fetch_add(1, Ordering::Relaxed);
+        let shard = route(key, self.fleet.slots.len());
+        let epoch = self.pin(shard)?;
         let sketch = epoch.value.get(&key.to_string());
         if let (Some(s), WindowSpec::Time { now, .. }) = (sketch, window) {
             if now < s.write_clock() {
-                slot.behind_clock.fetch_add(1, Ordering::Relaxed);
+                self.fleet.slots[shard]
+                    .behind_clock
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(ServedAnswer {
@@ -526,12 +524,19 @@ impl Engine {
         Ok(self.rank(&epochs, k, window))
     }
 
-    /// Pin every shard's published epoch, in shard order.
-    fn pin_all(&self) -> Result<Vec<Arc<Epoch<SketchStore<String>>>>, EngineError> {
+    /// Pin one shard's published epoch for a read, counting it.
+    fn pin(&self, shard: usize) -> Result<Arc<Epoch<SketchStore<String>>>, EngineError> {
         if *self.fleet.down.read().expect("gate poisoned") {
             return Err(EngineError::ShuttingDown);
         }
-        Ok(self.fleet.slots.iter().map(|s| s.published.pin()).collect())
+        let slot = &self.fleet.slots[shard];
+        slot.published_reads.fetch_add(1, Ordering::Relaxed);
+        Ok(slot.published.pin())
+    }
+
+    /// Pin every shard's published epoch, in shard order.
+    fn pin_all(&self) -> Result<Vec<Arc<Epoch<SketchStore<String>>>>, EngineError> {
+        (0..self.fleet.slots.len()).map(|s| self.pin(s)).collect()
     }
 
     /// The ranking loop of [`top_k`](Engine::top_k) and fleet view reads:
@@ -544,7 +549,6 @@ impl Engine {
     ) -> Vec<(String, f64)> {
         let mut ranking = Ranking::new(k);
         for (slot, epoch) in self.fleet.slots.iter().zip(epochs) {
-            slot.published_reads.fetch_add(1, Ordering::Relaxed);
             let scored = epoch
                 .value
                 .rank_into(&mut ranking, &ecm::Query::total_arrivals(), window);
@@ -597,8 +601,8 @@ impl Engine {
 
     /// Register a standing view: validate, route a keyed definition to
     /// its owning shard (a fleet-wide top-k view lives in the registry
-    /// only), record it in the registry, and — when durable — persist it
-    /// to the manifest immediately so it survives `kill -9`.
+    /// only), record it in the registry once the shard acked, and — when
+    /// durable — persist it to the manifest so it survives `kill -9`.
     ///
     /// # Errors
     /// [`View`](EngineError::View) (invalid or duplicate definition), or
@@ -625,67 +629,63 @@ impl Engine {
             }));
         }
         if let Some(shard) = self.view_shard(&def) {
-            let (tx, rx) = channel();
-            self.request(
-                shard,
-                ShardMsg::ViewCreate {
-                    def: def.clone(),
-                    reply: tx,
-                },
-            )?;
-            match self.collect(shard, &rx)? {
-                ShardReply::ViewOk => {}
-                ShardReply::View(Err(e)) => return Err(EngineError::View(e)),
-                _ => return Err(EngineError::ShardDied { shard }),
-            }
+            let def = def.clone();
+            self.view_request(shard, |reply| ShardMsg::ViewCreate { def, reply })?;
         }
         registry.insert(def.name.clone(), def);
         self.persist_views(&registry)
     }
 
-    /// Drop a standing view everywhere: registry, owning shard, its
-    /// subscribers (their streams end), and the durable manifest.
+    /// Drop a standing view everywhere: owning shard first (when it cannot
+    /// be reached, nothing changes), then registry, its subscribers (their
+    /// streams end), and the durable manifest.
     ///
     /// # Errors
     /// [`View`](EngineError::View) when no view of that name exists, or
     /// the routing errors of [`flush`](Engine::flush).
     pub fn view_drop(&self, name: &str) -> Result<(), EngineError> {
         let mut registry = self.fleet.views.lock().expect("view registry poisoned");
-        let def = registry.remove(name).ok_or_else(|| {
+        let def = registry.get(name).ok_or_else(|| {
             EngineError::View(ViewError::Unknown {
                 name: name.to_string(),
             })
         })?;
-        if let Some(shard) = self.view_shard(&def) {
-            let (tx, rx) = channel();
-            self.request(
-                shard,
-                ShardMsg::ViewDrop {
-                    name: name.to_string(),
-                    reply: tx,
-                },
-            )?;
-            match self.collect(shard, &rx)? {
-                ShardReply::ViewOk => {}
-                _ => return Err(EngineError::ShardDied { shard }),
-            }
+        if let Some(shard) = self.view_shard(def) {
+            let name = name.to_string();
+            self.view_request(shard, |reply| ShardMsg::ViewDrop { name, reply })?;
         }
+        registry.remove(name);
         self.fleet.hub.evict_view(name);
         self.persist_views(&registry)
     }
 
-    /// Read a standing view's current answer. Keyed views read from the
-    /// owning shard (first read materializes — partial state). Fleet-wide
-    /// top-k views read like [`top_k`](Engine::top_k), from every shard's
-    /// published epoch: `now` is the largest shard clock, the view's
-    /// window is resolved there, and `seq` is the sum of the epochs'
-    /// publication sequences, which a respawn never lowers.
+    /// Send a view create/drop to its owning shard and wait for the ack;
+    /// the shard applies both idempotently, so a lost ack is retryable.
+    fn view_request(
+        &self,
+        shard: usize,
+        make: impl FnOnce(std::sync::mpsc::Sender<ShardReply>) -> ShardMsg,
+    ) -> Result<(), EngineError> {
+        let (tx, rx) = channel();
+        self.request(shard, make(tx))?;
+        match self.collect(shard, &rx)? {
+            ShardReply::ViewOk => Ok(()),
+            _ => Err(EngineError::ShardDied { shard }),
+        }
+    }
+
+    /// Read a standing view's current answer wait-free from published
+    /// epochs, like [`query_served`](Engine::query_served). A keyed view
+    /// is evaluated on its owning shard's epoch with that epoch's `seq`,
+    /// the one its pushes carry. A fleet-wide top-k view ranks like
+    /// [`top_k`](Engine::top_k) at the largest shard clock, with the sum
+    /// of the epochs' `seq`. A respawn lowers neither.
     ///
     /// # Errors
     /// [`View`](EngineError::View) — including
     /// [`NoData`](ecm::ViewError::NoData) when the view's key (for a fleet
-    /// view: every shard) has never been written — or the routing errors
-    /// of [`flush`](Engine::flush).
+    /// view: every shard) has never been written — or
+    /// [`ShuttingDown`](EngineError::ShuttingDown).
     pub fn view_read(&self, name: &str) -> Result<ViewReadout<String>, EngineError> {
         let def = self
             .fleet
@@ -699,28 +699,29 @@ impl Engine {
                     name: name.to_string(),
                 })
             })?;
+        let no_data = || {
+            EngineError::View(ViewError::NoData {
+                name: name.to_string(),
+            })
+        };
         if let Some(shard) = self.view_shard(&def) {
-            let (tx, rx) = channel();
-            self.request(
-                shard,
-                ShardMsg::ViewRead {
-                    name: name.to_string(),
-                    reply: tx,
-                },
-            )?;
-            return match self.collect(shard, &rx)? {
-                ShardReply::View(r) => r.map_err(EngineError::View),
-                _ => Err(EngineError::ShardDied { shard }),
-            };
+            let epoch = self.pin(shard)?;
+            let (answer, now) = def
+                .evaluate(&epoch.value)
+                .map_err(EngineError::View)?
+                .ok_or_else(no_data)?;
+            return Ok(ViewReadout {
+                answer,
+                now,
+                seq: epoch.seq,
+            });
         }
         let StandingQuery::TopK { k } = def.query else {
             unreachable!("validated: fleet-wide views are top-k")
         };
         let epochs = self.pin_all()?;
         if epochs.iter().all(|e| e.value.is_empty()) {
-            return Err(EngineError::View(ViewError::NoData {
-                name: name.to_string(),
-            }));
+            return Err(no_data());
         }
         let now = epochs.iter().map(|e| e.clock).max().unwrap_or(0);
         Ok(ViewReadout {

@@ -91,7 +91,8 @@ fn publish(hub: &ViewHub, events: &[ViewEvent]) {
 /// `Exit` message arrives; replies are best-effort (a requester that hung
 /// up is not an error). `restored_views` (present when restoring or
 /// respawning) are registered and eagerly rematerialized from the
-/// restored sketches before the first message.
+/// restored sketches before the first message. They serve no reads, and
+/// only diff answers into `SUBSCRIBE` pushes.
 ///
 /// Returns `true` for a clean end (drained `Shutdown`, or the engine
 /// dropped the mailbox) and `false` for a crash-shaped [`ShardMsg::Exit`]
@@ -153,11 +154,11 @@ pub(super) fn run(
                             events,
                             stale: refused,
                         };
-                        // Maintenance reads the just-published epoch —
-                        // views observe exactly what wait-free readers do
-                        // — and runs behind the ack.
+                        // Maintenance reads the just-published epoch, and
+                        // stamps pushes with its `seq`, as readers do — and
+                        // runs behind the ack.
                         let epoch = publisher.commit(&store, latest, &reply, ack);
-                        publish(&hub, &views.maintain(&epoch.value));
+                        publish(&hub, &views.maintain_at(&epoch.value, epoch.seq));
                         if let Some(w) = &mut wal {
                             if w.needs_compaction() {
                                 if let Some(dir) = &snapshot_dir {
@@ -198,23 +199,23 @@ pub(super) fn run(
             ShardMsg::Flush { ts, reply } => {
                 store.advance_to(ts);
                 // A clock advance writes no key, so the dirty-key
-                // watermark sees nothing; every non-cold view re-evaluates
-                // against the published epoch instead.
+                // watermark sees nothing; every view re-evaluates against
+                // the published epoch instead.
                 let epoch = publisher.commit(&store, ts, &reply, ShardReply::Flushed);
-                publish(&hub, &views.refresh(&epoch.value));
+                publish(&hub, &views.refresh_at(&epoch.value, epoch.seq));
             }
             ShardMsg::ViewCreate { def, reply } => {
-                let _ = reply.send(match views.create(def) {
-                    Ok(()) => ShardReply::ViewOk,
-                    Err(e) => ShardReply::View(Err(e)),
-                });
+                // Replace (a retried create cannot fail), then materialize
+                // so maintenance diffs it from the next publication on.
+                let name = def.name.clone();
+                views.drop_view(&name);
+                let _ = views.create(def);
+                let _ = views.read(&name, &store);
+                let _ = reply.send(ShardReply::ViewOk);
             }
             ShardMsg::ViewDrop { name, reply } => {
                 views.drop_view(&name);
                 let _ = reply.send(ShardReply::ViewOk);
-            }
-            ShardMsg::ViewRead { name, reply } => {
-                let _ = reply.send(ShardReply::View(views.read(&name, &store)));
             }
             ShardMsg::Snapshot { dir, reply } => {
                 // A checkpoint into the WAL's own directory compacts the log

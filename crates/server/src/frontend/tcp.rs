@@ -574,12 +574,6 @@ fn dispatch(
 fn subscribe_loop(view: &str, engine: &Engine, shared: &Shared, writer: &mut TcpStream) {
     let hub = engine.hub();
     let (id, rx) = hub.subscribe(view);
-    // A subscription is a declaration of interest: warm the view out of its
-    // cold partial state now, otherwise a subscribe-only client would never
-    // see a notification (cold views are skipped by maintenance until some
-    // read materializes them). `NoData` is fine — the first write will
-    // materialize it.
-    let _ = engine.view_read(view);
     if respond(writer, &response::subscribed(view)).is_err() {
         hub.unsubscribe(id);
         return;

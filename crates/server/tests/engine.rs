@@ -497,6 +497,23 @@ fn broadcast_errors_name_the_shard_that_failed() {
             window: ecm::ViewWindow::Time { range: 10_000 },
         })
         .expect("fleet view");
+    // A keyed view on a key the doomed shard owns.
+    let key = ["a", "b"]
+        .into_iter()
+        .find(|k| route(k, 2) == 1)
+        .expect("one of the two keys routes to shard 1");
+    let total = OwnedQuery::Total;
+    engine
+        .view_create(ecm::ViewDef {
+            name: "alarm".to_string(),
+            key: Some(key.to_string()),
+            query: ecm::StandingQuery::Threshold {
+                query: ecm::ScalarQuery::Total,
+                limit: 2.0,
+            },
+            window: ecm::ViewWindow::Time { range: 10_000 },
+        })
+        .expect("keyed view");
     engine
         .ingest(&[
             ("a".to_string(), StreamEvent::new(1, 10), 3),
@@ -522,6 +539,29 @@ fn broadcast_errors_name_the_shard_that_failed() {
     assert_eq!(
         readout.answer,
         ecm::ViewAnswer::Ranking(engine.top_k(3, window).expect("top_k"))
+    );
+    // So is a keyed view: it is evaluated on the owner's published epoch,
+    // with no mailbox round trip to the dead worker.
+    let readout = engine.view_read("alarm").expect("keyed view read");
+    let served = engine
+        .query_served(key, &total, WindowSpec::time(readout.now, 10_000))
+        .expect("query");
+    let Some(Ok(ecm::Answer::Value(estimate))) = served.answer else {
+        panic!("a total answers a value: {served:?}");
+    };
+    assert_eq!(
+        readout.answer,
+        ecm::ViewAnswer::Scalar {
+            estimate,
+            above: true
+        }
+    );
+    // A drop the owning shard cannot apply changes nothing: the view stays
+    // listed (and persisted, and pushing) instead of half-dropped.
+    assert_eq!(engine.view_drop("alarm").expect_err("view drop"), died);
+    assert!(
+        engine.view_list().iter().any(|d| d.name == "alarm"),
+        "a failed drop must leave the view registered"
     );
     let _ = engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

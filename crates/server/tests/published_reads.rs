@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ecm::{
-    Clock, Query, SketchStore, StandingQuery, StreamEvent, Threshold, ViewAnswer, ViewDef,
-    ViewWindow, WindowSpec,
+    Clock, Query, ScalarQuery, SketchStore, StandingQuery, StreamEvent, Threshold, ViewAnswer,
+    ViewDef, ViewWindow, WindowSpec,
 };
 use sketch_server::engine::{route, Engine};
 use sketch_server::protocol::{response, OwnedQuery};
@@ -349,6 +349,84 @@ fn fleet_views_rank_the_published_epochs_at_the_fleet_clock() {
         readout.seq,
         after.seq
     );
+    engine.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A keyed view reads like `QUERY`: its owning shard's published epoch,
+/// evaluated at the key's write clock, stamped with that epoch's `seq`.
+/// A push and a read of one publication carry one `seq`, and the `seq`
+/// rises across a respawn of the shard, as the epochs' sequence does.
+#[test]
+fn keyed_view_seq_is_the_published_epoch_seq() {
+    let dir = scratch("keyedseq");
+    let spec = SketchSpec::time(10_000).epsilon(0.2).delta(0.2).seed(7);
+    let cfg = ServerConfig::new(spec.clone())
+        .shards(2)
+        .snapshot_dir(&dir)
+        .durability(true);
+    let engine = Engine::start(&cfg).expect("engine start");
+    let def = ViewDef {
+        name: "alarm".to_string(),
+        key: Some("k0".to_string()),
+        query: StandingQuery::Threshold {
+            query: ScalarQuery::Total,
+            limit: 4.0,
+        },
+        window: ViewWindow::Time { range: 100 },
+    };
+    engine.view_create(def).expect("keyed view");
+    let (id, pushes) = engine.hub().subscribe("alarm");
+    let event = StreamEvent::new(1, 50);
+    engine
+        .ingest(&[("k0".to_string(), event, 5)])
+        .expect("ingest");
+
+    let push = pushes
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a crossing push");
+    assert!(push.contains("\"above\":true"), "got: {push}");
+    let pushed_seq: u64 = push
+        .split("\"seq\":")
+        .nth(1)
+        .and_then(|rest| {
+            rest.chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("push without a seq: {push}"));
+    let readout = engine.view_read("alarm").expect("view read");
+    assert_eq!(readout.seq, pushed_seq, "push and read of one publication");
+    let store = mirror(&spec, &vec![("k0".to_string(), event); 5]);
+    let window = WindowSpec::time(readout.now, 100);
+    let Some(Ok(ecm::Answer::Value(estimate))) =
+        store.query(&"k0".to_string(), &Query::total_arrivals(), window)
+    else {
+        panic!("a total answers a value");
+    };
+    assert_eq!(
+        readout.answer,
+        ViewAnswer::Scalar {
+            estimate,
+            above: true
+        }
+    );
+
+    for shard in 0..engine.shards() {
+        engine.restart_shard(shard).expect("restart");
+    }
+    await_restarted(&engine);
+    let after = engine.view_read("alarm").expect("view read after restart");
+    assert_eq!((&after.answer, after.now), (&readout.answer, readout.now));
+    assert!(
+        after.seq > readout.seq,
+        "seq went from {} to {} across a respawn",
+        readout.seq,
+        after.seq
+    );
+    engine.hub().unsubscribe(id);
     engine.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

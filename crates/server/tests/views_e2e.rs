@@ -153,7 +153,7 @@ fn slow_subscriber_gets_drop_marker_not_backpressure() {
 
     let hub = server.engine().hub().clone();
     let (id, rx) = hub.subscribe("churn");
-    // Warm the view out of cold partial state (no data yet → pending).
+    // The view was materialized at create; with no data yet it is pending.
     let warm = client.call("VIEW READ churn").unwrap();
     assert!(warm.contains("view_no_data"), "got: {warm}");
 
