@@ -4,8 +4,8 @@
 //! `sketches[ℓ]` summarizes the stream of level-ℓ prefixes `x >> ℓ`. Heavy
 //! hitters are found by group testing from the root; a frequency threshold
 //! may be **absolute** (a count) or **relative** (a fraction φ of the
-//! arrivals in the query range, estimated from the level-0 sketch's
-//! row-average — paper §6.1's "better alternative that does not require
+//! arrivals in the query range, estimated from one row of the level-0
+//! sketch — paper §6.1's "better alternative that does not require
 //! additional memory").
 
 use crate::api::{Clock, WriteError};
@@ -145,8 +145,8 @@ impl<W: WindowCounter> EcmHierarchy<W> {
             .sum()
     }
 
-    /// Estimated total arrivals in the query range, from the level-0
-    /// sketch's row-average (paper §6.1).
+    /// Estimated total arrivals in the query range: the level-0 sketch's
+    /// one-row sum (paper §6.1).
     pub(crate) fn total_arrivals(&self, now: u64, range: u64) -> f64 {
         self.sketches[0].total_arrivals(now, range)
     }

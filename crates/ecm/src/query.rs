@@ -167,7 +167,8 @@ pub enum Query<'a> {
         /// Rank fraction in `(0, 1]`.
         phi: f64,
     },
-    /// Estimated total arrivals in the window (paper §6.1 row-average).
+    /// Estimated total arrivals in the window (paper §6.1: one Count-Min
+    /// row's sum).
     TotalArrivals,
 }
 
@@ -476,12 +477,30 @@ pub trait SketchReader {
     /// but speed: [`SketchStore::top_k`](crate::store::SketchStore::top_k)
     /// skips a sketch only when its bound is below the k-th score so far.
     ///
-    /// Only [`Query::TotalArrivals`] on sketches over exponential
-    /// histograms, on either clock, is bounded: their cells keep a count of
-    /// the arrivals they still hold, and a window estimate sums a subset of
+    /// Every backend bounds every query by 0 over a time window that
+    /// starts at or after its [`write_clock`](SketchReader::write_clock):
+    /// every arrival it holds lies before the window. Beyond that, only
+    /// [`Query::TotalArrivals`] on sketches over exponential histograms,
+    /// on either clock, is bounded: their cells keep a count of the
+    /// arrivals they still hold, and a window estimate sums a subset of
     /// those whatever the window.
-    fn score_bound(&self, _q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
-        None
+    fn score_bound(&self, _q: &Query<'_>, w: WindowSpec) -> Option<f64> {
+        window_is_past(w, self.write_clock()).then_some(0.0)
+    }
+}
+
+/// Whether `w` is a time window `(now − range, now]` that starts at or
+/// after `clock`, a sketch's write clock. Every arrival the sketch holds
+/// then has a tick at or before the window's start, so every backend's
+/// estimate over `w` is exactly 0 — the score bound of a key that has
+/// been silent for longer than the window. The condition implies
+/// `now ≥ clock`, so it never reads a window behind the clock.
+fn window_is_past(w: WindowSpec, clock: u64) -> bool {
+    match w {
+        WindowSpec::Time { now, range } => {
+            now.checked_sub(range).is_some_and(|start| clock <= start)
+        }
+        WindowSpec::Count { .. } => false,
     }
 }
 
@@ -553,11 +572,11 @@ impl SketchGuarantees {
                 epsilon: product_epsilon(esw, ecm),
                 delta: product_delta,
             }),
-            // Every arrival lands exactly once per row, so the row-average
-            // estimator carries only the window error (paper §6.1) — but it
-            // sums every cell, so a probabilistic per-cell bound must hold
-            // across all of them (vacuous for randomized waves; exact for
-            // the deterministic counters, whose dsw = 0).
+            // Every arrival lands exactly once per row, so one row's sum
+            // carries only the window error (paper §6.1). The δ is
+            // union-bounded over all w·d cells, which covers the w cells
+            // the estimator reads (vacuous for randomized waves; exact
+            // for the deterministic counters, whose dsw = 0).
             total: Some(Guarantee {
                 epsilon: esw,
                 delta: ((width * depth) as f64 * dsw).min(1.0),
@@ -666,7 +685,10 @@ where
         "EcmSketch"
     }
 
-    fn score_bound(&self, q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
+    fn score_bound(&self, q: &Query<'_>, w: WindowSpec) -> Option<f64> {
+        if window_is_past(w, self.write_clock()) {
+            return Some(0.0);
+        }
         match q {
             Query::TotalArrivals => self.arrivals_bound(),
             _ => None,
@@ -753,7 +775,10 @@ where
         "EcmHierarchy"
     }
 
-    fn score_bound(&self, q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
+    fn score_bound(&self, q: &Query<'_>, w: WindowSpec) -> Option<f64> {
+        if window_is_past(w, self.write_clock()) {
+            return Some(0.0);
+        }
         match q {
             Query::TotalArrivals => self.arrivals_bound(),
             _ => None,

@@ -373,34 +373,33 @@ impl<W: WindowCounter> EcmSketch<W> {
             .sum()
     }
 
-    /// Estimate of the total number of arrivals in the query range, computed
-    /// as the average of per-row cell-estimate sums (paper §6.1: each row's
-    /// sum counts every arrival exactly once, modulo window error; averaging
-    /// rows cancels independent per-counter errors); core of the typed
+    /// Estimate of the total number of arrivals in the query range: the sum
+    /// of row 0's cell estimates (paper §6.1). Every arrival lands in
+    /// exactly one cell of every row, so one row's sum already counts each
+    /// arrival once and carries only the window counters' error ε_sw — no
+    /// hashing error; the other d − 1 rows would repeat that count, so
+    /// reading one row costs 1/d of a full pass and loses no guarantee.
+    /// Core of the typed
     /// [`Query::total_arrivals`](crate::query::Query::total_arrivals) path.
     pub(crate) fn total_arrivals(&self, now: u64, range: u64) -> f64 {
-        let mut sum = 0.0;
-        for j in 0..self.depth() {
-            let row = j * self.width;
-            for i in 0..self.width {
-                sum += self.cells.query(row + i, now, range);
-            }
-        }
-        sum / self.depth() as f64
+        (0..self.width)
+            .map(|i| self.cells.query(i, now, range))
+            .sum()
     }
 
-    /// An O(1) upper bound on [`total_arrivals`](Self::total_arrivals) for
-    /// **every** `now` and `range`: the arrivals the cells still hold
-    /// ([`CellStorage::held_ones`]) over the depth. `None` where the cell
-    /// layout keeps no such count (everything but the EH slab).
+    /// An upper bound on [`total_arrivals`](Self::total_arrivals) for
+    /// **every** `now` and `range`, at one read per row-0 cell: the
+    /// arrivals row 0's cells still hold
+    /// ([`CellStorage::held_ones_in`]). `None` where the cell layout keeps
+    /// no such count (everything but the EH slab).
     ///
-    /// The comparison is exact, not merely up to rounding, while a sketch
-    /// holds fewer than 2⁵² arrivals: cell estimates are multiples of ½, so
-    /// their running sum is exact and at most the held count, and the one
-    /// division by `depth` both sides share is monotone.
+    /// The comparison is exact, not merely up to rounding, while a row
+    /// holds fewer than 2⁵² arrivals: a cell estimate sums a subset of
+    /// its held buckets in multiples of ½, so the row's running sum is
+    /// exact and at most the row's held count.
     pub(crate) fn arrivals_bound(&self) -> Option<f64> {
-        let held = self.cells.held_ones()?;
-        Some(held as f64 / self.depth() as f64)
+        let held = self.cells.held_ones_in(0..self.width)?;
+        Some(held as f64)
     }
 
     /// Direct access to a cell's window estimate (used by the geometric-

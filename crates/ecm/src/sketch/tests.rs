@@ -5,6 +5,7 @@ use crate::api::{Clock, SketchSpec, SketchWriter};
 use crate::config::{dw_config, eh_config, exact_config, rw_config, QueryKind};
 use crate::sketch::{EcmDw, EcmEh, EcmExact, EcmRw, EcmSketch};
 use proptest::prelude::*;
+use sliding_window::grid::CellStorage;
 use sliding_window::MergeError;
 use std::collections::HashMap;
 
@@ -327,7 +328,7 @@ fn exact_variant_matches_cm_semantics() {
 }
 
 #[test]
-fn total_arrivals_row_average_estimator() {
+fn total_arrivals_one_row_estimator() {
     let cfg = eh_config(&SketchSpec::time(1 << 20).delta(0.05).seed(21));
     let mut sk = EcmEh::new(&cfg);
     let events = skewed_stream(20_000);
@@ -475,6 +476,70 @@ proptest! {
                 (est - exact).abs() <= 2.0 * eps * norm as f64 + 2.0,
                 "key={} est={} exact={}", key, est, exact
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The row-level twin of the slab's `prop_held_bounds_every_estimate`,
+    /// on both clocks. After every step of an arbitrary interleaving of
+    /// inserts, weighted inserts, clock advances, gaps past the window,
+    /// encode → decode and (time clock) a merge, every row's cell
+    /// estimates sum to at most that row's held count, for any `now` —
+    /// behind the last tick included — and any `range`, beyond the window
+    /// included. Row 0's pair is `total_arrivals` ≤ `arrivals_bound`.
+    #[test]
+    fn prop_row_held_bounds_every_row_sum(
+        ops in proptest::collection::vec((0u64..6, (0u64..3_000, 1u64..300, 0u64..64)), 1..60),
+        window in 1u64..5_000,
+        count in any::<bool>(),
+    ) {
+        let clock = if count { Clock::Count } else { Clock::Time };
+        let cfg = eh_config(&SketchSpec::time(window).epsilon(0.2).seed(17));
+        let fresh = || EcmEh::new(&cfg).on_clock(clock);
+        let mut sk = fresh();
+        let mut ts = 1u64;
+        for (step, &(op, (gap, n, item))) in ops.iter().enumerate() {
+            ts += gap;
+            match op {
+                0 | 1 => sk.insert(ts, item),
+                2 => sk.insert_weighted(ts, item, n),
+                3 => sk.advance_to(ts),
+                4 => {
+                    let mut wire = Vec::new();
+                    sk.encode(&mut wire);
+                    sk = EcmEh::decode(&cfg, &mut wire.as_slice())
+                        .expect("own encoding decodes")
+                        .on_clock(clock);
+                }
+                _ if count => sk.insert_weighted(ts, item, n),
+                _ => {
+                    let mut other = fresh();
+                    other.insert_weighted(ts, item, n);
+                    sk = EcmSketch::merge(&[&sk, &other], &cfg.cell).expect("same config merges");
+                }
+            }
+            let last = sk.last_tick();
+            for j in 0..sk.depth() {
+                let cells = j * sk.width()..(j + 1) * sk.width();
+                let held = sk.cells.held_ones_in(cells).expect("the slab counts") as f64;
+                for now in [0, last / 2, last, ts, ts + 2 * window, u64::MAX] {
+                    for range in [0, 1, gap, window / 2, window, 3 * window, u64::MAX] {
+                        let sum: f64 = (0..sk.width()).map(|i| sk.cell_estimate(j, i, now, range)).sum();
+                        prop_assert!(
+                            sum <= held,
+                            "step {} op {} row {}: sum({}, {}) = {} > held {}",
+                            step, op, j, now, range, sum, held
+                        );
+                        if j == 0 {
+                            prop_assert_eq!(sk.total_arrivals(now, range), sum);
+                            prop_assert_eq!(sk.arrivals_bound(), Some(held));
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -921,6 +921,31 @@ mod tests {
         assert_eq!(ranking.into_owned(), by_scan(&dw));
     }
 
+    /// Keys silent for longer than the window bound to 0 on every
+    /// backend, so a ranking over 20 active and 500 silent keys scores
+    /// at most the active ones — with no arrivals bound (DW) as with one
+    /// (EH, whose silent cells still hold their last arrivals).
+    #[test]
+    fn ranking_skips_keys_silent_for_longer_than_the_window() {
+        let w = WindowSpec::time(3_000, 1_000);
+        let q = Query::total_arrivals();
+        for backend in [Backend::Eh, Backend::Dw] {
+            let mut store: SketchStore<u64> = SketchStore::new(spec().backend(backend)).unwrap();
+            for key in 0..520u64 {
+                let last = if key < 20 { 3_000 } else { 1_500 };
+                for t in (key % 7 + 1..=last).step_by(7) {
+                    store.insert(key, t, key % 64);
+                }
+            }
+            let mut ranking = Ranking::new(10);
+            let scored = store.rank_into(&mut ranking, &q, w);
+            assert!(scored <= 20, "{backend:?}: scored {scored} of 520");
+            let top = ranking.into_owned();
+            assert_eq!(top.len(), 10);
+            assert!(top.iter().all(|(key, _)| *key < 20), "{backend:?}: {top:?}");
+        }
+    }
+
     #[test]
     fn grouped_ingest_eviction_follows_first_appearance_order() {
         let mut store: SketchStore<&'static str> = SketchStore::new(spec()).unwrap();

@@ -69,6 +69,16 @@ pub struct ViewsSummary {
     pub dropped: u64,
 }
 
+/// The fleet ranking memo's counters for `STATS`: `TOPK` calls and fleet
+/// view reads answered from a memoized ranking, and those that ranked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RankMemoStats {
+    /// Reads whose `k`, window and pinned publications were ranked before.
+    pub hits: u64,
+    /// Reads that ranked the pinned epochs themselves.
+    pub misses: u64,
+}
+
 /// One shard's contribution to `STATS`, gathered by the worker itself (no
 /// cross-shard locking).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,9 +136,10 @@ pub struct ShardHealth {
     /// Time queries whose `now` was behind the key's write clock.
     pub behind_clock: u64,
     /// Sketches `TOPK` requests and fleet view reads had to score on
-    /// this shard. A call scores a few more than `k` while the arrivals
-    /// bounds prune, and up to every resident key once they have gone
-    /// stale (a fleet of keys silent for longer than a window).
+    /// this shard; a read answered from the ranking memo scores none. A
+    /// ranking scores a few more than `k` while the arrivals bounds
+    /// prune, none of the keys silent for longer than its window, and up
+    /// to every other resident key once their bounds have gone stale.
     pub ranked_sketches: u64,
 }
 

@@ -4,9 +4,9 @@
 //! spawn, crash detection, respawn — lives in
 //! [`supervisor`](super::supervisor).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -20,7 +20,7 @@ use ecm::{
 use super::hub::ViewHub;
 use super::manifest::{read_manifest, write_manifest, MANIFEST};
 use super::supervisor::{self, Fleet, SlotState};
-use super::{route, ShardMsg, ShardReply, ShardStats, ShardStatus, ViewsSummary};
+use super::{route, RankMemoStats, ShardMsg, ShardReply, ShardStats, ShardStatus, ViewsSummary};
 use crate::config::ServerConfig;
 use crate::fault::FaultPlan;
 use crate::protocol::{parse_view_def, wire_view_def, OwnedQuery};
@@ -235,17 +235,85 @@ pub struct ServedAnswer {
     pub clock: u64,
 }
 
+/// Fleet rankings the engine remembers ([`RankMemo`]).
+const RANK_MEMO_ENTRIES: usize = 8;
+
+/// What a fleet ranking is a pure function of: `k`, the resolved window,
+/// and the `seq` of every pinned epoch, in shard order. Each shard's
+/// left-right pair outlives its worker incarnations and numbers its
+/// publications +1 each, so a `seq` vector names exactly one set of
+/// published stores.
+#[derive(PartialEq)]
+struct RankKey {
+    k: usize,
+    window: WindowSpec,
+    seqs: Box<[u64]>,
+}
+
+/// A fleet ranking's rows, best first, shared between the memo and its
+/// readers.
+type Rows = Arc<[(String, f64)]>;
+
+/// The last few fleet rankings, keyed by [`RankKey`]: a read at an
+/// unchanged publication returns the ranking already computed, and a miss
+/// ranks outside any lock, then replaces the oldest entry. Lookups and
+/// inserts only `try_lock`, so a contended reader ranks uncached instead
+/// of waiting: reads stay wait-free. Computed on a miss, never on a write
+/// (Noria's read-side materialization, without its write-side upkeep).
+struct RankMemo {
+    entries: Mutex<VecDeque<(RankKey, Rows)>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl RankMemo {
+    fn new() -> RankMemo {
+        RankMemo {
+            entries: Mutex::new(VecDeque::with_capacity(RANK_MEMO_ENTRIES)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The rows memoized under `key`, or `rank()`'s, memoized.
+    fn get_or_rank(&self, key: RankKey, rank: impl FnOnce() -> Vec<(String, f64)>) -> Rows {
+        let memoized = self.entries.try_lock().ok().and_then(|entries| {
+            entries
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, rows)| Arc::clone(rows))
+        });
+        if let Some(rows) = memoized {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return rows;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let rows: Rows = rank().into();
+        if let Ok(mut entries) = self.entries.try_lock() {
+            if !entries.iter().any(|(k, _)| *k == key) {
+                if entries.len() == RANK_MEMO_ENTRIES {
+                    entries.pop_front();
+                }
+                entries.push_back((key, Arc::clone(&rows)));
+            }
+        }
+        rows
+    }
+}
+
 /// The sharded serving engine. Cheap to share behind an `Arc`; every
 /// method takes `&self`.
 ///
 /// The engine owns only the pieces of the fleet the supervisor must not:
-/// the supervisor thread's handle and stop flag. Everything the router
-/// and supervisor share — shard slots, the shutdown gate, the view
-/// registry, the hub — lives in the `Fleet`.
+/// the supervisor thread's handle and stop flag, and the fleet ranking
+/// memo, which only reads touch. Everything the router and supervisor
+/// share — shard slots, the shutdown gate, the view registry, the hub —
+/// lives in the `Fleet`.
 pub struct Engine {
     fleet: Arc<Fleet>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
     supervisor_stop: Arc<AtomicBool>,
+    rank_memo: RankMemo,
 }
 
 impl Engine {
@@ -339,6 +407,7 @@ impl Engine {
             fleet,
             supervisor: Mutex::new(Some(supervisor)),
             supervisor_stop,
+            rank_memo: RankMemo::new(),
         })
     }
 
@@ -513,7 +582,10 @@ impl Engine {
     ///
     /// Each shard's contribution comes wait-free from its published
     /// epoch — a broadcast read is N pins, all held until the winners'
-    /// keys are copied out.
+    /// keys are copied out. A fleet ranking is memoized per publication:
+    /// a call whose `k`, window and pinned epochs (by their `seq`s) were
+    /// ranked before — by `top_k` or by a fleet view read — returns those
+    /// rows, which are the ranking of exactly the pinned epochs.
     ///
     /// [`SketchStore::rank_into`]: ecm::SketchStore::rank_into
     ///
@@ -521,7 +593,7 @@ impl Engine {
     /// As [`query_served`](Engine::query_served).
     pub fn top_k(&self, k: usize, window: WindowSpec) -> Result<Vec<(String, f64)>, EngineError> {
         let epochs = self.pin_all()?;
-        Ok(self.rank(&epochs, k, window))
+        Ok(self.ranked(&epochs, k, window).to_vec())
     }
 
     /// Pin one shard's published epoch for a read, counting it.
@@ -539,8 +611,26 @@ impl Engine {
         (0..self.fleet.slots.len()).map(|s| self.pin(s)).collect()
     }
 
-    /// The ranking loop of [`top_k`](Engine::top_k) and fleet view reads:
-    /// thread one [`Ranking`] through the pinned `epochs`.
+    /// The fleet ranking of [`top_k`](Engine::top_k) and fleet view reads
+    /// over the pinned `epochs`: from the memo when these epochs were
+    /// ranked for `k` and `window` before, else [`rank`](Engine::rank)ed.
+    fn ranked(
+        &self,
+        epochs: &[Arc<Epoch<SketchStore<String>>>],
+        k: usize,
+        window: WindowSpec,
+    ) -> Rows {
+        let key = RankKey {
+            k,
+            window,
+            seqs: epochs.iter().map(|e| e.seq).collect(),
+        };
+        self.rank_memo
+            .get_or_rank(key, || self.rank(epochs, k, window))
+    }
+
+    /// Rank the pinned `epochs` uncached: thread one [`Ranking`] through
+    /// them, counting each shard's scored sketches.
     fn rank(
         &self,
         epochs: &[Arc<Epoch<SketchStore<String>>>],
@@ -556,6 +646,15 @@ impl Engine {
                 .fetch_add(scored as u64, Ordering::Relaxed);
         }
         ranking.into_owned()
+    }
+
+    /// The fleet ranking memo's hit and miss counts since startup, for
+    /// `STATS`.
+    pub fn rank_memo_stats(&self) -> RankMemoStats {
+        RankMemoStats {
+            hits: self.rank_memo.hits.load(Ordering::Relaxed),
+            misses: self.rank_memo.misses.load(Ordering::Relaxed),
+        }
     }
 
     /// Per-shard status, in shard order: the supervision health row is
@@ -679,7 +778,10 @@ impl Engine {
     /// is evaluated on its owning shard's epoch with that epoch's `seq`,
     /// the one its pushes carry. A fleet-wide top-k view ranks like
     /// [`top_k`](Engine::top_k) at the largest shard clock, with the sum
-    /// of the epochs' `seq`. A respawn lowers neither.
+    /// of the epochs' `seq`. A respawn lowers neither. The ranking shares
+    /// `top_k`'s memo: a `TOPK` of the same `k` and resolved window over
+    /// the same publications reads the same entry, and a hit is the
+    /// ranking of exactly the pinned epochs.
     ///
     /// # Errors
     /// [`View`](EngineError::View) — including
@@ -725,7 +827,7 @@ impl Engine {
         }
         let now = epochs.iter().map(|e| e.clock).max().unwrap_or(0);
         Ok(ViewReadout {
-            answer: ViewAnswer::Ranking(self.rank(&epochs, k, def.window.resolve(now))),
+            answer: ViewAnswer::Ranking(self.ranked(&epochs, k, def.window.resolve(now)).to_vec()),
             now,
             seq: epochs.iter().map(|e| e.seq).sum(),
         })
@@ -1053,5 +1155,65 @@ impl std::fmt::Debug for Engine {
             .field("down", &self.is_down())
             .field("snapshot_dir", &self.fleet.snapshot_dir)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ecm::SketchSpec;
+
+    /// The ranking memo under concurrency: 4 reader threads rank the
+    /// fleet while 1 writer publishes, over a few `(k, window)`s that
+    /// share, miss and evict entries — fixed windows that hit between
+    /// publications, and windows at the pinned clock. Every reply equals
+    /// an uncached ranking of the same pinned epochs: a hit is never
+    /// another publication's ranking.
+    #[test]
+    fn memoized_rankings_are_the_rankings_of_the_pinned_epochs() {
+        let spec = SketchSpec::time(10_000).epsilon(0.2).delta(0.2).seed(3);
+        let engine = Engine::start(&ServerConfig::new(spec).shards(2)).expect("engine");
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for t in 1..=300u64 {
+                    let batch: Vec<(String, StreamEvent, u64)> = (0..8)
+                        .map(|i| {
+                            let key = format!("k{}", (t * 7 + i) % 40);
+                            (key, StreamEvent::new(i, t * 10), 1 + (t + i) % 5)
+                        })
+                        .collect();
+                    engine.ingest(&batch).expect("ingest");
+                }
+                writing.store(false, Ordering::SeqCst);
+            });
+            for reader in 0..4u64 {
+                let (engine, writing) = (&engine, &writing);
+                scope.spawn(move || {
+                    let mut calls = 0u64;
+                    // Past the last publication too, where entries hit.
+                    while writing.load(Ordering::SeqCst) || calls < 200 {
+                        let epochs = engine.pin_all().expect("pin");
+                        let now = epochs.iter().map(|e| e.clock).max().unwrap_or(0);
+                        let (k, window) = match (reader + calls) % 4 {
+                            0 => (3, WindowSpec::time(3_000, 1_000)),
+                            1 => (10, WindowSpec::time(3_000, 3_000)),
+                            2 => (5, WindowSpec::time(now, 500)),
+                            _ => (1 + (calls % 12) as usize, WindowSpec::time(now, 2_000)),
+                        };
+                        let memoized = engine.ranked(&epochs, k, window);
+                        assert_eq!(
+                            memoized[..],
+                            engine.rank(&epochs, k, window)[..],
+                            "reader {reader} call {calls}: k {k} over {window:?}"
+                        );
+                        calls += 1;
+                    }
+                });
+            }
+        });
+        let memo = engine.rank_memo_stats();
+        assert!(memo.hits > 0 && memo.misses > 0, "{memo:?}");
+        engine.shutdown().expect("shutdown");
     }
 }

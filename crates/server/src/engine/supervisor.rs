@@ -163,8 +163,8 @@ pub(super) struct ShardSlot {
     /// Time queries whose `now` was behind the key's write clock.
     pub(super) behind_clock: AtomicU64,
     /// Sketches `TOPK` and fleet view reads had to score on this shard
-    /// (for `STATS`): against keys × calls, how well the arrivals bounds
-    /// still prune.
+    /// (for `STATS`), on ranking-memo misses only: against keys × misses,
+    /// how well the score bounds still prune.
     pub(super) ranked_sketches: AtomicU64,
 }
 

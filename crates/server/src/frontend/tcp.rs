@@ -508,7 +508,7 @@ fn dispatch(
         Command::Stats => match engine.stats() {
             Ok(rows) => {
                 let views = engine.views_summary(&rows);
-                response::stats(&rows, &views)
+                response::stats(&rows, &engine.rank_memo_stats(), &views)
             }
             Err(e) => engine_error(&e),
         },

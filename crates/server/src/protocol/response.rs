@@ -11,7 +11,7 @@
 use ecm::{Answer, Estimate, QueryError, ViewAnswer, ViewError, ViewEvent, ViewReadout};
 
 use super::json::escape;
-use crate::engine::{IngestAck, ShardStatus, SnapshotReport, ViewsSummary};
+use crate::engine::{IngestAck, RankMemoStats, ShardStatus, SnapshotReport, ViewsSummary};
 
 /// Shortest-round-trip rendering of a finite `f64`; `null` otherwise.
 fn float(v: f64) -> String {
@@ -142,13 +142,14 @@ pub fn topk(rows: &[(String, f64)]) -> String {
     format!("{{\"ok\":true,\"topk\":[{}]}}", ranking_rows(rows))
 }
 
-/// Per-shard `STATS` as a response line, plus fleet-wide totals and the
-/// standing-view counters. Every shard row carries its supervision
-/// `health` block; the worker-reported numbers are present only when the
-/// worker could answer (a restarting or dead shard still gets a row, so
-/// the operator sees *that* it is down and how often it has been). The
-/// fleet totals sum over the shards that answered.
-pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
+/// Per-shard `STATS` as a response line, plus fleet-wide totals, the
+/// fleet ranking memo's hits and misses, and the standing-view counters.
+/// Every shard row carries its supervision `health` block; the
+/// worker-reported numbers are present only when the worker could answer
+/// (a restarting or dead shard still gets a row, so the operator sees
+/// *that* it is down and how often it has been). The fleet totals sum
+/// over the shards that answered.
+pub fn stats(rows: &[ShardStatus], memo: &RankMemoStats, views: &ViewsSummary) -> String {
     let answered = || rows.iter().filter_map(|r| r.stats.as_ref());
     let keys: usize = answered().map(|s| s.keys).sum();
     let memory: usize = answered().map(|s| s.memory_bytes).sum();
@@ -198,8 +199,11 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
     format!(
         "{{\"ok\":true,\"keys\":{keys},\"memory_bytes\":{memory},\"ingested\":{ingested},\
          \"ingest_runs\":{ingest_runs},\"wal_bytes\":{wal_bytes},\"compactions\":{compactions},\
+         \"rank_memo_hits\":{},\"rank_memo_misses\":{},\
          \"views\":{{\"registered\":{},\"maintenance\":{},\"subscribers\":{},\
          \"dropped_notifications\":{}}},\"shards\":[{}]}}",
+        memo.hits,
+        memo.misses,
         views.registered,
         views.maintenance,
         views.subscribers,

@@ -566,3 +566,128 @@ fn broadcast_errors_name_the_shard_that_failed() {
     let _ = engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Sketches scored by fleet rankings so far, summed over the shards.
+fn ranked_sketches(engine: &Engine) -> u64 {
+    let rows = engine.stats().expect("stats");
+    rows.iter().map(|r| r.health.ranked_sketches).sum()
+}
+
+/// Wait until every shard reports itself restarted at least `restarts`
+/// times and back up.
+fn await_restarts(engine: &Engine, restarts: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        match engine.stats() {
+            Ok(rows)
+                if rows
+                    .iter()
+                    .all(|r| r.health.state == "up" && r.health.restarts >= restarts) =>
+            {
+                return
+            }
+            Ok(_) => {}
+            Err(e) if e.is_retryable() => {}
+            Err(e) => panic!("stats during restart: {e}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shards never came back up"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+/// A fleet ranking is computed once per publication: a second identical
+/// `TOPK` with nothing published in between returns the same rows from
+/// the memo and scores no sketch. Every publication — an ingest, a
+/// `FLUSH`, a shard's respawn — makes the next call rank again, and that
+/// ranking is the un-sharded mirror's.
+#[test]
+fn top_k_ranks_once_per_publication() {
+    let dir = std::env::temp_dir().join(format!("sketchd-engine-memo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cfg = ServerConfig::new(spec())
+        .shards(2)
+        .snapshot_dir(&dir)
+        .durability(true);
+    let engine = Engine::start(&cfg).expect("engine");
+    let mut mirror: ecm::SketchStore<String> = ecm::SketchStore::new(spec()).expect("spec");
+    let mut ingest = |from: u64, to: u64| {
+        let batch: Vec<(String, StreamEvent, u64)> = (from..to)
+            .map(|t| {
+                (
+                    format!("k{}", t % 23),
+                    StreamEvent::new(t % 5, t),
+                    1 + t % 7,
+                )
+            })
+            .collect();
+        for (key, event, n) in &batch {
+            mirror.insert_weighted(key.clone(), event.ts, event.item, *n);
+        }
+        engine.ingest(&batch).expect("ingest");
+    };
+    ingest(1, 400);
+    let window = WindowSpec::time(1_000, 5_000);
+    let first = engine.top_k(5, window).expect("top_k");
+    let (ranked, memo) = (ranked_sketches(&engine), engine.rank_memo_stats());
+    assert_eq!(engine.top_k(5, window).expect("top_k"), first);
+    assert_eq!(ranked_sketches(&engine), ranked, "a hit scores nothing");
+    let after = engine.rank_memo_stats();
+    assert_eq!((after.hits, after.misses), (memo.hits + 1, memo.misses));
+
+    let q = ecm::Query::total_arrivals();
+    let rerank = |what: &str, mirror: &ecm::SketchStore<String>| {
+        let before = engine.rank_memo_stats().misses;
+        assert_eq!(
+            engine.top_k(5, window).expect("top_k"),
+            mirror.top_k(5, &q, window),
+            "{what}"
+        );
+        assert_eq!(engine.rank_memo_stats().misses, before + 1, "{what}");
+    };
+    ingest(400, 600);
+    rerank("after an ingest", &mirror);
+    engine.flush(700).expect("flush");
+    mirror.advance_to(700);
+    rerank("after a flush", &mirror);
+    for shard in 0..engine.shards() {
+        engine.restart_shard(shard).expect("restart");
+    }
+    await_restarts(&engine, 1);
+    rerank("after every shard restarted", &mirror);
+    engine.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fleet top-k view and a `TOPK` of the same `k` and resolved window
+/// over the same publications are one ranking: whichever reads second
+/// hits the entry the first left.
+#[test]
+fn a_fleet_view_read_and_top_k_share_one_memo_entry() {
+    let engine = Engine::start(&ServerConfig::new(spec()).shards(2)).expect("engine");
+    let batch: Vec<(String, StreamEvent, u64)> = (0..30u64)
+        .map(|i| (format!("t{i}"), StreamEvent::new(i % 4, 50 + i), 1 + i % 9))
+        .collect();
+    engine.ingest(&batch).expect("ingest");
+    engine
+        .view_create(ecm::ViewDef {
+            name: "leaders".to_string(),
+            key: None,
+            query: ecm::StandingQuery::TopK { k: 4 },
+            window: ecm::ViewWindow::Time { range: 2_000 },
+        })
+        .expect("fleet view");
+    let readout = engine.view_read("leaders").expect("view read");
+    let (ranked, memo) = (ranked_sketches(&engine), engine.rank_memo_stats());
+    let rows = engine
+        .top_k(4, WindowSpec::time(readout.now, 2_000))
+        .expect("top_k");
+    assert_eq!(readout.answer, ecm::ViewAnswer::Ranking(rows));
+    let after = engine.rank_memo_stats();
+    assert_eq!((after.hits, after.misses), (memo.hits + 1, memo.misses));
+    assert_eq!(ranked_sketches(&engine), ranked, "the TOPK ranked nothing");
+    engine.shutdown().expect("shutdown");
+}

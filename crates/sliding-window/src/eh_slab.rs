@@ -49,6 +49,7 @@ use crate::exponential_histogram::{EhConfig, ExponentialHistogram, CODEC_VERSION
 use crate::grid::{sealed, CellStorage};
 use crate::traits::WindowCounter;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Slab element: a bucket end-tick stored as an offset from its cell's
 /// base tick.
@@ -1058,6 +1059,12 @@ impl CellStorage<ExponentialHistogram> for EhGrid {
     #[inline]
     fn held_ones(&self) -> Option<u64> {
         Some(on_core!(self, c => c.held))
+    }
+
+    fn held_ones_in(&self, cells: Range<usize>) -> Option<u64> {
+        Some(on_core!(self, c => c.cells[cells]
+            .iter()
+            .fold(0u64, |acc, m| acc.saturating_add(m.total))))
     }
 }
 

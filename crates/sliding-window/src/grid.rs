@@ -22,6 +22,7 @@
 
 use crate::error::CodecError;
 use crate::traits::WindowCounter;
+use std::ops::Range;
 
 pub(crate) mod sealed {
     /// Seals [`super::CellStorage`]: only layouts defined in this crate can
@@ -126,6 +127,16 @@ pub trait CellStorage<W: WindowCounter>: Clone + std::fmt::Debug + sealed::Seale
     /// cells. The slab keeps it (see [`crate::eh_slab`]); rankings use it
     /// to skip sketches that cannot reach the current k-th score.
     fn held_ones(&self) -> Option<u64> {
+        None
+    }
+
+    /// [`held_ones`](CellStorage::held_ones) restricted to the cells in
+    /// `cells`: an upper bound on the sum of their estimates, valid for
+    /// every `now` and `range`, at one read per cell. A Count-Min row is
+    /// such a range, and every arrival lands in it exactly once, so this
+    /// bounds one row's estimate of the window's total. `None` for layouts
+    /// that keep no per-cell count.
+    fn held_ones_in(&self, _cells: Range<usize>) -> Option<u64> {
         None
     }
 }

@@ -740,3 +740,71 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `score_bound` bounds every answer it speaks for, on all seven
+    /// matrix rows: over arbitrary time windows — behind the write clock,
+    /// past it, and over-long ones — and count windows, no scalar answer
+    /// of any query exceeds the bound the same sketch gives for it. A time
+    /// window that starts at or after the write clock (ticks declared by
+    /// `advance_to` included) is bounded by 0 on every backend, so this
+    /// also proves that every estimate there is exactly 0.
+    #[test]
+    fn prop_score_bound_bounds_every_answer(
+        seed in 0u64..10_000,
+        windows in proptest::collection::vec((0u64..5_000, 0u64..1_500), 8..16),
+    ) {
+        let queries = [
+            Query::total_arrivals(),
+            Query::point(3),
+            Query::self_join(),
+            Query::range_sum(0, 31),
+        ];
+        for (label, spec) in SketchSpec::matrix(1_000) {
+            let mut rng = SeededRng::seed_from_u64(seed);
+            let mut sketch = spec.build().expect("valid spec");
+            let mut ts = 1u64;
+            for _ in 0..rng.gen_range(0..400u64) {
+                ts += rng.gen_range(0..6u64);
+                if rng.gen_bool(0.05) {
+                    ts += rng.gen_range(0..2_000u64);
+                    sketch.advance_to(ts);
+                }
+                sketch.insert_weighted(ts, rng.next_u64() % 64, 1 + rng.next_u64() % 4);
+            }
+            let clock = sketch.write_clock();
+            if spec.clock() == Clock::Time {
+                // The window just after the clock: silent on every backend.
+                let past = WindowSpec::time(clock + 500, 500);
+                for q in &queries {
+                    prop_assert_eq!(sketch.score_bound(q, past), Some(0.0), "{}: {}", label, q.name());
+                }
+            }
+            // Windows that start at the clock and one tick before it (the
+            // last write was an arrival at the clock), then drawn ones.
+            let edges = [1, 10, 500, 1_000].into_iter().flat_map(|range| {
+                [WindowSpec::time(clock + range, range), WindowSpec::time(clock + range - 1, range)]
+            });
+            let drawn = windows.iter().flat_map(|&(offset, range)| {
+                let now = clock.saturating_sub(2_000) + offset;
+                [WindowSpec::time(now, range), WindowSpec::last(range)]
+            });
+            for w in edges.chain(drawn) {
+                for q in &queries {
+                    let Some(bound) = sketch.score_bound(q, w) else {
+                        continue;
+                    };
+                    if let Some(value) = sketch.query(q, w).ok().and_then(|a| a.value()) {
+                        prop_assert!(
+                            value <= bound,
+                            "{}: {} over {:?} = {} > bound {} (clock {})",
+                            label, q.name(), w, value, bound, clock
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
