@@ -573,16 +573,15 @@ fn ranked_sketches(engine: &Engine) -> u64 {
     rows.iter().map(|r| r.health.ranked_sketches).sum()
 }
 
-/// Wait until every shard reports itself restarted at least `restarts`
-/// times and back up.
-fn await_restarts(engine: &Engine, restarts: u64) {
+/// Wait until every shard reports itself restarted and back up.
+fn await_restarts(engine: &Engine) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         match engine.stats() {
             Ok(rows)
                 if rows
                     .iter()
-                    .all(|r| r.health.state == "up" && r.health.restarts >= restarts) =>
+                    .all(|r| r.health.state == "up" && r.health.restarts >= 1) =>
             {
                 return
             }
@@ -656,7 +655,7 @@ fn top_k_ranks_once_per_publication() {
     for shard in 0..engine.shards() {
         engine.restart_shard(shard).expect("restart");
     }
-    await_restarts(&engine, 1);
+    await_restarts(&engine);
     rerank("after every shard restarted", &mirror);
     engine.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
