@@ -151,11 +151,6 @@ impl<W: WindowCounter> EcmHierarchy<W> {
         self.sketches[0].total_arrivals(now, range)
     }
 
-    /// Level 0's [`EcmSketch::arrivals_bound`]: totals are read there.
-    pub(crate) fn arrivals_bound(&self) -> Option<f64> {
-        self.sketches[0].arrivals_bound()
-    }
-
     /// Sliding-window heavy hitters by group testing (paper §6.1): returns
     /// `(key, estimate)` for every key whose estimated in-range frequency
     /// meets the threshold, in increasing key order.

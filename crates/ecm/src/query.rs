@@ -472,35 +472,24 @@ pub trait SketchReader {
     fn as_any(&self) -> &dyn Any;
 
     /// An upper bound on the scalar [`query`](SketchReader::query) would
-    /// answer for `q` over `w`, read in O(1) without touching the cells —
-    /// or `None` when the backend has none, which costs a ranking nothing
-    /// but speed: [`SketchStore::top_k`](crate::store::SketchStore::top_k)
-    /// skips a sketch only when its bound is below the k-th score so far.
+    /// answer for `q` over `w`, read without a window estimate — or `None`
+    /// when the backend has none, which costs a ranking nothing but speed:
+    /// [`SketchStore::top_k`](crate::store::SketchStore::top_k) skips a
+    /// sketch only when its bound is below the k-th score so far.
     ///
-    /// Every backend bounds every query by 0 over a time window that
-    /// starts at or after its [`write_clock`](SketchReader::write_clock):
-    /// every arrival it holds lies before the window. Beyond that, only
-    /// [`Query::TotalArrivals`] on sketches over exponential histograms,
-    /// on either clock, is bounded: their cells keep a count of the
-    /// arrivals they still hold, and a window estimate sums a subset of
-    /// those whatever the window.
-    fn score_bound(&self, _q: &Query<'_>, w: WindowSpec) -> Option<f64> {
-        window_is_past(w, self.write_clock()).then_some(0.0)
-    }
-}
-
-/// Whether `w` is a time window `(now − range, now]` that starts at or
-/// after `clock`, a sketch's write clock. Every arrival the sketch holds
-/// then has a tick at or before the window's start, so every backend's
-/// estimate over `w` is exactly 0 — the score bound of a key that has
-/// been silent for longer than the window. The condition implies
-/// `now ≥ clock`, so it never reads a window behind the clock.
-fn window_is_past(w: WindowSpec, clock: u64) -> bool {
-    match w {
-        WindowSpec::Time { now, range } => {
-            now.checked_sub(range).is_some_and(|start| clock <= start)
-        }
-        WindowSpec::Count { .. } => false,
+    /// The ECM-sketch ([`EcmSketch`] on every counter type, and
+    /// [`EcmHierarchy`] through its level 0) bounds two cases; every other
+    /// backend has none:
+    /// - on the time clock, every query over a window `(now − range, now]`
+    ///   that starts at or after the write clock, by 0: every arrival it
+    ///   holds has a tick at or before the window's start — the bound of a
+    ///   key silent for longer than the window. The condition implies
+    ///   `now ≥` the clock, so it never reads a window behind the clock;
+    /// - [`Query::TotalArrivals`] over exponential histograms, on either
+    ///   clock, by one row's held count: every arrival lands in a row once,
+    ///   and a window estimate sums a subset of what the cells still hold.
+    fn score_bound(&self, _q: &Query<'_>, _w: WindowSpec) -> Option<f64> {
+        None
     }
 }
 
@@ -686,8 +675,13 @@ where
     }
 
     fn score_bound(&self, q: &Query<'_>, w: WindowSpec) -> Option<f64> {
-        if window_is_past(w, self.write_clock()) {
-            return Some(0.0);
+        if let (Clock::Time, WindowSpec::Time { now, range }) = (self.clock(), w) {
+            if now
+                .checked_sub(range)
+                .is_some_and(|start| self.last_tick() <= start)
+            {
+                return Some(0.0);
+            }
         }
         match q {
             Query::TotalArrivals => self.arrivals_bound(),
@@ -775,14 +769,10 @@ where
         "EcmHierarchy"
     }
 
+    /// Level 0's: the hierarchy's clock, write clock and totals are level
+    /// 0's, and no level holds an arrival after that write clock.
     fn score_bound(&self, q: &Query<'_>, w: WindowSpec) -> Option<f64> {
-        if window_is_past(w, self.write_clock()) {
-            return Some(0.0);
-        }
-        match q {
-            Query::TotalArrivals => self.arrivals_bound(),
-            _ => None,
-        }
+        self.levels()[0].score_bound(q, w)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -849,6 +839,12 @@ mod tests {
             .query(&Query::point(1), WindowSpec::time(10, 10))
             .unwrap_err();
         assert!(matches!(err, QueryError::ClockMismatch { .. }));
+        // A time window past a count clock is an error, not an answer of 0,
+        // so it gets no bound of 0 either.
+        assert_eq!(
+            cb.score_bound(&Query::point(1), WindowSpec::time(10, 10)),
+            None
+        );
     }
 
     #[test]

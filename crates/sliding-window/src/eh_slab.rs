@@ -158,12 +158,6 @@ struct SlabCore<T> {
     /// `n_cells × levels_alloc` ring cursors.
     rings: Vec<Ring>,
     cells: Vec<CellMeta>,
-    /// Σ `CellMeta::total` over the grid: every 1-bit any cell still
-    /// holds. A cell's `estimate` sums a subset of its held buckets (less
-    /// half of one), so for every `now` and `range` the grid's estimates
-    /// sum to at most this — the O(1) bound top-k rankings prune with.
-    /// Derived state: never encoded, recomputed on import.
-    held: u64,
     /// Reusable carry buffers for the bulk cascade (≤ `cap` entries each);
     /// keeping them here removes the two heap allocations the standalone
     /// bulk path pays per insert.
@@ -187,7 +181,6 @@ impl<T: SlabWord> SlabCore<T> {
             slab: Vec::new(),
             rings: Vec::new(),
             cells: vec![CellMeta::default(); n_cells],
-            held: 0,
             scratch_a: Vec::with_capacity(cap),
             scratch_b: Vec::with_capacity(cap),
         }
@@ -468,7 +461,6 @@ impl<T: SlabWord> SlabCore<T> {
             }
         }
         if dropped_bits > 0 {
-            self.held -= dropped_bits;
             let meta = &mut self.cells[cell];
             meta.total -= dropped_bits;
             if let Some(end) = dropped_end {
@@ -523,7 +515,6 @@ impl<T: SlabWord> SlabCore<T> {
             meta.total += n;
             meta.lifetime += n;
         }
-        self.held += n;
         self.expire(cell, ts);
         let mut base = self.cells[cell].base;
         if ts - base > T::MAX_OFFSET {
@@ -717,11 +708,14 @@ impl<T: SlabWord> SlabCore<T> {
         )
     }
 
-    /// What `held` must equal. Saturating: decoded totals are each checked
-    /// against their buckets, but a crafted grid of huge ones must not
-    /// overflow their sum.
-    fn sum_totals(&self) -> u64 {
-        self.cells
+    /// Σ `CellMeta::total` over `cells`: every 1-bit those cells still
+    /// hold. A cell's `estimate` sums a subset of its held buckets (less
+    /// half of one), so for every `now` and `range` their estimates sum to
+    /// at most this. Saturating: decoded totals are each checked against
+    /// their buckets, but a crafted grid of huge ones must not overflow
+    /// their sum.
+    fn held_in(&self, cells: Range<usize>) -> u64 {
+        self.cells[cells]
             .iter()
             .fold(0u64, |acc, c| acc.saturating_add(c.total))
     }
@@ -773,13 +767,6 @@ impl<T: SlabWord> SlabCore<T> {
                 meta.total
             ));
         }
-        let held = self.sum_totals();
-        if held != self.held {
-            return Err(format!(
-                "grid: cached held {} != sum of cell totals {held}",
-                self.held
-            ));
-        }
         Ok(())
     }
 }
@@ -807,7 +794,6 @@ fn import_all<T: SlabWord>(cfg: &EhConfig, counters: &[ExponentialHistogram]) ->
     for (cell, eh) in counters.iter().enumerate() {
         core.import_cell(cell, eh);
     }
-    core.held = core.sum_totals();
     core
 }
 
@@ -1056,15 +1042,8 @@ impl CellStorage<ExponentialHistogram> for EhGrid {
         EhGrid::from_histograms(cfg, &counters)
     }
 
-    #[inline]
-    fn held_ones(&self) -> Option<u64> {
-        Some(on_core!(self, c => c.held))
-    }
-
     fn held_ones_in(&self, cells: Range<usize>) -> Option<u64> {
-        Some(on_core!(self, c => c.cells[cells]
-            .iter()
-            .fold(0u64, |acc, m| acc.saturating_add(m.total))))
+        Some(on_core!(self, c => c.held_in(cells)))
     }
 }
 

@@ -120,22 +120,21 @@ pub trait CellStorage<W: WindowCounter>: Clone + std::fmt::Debug + sealed::Seale
     /// with.
     fn from_counters(cfg: &W::Config, counters: Vec<W>) -> Self;
 
-    /// An O(1) upper bound on the sum of **all** cells'
+    /// An upper bound on the sum of **all** cells'
     /// [`query`](CellStorage::query) estimates, valid for every `now` and
-    /// `range`: the arrivals the grid still holds, expired or not. `None`
-    /// for layouts that keep no such count — callers must then query the
-    /// cells. The slab keeps it (see [`crate::eh_slab`]); rankings use it
-    /// to skip sketches that cannot reach the current k-th score.
+    /// `range`: [`held_ones_in`](CellStorage::held_ones_in) over the whole
+    /// grid.
     fn held_ones(&self) -> Option<u64> {
-        None
+        self.held_ones_in(0..self.n_cells())
     }
 
-    /// [`held_ones`](CellStorage::held_ones) restricted to the cells in
-    /// `cells`: an upper bound on the sum of their estimates, valid for
-    /// every `now` and `range`, at one read per cell. A Count-Min row is
+    /// An upper bound on the sum of the estimates of the cells in `cells`,
+    /// valid for every `now` and `range`, at one read per cell: the
+    /// arrivals those cells still hold, expired or not. A Count-Min row is
     /// such a range, and every arrival lands in it exactly once, so this
     /// bounds one row's estimate of the window's total. `None` for layouts
-    /// that keep no per-cell count.
+    /// that keep no per-cell count — callers must then query the cells.
+    /// The slab keeps one (see [`crate::eh_slab`]).
     fn held_ones_in(&self, _cells: Range<usize>) -> Option<u64> {
         None
     }
