@@ -53,7 +53,8 @@
 //! assert_eq!(top.len(), 1);
 //! ```
 
-use std::cmp::Ordering;
+use std::borrow::Borrow;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -156,11 +157,12 @@ impl<T: Ord> Ranking<T> {
         }
     }
 
-    /// Whether no row scoring at most `bound` can enter any more: `k` rows
-    /// are kept and `bound` is **strictly** below the worst of them (a row
-    /// that ties the worst score may still win on its key).
-    pub fn prunes(&self, bound: f64) -> bool {
-        self.rows.len() >= self.k && self.rows.peek().is_none_or(|worst| bound < worst.score)
+    /// Whether no row for `key` scoring at most `bound` can enter any
+    /// more: `k` rows are kept and the row `(key, bound)` does not rank
+    /// before the worst of them (a tie on the score loses on the key).
+    pub fn prunes(&self, key: T, bound: f64) -> bool {
+        let row = Row { key, score: bound };
+        self.rows.len() >= self.k && self.rows.peek().is_none_or(|worst| row >= *worst)
     }
 
     /// The kept rows, best first.
@@ -183,34 +185,6 @@ impl<K: Ord + Clone> Ranking<&K> {
             .collect()
     }
 }
-
-/// A sketch awaiting its turn in [`SketchStore::rank_into`], ordered by
-/// its score bound.
-struct Candidate<'a, K> {
-    bound: f64,
-    key: &'a K,
-    sketch: &'a dyn Sketch,
-}
-
-impl<K> Ord for Candidate<'_, K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.bound.total_cmp(&other.bound)
-    }
-}
-
-impl<K> PartialOrd for Candidate<'_, K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K> PartialEq for Candidate<'_, K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<K> Eq for Candidate<'_, K> {}
 
 /// Grouping buffers of [`SketchStore::ingest_grouped`], kept between
 /// batches for their capacity and empty at rest (so cloning a store copies
@@ -296,8 +270,13 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
         keys
     }
 
-    /// Read access to one key's sketch, if resident.
-    pub fn get(&self, key: &K) -> Option<&dyn Sketch> {
+    /// Read access to one key's sketch, if resident. Looks up any borrowed
+    /// form of the key (a `&str` for a `String` key), as a `HashMap` does.
+    pub fn get<Q>(&self, key: &Q) -> Option<&dyn Sketch>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.entries.get(key).map(|e| &*e.sketch)
     }
 
@@ -489,13 +468,18 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     }
 
     /// Answer `q` over `w` from `key`'s sketch; `None` when the key is not
-    /// resident (distinct from a resident sketch's [`QueryError`]).
-    pub fn query(
+    /// resident (distinct from a resident sketch's [`QueryError`]). Takes
+    /// any borrowed form of the key, like [`get`](Self::get).
+    pub fn query<Q>(
         &self,
-        key: &K,
+        key: &Q,
         q: &Query<'_>,
         w: WindowSpec,
-    ) -> Option<Result<Answer, QueryError>> {
+    ) -> Option<Result<Answer, QueryError>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.entries.get(key).map(|e| e.sketch.query(q, w))
     }
 
@@ -529,39 +513,42 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     ///
     /// Every sketch's [`score_bound`](crate::query::SketchReader::score_bound)
     /// is read first (no bound counts as `+∞`); sketches are then scored
-    /// with [`query`](crate::query::SketchReader::query) in descending
-    /// bound order until the ranking [`prunes`](Ranking::prunes) the
-    /// largest bound left — every sketch behind it scores at most its
-    /// bound, strictly below the k-th score, and could not have placed.
-    /// The rows kept are therefore exactly those a scan of every sketch
-    /// would keep; only the work differs. It degrades gracefully: a
-    /// backend without bounds is scanned, and bounds gone stale (keys
-    /// silent for windows still hold their last arrivals) prune less.
+    /// with [`query`](crate::query::SketchReader::query) in row order of
+    /// `(key, bound)` — bound descending, ties by key — until the ranking
+    /// [`prunes`](Ranking::prunes) the best row left. Every sketch behind
+    /// it has a row no better, scores at most its bound, and could not
+    /// have placed. The rows kept are therefore exactly those a scan of
+    /// every sketch would keep; only the work differs. Keys silent for
+    /// longer than the window bound to 0, so once `k` rows are kept they
+    /// end the scan. It degrades gracefully: a backend without bounds is
+    /// scanned, and bounds gone stale (keys silent for windows still hold
+    /// their last arrivals) prune less.
     pub fn rank_into<'a>(
         &'a self,
         ranking: &mut Ranking<&'a K>,
         q: &Query<'_>,
         w: WindowSpec,
     ) -> usize {
-        let mut candidates: BinaryHeap<Candidate<'a, K>> = self
+        // Candidates are rows `(key, bound)`; reversed, the max-heap pops
+        // the best first.
+        let mut candidates: BinaryHeap<Reverse<Row<&'a K>>> = self
             .entries
             .iter()
-            .map(|(key, e)| Candidate {
-                bound: e.sketch.score_bound(q, w).unwrap_or(f64::INFINITY),
-                key,
-                sketch: &*e.sketch,
+            .map(|(key, e)| {
+                let score = e.sketch.score_bound(q, w).unwrap_or(f64::INFINITY);
+                Reverse(Row { key, score })
             })
             // The floor an earlier store left in the ranking.
-            .filter(|c| !ranking.prunes(c.bound))
-            .collect::<Vec<_>>()
-            .into();
+            .filter(|Reverse(c)| !ranking.prunes(c.key, c.score))
+            .collect();
         let mut scored = 0;
-        while let Some(c) = candidates.pop() {
-            if ranking.prunes(c.bound) {
+        while let Some(Reverse(c)) = candidates.pop() {
+            if ranking.prunes(c.key, c.score) {
                 break;
             }
             scored += 1;
-            if let Some(score) = c.sketch.query(q, w).ok().and_then(|a| a.value()) {
+            let answer = self.entries[c.key].sketch.query(q, w);
+            if let Some(score) = answer.ok().and_then(|a| a.value()) {
                 ranking.offer(c.key, score);
             }
         }

@@ -1,5 +1,5 @@
 //! Standing queries: incrementally maintained materialized views over a
-//! [`SketchStore`] (ROADMAP item 3).
+//! [`SketchStore`].
 //!
 //! Instead of recomputing a heavy-hitters / threshold / top-k query on
 //! every read, a caller registers a [`ViewDef`] once and the ingest path
@@ -348,10 +348,10 @@ pub struct ViewReadout<K> {
     pub seq: u64,
 }
 
-/// A notification emitted by maintenance when a keyed view's answer
-/// changed in a way a subscriber cares about. Top-k views emit none.
+/// A notification emitted when a view's answer changed in a way a
+/// subscriber cares about ([`ViewEvent::between`] decides which).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ViewEvent {
+pub enum ViewEvent<K> {
     /// A threshold view's estimate crossed its limit (or first
     /// materialized above it).
     ThresholdCrossed {
@@ -381,15 +381,88 @@ pub enum ViewEvent {
         /// Publication sequence.
         seq: u64,
     },
+    /// A top-k view's membership or order changed.
+    RankingChanged {
+        /// The view name.
+        name: String,
+        /// The full new ranking, best first.
+        ranking: Vec<(K, f64)>,
+        /// Evaluation clock.
+        now: u64,
+        /// Publication sequence.
+        seq: u64,
+    },
 }
 
-impl ViewEvent {
+impl<K: Clone + PartialEq> ViewEvent<K> {
+    /// The one diff rule: what a subscriber of view `name` hears when its
+    /// answer goes from `old` to `new`, evaluated at `now` in publication
+    /// `seq`. A threshold view notifies on crossings, a heavy-hitters view
+    /// when its item set changes, and a top-k view when its keys or their
+    /// order change (a score drift on a stable ranking is noise). `old` is
+    /// `None` while the view is pending (never answered), which counts as
+    /// below the limit, an empty set or an empty ranking: a first answer
+    /// notifies only when it is above the limit or non-empty.
+    pub fn between(
+        name: &str,
+        old: Option<&ViewAnswer<K>>,
+        new: &ViewAnswer<K>,
+        now: u64,
+        seq: u64,
+    ) -> Option<ViewEvent<K>> {
+        let name = name.to_string();
+        match new {
+            ViewAnswer::Scalar { estimate, above } => {
+                let was = matches!(old, Some(ViewAnswer::Scalar { above: true, .. }));
+                (was != *above).then(|| ViewEvent::ThresholdCrossed {
+                    name,
+                    above: *above,
+                    estimate: *estimate,
+                    now,
+                    seq,
+                })
+            }
+            ViewAnswer::Hitters(hitters) => {
+                let items = |rows: &[(u64, Estimate)]| -> BTreeSet<u64> {
+                    rows.iter().map(|&(item, _)| item).collect()
+                };
+                let was = match old {
+                    Some(ViewAnswer::Hitters(old)) => items(old),
+                    _ => BTreeSet::new(),
+                };
+                let is = items(hitters);
+                (was != is).then(|| ViewEvent::HittersChanged {
+                    name,
+                    entered: is.difference(&was).copied().collect(),
+                    left: was.difference(&is).copied().collect(),
+                    hitters: hitters.clone(),
+                    now,
+                    seq,
+                })
+            }
+            ViewAnswer::Ranking(ranking) => {
+                let was: &[(K, f64)] = match old {
+                    Some(ViewAnswer::Ranking(old)) => old,
+                    _ => &[],
+                };
+                let same =
+                    was.len() == ranking.len() && was.iter().zip(ranking).all(|(a, b)| a.0 == b.0);
+                (!same).then(|| ViewEvent::RankingChanged {
+                    name,
+                    ranking: ranking.clone(),
+                    now,
+                    seq,
+                })
+            }
+        }
+    }
+
     /// The view this event belongs to.
     pub fn view(&self) -> &str {
         match self {
-            ViewEvent::ThresholdCrossed { name, .. } | ViewEvent::HittersChanged { name, .. } => {
-                name
-            }
+            ViewEvent::ThresholdCrossed { name, .. }
+            | ViewEvent::HittersChanged { name, .. }
+            | ViewEvent::RankingChanged { name, .. } => name,
         }
     }
 }
@@ -412,11 +485,9 @@ struct View<K> {
     state: State<K>,
 }
 
-/// Counters a serving layer reports in `STATS`.
+/// A [`ViewSet`]'s maintenance counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ViewSetStats {
-    /// Registered views (any state).
-    pub views: usize,
     /// Per-view recomputations performed on the maintenance path since
     /// startup (the incremental-maintenance cost).
     pub maintenance: u64,
@@ -455,30 +526,14 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
         Self::default()
     }
 
-    /// Number of registered views.
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    /// Whether no view is registered.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
-
-    /// Registered definitions, in name order.
-    pub fn defs(&self) -> Vec<&ViewDef<K>> {
-        self.views.values().map(|v| &v.def).collect()
-    }
-
     /// The current publication sequence.
     pub fn seq(&self) -> u64 {
         self.seq
     }
 
-    /// Counters for `STATS`.
+    /// The maintenance counter.
     pub fn stats(&self) -> ViewSetStats {
         ViewSetStats {
-            views: self.views.len(),
             maintenance: self.maintenance,
         }
     }
@@ -502,11 +557,6 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
             },
         );
         Ok(())
-    }
-
-    /// Drop a view; `false` when no view of that name existed.
-    pub fn drop_view(&mut self, name: &str) -> bool {
-        self.views.remove(name).is_some()
     }
 
     /// Read a view's answer. A cold or pending view is computed here
@@ -546,14 +596,8 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     /// changed — keys written since the previous round, read from the
     /// store's write stamps — and report the
     /// changes subscribers should hear about.
-    pub fn maintain(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent> {
-        self.maintain_at(store, self.seq + 1)
-    }
-
-    /// [`maintain`](Self::maintain) publishing sequence `seq` (a published
-    /// snapshot's), so a push and a read of one snapshot carry one number.
-    pub fn maintain_at(&mut self, store: &SketchStore<K>, seq: u64) -> Vec<ViewEvent> {
-        self.seq = seq;
+    pub fn maintain(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent<K>> {
+        self.seq += 1;
         let since = self.watermark;
         self.watermark = store.version();
         if self.views.is_empty() {
@@ -573,14 +617,8 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     /// Maintenance round after a clock advance (`advance_to`): every hot
     /// and pending view re-evaluates, because window contents slide even
     /// for keys that saw no arrivals.
-    pub fn refresh(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent> {
-        self.refresh_at(store, self.seq + 1)
-    }
-
-    /// [`refresh`](Self::refresh), publishing sequence `seq` (see
-    /// [`maintain_at`](Self::maintain_at)).
-    pub fn refresh_at(&mut self, store: &SketchStore<K>, seq: u64) -> Vec<ViewEvent> {
-        self.seq = seq;
+    pub fn refresh(&mut self, store: &SketchStore<K>) -> Vec<ViewEvent<K>> {
+        self.seq += 1;
         self.watermark = store.version();
         self.update_views(store, |_| true)
     }
@@ -601,12 +639,12 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
     }
 
     /// Recompute every non-cold view selected by `affected`, diffing old
-    /// against new answers into events.
+    /// against new answers into events ([`ViewEvent::between`]).
     fn update_views(
         &mut self,
         store: &SketchStore<K>,
         affected: impl Fn(&ViewDef<K>) -> bool,
-    ) -> Vec<ViewEvent> {
+    ) -> Vec<ViewEvent<K>> {
         let seq = self.seq;
         let mut events = Vec::new();
         let mut recomputes = 0u64;
@@ -621,64 +659,12 @@ impl<K: Eq + Hash + Ord + Clone> ViewSet<K> {
                 view.state = State::Pending;
                 continue;
             };
-            let change = match (&view.state, &answer) {
-                // First materialization: only noteworthy states notify.
-                (State::Pending, ViewAnswer::Scalar { estimate, above }) => {
-                    above.then(|| ViewEvent::ThresholdCrossed {
-                        name: view.def.name.clone(),
-                        above: true,
-                        estimate: *estimate,
-                        now,
-                        seq,
-                    })
-                }
-                (State::Pending, ViewAnswer::Hitters(new)) => {
-                    (!new.is_empty()).then(|| ViewEvent::HittersChanged {
-                        name: view.def.name.clone(),
-                        entered: new.iter().map(|&(item, _)| item).collect(),
-                        left: Vec::new(),
-                        hitters: new.clone(),
-                        now,
-                        seq,
-                    })
-                }
-                (
-                    State::Hot {
-                        answer: ViewAnswer::Scalar { above: was, .. },
-                        ..
-                    },
-                    ViewAnswer::Scalar { estimate, above },
-                ) => (above != was).then(|| ViewEvent::ThresholdCrossed {
-                    name: view.def.name.clone(),
-                    above: *above,
-                    estimate: *estimate,
-                    now,
-                    seq,
-                }),
-                (
-                    State::Hot {
-                        answer: ViewAnswer::Hitters(old),
-                        ..
-                    },
-                    ViewAnswer::Hitters(new),
-                ) => {
-                    let old_items: BTreeSet<u64> = old.iter().map(|&(item, _)| item).collect();
-                    let new_items: BTreeSet<u64> = new.iter().map(|&(item, _)| item).collect();
-                    (old_items != new_items).then(|| ViewEvent::HittersChanged {
-                        name: view.def.name.clone(),
-                        entered: new_items.difference(&old_items).copied().collect(),
-                        left: old_items.difference(&new_items).copied().collect(),
-                        hitters: new.clone(),
-                        now,
-                        seq,
-                    })
-                }
-                // Rankings notify nobody, and a definition cannot
-                // change shape between rounds.
+            let old = match &view.state {
+                State::Hot { answer, .. } => Some(answer),
                 _ => None,
             };
+            events.extend(ViewEvent::between(&view.def.name, old, &answer, now, seq));
             view.state = State::Hot { answer, now };
-            events.extend(change);
         }
         self.maintenance += recomputes;
         events

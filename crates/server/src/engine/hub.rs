@@ -1,20 +1,98 @@
-//! The notification hub: fans standing-view events out to subscribers
-//! over bounded per-subscriber outboxes.
-//!
-//! Shard workers publish already-rendered notification lines here after
-//! every maintenance round. Delivery is strictly non-blocking
-//! (`try_send`): a subscriber that falls behind its outbox depth loses
-//! lines, and the loss is *typed* — before its next successful delivery
-//! the subscriber receives a `{"notify":"dropped","count":N}` marker
-//! accounting for every line it missed. A slow consumer can therefore
-//! never block a shard worker, and can always tell that (and how much)
-//! it missed.
+//! The notification hub: one notifier diffs subscribed views over
+//! published epochs, and the hub fans the changes out to subscribers over
+//! bounded outboxes. Delivery never blocks (`try_send`): a subscriber that
+//! falls behind loses lines, and before its next delivered line gets a
+//! `{"notify":"dropped","count":N}` marker accounting for every one.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
 
+use ecm::{StandingQuery, ViewAnswer, ViewDef, ViewEvent};
+
+use super::router::keyed_readout;
+use super::supervisor::{Fleet, Registry};
+use super::{route, Pinned, ViewsSummary};
 use crate::protocol::response;
+
+/// Notices the notifier may trail by: a publication waits only while
+/// this many are queued, and sends none while nobody subscribes.
+pub(super) const NOTICE_DEPTH: usize = 64;
+
+/// What the notifier is told, in the order it happened.
+pub(super) enum Notice {
+    /// A shard published this epoch.
+    Published(usize, Pinned),
+    /// A shard's worker died; queued before the replacement publishes.
+    Restarted(usize),
+    /// Every worker is joined: the notices before this are the last.
+    Stop,
+}
+
+/// The notifier loop, until [`Notice::Stop`]. It evaluates only views
+/// that have a subscriber: a keyed view on exactly the noticed epoch of
+/// its key's shard, stamped with that epoch's `seq`, and a fleet top-k
+/// view as `VIEW READ` reads it. It keeps one last answer per view and
+/// pushes what [`ViewEvent::between`] reports.
+pub(super) fn notify(fleet: &Fleet, notices: Receiver<Notice>) {
+    // The last answer per watched view, with the definition it answers: a
+    // view that lost its subscribers, or was dropped and re-created under
+    // its name, starts over at the pending rule.
+    let mut last: HashMap<String, (ViewDef<String>, ViewAnswer<String>)> = HashMap::new();
+    while let Ok(notice) = notices.recv() {
+        let shard = match notice {
+            Notice::Stop => return,
+            Notice::Published(shard, _) | Notice::Restarted(shard) => shard,
+        };
+        let defs = fleet
+            .hub
+            .watched(&fleet.views.lock().expect("view registry poisoned"));
+        last.retain(|_, (def, _)| defs.contains(def));
+        let mut pinned = None;
+        for def in &defs {
+            let owner = def.key.as_ref().map(|k| route(k, fleet.slots.len()));
+            let readout = match (&notice, owner) {
+                (Notice::Restarted(_), Some(owner)) if owner == shard => {
+                    fleet
+                        .hub
+                        .publish(&def.name, &response::restarted(&def.name, shard));
+                    continue;
+                }
+                (Notice::Published(_, epoch), Some(owner)) if owner == shard => {
+                    keyed_readout(def, epoch).ok().flatten()
+                }
+                (Notice::Published(..), None) => {
+                    let StandingQuery::TopK { k } = def.query else {
+                        unreachable!("validated: fleet-wide views are top-k")
+                    };
+                    let epochs = pinned.get_or_insert_with(|| {
+                        fleet
+                            .slots
+                            .iter()
+                            .map(|s| s.published.pin())
+                            .collect::<Vec<_>>()
+                    });
+                    fleet.rank_view(epochs, k, def.window)
+                }
+                _ => continue,
+            };
+            fleet.hub.evaluations.fetch_add(1, Ordering::Relaxed);
+            let Some(readout) = readout else {
+                // No data (or a rejected query): pending again.
+                last.remove(&def.name);
+                continue;
+            };
+            let old = last.get(&def.name).map(|(_, answer)| answer);
+            let change =
+                ViewEvent::between(&def.name, old, &readout.answer, readout.now, readout.seq);
+            if let Some(event) = change {
+                fleet.hub.publish(&def.name, &response::view_event(&event));
+            }
+            last.insert(def.name.clone(), (def.clone(), readout.answer));
+        }
+    }
+}
 
 /// One subscriber's state: its view filter, its bounded outbox, and the
 /// count of lines dropped since its last successful delivery.
@@ -26,34 +104,48 @@ struct Subscriber {
     pending_drops: u64,
 }
 
-/// Aggregate hub counters for `STATS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HubStats {
-    /// Live subscribers.
-    pub subscribers: usize,
-    /// Notification lines dropped on full outboxes since startup.
-    pub dropped: u64,
-}
-
 /// The fan-out registry. Cheap to share behind an `Arc`; publishing
 /// takes the lock only long enough to `try_send` (never a blocking
-/// send), so contention between shard workers stays bounded.
+/// send), so a shard worker asking whether anyone subscribes waits on it
+/// only briefly.
 pub struct ViewHub {
     subs: Mutex<HashMap<u64, Subscriber>>,
-    next_id: Mutex<u64>,
-    dropped: Mutex<u64>,
+    next_id: AtomicU64,
+    dropped: AtomicU64,
     outbox_depth: usize,
+    evaluations: AtomicU64,
+    /// The notifier's inbox (see [`notice`](Self::notice)).
+    notices: SyncSender<Notice>,
 }
 
 impl ViewHub {
-    /// A hub whose subscribers each buffer up to `outbox_depth` lines.
-    pub fn new(outbox_depth: usize) -> ViewHub {
-        ViewHub {
+    /// A hub whose subscribers each buffer up to `outbox_depth` lines,
+    /// and the receiving end of its notifier's inbox.
+    pub(super) fn new(outbox_depth: usize) -> (ViewHub, Receiver<Notice>) {
+        let (notices, inbox) = sync_channel(NOTICE_DEPTH);
+        let hub = ViewHub {
             subs: Mutex::new(HashMap::new()),
-            next_id: Mutex::new(0),
-            dropped: Mutex::new(0),
+            next_id: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
             outbox_depth: outbox_depth.max(1),
+            evaluations: AtomicU64::new(0),
+            notices,
+        };
+        (hub, inbox)
+    }
+
+    /// Send the notifier `notice()` while anyone subscribes, and nothing
+    /// otherwise. Waits only while the notifier is [`NOTICE_DEPTH`]
+    /// notices behind; a notifier that is gone has nobody left to tell.
+    pub(super) fn notice(&self, notice: impl FnOnce() -> Notice) {
+        if !self.subs.lock().expect("hub poisoned").is_empty() {
+            let _ = self.notices.send(notice());
         }
+    }
+
+    /// Stop the notifier once it has handled every notice before this one.
+    pub(super) fn stop_notifier(&self) {
+        let _ = self.notices.send(Notice::Stop);
     }
 
     /// Register a subscriber for `view`'s notifications. Returns the
@@ -61,11 +153,7 @@ impl ViewHub {
     /// receiving end of the outbox.
     pub fn subscribe(&self, view: &str) -> (u64, Receiver<String>) {
         let (tx, rx) = sync_channel(self.outbox_depth);
-        let id = {
-            let mut next = self.next_id.lock().expect("hub id poisoned");
-            *next += 1;
-            *next
-        };
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         self.subs.lock().expect("hub poisoned").insert(
             id,
             Subscriber {
@@ -82,21 +170,21 @@ impl ViewHub {
         self.subs.lock().expect("hub poisoned").remove(&id);
     }
 
-    /// Live subscribers of one view (`SUBSCRIBE` answers with it).
-    pub fn subscriber_count(&self, view: &str) -> usize {
-        self.subs
-            .lock()
-            .expect("hub poisoned")
-            .values()
-            .filter(|s| s.view == view)
-            .count()
+    /// The views in `registry` that have a subscriber.
+    fn watched(&self, registry: &Registry) -> Vec<ViewDef<String>> {
+        let subs = self.subs.lock().expect("hub poisoned");
+        let watched = |def: &&ViewDef<String>| subs.values().any(|s| s.view == def.name);
+        registry.values().filter(watched).cloned().collect()
     }
 
-    /// Aggregate counters for `STATS`.
-    pub fn stats(&self) -> HubStats {
-        HubStats {
+    /// The `STATS` views block: the hub's counters, around a registry of
+    /// `registered` views.
+    pub fn summary(&self, registered: usize) -> ViewsSummary {
+        ViewsSummary {
+            registered,
+            maintenance: self.evaluations.load(Ordering::Relaxed),
             subscribers: self.subs.lock().expect("hub poisoned").len(),
-            dropped: *self.dropped.lock().expect("hub drop count poisoned"),
+            dropped: self.dropped.load(Ordering::Relaxed),
         }
     }
 
@@ -136,16 +224,13 @@ impl ViewHub {
                 }
             }
         }
-        drop(subs);
-        if total_dropped > 0 {
-            *self.dropped.lock().expect("hub drop count poisoned") += total_dropped;
-        }
+        self.dropped.fetch_add(total_dropped, Ordering::Relaxed);
     }
 }
 
 impl std::fmt::Debug for ViewHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
+        let stats = self.summary(0);
         f.debug_struct("ViewHub")
             .field("subscribers", &stats.subscribers)
             .field("dropped", &stats.dropped)
@@ -160,19 +245,18 @@ mod tests {
 
     #[test]
     fn publish_reaches_only_matching_subscribers() {
-        let hub = ViewHub::new(8);
+        let (hub, _notices) = ViewHub::new(8);
         let (_ida, rxa) = hub.subscribe("a");
         let (_idb, rxb) = hub.subscribe("b");
         hub.publish("a", "line-1");
         assert_eq!(rxa.try_recv().unwrap(), "line-1");
         assert!(rxb.try_recv().is_err());
-        assert_eq!(hub.subscriber_count("a"), 1);
-        assert_eq!(hub.stats().subscribers, 2);
+        assert_eq!(hub.summary(0).subscribers, 2);
     }
 
     #[test]
     fn slow_subscriber_gets_typed_drop_marker_not_a_stall() {
-        let hub = ViewHub::new(2);
+        let (hub, _notices) = ViewHub::new(2);
         let (_id, rx) = hub.subscribe("v");
         for i in 0..5 {
             hub.publish("v", &format!("line-{i}"));
@@ -181,7 +265,7 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap(), "line-0");
         assert_eq!(rx.try_recv().unwrap(), "line-1");
         assert!(rx.try_recv().is_err());
-        assert_eq!(hub.stats().dropped, 3);
+        assert_eq!(hub.summary(0).dropped, 3);
         // The next publish first accounts for the gap, then delivers.
         hub.publish("v", "line-5");
         let marker = rx.try_recv().unwrap();
@@ -191,13 +275,13 @@ mod tests {
 
     #[test]
     fn unsubscribe_and_evict_remove_subscribers() {
-        let hub = ViewHub::new(4);
+        let (hub, _notices) = ViewHub::new(4);
         let (id, rx) = hub.subscribe("v");
         hub.unsubscribe(id);
         hub.publish("v", "x");
         assert!(rx.try_recv().is_err());
         let (_id2, _rx2) = hub.subscribe("v");
         hub.evict_view("v");
-        assert_eq!(hub.stats().subscribers, 0);
+        assert_eq!(hub.summary(0).subscribers, 0);
     }
 }

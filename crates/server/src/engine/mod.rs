@@ -14,14 +14,19 @@
 //! it acks each write; the router answers point / range / self-join /
 //! heavy-hitter queries, each shard's `TOPK` contribution and every
 //! `VIEW READ` by pinning published epochs, wait-free and without
-//! touching the mailbox. That is the only read path. `STATS`, `SNAPSHOT`,
-//! `FLUSH` and `VIEW CREATE`/`DROP` stay on the mailbox (they report or
-//! change worker-owned state).
+//! touching the mailbox. That is the only read path. `STATS`, `SNAPSHOT`
+//! and `FLUSH` stay on the mailbox (they report or change worker-owned
+//! state).
+//!
+//! **Shards hold no views.** Standing views are a fleet-wide registry
+//! (`VIEW CREATE`/`DROP` edit it, the manifest and the hub, and no
+//! mailbox), and `SUBSCRIBE` pushes come from one notifier that diffs
+//! views over published epochs (see [`ViewHub`]).
 //!
 //! Invariants:
 //! * Same key → always the same shard, so each key's arrival order is the
 //!   per-shard mailbox order and every per-key sketch sees exactly the
-//!   event sequence an in-process [`SketchStore`](ecm::SketchStore) would.
+//!   event sequence an in-process [`SketchStore`] would.
 //!   A published snapshot is a clone of that store (copy-on-write, but
 //!   observably a deep copy), so a served answer is **bit-identical** to
 //!   the library's at the same write clock — the end-to-end and
@@ -44,24 +49,28 @@ mod shard;
 mod supervisor;
 mod wal;
 
-pub use hub::{HubStats, ViewHub};
+pub use hub::ViewHub;
 pub use router::{
     Engine, EngineError, IngestAck, ServedAnswer, SnapshotReport, MAX_INGEST_OCCURRENCES,
 };
 
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
-use ecm::{StreamEvent, ViewDef};
+use ecm::{Epoch, SketchStore, StreamEvent};
+
+/// A shard's published epoch, pinned.
+type Pinned = Arc<Epoch<SketchStore<String>>>;
 
 /// Fleet-wide standing-view counters for `STATS`: the registry size, the
-/// summed per-shard maintenance cost, and the hub's subscriber numbers.
+/// notifier's evaluations, and the hub's subscriber numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ViewsSummary {
     /// Views in the engine registry.
     pub registered: usize,
-    /// Per-view recomputations on the maintenance path since startup,
-    /// summed over shards.
+    /// View evaluations the notifier has run since startup (none while
+    /// nobody subscribes).
     pub maintenance: u64,
     /// Live subscribers.
     pub subscribers: usize,
@@ -107,11 +116,6 @@ pub struct ShardStats {
     pub wal_segments: u64,
     /// WAL compactions folded into full checkpoints since startup.
     pub compactions: u64,
-    /// Standing views registered on this shard.
-    pub views: usize,
-    /// Per-view recomputations this shard's maintenance path has run
-    /// since startup.
-    pub view_maintenance: u64,
 }
 
 /// Supervision state of one shard, always reportable — even while the
@@ -135,11 +139,11 @@ pub struct ShardHealth {
     pub published_reads: u64,
     /// Time queries whose `now` was behind the key's write clock.
     pub behind_clock: u64,
-    /// Sketches `TOPK` requests and fleet view reads had to score on
-    /// this shard; a read answered from the ranking memo scores none. A
-    /// ranking scores a few more than `k` while the arrivals bounds
-    /// prune, none of the keys silent for longer than its window, and up
-    /// to every other resident key once their bounds have gone stale.
+    /// Sketches `TOPK` requests and fleet view reads (the notifier's too)
+    /// had to score on this shard; a memo hit scores none. A ranking
+    /// scores a few more than `k` while the arrivals bounds prune, at
+    /// most `k` once every key is silent for longer than the window, and
+    /// up to every key whose bound went stale within the window.
     pub ranked_sketches: u64,
 }
 
@@ -191,24 +195,6 @@ pub enum ShardMsg {
         /// Where the worker reports bytes written or the error.
         reply: Sender<ShardReply>,
     },
-    /// Register a keyed standing view on the key's owning shard, which
-    /// materializes it at once and pushes its changes to subscribers.
-    /// Idempotent: a definition of the same name is replaced. Fleet-wide
-    /// views live on no shard.
-    ViewCreate {
-        /// The validated definition.
-        def: ViewDef<String>,
-        /// Where the worker acks.
-        reply: Sender<ShardReply>,
-    },
-    /// Drop a standing view from this shard's registry (a no-op when it is
-    /// not there).
-    ViewDrop {
-        /// The view name.
-        name: String,
-        /// Where the worker acks.
-        reply: Sender<ShardReply>,
-    },
     /// Drain, write a final full checkpoint when a snapshot dir is
     /// configured, ack, and exit the worker thread.
     Shutdown {
@@ -247,8 +233,6 @@ pub enum ShardReply {
     },
     /// Checkpoint failed (I/O or encoding).
     SnapshotError(String),
-    /// `ViewCreate` / `ViewDrop` applied on this shard.
-    ViewOk,
     /// `Shutdown` complete (final checkpoint written if configured).
     Stopped {
         /// Error from the final checkpoint, if one was attempted and

@@ -4,23 +4,25 @@
 //! spawn, crash detection, respawn — lives in
 //! [`supervisor`](super::supervisor).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ecm::{
     Epoch, QueryError, Ranking, SketchStore, SpecError, StandingQuery, StreamEvent, ViewAnswer,
-    ViewDef, ViewError, ViewReadout, WindowSpec,
+    ViewDef, ViewError, ViewReadout, ViewWindow, WindowSpec,
 };
 
-use super::hub::ViewHub;
+use super::hub::{self, ViewHub};
 use super::manifest::{read_manifest, write_manifest, MANIFEST};
-use super::supervisor::{self, Fleet, SlotState};
-use super::{route, RankMemoStats, ShardMsg, ShardReply, ShardStats, ShardStatus, ViewsSummary};
+use super::supervisor::{self, Fleet, Registry, SlotState};
+use super::{
+    route, Pinned, RankMemoStats, ShardMsg, ShardReply, ShardStats, ShardStatus, ViewsSummary,
+};
 use crate::config::ServerConfig;
 use crate::fault::FaultPlan;
 use crate::protocol::{parse_view_def, wire_view_def, OwnedQuery};
@@ -260,14 +262,14 @@ type Rows = Arc<[(String, f64)]>;
 /// inserts only `try_lock`, so a contended reader ranks uncached instead
 /// of waiting: reads stay wait-free. Computed on a miss, never on a write
 /// (Noria's read-side materialization, without its write-side upkeep).
-struct RankMemo {
+pub(super) struct RankMemo {
     entries: Mutex<VecDeque<(RankKey, Rows)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl RankMemo {
-    fn new() -> RankMemo {
+    pub(super) fn new() -> RankMemo {
         RankMemo {
             entries: Mutex::new(VecDeque::with_capacity(RANK_MEMO_ENTRIES)),
             hits: AtomicU64::new(0),
@@ -304,16 +306,16 @@ impl RankMemo {
 /// The sharded serving engine. Cheap to share behind an `Arc`; every
 /// method takes `&self`.
 ///
-/// The engine owns only the pieces of the fleet the supervisor must not:
-/// the supervisor thread's handle and stop flag, and the fleet ranking
-/// memo, which only reads touch. Everything the router and supervisor
-/// share — shard slots, the shutdown gate, the view registry, the hub —
-/// lives in the `Fleet`.
+/// The engine owns only the pieces of the fleet its threads must not: the
+/// supervisor thread's handle and stop flag, and the notifier thread's
+/// handle. Everything the router, the supervisor and the notifier share —
+/// shard slots, the shutdown gate, the view registry, the hub, the
+/// ranking memo — lives in the `Fleet`.
 pub struct Engine {
     fleet: Arc<Fleet>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
     supervisor_stop: Arc<AtomicBool>,
-    rank_memo: RankMemo,
+    notifier: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Engine {
@@ -351,7 +353,7 @@ impl Engine {
             .snapshot_dir
             .as_deref()
             .filter(|dir| dir.join(MANIFEST).exists());
-        let mut restored_views: BTreeMap<String, ViewDef<String>> = BTreeMap::new();
+        let mut restored_views = Registry::new();
         if let Some(dir) = restore_from {
             let (manifest, view_defs) = read_manifest(dir)?;
             if manifest != cfg.shards {
@@ -388,13 +390,13 @@ impl Engine {
             Some(text) => FaultPlan::parse(text).map_err(EngineError::FaultPlan)?,
             None => FaultPlan::default(),
         };
-        let hub = Arc::new(ViewHub::new(cfg.subscriber_outbox));
         let (exit_tx, exit_rx) = channel();
-        let fleet = Arc::new(Fleet::new(cfg, restored_views, hub, exit_tx, faults));
+        let (fleet, notices) = Fleet::new(cfg, restored_views, exit_tx, faults);
+        let fleet = Arc::new(fleet);
         for shard in 0..cfg.shards {
-            let (store, wal, views) =
+            let (store, wal) =
                 supervisor::recover_shard(&fleet, shard).map_err(EngineError::Restore)?;
-            supervisor::spawn_worker(&fleet, shard, store, wal, views);
+            supervisor::spawn_worker(&fleet, shard, store, wal);
         }
         let supervisor_stop = Arc::new(AtomicBool::new(false));
         let sup_fleet = Arc::clone(&fleet);
@@ -403,11 +405,16 @@ impl Engine {
             .name("sketchd-supervisor".to_string())
             .spawn(move || supervisor::supervise(sup_fleet, exit_rx, sup_stop))
             .expect("spawn supervisor");
+        let notifier_fleet = Arc::clone(&fleet);
+        let notifier = std::thread::Builder::new()
+            .name("sketchd-notifier".to_string())
+            .spawn(move || hub::notify(&notifier_fleet, notices))
+            .expect("spawn notifier");
         Ok(Engine {
             fleet,
             supervisor: Mutex::new(Some(supervisor)),
             supervisor_stop,
-            rank_memo: RankMemo::new(),
+            notifier: Mutex::new(Some(notifier)),
         })
     }
 
@@ -559,7 +566,7 @@ impl Engine {
     ) -> Result<ServedAnswer, EngineError> {
         let shard = route(key, self.fleet.slots.len());
         let epoch = self.pin(shard)?;
-        let sketch = epoch.value.get(&key.to_string());
+        let sketch = epoch.value.get(key);
         if let (Some(s), WindowSpec::Time { now, .. }) = (sketch, window) {
             if now < s.write_clock() {
                 self.fleet.slots[shard]
@@ -593,11 +600,11 @@ impl Engine {
     /// As [`query_served`](Engine::query_served).
     pub fn top_k(&self, k: usize, window: WindowSpec) -> Result<Vec<(String, f64)>, EngineError> {
         let epochs = self.pin_all()?;
-        Ok(self.ranked(&epochs, k, window).to_vec())
+        Ok(self.fleet.ranked(&epochs, k, window).to_vec())
     }
 
     /// Pin one shard's published epoch for a read, counting it.
-    fn pin(&self, shard: usize) -> Result<Arc<Epoch<SketchStore<String>>>, EngineError> {
+    fn pin(&self, shard: usize) -> Result<Pinned, EngineError> {
         if *self.fleet.down.read().expect("gate poisoned") {
             return Err(EngineError::ShuttingDown);
         }
@@ -607,53 +614,17 @@ impl Engine {
     }
 
     /// Pin every shard's published epoch, in shard order.
-    fn pin_all(&self) -> Result<Vec<Arc<Epoch<SketchStore<String>>>>, EngineError> {
+    fn pin_all(&self) -> Result<Vec<Pinned>, EngineError> {
         (0..self.fleet.slots.len()).map(|s| self.pin(s)).collect()
-    }
-
-    /// The fleet ranking of [`top_k`](Engine::top_k) and fleet view reads
-    /// over the pinned `epochs`: from the memo when these epochs were
-    /// ranked for `k` and `window` before, else [`rank`](Engine::rank)ed.
-    fn ranked(
-        &self,
-        epochs: &[Arc<Epoch<SketchStore<String>>>],
-        k: usize,
-        window: WindowSpec,
-    ) -> Rows {
-        let key = RankKey {
-            k,
-            window,
-            seqs: epochs.iter().map(|e| e.seq).collect(),
-        };
-        self.rank_memo
-            .get_or_rank(key, || self.rank(epochs, k, window))
-    }
-
-    /// Rank the pinned `epochs` uncached: thread one [`Ranking`] through
-    /// them, counting each shard's scored sketches.
-    fn rank(
-        &self,
-        epochs: &[Arc<Epoch<SketchStore<String>>>],
-        k: usize,
-        window: WindowSpec,
-    ) -> Vec<(String, f64)> {
-        let mut ranking = Ranking::new(k);
-        for (slot, epoch) in self.fleet.slots.iter().zip(epochs) {
-            let scored = epoch
-                .value
-                .rank_into(&mut ranking, &ecm::Query::total_arrivals(), window);
-            slot.ranked_sketches
-                .fetch_add(scored as u64, Ordering::Relaxed);
-        }
-        ranking.into_owned()
     }
 
     /// The fleet ranking memo's hit and miss counts since startup, for
     /// `STATS`.
     pub fn rank_memo_stats(&self) -> RankMemoStats {
+        let memo = &self.fleet.rank_memo;
         RankMemoStats {
-            hits: self.rank_memo.hits.load(Ordering::Relaxed),
-            misses: self.rank_memo.misses.load(Ordering::Relaxed),
+            hits: memo.hits.load(Ordering::Relaxed),
+            misses: memo.misses.load(Ordering::Relaxed),
         }
     }
 
@@ -692,20 +663,37 @@ impl Engine {
         }
     }
 
-    /// The notification hub (the front-end's `SUBSCRIBE` handler attaches
-    /// subscribers here).
+    /// The notification hub, whose outboxes carry every push.
     pub fn hub(&self) -> &Arc<ViewHub> {
         &self.fleet.hub
     }
 
-    /// Register a standing view: validate, route a keyed definition to
-    /// its owning shard (a fleet-wide top-k view lives in the registry
-    /// only), record it in the registry once the shard acked, and — when
-    /// durable — persist it to the manifest so it survives `kill -9`.
+    /// Subscribe to a registered view's pushes: the subscription id (for
+    /// [`ViewHub::unsubscribe`]) and the outbox. The lookup and the
+    /// registration hold the registry lock [`view_drop`](Engine::view_drop)
+    /// evicts under, so no subscriber outlives its view.
+    ///
+    /// # Errors
+    /// [`View`](EngineError::View) ([`Unknown`](ViewError::Unknown)) when
+    /// no view of that name exists.
+    pub fn subscribe(&self, view: &str) -> Result<(u64, Receiver<String>), EngineError> {
+        let registry = self.registry();
+        if !registry.contains_key(view) {
+            return Err(EngineError::View(ViewError::Unknown {
+                name: view.to_string(),
+            }));
+        }
+        Ok(self.fleet.hub.subscribe(view))
+    }
+
+    /// Register a standing view: validate, record it in the registry,
+    /// and — when durable — persist it to the manifest so it survives
+    /// `kill -9`. No shard is involved: reads evaluate published epochs,
+    /// and the notifier pushes from them.
     ///
     /// # Errors
     /// [`View`](EngineError::View) (invalid or duplicate definition), or
-    /// the routing errors of [`flush`](Engine::flush).
+    /// a manifest write failure.
     pub fn view_create(&self, def: ViewDef<String>) -> Result<(), EngineError> {
         def.validate().map_err(EngineError::View)?;
         // Names and keys must survive the wire/manifest round trip, which
@@ -721,56 +709,31 @@ impl Engine {
                 }));
             }
         }
-        let mut registry = self.fleet.views.lock().expect("view registry poisoned");
+        let mut registry = self.registry();
         if registry.contains_key(&def.name) {
             return Err(EngineError::View(ViewError::Duplicate {
                 name: def.name.clone(),
             }));
         }
-        if let Some(shard) = self.view_shard(&def) {
-            let def = def.clone();
-            self.view_request(shard, |reply| ShardMsg::ViewCreate { def, reply })?;
-        }
         registry.insert(def.name.clone(), def);
         self.persist_views(&registry)
     }
 
-    /// Drop a standing view everywhere: owning shard first (when it cannot
-    /// be reached, nothing changes), then registry, its subscribers (their
-    /// streams end), and the durable manifest.
+    /// Drop a standing view: remove it from the registry, end its
+    /// subscribers' streams, and re-write the durable manifest.
     ///
     /// # Errors
-    /// [`View`](EngineError::View) when no view of that name exists, or
-    /// the routing errors of [`flush`](Engine::flush).
+    /// [`View`](EngineError::View) when no view of that name exists, or a
+    /// manifest write failure.
     pub fn view_drop(&self, name: &str) -> Result<(), EngineError> {
-        let mut registry = self.fleet.views.lock().expect("view registry poisoned");
-        let def = registry.get(name).ok_or_else(|| {
-            EngineError::View(ViewError::Unknown {
+        let mut registry = self.registry();
+        if registry.remove(name).is_none() {
+            return Err(EngineError::View(ViewError::Unknown {
                 name: name.to_string(),
-            })
-        })?;
-        if let Some(shard) = self.view_shard(def) {
-            let name = name.to_string();
-            self.view_request(shard, |reply| ShardMsg::ViewDrop { name, reply })?;
+            }));
         }
-        registry.remove(name);
         self.fleet.hub.evict_view(name);
         self.persist_views(&registry)
-    }
-
-    /// Send a view create/drop to its owning shard and wait for the ack;
-    /// the shard applies both idempotently, so a lost ack is retryable.
-    fn view_request(
-        &self,
-        shard: usize,
-        make: impl FnOnce(std::sync::mpsc::Sender<ShardReply>) -> ShardMsg,
-    ) -> Result<(), EngineError> {
-        let (tx, rx) = channel();
-        self.request(shard, make(tx))?;
-        match self.collect(shard, &rx)? {
-            ShardReply::ViewOk => Ok(()),
-            _ => Err(EngineError::ShardDied { shard }),
-        }
     }
 
     /// Read a standing view's current answer wait-free from published
@@ -789,86 +752,39 @@ impl Engine {
     /// view: every shard) has never been written — or
     /// [`ShuttingDown`](EngineError::ShuttingDown).
     pub fn view_read(&self, name: &str) -> Result<ViewReadout<String>, EngineError> {
-        let def = self
-            .fleet
-            .views
-            .lock()
-            .expect("view registry poisoned")
-            .get(name)
-            .cloned()
-            .ok_or_else(|| {
-                EngineError::View(ViewError::Unknown {
-                    name: name.to_string(),
-                })
-            })?;
+        let def = self.registry().get(name).cloned().ok_or_else(|| {
+            EngineError::View(ViewError::Unknown {
+                name: name.to_string(),
+            })
+        })?;
         let no_data = || {
             EngineError::View(ViewError::NoData {
                 name: name.to_string(),
             })
         };
-        if let Some(shard) = self.view_shard(&def) {
-            let epoch = self.pin(shard)?;
-            let (answer, now) = def
-                .evaluate(&epoch.value)
+        if let Some(key) = &def.key {
+            let epoch = self.pin(route(key, self.fleet.slots.len()))?;
+            return keyed_readout(&def, &epoch)
                 .map_err(EngineError::View)?
-                .ok_or_else(no_data)?;
-            return Ok(ViewReadout {
-                answer,
-                now,
-                seq: epoch.seq,
-            });
+                .ok_or_else(no_data);
         }
         let StandingQuery::TopK { k } = def.query else {
             unreachable!("validated: fleet-wide views are top-k")
         };
         let epochs = self.pin_all()?;
-        if epochs.iter().all(|e| e.value.is_empty()) {
-            return Err(no_data());
-        }
-        let now = epochs.iter().map(|e| e.clock).max().unwrap_or(0);
-        Ok(ViewReadout {
-            answer: ViewAnswer::Ranking(self.ranked(&epochs, k, def.window.resolve(now)).to_vec()),
-            now,
-            seq: epochs.iter().map(|e| e.seq).sum(),
-        })
+        self.fleet
+            .rank_view(&epochs, k, def.window)
+            .ok_or_else(no_data)
     }
 
     /// Registered definitions, in name order.
     pub fn view_list(&self) -> Vec<ViewDef<String>> {
-        self.fleet
-            .views
-            .lock()
-            .expect("view registry poisoned")
-            .values()
-            .cloned()
-            .collect()
+        self.registry().values().cloned().collect()
     }
 
-    /// The fleet-wide standing-view counters for `STATS`, combining the
-    /// registry, the per-shard maintenance totals (shards whose worker
-    /// could not answer contribute nothing), and the hub.
-    pub fn views_summary(&self, rows: &[ShardStatus]) -> ViewsSummary {
-        let hub = self.fleet.hub.stats();
-        ViewsSummary {
-            registered: self
-                .fleet
-                .views
-                .lock()
-                .expect("view registry poisoned")
-                .len(),
-            maintenance: rows
-                .iter()
-                .filter_map(|r| r.stats)
-                .map(|s| s.view_maintenance)
-                .sum(),
-            subscribers: hub.subscribers,
-            dropped: hub.dropped,
-        }
-    }
-
-    /// The shard a keyed definition lives on; shards hold no fleet view.
-    fn view_shard(&self, def: &ViewDef<String>) -> Option<usize> {
-        def.key.as_ref().map(|k| route(k, self.fleet.slots.len()))
+    /// The fleet-wide standing-view counters for `STATS`.
+    pub fn views_summary(&self) -> ViewsSummary {
+        self.fleet.hub.summary(self.registry().len())
     }
 
     /// Re-write the manifest with the current view set — only when the
@@ -876,20 +792,18 @@ impl Engine {
     /// step). Non-durable engines persist views at `SNAPSHOT` / shutdown,
     /// when the manifest is written next to the checkpoint files it
     /// belongs with.
-    fn persist_views(
-        &self,
-        registry: &BTreeMap<String, ViewDef<String>>,
-    ) -> Result<(), EngineError> {
-        let Some(wal_cfg) = self.fleet.wal_cfg else {
-            return Ok(());
-        };
-        let dir = self
-            .fleet
-            .snapshot_dir
-            .as_deref()
-            .expect("durable has a dir");
+    fn persist_views(&self, registry: &Registry) -> Result<(), EngineError> {
+        match (self.fleet.wal_cfg, &self.fleet.snapshot_dir) {
+            (Some(_), Some(dir)) => self.write_manifest(dir, registry),
+            _ => Ok(()),
+        }
+    }
+
+    /// Write the manifest — the shard layout and `registry` — into `dir`.
+    fn write_manifest(&self, dir: &Path, registry: &Registry) -> Result<(), EngineError> {
         let wire: Vec<String> = registry.values().map(wire_view_def).collect();
-        write_manifest(dir, self.fleet.slots.len(), &wire, wal_cfg.fsync)
+        let fsync = self.fleet.wal_cfg.is_some_and(|w| w.fsync);
+        write_manifest(dir, self.fleet.slots.len(), &wire, fsync)
     }
 
     /// Advance every shard's stream clock to `ts` with no arrivals.
@@ -930,8 +844,7 @@ impl Engine {
                 _ => return Err(EngineError::ShardDied { shard }),
             }
         }
-        let fsync = self.fleet.wal_cfg.is_some_and(|w| w.fsync);
-        write_manifest(dir, self.fleet.slots.len(), &self.wire_views(), fsync)?;
+        self.write_manifest(dir, &self.registry())?;
         Ok(SnapshotReport {
             dir: dir.display().to_string(),
             shards: self.fleet.slots.len(),
@@ -991,10 +904,16 @@ impl Engine {
                 let _ = handle.join();
             }
         }
+        // No worker is left to publish: the notifier drains the notices
+        // queued so far, then stops.
+        self.fleet.hub.stop_notifier();
+        let notifier = self.notifier.lock().expect("notifier poisoned").take();
+        if let Some(handle) = notifier {
+            let _ = handle.join();
+        }
         if snapshot_error.is_none() {
             if let Some(dir) = &self.fleet.snapshot_dir {
-                let fsync = self.fleet.wal_cfg.is_some_and(|w| w.fsync);
-                write_manifest(dir, self.fleet.slots.len(), &self.wire_views(), fsync)?;
+                self.write_manifest(dir, &self.registry())?;
             }
         }
         match snapshot_error {
@@ -1127,15 +1046,74 @@ impl Engine {
         }
     }
 
-    /// The registry in persisted (wire) form.
-    fn wire_views(&self) -> Vec<String> {
-        self.fleet
-            .views
-            .lock()
-            .expect("view registry poisoned")
-            .values()
-            .map(wire_view_def)
-            .collect()
+    /// The view registry, locked.
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.fleet.views.lock().expect("view registry poisoned")
+    }
+}
+
+/// A keyed view's readout on its shard's pinned `epoch`, stamped with the
+/// epoch's `seq`; `None` while the key has no sketch. `VIEW READ` and the
+/// notifier both read keyed views through it.
+pub(super) fn keyed_readout(
+    def: &ViewDef<String>,
+    epoch: &Epoch<SketchStore<String>>,
+) -> Result<Option<ViewReadout<String>>, ViewError> {
+    let readout = def.evaluate(&epoch.value)?;
+    Ok(readout.map(|(answer, now)| ViewReadout {
+        answer,
+        now,
+        seq: epoch.seq,
+    }))
+}
+
+/// The fleet rankings, shared by the router's reads and the notifier.
+impl Fleet {
+    /// The fleet ranking of [`top_k`](Engine::top_k) and fleet view reads
+    /// over the pinned `epochs`: from the memo when these epochs were
+    /// ranked for `k` and `window` before, else [`rank`](Fleet::rank)ed.
+    fn ranked(&self, epochs: &[Pinned], k: usize, window: WindowSpec) -> Rows {
+        let key = RankKey {
+            k,
+            window,
+            seqs: epochs.iter().map(|e| e.seq).collect(),
+        };
+        self.rank_memo
+            .get_or_rank(key, || self.rank(epochs, k, window))
+    }
+
+    /// Rank the pinned `epochs` uncached: thread one [`Ranking`] through
+    /// them, counting each shard's scored sketches.
+    fn rank(&self, epochs: &[Pinned], k: usize, window: WindowSpec) -> Vec<(String, f64)> {
+        let mut ranking = Ranking::new(k);
+        for (slot, epoch) in self.slots.iter().zip(epochs) {
+            let scored = epoch
+                .value
+                .rank_into(&mut ranking, &ecm::Query::total_arrivals(), window);
+            slot.ranked_sketches
+                .fetch_add(scored as u64, Ordering::Relaxed);
+        }
+        ranking.into_owned()
+    }
+
+    /// A fleet top-k view's readout over the pinned `epochs`: ranked at
+    /// the fleet clock (the largest epoch clock) and stamped with the sum
+    /// of the epochs' `seq`s; `None` while every store is empty.
+    pub(super) fn rank_view(
+        &self,
+        epochs: &[Pinned],
+        k: usize,
+        window: ViewWindow,
+    ) -> Option<ViewReadout<String>> {
+        if epochs.iter().all(|e| e.value.is_empty()) {
+            return None;
+        }
+        let now = epochs.iter().map(|e| e.clock).max().unwrap_or(0);
+        Some(ViewReadout {
+            answer: ViewAnswer::Ranking(self.ranked(epochs, k, window.resolve(now)).to_vec()),
+            now,
+            seq: epochs.iter().map(|e| e.seq).sum(),
+        })
     }
 }
 
@@ -1201,10 +1179,10 @@ mod tests {
                             2 => (5, WindowSpec::time(now, 500)),
                             _ => (1 + (calls % 12) as usize, WindowSpec::time(now, 2_000)),
                         };
-                        let memoized = engine.ranked(&epochs, k, window);
+                        let memoized = engine.fleet.ranked(&epochs, k, window);
                         assert_eq!(
                             memoized[..],
-                            engine.rank(&epochs, k, window)[..],
+                            engine.fleet.rank(&epochs, k, window)[..],
                             "reader {reader} call {calls}: k {k} over {window:?}"
                         );
                         calls += 1;

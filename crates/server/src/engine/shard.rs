@@ -5,14 +5,13 @@ use std::path::Path;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use ecm::{Epoch, LeftRight, SketchStore, SnapshotError, ViewDef, ViewEvent, ViewSet};
+use ecm::{Epoch, LeftRight, SketchStore, SnapshotError};
 
-use super::hub::ViewHub;
+use super::hub::{Notice, ViewHub};
 use super::supervisor::ShardGauge;
 use super::wal::{write_atomic, ShardWal};
 use super::{ShardMsg, ShardReply, ShardStats};
 use crate::fault::{FaultHook, FaultSite};
-use crate::protocol::response;
 
 /// Name of shard `i`'s full-checkpoint file inside a snapshot directory.
 pub(super) fn full_file(shard: usize) -> String {
@@ -30,10 +29,12 @@ pub(super) fn full_file(shard: usize) -> String {
 /// is affordable because a store clone is a map of shared pointers: only
 /// the keys the batch wrote were copied.
 pub(super) struct Publisher {
+    shard: usize,
     lr: Arc<LeftRight<SketchStore<String>>>,
     /// The shard's write clock (maximum applied tick) — the consistency
     /// point stamped onto every query response.
     clock: u64,
+    hub: Arc<ViewHub>,
 }
 
 impl Publisher {
@@ -41,28 +42,35 @@ impl Publisher {
     /// this worker incarnation, with the clock read off its sketches, so
     /// reads see the rebuilt state before the mailbox reopens.
     pub(super) fn start(
+        shard: usize,
         lr: Arc<LeftRight<SketchStore<String>>>,
         store: &SketchStore<String>,
+        hub: Arc<ViewHub>,
     ) -> Publisher {
         let clock = store
             .iter()
             .map(|(_, s)| s.write_clock())
             .max()
             .unwrap_or(0);
-        let mut publisher = Publisher { lr, clock };
+        let mut publisher = Publisher {
+            shard,
+            lr,
+            clock,
+            hub,
+        };
         publisher.publish(store, clock);
         publisher
     }
 
     /// Publish a snapshot of `store`, whose latest write was at tick
-    /// `ts`, returning the pinned epoch (so maintenance can read exactly
-    /// what readers will).
-    fn publish(&mut self, store: &SketchStore<String>, ts: u64) -> Arc<Epoch<SketchStore<String>>> {
+    /// `ts`, and send the notifier the epoch while anyone subscribes.
+    fn publish(&mut self, store: &SketchStore<String>, ts: u64) {
         self.clock = self.clock.max(ts);
         // `LeftRight::publish` assigns the sequence number.
         self.lr
             .publish(Epoch::initial(store.clone(), self.clock, store.version()));
-        self.lr.pin()
+        self.hub
+            .notice(|| Notice::Published(self.shard, self.lr.pin()));
     }
 
     /// Finish a write message that `store` already holds: publish, then
@@ -73,26 +81,15 @@ impl Publisher {
         ts: u64,
         reply: &Sender<ShardReply>,
         ack: ShardReply,
-    ) -> Arc<Epoch<SketchStore<String>>> {
-        let epoch = self.publish(store, ts);
+    ) {
+        self.publish(store, ts);
         let _ = reply.send(ack);
-        epoch
-    }
-}
-
-/// Publish maintenance events to the hub.
-fn publish(hub: &ViewHub, events: &[ViewEvent]) {
-    for event in events {
-        hub.publish(event.view(), &response::view_event(event));
     }
 }
 
 /// The worker loop. Runs until the mailbox disconnects or a `Shutdown` /
 /// `Exit` message arrives; replies are best-effort (a requester that hung
-/// up is not an error). `restored_views` (present when restoring or
-/// respawning) are registered and eagerly rematerialized from the
-/// restored sketches before the first message. They serve no reads, and
-/// only diff answers into `SUBSCRIBE` pushes.
+/// up is not an error).
 ///
 /// Returns `true` for a clean end (drained `Shutdown`, or the engine
 /// dropped the mailbox) and `false` for a crash-shaped [`ShardMsg::Exit`]
@@ -104,8 +101,6 @@ pub(super) fn run(
     rx: Receiver<ShardMsg>,
     snapshot_dir: Option<std::path::PathBuf>,
     mut wal: Option<ShardWal>,
-    hub: Arc<ViewHub>,
-    restored_views: Vec<ViewDef<String>>,
     gauge: Arc<ShardGauge>,
     mut faults: FaultHook,
     mut publisher: Publisher,
@@ -113,14 +108,6 @@ pub(super) fn run(
     let mut ingested: u64 = 0;
     let mut ingest_runs: u64 = 0;
     let mut stale: u64 = 0;
-    let mut views: ViewSet<String> = ViewSet::new();
-    for def in restored_views {
-        // The engine validated and de-duplicated these when they were
-        // first created; a failure here would mean a corrupt manifest,
-        // which the router rejects before spawning workers.
-        let _ = views.create(def);
-    }
-    views.rebuild(&store);
     while let Ok(msg) = rx.recv() {
         gauge.note_dequeue();
         match msg {
@@ -154,11 +141,7 @@ pub(super) fn run(
                             events,
                             stale: refused,
                         };
-                        // Maintenance reads the just-published epoch, and
-                        // stamps pushes with its `seq`, as readers do — and
-                        // runs behind the ack.
-                        let epoch = publisher.commit(&store, latest, &reply, ack);
-                        publish(&hub, &views.maintain_at(&epoch.value, epoch.seq));
+                        publisher.commit(&store, latest, &reply, ack);
                         if let Some(w) = &mut wal {
                             if w.needs_compaction() {
                                 if let Some(dir) = &snapshot_dir {
@@ -180,7 +163,6 @@ pub(super) fn run(
                 }
             }
             ShardMsg::Stats { reply } => {
-                let view_stats = views.stats();
                 let _ = reply.send(ShardReply::Stats(ShardStats {
                     shard,
                     keys: store.key_count(),
@@ -192,30 +174,11 @@ pub(super) fn run(
                     wal_bytes: wal.as_ref().map_or(0, ShardWal::total_bytes),
                     wal_segments: wal.as_ref().map_or(0, ShardWal::segments),
                     compactions: wal.as_ref().map_or(0, ShardWal::compactions),
-                    views: view_stats.views,
-                    view_maintenance: view_stats.maintenance,
                 }));
             }
             ShardMsg::Flush { ts, reply } => {
                 store.advance_to(ts);
-                // A clock advance writes no key, so the dirty-key
-                // watermark sees nothing; every view re-evaluates against
-                // the published epoch instead.
-                let epoch = publisher.commit(&store, ts, &reply, ShardReply::Flushed);
-                publish(&hub, &views.refresh_at(&epoch.value, epoch.seq));
-            }
-            ShardMsg::ViewCreate { def, reply } => {
-                // Replace (a retried create cannot fail), then materialize
-                // so maintenance diffs it from the next publication on.
-                let name = def.name.clone();
-                views.drop_view(&name);
-                let _ = views.create(def);
-                let _ = views.read(&name, &store);
-                let _ = reply.send(ShardReply::ViewOk);
-            }
-            ShardMsg::ViewDrop { name, reply } => {
-                views.drop_view(&name);
-                let _ = reply.send(ShardReply::ViewOk);
+                publisher.commit(&store, ts, &reply, ShardReply::Flushed);
             }
             ShardMsg::Snapshot { dir, reply } => {
                 // A checkpoint into the WAL's own directory compacts the log

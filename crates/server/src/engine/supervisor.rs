@@ -1,7 +1,7 @@
 //! The shard supervisor: detects a dead or wedged worker, quarantines its
 //! mailbox, and respawns it through the crash-recovery path — restore the
-//! latest checkpoint, replay the WAL tail, re-register the shard's
-//! standing views — without losing the other N−1 shards.
+//! latest checkpoint, replay the WAL tail, tell the notifier — without
+//! losing the other N−1 shards.
 //!
 //! Every worker thread carries an [`ExitGuard`] whose `Drop` posts an
 //! [`ExitNotice`] to the supervisor thread, so a panic anywhere in the
@@ -30,14 +30,14 @@ use std::time::{Duration, Instant};
 
 use ecm::{Epoch, LeftRight, SketchSpec, SketchStore, ViewDef};
 
-use super::hub::ViewHub;
+use super::hub::{Notice, ViewHub};
 use super::manifest::MANIFEST;
+use super::router::RankMemo;
 use super::shard;
 use super::wal::{ShardWal, WalConfig};
-use super::{route, ShardHealth, ShardMsg};
+use super::{ShardHealth, ShardMsg};
 use crate::config::ServerConfig;
 use crate::fault::{FaultHook, FaultPlan};
-use crate::protocol::response;
 
 /// Salt decorrelating a worker's fault hook from its WAL's (both belong
 /// to the same shard and must not share a random stream).
@@ -202,9 +202,12 @@ pub(super) struct ExitNotice {
     pub(super) clean: bool,
 }
 
-/// Everything the router and the supervisor share about the fleet. Lives
-/// behind one `Arc`; the supervisor thread holds a clone, so nothing here
-/// may own that thread's `JoinHandle` (the engine does).
+/// The standing views by name.
+pub(super) type Registry = BTreeMap<String, ViewDef<String>>;
+
+/// Everything the router, the supervisor and the notifier share about the
+/// fleet. Lives behind one `Arc`; the supervisor and notifier threads hold
+/// clones, so nothing here may own their `JoinHandle`s (the engine does).
 pub(super) struct Fleet {
     pub(super) slots: Vec<ShardSlot>,
     /// Ingest/shutdown gate (see [`Engine`](super::Engine)).
@@ -218,8 +221,13 @@ pub(super) struct Fleet {
     pub(super) request_timeout: Duration,
     pub(super) health_deadline: Duration,
     pub(super) item_limit: Option<u64>,
-    pub(super) views: Mutex<BTreeMap<String, ViewDef<String>>>,
+    /// The standing-view registry. `SUBSCRIBE` registers with the hub
+    /// under its lock, and `VIEW DROP` evicts under it, so no subscriber
+    /// outlives its view.
+    pub(super) views: Mutex<Registry>,
     pub(super) hub: Arc<ViewHub>,
+    /// Fleet rankings of `TOPK`, fleet view reads and the notifier.
+    pub(super) rank_memo: RankMemo,
     /// Cloned into every worker's exit guard; the fleet's own copy keeps
     /// the channel alive across respawns.
     pub(super) exit_tx: Sender<ExitNotice>,
@@ -227,17 +235,18 @@ pub(super) struct Fleet {
 }
 
 impl Fleet {
-    /// An empty fleet skeleton; the router calls [`recover_shard`] and
-    /// [`spawn_worker`] per shard, then starts the supervisor.
+    /// An empty fleet skeleton and the receiving end of its notice
+    /// channel; the router calls [`recover_shard`] and [`spawn_worker`]
+    /// per shard, then starts the supervisor and the notifier.
     pub(super) fn new(
         cfg: &ServerConfig,
-        views: BTreeMap<String, ViewDef<String>>,
-        hub: Arc<ViewHub>,
+        views: Registry,
         exit_tx: Sender<ExitNotice>,
         faults: FaultPlan,
-    ) -> Fleet {
+    ) -> (Fleet, Receiver<Notice>) {
         let epoch = Instant::now();
-        Fleet {
+        let (hub, notices) = ViewHub::new(cfg.subscriber_outbox);
+        let fleet = Fleet {
             slots: (0..cfg.shards)
                 .map(|_| ShardSlot::new(epoch, &cfg.spec))
                 .collect(),
@@ -258,10 +267,12 @@ impl Fleet {
                 .hierarchy_bits()
                 .map(|bits| 1u64.checked_shl(bits).unwrap_or(u64::MAX)),
             views: Mutex::new(views),
-            hub,
+            hub: Arc::new(hub),
+            rank_memo: RankMemo::new(),
             exit_tx,
             faults,
-        }
+        };
+        (fleet, notices)
     }
 
     /// The shard's current supervision snapshot for `STATS`.
@@ -304,15 +315,18 @@ pub(super) fn spawn_worker(
     shard: usize,
     store: SketchStore<String>,
     wal: Option<ShardWal>,
-    views: Vec<ViewDef<String>>,
 ) {
     let slot = &fleet.slots[shard];
     let (tx, rx) = sync_channel(fleet.mailbox_depth);
     let gauge = Arc::clone(&slot.gauge);
     gauge.reset();
-    let publisher = shard::Publisher::start(Arc::clone(&slot.published), &store);
+    let publisher = shard::Publisher::start(
+        shard,
+        Arc::clone(&slot.published),
+        &store,
+        Arc::clone(&fleet.hub),
+    );
     let exit_tx = fleet.exit_tx.clone();
-    let hub = Arc::clone(&fleet.hub);
     let dir = fleet.snapshot_dir.clone();
     let faults = FaultHook::new(&fleet.faults, shard, WORKER_SALT);
     let handle = std::thread::Builder::new()
@@ -323,9 +337,7 @@ pub(super) fn spawn_worker(
                 tx: exit_tx,
                 clean: false,
             };
-            guard.clean = shard::run(
-                shard, store, rx, dir, wal, hub, views, gauge, faults, publisher,
-            );
+            guard.clean = shard::run(shard, store, rx, dir, wal, gauge, faults, publisher);
         })
         .expect("spawn shard worker");
     *slot.sender.write().expect("sender poisoned") = tx;
@@ -371,8 +383,8 @@ fn health_check(fleet: &Fleet) {
 }
 
 /// Rebuild one dead shard: quarantine, reap the corpse, restore
-/// checkpoint + WAL tail, notify the shard's view subscribers, spawn the
-/// replacement, reopen the slot.
+/// checkpoint + WAL tail, tell the notifier, spawn the replacement, reopen
+/// the slot.
 fn respawn(fleet: &Arc<Fleet>, shard: usize) {
     let slot = &fleet.slots[shard];
     *slot.state.lock().expect("state poisoned") = SlotState::Restarting;
@@ -382,8 +394,12 @@ fn respawn(fleet: &Arc<Fleet>, shard: usize) {
         let _ = handle.join();
     }
     let began = Instant::now();
-    match rebuild(fleet, shard) {
-        Ok(()) => {
+    match recover_shard(fleet, shard) {
+        Ok((store, wal)) => {
+            // Queued ahead of the replacement's first publication, so the
+            // marker precedes every push the new worker causes.
+            fleet.hub.notice(|| Notice::Restarted(shard));
+            spawn_worker(fleet, shard, store, wal);
             slot.restarts.fetch_add(1, Ordering::Relaxed);
             slot.last_restart_ms
                 .store(slot.gauge.now_ms().max(1), Ordering::Relaxed);
@@ -405,17 +421,15 @@ fn respawn(fleet: &Arc<Fleet>, shard: usize) {
     }
 }
 
-/// What [`recover_shard`] hands to [`spawn_worker`]: the shard's store, its
-/// log when durable, and the keyed views it owns.
-pub(super) type Recovered = (SketchStore<String>, Option<ShardWal>, Vec<ViewDef<String>>);
-
-/// Rebuild one shard's state from disk — at start-up and on every respawn:
-/// the checkpoint chain of a snapshot directory that has a manifest, the
-/// write-ahead log replayed on top when durable (a durable shard that has
-/// not checkpointed yet has only its log), and the keyed views whose key
-/// routes to the shard (fleet views are ranked on read and live on none).
-/// Without a log, events acked after the last checkpoint are lost.
-pub(super) fn recover_shard(fleet: &Fleet, shard: usize) -> Result<Recovered, String> {
+/// Rebuild one shard's store and log from disk — at start-up and on every
+/// respawn: the checkpoint chain of a snapshot directory that has a
+/// manifest, and the write-ahead log replayed on top when durable (a
+/// durable shard that has not checkpointed yet has only its log). Without
+/// a log, events acked after the last checkpoint are lost.
+pub(super) fn recover_shard(
+    fleet: &Fleet,
+    shard: usize,
+) -> Result<(SketchStore<String>, Option<ShardWal>), String> {
     let dir = fleet.snapshot_dir.as_deref();
     let mut store = match dir.filter(|dir| dir.join(MANIFEST).exists()) {
         Some(dir) if fleet.wal_cfg.is_none() || dir.join(shard::full_file(shard)).exists() => {
@@ -432,34 +446,7 @@ pub(super) fn recover_shard(fleet: &Fleet, shard: usize) -> Result<Recovered, St
         }
         None => None,
     };
-    let views = fleet
-        .views
-        .lock()
-        .expect("view registry poisoned")
-        .values()
-        .filter(|def| {
-            def.key
-                .as_ref()
-                .is_some_and(|k| route(k, fleet.slots.len()) == shard)
-        })
-        .cloned()
-        .collect();
-    Ok((store, wal, views))
-}
-
-/// Recover the shard and spawn its replacement worker.
-fn rebuild(fleet: &Arc<Fleet>, shard: usize) -> Result<(), String> {
-    let (store, wal, views) = recover_shard(fleet, shard)?;
-    // Subscribers learn of the gap before the new worker can publish its
-    // first post-restart notification (only this shard's worker publishes
-    // for these views, and it does not exist yet).
-    for def in &views {
-        fleet
-            .hub
-            .publish(&def.name, &response::restarted(&def.name, shard));
-    }
-    spawn_worker(fleet, shard, store, wal, views);
-    Ok(())
+    Ok((store, wal))
 }
 
 /// Gracefully stop a worker that was respawned after shutdown had already

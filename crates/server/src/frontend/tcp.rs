@@ -5,6 +5,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -12,7 +13,7 @@ use std::time::Duration;
 use ecm::StreamEvent;
 
 use crate::config::ServerConfig;
-use crate::engine::{Engine, EngineError};
+use crate::engine::{Engine, EngineError, ViewHub};
 use crate::protocol::{
     parse_command, parse_data_line, response, wire_view_def, CmdError, Command, MAX_LINE,
 };
@@ -507,27 +508,27 @@ fn dispatch(
         },
         Command::Stats => match engine.stats() {
             Ok(rows) => {
-                let views = engine.views_summary(&rows);
+                let views = engine.views_summary();
                 response::stats(&rows, &engine.rank_memo_stats(), &views)
             }
             Err(e) => engine_error(&e),
         },
-        Command::ViewCreate { def } => {
+        Command::CreateView { def } => {
             let name = def.name.clone();
             match engine.view_create(def) {
                 Ok(()) => response::view_created(&name),
                 Err(e) => engine_error(&e),
             }
         }
-        Command::ViewRead { name } => match engine.view_read(&name) {
+        Command::ReadView { name } => match engine.view_read(&name) {
             Ok(readout) => response::view_read(&name, &readout),
             Err(e) => engine_error(&e),
         },
-        Command::ViewDrop { name } => match engine.view_drop(&name) {
+        Command::DropView { name } => match engine.view_drop(&name) {
             Ok(()) => response::view_dropped(&name),
             Err(e) => engine_error(&e),
         },
-        Command::ViewList => {
+        Command::ListViews => {
             let rows: Vec<(String, &'static str, String)> = engine
                 .view_list()
                 .iter()
@@ -535,14 +536,13 @@ fn dispatch(
                 .collect();
             response::view_list(&rows)
         }
-        Command::Subscribe { view } => {
-            if !engine.view_list().iter().any(|d| d.name == view) {
-                response::error("unknown_view", &format!("no view named {view:?}"))
-            } else {
-                subscribe_loop(&view, engine, shared, writer);
+        Command::Subscribe { view } => match engine.subscribe(&view) {
+            Ok((id, rx)) => {
+                subscribe_loop(&view, id, rx, engine.hub(), shared, writer);
                 return None; // push-only from here; the connection is done
             }
-        }
+            Err(e) => engine_error(&e),
+        },
         Command::Flush { ts } => match engine.flush(ts) {
             Ok(()) => response::flushed(ts),
             Err(e) => engine_error(&e),
@@ -571,9 +571,14 @@ fn dispatch(
 /// view is dropped (the hub disconnects its subscribers), or the peer
 /// stops reading. A 5-second idle gap emits a `ping` notification so a
 /// half-dead peer is detected by the write instead of lingering forever.
-fn subscribe_loop(view: &str, engine: &Engine, shared: &Shared, writer: &mut TcpStream) {
-    let hub = engine.hub();
-    let (id, rx) = hub.subscribe(view);
+fn subscribe_loop(
+    view: &str,
+    id: u64,
+    rx: Receiver<String>,
+    hub: &ViewHub,
+    shared: &Shared,
+    writer: &mut TcpStream,
+) {
     if respond(writer, &response::subscribed(view)).is_err() {
         hub.unsubscribe(id);
         return;

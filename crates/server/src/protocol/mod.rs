@@ -28,7 +28,7 @@
 //! | `VIEW READ <name>` | `{"ok":true,"view":...,"now":n,"seq":s}` |
 //! | `VIEW DROP <name>` | `{"ok":true,...,"dropped":true}` |
 //! | `VIEW LIST` | `{"ok":true,"views":[...]}` |
-//! | `SUBSCRIBE <view>` | push stream of maintenance notifications |
+//! | `SUBSCRIBE <view>` | push stream of the view's change notifications |
 //! | `SHUTDOWN` | drain, final snapshot, stop the server |
 //!
 //! A line whose tick precedes its key's write clock (the latest tick the
@@ -39,7 +39,7 @@
 //! ticks `(now − range, now]`) or `last <n>` (the most recent `n` arrivals,
 //! for count-based specs). Standing-view definitions use windows *without*
 //! `now` (`time <range>` / `last <n>`): the view pins `now` to the
-//! sketch's write clock at every maintenance round. `<def>` is
+//! sketch's write clock at every evaluation. `<def>` is
 //! `<name> hh <key> <rel:φ|abs:n> <window>`,
 //! `<name> threshold <key> <point <item>|self_join|total> <limit> <window>`,
 //! or `<name> topk <k> <window>` (see

@@ -135,22 +135,22 @@ pub enum Command {
         dir: String,
     },
     /// Register a standing view.
-    ViewCreate {
+    CreateView {
         /// The parsed definition.
         def: ViewDef<String>,
     },
     /// Read a standing view's materialized answer.
-    ViewRead {
+    ReadView {
         /// The view name.
         name: String,
     },
     /// Drop a standing view.
-    ViewDrop {
+    DropView {
         /// The view name.
         name: String,
     },
     /// List registered views.
-    ViewList,
+    ListViews,
     /// Turn this connection into a push stream of `view`'s notifications.
     Subscribe {
         /// The view name.
@@ -368,7 +368,7 @@ fn threshold(tok: &str) -> Result<Threshold, CmdError> {
 
 /// Parse a standing-view window clause: `time <range>` or `last <n>`.
 /// Unlike an on-demand window there is no `now` — the view pins `now` to
-/// the sketch's write clock at every maintenance round.
+/// the sketch's write clock at every evaluation.
 fn view_window(toks: &[&str]) -> Result<ViewWindow, CmdError> {
     match toks {
         ["time", range] => Ok(ViewWindow::Time {
@@ -722,11 +722,11 @@ pub fn parse_command(line: &[u8]) -> Result<Command, CmdError> {
                 });
             }
             match toks[1] {
-                "CREATE" => Ok(Command::ViewCreate {
+                "CREATE" => Ok(Command::CreateView {
                     def: parse_view_def(&toks[2..])?,
                 }),
                 "READ" => match toks.len() {
-                    3 => Ok(Command::ViewRead {
+                    3 => Ok(Command::ReadView {
                         name: key(toks[2])?,
                     }),
                     _ => Err(CmdError::WrongArity {
@@ -735,7 +735,7 @@ pub fn parse_command(line: &[u8]) -> Result<Command, CmdError> {
                     }),
                 },
                 "DROP" => match toks.len() {
-                    3 => Ok(Command::ViewDrop {
+                    3 => Ok(Command::DropView {
                         name: key(toks[2])?,
                     }),
                     _ => Err(CmdError::WrongArity {
@@ -744,7 +744,7 @@ pub fn parse_command(line: &[u8]) -> Result<Command, CmdError> {
                     }),
                 },
                 "LIST" => match toks.len() {
-                    2 => Ok(Command::ViewList),
+                    2 => Ok(Command::ListViews),
                     _ => Err(CmdError::WrongArity {
                         verb: "VIEW LIST",
                         expected: "no arguments",

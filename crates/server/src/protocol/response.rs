@@ -8,7 +8,7 @@
 //! (which no correct backend produces) render as `null` rather than
 //! emitting invalid JSON.
 
-use ecm::{Answer, Estimate, QueryError, ViewAnswer, ViewError, ViewEvent, ViewReadout};
+use ecm::{Answer, Estimate, QueryError, ViewAnswer, ViewEvent, ViewReadout};
 
 use super::json::escape;
 use crate::engine::{IngestAck, RankMemoStats, ShardStatus, SnapshotReport, ViewsSummary};
@@ -178,7 +178,7 @@ pub fn stats(rows: &[ShardStatus], memo: &RankMemoStats, views: &ViewsSummary) -
                 Some(s) => format!(
                     "{{\"shard\":{},{health},\"keys\":{},\"memory_bytes\":{},\"ingested\":{},\
                      \"ingest_runs\":{},\"stale\":{},\"checkpoint_seq\":{},\"wal_bytes\":{},\
-                     \"wal_segments\":{},\"compactions\":{},\"views\":{},\"view_maintenance\":{}}}",
+                     \"wal_segments\":{},\"compactions\":{}}}",
                     r.shard,
                     s.keys,
                     s.memory_bytes,
@@ -188,9 +188,7 @@ pub fn stats(rows: &[ShardStatus], memo: &RankMemoStats, views: &ViewsSummary) -
                     s.checkpoint_seq,
                     s.wal_bytes,
                     s.wal_segments,
-                    s.compactions,
-                    s.views,
-                    s.view_maintenance
+                    s.compactions
                 ),
                 None => format!("{{\"shard\":{},{health}}}", r.shard),
             }
@@ -232,7 +230,8 @@ fn hitter_rows(hits: &[(u64, Estimate)]) -> String {
     rows.join(",")
 }
 
-/// Ranking rows, as [`topk`] and a top-k [`view_read`] render them.
+/// Ranking rows, as [`topk`], a top-k [`view_read`] and a ranking push
+/// render them.
 fn ranking_rows(rows: &[(String, f64)]) -> String {
     let rows: Vec<String> = rows
         .iter()
@@ -290,18 +289,13 @@ pub fn view_read(name: &str, r: &ViewReadout<String>) -> String {
     )
 }
 
-/// A [`ViewError`] as a response line.
-pub fn view_error(e: &ViewError) -> String {
-    error(e.code(), &e.to_string())
-}
-
 /// Ack for `SUBSCRIBE` (sent before the connection turns push-only).
 pub fn subscribed(view: &str) -> String {
     format!("{{\"ok\":true,\"subscribed\":\"{}\"}}", escape(view))
 }
 
-/// A maintenance notification as a push line.
-pub fn view_event(e: &ViewEvent) -> String {
+/// A view's change notification as a push line.
+pub fn view_event(e: &ViewEvent<String>) -> String {
     match e {
         ViewEvent::ThresholdCrossed {
             name,
@@ -334,14 +328,25 @@ pub fn view_event(e: &ViewEvent) -> String {
                 hitter_rows(hitters)
             )
         }
+        ViewEvent::RankingChanged {
+            name,
+            ranking,
+            now,
+            seq,
+        } => format!(
+            "{{\"ok\":true,\"notify\":\"topk\",\"view\":\"{}\",\"topk\":[{}],\
+             \"now\":{now},\"seq\":{seq}}}",
+            escape(name),
+            ranking_rows(ranking)
+        ),
     }
 }
 
-/// The marker a subscriber sees when a shard serving its view died and
-/// was rebuilt: notifications between the crash and the restart are gone
-/// (the view's state is restored, its in-flight pushes are not), so the
-/// marker is published *before* the replacement worker's first
-/// post-restart notification.
+/// The marker a subscriber of a keyed view sees when the shard owning its
+/// key died and was rebuilt: publications between the crash and the
+/// restart are gone (the shard's state is restored, the pushes it would
+/// have caused are not), so the notifier publishes the marker *before*
+/// any push from the replacement worker's publications.
 pub fn restarted(view: &str, shard: usize) -> String {
     format!(
         "{{\"ok\":true,\"notify\":\"restarted\",\"view\":\"{}\",\"shard\":{shard}}}",

@@ -556,12 +556,12 @@ fn broadcast_errors_name_the_shard_that_failed() {
             above: true
         }
     );
-    // A drop the owning shard cannot apply changes nothing: the view stays
-    // listed (and persisted, and pushing) instead of half-dropped.
-    assert_eq!(engine.view_drop("alarm").expect_err("view drop"), died);
+    // Shards hold no views, so a drop needs no shard: it succeeds with the
+    // key's owner dead, and the view is gone.
+    engine.view_drop("alarm").expect("view drop");
     assert!(
-        engine.view_list().iter().any(|d| d.name == "alarm"),
-        "a failed drop must leave the view registered"
+        !engine.view_list().iter().any(|d| d.name == "alarm"),
+        "a dropped view must leave the registry"
     );
     let _ = engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -688,5 +688,114 @@ fn a_fleet_view_read_and_top_k_share_one_memo_entry() {
     let after = engine.rank_memo_stats();
     assert_eq!((after.hits, after.misses), (memo.hits + 1, memo.misses));
     assert_eq!(ranked_sketches(&engine), ranked, "the TOPK ranked nothing");
+    engine.shutdown().expect("shutdown");
+}
+
+/// Keys silent for longer than the window bound to 0 and score 0, so a
+/// ranking that already keeps `k` of them prunes the rest on their keys:
+/// one `TOPK 10` over 2 000 silent keys scores at most 10 per shard.
+#[test]
+fn silent_keys_end_a_ranking_once_k_are_kept() {
+    let engine = Engine::start(&ServerConfig::new(spec()).shards(2)).expect("engine");
+    let mut mirror: ecm::SketchStore<String> = ecm::SketchStore::new(spec()).expect("spec");
+    let batch: Vec<(String, StreamEvent, u64)> = (0..2_000u64)
+        .map(|i| (format!("k{i}"), StreamEvent::new(i % 7, 1 + i), 1 + i % 3))
+        .collect();
+    engine.ingest(&batch).expect("ingest");
+    mirror.ingest_runs(&batch);
+    let window = WindowSpec::time(50_000, 10_000);
+    let before = ranked_sketches(&engine);
+    let rows = engine.top_k(10, window).expect("top_k");
+    let scored = ranked_sketches(&engine) - before;
+    assert!(scored <= 2 * 10, "scored {scored} sketches for TOPK 10");
+    assert_eq!(
+        rows,
+        mirror.top_k(10, &ecm::Query::total_arrivals(), window)
+    );
+    engine.shutdown().expect("shutdown");
+}
+
+/// Shards hold no views, so creating and dropping one needs no shard:
+/// both succeed while the key's owner is dead, and the manifest they
+/// wrote restores exactly the listed views.
+#[test]
+fn view_admin_needs_no_shard_and_the_manifest_follows_it() {
+    let dir = std::env::temp_dir().join(format!("sketchd-engine-admin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig::new(spec())
+        .shards(2)
+        .snapshot_dir(&dir)
+        .durability(true);
+    let engine = Engine::start(&cfg).expect("engine");
+    let key = ["a", "b", "c"]
+        .into_iter()
+        .find(|k| route(k, 2) == 1)
+        .expect("a key routes to shard 1");
+    let alarm = |name: &str| ecm::ViewDef {
+        name: name.to_string(),
+        key: Some(key.to_string()),
+        query: ecm::StandingQuery::Threshold {
+            query: ecm::ScalarQuery::Total,
+            limit: 2.0,
+        },
+        window: ecm::ViewWindow::Time { range: 10_000 },
+    };
+    engine.view_create(alarm("doomed")).expect("create");
+    engine
+        .ingest(&[(key.to_string(), StreamEvent::new(1, 10), 3)])
+        .expect("ingest");
+    engine.snapshot(&dir).expect("snapshot");
+    let checkpoint = dir.join("shard-1.full");
+    let good = std::fs::read(&checkpoint).expect("checkpoint");
+    std::fs::write(&checkpoint, b"not a checkpoint").expect("corrupt");
+    engine.restart_shard(1).expect("restart");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while engine.stats().expect("stats")[1].health.state != "dead" {
+        assert!(std::time::Instant::now() < deadline, "shard 1 never died");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    engine
+        .view_create(alarm("late"))
+        .expect("create on a dead shard");
+    engine.view_drop("doomed").expect("drop on a dead shard");
+    let listed = engine.view_list();
+    assert_eq!(listed, vec![alarm("late")]);
+    let _ = engine.shutdown();
+    drop(engine);
+
+    std::fs::write(&checkpoint, good).expect("repair");
+    let engine = Engine::start(&cfg).expect("restart");
+    assert_eq!(engine.view_list(), listed);
+    engine.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Engine::subscribe` checks the registry and registers under one lock:
+/// an unknown view is refused, and a drop ends every stream it admitted.
+#[test]
+fn subscribe_refuses_unknown_views_and_a_drop_ends_the_stream() {
+    let engine = Engine::start(&ServerConfig::new(spec()).shards(2)).expect("engine");
+    assert_eq!(
+        engine.subscribe("nope").expect_err("unknown view"),
+        EngineError::View(ecm::ViewError::Unknown {
+            name: "nope".to_string()
+        })
+    );
+    engine
+        .view_create(ecm::ViewDef {
+            name: "top".to_string(),
+            key: None,
+            query: ecm::StandingQuery::TopK { k: 2 },
+            window: ecm::ViewWindow::Time { range: 1_000 },
+        })
+        .expect("create");
+    let (_, rx) = engine.subscribe("top").expect("subscribe");
+    engine.view_drop("top").expect("drop");
+    assert!(
+        rx.recv_timeout(std::time::Duration::from_secs(10)).is_err(),
+        "a dropped view's stream ends"
+    );
+    assert_eq!(engine.views_summary().subscribers, 0);
     engine.shutdown().expect("shutdown");
 }
