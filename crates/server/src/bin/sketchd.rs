@@ -21,7 +21,7 @@
 //! | `SKETCHD_WAL_COMPACT_BYTES` | WAL compaction threshold (16 MiB) |
 //! | `SKETCHD_WAL_FSYNC` | `1`/`true`: fsync every WAL append (off) |
 //! | `SKETCHD_ADMISSION_TIMEOUT_MS` | how long a full mailbox blocks admission before shedding (5 000) |
-//! | `SKETCHD_REQUEST_TIMEOUT_MS` | per-request reply deadline (30 000) |
+//! | `SKETCHD_REQUEST_TIMEOUT_MS` | mailbox-request reply deadline (30 000) |
 //! | `SKETCHD_HEALTH_DEADLINE_MS` | busy-this-long marks a shard wedged (2 000) |
 //! | `SKETCHD_FAULTS` | deterministic fault plan (debug/`fault-injection` builds only; see README) |
 //!

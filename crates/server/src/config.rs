@@ -65,10 +65,11 @@ pub struct ServerConfig {
     /// (default 5 s). Backpressure below the deadline still blocks — only
     /// a shard that stays full past it turns senders away.
     pub admission_timeout: Duration,
-    /// How long a request waits for a shard's reply before failing with a
-    /// typed [`ShardTimeout`](crate::engine::EngineError::ShardTimeout)
-    /// (default 30 s). Bounds every engine call: a wedged worker can stall
-    /// its shard, never a caller forever.
+    /// How long a mailbox request (`BATCH`/`STORE`, `FLUSH`, `SNAPSHOT`)
+    /// waits for a shard's reply before failing with a typed
+    /// [`ShardTimeout`](crate::engine::EngineError::ShardTimeout) (default
+    /// 30 s): a wedged worker can stall its shard, never a caller forever.
+    /// Reads never wait on a worker, so it does not apply to them.
     pub request_timeout: Duration,
     /// How long a shard worker may stay inside one message before the
     /// supervisor marks it wedged and quarantines its mailbox (default
@@ -195,7 +196,7 @@ impl ServerConfig {
         self
     }
 
-    /// Set how long an engine call waits for a shard's reply.
+    /// Set how long a mailbox request waits for a shard's reply.
     pub fn request_timeout(mut self, t: Duration) -> Self {
         self.request_timeout = t;
         self

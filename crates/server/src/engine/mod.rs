@@ -14,9 +14,11 @@
 //! it acks each write; the router answers point / range / self-join /
 //! heavy-hitter queries, each shard's `TOPK` contribution and every
 //! `VIEW READ` by pinning published epochs, wait-free and without
-//! touching the mailbox. That is the only read path. `STATS`, `SNAPSHOT`
-//! and `FLUSH` stay on the mailbox (they report or change worker-owned
-//! state).
+//! touching the mailbox. That is the only read path. `STATS` is a read
+//! too: the store's size comes off the published epoch, and the worker's
+//! counters from the numbers it records in its slot before every reply.
+//! Only `SNAPSHOT` and `FLUSH` stay on the mailbox (they change
+//! worker-owned state).
 //!
 //! **Shards hold no views.** Standing views are a fleet-wide registry
 //! (`VIEW CREATE`/`DROP` edit it, the manifest and the hub, and no
@@ -88,24 +90,25 @@ pub struct RankMemoStats {
     pub misses: u64,
 }
 
-/// One shard's contribution to `STATS`, gathered by the worker itself (no
-/// cross-shard locking).
+/// One shard's numbers in `STATS`: the store's size, read off its
+/// published epoch, and the counters its worker records in the shard's
+/// slot before every reply. Neither needs the worker, so a down shard
+/// reports its last published store and its last recorded counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Resident keys in this shard's store.
+    /// Resident keys in this shard's published store.
     pub keys: usize,
-    /// Bytes held by this shard's resident sketches.
+    /// Bytes held by this shard's published sketches.
     pub memory_bytes: usize,
-    /// Event occurrences ingested by this shard since startup (restores
-    /// reset the counter).
+    /// Event occurrences ingested by this shard's current worker (a
+    /// respawn resets the counter); a `STATS` after an ingest ack counts
+    /// the batch.
     pub ingested: u64,
     /// Weighted runs (ingest lines) those occurrences arrived as; the mean
     /// run weight is `ingested / ingest_runs`.
     pub ingest_runs: u64,
-    /// Runs refused since startup because their tick preceded their key's
-    /// write clock (`stale_timestamp`); none of them reached the log.
+    /// Runs the current worker refused because their tick preceded their
+    /// key's write clock (`stale_timestamp`); none of them reached the log.
     pub stale: u64,
     /// The shard store's checkpoint sequence number.
     pub checkpoint_seq: u64,
@@ -114,7 +117,7 @@ pub struct ShardStats {
     /// Segment files in this shard's write-ahead log (0 with durability
     /// off).
     pub wal_segments: u64,
-    /// WAL compactions folded into full checkpoints since startup.
+    /// WAL compactions the current worker folded into full checkpoints.
     pub compactions: u64,
 }
 
@@ -148,19 +151,19 @@ pub struct ShardHealth {
 }
 
 /// One shard's row in [`Engine::stats`]: supervision health plus the
-/// worker-reported statistics when the worker could answer.
+/// shard's numbers, both complete for every shard, up or down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStatus {
     /// Shard index.
     pub shard: usize,
-    /// Supervision health (never absent).
+    /// Supervision health.
     pub health: ShardHealth,
-    /// The worker's own numbers; `None` while it is restarting, dead, or
-    /// quarantined.
-    pub stats: Option<ShardStats>,
+    /// The published store's size and the worker's recorded counters.
+    pub stats: ShardStats,
 }
 
-/// A typed message delivered to one shard worker's mailbox.
+/// A typed message delivered to one shard worker's mailbox. Each request
+/// carries a sender of its own reply type.
 #[derive(Debug)]
 pub enum ShardMsg {
     /// Apply a batch of keyed weighted runs (every key in it routes to this
@@ -169,37 +172,32 @@ pub enum ShardMsg {
     Ingest {
         /// The runs, in arrival order.
         runs: Vec<(String, StreamEvent, u64)>,
-        /// Where the worker acks: [`ShardReply::Ingested`] once the runs
-        /// its keys' write clocks accept are appended to the write-ahead
-        /// log (when durable), applied and published, or
-        /// [`ShardReply::WalError`] when the append failed — in which case
-        /// nothing was applied.
-        reply: Sender<ShardReply>,
-    },
-    /// This shard's [`ShardStats`].
-    Stats {
-        /// Where the worker sends its [`ShardReply::Stats`].
-        reply: Sender<ShardReply>,
+        /// Where the worker acks the occurrences applied and the runs
+        /// refused as stale, once the accepted runs are appended to the
+        /// write-ahead log (when durable), applied and published; or the
+        /// append's error, in which case nothing was applied.
+        reply: Sender<Result<IngestAck, String>>,
     },
     /// Advance every resident sketch's clock to `ts` with no arrivals.
     Flush {
         /// Target tick.
         ts: u64,
-        /// Where the worker acks.
-        reply: Sender<ShardReply>,
+        /// Where the worker acks, once the advance is published.
+        reply: Sender<()>,
     },
     /// Checkpoint this shard's store into `dir` as `shard-<i>.full`.
     Snapshot {
         /// Target directory.
         dir: PathBuf,
         /// Where the worker reports bytes written or the error.
-        reply: Sender<ShardReply>,
+        reply: Sender<Result<u64, String>>,
     },
     /// Drain, write a final full checkpoint when a snapshot dir is
     /// configured, ack, and exit the worker thread.
     Shutdown {
-        /// Where the worker acks completion.
-        reply: Sender<ShardReply>,
+        /// Where the worker acks completion, with the final checkpoint's
+        /// error if one was attempted and failed (the worker still exits).
+        reply: Sender<Option<String>>,
     },
     /// Exit the worker thread *without* a final checkpoint — a
     /// crash-shaped, supervisor-recoverable stop used by
@@ -207,38 +205,6 @@ pub enum ShardMsg {
     /// processed; anything enqueued behind it dies with the mailbox
     /// (unreplied, so senders see a retryable error, never a false ack).
     Exit,
-}
-
-/// A shard worker's reply to a request-shaped [`ShardMsg`].
-#[derive(Debug)]
-pub enum ShardReply {
-    /// Local statistics.
-    Stats(ShardStats),
-    /// `Flush` applied and published.
-    Flushed,
-    /// The accepted runs are on the write-ahead log (when durable),
-    /// applied and published; the stale ones were refused before the log.
-    Ingested {
-        /// Occurrences applied.
-        events: u64,
-        /// Runs refused as stale.
-        stale: u64,
-    },
-    /// The write-ahead-log append failed; the run was not applied.
-    WalError(String),
-    /// Checkpoint written: bytes on disk.
-    Snapshot {
-        /// Size of the written checkpoint file.
-        bytes: u64,
-    },
-    /// Checkpoint failed (I/O or encoding).
-    SnapshotError(String),
-    /// `Shutdown` complete (final checkpoint written if configured).
-    Stopped {
-        /// Error from the final checkpoint, if one was attempted and
-        /// failed (the worker still exits).
-        snapshot_error: Option<String>,
-    },
 }
 
 /// The shard that owns `key` in an `n`-shard engine: the key's

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TrySendError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -20,9 +20,7 @@ use ecm::{
 use super::hub::{self, ViewHub};
 use super::manifest::{read_manifest, write_manifest, MANIFEST};
 use super::supervisor::{self, Fleet, Registry, SlotState};
-use super::{
-    route, Pinned, RankMemoStats, ShardMsg, ShardReply, ShardStats, ShardStatus, ViewsSummary,
-};
+use super::{route, Pinned, RankMemoStats, ShardMsg, ShardStatus, ViewsSummary};
 use crate::config::ServerConfig;
 use crate::fault::FaultPlan;
 use crate::protocol::{parse_view_def, wire_view_def, OwnedQuery};
@@ -439,7 +437,11 @@ impl Engine {
         if shard >= self.fleet.slots.len() {
             return Err(EngineError::InvalidConfig("shard index out of range"));
         }
-        self.request(shard, ShardMsg::Exit)
+        let gate = self.fleet.down.read().expect("gate poisoned");
+        if *gate {
+            return Err(EngineError::ShuttingDown);
+        }
+        self.send(shard, ShardMsg::Exit)
     }
 
     /// Ingest a keyed batch: `(key, event, count)` triples in arrival
@@ -532,14 +534,9 @@ impl Engine {
         // whole) is not acked.
         let mut ack = IngestAck::default();
         for (i, rx) in pending {
-            match self.collect(i, &rx)? {
-                ShardReply::Ingested { events, stale } => {
-                    ack.ingested += events;
-                    ack.stale += stale;
-                }
-                ShardReply::WalError(e) => return Err(EngineError::Wal(e)),
-                _ => return Err(EngineError::ShardDied { shard: i }),
-            }
+            let part = self.collect(i, &rx)?.map_err(EngineError::Wal)?;
+            ack.ingested += part.ingested;
+            ack.stale += part.stale;
         }
         Ok(ack)
     }
@@ -628,39 +625,21 @@ impl Engine {
         }
     }
 
-    /// Per-shard status, in shard order: the supervision health row is
-    /// always present, the worker-reported [`ShardStats`] only when the
-    /// worker could answer. A restarting, dead, wedged, or overloaded
-    /// shard therefore degrades its row instead of failing the whole
-    /// `STATS` call — exactly when the operator most needs to see it.
+    /// Per-shard status, in shard order: supervision health, the
+    /// published store's size and the worker's recorded counters. A read,
+    /// like [`query_served`](Engine::query_served): it enqueues nothing,
+    /// so every row is complete, a wedged, restarting or dead shard's
+    /// included — exactly when the operator most needs to see it.
     ///
     /// # Errors
     /// [`ShuttingDown`](EngineError::ShuttingDown) only.
     pub fn stats(&self) -> Result<Vec<ShardStatus>, EngineError> {
-        let mut rows = Vec::with_capacity(self.fleet.slots.len());
-        for shard in 0..self.fleet.slots.len() {
-            let stats = match self.shard_stats(shard) {
-                Ok(s) => Some(s),
-                Err(EngineError::ShuttingDown) => return Err(EngineError::ShuttingDown),
-                Err(_) => None,
-            };
-            rows.push(ShardStatus {
-                shard,
-                health: self.fleet.health(shard),
-                stats,
-            });
+        if self.is_down() {
+            return Err(EngineError::ShuttingDown);
         }
-        Ok(rows)
-    }
-
-    /// One shard's worker-reported statistics.
-    fn shard_stats(&self, shard: usize) -> Result<ShardStats, EngineError> {
-        let (tx, rx) = channel();
-        self.request(shard, ShardMsg::Stats { reply: tx })?;
-        match self.collect(shard, &rx)? {
-            ShardReply::Stats(s) => Ok(s),
-            _ => Err(EngineError::ShardDied { shard }),
-        }
+        Ok((0..self.fleet.slots.len())
+            .map(|shard| self.fleet.status(shard))
+            .collect())
     }
 
     /// The notification hub, whose outboxes carry every push.
@@ -815,13 +794,7 @@ impl Engine {
     /// [`ShardTimeout`](EngineError::ShardTimeout), or
     /// [`ShardDied`](EngineError::ShardDied).
     pub fn flush(&self, ts: u64) -> Result<(), EngineError> {
-        let replies = self.broadcast(|tx| ShardMsg::Flush { ts, reply: tx })?;
-        for (shard, reply) in replies.into_iter().enumerate() {
-            match reply {
-                ShardReply::Flushed => {}
-                _ => return Err(EngineError::ShardDied { shard }),
-            }
-        }
+        self.broadcast(|reply| ShardMsg::Flush { ts, reply })?;
         Ok(())
     }
 
@@ -832,18 +805,14 @@ impl Engine {
     /// [`Snapshot`](EngineError::Snapshot) carrying the first shard
     /// failure, or the routing errors of [`flush`](Engine::flush).
     pub fn snapshot(&self, dir: &Path) -> Result<SnapshotReport, EngineError> {
-        let replies = self.broadcast(|tx| ShardMsg::Snapshot {
-            dir: dir.to_path_buf(),
-            reply: tx,
-        })?;
-        let mut bytes = 0u64;
-        for (shard, reply) in replies.into_iter().enumerate() {
-            match reply {
-                ShardReply::Snapshot { bytes: b } => bytes += b,
-                ShardReply::SnapshotError(e) => return Err(EngineError::Snapshot(e)),
-                _ => return Err(EngineError::ShardDied { shard }),
-            }
-        }
+        let bytes = self
+            .broadcast(|reply| ShardMsg::Snapshot {
+                dir: dir.to_path_buf(),
+                reply,
+            })?
+            .into_iter()
+            .sum::<Result<u64, String>>()
+            .map_err(EngineError::Snapshot)?;
         self.write_manifest(dir, &self.registry())?;
         Ok(SnapshotReport {
             dir: dir.display().to_string(),
@@ -884,10 +853,8 @@ impl Engine {
         let mut snapshot_error = None;
         for (i, rx) in receivers {
             match rx.recv() {
-                Ok(ShardReply::Stopped {
-                    snapshot_error: Some(e),
-                }) => snapshot_error = Some(e),
-                Ok(_) => {}
+                Ok(None) => {}
+                Ok(Some(e)) => snapshot_error = Some(e),
                 Err(_) => snapshot_error = Some(format!("shard {i} died before stopping")),
             }
         }
@@ -925,15 +892,6 @@ impl Engine {
     /// Whether [`shutdown`](Engine::shutdown) has begun.
     pub fn is_down(&self) -> bool {
         *self.fleet.down.read().expect("gate poisoned")
-    }
-
-    /// Send one request-shaped message under the read gate.
-    fn request(&self, shard: usize, msg: ShardMsg) -> Result<(), EngineError> {
-        let gate = self.fleet.down.read().expect("gate poisoned");
-        if *gate {
-            return Err(EngineError::ShuttingDown);
-        }
-        self.send(shard, msg)
     }
 
     /// Admission-controlled enqueue onto one shard's mailbox. Never
@@ -1008,10 +966,7 @@ impl Engine {
     }
 
     /// Broadcast one request to every shard, then collect every reply.
-    fn broadcast(
-        &self,
-        make: impl Fn(std::sync::mpsc::Sender<ShardReply>) -> ShardMsg,
-    ) -> Result<Vec<ShardReply>, EngineError> {
+    fn broadcast<T>(&self, make: impl Fn(Sender<T>) -> ShardMsg) -> Result<Vec<T>, EngineError> {
         let mut receivers = Vec::with_capacity(self.fleet.slots.len());
         {
             let gate = self.fleet.down.read().expect("gate poisoned");
@@ -1034,11 +989,7 @@ impl Engine {
     /// Wait for one shard's reply, bounded by the request deadline so a
     /// worker dying (or wedging) mid-request surfaces as a typed error
     /// instead of a hang.
-    fn collect(
-        &self,
-        shard: usize,
-        rx: &std::sync::mpsc::Receiver<ShardReply>,
-    ) -> Result<ShardReply, EngineError> {
+    fn collect<T>(&self, shard: usize, rx: &Receiver<T>) -> Result<T, EngineError> {
         match rx.recv_timeout(self.fleet.request_timeout) {
             Ok(reply) => Ok(reply),
             Err(RecvTimeoutError::Timeout) => Err(EngineError::ShardTimeout { shard }),

@@ -2,15 +2,16 @@
 //! and (with durability on) one write-ahead log.
 
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use ecm::{Epoch, LeftRight, SketchStore, SnapshotError};
 
 use super::hub::{Notice, ViewHub};
-use super::supervisor::ShardGauge;
+use super::supervisor::{ShardGauge, WorkerStats};
 use super::wal::{write_atomic, ShardWal};
-use super::{ShardMsg, ShardReply, ShardStats};
+use super::{IngestAck, ShardMsg};
 use crate::fault::{FaultHook, FaultSite};
 
 /// Name of shard `i`'s full-checkpoint file inside a snapshot directory.
@@ -75,13 +76,7 @@ impl Publisher {
 
     /// Finish a write message that `store` already holds: publish, then
     /// send `ack`.
-    fn commit(
-        &mut self,
-        store: &SketchStore<String>,
-        ts: u64,
-        reply: &Sender<ShardReply>,
-        ack: ShardReply,
-    ) {
+    fn commit<T>(&mut self, store: &SketchStore<String>, ts: u64, reply: &Sender<T>, ack: T) {
         self.publish(store, ts);
         let _ = reply.send(ack);
     }
@@ -89,7 +84,8 @@ impl Publisher {
 
 /// The worker loop. Runs until the mailbox disconnects or a `Shutdown` /
 /// `Exit` message arrives; replies are best-effort (a requester that hung
-/// up is not an error).
+/// up is not an error). Before each reply, and after each compaction, the
+/// worker records its `STATS` counters into `stats`.
 ///
 /// Returns `true` for a clean end (drained `Shutdown`, or the engine
 /// dropped the mailbox) and `false` for a crash-shaped [`ShardMsg::Exit`]
@@ -102,12 +98,10 @@ pub(super) fn run(
     snapshot_dir: Option<std::path::PathBuf>,
     mut wal: Option<ShardWal>,
     gauge: Arc<ShardGauge>,
+    stats: Arc<WorkerStats>,
     mut faults: FaultHook,
     mut publisher: Publisher,
 ) -> bool {
-    let mut ingested: u64 = 0;
-    let mut ingest_runs: u64 = 0;
-    let mut stale: u64 = 0;
     while let Ok(msg) = rx.recv() {
         gauge.note_dequeue();
         match msg {
@@ -121,7 +115,7 @@ pub(super) fn run(
                 // what was applied, and replay — which never sees a `FLUSH`
                 // — needs no policy of its own.
                 let refused = store.retain_fresh(&mut runs);
-                stale += refused;
+                stats.stale.fetch_add(refused, Ordering::Relaxed);
                 // Ack-after-append: the run reaches the log before it is
                 // applied or acked, so an acked event survives `kill -9`.
                 // On append failure the run is applied *nowhere* — the
@@ -132,16 +126,18 @@ pub(super) fn run(
                 };
                 match appended {
                     Ok(()) => {
-                        let events = runs.iter().map(|(_, _, n)| n).sum::<u64>();
-                        ingested += events;
-                        ingest_runs += runs.len() as u64;
                         let latest = runs.iter().map(|(_, e, _)| e.ts).max().unwrap_or(0);
                         store.ingest_runs(&runs);
-                        let ack = ShardReply::Ingested {
-                            events,
+                        let ack = IngestAck {
+                            ingested: runs.iter().map(|(_, _, n)| n).sum(),
                             stale: refused,
                         };
-                        publisher.commit(&store, latest, &reply, ack);
+                        stats.ingested.fetch_add(ack.ingested, Ordering::Relaxed);
+                        stats
+                            .ingest_runs
+                            .fetch_add(runs.len() as u64, Ordering::Relaxed);
+                        stats.record(&store, wal.as_ref());
+                        publisher.commit(&store, latest, &reply, Ok(ack));
                         if let Some(w) = &mut wal {
                             if w.needs_compaction() {
                                 if let Some(dir) = &snapshot_dir {
@@ -153,32 +149,20 @@ pub(super) fn run(
                                     {
                                         eprintln!("sketchd: shard {shard} compaction failed: {e}");
                                     }
+                                    stats.record(&store, Some(&*w));
                                 }
                             }
                         }
                     }
                     Err(e) => {
-                        let _ = reply.send(ShardReply::WalError(e));
+                        stats.record(&store, wal.as_ref());
+                        let _ = reply.send(Err(e));
                     }
                 }
             }
-            ShardMsg::Stats { reply } => {
-                let _ = reply.send(ShardReply::Stats(ShardStats {
-                    shard,
-                    keys: store.key_count(),
-                    memory_bytes: store.memory_bytes(),
-                    ingested,
-                    ingest_runs,
-                    stale,
-                    checkpoint_seq: store.checkpoint_seq(),
-                    wal_bytes: wal.as_ref().map_or(0, ShardWal::total_bytes),
-                    wal_segments: wal.as_ref().map_or(0, ShardWal::segments),
-                    compactions: wal.as_ref().map_or(0, ShardWal::compactions),
-                }));
-            }
             ShardMsg::Flush { ts, reply } => {
                 store.advance_to(ts);
-                publisher.commit(&store, ts, &reply, ShardReply::Flushed);
+                publisher.commit(&store, ts, &reply, ());
             }
             ShardMsg::Snapshot { dir, reply } => {
                 // A checkpoint into the WAL's own directory compacts the log
@@ -189,10 +173,8 @@ pub(super) fn run(
                     _ => None,
                 };
                 let outcome = checkpoint(shard, &mut store, &dir, chained, &mut faults);
-                let _ = reply.send(match outcome {
-                    Ok(bytes) => ShardReply::Snapshot { bytes },
-                    Err(e) => ShardReply::SnapshotError(e),
-                });
+                stats.record(&store, wal.as_ref());
+                let _ = reply.send(outcome);
             }
             ShardMsg::Shutdown { reply } => {
                 // Everything sent before this message has been applied (the
@@ -201,7 +183,8 @@ pub(super) fn run(
                 let snapshot_error = snapshot_dir.as_deref().and_then(|dir| {
                     checkpoint(shard, &mut store, dir, wal.as_mut(), &mut faults).err()
                 });
-                let _ = reply.send(ShardReply::Stopped { snapshot_error });
+                stats.record(&store, wal.as_ref());
+                let _ = reply.send(snapshot_error);
                 gauge.note_idle();
                 return true;
             }

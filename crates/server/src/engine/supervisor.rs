@@ -35,7 +35,7 @@ use super::manifest::MANIFEST;
 use super::router::RankMemo;
 use super::shard;
 use super::wal::{ShardWal, WalConfig};
-use super::{ShardHealth, ShardMsg};
+use super::{ShardHealth, ShardMsg, ShardStats, ShardStatus};
 use crate::config::ServerConfig;
 use crate::fault::{FaultHook, FaultPlan};
 
@@ -138,6 +138,48 @@ impl ShardGauge {
     }
 }
 
+/// The counters a shard's worker records for `STATS`: what
+/// [`ShardStats`] holds beyond the store's size, which `STATS` reads off
+/// the published epoch. The worker records them before each reply and
+/// after each checkpoint, so `STATS` never enters the mailbox, and a down
+/// shard reports the last ones its worker recorded. A spawn zeroes the
+/// ingest counters and records the recovered store and log. Advisory,
+/// like the gauge.
+#[derive(Debug, Default)]
+pub(super) struct WorkerStats {
+    pub(super) ingested: AtomicU64,
+    pub(super) ingest_runs: AtomicU64,
+    pub(super) stale: AtomicU64,
+    checkpoint_seq: AtomicU64,
+    wal_bytes: AtomicU64,
+    wal_segments: AtomicU64,
+    compactions: AtomicU64,
+}
+
+impl WorkerStats {
+    /// Record the store's checkpoint sequence and the log's size, segments
+    /// and compactions.
+    pub(super) fn record(&self, store: &SketchStore<String>, wal: Option<&ShardWal>) {
+        self.checkpoint_seq
+            .store(store.checkpoint_seq(), Ordering::Relaxed);
+        self.wal_bytes
+            .store(wal.map_or(0, ShardWal::total_bytes), Ordering::Relaxed);
+        self.wal_segments
+            .store(wal.map_or(0, ShardWal::segments), Ordering::Relaxed);
+        self.compactions
+            .store(wal.map_or(0, ShardWal::compactions), Ordering::Relaxed);
+    }
+
+    /// A fresh worker's numbers: nothing ingested yet, and the recovered
+    /// store's checkpoint and log.
+    fn reset(&self, store: &SketchStore<String>, wal: Option<&ShardWal>) {
+        for counter in [&self.ingested, &self.ingest_runs, &self.stale] {
+            counter.store(0, Ordering::Relaxed);
+        }
+        self.record(store, wal);
+    }
+}
+
 /// One shard's replaceable attachment point: the mailbox sender the
 /// router clones for every request, the supervision state, and the
 /// restart/shed counters `STATS` reports.
@@ -151,6 +193,7 @@ pub(super) struct ShardSlot {
     pub(super) last_restart_ms: AtomicU64,
     pub(super) shed: AtomicU64,
     pub(super) gauge: Arc<ShardGauge>,
+    pub(super) worker: Arc<WorkerStats>,
     pub(super) handle: Mutex<Option<JoinHandle<()>>>,
     /// The shard's left-right epoch pair: the worker publishes a snapshot
     /// of its store here before acking each write, the router pins it to
@@ -183,6 +226,7 @@ impl ShardSlot {
             last_restart_ms: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             gauge: Arc::new(ShardGauge::new(epoch)),
+            worker: Arc::default(),
             handle: Mutex::new(None),
             published: Arc::new(LeftRight::new(Epoch::initial(empty, 0, 0))),
             published_reads: AtomicU64::new(0),
@@ -275,18 +319,39 @@ impl Fleet {
         (fleet, notices)
     }
 
-    /// The shard's current supervision snapshot for `STATS`.
-    pub(super) fn health(&self, shard: usize) -> ShardHealth {
+    /// The shard's `STATS` row: its supervision health, its published
+    /// store's size and its worker's recorded counters. The epoch is
+    /// pinned directly, not through `Engine::pin`, so `STATS` counts in no
+    /// `published_reads`.
+    pub(super) fn status(&self, shard: usize) -> ShardStatus {
         let slot = &self.slots[shard];
-        ShardHealth {
-            state: slot.state.lock().expect("state poisoned").name(),
-            restarts: slot.restarts.load(Ordering::Relaxed),
-            last_restart_ms: slot.last_restart_ms.load(Ordering::Relaxed),
-            mailbox_hwm: slot.gauge.hwm.load(Ordering::Relaxed),
-            shed_requests: slot.shed.load(Ordering::Relaxed),
-            published_reads: slot.published_reads.load(Ordering::Relaxed),
-            behind_clock: slot.behind_clock.load(Ordering::Relaxed),
-            ranked_sketches: slot.ranked_sketches.load(Ordering::Relaxed),
+        let epoch = slot.published.pin();
+        let store = &epoch.value;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let worker = &slot.worker;
+        ShardStatus {
+            shard,
+            health: ShardHealth {
+                state: slot.state.lock().expect("state poisoned").name(),
+                restarts: load(&slot.restarts),
+                last_restart_ms: load(&slot.last_restart_ms),
+                mailbox_hwm: load(&slot.gauge.hwm),
+                shed_requests: load(&slot.shed),
+                published_reads: load(&slot.published_reads),
+                behind_clock: load(&slot.behind_clock),
+                ranked_sketches: load(&slot.ranked_sketches),
+            },
+            stats: ShardStats {
+                keys: store.key_count(),
+                memory_bytes: store.memory_bytes(),
+                ingested: load(&worker.ingested),
+                ingest_runs: load(&worker.ingest_runs),
+                stale: load(&worker.stale),
+                checkpoint_seq: load(&worker.checkpoint_seq),
+                wal_bytes: load(&worker.wal_bytes),
+                wal_segments: load(&worker.wal_segments),
+                compactions: load(&worker.compactions),
+            },
         }
     }
 }
@@ -320,6 +385,8 @@ pub(super) fn spawn_worker(
     let (tx, rx) = sync_channel(fleet.mailbox_depth);
     let gauge = Arc::clone(&slot.gauge);
     gauge.reset();
+    let stats = Arc::clone(&slot.worker);
+    stats.reset(&store, wal.as_ref());
     let publisher = shard::Publisher::start(
         shard,
         Arc::clone(&slot.published),
@@ -337,7 +404,7 @@ pub(super) fn spawn_worker(
                 tx: exit_tx,
                 clean: false,
             };
-            guard.clean = shard::run(shard, store, rx, dir, wal, gauge, faults, publisher);
+            guard.clean = shard::run(shard, store, rx, dir, wal, gauge, stats, faults, publisher);
         })
         .expect("spawn shard worker");
     *slot.sender.write().expect("sender poisoned") = tx;

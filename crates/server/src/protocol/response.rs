@@ -144,27 +144,28 @@ pub fn topk(rows: &[(String, f64)]) -> String {
 
 /// Per-shard `STATS` as a response line, plus fleet-wide totals, the
 /// fleet ranking memo's hits and misses, and the standing-view counters.
-/// Every shard row carries its supervision `health` block; the
-/// worker-reported numbers are present only when the worker could answer
-/// (a restarting or dead shard still gets a row, so the operator sees
-/// *that* it is down and how often it has been). The fleet totals sum
-/// over the shards that answered.
+/// Every shard row is complete: its supervision `health` block, then its
+/// published store's size and its worker's last recorded counters, a
+/// down shard's included. The fleet totals sum every row.
 pub fn stats(rows: &[ShardStatus], memo: &RankMemoStats, views: &ViewsSummary) -> String {
-    let answered = || rows.iter().filter_map(|r| r.stats.as_ref());
-    let keys: usize = answered().map(|s| s.keys).sum();
-    let memory: usize = answered().map(|s| s.memory_bytes).sum();
-    let ingested: u64 = answered().map(|s| s.ingested).sum();
-    let ingest_runs: u64 = answered().map(|s| s.ingest_runs).sum();
-    let wal_bytes: u64 = answered().map(|s| s.wal_bytes).sum();
-    let compactions: u64 = answered().map(|s| s.compactions).sum();
+    let keys: usize = rows.iter().map(|r| r.stats.keys).sum();
+    let memory: usize = rows.iter().map(|r| r.stats.memory_bytes).sum();
+    let ingested: u64 = rows.iter().map(|r| r.stats.ingested).sum();
+    let ingest_runs: u64 = rows.iter().map(|r| r.stats.ingest_runs).sum();
+    let wal_bytes: u64 = rows.iter().map(|r| r.stats.wal_bytes).sum();
+    let compactions: u64 = rows.iter().map(|r| r.stats.compactions).sum();
     let shards: Vec<String> = rows
         .iter()
         .map(|r| {
-            let h = &r.health;
-            let health = format!(
-                "\"health\":{{\"state\":\"{}\",\"restarts\":{},\"last_restart_ms\":{},\
-                 \"mailbox_hwm\":{},\"shed_requests\":{},\"published_reads\":{},\
-                 \"behind_clock\":{},\"ranked_sketches\":{}}}",
+            let (h, s) = (&r.health, &r.stats);
+            format!(
+                "{{\"shard\":{},\"health\":{{\"state\":\"{}\",\"restarts\":{},\
+                 \"last_restart_ms\":{},\"mailbox_hwm\":{},\"shed_requests\":{},\
+                 \"published_reads\":{},\"behind_clock\":{},\"ranked_sketches\":{}}},\
+                 \"keys\":{},\"memory_bytes\":{},\"ingested\":{},\"ingest_runs\":{},\
+                 \"stale\":{},\"checkpoint_seq\":{},\"wal_bytes\":{},\"wal_segments\":{},\
+                 \"compactions\":{}}}",
+                r.shard,
                 h.state,
                 h.restarts,
                 h.last_restart_ms,
@@ -172,26 +173,17 @@ pub fn stats(rows: &[ShardStatus], memo: &RankMemoStats, views: &ViewsSummary) -
                 h.shed_requests,
                 h.published_reads,
                 h.behind_clock,
-                h.ranked_sketches
-            );
-            match &r.stats {
-                Some(s) => format!(
-                    "{{\"shard\":{},{health},\"keys\":{},\"memory_bytes\":{},\"ingested\":{},\
-                     \"ingest_runs\":{},\"stale\":{},\"checkpoint_seq\":{},\"wal_bytes\":{},\
-                     \"wal_segments\":{},\"compactions\":{}}}",
-                    r.shard,
-                    s.keys,
-                    s.memory_bytes,
-                    s.ingested,
-                    s.ingest_runs,
-                    s.stale,
-                    s.checkpoint_seq,
-                    s.wal_bytes,
-                    s.wal_segments,
-                    s.compactions
-                ),
-                None => format!("{{\"shard\":{},{health}}}", r.shard),
-            }
+                h.ranked_sketches,
+                s.keys,
+                s.memory_bytes,
+                s.ingested,
+                s.ingest_runs,
+                s.stale,
+                s.checkpoint_seq,
+                s.wal_bytes,
+                s.wal_segments,
+                s.compactions
+            )
         })
         .collect();
     format!(

@@ -62,11 +62,7 @@ fn hierarchy_universe_guard_rejects_the_whole_batch() {
         EngineError::ItemOutOfUniverse { item: 16, bits: 4 }
     ));
     let stats = engine.stats().expect("stats");
-    let ingested: u64 = stats
-        .iter()
-        .filter_map(|s| s.stats.as_ref())
-        .map(|s| s.ingested)
-        .sum();
+    let ingested: u64 = stats.iter().map(|s| &s.stats).map(|s| s.ingested).sum();
     assert_eq!(ingested, 0);
     engine.shutdown().expect("shutdown");
 }
@@ -117,7 +113,7 @@ fn tiny_mailboxes_still_drain_everything() {
             .expect("ingest under backpressure");
     }
     let stats = engine.stats().expect("stats");
-    let rows: Vec<_> = stats.iter().filter_map(|s| s.stats.as_ref()).collect();
+    let rows: Vec<_> = stats.iter().map(|s| &s.stats).collect();
     assert_eq!(rows.len(), stats.len(), "all shards answered");
     assert_eq!(rows.iter().map(|s| s.ingested).sum::<u64>(), 200);
     assert_eq!(rows.iter().map(|s| s.keys).sum::<usize>(), 7);
@@ -174,7 +170,7 @@ fn top_k_scores_far_fewer_sketches_than_the_fleet_holds() {
     assert_eq!(top[0].0, "k000");
 
     let rows = engine.stats().expect("stats");
-    let resident: usize = rows.iter().filter_map(|r| r.stats).map(|s| s.keys).sum();
+    let resident: usize = rows.iter().map(|r| r.stats.keys).sum();
     assert_eq!(resident, KEYS);
     let ranked: u64 = rows.iter().map(|r| r.health.ranked_sketches).sum();
     assert!(
@@ -305,7 +301,7 @@ fn stats_count_occurrences_and_the_log_stores_runs() {
     );
     let stats = engine.stats().expect("stats");
     assert_eq!(stats, before, "a zero-weight line reached a shard");
-    let rows = || stats.iter().filter_map(|s| s.stats.as_ref());
+    let rows = || stats.iter().map(|s| &s.stats);
     let ingested: u64 = rows().map(|s| s.ingested).sum();
     let runs: u64 = rows().map(|s| s.ingest_runs).sum();
     let wal_bytes: u64 = rows().map(|s| s.wal_bytes).sum();
@@ -399,6 +395,60 @@ fn wedged_shard_sheds_typed_overloaded_then_recovers() {
     engine.shutdown().expect("shutdown");
 }
 
+/// `STATS` is a read: it enqueues nothing, so it answers at once while
+/// the shard's worker is stalled inside a message, and its row is
+/// complete — the published keys and the counters the worker recorded
+/// before it stalled.
+#[test]
+#[cfg(any(debug_assertions, feature = "fault-injection"))]
+fn stats_is_complete_while_a_shard_is_wedged_or_dead() {
+    let cfg = ServerConfig::new(spec())
+        .shards(1)
+        .health_deadline(std::time::Duration::from_millis(200))
+        .fault_plan("shard:delay=1500ms@seq=3");
+    let engine = Engine::start(&cfg).expect("engine");
+    let event = |i: u64| vec![("k".to_string(), StreamEvent::new(1, i), 1)];
+    engine.ingest(&event(1)).expect("ingest 1");
+    engine.ingest(&event(2)).expect("ingest 2");
+    std::thread::scope(|scope| {
+        let stalled = scope.spawn(|| engine.ingest(&event(3)));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let row = loop {
+            let asked = std::time::Instant::now();
+            let rows = engine.stats().expect("stats");
+            let took = asked.elapsed();
+            assert!(
+                took < std::time::Duration::from_millis(100),
+                "STATS took {took:?}"
+            );
+            if rows[0].health.state == "wedged" {
+                break rows[0];
+            }
+            assert!(std::time::Instant::now() < deadline, "never wedged");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        assert_eq!(row.stats.keys, 1);
+        assert_eq!(
+            row.stats.ingested, 2,
+            "the stalled batch is not applied yet"
+        );
+        stalled
+            .join()
+            .expect("stalled sender")
+            .expect("acked after the stall");
+    });
+    engine.shutdown().expect("shutdown");
+
+    // An idle engine: `STATS` leaves every mailbox untouched.
+    let engine = Engine::start(&ServerConfig::new(spec()).shards(2)).expect("engine");
+    for _ in 0..100 {
+        engine.stats().expect("stats");
+    }
+    let rows = engine.stats().expect("stats");
+    assert!(rows.iter().all(|r| r.health.mailbox_hwm == 0), "{rows:?}");
+    engine.shutdown().expect("shutdown");
+}
+
 #[test]
 #[cfg(any(debug_assertions, feature = "fault-injection"))]
 fn a_worker_that_dies_holding_a_batch_never_acks_it() {
@@ -461,7 +511,7 @@ fn a_batch_refused_by_a_failed_rotation_is_not_on_the_log() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let row = &retry_until_ok(|| engine.stats(), "stats")[0];
-        if row.stats.is_some() && row.health.restarts == 1 && row.health.state == "up" {
+        if row.health.restarts == 1 && row.health.state == "up" {
             break;
         }
         assert!(
@@ -528,6 +578,17 @@ fn broadcast_errors_name_the_shard_that_failed() {
         assert!(std::time::Instant::now() < deadline, "shard 1 never died");
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
+
+    // `STATS` still reports what the dead shard last published and its
+    // worker last recorded.
+    let owned: Vec<u64> = [("a", 3), ("b", 5)]
+        .into_iter()
+        .filter(|(k, _)| route(k, 2) == 1)
+        .map(|(_, n)| n)
+        .collect();
+    let row = engine.stats().expect("stats")[1];
+    assert_eq!(row.stats.keys, owned.len());
+    assert_eq!(row.stats.ingested, owned.iter().sum::<u64>());
 
     let died = EngineError::ShardDied { shard: 1 };
     assert_eq!(engine.flush(20).expect_err("flush"), died);
