@@ -24,11 +24,13 @@ pub(super) fn write_manifest(
 ) -> Result<(), EngineError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| EngineError::Snapshot(format!("create {}: {e}", dir.display())))?;
-    let views: Vec<String> = views
-        .iter()
-        .map(|v| format!("\"{}\"", json::escape(v)))
-        .collect();
-    let text = format!("{{\"shards\":{shards},\"views\":[{}]}}\n", views.join(","));
+    let mut text = format!("{{\"shards\":{shards},\"views\":[");
+    for (i, v) in views.iter().enumerate() {
+        text.push_str(if i > 0 { ",\"" } else { "\"" });
+        json::escape(&mut text, v);
+        text.push('"');
+    }
+    text.push_str("]}\n");
     write_atomic(dir, MANIFEST, text.as_bytes(), fsync).map_err(EngineError::Snapshot)
 }
 

@@ -5,7 +5,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -13,7 +13,7 @@ use std::time::Duration;
 use ecm::StreamEvent;
 
 use crate::config::ServerConfig;
-use crate::engine::{Engine, EngineError, ViewHub};
+use crate::engine::{Engine, EngineError};
 use crate::protocol::{
     parse_command, parse_data_line, response, wire_view_def, CmdError, Command, MAX_LINE,
 };
@@ -76,6 +76,21 @@ struct Shared {
     write_timeout: Duration,
 }
 
+impl Shared {
+    fn new(cfg: &ServerConfig) -> Shared {
+        Shared {
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            next_id: AtomicU64::new(0),
+            conns: Mutex::new(HashMap::new()),
+            handlers: Mutex::new(Vec::new()),
+            max_connections: cfg.max_connections,
+            read_timeout: cfg.read_timeout,
+            write_timeout: cfg.write_timeout,
+        }
+    }
+}
+
 /// A running `sketchd` instance: an engine plus a TCP acceptor.
 ///
 /// Stops when a client sends `SHUTDOWN`, or programmatically via
@@ -99,16 +114,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            next_id: AtomicU64::new(0),
-            conns: Mutex::new(HashMap::new()),
-            handlers: Mutex::new(Vec::new()),
-            max_connections: cfg.max_connections,
-            read_timeout: cfg.read_timeout,
-            write_timeout: cfg.write_timeout,
-        });
+        let shared = Arc::new(Shared::new(&cfg));
         let acceptor = {
             let engine = Arc::clone(&engine);
             let shared = Arc::clone(&shared);
@@ -225,9 +231,14 @@ fn accept_loop(listener: TcpListener, engine: Arc<Engine>, shared: Arc<Shared>) 
 fn spawn_handler(mut stream: TcpStream, engine: &Arc<Engine>, shared: &Arc<Shared>) {
     if shared.active.load(Ordering::SeqCst) >= shared.max_connections {
         // Refuse, don't queue: the cap bounds handler threads.
-        let refusal = response::error("too_many_connections", "connection cap reached");
+        let mut refusal = String::new();
+        response::write_error(
+            &mut refusal,
+            "too_many_connections",
+            "connection cap reached",
+        );
+        refusal.push('\n');
         let _ = stream.write_all(refusal.as_bytes());
-        let _ = stream.write_all(b"\n");
         return;
     }
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
@@ -276,12 +287,53 @@ enum Line<'a> {
 /// the buffer holds at most a partial line of that length plus one read.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Pending replies past this many bytes go out at once rather than when
+/// the input runs dry: the bound on a connection's output buffer while a
+/// long burst is being answered.
+const REPLY_CAP: usize = 64 * 1024;
+
+/// A connection's outgoing side. Reply lines accumulate in `pending` and
+/// leave in one `write_all`: before the line reader blocks for more input
+/// (see [`LineReader::next_line`]), past [`REPLY_CAP`], and before the
+/// connection turns push-only or closes. A pipelined burst of requests
+/// thus costs one send, not one per reply, and replies keep their order.
+struct Replies<W> {
+    writer: W,
+    /// Whole reply lines, newlines included, then the one being rendered.
+    pending: String,
+}
+
+impl<W: Write> Replies<W> {
+    /// End the reply rendered into `pending`; write everything out once
+    /// past the cap.
+    fn end_line(&mut self) -> std::io::Result<()> {
+        self.pending.push('\n');
+        if self.pending.len() >= REPLY_CAP {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let sent = self.writer.write_all(self.pending.as_bytes());
+        self.pending.clear();
+        sent
+    }
+}
+
 /// Newline framing over a raw stream with a hard per-line byte bound —
 /// `BufReader::read_line` would buffer an attacker-length line in full.
 /// Reads land in one buffer that lives as long as the connection and lines
 /// are handed out as slices of it: no allocation and no copy per line.
-struct LineReader {
-    stream: TcpStream,
+/// The connection's [`Replies`] ride along, so they go out before every
+/// read that may block.
+struct LineReader<R, W> {
+    stream: R,
+    replies: Replies<W>,
     /// `buf[start..end]` is what has been read and not yet handed out;
     /// `buf[start..scanned]` is known to hold no newline.
     buf: Box<[u8]>,
@@ -293,10 +345,14 @@ struct LineReader {
     eof: bool,
 }
 
-impl LineReader {
-    fn new(stream: TcpStream) -> Self {
+impl<R: Read, W: Write> LineReader<R, W> {
+    fn new(stream: R, writer: W) -> Self {
         LineReader {
             stream,
+            replies: Replies {
+                writer,
+                pending: String::new(),
+            },
             buf: vec![0; MAX_LINE + 1 + READ_CHUNK].into_boxed_slice(),
             start: 0,
             scanned: 0,
@@ -334,6 +390,13 @@ impl LineReader {
             self.end -= self.start;
             self.start = 0;
             self.scanned = self.end;
+            // The read may block: a peer that waits for its replies before
+            // sending more must have them first. A peer we cannot write to
+            // is gone.
+            if self.replies.flush().is_err() {
+                self.eof = true;
+                return Line::Eof;
+            }
             match self
                 .stream
                 .read(&mut self.buf[self.end..self.end + READ_CHUNK])
@@ -356,21 +419,17 @@ fn handle_connection(stream: TcpStream, engine: &Engine, shared: &Shared) {
     let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = writer;
-    let mut reader = LineReader::new(stream);
+    serve(LineReader::new(stream, writer), engine, shared);
+}
+
+/// Answer a connection's requests in order, one reply line each, until
+/// the peer closes, a write fails, `SHUTDOWN`, or `SUBSCRIBE` turns the
+/// connection push-only.
+fn serve<R: Read, W: Write>(mut conn: LineReader<R, W>, engine: &Engine, shared: &Shared) {
     loop {
-        let parsed = match reader.next_line() {
-            Line::Eof => return,
-            Line::TooLong => {
-                let resp = response::error(
-                    "line_too_long",
-                    &CmdError::LineTooLong { limit: MAX_LINE }.to_string(),
-                );
-                if respond(&mut writer, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
+        let parsed = match conn.next_line() {
+            Line::Eof => break,
+            Line::TooLong => Err(CmdError::LineTooLong { limit: MAX_LINE }),
             // Blank lines are ignored rather than answered: a trailing
             // newline must not desynchronize a pipelining client's reply
             // counting.
@@ -390,42 +449,71 @@ fn handle_connection(stream: TcpStream, engine: &Engine, shared: &Shared) {
                 parse_command(line)
             }
         };
-        let resp = match parsed {
-            Err(e) => response::error(e.code(), &e.to_string()),
-            Ok(Command::Batch { n }) => match read_batch(&mut reader, n) {
-                None => return, // connection died mid-batch
-                Some(Err(resp)) => resp,
-                Some(Ok(triples)) => ingest(engine, &triples),
+        match parsed {
+            Err(e) => response::write_error(&mut conn.replies.pending, e.code(), &e.to_string()),
+            Ok(Command::Batch { n }) => {
+                let Some(batch) = read_batch(&mut conn, n) else {
+                    return; // connection died mid-batch
+                };
+                let out = &mut conn.replies.pending;
+                match batch {
+                    Ok(triples) => match engine.ingest(&triples) {
+                        Ok(ack) => response::write_ingest_ack(out, &ack),
+                        Err(e) => engine_error(out, &e),
+                    },
+                    Err((i, e)) => {
+                        response::write_error(out, e.code(), &format!("batch line {i}: {e}"));
+                    }
+                }
+            }
+            Ok(Command::Subscribe { view }) => match engine.subscribe(&view) {
+                Ok((id, rx)) => {
+                    conn.replies.pending.push_str(&response::subscribed(&view));
+                    conn.replies.pending.push('\n');
+                    if conn.replies.flush().is_ok() {
+                        subscribe_loop(rx, shared, &mut conn.replies.writer);
+                    }
+                    engine.hub().unsubscribe(id);
+                    return; // push-only from here; the connection is done
+                }
+                Err(e) => engine_error(&mut conn.replies.pending, &e),
             },
-            Ok(cmd) => match dispatch(cmd, engine, shared, &mut writer) {
-                Some(resp) => resp,
-                None => return, // SHUTDOWN: reply already written
-            },
-        };
-        if respond(&mut writer, &resp).is_err() {
+            Ok(Command::Shutdown) => {
+                // Drain + final checkpoint + worker join happen *before* the
+                // ack, so a client that saw the ack knows every prior ack is
+                // durable.
+                let out = &mut conn.replies.pending;
+                match engine.shutdown() {
+                    Ok(()) => out.push_str(&response::shutdown()),
+                    Err(e) => engine_error(out, &e),
+                }
+                out.push('\n');
+                let _ = conn.replies.flush();
+                halt_frontend(shared);
+                return;
+            }
+            Ok(cmd) => dispatch(&mut conn.replies.pending, cmd, engine),
+        }
+        if conn.replies.end_line().is_err() {
             return;
         }
     }
-}
-
-fn respond(writer: &mut TcpStream, resp: &str) -> std::io::Result<()> {
-    writer.write_all(resp.as_bytes())?;
-    writer.write_all(b"\n")
+    let _ = conn.replies.flush();
 }
 
 /// Read the `n` data lines of a `BATCH` body. The frame is atomic: on a
 /// bad line the remaining lines are still consumed (framing survives) and
-/// the whole batch is rejected with one error naming the first bad line.
+/// the whole batch is rejected, naming the first bad line and its error.
 /// `None` means the connection died mid-body.
 #[allow(clippy::type_complexity)]
-fn read_batch(
-    reader: &mut LineReader,
+fn read_batch<R: Read, W: Write>(
+    conn: &mut LineReader<R, W>,
     n: usize,
-) -> Option<Result<Vec<(String, StreamEvent, u64)>, String>> {
+) -> Option<Result<Vec<(String, StreamEvent, u64)>, (usize, CmdError)>> {
     let mut triples = Vec::with_capacity(n.min(4096));
     let mut bad: Option<(usize, CmdError)> = None;
     for i in 0..n {
-        match reader.next_line() {
+        match conn.next_line() {
             Line::Eof => return None,
             Line::TooLong => {
                 bad.get_or_insert((i, CmdError::LineTooLong { limit: MAX_LINE }));
@@ -441,7 +529,7 @@ fn read_batch(
         }
     }
     Some(match bad {
-        Some((i, e)) => Err(response::error(e.code(), &format!("batch line {i}: {e}"))),
+        Some(bad) => Err(bad),
         None => Ok(triples),
     })
 }
@@ -450,83 +538,78 @@ fn read_batch(
 /// are safe to retry verbatim get the `retryable` form with a backoff
 /// hint; everything else (including `shard_timeout`, whose request may
 /// still apply) is a plain error the client interprets by code.
-fn engine_error(e: &EngineError) -> String {
+fn engine_error(out: &mut String, e: &EngineError) {
     if e.is_retryable() {
         let retry_after_ms = match e {
             EngineError::Overloaded { retry_after_ms, .. } => *retry_after_ms,
             _ => 50,
         };
-        response::retry_error(e.code(), &e.to_string(), retry_after_ms)
+        response::write_retry_error(out, e.code(), &e.to_string(), retry_after_ms);
     } else {
-        response::error(e.code(), &e.to_string())
+        response::write_error(out, e.code(), &e.to_string());
     }
 }
 
-fn ingest(engine: &Engine, triples: &[(String, StreamEvent, u64)]) -> String {
-    match engine.ingest(triples) {
-        Ok(ack) => response::ingest_ack(&ack),
-        Err(e) => engine_error(&e),
-    }
-}
-
-/// Handle every command except `BATCH`. Returns the response line, or
-/// `None` after `SHUTDOWN` (which writes its own ack and ends the
-/// connection).
-fn dispatch(
-    cmd: Command,
-    engine: &Engine,
-    shared: &Shared,
-    writer: &mut TcpStream,
-) -> Option<String> {
-    Some(match cmd {
-        Command::Ping => response::pong(),
+/// Render the reply to every command but `BATCH`, `SUBSCRIBE` and
+/// `SHUTDOWN`, which [`serve`] handles, into `out`.
+fn dispatch(out: &mut String, cmd: Command, engine: &Engine) {
+    match cmd {
+        Command::Ping => out.push_str(&response::pong()),
         Command::Store {
             key,
             ts,
             item,
             count,
         } => match engine.ingest(&[(key.clone(), StreamEvent::new(item, ts), count)]) {
-            Ok(ack) if ack.stale > 0 => response::error(
+            Ok(ack) if ack.stale > 0 => response::write_error(
+                out,
                 "stale_timestamp",
                 &format!("tick {ts} precedes the write clock of key {key:?}; nothing was applied"),
             ),
-            Ok(ack) => response::ingest_ack(&ack),
-            Err(e) => engine_error(&e),
+            Ok(ack) => response::write_ingest_ack(out, &ack),
+            Err(e) => engine_error(out, &e),
         },
-        Command::Batch { .. } => unreachable!("BATCH handled by the caller"),
         Command::Query { key, query, window } => match engine.query_served(&key, &query, window) {
-            Err(e) => engine_error(&e),
+            Err(e) => engine_error(out, &e),
             Ok(served) => match served.answer {
-                None => response::error("unknown_key", &format!("no sketch for key {key:?}")),
-                Some(Err(e)) => response::query_error(&e),
-                Some(Ok(answer)) => response::answer_at(query.name(), &answer, served.clock),
+                None => {
+                    response::write_error(
+                        out,
+                        "unknown_key",
+                        &format!("no sketch for key {key:?}"),
+                    );
+                }
+                Some(Err(e)) => response::write_query_error(out, &e),
+                Some(Ok(answer)) => {
+                    response::write_answer_at(out, query.name(), &answer, served.clock);
+                }
             },
         },
         Command::TopK { k, window } => match engine.top_k(k, window) {
-            Ok(rows) => response::topk(&rows),
-            Err(e) => engine_error(&e),
+            Ok(rows) => response::write_topk(out, &rows),
+            Err(e) => engine_error(out, &e),
         },
         Command::Stats => match engine.stats() {
             Ok(rows) => {
                 let views = engine.views_summary();
-                response::stats(&rows, &engine.rank_memo_stats(), &views)
+                out.push_str(&response::stats(&rows, &engine.rank_memo_stats(), &views));
             }
-            Err(e) => engine_error(&e),
+            Err(e) => engine_error(out, &e),
         },
         Command::CreateView { def } => {
             let name = def.name.clone();
             match engine.view_create(def) {
-                Ok(()) => response::view_created(&name),
-                Err(e) => engine_error(&e),
+                Ok(()) => out.push_str(&response::view_created(&name)),
+                Err(e) => engine_error(out, &e),
             }
         }
         Command::ReadView { name } => match engine.view_read(&name) {
-            Ok(readout) => response::view_read(&name, &readout),
-            Err(e) => engine_error(&e),
+            Ok(readout) => response::write_view_read(out, &name, &readout),
+            Err(e) => engine_error(out, &e),
         },
         Command::DropView { name } => match engine.view_drop(&name) {
-            Ok(()) => response::view_dropped(&name),
-            Err(e) => engine_error(&e),
+            Ok(()) => out.push_str(&response::view_dropped(&name)),
+            Err(e) => engine_error(out, &e),
         },
         Command::ListViews => {
             let rows: Vec<(String, &'static str, String)> = engine
@@ -534,79 +617,163 @@ fn dispatch(
                 .iter()
                 .map(|d| (d.name.clone(), d.kind(), wire_view_def(d)))
                 .collect();
-            response::view_list(&rows)
+            out.push_str(&response::view_list(&rows));
         }
-        Command::Subscribe { view } => match engine.subscribe(&view) {
-            Ok((id, rx)) => {
-                subscribe_loop(&view, id, rx, engine.hub(), shared, writer);
-                return None; // push-only from here; the connection is done
-            }
-            Err(e) => engine_error(&e),
-        },
         Command::Flush { ts } => match engine.flush(ts) {
-            Ok(()) => response::flushed(ts),
-            Err(e) => engine_error(&e),
+            Ok(()) => out.push_str(&response::flushed(ts)),
+            Err(e) => engine_error(out, &e),
         },
         Command::Snapshot { dir } => match engine.snapshot(Path::new(&dir)) {
-            Ok(report) => response::snapshot(&report),
-            Err(e) => engine_error(&e),
+            Ok(report) => out.push_str(&response::snapshot(&report)),
+            Err(e) => engine_error(out, &e),
         },
-        Command::Shutdown => {
-            // Drain + final checkpoint + worker join happen *before* the
-            // ack, so a client that saw the ack knows every prior ack is
-            // durable.
-            let resp = match engine.shutdown() {
-                Ok(()) => response::shutdown(),
-                Err(e) => engine_error(&e),
-            };
-            let _ = respond(writer, &resp);
-            halt_frontend(shared);
-            return None;
+        Command::Batch { .. } | Command::Subscribe { .. } | Command::Shutdown => {
+            unreachable!("BATCH, SUBSCRIBE and SHUTDOWN are handled by `serve`")
         }
-    })
+    }
 }
 
-/// Turn the connection push-only: ack the subscription, then forward every
-/// notification the hub publishes for `view` until the server stops, the
-/// view is dropped (the hub disconnects its subscribers), or the peer
-/// stops reading. A 5-second idle gap emits a `ping` notification so a
-/// half-dead peer is detected by the write instead of lingering forever.
-fn subscribe_loop(
-    view: &str,
-    id: u64,
-    rx: Receiver<String>,
-    hub: &ViewHub,
-    shared: &Shared,
-    writer: &mut TcpStream,
-) {
-    if respond(writer, &response::subscribed(view)).is_err() {
-        hub.unsubscribe(id);
-        return;
-    }
+/// Forward every notification the hub queues for a subscription until
+/// the server stops, the view is dropped (the hub disconnects its
+/// subscribers), or the peer stops reading. Each wake-up sends every
+/// queued push in one write. A 5-second idle gap emits a `ping`
+/// notification so a half-dead peer is detected by the write instead of
+/// lingering forever.
+fn subscribe_loop<W: Write>(rx: Receiver<String>, shared: &Shared, writer: &mut W) {
     let tick = Duration::from_millis(100);
     let mut idle = Duration::ZERO;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
+    let mut lines = String::new();
+    while !shared.stop.load(Ordering::SeqCst) {
+        lines.clear();
         match rx.recv_timeout(tick) {
             Ok(line) => {
                 idle = Duration::ZERO;
-                if respond(writer, &line).is_err() {
-                    break;
+                for line in std::iter::once(line).chain(rx.try_iter()) {
+                    lines.push_str(&line);
+                    lines.push('\n');
                 }
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 idle += tick;
-                if idle >= Duration::from_secs(5) {
-                    idle = Duration::ZERO;
-                    if respond(writer, &response::heartbeat()).is_err() {
-                        break;
-                    }
+                if idle < Duration::from_secs(5) {
+                    continue;
                 }
+                idle = Duration::ZERO;
+                lines.push_str(&response::heartbeat());
+                lines.push('\n');
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+        if writer.write_all(lines.as_bytes()).is_err() {
+            break;
         }
     }
-    hub.unsubscribe(id);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
+    use ecm::SketchSpec;
+
+    use super::*;
+
+    /// What the scripted peer has seen: every write the server made.
+    #[derive(Default)]
+    struct Seen {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Seen {
+        fn replies(&self) -> usize {
+            self.writes
+                .iter()
+                .flatten()
+                .filter(|&&b| b == b'\n')
+                .count()
+        }
+    }
+
+    /// A peer that sends its chunks one `read` at a time, each with the
+    /// number of replies it completes, and checks at every read that the
+    /// replies to everything sent before have been written.
+    struct Script {
+        chunks: VecDeque<(Vec<u8>, usize)>,
+        answered: usize,
+        reads: usize,
+        seen: Rc<RefCell<Seen>>,
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            assert_eq!(
+                self.seen.borrow().replies(),
+                self.answered,
+                "read {} found replies pending",
+                self.reads
+            );
+            let Some((chunk, replies)) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            self.answered += replies;
+            Ok(chunk.len())
+        }
+    }
+
+    struct Sink(Rc<RefCell<Seen>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replies_go_out_once_per_burst_and_before_every_read() {
+        let seen = Rc::new(RefCell::new(Seen::default()));
+        let script = Script {
+            chunks: VecDeque::from([
+                ("PING\n".repeat(32).into_bytes(), 32),
+                // A request cut mid-line, then a batch whose body needs
+                // one more read: the replies before it go out first.
+                (b"PING\nQUERY k total ti".to_vec(), 1),
+                (b"me 5 10\nBATCH 2\nk 1 1\n".to_vec(), 1),
+                (b"k 2 1 3\nQUERY k total time 5 10".to_vec(), 1),
+            ]),
+            answered: 0,
+            reads: 0,
+            seen: Rc::clone(&seen),
+        };
+        let spec = SketchSpec::time(100).epsilon(0.2).delta(0.2).seed(3);
+        let cfg = ServerConfig::new(spec).shards(1);
+        let engine = Engine::start(&cfg).expect("engine");
+        serve(
+            LineReader::new(script, Sink(Rc::clone(&seen))),
+            &engine,
+            &Shared::new(&cfg),
+        );
+        engine.shutdown().expect("shutdown");
+
+        let seen = seen.borrow();
+        let writes: Vec<&str> = seen
+            .writes
+            .iter()
+            .map(|w| std::str::from_utf8(w).expect("utf-8"))
+            .collect();
+        assert_eq!(writes.len(), 5, "one write per burst: {writes:?}");
+        assert_eq!(writes[0], "{\"ok\":true,\"pong\":true}\n".repeat(32));
+        assert_eq!(writes[1], "{\"ok\":true,\"pong\":true}\n");
+        assert!(writes[2].contains("unknown_key"), "{}", writes[2]);
+        assert_eq!(writes[3], "{\"ok\":true,\"ingested\":4}\n");
+        assert!(writes[4].contains("\"value\":4.0"), "{}", writes[4]);
+    }
 }

@@ -3,21 +3,32 @@
 //! snapshot manifest) and [`parse_string_array`] for the one array read
 //! back (the manifest's view list).
 
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+use std::fmt::Write;
+
+/// Append `s` to `out`, escaped for inclusion in a JSON string literal.
+/// Runs that need no escape are copied whole.
+pub(crate) fn escape(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
         }
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Parse a JSON array of strings from just after its opening `[`:
@@ -72,7 +83,9 @@ mod tests {
     #[test]
     fn a_rendered_string_parses_back() {
         let nasty = "a\"b\\c\nd\re\tf\u{1}g";
-        let text = format!("\"{}\", \"plain\" ] trailing", escape(nasty));
+        let mut text = String::from("\"");
+        escape(&mut text, nasty);
+        text.push_str("\", \"plain\" ] trailing");
         assert_eq!(parse_string_array(&text).unwrap(), vec![nasty, "plain"]);
         assert_eq!(parse_string_array("]").unwrap(), Vec::<String>::new());
     }

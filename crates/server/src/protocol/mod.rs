@@ -3,7 +3,11 @@
 //!
 //! One request line maps to one response line (the `BATCH` body lines are
 //! the sole exception: the `n` data lines that follow a `BATCH n` header
-//! are acknowledged by a single response). The command grammar is parsed by
+//! are acknowledged by a single response). Replies keep the order of their
+//! requests, but go out when the server has no further complete request
+//! buffered from the connection: a pipelined burst gets its replies in one
+//! write. A client that pipelines must read its replies, since the server
+//! reads no further while a write to it is blocked. The command grammar is parsed by
 //! [`parser`]; responses are rendered by [`response`], and every estimate
 //! travels **with** the (ε, δ) guarantee its backend derived — a remote
 //! reader gets exactly the accuracy contract an in-process

@@ -6,6 +6,12 @@
 //! panic **while the handler holds the connection registry** and proves
 //! the server keeps serving, keeps accepting new connections (no
 //! connection-slot leak), and still shuts down gracefully.
+//!
+//! The `__PANIC__` hook is compiled out of plain release builds, so the
+//! file runs where the hook exists: debug builds, or release with the
+//! `fault-injection` feature.
+
+#![cfg(any(debug_assertions, feature = "fault-injection"))]
 
 use std::time::Duration;
 

@@ -337,6 +337,7 @@ fn malformed_fault_plan_is_a_typed_start_error() {
     ));
 }
 
+#[cfg(any(debug_assertions, feature = "fault-injection"))]
 #[test]
 fn wedged_shard_sheds_typed_overloaded_then_recovers() {
     // The 3rd message stalls its worker for 1.5 s; with a 200 ms health

@@ -227,3 +227,98 @@ fn a_thousand_pipelined_requests_answer_as_they_do_one_at_a_time() {
             > 750
     );
 }
+
+/// A server holding two keys and a fleet top-k view, prepared the same
+/// way every time so two of them answer the same requests alike.
+fn prepared() -> Server {
+    let server = server();
+    let mut conn = Raw::connect(&server);
+    conn.send(
+        b"BATCH 3\nann 100 1 5\nben 200 2 3\nann 300 2\nVIEW CREATE top topk 2 time 100000\n",
+    );
+    assert_eq!(conn.reply(), r#"{"ok":true,"ingested":9}"#);
+    assert!(conn.reply().contains("\"created\":true"));
+    assert!(conn.finish().is_empty());
+    server
+}
+
+/// One of every kind of reply, and lines that get none: each entry is a
+/// request's bytes and the number of replies it gets.
+fn mixed_burst() -> Vec<(Vec<u8>, usize)> {
+    let mut long = vec![b'q'; MAX_LINE + 1];
+    long.push(b'\n');
+    let lines: [&[u8]; 13] = [
+        b"PING\n",
+        b"QUERY ann point 1 time 400 100000\n",
+        b"QUERY nobody total time 400 100000\n",
+        // A window longer than the sketch's: a query error, not a parse one.
+        b"QUERY ann total time 400 999999999\n",
+        b"TOPK 2 time 400 100000\n",
+        b"VIEW READ top\n",
+        b"STORE ann 50 1\n",
+        b"BATCH 2\nben 400 2 4\ncal 410 3\n",
+        b"BATCH 3\ncal 420 3\ncal 4x0 3\ncal 430 3\n",
+        b"FROB 1 2\n",
+        &long,
+        b"\n  \r\n",
+        b"QUERY cal total time 500 100000\n",
+    ];
+    lines
+        .iter()
+        .map(|line| {
+            let blank = line.iter().all(u8::is_ascii_whitespace);
+            (line.to_vec(), usize::from(!blank))
+        })
+        .collect()
+}
+
+#[test]
+fn a_mixed_burst_gets_the_replies_its_lines_get_one_at_a_time() {
+    let burst = mixed_burst();
+    let reference = prepared();
+    let mut conn = Raw::connect(&reference);
+    let mut expected = Vec::new();
+    for (request, replies) in &burst {
+        conn.send(request);
+        expected.extend((0..*replies).map(|_| conn.reply()));
+    }
+    assert!(conn.finish().is_empty());
+    reference.stop().expect("stop");
+    for (code, at) in [
+        ("unknown_key", 2),
+        ("\"error\":\"query\"", 3),
+        ("stale_timestamp", 6),
+        ("bad_number", 8),
+        ("unknown_verb", 9),
+        ("line_too_long", 10),
+    ] {
+        assert!(expected[at].contains(code), "reply {at}: {}", expected[at]);
+    }
+    let together: Vec<u8> = burst.iter().flat_map(|(bytes, _)| bytes.clone()).collect();
+
+    // Half-closed straight after the burst: every reply still arrives.
+    let server = prepared();
+    let mut conn = Raw::connect(&server);
+    conn.send(&together);
+    assert_eq!(conn.finish(), expected);
+    server.stop().expect("stop");
+
+    // Ending in SHUTDOWN: every earlier reply, then the ack.
+    let server = prepared();
+    let mut conn = Raw::connect(&server);
+    conn.send(&[&together[..], b"SHUTDOWN\n"].concat());
+    let mut got: Vec<String> = (0..expected.len()).map(|_| conn.reply()).collect();
+    got.push(conn.reply());
+    assert_eq!(got[..expected.len()], expected[..]);
+    assert_eq!(got[expected.len()], r#"{"ok":true,"shutdown":true}"#);
+    server.join();
+
+    // Ending in SUBSCRIBE: every earlier reply, then the subscription ack.
+    let server = prepared();
+    let mut conn = Raw::connect(&server);
+    conn.send(&[&together[..], b"SUBSCRIBE top\n"].concat());
+    let got: Vec<String> = (0..expected.len()).map(|_| conn.reply()).collect();
+    assert_eq!(got, expected);
+    assert_eq!(conn.reply(), r#"{"ok":true,"subscribed":"top"}"#);
+    server.stop().expect("stop");
+}
