@@ -1046,7 +1046,9 @@ mod tests {
 
         let restored = SketchStore::<u64>::load_snapshot(&bytes).unwrap();
         assert_eq!(restored.checkpoint_seq(), 1);
-        assert_eq!(restored.memory_bytes(), store.memory_bytes());
+        // A restored grid holds exactly its buckets; the live one keeps
+        // the free slots its runs grew into.
+        assert!(restored.memory_bytes() <= store.memory_bytes());
         assert_stores_agree(&store, &restored, WindowSpec::time(800, 1_000));
 
         // The write stamps survived: the same keys read as written since

@@ -493,8 +493,21 @@ impl Engine {
     /// [`Wal`](EngineError::Wal), or
     /// [`ShardDied`](EngineError::ShardDied).
     pub fn ingest(&self, batch: &[(String, StreamEvent, u64)]) -> Result<IngestAck, EngineError> {
+        self.ingest_owned(batch.to_vec())
+    }
+
+    /// [`ingest`](Self::ingest) of a batch the caller hands over: each run
+    /// moves into its shard's partition instead of being copied there.
+    /// The front-end's entry point, as it owns the batches it parses.
+    ///
+    /// # Errors
+    /// As [`ingest`](Self::ingest).
+    pub fn ingest_owned(
+        &self,
+        batch: Vec<(String, StreamEvent, u64)>,
+    ) -> Result<IngestAck, EngineError> {
         let mut total: u64 = 0;
-        for (_, event, count) in batch {
+        for (_, event, count) in &batch {
             if let Some(limit) = self.fleet.item_limit {
                 if event.item >= limit {
                     return Err(EngineError::ItemOutOfUniverse {
@@ -510,8 +523,8 @@ impl Engine {
         }
         let n = self.fleet.slots.len();
         let mut per_shard: Vec<Vec<(String, StreamEvent, u64)>> = vec![Vec::new(); n];
-        for run in batch.iter().filter(|(_, _, count)| *count > 0) {
-            per_shard[route(&run.0, n)].push(run.clone());
+        for run in batch.into_iter().filter(|(_, _, count)| *count > 0) {
+            per_shard[route(&run.0, n)].push(run);
         }
         let gate = self.fleet.down.read().expect("gate poisoned");
         if *gate {

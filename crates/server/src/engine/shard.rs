@@ -28,7 +28,12 @@ pub(super) fn full_file(shard: usize) -> String {
 /// second read path — and because the log append comes first, a pinned
 /// epoch never shows state a crash could un-happen. Publishing per batch
 /// is affordable because a store clone is a map of shared pointers: only
-/// the keys the batch wrote were copied.
+/// the keys the batch wrote were copied. Each of those copies is the
+/// key's whole sketch, and on a wide, sparse fleet that copy is the
+/// largest per-event cost the worker has — which is why the EH slab keeps
+/// a cell to a 56-byte header and the slots its buckets use (about 12 KB
+/// for a `wide-fleet` key, where the per-level layout before it took
+/// 24 KB).
 pub(super) struct Publisher {
     shard: usize,
     lr: Arc<LeftRight<SketchStore<String>>>,

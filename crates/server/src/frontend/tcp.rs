@@ -457,7 +457,7 @@ fn serve<R: Read, W: Write>(mut conn: LineReader<R, W>, engine: &Engine, shared:
                 };
                 let out = &mut conn.replies.pending;
                 match batch {
-                    Ok(triples) => match engine.ingest(&triples) {
+                    Ok(triples) => match engine.ingest_owned(triples) {
                         Ok(ack) => response::write_ingest_ack(out, &ack),
                         Err(e) => engine_error(out, &e),
                     },
@@ -560,7 +560,7 @@ fn dispatch(out: &mut String, cmd: Command, engine: &Engine) {
             ts,
             item,
             count,
-        } => match engine.ingest(&[(key.clone(), StreamEvent::new(item, ts), count)]) {
+        } => match engine.ingest_owned(vec![(key.clone(), StreamEvent::new(item, ts), count)]) {
             Ok(ack) if ack.stale > 0 => response::write_error(
                 out,
                 "stale_timestamp",

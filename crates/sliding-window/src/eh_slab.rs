@@ -1,23 +1,42 @@
-//! Slab-backed grids of exponential histograms — the contiguous
-//! fixed-capacity EH core behind `EcmSketch<ExponentialHistogram>`.
+//! Slab-backed grids of exponential histograms — the compact EH core
+//! behind `EcmSketch<ExponentialHistogram>`.
 //!
 //! A standalone [`ExponentialHistogram`] keeps each bucket level in its own
 //! `VecDeque<u64>`: flexible, but a `width × depth` grid of them fragments
-//! into thousands of small allocations that inserts and queries chase
-//! across the heap. The key observation is that the EH level capacity is
-//! **fixed at construction** (`EhConfig::level_capacity()`), so a level
-//! never needs a growable container: [`EhGrid`] carves every level of every
-//! cell out of **one contiguous slab** for the whole grid, as a
-//! fixed-capacity ring addressed by a `(head, len)` cursor:
+//! into thousands of small allocations, most of them nearly empty.
+//! [`EhGrid`] keeps the whole grid in **one slab** in which every cell owns
+//! one contiguous *run*, the runs laid end to end in cell order. A run holds
+//! the cell's buckets as one sequence, oldest first — the top level's
+//! buckets, then the next level's, down to level 0's newest — and, from the
+//! run's far end inward, the bucket count of every level below the top
+//! (the top level holds the rest of the sequence). Between the two lie the
+//! run's free slots:
 //!
 //! ```text
-//! slab: ┌─────────── cell 0 ──────────┬─────────── cell 1 ──────────┬─ ...
-//!       │ lvl0 ring │ lvl1 ring │ ... │ lvl0 ring │ lvl1 ring │ ... │
-//!       └───────────┴───────────┴─────┴───────────┴───────────┴─────┘
-//!        each ring: `cap` slots; cursors (head, len) live in a parallel
-//!        array; cells are laid out row-major in grid order, so the d
-//!        cells one item touches are the only cache misses per insert.
+//! slab:  ┌─────── cell 0's run ───────┬──── cell 1 ────┬┬─── cell 3 ──── ...
+//!        │ b b b b b b b b · · n₁ n₀  │ b b b · · · n₀ ││ b b b b · ·
+//!        └────────────────────────────┴────────────────┴┴───────────────
+//!          buckets, oldest → newest; free slots; counts of levels 1, 0
+//!                                              (cell 2 holds nothing)
+//! cells: one 56-byte `CellMeta` per cell, in grid order — where its run
+//!        starts (it ends where the next one starts), its bucket and level
+//!        counts, and the standalone histogram's scalars.
 //! ```
+//!
+//! An insert appends level 0's newest bucket. A cascade merges the two
+//! oldest buckets of a full level — adjacent in the sequence — by dropping
+//! the older one in place, and the newer one becomes the next level's
+//! newest without moving. Expiry pops from the sequence's front. The `d`
+//! cells one item touches are the only runs an insert reads.
+//!
+//! A cell whose run is full takes free slots from the runs nearby, moving
+//! only the runs in between. Only when they cannot spare enough is the
+//! slab rebuilt, every run sized to twice what its cell holds then, plus
+//! one slot: like a `Vec`'s doubling, a grid rebuilds `O(log)` times as it
+//! fills, and free slots stay spread over the runs, where later growth
+//! finds them. A grid is a handful of `Vec`s, so a clone is a couple of
+//! `memcpy`s, and the clone inherits the runs' free slots, so a write
+//! after a copy-on-write clone seldom allocates.
 //!
 //! Two further layout savings over the per-cell representation:
 //!
@@ -26,22 +45,14 @@
 //!   `2³²` ticks they are stored as `u32` offsets from a per-cell base that
 //!   is rebased (rarely) as the stream advances. Wider windows fall back to
 //!   a `u64` slab.
-//! * **No per-level containers** — a level costs `cap` slots plus one 4-byte
-//!   cursor instead of a 32-byte `VecDeque` header plus its own allocation.
+//! * **No per-level containers** — a level below the top costs one count
+//!   slot, and the levels a cell does not have cost nothing.
 //!
 //! Cell state transitions are an exact mirror of the standalone
 //! histogram's insert/cascade/expire/estimate logic — same bucket
 //! sequences, same estimates bit for bit, and byte-identical wire
 //! encodings (the differential suites in this module and in
-//! `tests/slab_layout.rs` pin this down). The only reordering is inside the
-//! cascade: where the deque pushes then pops on overflow, the ring pops the
-//! two oldest buckets *before* pushing, which never needs more than `cap`
-//! slots and provably yields the same bucket sequence.
-//!
-//! The number of levels grows with the stream (one level per doubling of
-//! the in-window count); the grid grows all cells' level allocation
-//! together, re-laying out the slab — a handful of `O(slab)` copies over a
-//! sketch's lifetime.
+//! `tests/slab_layout.rs` pin this down).
 
 use crate::codec::{put_u8, put_varint};
 use crate::error::CodecError;
@@ -52,12 +63,18 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Slab element: a bucket end-tick stored as an offset from its cell's
-/// base tick.
+/// base tick, or a level's bucket count.
 trait SlabWord: Copy + Default + std::fmt::Debug {
     /// Largest storable offset.
     const MAX_OFFSET: u64;
     fn from_offset(v: u64) -> Self;
     fn to_offset(self) -> u64;
+
+    /// The word read as a level's bucket count.
+    #[inline]
+    fn count(self) -> usize {
+        self.to_offset() as usize
+    }
 }
 
 impl SlabWord for u32 {
@@ -85,62 +102,97 @@ impl SlabWord for u64 {
     }
 }
 
-/// `(head, len)` cursor of one level's ring. `head` indexes the newest
-/// bucket; logical position `i` (newest-first) lives at slot
-/// `(head + i) mod slots`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ring {
-    head: u32,
-    len: u32,
-}
+/// `CellMeta::shape` layout: bucket count in the low bits, then the level
+/// count, then the flags.
+const LEN_BITS: u32 = 22;
+const LEVELS_SHIFT: u32 = LEN_BITS;
+const FLAGS_SHIFT: u32 = LEVELS_SHIFT + 7;
+/// Flag: `first_ts` holds a tick.
+const HAS_FIRST: u32 = 1;
+/// Flag: `dropped_end` holds a tick.
+const HAS_DROPPED: u32 = 2;
+/// Flag: the top level may hold no bucket. Only a decoded cell starts out
+/// that way; the next `expire` trims it, as the standalone's does, and
+/// clears the flag.
+const TOP_MAYBE_EMPTY: u32 = 4;
 
-/// Per-cell metadata: the standalone histogram's scalar fields plus the
-/// offset base.
+/// Per-cell state: where the cell's run starts, the shape of what it
+/// holds, the standalone histogram's scalar fields, and the offset base.
 #[derive(Debug, Clone, Copy, Default)]
 struct CellMeta {
-    /// Active level count (trailing empty levels trimmed), mirroring the
-    /// standalone `levels.len()`.
-    levels: u16,
     /// Base tick the cell's slab offsets are relative to.
     base: u64,
     /// Unexpired 1-bits currently held.
     total: u64,
     /// Tick of the most recent insertion.
     last_ts: u64,
-    /// Tick of the first insertion ever, if any.
-    first_ts: Option<u64>,
-    /// End-tick of the most recently expired bucket.
-    dropped_end: Option<u64>,
+    /// Tick of the first insertion ever, under `HAS_FIRST`.
+    first_ts: u64,
+    /// End-tick of the most recently expired bucket, under `HAS_DROPPED`.
+    dropped_end: u64,
     /// Lifetime 1-bits inserted.
     lifetime: u64,
+    /// Slab index of the run's first slot; the run ends where the next
+    /// cell's starts (the last one's at the slab's end).
+    start: u32,
+    /// Buckets held (the run's first slots), active levels (trailing empty
+    /// levels trimmed, mirroring the standalone `levels.len()`), and
+    /// flags, packed as `len | levels << 22 | flags << 29`.
+    shape: u32,
 }
 
-/// Push `v` as the newest entry of a level ring (the slice is the level's
-/// full slot range; capacity checks are the caller's cascade logic).
-#[inline]
-fn rpush_front<T: Copy>(ring: &mut Ring, slab: &mut [T], v: T) {
-    debug_assert!((ring.len as usize) < slab.len(), "ring over capacity");
-    let head = if ring.head == 0 {
-        (slab.len() - 1) as u32
-    } else {
-        ring.head - 1
-    };
-    ring.head = head;
-    ring.len += 1;
-    slab[head as usize] = v;
-}
-
-/// Pop and return the oldest entry of a level ring.
-#[inline]
-fn rpop_back<T: Copy>(ring: &mut Ring, slab: &[T]) -> T {
-    debug_assert!(ring.len > 0, "pop from empty ring");
-    ring.len -= 1;
-    let mut pos = (ring.head as usize) + (ring.len as usize);
-    if pos >= slab.len() {
-        pos -= slab.len();
+impl CellMeta {
+    #[inline]
+    fn len(&self) -> usize {
+        (self.shape & ((1 << LEN_BITS) - 1)) as usize
     }
-    slab[pos]
+
+    #[inline]
+    fn levels(&self) -> usize {
+        ((self.shape >> LEVELS_SHIFT) & 0x7f) as usize
+    }
+
+    #[inline]
+    fn flags(&self) -> u32 {
+        self.shape >> FLAGS_SHIFT
+    }
+
+    #[inline]
+    fn set_shape(&mut self, len: usize, levels: usize, flags: u32) {
+        debug_assert!(len < 1 << LEN_BITS && levels <= 64 && flags < 8);
+        self.shape = len as u32 | (levels as u32) << LEVELS_SHIFT | flags << FLAGS_SHIFT;
+    }
+
+    #[inline]
+    fn set_len(&mut self, len: usize) {
+        self.set_shape(len, self.levels(), self.flags());
+    }
+
+    fn first_ts(&self) -> Option<u64> {
+        (self.flags() & HAS_FIRST != 0).then_some(self.first_ts)
+    }
+
+    fn dropped_end(&self) -> Option<u64> {
+        (self.flags() & HAS_DROPPED != 0).then_some(self.dropped_end)
+    }
+
+    /// Slots the cell's buckets and counts take up.
+    #[inline]
+    fn used(&self) -> usize {
+        run_slots(self.len(), self.levels())
+    }
 }
+
+/// Slots a run needs for `len` buckets over `levels` levels: one per
+/// bucket and one count per level below the top.
+#[inline]
+fn run_slots(len: usize, levels: usize) -> usize {
+    len + levels.saturating_sub(1)
+}
+
+/// How many runs either side of a full one are searched for free slots
+/// before the slab is rebuilt instead.
+const NEAR_RUNS: usize = 32;
 
 /// The slab proper, generic over the stored word.
 #[derive(Debug, Clone)]
@@ -148,157 +200,307 @@ struct SlabCore<T> {
     cfg: EhConfig,
     /// Max buckets a level holds at rest (`EhConfig::level_capacity()`).
     cap: usize,
-    /// Ring slots per level (`cap`, or one more after decoding a
-    /// defensively-tolerated over-full level).
-    slots: usize,
-    /// Levels currently allocated per cell (uniform across the grid).
-    levels_alloc: usize,
-    /// `n_cells × levels_alloc × slots` bucket end-offsets.
+    /// Every cell's run, end to end in cell order.
     slab: Vec<T>,
-    /// `n_cells × levels_alloc` ring cursors.
-    rings: Vec<Ring>,
     cells: Vec<CellMeta>,
-    /// Reusable carry buffers for the bulk cascade (≤ `cap` entries each);
-    /// keeping them here removes the two heap allocations the standalone
-    /// bulk path pays per insert.
+    /// Reusable buffers for the bulk cascade — carries in, carries out,
+    /// and the rebuilt newest part of the run — kept here so a warm grid's
+    /// cascades allocate nothing.
     scratch_a: Vec<T>,
     scratch_b: Vec<T>,
+    scratch_tail: Vec<T>,
 }
 
 impl<T: SlabWord> SlabCore<T> {
     fn new(cfg: &EhConfig, n_cells: usize) -> Self {
         let cap = cfg.level_capacity();
         assert!(cap >= 2, "level capacity must hold a merge pair");
+        // 64 levels of `cap + 1` buckets fit the 22-bit bucket count.
         assert!(
-            cap + 1 < u32::MAX as usize,
-            "level capacity exceeds ring cursor range"
+            64 * (cap + 1) < 1 << LEN_BITS,
+            "level capacity {cap} exceeds a cell's bucket count"
         );
         SlabCore {
             cfg: cfg.clone(),
             cap,
-            slots: cap,
-            levels_alloc: 0,
             slab: Vec::new(),
-            rings: Vec::new(),
             cells: vec![CellMeta::default(); n_cells],
-            scratch_a: Vec::with_capacity(cap),
-            scratch_b: Vec::with_capacity(cap),
+            scratch_a: Vec::new(),
+            scratch_b: Vec::new(),
+            scratch_tail: Vec::new(),
         }
     }
 
-    /// Grow the per-cell level allocation to `need`, re-laying out the slab
-    /// (exact-size allocations keep `memory_bytes` equal to what is used).
+    /// One past the last slot of the cell's run.
+    #[inline]
+    fn run_end(&self, cell: usize) -> usize {
+        match self.cells.get(cell + 1) {
+            Some(next) => next.start as usize,
+            None => self.slab.len(),
+        }
+    }
+
+    /// The run's slots nobody uses.
+    #[inline]
+    fn free(&self, cell: usize) -> usize {
+        self.run_end(cell) - self.cells[cell].start as usize - self.cells[cell].used()
+    }
+
+    /// A cell's run split into its buckets (oldest first) and its level
+    /// counts (level `levels − 2` first, level 0 last).
+    #[inline]
+    fn parts(&self, cell: usize) -> (&[T], &[T]) {
+        let m = &self.cells[cell];
+        let run = &self.slab[m.start as usize..self.run_end(cell)];
+        let below = m.levels().saturating_sub(1);
+        (&run[..m.len()], &run[run.len() - below..])
+    }
+
+    /// Each level's buckets (oldest first), from the top level down: the
+    /// order the run stores them in.
+    fn levels_top_down(&self, cell: usize) -> impl Iterator<Item = (usize, &[T])> + '_ {
+        let (seq, counts) = self.parts(cell);
+        let levels = self.cells[cell].levels();
+        let lower: usize = counts.iter().map(|c| c.count()).sum();
+        let mut pos = 0;
+        std::iter::once(seq.len() - lower)
+            .chain(counts.iter().map(|c| c.count()))
+            .take(levels)
+            .enumerate()
+            .map(move |(k, n)| {
+                let seg = &seq[pos..pos + n];
+                pos += n;
+                (levels - 1 - k, seg)
+            })
+    }
+
+    /// Each level's buckets (oldest first), from level 0 up.
+    fn levels_bottom_up(&self, cell: usize) -> impl Iterator<Item = &[T]> + '_ {
+        let (seq, counts) = self.parts(cell);
+        let levels = self.cells[cell].levels();
+        let mut end = seq.len();
+        (0..levels).map(move |i| {
+            let n = if i + 1 < levels {
+                counts[levels - 2 - i].count()
+            } else {
+                end
+            };
+            let seg = &seq[end - n..end];
+            end -= n;
+            seg
+        })
+    }
+
+    /// Grow `cell`'s run to at least `need` slots, keeping its buckets and
+    /// counts: with free slots from the runs within `NEAR_RUNS` of it (past
+    /// the last run, the slab's spare capacity) — from the nearest one
+    /// that can spare them all, else from as many as it takes — or, when
+    /// those runs cannot spare enough between them, by rebuilding the
+    /// slab.
     #[cold]
-    fn grow_levels(&mut self, need: usize) {
-        debug_assert!(need > self.levels_alloc);
-        let n_cells = self.cells.len();
-        let old_alloc = self.levels_alloc;
-        let mut slab = vec![T::default(); n_cells * need * self.slots];
-        let mut rings = vec![Ring::default(); n_cells * need];
-        for cell in 0..n_cells {
-            let old_base = cell * old_alloc;
-            let new_base = cell * need;
-            slab[new_base * self.slots..(new_base + old_alloc) * self.slots].copy_from_slice(
-                &self.slab[old_base * self.slots..(old_base + old_alloc) * self.slots],
-            );
-            rings[new_base..new_base + old_alloc]
-                .copy_from_slice(&self.rings[old_base..old_base + old_alloc]);
-        }
-        self.slab = slab;
-        self.rings = rings;
-        self.levels_alloc = need;
-    }
-
-    /// Mark level `level` active for `cell`, allocating grid-wide if this is
-    /// the first cell to reach it. Mirrors the standalone
-    /// `levels.push(VecDeque::new())`.
-    #[inline]
-    fn activate_level(&mut self, cell: usize, level: usize) {
-        debug_assert_eq!((self.cells[cell].levels as usize), level);
-        if level >= self.levels_alloc {
-            self.grow_levels(level + 1);
-        }
-        self.cells[cell].levels = (level + 1) as u16;
-    }
-
-    #[inline]
-    fn ring_index(&self, cell: usize, level: usize) -> usize {
-        cell * self.levels_alloc + level
-    }
-
-    #[inline]
-    fn len_of(&self, cell: usize, level: usize) -> usize {
-        self.rings[self.ring_index(cell, level)].len as usize
-    }
-
-    /// Slab slot of logical position `i` (0 = newest) of a level's ring.
-    #[inline]
-    fn slot_of(&self, cell: usize, level: usize, i: usize) -> usize {
-        let ring = self.rings[self.ring_index(cell, level)];
-        debug_assert!(i < (ring.len as usize));
-        let mut pos = (ring.head as usize) + i;
-        if pos >= self.slots {
-            pos -= self.slots;
-        }
-        self.ring_index(cell, level) * self.slots + pos
-    }
-
-    /// Reconstructed end-tick at logical position `i` (0 = newest).
-    #[inline]
-    fn end_at(&self, cell: usize, level: usize, i: usize) -> u64 {
-        self.cells[cell].base + self.slab[self.slot_of(cell, level, i)].to_offset()
-    }
-
-    /// Ring cursor and slab slice of one level, borrowed together for the
-    /// hot loops (one bounds check per level instead of one per bucket op).
-    #[inline]
-    fn level_parts(&mut self, cell: usize, level: usize) -> (&mut Ring, &mut [T]) {
-        let ri = cell * self.levels_alloc + level;
-        let slots = self.slots;
-        (
-            &mut self.rings[ri],
-            &mut self.slab[ri * slots..(ri + 1) * slots],
-        )
-    }
-
-    /// One bit through the cascade: the ring form of the standalone
-    /// `push_bit`, popping the merge pair *before* pushing so `cap` slots
-    /// always suffice. Produces the identical bucket sequence.
-    fn push_bit(&mut self, cell: usize, ts_off: T) {
-        let cap = self.cap;
-        if self.cells[cell].levels == 0 {
-            self.activate_level(cell, 0);
-        }
-        // Fast path: level 0 has room — the overwhelmingly common case.
-        let (ring, slab) = self.level_parts(cell, 0);
-        if (ring.len as usize) < cap {
-            rpush_front(ring, slab, ts_off);
+    fn make_room(&mut self, cell: usize, need: usize) {
+        let n = self.cells.len();
+        let mut want = need - (self.run_end(cell) - self.cells[cell].start as usize);
+        let spare = |core: &Self, d: usize| {
+            if d == n {
+                core.slab.capacity() - core.slab.len()
+            } else {
+                core.free(d)
+            }
+        };
+        let right = cell + 1..(cell + 1 + NEAR_RUNS).min(n + 1);
+        let left = (cell.saturating_sub(NEAR_RUNS)..cell).rev();
+        if let Some(d) = right.clone().find(|&d| spare(self, d) >= want) {
+            self.take_from_right(cell, d, want);
             return;
         }
-        let mut v = ts_off;
-        let mut i = 0usize;
-        loop {
-            let (ring, slab) = self.level_parts(cell, i);
-            let carry = if (ring.len as usize) >= cap {
-                let _older = rpop_back(ring, slab);
-                Some(rpop_back(ring, slab))
-            } else {
-                None
-            };
-            rpush_front(ring, slab, v);
-            match carry {
-                None => return,
-                Some(newer) => {
-                    // The merged bucket enters the next level newest-first,
-                    // exactly like the standalone cascade.
-                    v = newer;
-                    i += 1;
-                    if (self.cells[cell].levels as usize) == i {
-                        self.activate_level(cell, i);
-                    }
-                }
+        if let Some(d) = left.clone().find(|&d| self.free(d) >= want) {
+            self.take_from_left(cell, d, want);
+            return;
+        }
+        let near: usize = right.clone().map(|d| spare(self, d)).sum::<usize>()
+            + left.clone().map(|d| self.free(d)).sum::<usize>();
+        if near < want {
+            self.rebuild(cell, need);
+            return;
+        }
+        for d in right {
+            let k = spare(self, d).min(want);
+            if k > 0 {
+                self.take_from_right(cell, d, k);
+                want -= k;
             }
         }
+        for d in left {
+            let k = self.free(d).min(want);
+            if k > 0 {
+                self.take_from_left(cell, d, k);
+                want -= k;
+            }
+        }
+        debug_assert_eq!(want, 0);
+    }
+
+    /// Move `want` free slots from run `d > cell` (the spare capacity when
+    /// `d` is past the last run) to the end of `cell`'s run: the runs in
+    /// between, and `d`'s buckets, move up.
+    fn take_from_right(&mut self, cell: usize, d: usize, want: usize) {
+        let from = self.run_end(cell);
+        let to = match self.cells.get(d) {
+            Some(m) => m.start as usize + m.len(),
+            None => {
+                let len = self.slab.len();
+                self.slab.resize(len + want, T::default());
+                len
+            }
+        };
+        self.slab.copy_within(from..to, from + want);
+        let moved = (d + 1).min(self.cells.len());
+        for m in &mut self.cells[cell + 1..moved] {
+            m.start += want as u32;
+        }
+        // The counts keep to the run's far end.
+        let below = self.cells[cell].levels().saturating_sub(1);
+        self.slab
+            .copy_within(from - below..from, from + want - below);
+    }
+
+    /// Move `want` free slots from run `d < cell` to the front of `cell`'s
+    /// run: `d`'s counts, the runs in between and `cell`'s buckets move
+    /// down.
+    fn take_from_left(&mut self, cell: usize, d: usize, want: usize) {
+        let below = self.cells[d].levels().saturating_sub(1);
+        let from = self.run_end(d) - below;
+        let m = &self.cells[cell];
+        let to = m.start as usize + m.len();
+        self.slab.copy_within(from..to, from - want);
+        for m in &mut self.cells[d + 1..=cell] {
+            m.start -= want as u32;
+        }
+    }
+
+    /// Lay every run out afresh in a new slab of exactly their size, each
+    /// sized to twice what its cell holds plus one slot (`grown` to twice
+    /// `need` plus one); a cell that holds nothing gets no slot.
+    #[cold]
+    fn rebuild(&mut self, grown: usize, need: usize) {
+        let room = |c: usize, m: &CellMeta| {
+            let used = if c == grown { need } else { m.used() };
+            if used == 0 {
+                0
+            } else {
+                2 * used + 1
+            }
+        };
+        let total: usize = self.cells.iter().enumerate().map(|(c, m)| room(c, m)).sum();
+        assert!(
+            total <= u32::MAX as usize,
+            "slab exceeds its u32 run offsets"
+        );
+        let mut slab = Vec::with_capacity(total);
+        for c in 0..self.cells.len() {
+            let (seq, counts) = self.parts(c);
+            let start = slab.len();
+            slab.extend_from_slice(seq);
+            slab.resize(start + room(c, &self.cells[c]) - counts.len(), T::default());
+            slab.extend_from_slice(counts);
+            self.cells[c].start = start as u32;
+        }
+        // The cells' starts now index `slab`; `parts` would misread the old
+        // slab from here on, so it is swapped in before anything else.
+        self.slab = slab;
+    }
+
+    /// One bit through the cascade. Appending to level 0 is the
+    /// overwhelmingly common case; a full level 0 (or a full run) cascades.
+    #[inline]
+    fn push_bit(&mut self, cell: usize, ts_off: T) {
+        let m = &self.cells[cell];
+        let (start, len, levels) = (m.start as usize, m.len(), m.levels());
+        let end = self.run_end(cell);
+        if levels > 0 && start + len + levels <= end {
+            let n0 = if levels == 1 {
+                len
+            } else {
+                self.slab[end - 1].count()
+            };
+            if n0 < self.cap {
+                self.slab[start + len] = ts_off;
+                if levels > 1 {
+                    self.slab[end - 1] = T::from_offset(n0 as u64 + 1);
+                }
+                self.cells[cell].set_len(len + 1);
+                return;
+            }
+        }
+        self.cascade(cell, ts_off);
+    }
+
+    /// The standalone cascade, in place: `v` joins level 0, and every
+    /// level it overfills drops its oldest bucket and hands the next one
+    /// up as the level above's newest — a bucket that is already where it
+    /// belongs, next to the level boundary. So the sequence loses one
+    /// bucket per merging level and gains `v` at its end.
+    fn cascade(&mut self, cell: usize, v: T) {
+        let cap = self.cap;
+        let (len, levels) = (self.cells[cell].len(), self.cells[cell].levels());
+        // Levels `0..merged` are full and merge a pair each; level `merged`
+        // takes the last carry. `oldest` ends as the oldest merging
+        // level's first position, `top` as the top level's bucket count.
+        let (mut merged, mut oldest, mut top) = (0, len, 0);
+        let end = self.run_end(cell);
+        while merged < levels {
+            let n = if merged + 1 < levels {
+                self.slab[end - 1 - merged].count()
+            } else {
+                top = oldest;
+                oldest
+            };
+            if n < cap {
+                break;
+            }
+            oldest -= n;
+            merged += 1;
+        }
+        let new_len = len + 1 - merged;
+        let new_levels = levels.max(merged + 1);
+        let start = self.cells[cell].start as usize;
+        if start + run_slots(new_len, new_levels) > end {
+            self.make_room(cell, run_slots(new_len, new_levels));
+        }
+        let (start, end) = (self.cells[cell].start as usize, self.run_end(cell));
+        let slots = &mut self.slab[start..end];
+        let last = slots.len() - 1;
+        let count = |slots: &[T], i: usize| {
+            if i + 1 < levels {
+                slots[last - i].count()
+            } else {
+                top
+            }
+        };
+        // Oldest merging level first: each drops its first bucket, and the
+        // rest of it moves down past every bucket dropped so far.
+        let mut dropped = 0;
+        for i in (0..merged).rev() {
+            let n = count(slots, i);
+            dropped += 1;
+            slots.copy_within(oldest + 1..oldest + n, oldest + 1 - dropped);
+            oldest += n;
+        }
+        // Each merging level took one bucket and lost two. A merging top
+        // level gains a count slot, as the level above it is new; that
+        // slot may have held a bucket until the moves above.
+        for i in 0..merged {
+            let n = count(slots, i);
+            slots[last - i] = T::from_offset(n as u64 - 1);
+        }
+        if merged + 1 < levels {
+            let n = slots[last - merged].count();
+            slots[last - merged] = T::from_offset(n as u64 + 1);
+        }
+        slots[new_len - 1] = v;
+        let m = &mut self.cells[cell];
+        m.set_shape(new_len, new_levels, m.flags());
     }
 
     /// `n` same-tick bits with one pass per level: the slab form of the
@@ -312,10 +514,14 @@ impl<T: SlabWord> SlabCore<T> {
     /// explicit ends, then the `ts`-run — exactly the first `2q` positions
     /// are consumed and the carries out are positions `2, 4, …, 2q`, where
     /// `q` follows from the overflow count alone. That turns the standalone
-    /// path's per-carry replay loop into: read ≤ `q` carry values, drop a
-    /// prefix by cursor arithmetic, push the surviving explicit ends, and
-    /// block-fill the surviving `ts` buckets. (The carry buffers are
-    /// scratch fields, reused across calls instead of allocated per call.)
+    /// path's per-carry replay loop into: read ≤ `q` carry values, skip a
+    /// consumed prefix, and keep the surviving stored buckets, explicit
+    /// ends and `ts` buckets.
+    ///
+    /// Walking up from level 0, each level's new buckets are gathered
+    /// newest first into a scratch tail; the levels the carries never
+    /// reach keep their place at the front of the sequence, and the tail
+    /// is written back behind them in one pass.
     ///
     /// Bit-identity with the standalone cascade is pinned down by the
     /// differential suites in this module and `tests/slab_layout.rs`.
@@ -323,174 +529,161 @@ impl<T: SlabWord> SlabCore<T> {
         let cap64 = self.cap as u64;
         let mut explicit = std::mem::take(&mut self.scratch_a);
         let mut out_explicit = std::mem::take(&mut self.scratch_b);
-        explicit.clear();
+        let mut tail = std::mem::take(&mut self.scratch_tail);
+        // New bucket counts of the levels the carries reach (a level-i
+        // bucket holds 2^i bits, so at most 64 levels exist).
+        let mut counts = [0u32; 64];
+        let levels = self.cells[cell].levels();
+        let (seq, below) = self.parts(cell);
+        // Level i's stored buckets are `seq[end − nᵢ .. end]`.
+        let mut end = seq.len();
         let mut run: u64 = n;
         let mut i = 0usize;
-        let mut active = self.cells[cell].levels as usize;
         while !explicit.is_empty() || run > 0 {
-            if i == active {
-                if i >= self.levels_alloc {
-                    self.grow_levels(i + 1);
-                }
-                active = i + 1;
-            }
-            let slots = self.slots;
-            let (ring, slab) = self.level_parts(cell, i);
-            // Cursors as locals for the whole level; written back once.
-            let mut head = ring.head as usize;
-            let mut len_l = ring.len as usize;
-            let len = len_l as u64;
+            let n_i = match i {
+                i if i + 1 < levels => below[levels - 2 - i].count(),
+                i if i + 1 == levels => end,
+                _ => 0,
+            };
+            let stored = &seq[end - n_i..end];
+            end -= n_i;
+            let len = n_i as u64;
             let e = explicit.len() as u64;
-            let arrivals = e + run;
             // Overflow pairs: the level tops up after `cap − len` pushes,
             // then every second push merges the two oldest entries.
             let free = cap64.saturating_sub(len);
+            let arrivals = e + run;
             let q = if arrivals <= free {
                 0
             } else {
                 1 + (arrivals - free - 1) / 2
             };
+            let two_q = 2 * q;
+            // Carries out: virtual positions 2, 4, …, 2q (oldest-first
+            // numbering over stored ∥ explicit ∥ ts-run). Stored positions
+            // first, then explicit ones; every even position past `len + e`
+            // is a ts bucket, counted below.
             out_explicit.clear();
-            if q > 0 {
-                // Carries out: virtual positions 2, 4, …, 2q (oldest-first
-                // numbering over stored ∥ explicit ∥ ts-run). Stored
-                // positions first …
-                let two_q = 2 * q;
-                let mut p = 2u64;
-                let stored_last = two_q.min(len);
-                while p <= stored_last {
-                    let mut pos = head + (len - p) as usize;
-                    if pos >= slots {
-                        pos -= slots;
-                    }
-                    out_explicit.push(slab[pos]);
-                    p += 2;
-                }
-                // … then explicit positions; every even position past
-                // `len + e` is a ts bucket, counted below.
-                let explicit_last = two_q.min(len + e);
-                while p <= explicit_last {
-                    out_explicit.push(explicit[(p - len - 1) as usize]);
-                    p += 2;
-                }
-                // Drop the consumed oldest prefix by cursor arithmetic.
-                len_l -= two_q.min(len) as usize;
+            let mut p = 2u64;
+            while p <= two_q.min(len) {
+                out_explicit.push(stored[(p - 1) as usize]);
+                p += 2;
+            }
+            while p <= two_q.min(len + e) {
+                out_explicit.push(explicit[(p - len - 1) as usize]);
+                p += 2;
             }
             let ts_carries = q - out_explicit.len() as u64;
-            // Surviving explicit ends enter newest-first, in arrival order.
-            let e_consumed = ((2 * q).saturating_sub(len) as usize).min(explicit.len());
-            for &end in &explicit[e_consumed..] {
-                head = if head == 0 { slots - 1 } else { head - 1 };
-                slab[head] = end;
-                len_l += 1;
-            }
-            // Surviving ts buckets all hold the same offset: fill the front
-            // slots as a block (wrapping at most once; `ts_kept` never
-            // exceeds the slot count, so wraparound is compares, not a
-            // division).
-            let ts_kept = (run - (2 * q).saturating_sub(len + e)) as usize;
-            if ts_kept > 0 {
-                let mut new_head = head + slots - ts_kept;
-                if new_head >= slots {
-                    new_head -= slots;
-                }
-                if new_head < head {
-                    slab[new_head..head].fill(ts_off);
-                } else {
-                    slab[new_head..].fill(ts_off);
-                    slab[..head].fill(ts_off);
-                }
-                head = new_head;
-                len_l += ts_kept;
-            }
-            debug_assert!(len_l as u64 <= cap64);
-            ring.head = head as u32;
-            ring.len = len_l as u32;
+            let stored_kept = &stored[two_q.min(len) as usize..];
+            let explicit_kept =
+                &explicit[(two_q.saturating_sub(len) as usize).min(explicit.len())..];
+            let ts_kept = run - two_q.saturating_sub(len + e);
+            // The level's buckets, newest first: the ts-run, the surviving
+            // carries (in arrival order, so the last one is the newest),
+            // then the surviving stored buckets.
+            let before = tail.len();
+            tail.extend(std::iter::repeat_n(ts_off, ts_kept as usize));
+            tail.extend(explicit_kept.iter().rev());
+            tail.extend(stored_kept.iter().rev());
+            debug_assert!((tail.len() - before) as u64 <= cap64);
+            counts[i] = (tail.len() - before) as u32;
             std::mem::swap(&mut explicit, &mut out_explicit);
             run = ts_carries;
             i += 1;
         }
-        self.cells[cell].levels = active as u16;
+        let touched = i;
+        let new_levels = levels.max(touched);
+        let new_len = end + tail.len();
+        let need = run_slots(new_len, new_levels);
+        if self.cells[cell].start as usize + need > self.run_end(cell) {
+            self.make_room(cell, need);
+        }
+        let (start, run_end) = (self.cells[cell].start as usize, self.run_end(cell));
+        let slots = &mut self.slab[start..run_end];
+        for (slot, &v) in slots[end..new_len].iter_mut().zip(tail.iter().rev()) {
+            *slot = v;
+        }
+        // Counts of the levels below the new top; those above `touched`
+        // did not change.
+        let last = slots.len() - 1;
+        for (level, &c) in counts[..touched.min(new_levels - 1)].iter().enumerate() {
+            slots[last - level] = T::from_offset(u64::from(c));
+        }
+        let m = &mut self.cells[cell];
+        m.set_shape(new_len, new_levels, m.flags());
+        explicit.clear();
+        tail.clear();
         self.scratch_a = explicit;
         self.scratch_b = out_explicit;
+        self.scratch_tail = tail;
     }
 
     /// Drop buckets that no longer overlap the window ending at `now`
-    /// (ring form of the standalone `expire`).
+    /// (sequence form of the standalone `expire`, which pops the top
+    /// level's oldest bucket first — the sequence's front).
     fn expire(&mut self, cell: usize, now: u64) {
         let cutoff = now.saturating_sub(self.cfg.window);
-        if cutoff == 0 {
+        let m = &self.cells[cell];
+        if cutoff == 0 || m.levels() == 0 {
             return;
         }
-        let base = self.cells[cell].base;
-        let levels = self.cells[cell].levels as usize;
-        if levels == 0 {
-            return;
-        }
-        // Fast path: the oldest retained bucket (back of the top level)
-        // still overlaps the window — nothing expires.
+        // Fast path: the oldest bucket still overlaps the window and the
+        // top level is not empty — nothing expires, nothing is trimmed.
+        if m.flags() & TOP_MAYBE_EMPTY == 0
+            && m.len() > 0
+            && m.base + self.slab[m.start as usize].to_offset() > cutoff
         {
-            let (a, b) = self.level_slices(cell, levels - 1);
-            if let Some(oldest) = b.last().or(a.last()) {
-                if base + oldest.to_offset() > cutoff {
-                    return;
-                }
-            }
+            return;
         }
+        let m = *m;
+        let (seq, _) = self.parts(cell);
+        let popped = seq
+            .iter()
+            .take_while(|e| m.base + e.to_offset() <= cutoff)
+            .count();
+        let dropped_end = seq[..popped].iter().map(|e| m.base + e.to_offset()).max();
+        // Pops empty the top level first; the levels they empty, and any
+        // empty level right below them, are trimmed.
+        let mut left = popped;
         let mut dropped_bits = 0u64;
-        let mut dropped_end: Option<u64> = None;
-        'levels: for i in (0..levels).rev() {
-            let size = 1u64 << i;
-            let (ring, slab) = self.level_parts(cell, i);
-            while ring.len > 0 {
-                let slots = slab.len();
-                let mut pos = (ring.head as usize) + (ring.len as usize) - 1;
-                if pos >= slots {
-                    pos -= slots;
-                }
-                let end = base + slab[pos].to_offset();
-                if end > cutoff {
-                    break 'levels;
-                }
-                ring.len -= 1;
-                dropped_bits += size;
-                // Pops proceed oldest-first, so ends only grow: the last
-                // one popped is the max, matching the per-pop max fold of
-                // the standalone path.
-                dropped_end = Some(end);
+        let mut levels = 0;
+        for (level, seg) in self.levels_top_down(cell) {
+            let take = left.min(seg.len());
+            dropped_bits += (take as u64) << level;
+            left -= take;
+            if take < seg.len() {
+                levels = level + 1;
+                break;
             }
         }
-        if dropped_bits > 0 {
-            let meta = &mut self.cells[cell];
-            meta.total -= dropped_bits;
-            if let Some(end) = dropped_end {
-                meta.dropped_end = Some(match meta.dropped_end {
-                    Some(d) => d.max(end),
-                    None => end,
-                });
-            }
+        let start = m.start as usize;
+        self.slab
+            .copy_within(start + popped..start + m.len(), start);
+        let m = &mut self.cells[cell];
+        let mut flags = m.flags() & !TOP_MAYBE_EMPTY;
+        m.total -= dropped_bits;
+        if let Some(end) = dropped_end {
+            m.dropped_end = match m.dropped_end() {
+                Some(d) => d.max(end),
+                None => end,
+            };
+            flags |= HAS_DROPPED;
         }
-        let mut active = self.cells[cell].levels as usize;
-        while active > 0 && self.len_of(cell, active - 1) == 0 {
-            active -= 1;
-        }
-        self.cells[cell].levels = active as u16;
+        m.set_shape(m.len() - popped, levels, flags);
     }
 
     /// Shift the cell's offset base forward to `new_base` (all retained
     /// ends must exceed it — guaranteed after `expire`).
     #[cold]
     fn rebase(&mut self, cell: usize, new_base: u64) {
-        let old_base = self.cells[cell].base;
-        debug_assert!(new_base >= old_base);
-        let delta = new_base - old_base;
-        for level in 0..(self.cells[cell].levels as usize) {
-            for i in 0..self.len_of(cell, level) {
-                let slot = self.slot_of(cell, level, i);
-                let off = self.slab[slot].to_offset();
-                debug_assert!(off >= delta, "retained end older than the new base");
-                self.slab[slot] = T::from_offset(off - delta);
-            }
+        let m = self.cells[cell];
+        debug_assert!(new_base >= m.base);
+        let delta = new_base - m.base;
+        let start = m.start as usize;
+        for slot in &mut self.slab[start..start + m.len()] {
+            let off = slot.to_offset();
+            debug_assert!(off >= delta, "retained end older than the new base");
+            *slot = T::from_offset(off - delta);
         }
         self.cells[cell].base = new_base;
     }
@@ -504,12 +697,13 @@ impl<T: SlabWord> SlabCore<T> {
         {
             let meta = &mut self.cells[cell];
             debug_assert!(
-                meta.first_ts.is_none() || ts >= meta.last_ts,
+                meta.first_ts().is_none() || ts >= meta.last_ts,
                 "timestamps must be non-decreasing: {ts} after {}",
                 meta.last_ts
             );
-            if meta.first_ts.is_none() {
-                meta.first_ts = Some(ts);
+            if meta.flags() & HAS_FIRST == 0 {
+                meta.first_ts = ts;
+                meta.set_shape(meta.len(), meta.levels(), meta.flags() | HAS_FIRST);
             }
             meta.last_ts = ts;
             meta.total += n;
@@ -537,41 +731,6 @@ impl<T: SlabWord> SlabCore<T> {
         }
     }
 
-    /// A level's occupied slots as two newest-first slices (the ring
-    /// analogue of `VecDeque::as_slices`).
-    #[inline]
-    fn level_slices(&self, cell: usize, level: usize) -> (&[T], &[T]) {
-        let ri = cell * self.levels_alloc + level;
-        let slots = self.slots;
-        let slab = &self.slab[ri * slots..(ri + 1) * slots];
-        let ring = self.rings[ri];
-        let head = ring.head as usize;
-        let len = ring.len as usize;
-        if head + len <= slots {
-            (&slab[head..head + len], &[])
-        } else {
-            (&slab[head..], &slab[..head + len - slots])
-        }
-    }
-
-    /// Number of leading (newest-side) entries of a level strictly newer
-    /// than `cutoff` — the ring form of the standalone `partition_desc`.
-    fn count_newer(&self, cell: usize, level: usize, cutoff: u64) -> usize {
-        let base = self.cells[cell].base;
-        if cutoff < base {
-            return self.len_of(cell, level);
-        }
-        let cut_off = cutoff - base;
-        let (a, b) = self.level_slices(cell, level);
-        // Offsets descend front → back, like the deque's end-ticks.
-        let pa = a.partition_point(|e| e.to_offset() > cut_off);
-        if pa < a.len() {
-            pa
-        } else {
-            a.len() + b.partition_point(|e| e.to_offset() > cut_off)
-        }
-    }
-
     /// Estimated 1-bits with tick in `(now − range, now]` — bit-identical
     /// to the standalone `estimate`.
     fn estimate(&self, cell: usize, now: u64, range: u64) -> f64 {
@@ -580,27 +739,32 @@ impl<T: SlabWord> SlabCore<T> {
         let cutoff = now.saturating_sub(range);
         let mut sum: f64 = 0.0;
         let mut oldest: Option<(u64, Option<u64>)> = None;
-        for i in (0..(meta.levels as usize)).rev() {
-            let len = self.len_of(cell, i);
+        for (i, seg) in self.levels_top_down(cell) {
+            let len = seg.len();
             if len == 0 {
                 continue;
             }
-            let in_range = self.count_newer(cell, i, cutoff);
+            // Entries strictly newer than `cutoff` (offsets ascend, like
+            // the sequence's end-ticks).
+            let in_range = match cutoff.checked_sub(meta.base) {
+                None => len,
+                Some(cut) => len - seg.partition_point(|e| e.to_offset() <= cut),
+            };
             if in_range == 0 {
                 continue;
             }
             sum += ((in_range as u64) << i) as f64;
             if oldest.is_none() {
                 let prev_end = if in_range < len {
-                    Some(self.end_at(cell, i, in_range))
+                    Some(meta.base + seg[len - 1 - in_range].to_offset())
                 } else {
-                    meta.dropped_end
+                    meta.dropped_end()
                 };
                 oldest = Some((1u64 << i, prev_end));
             }
         }
         if let Some((size, prev_end)) = oldest {
-            let start = prev_end.or(meta.first_ts);
+            let start = prev_end.or(meta.first_ts());
             let straddles = size > 1
                 && match start {
                     Some(s) => s <= cutoff,
@@ -614,18 +778,16 @@ impl<T: SlabWord> SlabCore<T> {
     }
 
     /// Byte-identical wire encoding of one cell (the standalone
-    /// `WindowCounter::encode` format), produced straight from the ring
-    /// cursors.
+    /// `WindowCounter::encode` format), produced straight from the run.
     fn encode_cell(&self, cell: usize, buf: &mut Vec<u8>) {
         let meta = &self.cells[cell];
         put_u8(buf, CODEC_VERSION);
-        put_varint(buf, u64::from(meta.levels));
-        for level in 0..(meta.levels as usize) {
-            let len = self.len_of(cell, level);
-            put_varint(buf, len as u64);
+        put_varint(buf, meta.levels() as u64);
+        for seg in self.levels_bottom_up(cell) {
+            put_varint(buf, seg.len() as u64);
             let mut prev: Option<u64> = None;
-            for i in 0..len {
-                let end = self.end_at(cell, level, i);
+            for e in seg.iter().rev() {
+                let end = meta.base + e.to_offset();
                 match prev {
                     None => put_varint(buf, end),
                     Some(p) => put_varint(buf, p - end),
@@ -636,50 +798,13 @@ impl<T: SlabWord> SlabCore<T> {
         put_varint(buf, meta.total);
         put_varint(buf, meta.last_ts);
         put_varint(buf, meta.lifetime);
-        match meta.first_ts {
-            Some(t) => {
-                put_u8(buf, 1);
-                put_varint(buf, t);
-            }
-            None => put_u8(buf, 0),
-        }
-        match meta.dropped_end {
-            Some(t) => {
-                put_u8(buf, 1);
-                put_varint(buf, t);
-            }
-            None => put_u8(buf, 0),
-        }
-    }
-
-    /// Import one standalone histogram into cell `cell` (grid must have
-    /// room: `levels_alloc`/`slots` sized by the caller).
-    fn import_cell(&mut self, cell: usize, eh: &ExponentialHistogram) {
-        let levels = eh.raw_levels();
-        let (total, last_ts, first_ts, dropped_end, lifetime) = eh.raw_meta();
-        let base = levels
-            .iter()
-            .flat_map(|l| l.iter().copied())
-            .min()
-            .unwrap_or(0);
-        let meta = CellMeta {
-            levels: levels.len() as u16,
-            base,
-            total,
-            last_ts,
-            first_ts,
-            dropped_end,
-            lifetime,
-        };
-        self.cells[cell] = meta;
-        for (level, deque) in levels.iter().enumerate() {
-            let ri = self.ring_index(cell, level);
-            self.rings[ri] = Ring {
-                head: 0,
-                len: deque.len() as u32,
-            };
-            for (i, &end) in deque.iter().enumerate() {
-                self.slab[ri * self.slots + i] = T::from_offset(end - base);
+        for tick in [meta.first_ts(), meta.dropped_end()] {
+            match tick {
+                Some(t) => {
+                    put_u8(buf, 1);
+                    put_varint(buf, t);
+                }
+                None => put_u8(buf, 0),
             }
         }
     }
@@ -688,22 +813,21 @@ impl<T: SlabWord> SlabCore<T> {
     /// layout, as the merge paths and differential tests consume).
     fn materialize(&self, cell: usize) -> ExponentialHistogram {
         let meta = &self.cells[cell];
-        let mut levels = Vec::with_capacity(meta.levels as usize);
-        for level in 0..(meta.levels as usize) {
-            let len = self.len_of(cell, level);
-            let mut deque = VecDeque::with_capacity(self.cap + 1);
-            for i in 0..len {
-                deque.push_back(self.end_at(cell, level, i));
-            }
-            levels.push(deque);
-        }
+        let levels = self
+            .levels_bottom_up(cell)
+            .map(|seg| {
+                let mut deque = VecDeque::with_capacity(self.cap + 1);
+                deque.extend(seg.iter().rev().map(|e| meta.base + e.to_offset()));
+                deque
+            })
+            .collect();
         ExponentialHistogram::from_raw_parts(
             &self.cfg,
             levels,
             meta.total,
             meta.last_ts,
-            meta.first_ts,
-            meta.dropped_end,
+            meta.first_ts(),
+            meta.dropped_end(),
             meta.lifetime,
         )
     }
@@ -721,39 +845,45 @@ impl<T: SlabWord> SlabCore<T> {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.slab.capacity() * std::mem::size_of::<T>()
-            + self.rings.capacity() * std::mem::size_of::<Ring>()
+        let scratch =
+            self.scratch_a.capacity() + self.scratch_b.capacity() + self.scratch_tail.capacity();
+        (self.slab.capacity() + scratch) * std::mem::size_of::<T>()
             + self.cells.capacity() * std::mem::size_of::<CellMeta>()
-            + (self.scratch_a.capacity() + self.scratch_b.capacity()) * std::mem::size_of::<T>()
     }
 
     /// Structural invariants (the slab analogue of the standalone
-    /// `validate`), plus cursor sanity.
+    /// `validate`), plus run sanity.
     fn validate(&self, cell: usize) -> Result<(), String> {
         let meta = &self.cells[cell];
+        let end = self.run_end(cell);
+        if (meta.start as usize) > end || meta.start as usize + meta.used() > end {
+            return Err(format!("cell {cell}: buckets and counts overflow its run"));
+        }
+        let (seq, counts) = self.parts(cell);
+        if counts.iter().map(|c| c.count()).sum::<usize>() > seq.len() {
+            return Err(format!("cell {cell}: level counts exceed its buckets"));
+        }
+        let segs: Vec<&[T]> = self.levels_bottom_up(cell).collect();
         let mut sum = 0u64;
-        for level in 0..(meta.levels as usize) {
-            let len = self.len_of(cell, level);
-            if len > self.cap {
+        for (level, seg) in segs.iter().enumerate() {
+            if seg.len() > self.cap {
                 return Err(format!(
-                    "cell {cell} level {level} holds {len} > {}",
+                    "cell {cell} level {level} holds {} > {}",
+                    seg.len(),
                     self.cap
                 ));
             }
-            for i in 0..len.saturating_sub(1) {
-                if self.end_at(cell, level, i) < self.end_at(cell, level, i + 1) {
-                    return Err(format!("cell {cell} level {level} out of order at {i}"));
-                }
+            if let Some(i) = seg
+                .windows(2)
+                .position(|w| w[0].to_offset() > w[1].to_offset())
+            {
+                return Err(format!("cell {cell} level {level} out of order at {i}"));
             }
-            sum += (len as u64) << level;
+            sum += (seg.len() as u64) << level;
         }
-        for level in 0..(meta.levels as usize).saturating_sub(1) {
-            let lo_len = self.len_of(cell, level);
-            let hi_len = self.len_of(cell, level + 1);
-            if lo_len > 0 && hi_len > 0 {
-                let oldest_lo = self.end_at(cell, level, lo_len - 1);
-                let newest_hi = self.end_at(cell, level + 1, 0);
-                if newest_hi > oldest_lo {
+        for (level, pair) in segs.windows(2).enumerate() {
+            if let (Some(oldest_lo), Some(newest_hi)) = (pair[0].first(), pair[1].last()) {
+                if newest_hi.to_offset() > oldest_lo.to_offset() {
                     return Err(format!(
                         "cell {cell}: level {} bucket newer than level {level} bucket",
                         level + 1
@@ -771,28 +901,63 @@ impl<T: SlabWord> SlabCore<T> {
     }
 }
 
-/// Build a slab and import already-decoded histograms (shared by
-/// `from_counters` and `decode_grid`).
+/// Build a slab holding already-decoded histograms, one exactly-sized run
+/// each in cell order (shared by `from_counters` and `decode_grid`).
 fn import_all<T: SlabWord>(cfg: &EhConfig, counters: &[ExponentialHistogram]) -> SlabCore<T> {
     let mut core = SlabCore::<T>::new(cfg, counters.len());
-    // The per-cell decoder defensively tolerates one bucket over capacity;
-    // size the rings for whatever actually arrived.
-    let max_len = counters
+    let total: usize = counters
         .iter()
-        .flat_map(|c| c.raw_levels().iter().map(VecDeque::len))
-        .max()
-        .unwrap_or(0);
-    core.slots = core.slots.max(max_len);
-    let max_levels = counters
-        .iter()
-        .map(|c| c.raw_levels().len())
-        .max()
-        .unwrap_or(0);
-    if max_levels > 0 {
-        core.grow_levels(max_levels);
-    }
-    for (cell, eh) in counters.iter().enumerate() {
-        core.import_cell(cell, eh);
+        .map(|c| run_slots(c.bucket_count(), c.raw_levels().len()))
+        .sum();
+    assert!(
+        total <= u32::MAX as usize,
+        "slab exceeds its u32 run offsets"
+    );
+    core.slab.reserve_exact(total);
+    for (meta, eh) in core.cells.iter_mut().zip(counters) {
+        let levels = eh.raw_levels();
+        let (total, last_ts, first_ts, dropped_end, lifetime) = eh.raw_meta();
+        let base = levels
+            .iter()
+            .flat_map(|l| l.iter().copied())
+            .min()
+            .unwrap_or(0);
+        let start = core.slab.len();
+        // Buckets oldest first: the top level's oldest down to level 0's
+        // newest (a deque's front is its newest).
+        for level in levels.iter().rev() {
+            core.slab
+                .extend(level.iter().rev().map(|&end| T::from_offset(end - base)));
+        }
+        let len = core.slab.len() - start;
+        let below = levels.len().saturating_sub(1);
+        core.slab.extend(
+            levels[..below]
+                .iter()
+                .rev()
+                .map(|l| T::from_offset(l.len() as u64)),
+        );
+        let mut flags = 0;
+        if first_ts.is_some() {
+            flags |= HAS_FIRST;
+        }
+        if dropped_end.is_some() {
+            flags |= HAS_DROPPED;
+        }
+        if levels.last().is_some_and(VecDeque::is_empty) {
+            flags |= TOP_MAYBE_EMPTY;
+        }
+        *meta = CellMeta {
+            base,
+            total,
+            last_ts,
+            first_ts: first_ts.unwrap_or(0),
+            dropped_end: dropped_end.unwrap_or(0),
+            lifetime,
+            start: start as u32,
+            shape: 0,
+        };
+        meta.set_shape(len, levels.len(), flags);
     }
     core
 }
@@ -920,9 +1085,7 @@ impl EhCellRef<'_> {
 
     /// Buckets currently held.
     pub fn bucket_count(&self) -> usize {
-        on_core!(self.grid, c => (0..usize::from(c.cells[self.idx].levels))
-            .map(|l| c.len_of(self.idx, l))
-            .sum())
+        on_core!(self.grid, c => c.cells[self.idx].len())
     }
 
     /// Copy the cell out as a standalone histogram.
@@ -940,8 +1103,7 @@ impl EhCellRef<'_> {
 }
 
 /// Mutable view of one slab cell, mirroring the standalone histogram's
-/// insert/expire surface (the cascade runs over `(head, len)` cursors into
-/// the shared slab).
+/// insert/expire surface (the cascade runs in place in the cell's run).
 #[derive(Debug)]
 pub struct EhCellMut<'a> {
     grid: &'a mut EhGrid,
@@ -1222,6 +1384,75 @@ mod tests {
         );
     }
 
+    /// Ticks of a sparse stream over `n` cells whose popularity follows
+    /// Zipf(1): a few busy cells, a long tail of nearly idle ones.
+    fn sparse_zipf_stream(n: usize, events: usize, seed: u64) -> Vec<(usize, u64)> {
+        let weights: Vec<f64> = (1..=n).map(|r| 1.0 / r as f64).collect();
+        let sum: f64 = weights.iter().sum();
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for w in &weights {
+            acc += w / sum;
+            cdf.push(acc);
+        }
+        let mut x = seed | 1;
+        let mut next = move || {
+            // xorshift64*
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut ts = 1u64;
+        (0..events)
+            .map(|_| {
+                ts += (next() * 40.0) as u64;
+                let u = next();
+                let cell = cdf.partition_point(|&c| c < u).min(n - 1);
+                // Scatter the ranks over the grid, as hashing does.
+                ((cell * 37) % n, ts)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_grid_holds_its_metadata_and_about_the_buckets_its_cells_held() {
+        // The compact metadata: six u64 scalars, the run start and the
+        // packed bucket/level/flag word.
+        assert_eq!(std::mem::size_of::<CellMeta>(), 56);
+        let cfg = EhConfig::new(0.05, 2_000);
+        let n = 168;
+        let mut grid = EhGrid::new(&cfg, n);
+        let mut most_used = vec![0usize; n];
+        for (cell, ts) in sparse_zipf_stream(n, 40_000, 7) {
+            grid.cell_mut(cell).insert_one(ts);
+            if let Repr::Narrow(core) = &grid.0 {
+                most_used[cell] = most_used[cell].max(core.cells[cell].used());
+            }
+        }
+        let held: usize = most_used.iter().sum();
+        let touched = most_used.iter().filter(|&&u| u > 0).count();
+        // A rebuild gives every run twice what its cell holds plus one
+        // slot, and runs only trade free slots between rebuilds: the slab
+        // stays within twice the cells' lifetime-max slots plus one per
+        // cell that ever held a bucket.
+        let bound =
+            n * std::mem::size_of::<CellMeta>() + (2 * held + touched) * std::mem::size_of::<u32>();
+        let bytes = CellStorage::<ExponentialHistogram>::memory_bytes(&grid);
+        assert!(
+            bytes <= bound,
+            "{bytes} B > {bound} B for {held} slots held at most"
+        );
+        // The fixed per-level layout this replaced spent a 72-byte header
+        // and, per level, a full level's slots and an 8-byte cursor on
+        // every cell: even at one level, well over half as much again.
+        let one_level_each = n * (72 + cfg.level_capacity() * 4 + 8);
+        assert!(
+            10 * bytes <= 6 * one_level_each,
+            "{bytes} B vs {one_level_each} B"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1247,6 +1478,45 @@ mod tests {
                 })
                 .collect();
             differential(&cfg, &ops);
+        }
+
+        /// Cells that outgrow their runs, expire to nothing and grow again,
+        /// side by side in one grid so their runs trade free slots and the
+        /// slab is rebuilt under them: every cell stays bit-identical to a
+        /// standalone histogram fed the same ops — estimates over a spread
+        /// of ranges, and wire bytes — on both slab widths.
+        #[test]
+        fn prop_cells_grow_expire_and_regrow_like_standalone_histograms(
+            ops in proptest::collection::vec(((0usize..5, 0u32..12), (0u64..40, 1u64..300)), 1..150),
+            narrow_window in 50u64..2_000,
+            wide in 0u32..3,
+            eps in 0.05f64..0.5,
+        ) {
+            let window = if wide == 0 { 1u64 << 33 } else { narrow_window };
+            let cfg = EhConfig::new(eps, window);
+            let mut grid = EhGrid::new(&cfg, 5);
+            let mut mirrors: Vec<ExponentialHistogram> =
+                (0..5).map(|_| ExponentialHistogram::new(&cfg)).collect();
+            let mut ts = 1u64;
+            for &((cell, phase), (gap, n)) in &ops {
+                // One op in twelve jumps past the window: the cell it
+                // lands on expires to nothing before it grows again.
+                ts += if phase == 0 { window + gap } else { gap };
+                grid.cell_mut(cell).insert_ones(ts, n);
+                mirrors[cell].insert_ones(ts, n);
+                for (i, eh) in mirrors.iter().enumerate() {
+                    let c = grid.cell(i);
+                    prop_assert!(c.validate().is_ok(), "cell {}: {:?}", i, c.validate());
+                    for range in [1, 2, window / 9 + 1, window / 2, window] {
+                        prop_assert_eq!(
+                            c.estimate(ts, range).to_bits(),
+                            eh.estimate(ts, range).to_bits(),
+                            "cell {} range {}", i, range
+                        );
+                    }
+                    prop_assert_eq!(encode_cell(&grid, i), encode_eh(eh), "cell {}", i);
+                }
+            }
         }
 
         /// The bound rankings prune with, and the lemma under it. After

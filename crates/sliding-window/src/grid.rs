@@ -11,9 +11,9 @@
 //!   layout used by the wave and exact counters, whose state is
 //!   dynamically sized.
 //! * [`EhGrid`](crate::eh_slab::EhGrid) — the slab specialization for
-//!   exponential histograms: every level of every cell is a fixed-capacity
-//!   ring carved out of **one contiguous slab allocation** for the whole
-//!   grid (see [`crate::eh_slab`]).
+//!   exponential histograms: every cell owns one run of **one contiguous
+//!   slab allocation** for the whole grid, holding just the buckets it has
+//!   and their level counts (see [`crate::eh_slab`]).
 //!
 //! The trait is sealed: the grid contract (bit-identical updates, wire
 //! compatibility with the per-cell codec) is pinned down by differential
