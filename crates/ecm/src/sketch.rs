@@ -436,6 +436,12 @@ impl<W: WindowCounter> EcmSketch<W> {
         Ok(())
     }
 
+    /// The counter grid.
+    #[cfg(test)]
+    pub(crate) fn grid(&self) -> &W::GridStorage {
+        &self.cells
+    }
+
     /// Bytes of memory currently held (dominated by the cells).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.cells.memory_bytes()

@@ -770,8 +770,9 @@ impl<K> std::fmt::Debug for SketchStore<K> {
 mod tests {
     use super::*;
     use crate::api::Backend;
+    use crate::sketch::EcmSketch;
     use crate::snapshot::tests::{replace_zero, reseal};
-    use sliding_window::CodecError;
+    use sliding_window::{CodecError, ExponentialHistogram};
 
     fn spec() -> SketchSpec {
         SketchSpec::time(1_000).epsilon(0.1).delta(0.1).seed(3)
@@ -1046,9 +1047,25 @@ mod tests {
 
         let restored = SketchStore::<u64>::load_snapshot(&bytes).unwrap();
         assert_eq!(restored.checkpoint_seq(), 1);
-        // A restored grid holds exactly its buckets; the live one keeps
-        // the free slots its runs grew into.
+        // A restored grid holds exactly its buckets: every sketch is its
+        // header plus its grid's cells packed run against run. The live one
+        // also keeps the free slots its runs grew into.
+        let packed: usize = (0..6u64)
+            .map(|key| {
+                let sketch = restored.get(&key).unwrap().as_any();
+                let sketch = sketch
+                    .downcast_ref::<EcmSketch<ExponentialHistogram>>()
+                    .unwrap();
+                std::mem::size_of_val(sketch) + sketch.grid().packed_bytes()
+            })
+            .sum();
+        assert_eq!(restored.key_count(), 6);
+        assert_eq!(restored.memory_bytes(), packed);
         assert!(restored.memory_bytes() <= store.memory_bytes());
+        // Restoring is a fixed point: the restored store, snapshotted and
+        // restored again, takes the same bytes.
+        let again = SketchStore::<u64>::load_snapshot(&restored.clone().write_snapshot().unwrap());
+        assert_eq!(again.unwrap().memory_bytes(), restored.memory_bytes());
         assert_stores_agree(&store, &restored, WindowSpec::time(800, 1_000));
 
         // The write stamps survived: the same keys read as written since

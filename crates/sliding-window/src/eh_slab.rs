@@ -24,19 +24,26 @@
 //! ```
 //!
 //! An insert appends level 0's newest bucket. A cascade merges the two
-//! oldest buckets of a full level — adjacent in the sequence — by dropping
-//! the older one in place, and the newer one becomes the next level's
-//! newest without moving. Expiry pops from the sequence's front. The `d`
+//! oldest buckets of a full level, adjacent in the sequence: the older is
+//! dropped, and the newer, which moves down into its slot, becomes the
+//! next level's newest. Expiry pops from the sequence's front. The `d`
 //! cells one item touches are the only runs an insert reads.
 //!
-//! A cell whose run is full takes free slots from the runs nearby, moving
-//! only the runs in between. Only when they cannot spare enough is the
-//! slab rebuilt, every run sized to twice what its cell holds then, plus
-//! one slot: like a `Vec`'s doubling, a grid rebuilds `O(log)` times as it
-//! fills, and free slots stay spread over the runs, where later growth
-//! finds them. A grid is a handful of `Vec`s, so a clone is a couple of
-//! `memcpy`s, and the clone inherits the runs' free slots, so a write
-//! after a copy-on-write clone seldom allocates.
+//! What that costs: dropping a bucket moves what follows it. A cascade
+//! moves the rest of each merging level down one slot, and an expiry moves
+//! the whole sequence, so a single-event insert moves about
+//! `level_capacity` ≈ 1/(2ε) slots on average, where per-level rings
+//! would move two cursors. At ε = 0.1 that is a few slots; at ε = 0.001 a
+//! kernel probe ingested about five times slower than with rings.
+//!
+//! A cell whose run is full takes free slots from the nearest run that can
+//! spare them all, moving only the runs in between. Only when no nearby
+//! run can is the slab rebuilt, every run sized to twice what its cell
+//! holds then, plus one slot: like a `Vec`'s doubling, a grid rebuilds
+//! `O(log)` times as it fills, and free slots stay spread over the runs,
+//! where later growth finds them. A grid is a handful of `Vec`s, so a
+//! clone is a couple of `memcpy`s, and the clone inherits the runs' free
+//! slots, so a write after a copy-on-write clone seldom allocates.
 //!
 //! Two further layout savings over the per-cell representation:
 //!
@@ -191,7 +198,11 @@ fn run_slots(len: usize, levels: usize) -> usize {
 }
 
 /// How many runs either side of a full one are searched for free slots
-/// before the slab is rebuilt instead.
+/// before the slab is rebuilt instead. On the served `wide-fleet` and
+/// `hot-tenants` traces, narrower searches held up to 12 % more bytes (and
+/// at one run a warm store allocated on its writes), while wider ones held
+/// at most 1–4 % fewer and ingested no faster; the runs a trade moves grow
+/// with the distance.
 const NEAR_RUNS: usize = 32;
 
 /// The slab proper, generic over the stored word.
@@ -292,71 +303,32 @@ impl<T: SlabWord> SlabCore<T> {
     }
 
     /// Grow `cell`'s run to at least `need` slots, keeping its buckets and
-    /// counts: with free slots from the runs within `NEAR_RUNS` of it (past
-    /// the last run, the slab's spare capacity) — from the nearest one
-    /// that can spare them all, else from as many as it takes — or, when
-    /// those runs cannot spare enough between them, by rebuilding the
-    /// slab.
+    /// counts: with free slots from the nearest run within `NEAR_RUNS` of
+    /// it that can spare them all, searching the runs after it first, or,
+    /// when none can, by rebuilding the slab.
     #[cold]
     fn make_room(&mut self, cell: usize, need: usize) {
-        let n = self.cells.len();
-        let mut want = need - (self.run_end(cell) - self.cells[cell].start as usize);
-        let spare = |core: &Self, d: usize| {
-            if d == n {
-                core.slab.capacity() - core.slab.len()
-            } else {
-                core.free(d)
-            }
-        };
-        let right = cell + 1..(cell + 1 + NEAR_RUNS).min(n + 1);
-        let left = (cell.saturating_sub(NEAR_RUNS)..cell).rev();
-        if let Some(d) = right.clone().find(|&d| spare(self, d) >= want) {
+        let want = need - (self.run_end(cell) - self.cells[cell].start as usize);
+        let right = cell + 1..(cell + 1 + NEAR_RUNS).min(self.cells.len());
+        if let Some(d) = right.into_iter().find(|&d| self.free(d) >= want) {
             self.take_from_right(cell, d, want);
-            return;
-        }
-        if let Some(d) = left.clone().find(|&d| self.free(d) >= want) {
+        } else if let Some(d) = (cell.saturating_sub(NEAR_RUNS)..cell)
+            .rev()
+            .find(|&d| self.free(d) >= want)
+        {
             self.take_from_left(cell, d, want);
-            return;
-        }
-        let near: usize = right.clone().map(|d| spare(self, d)).sum::<usize>()
-            + left.clone().map(|d| self.free(d)).sum::<usize>();
-        if near < want {
+        } else {
             self.rebuild(cell, need);
-            return;
         }
-        for d in right {
-            let k = spare(self, d).min(want);
-            if k > 0 {
-                self.take_from_right(cell, d, k);
-                want -= k;
-            }
-        }
-        for d in left {
-            let k = self.free(d).min(want);
-            if k > 0 {
-                self.take_from_left(cell, d, k);
-                want -= k;
-            }
-        }
-        debug_assert_eq!(want, 0);
     }
 
-    /// Move `want` free slots from run `d > cell` (the spare capacity when
-    /// `d` is past the last run) to the end of `cell`'s run: the runs in
-    /// between, and `d`'s buckets, move up.
+    /// Move `want` free slots from run `d > cell` to the end of `cell`'s
+    /// run: the runs in between, and `d`'s buckets, move up.
     fn take_from_right(&mut self, cell: usize, d: usize, want: usize) {
         let from = self.run_end(cell);
-        let to = match self.cells.get(d) {
-            Some(m) => m.start as usize + m.len(),
-            None => {
-                let len = self.slab.len();
-                self.slab.resize(len + want, T::default());
-                len
-            }
-        };
+        let to = self.cells[d].start as usize + self.cells[d].len();
         self.slab.copy_within(from..to, from + want);
-        let moved = (d + 1).min(self.cells.len());
-        for m in &mut self.cells[cell + 1..moved] {
+        for m in &mut self.cells[cell + 1..=d] {
             m.start += want as u32;
         }
         // The counts keep to the run's far end.
@@ -844,6 +816,14 @@ impl<T: SlabWord> SlabCore<T> {
             .fold(0u64, |acc, c| acc.saturating_add(c.total))
     }
 
+    /// What `memory_bytes` reads for the same cells packed run against
+    /// run, with no free slot and no scratch: the headers plus every cell's
+    /// buckets and level counts.
+    fn packed_bytes(&self) -> usize {
+        let used: usize = self.cells.iter().map(CellMeta::used).sum();
+        used * std::mem::size_of::<T>() + self.cells.len() * std::mem::size_of::<CellMeta>()
+    }
+
     fn memory_bytes(&self) -> usize {
         let scratch =
             self.scratch_a.capacity() + self.scratch_b.capacity() + self.scratch_tail.capacity();
@@ -1033,6 +1013,14 @@ impl EhGrid {
     /// Number of cells.
     pub fn n_cells(&self) -> usize {
         on_core!(self, c => c.cells.len())
+    }
+
+    /// The bytes the grid's cells need packed run against run: their
+    /// headers plus the slots of the buckets and level counts they hold. A
+    /// decoded grid takes exactly this; a live one also keeps the free
+    /// slots its runs grew into.
+    pub fn packed_bytes(&self) -> usize {
+        on_core!(self, c => c.packed_bytes())
     }
 
     /// Read-only view of one cell.
